@@ -118,14 +118,17 @@ def measure(wl, seconds: float, probe) -> list:
 
 def end_to_end(wl, blocks, setup_samples) -> tuple[dict, list]:
     """Times are at reference machine speed (speed.py); the raw ones and the
-    slowdown factors go to the report lines."""
+    slowdown factors go to the report lines.  Blocks of the same work give
+    the median block; blocks of new inputs give the mean, which averages
+    over all the inputs the run covered."""
     walls = [b.ref_wall for b in blocks]
     raw = [b.wall for b in blocks]
-    wall = statistics.median(walls)
+    average = statistics.median if wl.same_work else statistics.fmean
+    wall = average(walls)
     metrics = {
         "setup_s": (statistics.median(setup_samples), "s", len(setup_samples)),
         "wall_s": (wall, "s", len(walls)),
-        "pairs_per_s": (statistics.median(b.pairs for b in blocks) / wall, "1/s",
+        "pairs_per_s": (average([b.pairs for b in blocks]) / wall, "1/s",
                         sum(b.pairs for b in blocks)),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB", 1),
     }
