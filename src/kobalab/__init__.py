@@ -13,7 +13,7 @@ a family of geodesics.
 from .checker import (IsometryReport, audit_isometry, completeness_check,
                       injectivity_probe, properness_probe, reproduce_example)
 from .coverings import (HolomorphicMap, IntegerMatrix, antipodal_image_check, apply_map,
-                        ball_mobius_map, compose_maps, covering_apply, deck_preimages,
+                        ball_mobius_map, compose_maps, deck_preimages,
                         exp_strip_cover, exp_tube_cover, identity_map, log_image,
                         map_differential, monomial_apply, monomial_map, monomial_power,
                         monomial_preimages, power_map)

@@ -107,14 +107,3 @@ def ball_points(count: int, dim_complex: int, radius: float = 0.9, seed: int = 0
         vec = r * g / norm
         pts.append(vec[:dim_complex] + 1j * vec[dim_complex:])
     return pts
-
-
-def disc_points(count: int, radius: float = 0.9, inner: float = 0.0, seed: int = 0) -> list[complex]:
-    """Deterministic points in an annular region of the disc (inner may be 0)."""
-    cube = halton(count, 2)
-    pts = []
-    for k in range(count):
-        r = inner + (radius - inner) * math.sqrt(cube[k, 0])
-        theta = 2.0 * math.pi * cube[k, 1]
-        pts.append(r * complex(math.cos(theta), math.sin(theta)))
-    return pts

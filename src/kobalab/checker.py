@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sampling import ball_points, halton, rng
+from ._sampling import halton, rng
 from .coverings import (ExpCover, HolomorphicMap, Identity, Monomial, Power, apply_map,
                         monomial_preimages)
-from .domains import (Annulus, ModelDomain, PuncturedDisc, ReinhardtLog, Strip, UnitBall,
-                      UnitDisc, as_point, base_reference, dim, escape_margin, membership)
+from .domains import (ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog, Strip,
+                      as_point, base_reference, escape_margin, membership)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
 from .metric import distance
@@ -102,7 +102,7 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
         for p in pts:
             q = apply_map(f, p)
             if not membership(f.target, q):
-                raise ValueError(f"image point {q} leaves the target domain")
+                raise NonInteriorError(f"image point {q} leaves the target domain")
             imgs.append(q)
         max_sep = 0.0
         max_raw = 0.0
@@ -230,51 +230,10 @@ def properness_probe(f: HolomorphicMap, sequences) -> dict:
 def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0,
                      imag_window: float = 4.0) -> list[np.ndarray]:
     """Deterministic low-discrepancy interior points for coverage grids."""
-    skip = 20 + 1000 * seed
-    if isinstance(domain, (UnitDisc, PuncturedDisc)):
-        cube = halton(count, 2, skip=skip)
-        inner = 0.05 if isinstance(domain, PuncturedDisc) else 0.0
-        pts = []
-        for k in range(count):
-            r = inner + (0.95 - inner) * cube[k, 0]
-            th = 2.0 * math.pi * cube[k, 1]
-            pts.append(np.array([r * complex(math.cos(th), math.sin(th))]))
-        return pts
-    if isinstance(domain, Strip):
-        a = domain.halfwidth
-        cube = halton(count, 2, skip=skip)
-        return [np.array([complex(a * (2.0 * cube[k, 0] - 1.0) * 0.95,
-                                  imag_window * (2.0 * cube[k, 1] - 1.0))])
-                for k in range(count)]
-    if isinstance(domain, Annulus):
-        a = math.log(domain.R)
-        cube = halton(count, 2, skip=skip)
-        return [np.array([math.exp(a * (2.0 * cube[k, 0] - 1.0) * 0.95)
-                          * complex(math.cos(2.0 * math.pi * cube[k, 1]),
-                                    math.sin(2.0 * math.pi * cube[k, 1]))])
-                for k in range(count)]
-    if isinstance(domain, UnitBall):
-        return [np.asarray(p) for p in ball_points(count, domain.dim, radius=0.9)]
-    if isinstance(domain, ReinhardtLog):
-        n = dim(domain)
-        ref = base_reference(domain.base)
-        cube = halton(count, 2 * n + 1, skip=skip)
-        from .domains import chord_interval
-
-        pts = []
-        for k in range(count):
-            direction = cube[k, :n] - 0.5
-            norm = float(np.linalg.norm(direction))
-            if norm < 1e-12:
-                direction = np.eye(n)[0]
-                norm = 1.0
-            direction = direction / norm
-            lo, hi = chord_interval(domain.base, ref, direction)
-            u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
-            phases = 2.0 * math.pi * cube[k, n:2 * n]
-            pts.append(np.exp(u) * np.exp(1j * phases))
-        return pts
-    raise ValueError(f"no grid builder for {domain!r}")
+    build = getattr(domain, "grid", None)
+    if build is None:
+        raise ValueError(f"no grid builder for {domain!r}")
+    return build(count, 20 + 1000 * seed, imag_window)
 
 
 def polar_orbit_grid(radii=(0.2, 0.35, 0.5, 0.65, 0.8), angles: int = 30) -> list[np.ndarray]:

@@ -64,28 +64,38 @@ def _point_csv(z) -> str:
     return ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in np.atleast_1d(z))
 
 
+_CSV_HEADER = "domain,z,w,value,method,gap,deck_index"
+
+
+def _csv_row(domain: dict, z, w, val) -> str:
+    deck = "" if val.deck_index is None else ";".join(str(k) for k in val.deck_index)
+    return ",".join([json.dumps(domain, sort_keys=True).replace(",", ";"),
+                     _point_csv(z), _point_csv(w),
+                     _fmt(val.value), val.method, _fmt(val.gap), deck])
+
+
 def cmd_dist(args) -> int:
     if args.batch:
         rows = _load_json_arg(args.batch)
-        lines = ["domain,z,w,value,method,gap,deck_index"]
+        lines = [_CSV_HEADER]
         for row in rows:
             dom = domain_from_dict(row["domain"])
             z = parse_point(row["z"])
             w = parse_point(row["w"])
             val = distance(dom, z, w, gap_tol=args.gap_tol)
-            deck = "" if val.deck_index is None else ";".join(str(k) for k in val.deck_index)
-            lines.append(",".join([json.dumps(row["domain"], sort_keys=True).replace(",", ";"),
-                                   _point_csv(z), _point_csv(w),
-                                   _fmt(val.value), val.method, _fmt(val.gap), deck]))
+            lines.append(_csv_row(row["domain"], z, w, val))
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     if args.domain is None or args.z is None or args.w is None:
         raise DomainError("dist needs --domain, --z, --w (or --batch)")
-    dom = domain_from_dict(_domain_arg(args))
+    data = _domain_arg(args)
+    dom = domain_from_dict(data)
     z = parse_point(args.z)
     w = parse_point(args.w)
     val = distance(dom, z, w, gap_tol=args.gap_tol)
-    if args.format == "json":
+    if args.format == "csv":
+        _emit(f"{_CSV_HEADER}\n{_csv_row(data, z, w, val)}\n", args.out)
+    elif args.format == "json":
         payload = {"value": val.value, "method": val.method, "gap": val.gap,
                    "deck_index": list(val.deck_index) if val.deck_index else None,
                    "z": point_to_json(z), "w": point_to_json(w)}
@@ -190,7 +200,10 @@ def cmd_scaling_probe(args) -> int:
                           geodesic_persistence_probe, metric_convergence_probe,
                           scaling_automorphism)
 
-    ts = [float(t) for t in args.ts.split(",")]
+    try:
+        ts = [float(t) for t in args.ts.split(",")]
+    except ValueError:
+        raise DomainError(f"--ts needs comma-separated numbers, got {args.ts!r}") from None
     if args.probe == "metric":
         table = metric_convergence_probe(args.eps, ts, n=args.n)
     elif args.probe == "persistence":

@@ -9,7 +9,6 @@ the deck-transform searches rely on.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -85,15 +84,6 @@ def strip_distance_offset(lo: float, hi: float, z: complex, w: complex) -> float
 def strip_density_offset(lo: float, hi: float, z: complex, v: complex) -> float:
     mid = 0.5 * (lo + hi)
     return strip_density(0.5 * (hi - lo), z - mid, v)
-
-
-def strip_to_disc(halfwidth: float, z: complex) -> complex:
-    """Conformal map tan(pi z / 4a) of the strip onto the unit disc."""
-    return cmath.tan(math.pi * z / (4.0 * halfwidth))
-
-
-def disc_to_strip(halfwidth: float, w: complex) -> complex:
-    return cmath.atan(w) * 4.0 * halfwidth / math.pi
 
 
 def ball_mobius_modulus_sq(z: np.ndarray, w: np.ndarray) -> float:

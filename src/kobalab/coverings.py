@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .domains import (Annulus, ConvexBase, LinearImage, ModelDomain, PuncturedDisc,
-                      ReinhardtLog, Strip, TubeOverBase, UnitBall, as_point, dim,
+                      ReinhardtLog, Strip, TubeOverBase, UnitBall, _decoder, as_point, dim,
                       domain_from_dict, domain_to_dict, membership)
 from .mobius import ball_scaling_differential, ball_scaling_map
 from .smith import smith_normal_form, snf_determinant
@@ -248,9 +248,6 @@ def map_differential(f: HolomorphicMap, z, v) -> np.ndarray:
     raise CoveringError(f"unknown map kind {kind!r}")
 
 
-covering_apply = apply_map  # operational alias: evaluation of a covering map
-
-
 # preimages and log geometry --------------------------------------------------
 
 def monomial_preimages(matrix: IntegerMatrix, w) -> list[np.ndarray]:
@@ -393,6 +390,7 @@ def map_to_dict(f: HolomorphicMap) -> dict:
     raise CoveringError(f"unknown map kind {kind!r}")
 
 
+@_decoder
 def map_from_dict(data: dict) -> HolomorphicMap:
     kind = data.get("kind")
     if kind == "identity":

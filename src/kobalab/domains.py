@@ -1,8 +1,13 @@
 """Model domains and convex bases.
 
-Domain descriptors are small frozen dataclasses; every operation on them is
-a pure function, so descriptors are safe to share across workers.  Points
-are 1-d complex ndarrays (scalars are accepted at the API edge and lifted).
+Domain descriptors are small frozen dataclasses, safe to share across
+workers.  Points are 1-d complex ndarrays (scalars are accepted at the API
+edge and lifted).
+
+Each model-domain kind is one class below (`_Kind` lists what it defines);
+the module functions (`membership`, `escape_margin`, `domain_from_dict`,
+...) validate their input and dispatch to it.  A kind's distance and
+density engine is its entry in metric.py: adding a kind touches the two.
 
 The available kinds:
 
@@ -22,11 +27,14 @@ ScaledEllipsoid     A_t^{-1} of the perturbed ball {-1+|z|^2+eps|z-e_1|^4<0}
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
+from ._sampling import ball_points, halton
 from .mobius import ball_scaling_map
 
 BOUNDARY_TOL = 1e-12
@@ -299,33 +307,130 @@ def to_polytope(base: ConvexBase, facets_per_pair: int = 64) -> Polytope:
 
 
 # ---------------------------------------------------------------------------
-# model domains
+# model domains: one class per kind
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitDisc:
-    pass
+class _Kind:
+    """What a model-domain kind defines, with the shared defaults.
+
+    `kind` (the descriptor name), `dim`, `contains(z)` (the membership
+    formula), `reference()` (a canonical interior point) and `margin(z)`, a
+    signed gauge of the boundary distance: positive inside, 0 on the
+    boundary.  Unbounded kinds cap `escape_margin`.  Where a kind has them:
+    `grid(count, skip, imag_window)`, quasi-random interior points, and
+    `project(z)`, the boundary point an escaping z approaches.  The codec
+    maps the dataclass fields.  Points reach these methods validated.
+    """
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for name, _, encode in _field_codecs(type(self)):
+            out[name] = encode(getattr(self, name))
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(*[decode(data[name]) for name, decode, _ in _field_codecs(cls)])
+
+    def reference(self) -> np.ndarray:
+        return np.zeros(self.dim, dtype=complex)
+
+    def escape_margin(self, z: np.ndarray) -> float:
+        return self.margin(z)
+
+
+def _disc_grid(count: int, skip: int, inner: float) -> list[np.ndarray]:
+    cube = halton(count, 2, skip=skip)
+    pts = []
+    for k in range(count):
+        r = inner + (0.95 - inner) * cube[k, 0]
+        th = 2.0 * math.pi * cube[k, 1]
+        pts.append(np.array([r * complex(math.cos(th), math.sin(th))]))
+    return pts
 
 
 @dataclass(frozen=True)
-class PuncturedDisc:
-    pass
+class UnitDisc(_Kind):
+    kind = "unit-disc"
+    dim = 1
+
+    def contains(self, z):
+        return abs(z[0]) < 1.0
+
+    def margin(self, z):
+        return 1.0 - abs(z[0])
+
+    def grid(self, count, skip, imag_window):
+        return _disc_grid(count, skip, 0.0)
+
+    def project(self, z):
+        return z / float(np.linalg.norm(z))
 
 
 @dataclass(frozen=True)
-class Annulus:
+class PuncturedDisc(_Kind):
+    kind = "punctured-disc"
+    dim = 1
+
+    def contains(self, z):
+        return 0.0 < abs(z[0]) < 1.0
+
+    def reference(self):
+        return np.array([0.5 + 0.0j])
+
+    def margin(self, z):
+        return min(1.0 - abs(z[0]), abs(z[0]))
+
+    def grid(self, count, skip, imag_window):
+        return _disc_grid(count, skip, 0.05)
+
+    def project(self, z):
+        r = abs(z[0])
+        if r < 0.5:
+            return np.array([0.0 + 0.0j])
+        return z / r
+
+
+@dataclass(frozen=True)
+class Annulus(_Kind):
     R: float
+    kind = "annulus"
+    dim = 1
 
     def __post_init__(self):
         if self.R <= 1.0:
             raise DomainError("annulus needs R > 1")
 
+    def contains(self, z):
+        return 1.0 / self.R < abs(z[0]) < self.R
+
+    def reference(self):
+        return np.array([1.0 + 0.0j])
+
+    def margin(self, z):
+        return min(self.R - abs(z[0]), abs(z[0]) - 1.0 / self.R)
+
+    def grid(self, count, skip, imag_window):
+        a = math.log(self.R)
+        cube = halton(count, 2, skip=skip)
+        return [np.array([math.exp(a * (2.0 * cube[k, 0] - 1.0) * 0.95)
+                          * complex(math.cos(2.0 * math.pi * cube[k, 1]),
+                                    math.sin(2.0 * math.pi * cube[k, 1]))])
+                for k in range(count)]
+
+    def project(self, z):
+        r = abs(z[0])
+        target = self.R if abs(r - self.R) <= abs(r - 1.0 / self.R) else 1.0 / self.R
+        return z * (target / r)
+
 
 @dataclass(frozen=True)
-class Strip:
+class Strip(_Kind):
     """H_R = {-log R < Re z < log R}."""
 
     R: float
+    kind = "strip"
+    dim = 1
 
     def __post_init__(self):
         if self.R <= 1.0:
@@ -335,47 +440,163 @@ class Strip:
     def halfwidth(self) -> float:
         return math.log(self.R)
 
+    def contains(self, z):
+        return abs(z[0].real) < self.halfwidth
+
+    def margin(self, z):
+        return self.halfwidth - abs(z[0].real)
+
+    def escape_margin(self, z):
+        return min(self.margin(z), 1.0 / (1.0 + abs(z[0].imag)))
+
+    def grid(self, count, skip, imag_window):
+        a = self.halfwidth
+        cube = halton(count, 2, skip=skip)
+        return [np.array([complex(a * (2.0 * cube[k, 0] - 1.0) * 0.95,
+                                  imag_window * (2.0 * cube[k, 1] - 1.0))])
+                for k in range(count)]
+
 
 @dataclass(frozen=True)
-class LeftHalfPlane:
+class LeftHalfPlane(_Kind):
     """{Re z < 0}; the exp-cover of the punctured disc."""
 
+    kind = "left-half-plane"
+    dim = 1
+
+    def contains(self, z):
+        return z[0].real < 0.0
+
+    def reference(self):
+        return np.array([-1.0 + 0.0j])
+
+    def margin(self, z):
+        return -z[0].real
+
+    def escape_margin(self, z):
+        return min(self.margin(z), 1.0 / (1.0 + abs(z[0])))
+
 
 @dataclass(frozen=True)
-class UnitBall:
+class UnitBall(_Kind):
     dim: int
+    kind = "unit-ball"
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("ball dimension must be >= 1")
 
+    def contains(self, z):
+        return float(np.sum(np.abs(z) ** 2)) < 1.0
+
+    def margin(self, z):
+        return 1.0 - float(np.linalg.norm(z))
+
+    def grid(self, count, skip, imag_window):
+        return [np.asarray(p) for p in ball_points(count, self.dim, radius=0.9)]
+
+    def project(self, z):
+        return z / float(np.linalg.norm(z))
+
 
 @dataclass(frozen=True)
-class Polydisc:
+class Polydisc(_Kind):
     dim: int
+    kind = "polydisc"
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("polydisc dimension must be >= 1")
 
+    def contains(self, z):
+        return bool(np.all(np.abs(z) < 1.0))
+
+    def margin(self, z):
+        return float(np.min(1.0 - np.abs(z)))
+
 
 @dataclass(frozen=True)
-class TubeOverBase:
+class TubeOverBase(_Kind):
     base: ConvexBase
+    kind = "tube"
+
+    @property
+    def dim(self) -> int:
+        return base_dim(self.base)
+
+    def contains(self, z):
+        return base_membership(self.base, z.real)
+
+    def reference(self):
+        return base_reference(self.base).astype(complex)
+
+    def margin(self, z):
+        return base_margin(self.base, z.real)
+
+    def escape_margin(self, z):
+        return min(self.margin(z), 1.0 / (1.0 + float(np.linalg.norm(z.imag))))
 
 
 @dataclass(frozen=True)
-class ReinhardtLog:
+class ReinhardtLog(_Kind):
     base: ConvexBase
+    kind = "reinhardt-log"
+
+    @property
+    def dim(self) -> int:
+        return base_dim(self.base)
+
+    def contains(self, z):
+        if np.any(np.abs(z) == 0.0):
+            return False
+        return base_membership(self.base, np.log(np.abs(z)))
+
+    def reference(self):
+        return np.exp(base_reference(self.base)).astype(complex)
+
+    def margin(self, z):
+        if np.any(np.abs(z) == 0.0):
+            return 0.0
+        return base_margin(self.base, np.log(np.abs(z)))
+
+    def grid(self, count, skip, imag_window):
+        n = self.dim
+        ref = base_reference(self.base)
+        cube = halton(count, 2 * n + 1, skip=skip)
+        pts = []
+        for k in range(count):
+            direction = cube[k, :n] - 0.5
+            norm = float(np.linalg.norm(direction))
+            if norm < 1e-12:
+                direction = np.eye(n)[0]
+                norm = 1.0
+            direction = direction / norm
+            lo, hi = chord_interval(self.base, ref, direction)
+            u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
+            phases = 2.0 * math.pi * cube[k, n:2 * n]
+            pts.append(np.exp(u) * np.exp(1j * phases))
+        return pts
+
+    def project(self, z):
+        u = np.log(np.abs(z))
+        ref = base_reference(self.base)
+        direction = u - ref
+        norm = float(np.linalg.norm(direction))
+        if norm < 1e-14:
+            raise DomainError("cannot project the base reference point")
+        lo, hi = chord_interval(self.base, ref, direction / norm)
+        u_b = ref + hi * direction / norm
+        return np.exp(u_b) * z / np.abs(z)
 
 
 @dataclass(frozen=True)
-class ScaledEllipsoid:
+class ScaledEllipsoid(_Kind):
     """A_t^{-1}(Omega_0) for Omega_0 = {-1 + |z|^2 + eps |z - e_1|^4 < 0}."""
 
     eps: float
     t: float
     dim: int = 2
+    kind = "scaled-ellipsoid"
 
     def __post_init__(self):
         if self.eps < 0.0:
@@ -383,21 +604,34 @@ class ScaledEllipsoid:
         if not 0.0 <= self.t < 1.0:
             raise DomainError("scaling parameter t must lie in [0, 1)")
 
+    def _rho(self, z) -> float:
+        return ellipsoid_defining_function(self.eps, ball_scaling_map(self.t, z))
+
+    def contains(self, z):
+        return self._rho(z) < 0.0
+
+    def margin(self, z):
+        # defining-function residual; gradient has modulus ~2 near the sphere
+        return -self._rho(z) / 2.0
+
+    def escape_margin(self, z):
+        return max(0.0, self.margin(z))
+
 
 ModelDomain = (UnitDisc | PuncturedDisc | Annulus | Strip | LeftHalfPlane | UnitBall
                | Polydisc | TubeOverBase | ReinhardtLog | ScaledEllipsoid)
+_KINDS = {cls.kind: cls for cls in get_args(ModelDomain)}  # descriptor name -> kind
+_KIND_TYPES = frozenset(_KINDS.values())
+
+
+def _known(domain: ModelDomain) -> ModelDomain:
+    if type(domain) not in _KIND_TYPES:
+        raise DomainError(f"unknown domain {domain!r}")
+    return domain
 
 
 def dim(domain: ModelDomain) -> int:
-    if isinstance(domain, (UnitDisc, PuncturedDisc, Annulus, Strip, LeftHalfPlane)):
-        return 1
-    if isinstance(domain, (UnitBall, Polydisc)):
-        return domain.dim
-    if isinstance(domain, (TubeOverBase, ReinhardtLog)):
-        return base_dim(domain.base)
-    if isinstance(domain, ScaledEllipsoid):
-        return domain.dim
-    raise DomainError(f"unknown domain {domain!r}")
+    return _known(domain).dim
 
 
 def log_coordinates(z) -> np.ndarray:
@@ -429,29 +663,7 @@ def membership(domain: ModelDomain, z) -> bool:
     z = as_point(z)
     if z.size != dim(domain):
         raise DomainError(f"point dimension {z.size} does not match domain {domain!r}")
-    if isinstance(domain, UnitDisc):
-        return abs(z[0]) < 1.0
-    if isinstance(domain, PuncturedDisc):
-        return 0.0 < abs(z[0]) < 1.0
-    if isinstance(domain, Annulus):
-        return 1.0 / domain.R < abs(z[0]) < domain.R
-    if isinstance(domain, Strip):
-        return abs(z[0].real) < domain.halfwidth
-    if isinstance(domain, LeftHalfPlane):
-        return z[0].real < 0.0
-    if isinstance(domain, UnitBall):
-        return float(np.sum(np.abs(z) ** 2)) < 1.0
-    if isinstance(domain, Polydisc):
-        return bool(np.all(np.abs(z) < 1.0))
-    if isinstance(domain, TubeOverBase):
-        return base_membership(domain.base, z.real)
-    if isinstance(domain, ReinhardtLog):
-        if np.any(np.abs(z) == 0.0):
-            return False
-        return base_membership(domain.base, np.log(np.abs(z)))
-    if isinstance(domain, ScaledEllipsoid):
-        return ellipsoid_defining_function(domain.eps, ball_scaling_map(domain.t, z)) < 0.0
-    raise DomainError(f"unknown domain {domain!r}")
+    return domain.contains(z)
 
 
 def require_interior(domain: ModelDomain, z) -> np.ndarray:
@@ -463,22 +675,7 @@ def require_interior(domain: ModelDomain, z) -> np.ndarray:
 
 def reference_point(domain: ModelDomain) -> np.ndarray:
     """The canonical interior point used by grids and validity checks."""
-    n = dim(domain)
-    if isinstance(domain, (UnitDisc, Strip, UnitBall, Polydisc)):
-        return np.zeros(n, dtype=complex)
-    if isinstance(domain, PuncturedDisc):
-        return np.array([0.5 + 0.0j])
-    if isinstance(domain, Annulus):
-        return np.array([1.0 + 0.0j])
-    if isinstance(domain, LeftHalfPlane):
-        return np.array([-1.0 + 0.0j])
-    if isinstance(domain, TubeOverBase):
-        return base_reference(domain.base).astype(complex)
-    if isinstance(domain, ReinhardtLog):
-        return np.exp(base_reference(domain.base)).astype(complex)
-    if isinstance(domain, ScaledEllipsoid):
-        return np.zeros(n, dtype=complex)
-    raise DomainError(f"unknown domain {domain!r}")
+    return _known(domain).reference()
 
 
 def escape_margin(domain: ModelDomain, z) -> float:
@@ -488,60 +685,12 @@ def escape_margin(domain: ModelDomain, z) -> float:
     distance; unbounded kinds also decay as |Im z| grows so that compactly
     divergent sequences are detected.
     """
-    z = as_point(z)
-    if isinstance(domain, UnitDisc):
-        return 1.0 - abs(z[0])
-    if isinstance(domain, PuncturedDisc):
-        return min(1.0 - abs(z[0]), abs(z[0]))
-    if isinstance(domain, Annulus):
-        return min(domain.R - abs(z[0]), abs(z[0]) - 1.0 / domain.R)
-    if isinstance(domain, Strip):
-        return min(domain.halfwidth - abs(z[0].real), 1.0 / (1.0 + abs(z[0].imag)))
-    if isinstance(domain, LeftHalfPlane):
-        return min(-z[0].real, 1.0 / (1.0 + abs(z[0])))
-    if isinstance(domain, UnitBall):
-        return 1.0 - float(np.linalg.norm(z))
-    if isinstance(domain, Polydisc):
-        return float(np.min(1.0 - np.abs(z)))
-    if isinstance(domain, TubeOverBase):
-        return min(base_margin(domain.base, z.real), 1.0 / (1.0 + float(np.linalg.norm(z.imag))))
-    if isinstance(domain, ReinhardtLog):
-        if np.any(np.abs(z) == 0.0):
-            return 0.0
-        return base_margin(domain.base, np.log(np.abs(z)))
-    if isinstance(domain, ScaledEllipsoid):
-        # defining-function residual; gradient has modulus ~2 near the sphere
-        return max(0.0, -ellipsoid_defining_function(domain.eps, ball_scaling_map(domain.t, z)) / 2.0)
-    raise DomainError(f"unknown domain {domain!r}")
+    return _known(domain).escape_margin(as_point(z))
 
 
 def boundary_residual(domain: ModelDomain, z) -> float:
     """How far z is from the topological boundary (0 = exactly on it)."""
-    z = as_point(z)
-    if isinstance(domain, (UnitDisc, UnitBall)):
-        return abs(float(np.linalg.norm(z)) - 1.0)
-    if isinstance(domain, PuncturedDisc):
-        return min(abs(abs(z[0]) - 1.0), abs(z[0]))
-    if isinstance(domain, Annulus):
-        return min(abs(abs(z[0]) - domain.R), abs(abs(z[0]) - 1.0 / domain.R))
-    if isinstance(domain, Strip):
-        return abs(abs(z[0].real) - domain.halfwidth)
-    if isinstance(domain, LeftHalfPlane):
-        return abs(z[0].real)
-    if isinstance(domain, Polydisc):
-        inside = np.abs(z) <= 1.0
-        if not np.all(inside):
-            return float(np.max(np.abs(z) - 1.0))
-        return float(np.min(np.abs(np.abs(z) - 1.0)))
-    if isinstance(domain, ScaledEllipsoid):
-        return abs(ellipsoid_defining_function(domain.eps, ball_scaling_map(domain.t, z))) / 2.0
-    if isinstance(domain, ReinhardtLog):
-        if np.any(np.abs(z) == 0.0):
-            return 0.0
-        return abs(base_margin(domain.base, np.log(np.abs(z))))
-    if isinstance(domain, TubeOverBase):
-        return abs(base_margin(domain.base, z.real))
-    raise DomainError(f"unknown domain {domain!r}")
+    return abs(_known(domain).margin(as_point(z)))
 
 
 @dataclass(frozen=True)
@@ -569,6 +718,23 @@ def boundary_point(domain: ModelDomain, z) -> BoundaryPoint:
 # serialization (schemas/v1); round-trips are lossless
 # ---------------------------------------------------------------------------
 
+def _decoder(from_fields):
+    """Wrap a descriptor decoder so that a non-object descriptor, or the
+    built-in error of a missing or unconvertible field, raises DomainError;
+    the package's own errors (subclasses) pass unchanged."""
+    @functools.wraps(from_fields)
+    def from_dict(data):
+        if not isinstance(data, dict):
+            raise DomainError(f"a descriptor must be a JSON object, not {data!r}")
+        try:
+            return from_fields(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            if type(exc) not in (KeyError, TypeError, ValueError):
+                raise
+            raise DomainError(f"malformed descriptor {data!r}: {exc!r}") from exc
+    return from_dict
+
+
 def base_to_dict(base: ConvexBase) -> dict:
     if isinstance(base, EuclideanBall):
         return {"kind": "ball", "center": list(base.center), "radius": base.radius}
@@ -586,6 +752,7 @@ def base_to_dict(base: ConvexBase) -> dict:
     raise DomainError(f"unknown base {base!r}")
 
 
+@_decoder
 def base_from_dict(data: dict) -> ConvexBase:
     kind = data.get("kind")
     if kind == "ball":
@@ -603,62 +770,24 @@ def base_from_dict(data: dict) -> ConvexBase:
     raise DomainError(f"unknown base kind {kind!r}")
 
 
+# (decode, encode) of a kind's field by its annotation, a string (PEP 563)
+_CODEC_BY_ANNOTATION = {"float": (float, lambda x: x), "int": (int, lambda x: x),
+                        "ConvexBase": (base_from_dict, base_to_dict)}
+
+
+@functools.cache
+def _field_codecs(cls: type) -> tuple:
+    """(name, decode, encode) for each field of a kind, in field order."""
+    return tuple((f.name, *_CODEC_BY_ANNOTATION[f.type]) for f in fields(cls))
+
+
 def domain_to_dict(domain: ModelDomain) -> dict:
-    if isinstance(domain, UnitDisc):
-        return {"kind": "unit-disc"}
-    if isinstance(domain, PuncturedDisc):
-        return {"kind": "punctured-disc"}
-    if isinstance(domain, Annulus):
-        return {"kind": "annulus", "R": domain.R}
-    if isinstance(domain, Strip):
-        return {"kind": "strip", "R": domain.R}
-    if isinstance(domain, LeftHalfPlane):
-        return {"kind": "left-half-plane"}
-    if isinstance(domain, UnitBall):
-        return {"kind": "unit-ball", "dim": domain.dim}
-    if isinstance(domain, Polydisc):
-        return {"kind": "polydisc", "dim": domain.dim}
-    if isinstance(domain, TubeOverBase):
-        return {"kind": "tube", "base": base_to_dict(domain.base)}
-    if isinstance(domain, ReinhardtLog):
-        return {"kind": "reinhardt-log", "base": base_to_dict(domain.base)}
-    if isinstance(domain, ScaledEllipsoid):
-        return {"kind": "scaled-ellipsoid", "eps": domain.eps, "t": domain.t, "dim": domain.dim}
-    raise DomainError(f"unknown domain {domain!r}")
+    return _known(domain).to_dict()
 
 
+@_decoder
 def domain_from_dict(data: dict) -> ModelDomain:
     kind = data.get("kind")
-    if kind == "unit-disc":
-        return UnitDisc()
-    if kind == "punctured-disc":
-        return PuncturedDisc()
-    if kind == "annulus":
-        return Annulus(float(data["R"]))
-    if kind == "strip":
-        return Strip(float(data["R"]))
-    if kind == "left-half-plane":
-        return LeftHalfPlane()
-    if kind == "unit-ball":
-        return UnitBall(int(data["dim"]))
-    if kind == "polydisc":
-        return Polydisc(int(data["dim"]))
-    if kind == "tube":
-        return TubeOverBase(base_from_dict(data["base"]))
-    if kind == "reinhardt-log":
-        return ReinhardtLog(base_from_dict(data["base"]))
-    if kind == "scaled-ellipsoid":
-        return ScaledEllipsoid(float(data["eps"]), float(data["t"]), int(data["dim"]))
-    raise DomainError(f"unknown domain kind {kind!r}")
-
-
-def containing_ball_inflation(eps: float) -> float:
-    """delta_0 such that Omega_0 sits in the ball of radius 1 + delta_0
-    centered at -delta_0 e_1.
-
-    For the quartic perturbation family rho < 0 forces |z| < 1 outright, so
-    delta_0 = 0 certifies the containment for every eps >= 0.
-    """
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0")
-    return 0.0
+    if kind not in _KINDS:
+        raise DomainError(f"unknown domain kind {kind!r}")
+    return _KINDS[kind].from_dict(data)

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import closed_forms as cf
 from .domains import (Annulus, BoundaryPoint, ConvexBase, ModelDomain, PuncturedDisc,
-                      ReinhardtLog, Strip, TubeOverBase, UnitBall, UnitDisc, as_point,
-                      base_reference, base_support, boundary_point, chord_interval, dim,
-                      require_interior)
+                      ReinhardtLog, Strip, UnitBall, UnitDisc, as_point, base_reference,
+                      base_support, boundary_point, chord_interval, dim, require_interior)
 from .metric import distance
 from .mobius import herm, mobius_differential, mobius_to_origin
 from .quadrature import bisect_root
@@ -429,12 +428,12 @@ def landing_point(curve: GeodesicCurve, horizon: float = 20.0):
     Returns (BoundaryPoint, residual).  The residual
     |sample(horizon) - sample(horizon/2)| is the convergence diagnostic;
     above 1e-4 no landing claim is made (the point is still returned).
-    Unbounded kinds (strip, tube, half-plane) are rejected.
+    Kinds without a boundary projection (strip, tube, half-plane, polydisc,
+    scaled ellipsoid) are rejected.
     """
-    from .domains import LeftHalfPlane, TubeOverBase
-
-    if isinstance(curve.domain, (Strip, TubeOverBase, LeftHalfPlane)):
-        raise GeodesicError("landing is defined for bounded kinds only")
+    project = getattr(curve.domain, "project", None)
+    if project is None:
+        raise GeodesicError(f"no boundary projection for {curve.domain!r}")
     if horizon <= 0.0:
         raise GeodesicError("horizon must be positive")
     if isinstance(curve.interval, Segment):
@@ -447,34 +446,7 @@ def landing_point(curve: GeodesicCurve, horizon: float = 20.0):
     far = curve.sample(t_far)
     mid = curve.sample(t_mid)
     residual = float(np.max(np.abs(far - mid)))
-    projected = _project_to_boundary(curve.domain, far)
-    return boundary_point(curve.domain, projected), residual
-
-
-def _project_to_boundary(domain: ModelDomain, z: np.ndarray) -> np.ndarray:
-    if isinstance(domain, (UnitDisc, UnitBall)):
-        norm = float(np.linalg.norm(z))
-        return z / norm
-    if isinstance(domain, PuncturedDisc):
-        r = abs(z[0])
-        if r < 0.5:
-            return np.array([0.0 + 0.0j])
-        return z / r
-    if isinstance(domain, Annulus):
-        r = abs(z[0])
-        target = domain.R if abs(r - domain.R) <= abs(r - 1.0 / domain.R) else 1.0 / domain.R
-        return z * (target / r)
-    if isinstance(domain, ReinhardtLog):
-        u = np.log(np.abs(z))
-        ref = base_reference(domain.base)
-        direction = u - ref
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-14:
-            raise GeodesicError("cannot project the base reference point")
-        lo, hi = chord_interval(domain.base, ref, direction / norm)
-        u_b = ref + hi * direction / norm
-        return np.exp(u_b) * z / np.abs(z)
-    raise GeodesicError(f"no boundary projection for {domain!r}")
+    return boundary_point(curve.domain, project(far)), residual
 
 
 def shadowing_bound(domain: ModelDomain, gamma: GeodesicCurve, eta: GeodesicCurve,

@@ -1,7 +1,8 @@
 """Kobayashi distance, infinitesimal metric, and hyperbolic length for every
 model-domain kind.
 
-Routing:
+Each kind has one engine entry in `_ENGINES`, its distance and its density
+(the rest of the kind is its class in domains.py):
 
 * disc / strip / half-plane / ball / polydisc: closed forms;
 * punctured disc / annulus: verified finite search over the deck lattice of
@@ -18,8 +19,11 @@ instead of pretending to be exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Pol
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
                       UnitBall, UnitDisc, base_support, dim, require_interior)
 from .quadrature import adaptive_simpson
-from .tube import tube_distance_bounds, tube_metric_bounds
+from .tube import caratheodory_lower, lempert_upper, tube_distance_bounds, tube_metric_bounds
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -69,83 +73,77 @@ class DistanceValue:
         return self.value + 0.5 * self.gap
 
 
-def covering_of(domain: ModelDomain) -> ModelDomain:
-    """The exp-covering space used for the deck-infimum kinds."""
-    if isinstance(domain, PuncturedDisc):
-        return LeftHalfPlane()
-    if isinstance(domain, Annulus):
-        return Strip(domain.R)
-    if isinstance(domain, ReinhardtLog):
-        return TubeOverBase(domain.base)
-    raise ValueError(f"{domain!r} has no registered covering")
+# ---------------------------------------------------------------------------
+# deck search over the exp covers
+# ---------------------------------------------------------------------------
 
+def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
+    # the half-plane bound is arcsinh of the vertical gap
+    def evaluate(u, v, cap=None):
+        d = cf.halfplane_distance(complex(u[0]), complex(v[0]))
+        return d, d
 
-def _cover_eval(cover: ModelDomain):
-    """Distance evaluator on the cover returning a (lower, upper) pair.
-
-    `cap` is the best upper bound found so far: translates whose cheap
-    lower bound already exceeds it skip the expensive disc competitors
-    and report an infinite upper (they can never be the minimizer).
-    """
-    if isinstance(cover, LeftHalfPlane):
-        def ev(u, v, cap=None):
-            d = cf.halfplane_distance(complex(u[0]), complex(v[0]))
-            return d, d
-        return ev
-    if isinstance(cover, Strip):
-        a = cover.halfwidth
-
-        def ev(u, v, cap=None):
-            d = cf.strip_distance(a, complex(u[0]), complex(v[0]))
-            return d, d
-        return ev
-    if isinstance(cover, TubeOverBase):
-        from .tube import caratheodory_lower, lempert_upper
-
-        def ev(u, v, cap=None):
-            lo = caratheodory_lower(cover.base, u, v)
-            if cap is not None and lo > cap:
-                return lo, math.inf
-            hi = lempert_upper(cover.base, u, v, good_enough=lo * (1.0 + 1e-12) + 1e-14)
-            return lo, max(lo, hi)
-        return ev
-    raise ValueError(f"{cover!r} is not a supported covering")
-
-
-def _coordinate_halfwidths(cover: ModelDomain) -> np.ndarray:
-    if isinstance(cover, LeftHalfPlane):
-        return np.array([math.inf])  # handled separately
-    if isinstance(cover, Strip):
-        return np.array([cover.halfwidth])
-    if isinstance(cover, TubeOverBase):
-        n = dim(cover)
-        eye = np.eye(n)
-        return np.array([0.5 * (base_support(cover.base, eye[j]) + base_support(cover.base, -eye[j]))
-                         for j in range(n)])
-    raise ValueError(f"{cover!r} is not a supported covering")
-
-
-def _offset_lower_bound(cover: ModelDomain, u: np.ndarray, v: np.ndarray,
-                        halfwidths: np.ndarray, nu: np.ndarray) -> float:
-    """Cheap lower bound for the cover distance to v + 2*pi*i*nu.
-
-    Strip-like covers: each coordinate slab gives pi * |dy_j| / (4 a_j);
-    the half-plane uses arcsinh of the vertical gap.
-    """
-    dy = u.imag - v.imag - TWO_PI * nu
-    if isinstance(cover, LeftHalfPlane):
+    def scale(u, v):
         xu, xv = -u[0].real, -v[0].real
-        return math.asinh(abs(dy[0]) / (2.0 * math.sqrt(xu * xv)))
-    return float(np.max(math.pi * np.abs(dy) / (4.0 * halfwidths)))
+        return 2.0 * math.sqrt(xu * xv)
+
+    return (evaluate,
+            lambda u, v, dy: math.asinh(abs(dy[0]) / scale(u, v)),
+            lambda u, v, best: np.array([scale(u, v) * math.sinh(best)]))
 
 
-def _offset_threshold(cover: ModelDomain, u: np.ndarray, v: np.ndarray,
-                      halfwidths: np.ndarray, best: float) -> np.ndarray:
-    """Per-coordinate |dy_j| beyond which the cheap bound exceeds best."""
-    if isinstance(cover, LeftHalfPlane):
-        xu, xv = -u[0].real, -v[0].real
-        return np.array([2.0 * math.sqrt(xu * xv) * math.sinh(best)])
-    return 4.0 * halfwidths * best / math.pi
+def _slab_cover(halfwidths: np.ndarray, evaluate) -> tuple:
+    # each coordinate slab of half-width a_j gives pi * |dy_j| / (4 a_j)
+    return (evaluate,
+            lambda u, v, dy: float(np.max(math.pi * np.abs(dy) / (4.0 * halfwidths))),
+            lambda u, v, best: 4.0 * halfwidths * best / math.pi)
+
+
+def _strip_cover(cover: Strip) -> tuple:
+    a = cover.halfwidth
+
+    def evaluate(u, v, cap=None):
+        d = cf.strip_distance(a, complex(u[0]), complex(v[0]))
+        return d, d
+
+    return _slab_cover(np.array([a]), evaluate)
+
+
+def _tube_cover(cover: TubeOverBase) -> tuple:
+    base = cover.base
+
+    def evaluate(u, v, cap=None):
+        lo = caratheodory_lower(base, u, v)
+        if cap is not None and lo > cap:
+            return lo, math.inf
+        hi = lempert_upper(base, u, v, good_enough=lo * (1.0 + 1e-12) + 1e-14)
+        return lo, max(lo, hi)
+
+    eye = np.eye(cover.dim)
+    halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
+    return _slab_cover(halfwidths, evaluate)
+
+
+_COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _tube_cover}
+
+
+@functools.lru_cache(maxsize=64)
+def _cover(cover: ModelDomain) -> tuple:
+    """What the deck search needs to know about one exp-cover, built once
+    per cover descriptor: (evaluate, offset_lower, threshold).
+
+    evaluate(u, v, cap) bounds the cover distance by a (lower, upper)
+    pair.  `cap` is the best upper bound found so far: translates whose
+    cheap lower bound already exceeds it skip the expensive disc
+    competitors and report an infinite upper (they can never be the
+    minimizer).  offset_lower(u, v, dy) is a cheap lower bound for the
+    translate whose imaginary offset from u is dy, and threshold(u, v, best)
+    the per-coordinate |dy_j| beyond which that bound exceeds best.
+    """
+    build = _COVERS.get(type(cover))
+    if build is None:
+        raise ValueError(f"{cover!r} is not a supported covering")
+    return build(cover)
 
 
 def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
@@ -161,11 +159,10 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
     u = require_interior(cover, u)
     v = require_interior(cover, v)
     n = dim(cover)
-    ev = _cover_eval(cover)
-    halfwidths = _coordinate_halfwidths(cover)
+    evaluate, offset_lower, threshold = _cover(cover)
     dy = u.imag - v.imag
     nu0 = np.round(dy / TWO_PI).astype(int)
-    lo0, hi0 = ev(u, v + TWO_PI * 1j * nu0)
+    lo0, hi0 = evaluate(u, v + TWO_PI * 1j * nu0)
     best_hi = hi0
     best_lo = lo0
     best_nu = tuple(int(k) for k in nu0)
@@ -174,7 +171,7 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
     evaluated = {best_nu}
 
     def bounds_for(best: float) -> np.ndarray:
-        thr = _offset_threshold(cover, u, v, halfwidths, best)
+        thr = threshold(u, v, best)
         return np.floor((np.abs(dy) + thr) / TWO_PI).astype(int) + 1
 
     for _ in range(64):
@@ -187,9 +184,9 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
             if nu in evaluated:
                 continue
             arr = np.asarray(nu)
-            if _offset_lower_bound(cover, u, v, halfwidths, arr) > best_hi:
+            if offset_lower(u, v, dy - TWO_PI * arr) > best_hi:
                 continue
-            lo, hi = ev(u, v + TWO_PI * 1j * arr, cap=best_hi)
+            lo, hi = evaluate(u, v + TWO_PI * 1j * arr, cap=best_hi)
             evaluated.add(nu)
             best_lo = min(best_lo, lo)
             if hi < best_hi:
@@ -214,8 +211,6 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
 
 def _lattice_box(limit: np.ndarray):
     """Lattice points of prod [-B_j, B_j], lexicographically sorted."""
-    import itertools
-
     return itertools.product(*[range(-int(b), int(b) + 1) for b in limit])
 
 
@@ -225,6 +220,94 @@ def _canonical_order(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarr
     kz = tuple((c.real, c.imag) for c in z)
     kw = tuple((c.real, c.imag) for c in w)
     return (w, z) if kw < kz else (z, w)
+
+
+def _principal_log(z: np.ndarray) -> np.ndarray:
+    return np.log(np.abs(z)) + 1j * np.angle(z)
+
+
+def _deck_distance(cover: ModelDomain, z, w, lattice_bound) -> DistanceValue:
+    return deck_infimum(cover, _principal_log(z), _principal_log(w), lattice_bound)[0]
+
+
+def _closed(value: float) -> DistanceValue:
+    return DistanceValue(value, "closed-form")
+
+
+def _sandwich(lo: float, hi: float) -> DistanceValue:
+    return DistanceValue(0.5 * (lo + hi), "sandwich", hi - lo)
+
+
+def _midpoint(bounds: tuple[float, float]) -> float:
+    return 0.5 * (bounds[0] + bounds[1])
+
+
+def _inscribed_radius(domain: ScaledEllipsoid, *points) -> float:
+    """Radius of the ball inscribed in a perturbed ellipsoid; the ball
+    sandwich brackets its metric only at points inside that ball."""
+    from .scaling import inscribed_radius
+
+    r_in = inscribed_radius(domain.eps, domain.t, domain.dim)
+    if any(float(np.linalg.norm(p)) >= r_in for p in points):
+        raise NonInteriorError(
+            f"perturbed-ellipsoid values are bracketed only inside the "
+            f"inscribed ball of radius {r_in:.6f}")
+    return r_in
+
+
+def _ellipsoid_distance(domain: ScaledEllipsoid, z, w, lattice_bound) -> DistanceValue:
+    if domain.eps == 0.0:
+        return _closed(cf.ball_distance(z, w))
+    r_in = _inscribed_radius(domain, z, w)
+    lo = cf.ball_distance(z, w)          # Omega_t inside the unit ball
+    return _sandwich(lo, max(cf.ball_distance(z / r_in, w / r_in), lo))
+
+
+def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
+    if domain.eps == 0.0:
+        return cf.ball_density(z, v)
+    r_in = _inscribed_radius(domain, z)
+    lo = cf.ball_density(z, v)
+    return 0.5 * (lo + max(lo, cf.ball_density(z / r_in, v / r_in)))
+
+
+class _Engine(NamedTuple):
+    distance: Callable    # (domain, z, w, lattice_bound) -> DistanceValue
+    density: Callable     # (domain, z, v) -> float
+
+
+# Kernels are looked up in `cf` at call time, so tracing wrappers see them.
+_ENGINES: dict[type, _Engine] = {
+    UnitDisc: _Engine(
+        lambda d, z, w, nb: _closed(cf.disc_distance(complex(z[0]), complex(w[0]))),
+        lambda d, z, v: cf.disc_density(complex(z[0]), complex(v[0]))),
+    Strip: _Engine(
+        lambda d, z, w, nb: _closed(cf.strip_distance(d.halfwidth, complex(z[0]), complex(w[0]))),
+        lambda d, z, v: cf.strip_density(d.halfwidth, complex(z[0]), complex(v[0]))),
+    LeftHalfPlane: _Engine(
+        lambda d, z, w, nb: _closed(cf.halfplane_distance(complex(z[0]), complex(w[0]))),
+        lambda d, z, v: cf.halfplane_density(complex(z[0]), complex(v[0]))),
+    UnitBall: _Engine(
+        lambda d, z, w, nb: _closed(cf.ball_distance(z, w)),
+        lambda d, z, v: cf.ball_density(z, v)),
+    Polydisc: _Engine(
+        lambda d, z, w, nb: _closed(cf.polydisc_distance(z, w)),
+        lambda d, z, v: cf.polydisc_density(z, v)),
+    PuncturedDisc: _Engine(
+        lambda d, z, w, nb: _deck_distance(LeftHalfPlane(), z, w, nb),
+        lambda d, z, v: cf.punctured_density(complex(z[0]), complex(v[0]))),
+    Annulus: _Engine(
+        lambda d, z, w, nb: _deck_distance(Strip(d.R), z, w, nb),
+        lambda d, z, v: cf.annulus_density(d.R, complex(z[0]), complex(v[0]))),
+    TubeOverBase: _Engine(
+        lambda d, z, w, nb: _sandwich(*tube_distance_bounds(d.base, z, w)),
+        lambda d, z, v: _midpoint(tube_metric_bounds(d.base, z, v))),
+    ReinhardtLog: _Engine(
+        lambda d, z, w, nb: _deck_distance(TubeOverBase(d.base), z, w, nb),
+        # exp: tube -> Reinhardt is a local isometry; pull back along it
+        lambda d, z, v: _midpoint(tube_metric_bounds(d.base, _principal_log(z), v / z))),
+    ScaledEllipsoid: _Engine(_ellipsoid_distance, _ellipsoid_density),
+}
 
 
 def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,
@@ -237,53 +320,10 @@ def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,
     z = require_interior(domain, z)
     w = require_interior(domain, w)
     z, w = _canonical_order(z, w)
-    if isinstance(domain, UnitDisc):
-        return DistanceValue(cf.disc_distance(complex(z[0]), complex(w[0])), "closed-form")
-    if isinstance(domain, Strip):
-        return DistanceValue(cf.strip_distance(domain.halfwidth, complex(z[0]), complex(w[0])),
-                             "closed-form")
-    if isinstance(domain, LeftHalfPlane):
-        return DistanceValue(cf.halfplane_distance(complex(z[0]), complex(w[0])), "closed-form")
-    if isinstance(domain, UnitBall):
-        return DistanceValue(cf.ball_distance(z, w), "closed-form")
-    if isinstance(domain, Polydisc):
-        return DistanceValue(cf.polydisc_distance(z, w), "closed-form")
-    if isinstance(domain, (PuncturedDisc, Annulus, ReinhardtLog)):
-        cover = covering_of(domain)
-        val, _ = deck_infimum(cover, _principal_log(z), _principal_log(w), lattice_bound)
-        _check_gap(val, gap_tol)
-        return val
-    if isinstance(domain, TubeOverBase):
-        lo, hi = tube_distance_bounds(domain.base, z, w)
-        val = DistanceValue(0.5 * (lo + hi), "sandwich", hi - lo)
-        _check_gap(val, gap_tol)
-        return val
-    if isinstance(domain, ScaledEllipsoid):
-        if domain.eps == 0.0:
-            return DistanceValue(cf.ball_distance(z, w), "closed-form")
-        from .scaling import inscribed_radius
-
-        r_in = inscribed_radius(domain.eps, domain.t, domain.dim)
-        if float(np.linalg.norm(z)) >= r_in or float(np.linalg.norm(w)) >= r_in:
-            raise NonInteriorError(
-                f"perturbed-ellipsoid distances are bracketed only inside the "
-                f"inscribed ball of radius {r_in:.6f}")
-        lo = cf.ball_distance(z, w)          # Omega_t inside the unit ball
-        hi = cf.ball_distance(z / r_in, w / r_in)
-        hi = max(hi, lo)
-        val = DistanceValue(0.5 * (lo + hi), "sandwich", hi - lo)
-        _check_gap(val, gap_tol)
-        return val
-    raise ValueError(f"no metric engine for {domain!r}")
-
-
-def _check_gap(val: DistanceValue, gap_tol: float | None):
+    val = _ENGINES[type(domain)].distance(domain, z, w, lattice_bound)
     if gap_tol is not None and val.gap > gap_tol:
         raise SandwichGapError(f"sandwich gap {val.gap:.3e} exceeds tolerance {gap_tol:.3e}")
-
-
-def _principal_log(z: np.ndarray) -> np.ndarray:
-    return np.log(np.abs(z)) + 1j * np.angle(z)
+    return val
 
 
 def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
@@ -297,41 +337,7 @@ def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     if v.size != dim(domain):
         raise ValueError("tangent vector dimension mismatch")
-    if isinstance(domain, UnitDisc):
-        return cf.disc_density(complex(z[0]), complex(v[0]))
-    if isinstance(domain, Strip):
-        return cf.strip_density(domain.halfwidth, complex(z[0]), complex(v[0]))
-    if isinstance(domain, LeftHalfPlane):
-        return cf.halfplane_density(complex(z[0]), complex(v[0]))
-    if isinstance(domain, UnitBall):
-        return cf.ball_density(z, v)
-    if isinstance(domain, Polydisc):
-        return cf.polydisc_density(z, v)
-    if isinstance(domain, PuncturedDisc):
-        return cf.punctured_density(complex(z[0]), complex(v[0]))
-    if isinstance(domain, Annulus):
-        return cf.annulus_density(domain.R, complex(z[0]), complex(v[0]))
-    if isinstance(domain, TubeOverBase):
-        lo, hi = tube_metric_bounds(domain.base, z, v)
-        return 0.5 * (lo + hi)
-    if isinstance(domain, ReinhardtLog):
-        # exp: tube -> Reinhardt is a local isometry; pull back along it
-        lo, hi = tube_metric_bounds(domain.base, _principal_log(z), v / z)
-        return 0.5 * (lo + hi)
-    if isinstance(domain, ScaledEllipsoid):
-        if domain.eps == 0.0:
-            return cf.ball_density(z, v)
-        from .scaling import inscribed_radius
-
-        r_in = inscribed_radius(domain.eps, domain.t, domain.dim)
-        if float(np.linalg.norm(z)) >= r_in:
-            raise NonInteriorError(
-                f"perturbed-ellipsoid metric is bracketed only inside the "
-                f"inscribed ball of radius {r_in:.6f}")
-        lo = cf.ball_density(z, v)
-        hi = cf.ball_density(z / r_in, v / r_in)
-        return 0.5 * (lo + max(lo, hi))
-    raise ValueError(f"no metric engine for {domain!r}")
+    return _ENGINES[type(domain)].density(domain, z, v)
 
 
 def hyperbolic_length(domain: ModelDomain, curve, s: float, t: float,

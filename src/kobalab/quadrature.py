@@ -1,9 +1,7 @@
-"""Scalar numerical kernels: adaptive Simpson quadrature, bracketed root
-finding, and golden-section minimization."""
+"""Scalar numerical kernels: adaptive Simpson quadrature and bracketed root
+finding."""
 
 from __future__ import annotations
-
-import math
 
 
 class QuadratureError(RuntimeError):
@@ -59,29 +57,3 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
-
-
-def invert_monotone(g, target: float, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Solve g(x) = target for increasing g on [lo, hi]."""
-    return bisect_root(lambda x: g(x) - target, lo, hi, tol=tol)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b]; returns (x, f(x))."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

@@ -6,7 +6,7 @@ Omega_0 is the quartic perturbation of the unit ball
 {-1 + |z|^2 + eps |z - e_1|^4 < 0}; it sits inside the unit ball for every
 eps >= 0 and touches the sphere at e_1, the fixed point of every A_t.  As
 t -> 1 the rescaled domains fill the ball, which the probes quantify with
-certified inscribed/circumscribed radii.
+certified inscribed radii (the unit ball circumscribes every Omega_t).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from ._sampling import ball_points
-from .domains import ellipsoid_defining_function
+from .domains import DomainError, ellipsoid_defining_function
 from .geodesics import ball_landing_ray
 from .mobius import ball_scaling_map
 from .quadrature import bisect_root
@@ -27,7 +27,7 @@ from .quadrature import bisect_root
 
 def _check_t(t: float) -> float:
     if not 0.0 <= t < 1.0:
-        raise ValueError("scaling parameter t must lie in [0, 1)")
+        raise DomainError(f"scaling parameter t must lie in [0, 1), got {t!r}")
     return float(t)
 
 
@@ -120,18 +120,6 @@ def inscribed_radius(eps: float, t: float, n: int, mesh: int = 192) -> float:
     return max(1e-6, min(best - var, best * (1.0 - 1e-9)))
 
 
-def circumscribed_radius(eps: float, t: float) -> float:
-    """Smallest certified r with Omega_t inside B(0, r).
-
-    rho < 0 forces |w| < 1, and A_t preserves the ball, so r = 1 works for
-    every eps >= 0 and t.
-    """
-    _check_t(t)
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    return 1.0
-
-
 @dataclass
 class ConvergenceTable:
     """Rows (t, key, deviation, gap) plus a summary over the t-sweep."""
@@ -174,8 +162,8 @@ def default_probe_grid(n: int = 2, count: int = 8, radius: float = 0.5) -> list[
 def metric_convergence_probe(eps: float, ts, grid=None, n: int = 2) -> ConvergenceTable:
     """Deviation of the Omega_t metric from the ball metric on a compact grid.
 
-    K_{Omega_t} is bracketed between the circumscribed- and inscribed-ball
-    distances; the recorded deviation is |midpoint - K_ball| and the gap
+    K_{Omega_t} is bracketed between the unit-ball distance (Omega_t lies in
+    the ball) and the inscribed-ball distance; the recorded deviation is |midpoint - K_ball| and the gap
     the bracket width.  eps = 0 gives exact zeros (Omega_t is the ball).
     """
     if grid is None:
@@ -185,7 +173,6 @@ def metric_convergence_probe(eps: float, ts, grid=None, n: int = 2) -> Convergen
     for t in ts:
         _check_t(t)
         r_in = inscribed_radius(eps, t, n)
-        r_out = circumscribed_radius(eps, t)
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 z, w = grid[i], grid[j]
@@ -194,11 +181,10 @@ def metric_convergence_probe(eps: float, ts, grid=None, n: int = 2) -> Convergen
                 if max(float(np.linalg.norm(z)), float(np.linalg.norm(w))) >= r_in:
                     raise ValueError(f"grid is not inside the inscribed ball at t={t}")
                 k_ball = cf.ball_distance(z, w)
-                lower = cf.ball_distance(z / r_out, w / r_out) if r_out != 1.0 else k_ball
                 upper = cf.ball_distance(z / r_in, w / r_in) if r_in != 1.0 else k_ball
-                upper = max(upper, lower)
-                mid = 0.5 * (lower + upper)
-                table.add(t, f"pair-{i}-{j}", abs(mid - k_ball), upper - lower)
+                upper = max(upper, k_ball)
+                mid = 0.5 * (k_ball + upper)
+                table.add(t, f"pair-{i}-{j}", abs(mid - k_ball), upper - k_ball)
     return table
 
 

@@ -1,5 +1,5 @@
 """Descriptor codecs shared by the CLI and the JSON schemas: points,
-geodesic families, and report JSON-ification.
+geodesic family descriptors (decode only), and report JSON-ification.
 
 Domain and map codecs live next to their types (domains.py, coverings.py);
 this module adds the family descriptors and the small glue the CLI needs.
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .domains import DomainError, base_from_dict, base_to_dict
+from .domains import DomainError, _decoder, base_from_dict
 from .geodesics import (GeodesicCurve, GeodesicFamily, Segment, antipodal_family,
                         ball_landing_family, radial_family, strip_crossing_family)
 
@@ -45,10 +45,11 @@ def point_to_json(z) -> list:
     return [[float(c.real), float(c.imag)] for c in np.atleast_1d(np.asarray(z, dtype=complex))]
 
 
+@_decoder
 def family_from_dict(data: dict) -> GeodesicFamily:
     kind = data.get("kind")
     if kind == "radial":
-        return radial_family(int(data.get("count", 12)), bool(data.get("punctured", True)))
+        return radial_family(_count(data, 12), bool(data.get("punctured", True)))
     if kind == "strip-crossing":
         heights = tuple(float(h) for h in data.get("heights", ()))
         return strip_crossing_family(float(data["R"]), heights)
@@ -58,34 +59,18 @@ def family_from_dict(data: dict) -> GeodesicFamily:
         starts = tuple(parse_point(s) for s in data.get("starts", ()))
         return ball_landing_family(n, p, starts)
     if kind == "antipodal":
-        return antipodal_family(base_from_dict(data["base"]), int(data.get("count", 20)),
+        return antipodal_family(base_from_dict(data["base"]), _count(data, 20),
                                 bool(data.get("with_phases", False)))
     if kind == "corrupted-radial":
-        return corrupted_radial_family(int(data.get("count", 8)),
-                                       float(data.get("wobble", 2.0)))
+        return corrupted_radial_family(_count(data, 8), float(data.get("wobble", 2.0)))
     raise DomainError(f"unknown family kind {kind!r}")
 
 
-def family_to_dict(family: GeodesicFamily) -> dict:
-    # round-trips are by label for the built-in families
-    label = family.label
-    if label == "radial":
-        from .domains import PuncturedDisc
-
-        return {"kind": "radial", "count": len(family.members),
-                "punctured": isinstance(family.domain, PuncturedDisc)}
-    if label == "strip-crossing":
-        return {"kind": "strip-crossing", "R": family.domain.R,
-                "heights": [m.sample(0.0)[0].imag for m in family.members]}
-    if label == "antipodal":
-        return {"kind": "antipodal", "base": base_to_dict(family.domain.base),
-                "count": len(family.members)}
-    if label.startswith("landing@"):
-        from .domains import dim as domain_dim
-
-        return {"kind": "ball-landing", "dim": domain_dim(family.domain),
-                "p": point_to_json(np.asarray(family.anchor[1]))}
-    raise DomainError(f"family {label!r} has no descriptor form")
+def _count(data: dict, default: int) -> int:
+    count = int(data.get("count", default))
+    if count < 1:
+        raise DomainError(f"a family needs count >= 1, got {count}")
+    return count
 
 
 def corrupted_radial_family(count: int = 8, wobble: float = 2.0) -> GeodesicFamily:

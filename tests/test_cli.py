@@ -63,13 +63,32 @@ def test_dist_coincident_points():
 
 
 def test_dist_schema_error_exit_2():
-    code, _ = run_cli(["dist", "--domain", '{"kind": "nope"}', "--z", "0", "--w", "0.5"])
-    assert code == 2
+    for domain in ['{"kind": "nope"}', '{"kind": "annulus", "R": "x"}', '[1, 2]',
+                   '{"kind": "tube", "base": {"kind": "ball", "center": [0], "radius": "a"}}']:
+        code, _ = run_cli(["dist", "--domain", domain, "--z", "0", "--w", "0.5"])
+        assert code == 2, domain
 
 
 def test_dist_non_interior_exit_3():
     code, _ = run_cli(["dist", "--domain", '{"kind": "unit-disc"}', "--z", "0", "--w", "1.5"])
     assert code == 3
+    # the radial family leaves the annulus that the identity map targets
+    code, _ = run_cli(["audit", "--map", '{"kind": "identity", "domain": {"kind": "annulus", "R": 4}}',
+                       "--family", '{"kind": "radial", "count": 2}'])
+    assert code == 3
+
+
+def test_dist_csv_single_query_matches_batch(tmp_path):
+    domain = '{"kind": "annulus", "R": 4}'
+    code, out = run_cli(["dist", "--domain", domain, "--z", "0.5", "--w", "0.1-2j",
+                         "--format", "csv"])
+    assert code == 0
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"domain": json.loads(domain), "z": "0.5", "w": "0.1-2j"}]))
+    code, want = run_cli(["dist", "--batch", f"@{batch}"])
+    assert code == 0
+    assert out == want
+    assert out.splitlines()[0] == "domain,z,w,value,method,gap,deck_index"
 
 
 def test_dist_batch_deterministic(tmp_path):
@@ -108,8 +127,21 @@ def test_audit_corrupted_family_violated():
 
 
 def test_audit_config_error_exit_2():
-    code, _ = run_cli(["audit", "--config", '{"map": {"kind": "power"}}'])
-    assert code == 2
+    for fmap in ['{"kind": "power"}', '{"kind": "power", "n": "x"}']:
+        code, _ = run_cli(["audit", "--config", '{"map": %s}' % fmap])
+        assert code == 2, fmap
+    base = '{"kind": "ball", "center": [0, 0], "radius": 1}'
+    for family in ['{"kind": "radial", "count": 0}', '{"kind": "corrupted-radial", "count": 0}',
+                   '{"kind": "antipodal", "count": 0, "base": %s}' % base,
+                   '{"kind": "radial", "count": "x"}']:
+        code, _ = run_cli(["audit", "--map", '{"kind": "power", "n": 2}', "--family", family])
+        assert code == 2, family
+
+
+def test_scaling_probe_bad_ts_exit_2():
+    for ts in ("1.5", "0.5,x"):
+        code, _ = run_cli(["scaling-probe", "--probe", "metric", "--ts", ts])
+        assert code == 2, ts
 
 
 def test_examples_single(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from kobalab import (Annulus, EuclideanBall, IntegerMatrix, PuncturedDisc, Strip,
                      antipodal_image_check, apply_map, ball_mobius_map, compose_maps,
-                     covering_apply, deck_preimages, distance, exp_strip_cover,
+                     deck_preimages, distance, exp_strip_cover,
                      exp_tube_cover, identity_map, infinitesimal_metric, log_image,
                      map_differential, monomial_apply, monomial_map, monomial_power,
                      monomial_preimages, power_map)
@@ -84,13 +84,13 @@ def test_preimage_errors():
         monomial_preimages(IntegerMatrix(((2, 0), (0, 2))), [0.0, 1.0])
 
 
-def test_covering_apply_examples():
+def test_apply_map_examples():
     f = exp_tube_cover(EuclideanBall((0.0, 0.0), 1.0))
-    assert np.allclose(covering_apply(f, [0.0, 0.0]), [1.0, 1.0])
+    assert np.allclose(apply_map(f, [0.0, 0.0]), [1.0, 1.0])
     g = power_map(3)
-    assert covering_apply(g, [0.5])[0] == pytest.approx(0.125)
+    assert apply_map(g, [0.5])[0] == pytest.approx(0.125)
     h = exp_strip_cover(math.e)
-    assert covering_apply(h, [1j * math.pi])[0] == pytest.approx(-1.0, abs=1e-12)
+    assert apply_map(h, [1j * math.pi])[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_log_image():

@@ -1,24 +1,49 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 
-from kobalab import (Annulus, BoundaryPoint, Box, EuclideanBall, LinearImage, Polydisc,
-                     Polytope, PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip,
-                     TubeOverBase, UnitBall, UnitDisc, boundary_point, domain_from_dict,
-                     domain_to_dict, ellipsoid_defining_function, log_coordinates,
-                     membership)
-from kobalab.domains import (DomainError, base_from_dict, base_margin, base_membership,
-                             base_reference, base_support, base_to_dict, chord_interval,
-                             containing_ball_inflation, dim, escape_margin,
+from kobalab import (Annulus, BoundaryPoint, Box, EuclideanBall, LeftHalfPlane, LinearImage,
+                     Polydisc, Polytope, PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip,
+                     TubeOverBase, UnitBall, UnitDisc, boundary_point, distance,
+                     domain_from_dict, domain_to_dict, ellipsoid_defining_function,
+                     infinitesimal_metric, log_coordinates, membership)
+from kobalab import domains
+from kobalab.domains import (DomainError, ModelDomain, base_from_dict, base_margin,
+                             base_membership, base_reference, base_support, base_to_dict,
+                             boundary_residual, chord_interval, dim, escape_margin,
                              reference_point, to_polytope)
 from kobalab.mobius import ball_scaling_map
 
 ALL_DOMAINS = [
-    UnitDisc(), PuncturedDisc(), Annulus(4.0), Strip(4.0), UnitBall(2), UnitBall(3),
-    Polydisc(2), TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)),
+    UnitDisc(), PuncturedDisc(), Annulus(4.0), Strip(4.0), LeftHalfPlane(), UnitBall(2),
+    UnitBall(3), Polydisc(2), TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)),
     ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0)), ScaledEllipsoid(0.05, 0.5, 2),
 ]
+
+
+def test_every_kind_is_in_the_codec():
+    kinds = set(typing.get_args(ModelDomain))
+    assert set(domains._Kind.__subclasses__()) == kinds
+    assert set(domains._KINDS.values()) == kinds
+    assert len(domains._KINDS) == len(kinds)
+    assert {type(d) for d in ALL_DOMAINS} == kinds
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=repr)
+def test_kind_definition_is_complete(domain):
+    data = domain_to_dict(domain)
+    assert domain_from_dict(data) == domain
+    assert domain_to_dict(domain_from_dict(data)) == data
+    ref = reference_point(domain)
+    assert ref.shape == (dim(domain),)
+    assert membership(domain, ref)
+    assert escape_margin(domain, ref) > 0.0
+    assert boundary_residual(domain, ref) > 0.0
+    assert distance(domain, ref, ref).value == 0.0
+    v = np.ones(dim(domain), dtype=complex)
+    assert math.isfinite(infinitesimal_metric(domain, ref, v))
 
 
 def test_membership_trivia():
@@ -162,11 +187,6 @@ def test_dim():
     assert dim(UnitDisc()) == 1
     assert dim(UnitBall(3)) == 3
     assert dim(TubeOverBase(EuclideanBall((0.0, 0.0), 1.0))) == 2
-
-
-def test_containing_ball_inflation():
-    assert containing_ball_inflation(0.0) == 0.0
-    assert containing_ball_inflation(0.1) == 0.0
 
 
 def test_base_reference_interior():

@@ -6,7 +6,7 @@ from kobalab import (ScaledEllipsoid, compactly_divergent_probe, distance,
                      inscribed_radius, membership, metric_convergence_probe,
                      scaled_domain_membership, scaling_automorphism, scaling_inverse)
 from kobalab import closed_forms as cf
-from kobalab.scaling import boundary_deviation_probe, circumscribed_radius
+from kobalab.scaling import boundary_deviation_probe
 
 GEN = np.random.default_rng(31)
 
@@ -64,7 +64,6 @@ def test_scaled_membership_examples():
 
 def test_inscribed_radius_properties():
     assert inscribed_radius(0.0, 0.5, 2) == 1.0
-    assert circumscribed_radius(0.05, 0.5) == 1.0
     rads = [inscribed_radius(0.05, t, 2) for t in (0.5, 0.9, 0.99)]
     assert rads[0] < rads[1] < rads[2] < 1.0
     assert rads[2] > 0.99  # Hausdorff convergence to the ball
