@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._sampling import halton, rng
-from .coverings import (ExpCover, HolomorphicMap, Identity, Monomial, Power, apply_map,
-                        monomial_preimages)
-from .domains import (ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog, Strip,
-                      as_point, base_reference, escape_margin, membership)
+from .coverings import HolomorphicMap, apply_map, monomial_preimages
+from .domains import (DomainError, ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog,
+                      Strip, as_point, base_dim, escape_margin, membership)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
 from .metric import distance
@@ -93,6 +92,8 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     sampled points sit so close to the boundary that closed-form arctanh
     evaluations carry more than the 1e-9 default tolerance in rounding.
     """
+    if samples < 2 or not tol > 0.0:
+        raise DomainError(f"an audit needs samples >= 2 and tol > 0, got {samples} and {tol}")
     per = []
     for member in family.members:
         w0, w1 = member.window(window)
@@ -118,20 +119,7 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
                 max_gap = max(max_gap, d_src.gap + d_tgt.gap)
                 count += 1
         per.append(GeodesicAudit(member.label or "geodesic", max_sep, max_raw, max_gap, count))
-    return IsometryReport(map_label=_map_label(f), per_geodesic=per, tol=tol)
-
-
-def _map_label(f: HolomorphicMap) -> str:
-    kind = f.kind
-    if isinstance(kind, Power):
-        return f"power-{kind.n}"
-    if isinstance(kind, ExpCover):
-        return "exp-cover"
-    if isinstance(kind, Monomial):
-        return f"monomial-det{kind.matrix.det}"
-    if isinstance(kind, Identity):
-        return "identity"
-    return type(kind).__name__.lower()
+    return IsometryReport(map_label=f.kind.label, per_geodesic=per, tol=tol)
 
 
 def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6,
@@ -175,6 +163,7 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
     """
     pts = [as_point(z) for z in grid]
     imgs = [apply_map(f, z) for z in pts]
+    matrix = f.kind.fiber_matrix
     collisions = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -186,20 +175,12 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
                          "z": [complex(c) for c in pts[i]],
                          "w": [complex(c) for c in pts[j]],
                          "image_gap": gap}
-                if isinstance(f.kind, (Power, Monomial)):
-                    fiber = monomial_preimages(_as_matrix(f.kind), imgs[i])
+                if matrix is not None:
+                    fiber = monomial_preimages(matrix, imgs[i])
                     entry["deck_pair"] = any(
                         float(np.max(np.abs(p - pts[j]))) < 1e-7 for p in fiber)
                 collisions.append(entry)
     return collisions
-
-
-def _as_matrix(kind):
-    from .coverings import IntegerMatrix
-
-    if isinstance(kind, Power):
-        return IntegerMatrix(((kind.n,),))
-    return kind.matrix
 
 
 def properness_probe(f: HolomorphicMap, sequences) -> dict:
@@ -258,7 +239,7 @@ def strip_lattice_grid(R: float, re_count: int = 5, im_values=None) -> list[np.n
 
 def reinhardt_sign_grid(base, log_points=None) -> list[np.ndarray]:
     """Reinhardt grid containing full sign-pattern orbits of each modulus."""
-    n = len(base_reference(base))
+    n = base_dim(base)
     if log_points is None:
         cube = halton(6, n, skip=7)
         log_points = [0.6 * (row - 0.5) for row in cube]

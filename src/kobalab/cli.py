@@ -77,6 +77,8 @@ def _csv_row(domain: dict, z, w, val) -> str:
 def cmd_dist(args) -> int:
     if args.batch:
         rows = _load_json_arg(args.batch)
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
         lines = [_CSV_HEADER]
         for row in rows:
             dom = domain_from_dict(row["domain"])
@@ -110,6 +112,8 @@ def cmd_audit(args) -> int:
     from .checker import audit_isometry
 
     config = _load_json_arg(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise DomainError(f"an audit config must be a JSON object, not {config!r}")
     if args.map:
         config["map"] = _load_json_arg(args.map)
     if args.family:
@@ -118,8 +122,11 @@ def cmd_audit(args) -> int:
         config["expect"] = args.expect
     fmap = map_from_dict(config["map"])
     family = family_from_dict(config["family"])
-    tol = float(config.get("tol", args.tol))
-    samples = int(config.get("samples", 32))
+    try:
+        tol = float(config.get("tol", args.tol))
+        samples = int(config.get("samples", 32))
+    except (TypeError, ValueError):
+        raise DomainError("audit tol and samples must be numbers") from None
     report = audit_isometry(fmap, family, samples=samples, tol=tol)
     if args.format == "json":
         _emit(json.dumps(jsonify(report.to_dict()), sort_keys=True) + "\n", args.out)
@@ -204,6 +211,8 @@ def cmd_scaling_probe(args) -> int:
         ts = [float(t) for t in args.ts.split(",")]
     except ValueError:
         raise DomainError(f"--ts needs comma-separated numbers, got {args.ts!r}") from None
+    if args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
     if args.probe == "metric":
         table = metric_convergence_probe(args.eps, ts, n=args.n)
     elif args.probe == "persistence":

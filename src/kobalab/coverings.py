@@ -6,6 +6,12 @@ invertible integer exponent matrix, ball scaling automorphisms, the
 identity, and compositions.  Monomial preimage fibers are enumerated
 exactly through the Smith normal form of A: the fiber over any point of
 C_*^n has |det A| points.
+
+Each map kind is one class below (`_MapKind` lists what it defines: the
+map and its differential, fibers, local inverse, audit label and codec);
+`HolomorphicMap` pairs it with a source and a target, and the module
+functions (`apply_map`, `map_differential`, `deck_preimages`,
+`map_to_dict`, `map_from_dict`) dispatch to it.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import get_args
 
 import numpy as np
 
-from .domains import (Annulus, ConvexBase, LinearImage, ModelDomain, PuncturedDisc,
-                      ReinhardtLog, Strip, TubeOverBase, UnitBall, _decoder, as_point, dim,
-                      domain_from_dict, domain_to_dict, membership)
+from .domains import (Annulus, ConvexBase, ModelDomain, PuncturedDisc, ReinhardtLog, Strip,
+                      TubeOverBase, UnitBall, _decoder, as_point, base_dim, base_from_dict,
+                      base_to_dict, dim, domain_from_dict, domain_to_dict, membership)
 from .mobius import ball_scaling_differential, ball_scaling_map
 from .smith import smith_normal_form, snf_determinant
 
@@ -61,51 +68,213 @@ def _int_det(a: list[list[int]]) -> int:
     return det
 
 
-# map kind tags ---------------------------------------------------------------
+# map kinds: one class per kind ------------------------------------------------
+
+class _MapKind:
+    """What a map kind defines, with the shared defaults.
+
+    `kind` (the descriptor name), `label` (the audit report's name for the
+    map), `apply(z)`, `differential(z, v)` (dF_z v), `fiber_matrix` (the
+    exponent matrix whose Smith form enumerates a finite fiber, else
+    None), `preimages(source, w, imag_window)`, `local_inverse(w, ref)`
+    (the preimage of w on the branch through ref, for covering lifts; None
+    where no lift is implemented) and the codec `to_dict(source)` /
+    `from_dict(data)`, which the map's source completes.  Points reach
+    these methods validated.
+    """
+
+    fiber_matrix = None
+    local_inverse = None
+
+    def preimages(self, source: ModelDomain, w: np.ndarray, imag_window: float) -> list:
+        if self.fiber_matrix is None:
+            raise CoveringError(f"no preimage enumeration for {self!r}")
+        return monomial_preimages(self.fiber_matrix, w)
+
 
 @dataclass(frozen=True)
-class Power:
+class Power(_MapKind):
     n: int
+    kind = "power"
 
     def __post_init__(self):
         if self.n < 1:
             raise CoveringError("power exponent must be >= 1")
 
+    @property
+    def label(self) -> str:
+        return f"power-{self.n}"
+
+    @property
+    def fiber_matrix(self) -> IntegerMatrix:
+        return IntegerMatrix(((self.n,),))
+
+    def apply(self, z):
+        return np.array([_int_pow(complex(z[0]), self.n)])
+
+    def differential(self, z, v):
+        return np.array([self.n * _int_pow(complex(z[0]), self.n - 1) * v[0]])
+
+    def local_inverse(self, w, ref):
+        # continuous n-th root: pick the branch whose n-th power has the
+        # argument nearest the reference's image
+        raw_angle = np.angle(w)
+        ref_angle = np.angle(ref) * self.n
+        k = np.round((ref_angle - raw_angle) / (2.0 * math.pi))
+        ang = (raw_angle + 2.0 * math.pi * k) / self.n
+        return np.abs(w) ** (1.0 / self.n) * np.exp(1j * ang)
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "n": self.n}
+
+    @classmethod
+    def from_dict(cls, data):
+        return power_map(int(data["n"]))
+
 
 @dataclass(frozen=True)
-class ExpCover:
-    pass
+class ExpCover(_MapKind):
+    kind = "exp"
+    label = "exp-cover"
+
+    def apply(self, z):
+        return np.exp(z)
+
+    def differential(self, z, v):
+        return np.exp(z) * v
+
+    def preimages(self, source, w, imag_window):
+        # the lattice translates with imaginary parts within imag_window
+        base_log = np.log(np.abs(w)) + 1j * np.angle(w)
+        k_max = int(imag_window / (2.0 * math.pi)) + 1
+        out = []
+        for k in _mixed_radix([2 * k_max + 1] * w.size):
+            cand = base_log + 2.0 * math.pi * 1j * (np.asarray(k) - k_max)
+            if membership(source, cand):
+                out.append(cand)
+        return out
+
+    def local_inverse(self, w, ref):
+        raw = np.log(np.abs(w)) + 1j * np.angle(w)
+        shift = np.round((ref.imag - raw.imag) / (2.0 * math.pi))
+        return raw + 2.0 * math.pi * 1j * shift
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "source": domain_to_dict(source)}
+
+    @classmethod
+    def from_dict(cls, data):
+        source = domain_from_dict(data["source"])
+        cover = _EXP_COVERS.get(type(source))
+        if cover is None:
+            raise CoveringError("exp cover needs a strip or tube source")
+        return cover(source)
 
 
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(_MapKind):
     matrix: IntegerMatrix
+    kind = "monomial"
 
     def __post_init__(self):
         if self.matrix.det == 0:
             raise CoveringError("monomial maps need det A != 0")
 
+    @property
+    def label(self) -> str:
+        return f"monomial-det{self.matrix.det}"
+
+    @property
+    def fiber_matrix(self) -> IntegerMatrix:
+        return self.matrix
+
+    def apply(self, z):
+        return monomial_apply(self.matrix, z)
+
+    def differential(self, z, v):
+        return monomial_apply(self.matrix, z) * (self.matrix.as_array() @ (v / z))
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "matrix": [list(r) for r in self.matrix.entries],
+                "base": base_to_dict(source.base)}
+
+    @classmethod
+    def from_dict(cls, data):
+        return monomial_map(data["matrix"], base_from_dict(data["base"]))
+
 
 @dataclass(frozen=True)
-class BallMobius:
+class BallMobius(_MapKind):
     t: float
+    kind = "ball-mobius"
+    label = "ballmobius"
 
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
             raise CoveringError("scaling parameter t must lie in [0, 1)")
 
+    def apply(self, z):
+        return ball_scaling_map(self.t, z)
+
+    def differential(self, z, v):
+        return ball_scaling_differential(self.t, z, v)
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "t": self.t, "dim": dim(source)}
+
+    @classmethod
+    def from_dict(cls, data):
+        return ball_mobius_map(float(data["t"]), int(data["dim"]))
+
 
 @dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(_MapKind):
+    kind = "identity"
+    label = "identity"
+
+    def apply(self, z):
+        return z.copy()
+
+    def differential(self, z, v):
+        return v.copy()
+
+    def preimages(self, source, w, imag_window):
+        return [w.copy()]
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "domain": domain_to_dict(source)}
+
+    @classmethod
+    def from_dict(cls, data):
+        return identity_map(domain_from_dict(data["domain"]))
 
 
 @dataclass(frozen=True)
-class Compose:
-    parts: tuple["HolomorphicMap", ...]
+class Compose(_MapKind):
+    parts: tuple[HolomorphicMap, ...]
+    kind = "compose"
+    label = "compose"
+
+    def apply(self, z):
+        return reduce(lambda acc, part: apply_map(part, acc), self.parts, z)
+
+    def differential(self, z, v):
+        for part in self.parts:
+            v = map_differential(part, z, v)
+            z = apply_map(part, z)
+        return v
+
+    def to_dict(self, source):
+        return {"kind": self.kind, "maps": [map_to_dict(p) for p in self.parts]}
+
+    @classmethod
+    def from_dict(cls, data):
+        return compose_maps(*[map_from_dict(d) for d in data["maps"]])
 
 
 MapKind = Power | ExpCover | Monomial | BallMobius | Identity | Compose
+_MAP_KINDS = {cls.kind: cls for cls in get_args(MapKind)}  # descriptor name -> kind
+_MAP_TYPES = frozenset(_MAP_KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -113,6 +282,10 @@ class HolomorphicMap:
     kind: MapKind
     source: ModelDomain
     target: ModelDomain
+
+    def __post_init__(self):
+        if type(self.kind) not in _MAP_TYPES:
+            raise CoveringError(f"unknown map kind {self.kind!r}")
 
 
 # constructors ----------------------------------------------------------------
@@ -137,9 +310,18 @@ def monomial_map(matrix, base: ConvexBase) -> HolomorphicMap:
     matching log(Phi_A(D)) = A(log D).
     """
     mat = matrix if isinstance(matrix, IntegerMatrix) else IntegerMatrix(
-        tuple(tuple(int(x) for x in row) for row in matrix))
+        tuple(tuple(_exponent(x) for x in row) for row in matrix))
+    if mat.n != base_dim(base):
+        raise CoveringError(f"a {mat.n}x{mat.n} exponent matrix needs a {mat.n}-d base")
     return HolomorphicMap(Monomial(mat), ReinhardtLog(base),
                           ReinhardtLog(log_image(mat, base)))
+
+
+def _exponent(x) -> int:
+    k = int(x)
+    if k != x:
+        raise CoveringError(f"monomial exponents must be integers, got {x!r}")
+    return k
 
 
 def ball_mobius_map(t: float, n: int) -> HolomorphicMap:
@@ -205,47 +387,12 @@ def monomial_apply(matrix: IntegerMatrix, z) -> np.ndarray:
 
 
 def apply_map(f: HolomorphicMap, z) -> np.ndarray:
-    z = as_point(z)
-    kind = f.kind
-    if isinstance(kind, Identity):
-        return z.copy()
-    if isinstance(kind, Power):
-        return np.array([_int_pow(complex(z[0]), kind.n)])
-    if isinstance(kind, ExpCover):
-        return np.exp(z)
-    if isinstance(kind, Monomial):
-        return monomial_apply(kind.matrix, z)
-    if isinstance(kind, BallMobius):
-        return ball_scaling_map(kind.t, z)
-    if isinstance(kind, Compose):
-        return reduce(lambda acc, part: apply_map(part, acc), kind.parts, z)
-    raise CoveringError(f"unknown map kind {kind!r}")
+    return f.kind.apply(as_point(z))
 
 
 def map_differential(f: HolomorphicMap, z, v) -> np.ndarray:
     """Complex differential dF_z applied to v."""
-    z = as_point(z)
-    v = as_point(v)
-    kind = f.kind
-    if isinstance(kind, Identity):
-        return v.copy()
-    if isinstance(kind, Power):
-        return np.array([kind.n * _int_pow(complex(z[0]), kind.n - 1) * v[0]])
-    if isinstance(kind, ExpCover):
-        return np.exp(z) * v
-    if isinstance(kind, Monomial):
-        w = monomial_apply(kind.matrix, z)
-        a = kind.matrix.as_array()
-        return w * (a @ (v / z))
-    if isinstance(kind, BallMobius):
-        return ball_scaling_differential(kind.t, z, v)
-    if isinstance(kind, Compose):
-        cur, cur_v = z, v
-        for part in kind.parts:
-            cur_v = map_differential(part, cur, cur_v)
-            cur = apply_map(part, cur)
-        return cur_v
-    raise CoveringError(f"unknown map kind {kind!r}")
+    return f.kind.differential(as_point(z), as_point(v))
 
 
 # preimages and log geometry --------------------------------------------------
@@ -307,17 +454,7 @@ def log_image(matrix: IntegerMatrix, base: ConvexBase) -> ConvexBase:
     """
     if matrix.det == 0:
         raise CoveringError("singular exponent matrix")
-    from .domains import Box, EuclideanBall, Polytope
-
-    arr = matrix.as_array()
-    if isinstance(base, EuclideanBall):
-        diag = arr[0, 0]
-        if np.allclose(arr, diag * np.eye(matrix.n)) and diag != 0:
-            center = diag * np.asarray(base.center)
-            return EuclideanBall(tuple(float(c) for c in center), abs(float(diag)) * base.radius)
-    if isinstance(base, (Box, Polytope)) or isinstance(base, EuclideanBall) or isinstance(base, LinearImage):
-        return LinearImage(tuple(tuple(float(x) for x in row) for row in matrix.entries), base)
-    raise CoveringError(f"unsupported base {base!r}")
+    return base.linear_image(matrix.as_array())
 
 
 def antipodal_image_check(matrix: IntegerMatrix, pair):
@@ -347,69 +484,23 @@ def deck_preimages(f: HolomorphicMap, w, imag_window: float = 12.0) -> list[np.n
     Power/monomial fibers are finite and complete; exp-covers return the
     lattice translates with imaginary parts within `imag_window`.
     """
-    w = as_point(w)
-    kind = f.kind
-    if isinstance(kind, Identity):
-        return [w.copy()]
-    if isinstance(kind, Power):
-        return monomial_preimages(IntegerMatrix(((kind.n,),)), w)
-    if isinstance(kind, Monomial):
-        return monomial_preimages(kind.matrix, w)
-    if isinstance(kind, ExpCover):
-        base_log = np.log(np.abs(w)) + 1j * np.angle(w)
-        n = w.size
-        k_max = int(imag_window / (2.0 * math.pi)) + 1
-        out = []
-        for k in _mixed_radix([2 * k_max + 1] * n):
-            nu = np.asarray(k) - k_max
-            cand = base_log + 2.0 * math.pi * 1j * nu
-            if membership(f.source, cand):
-                out.append(cand)
-        return out
-    raise CoveringError(f"no preimage enumeration for {kind!r}")
+    return f.kind.preimages(f.source, as_point(w), imag_window)
 
 
 # serialization ---------------------------------------------------------------
 
 def map_to_dict(f: HolomorphicMap) -> dict:
-    kind = f.kind
-    if isinstance(kind, Identity):
-        return {"kind": "identity", "domain": domain_to_dict(f.source)}
-    if isinstance(kind, Power):
-        return {"kind": "power", "n": kind.n}
-    if isinstance(kind, ExpCover):
-        return {"kind": "exp", "source": domain_to_dict(f.source)}
-    if isinstance(kind, Monomial):
-        src = f.source
-        return {"kind": "monomial", "matrix": [list(r) for r in kind.matrix.entries],
-                "base": domain_to_dict(src)["base"]}
-    if isinstance(kind, BallMobius):
-        return {"kind": "ball-mobius", "t": kind.t, "dim": dim(f.source)}
-    if isinstance(kind, Compose):
-        return {"kind": "compose", "maps": [map_to_dict(p) for p in kind.parts]}
-    raise CoveringError(f"unknown map kind {kind!r}")
+    return f.kind.to_dict(f.source)
 
 
 @_decoder
 def map_from_dict(data: dict) -> HolomorphicMap:
     kind = data.get("kind")
-    if kind == "identity":
-        return identity_map(domain_from_dict(data["domain"]))
-    if kind == "power":
-        return power_map(int(data["n"]))
-    if kind == "exp":
-        src = domain_from_dict(data["source"])
-        if isinstance(src, Strip):
-            return exp_strip_cover(src.R)
-        if isinstance(src, TubeOverBase):
-            return exp_tube_cover(src.base)
-        raise CoveringError("exp cover needs a strip or tube source")
-    if kind == "monomial":
-        from .domains import base_from_dict
+    if kind not in _MAP_KINDS:
+        raise CoveringError(f"unknown map kind {kind!r}")
+    return _MAP_KINDS[kind].from_dict(data)
 
-        return monomial_map(data["matrix"], base_from_dict(data["base"]))
-    if kind == "ball-mobius":
-        return ball_mobius_map(float(data["t"]), int(data["dim"]))
-    if kind == "compose":
-        return compose_maps(*[map_from_dict(d) for d in data["maps"]])
-    raise CoveringError(f"unknown map kind {kind!r}")
+
+# the exp cover of each source kind (its target is the exp image)
+_EXP_COVERS = {Strip: lambda source: exp_strip_cover(source.R),
+               TubeOverBase: lambda source: exp_tube_cover(source.base)}

@@ -9,6 +9,13 @@ the module functions (`membership`, `escape_margin`, `domain_from_dict`,
 ...) validate their input and dispatch to it.  A kind's distance and
 density engine is its entry in metric.py: adding a kind touches the two.
 
+Each convex-base kind (EuclideanBall, Box, Polytope, LinearImage) is one
+class too (`_Base` lists what it defines: membership, the support
+function, chords, margins, facets, validation, ...); the `base_*`
+functions, `chord_interval` and `to_polytope` dispatch to it.  Its tube
+maths (affine-disc solver, product competitor) is its entry in tube.py.
+Both kinds of class derive their codec from their dataclass fields.
+
 The available kinds:
 
 ==================  =========================================================
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args
 
 import numpy as np
@@ -59,40 +66,246 @@ def as_point(z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convex bases (log-images of Reinhardt domains, tube bases)
+# the codec shared by base and model-domain kinds
 # ---------------------------------------------------------------------------
 
+class _Codec:
+    """A descriptor is `kind` (the descriptor name) plus the dataclass
+    fields, each mapped by the codec of its annotation; a field that is
+    None is left out, and a field with a default may be missing."""
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for name, _, encode, _ in _field_codecs(type(self)):
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = encode(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**{name: decode(data[name] if required else data.get(name))
+                      for name, decode, _, required in _field_codecs(cls)})
+
+
+# ---------------------------------------------------------------------------
+# convex bases (log-images of Reinhardt domains, tube bases): one class per kind
+# ---------------------------------------------------------------------------
+
+class _Base(_Codec):
+    """What a convex-base kind defines, with the shared defaults.
+
+    `kind`, `dim`, `contains(x)`, `support(dirs)` (the support function
+    h(d) = sup over the base of <d, x>, one value per row of an (m, n)
+    array), `reference()` (an interior point), `facet_normals()` (outward
+    normals when finitely many, else []), `margin(x)` (a slack no larger
+    than the boundary distance), `chord(p, d)` (the interval of s with
+    p + s d inside, p interior), `to_polytope(facets_per_pair)` (the facet
+    export) and `linear_image(a)` (the exact image A(base), A invertible).
+    `__post_init__` validates the fields; points reach the methods as
+    float arrays of the right size.
+    """
+
+    def facet_normals(self) -> list[np.ndarray]:
+        return []
+
+    def to_polytope(self, facets_per_pair: int) -> Polytope:
+        # tangent half-spaces: facets_per_pair directions per coordinate 2-plane
+        n = self.dim
+        dirs = [np.eye(n)[0], -np.eye(n)[0]] if n == 1 else []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(facets_per_pair):
+                    ang = 2.0 * math.pi * k / facets_per_pair
+                    d = np.zeros(n)
+                    d[i] = math.cos(ang)
+                    d[j] = math.sin(ang)
+                    dirs.append(d)
+        offsets = self.support(np.vstack(dirs))
+        return Polytope(tuple(tuple(d) for d in dirs), tuple(float(h) for h in offsets),
+                        tuple(self.reference()))
+
+    def linear_image(self, a: np.ndarray) -> ConvexBase:
+        return LinearImage(tuple(tuple(float(x) for x in row) for row in a), self)
+
+
 @dataclass(frozen=True)
-class EuclideanBall:
+class EuclideanBall(_Base):
     center: tuple[float, ...]
     radius: float
+    kind = "ball"
 
     def __post_init__(self):
+        if len(self.center) < 1:
+            raise DomainError("ball center must have at least one coordinate")
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
 
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    def contains(self, x):
+        return float(np.linalg.norm(x - np.asarray(self.center))) < self.radius
+
+    def support(self, dirs):
+        return dirs @ np.asarray(self.center) + self.radius * np.linalg.norm(dirs, axis=1)
+
+    def reference(self):
+        return np.asarray(self.center, dtype=float)
+
+    def margin(self, x):
+        return self.radius - float(np.linalg.norm(x - np.asarray(self.center)))
+
+    def chord(self, p, d):
+        q = p - np.asarray(self.center)
+        aa = float(np.dot(d, d))
+        bb = 2.0 * float(np.dot(q, d))
+        cc = float(np.dot(q, q)) - self.radius ** 2
+        root = math.sqrt(max(bb * bb - 4.0 * aa * cc, 0.0))
+        return (-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa)
+
+    def linear_image(self, a):
+        # scalar multiples of a ball stay balls
+        diag = a[0, 0]
+        if np.allclose(a, diag * np.eye(len(a))) and diag != 0:
+            center = diag * np.asarray(self.center)
+            return EuclideanBall(tuple(float(c) for c in center), abs(float(diag)) * self.radius)
+        return super().linear_image(a)
+
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Base):
     lo: tuple[float, ...]
     hi: tuple[float, ...]
+    kind = "box"
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(l >= h for l, h in zip(self.lo, self.hi)):
-            raise DomainError("box needs lo < hi coordinatewise")
+        if (len(self.lo) < 1 or len(self.lo) != len(self.hi)
+                or any(l >= h for l, h in zip(self.lo, self.hi))):
+            raise DomainError("box needs nonempty lo < hi coordinatewise")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+    def contains(self, x):
+        return bool(np.all(x > np.asarray(self.lo)) and np.all(x < np.asarray(self.hi)))
+
+    def support(self, dirs):
+        lo = np.asarray(self.lo)
+        hi = np.asarray(self.hi)
+        return np.sum(np.where(dirs >= 0.0, dirs * hi, dirs * lo), axis=1)
+
+    def reference(self):
+        return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
+
+    def facet_normals(self):
+        eye = np.eye(self.dim)
+        return [eye[j] for j in range(self.dim)] + [-eye[j] for j in range(self.dim)]
+
+    def margin(self, x):
+        return float(min(np.min(x - np.asarray(self.lo)), np.min(np.asarray(self.hi) - x)))
+
+    def chord(self, p, d):
+        lo_s, hi_s = -math.inf, math.inf
+        for j in range(len(d)):
+            if d[j] == 0.0:
+                continue
+            s1 = (self.lo[j] - p[j]) / d[j]
+            s2 = (self.hi[j] - p[j]) / d[j]
+            lo_s = max(lo_s, min(s1, s2))
+            hi_s = min(hi_s, max(s1, s2))
+        return lo_s, hi_s
+
+    def to_polytope(self, facets_per_pair):
+        normals = tuple(tuple(row) for row in self.facet_normals())
+        offsets = tuple(self.hi) + tuple(-l for l in self.lo)
+        return Polytope(normals, offsets, tuple(self.reference()))
 
 
 @dataclass(frozen=True)
-class Polytope:
+class Polytope(_Base):
     """Open polytope {x : <n_i, x> < b_i}; an interior point may be supplied."""
 
     normals: tuple[tuple[float, ...], ...]
     offsets: tuple[float, ...]
     interior: tuple[float, ...] | None = None
+    kind = "polytope"
+
+    def __post_init__(self):
+        n = len(self.normals[0]) if self.normals else 0
+        if n < 1 or any(len(row) != n for row in self.normals):
+            raise DomainError("polytope needs normals: nonempty rows of one length")
+        if len(self.offsets) != len(self.normals):
+            raise DomainError("polytope needs one offset per normal")
+        if self.interior is not None and len(self.interior) != n:
+            raise DomainError("polytope interior point has the wrong dimension")
+
+    @property
+    def dim(self) -> int:
+        return len(self.normals[0])
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.normals, dtype=float), np.asarray(self.offsets, dtype=float)
+
+    def contains(self, x):
+        a, b = self._rows()
+        return bool(np.all(a @ x < b))
+
+    def support(self, dirs):
+        # H-representation support needs an LP; bounded polytopes only.
+        from scipy.optimize import linprog
+
+        a, b = self._rows()
+        out = []
+        for d in dirs:
+            res = linprog(-d, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1], method="highs")
+            if not res.success:
+                raise DomainError("polytope support LP failed (unbounded or empty base?)")
+            out.append(float(-res.fun))
+        return np.array(out)
+
+    def reference(self):
+        if self.interior is not None:
+            return np.asarray(self.interior, dtype=float)
+        # Chebyshev center: maximize r s.t. <n_i, x> + r |n_i| <= b_i.
+        from scipy.optimize import linprog
+
+        a, b = self._rows()
+        n = a.shape[1]
+        cols = np.hstack([a, np.linalg.norm(a, axis=1, keepdims=True)])
+        cost = np.zeros(n + 1)
+        cost[-1] = -1.0
+        res = linprog(cost, A_ub=cols, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
+                      method="highs")
+        if not res.success or res.x[-1] <= 0:
+            raise DomainError("polytope has empty interior")
+        return res.x[:n]
+
+    def facet_normals(self):
+        return [np.asarray(row, dtype=float) for row in self.normals]
+
+    def margin(self, x):
+        a, b = self._rows()
+        return float(np.min((b - a @ x) / np.linalg.norm(a, axis=1)))
+
+    def chord(self, p, d):
+        a, b = self._rows()
+        lo_s, hi_s = -math.inf, math.inf
+        for slack, rate in zip(b - a @ p, a @ d):
+            if rate > 0.0:
+                hi_s = min(hi_s, slack / rate)
+            elif rate < 0.0:
+                lo_s = max(lo_s, slack / rate)
+        return lo_s, hi_s
+
+    def to_polytope(self, facets_per_pair):
+        return self
 
 
 @dataclass(frozen=True)
-class LinearImage:
+class LinearImage(_Base):
     """Exact linear image A(base) of another base, A invertible.
 
     Membership and support are delegated to the source through A^{-1} and
@@ -100,177 +313,92 @@ class LinearImage:
     """
 
     matrix: tuple[tuple[float, ...], ...]
-    base: "ConvexBase"
+    base: ConvexBase
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    kind = "linear-image"
+
+    def __post_init__(self):
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix) or n != base_dim(self.base):
+            raise DomainError("linear-image matrix must be square and match its base")
+        try:
+            inv = np.linalg.inv(np.asarray(self.matrix, dtype=float))
+        except np.linalg.LinAlgError:
+            raise DomainError("linear-image matrix must be invertible") from None
+        inv.setflags(write=False)
+        object.__setattr__(self, "inverse", inv)
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
+    def contains(self, x):
+        return self.base.contains(self.inverse @ x)
+
+    def support(self, dirs):
+        return self.base.support(dirs @ np.asarray(self.matrix, dtype=float))
+
+    def reference(self):
+        return np.asarray(self.matrix, dtype=float) @ self.base.reference()
+
+    def facet_normals(self):
+        return [self.inverse.T @ d for d in self.base.facet_normals()]
+
+    def margin(self, x):
+        # |x - w| >= |A^{-1}x - A^{-1}w| / ||A^{-1}|| for boundary points w
+        return self.base.margin(self.inverse @ x) / max(float(np.linalg.norm(self.inverse, 2)),
+                                                         1e-300)
+
+    def chord(self, p, d):
+        return self.base.chord(self.inverse @ p, self.inverse @ d)
 
 
 ConvexBase = EuclideanBall | Box | Polytope | LinearImage
+_BASES = {cls.kind: cls for cls in get_args(ConvexBase)}  # descriptor name -> kind
+_BASE_TYPES = frozenset(_BASES.values())
+
+
+def _known_base(base: ConvexBase) -> ConvexBase:
+    if type(base) not in _BASE_TYPES:
+        raise DomainError(f"unknown base {base!r}")
+    return base
 
 
 def base_dim(base: ConvexBase) -> int:
-    if isinstance(base, EuclideanBall):
-        return len(base.center)
-    if isinstance(base, Box):
-        return len(base.lo)
-    if isinstance(base, Polytope):
-        return len(base.normals[0])
-    if isinstance(base, LinearImage):
-        return len(base.matrix)
-    raise DomainError(f"unknown base {base!r}")
+    return _known_base(base).dim
 
 
 def base_membership(base: ConvexBase, x) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (base_dim(base),):
         raise DomainError("base point has wrong dimension")
-    if isinstance(base, EuclideanBall):
-        return float(np.linalg.norm(x - np.asarray(base.center))) < base.radius
-    if isinstance(base, Box):
-        return bool(np.all(x > np.asarray(base.lo)) and np.all(x < np.asarray(base.hi)))
-    if isinstance(base, Polytope):
-        a = np.asarray(base.normals)
-        b = np.asarray(base.offsets)
-        return bool(np.all(a @ x < b))
-    if isinstance(base, LinearImage):
-        inv = np.linalg.inv(np.asarray(base.matrix, dtype=float))
-        return base_membership(base.base, inv @ x)
-    raise DomainError(f"unknown base {base!r}")
+    return base.contains(x)
 
 
 def base_support(base: ConvexBase, d) -> float:
-    """Support function h(d) = sup over the base of <d, x>."""
-    d = np.asarray(d, dtype=float)
-    if isinstance(base, EuclideanBall):
-        return float(np.dot(d, base.center) + base.radius * np.linalg.norm(d))
-    if isinstance(base, Box):
-        lo = np.asarray(base.lo)
-        hi = np.asarray(base.hi)
-        return float(np.sum(np.where(d >= 0.0, d * hi, d * lo)))
-    if isinstance(base, Polytope):
-        return _polytope_support(base, d)
-    if isinstance(base, LinearImage):
-        a = np.asarray(base.matrix, dtype=float)
-        return base_support(base.base, a.T @ d)
-    raise DomainError(f"unknown base {base!r}")
-
-
-def _polytope_support(base: Polytope, d: np.ndarray) -> float:
-    # H-representation support needs an LP; bounded polytopes only.
-    from scipy.optimize import linprog
-
-    a = np.asarray(base.normals, dtype=float)
-    b = np.asarray(base.offsets, dtype=float)
-    res = linprog(-d, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1], method="highs")
-    if not res.success:
-        raise DomainError("polytope support LP failed (unbounded or empty base?)")
-    return float(-res.fun)
+    """Support function h(d) = sup over the base of <d, x> (the one-row
+    case of the kind's batch formula)."""
+    return float(_known_base(base).support(np.asarray(d, dtype=float)[None, :])[0])
 
 
 def base_reference(base: ConvexBase) -> np.ndarray:
     """A canonical interior point."""
-    if isinstance(base, EuclideanBall):
-        return np.asarray(base.center, dtype=float)
-    if isinstance(base, Box):
-        return 0.5 * (np.asarray(base.lo) + np.asarray(base.hi))
-    if isinstance(base, Polytope):
-        if base.interior is not None:
-            return np.asarray(base.interior, dtype=float)
-        return _polytope_interior(base)
-    if isinstance(base, LinearImage):
-        return np.asarray(base.matrix, dtype=float) @ base_reference(base.base)
-    raise DomainError(f"unknown base {base!r}")
-
-
-def _polytope_interior(base: Polytope) -> np.ndarray:
-    # Chebyshev center: maximize r s.t. <n_i, x> + r |n_i| <= b_i.
-    from scipy.optimize import linprog
-
-    a = np.asarray(base.normals, dtype=float)
-    b = np.asarray(base.offsets, dtype=float)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    n = a.shape[1]
-    cols = np.hstack([a, norms])
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0
-    res = linprog(cost, A_ub=cols, b_ub=b, bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if not res.success or res.x[-1] <= 0:
-        raise DomainError("polytope has empty interior")
-    return res.x[:n]
+    return _known_base(base).reference()
 
 
 def base_facet_normals(base: ConvexBase) -> list[np.ndarray]:
     """Outward facet normals when the base has finitely many; else []."""
-    if isinstance(base, Box):
-        n = len(base.lo)
-        eye = np.eye(n)
-        return [eye[j] for j in range(n)] + [-eye[j] for j in range(n)]
-    if isinstance(base, Polytope):
-        return [np.asarray(row, dtype=float) for row in base.normals]
-    if isinstance(base, LinearImage):
-        inv_t = np.linalg.inv(np.asarray(base.matrix, dtype=float)).T
-        return [inv_t @ d for d in base_facet_normals(base.base)]
-    return []
+    return _known_base(base).facet_normals()
 
 
 def base_margin(base: ConvexBase, x) -> float:
     """Distance-like slack of x inside the base (<= true boundary distance)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(base, EuclideanBall):
-        return base.radius - float(np.linalg.norm(x - np.asarray(base.center)))
-    if isinstance(base, Box):
-        return float(min(np.min(x - np.asarray(base.lo)), np.min(np.asarray(base.hi) - x)))
-    if isinstance(base, Polytope):
-        a = np.asarray(base.normals, dtype=float)
-        b = np.asarray(base.offsets, dtype=float)
-        norms = np.linalg.norm(a, axis=1)
-        return float(np.min((b - a @ x) / norms))
-    if isinstance(base, LinearImage):
-        a = np.asarray(base.matrix, dtype=float)
-        inv = np.linalg.inv(a)
-        # |x - w| >= |A^{-1}x - A^{-1}w| / ||A^{-1}|| for boundary points w
-        return base_margin(base.base, inv @ x) / max(float(np.linalg.norm(inv, 2)), 1e-300)
-    raise DomainError(f"unknown base {base!r}")
+    return _known_base(base).margin(np.asarray(x, dtype=float))
 
 
 def chord_interval(base: ConvexBase, p, direction) -> tuple[float, float]:
     """Parameter interval {s : p + s*direction in base}; p must be interior."""
-    p = np.asarray(p, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    if isinstance(base, EuclideanBall):
-        q = p - np.asarray(base.center)
-        aa = float(np.dot(d, d))
-        bb = 2.0 * float(np.dot(q, d))
-        cc = float(np.dot(q, q)) - base.radius ** 2
-        disc = bb * bb - 4.0 * aa * cc
-        root = math.sqrt(max(disc, 0.0))
-        return ((-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa))
-    if isinstance(base, Box):
-        lo_s, hi_s = -math.inf, math.inf
-        lo = np.asarray(base.lo)
-        hi = np.asarray(base.hi)
-        for j in range(len(d)):
-            if d[j] == 0.0:
-                continue
-            s1 = (lo[j] - p[j]) / d[j]
-            s2 = (hi[j] - p[j]) / d[j]
-            lo_s = max(lo_s, min(s1, s2))
-            hi_s = min(hi_s, max(s1, s2))
-        return lo_s, hi_s
-    if isinstance(base, Polytope):
-        a = np.asarray(base.normals, dtype=float)
-        b = np.asarray(base.offsets, dtype=float)
-        lo_s, hi_s = -math.inf, math.inf
-        ax = a @ p
-        ad = a @ d
-        for slack, rate in zip(b - ax, ad):
-            if rate > 0.0:
-                hi_s = min(hi_s, slack / rate)
-            elif rate < 0.0:
-                lo_s = max(lo_s, slack / rate)
-        return lo_s, hi_s
-    if isinstance(base, LinearImage):
-        inv = np.linalg.inv(np.asarray(base.matrix, dtype=float))
-        return chord_interval(base.base, inv @ p, inv @ d)
-    raise DomainError(f"unknown base {base!r}")
+    return _known_base(base).chord(np.asarray(p, dtype=float), np.asarray(direction, dtype=float))
 
 
 def to_polytope(base: ConvexBase, facets_per_pair: int = 64) -> Polytope:
@@ -280,37 +408,14 @@ def to_polytope(base: ConvexBase, facets_per_pair: int = 64) -> Polytope:
     get `facets_per_pair` tangent directions per coordinate 2-plane.  Kept
     for serialization/interop; internal computations use exact supports.
     """
-    if isinstance(base, Polytope):
-        return base
-    if isinstance(base, Box):
-        n = len(base.lo)
-        eye = np.eye(n)
-        normals = [tuple(eye[j]) for j in range(n)] + [tuple(-eye[j]) for j in range(n)]
-        offsets = list(base.hi) + [-l for l in base.lo]
-        return Polytope(tuple(normals), tuple(offsets), tuple(base_reference(base)))
-    n = base_dim(base)
-    dirs: list[np.ndarray] = []
-    if n == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(facets_per_pair):
-                    ang = 2.0 * math.pi * k / facets_per_pair
-                    d = np.zeros(n)
-                    d[i] = math.cos(ang)
-                    d[j] = math.sin(ang)
-                    dirs.append(d)
-    normals = tuple(tuple(d) for d in dirs)
-    offsets = tuple(base_support(base, d) for d in dirs)
-    return Polytope(normals, offsets, tuple(base_reference(base)))
+    return _known_base(base).to_polytope(facets_per_pair)
 
 
 # ---------------------------------------------------------------------------
 # model domains: one class per kind
 # ---------------------------------------------------------------------------
 
-class _Kind:
+class _Kind(_Codec):
     """What a model-domain kind defines, with the shared defaults.
 
     `kind` (the descriptor name), `dim`, `contains(z)` (the membership
@@ -321,16 +426,6 @@ class _Kind:
     `project(z)`, the boundary point an escaping z approaches.  The codec
     maps the dataclass fields.  Points reach these methods validated.
     """
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name, _, encode in _field_codecs(type(self)):
-            out[name] = encode(getattr(self, name))
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        return cls(*[decode(data[name]) for name, decode, _ in _field_codecs(cls)])
 
     def reference(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=complex)
@@ -522,16 +617,16 @@ class TubeOverBase(_Kind):
 
     @property
     def dim(self) -> int:
-        return base_dim(self.base)
+        return self.base.dim
 
     def contains(self, z):
-        return base_membership(self.base, z.real)
+        return self.base.contains(z.real)
 
     def reference(self):
-        return base_reference(self.base).astype(complex)
+        return self.base.reference().astype(complex)
 
     def margin(self, z):
-        return base_margin(self.base, z.real)
+        return self.base.margin(z.real)
 
     def escape_margin(self, z):
         return min(self.margin(z), 1.0 / (1.0 + float(np.linalg.norm(z.imag))))
@@ -544,24 +639,24 @@ class ReinhardtLog(_Kind):
 
     @property
     def dim(self) -> int:
-        return base_dim(self.base)
+        return self.base.dim
 
     def contains(self, z):
         if np.any(np.abs(z) == 0.0):
             return False
-        return base_membership(self.base, np.log(np.abs(z)))
+        return self.base.contains(np.log(np.abs(z)))
 
     def reference(self):
-        return np.exp(base_reference(self.base)).astype(complex)
+        return np.exp(self.base.reference()).astype(complex)
 
     def margin(self, z):
         if np.any(np.abs(z) == 0.0):
             return 0.0
-        return base_margin(self.base, np.log(np.abs(z)))
+        return self.base.margin(np.log(np.abs(z)))
 
     def grid(self, count, skip, imag_window):
         n = self.dim
-        ref = base_reference(self.base)
+        ref = self.base.reference()
         cube = halton(count, 2 * n + 1, skip=skip)
         pts = []
         for k in range(count):
@@ -571,7 +666,7 @@ class ReinhardtLog(_Kind):
                 direction = np.eye(n)[0]
                 norm = 1.0
             direction = direction / norm
-            lo, hi = chord_interval(self.base, ref, direction)
+            lo, hi = self.base.chord(ref, direction)
             u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
             phases = 2.0 * math.pi * cube[k, n:2 * n]
             pts.append(np.exp(u) * np.exp(1j * phases))
@@ -579,12 +674,12 @@ class ReinhardtLog(_Kind):
 
     def project(self, z):
         u = np.log(np.abs(z))
-        ref = base_reference(self.base)
+        ref = self.base.reference()
         direction = u - ref
         norm = float(np.linalg.norm(direction))
         if norm < 1e-14:
             raise DomainError("cannot project the base reference point")
-        lo, hi = chord_interval(self.base, ref, direction / norm)
+        lo, hi = self.base.chord(ref, direction / norm)
         u_b = ref + hi * direction / norm
         return np.exp(u_b) * z / np.abs(z)
 
@@ -736,49 +831,38 @@ def _decoder(from_fields):
 
 
 def base_to_dict(base: ConvexBase) -> dict:
-    if isinstance(base, EuclideanBall):
-        return {"kind": "ball", "center": list(base.center), "radius": base.radius}
-    if isinstance(base, Box):
-        return {"kind": "box", "lo": list(base.lo), "hi": list(base.hi)}
-    if isinstance(base, Polytope):
-        out = {"kind": "polytope", "normals": [list(r) for r in base.normals],
-               "offsets": list(base.offsets)}
-        if base.interior is not None:
-            out["interior"] = list(base.interior)
-        return out
-    if isinstance(base, LinearImage):
-        return {"kind": "linear-image", "matrix": [list(r) for r in base.matrix],
-                "base": base_to_dict(base.base)}
-    raise DomainError(f"unknown base {base!r}")
+    return _known_base(base).to_dict()
 
 
 @_decoder
 def base_from_dict(data: dict) -> ConvexBase:
     kind = data.get("kind")
-    if kind == "ball":
-        return EuclideanBall(tuple(float(c) for c in data["center"]), float(data["radius"]))
-    if kind == "box":
-        return Box(tuple(float(c) for c in data["lo"]), tuple(float(c) for c in data["hi"]))
-    if kind == "polytope":
-        interior = data.get("interior")
-        return Polytope(tuple(tuple(float(c) for c in r) for r in data["normals"]),
-                        tuple(float(c) for c in data["offsets"]),
-                        None if interior is None else tuple(float(c) for c in interior))
-    if kind == "linear-image":
-        return LinearImage(tuple(tuple(float(c) for c in r) for r in data["matrix"]),
-                           base_from_dict(data["base"]))
-    raise DomainError(f"unknown base kind {kind!r}")
+    if kind not in _BASES:
+        raise DomainError(f"unknown base kind {kind!r}")
+    return _BASES[kind].from_dict(data)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(c) for c in values)
 
 
 # (decode, encode) of a kind's field by its annotation, a string (PEP 563)
-_CODEC_BY_ANNOTATION = {"float": (float, lambda x: x), "int": (int, lambda x: x),
-                        "ConvexBase": (base_from_dict, base_to_dict)}
+_CODEC_BY_ANNOTATION = {
+    "float": (float, lambda x: x), "int": (int, lambda x: x),
+    "tuple[float, ...]": (_floats, list),
+    "tuple[float, ...] | None": (lambda v: None if v is None else _floats(v), list),
+    "tuple[tuple[float, ...], ...]": (lambda rows: tuple(_floats(r) for r in rows),
+                                      lambda rows: [list(r) for r in rows]),
+    "ConvexBase": (base_from_dict, base_to_dict),
+}
 
 
 @functools.cache
 def _field_codecs(cls: type) -> tuple:
-    """(name, decode, encode) for each field of a kind, in field order."""
-    return tuple((f.name, *_CODEC_BY_ANNOTATION[f.type]) for f in fields(cls))
+    """(name, decode, encode, required) for each constructor field of a
+    kind, in field order."""
+    return tuple((f.name, *_CODEC_BY_ANNOTATION[f.type], f.default is MISSING)
+                 for f in fields(cls) if f.init)
 
 
 def domain_to_dict(domain: ModelDomain) -> dict:

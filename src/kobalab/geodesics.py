@@ -17,8 +17,9 @@ import numpy as np
 
 from . import closed_forms as cf
 from .domains import (Annulus, BoundaryPoint, ConvexBase, ModelDomain, PuncturedDisc,
-                      ReinhardtLog, Strip, UnitBall, UnitDisc, as_point, base_reference,
-                      base_support, boundary_point, chord_interval, dim, require_interior)
+                      ReinhardtLog, Strip, UnitBall, UnitDisc, as_point, base_dim,
+                      base_facet_normals, base_reference, base_support, boundary_point,
+                      chord_interval, dim, require_interior)
 from .metric import distance
 from .mobius import herm, mobius_differential, mobius_to_origin
 from .quadrature import bisect_root
@@ -277,33 +278,28 @@ class AntipodalPair:
         else:
             d = _antipodal_normal(self.base, x, y)
             object.__setattr__(self, "normal", tuple(float(c) for c in d))
-        hx = base_support(self.base, d)
-        hy = -base_support(self.base, -d)
-        if abs(float(np.dot(d, x)) - hx) > 1e-9 or abs(float(np.dot(d, y)) - hy) > 1e-9:
-            raise GeodesicError("supporting-hyperplane certificate failed")
-        if hx - hy <= 1e-9:
-            raise GeodesicError("supporting hyperplanes must be distinct")
+        failure = _certificate_failure(self.base, d, x, y)
+        if failure:
+            raise GeodesicError(failure)
+
+
+def _certificate_failure(base: ConvexBase, d: np.ndarray, x: np.ndarray, y: np.ndarray) -> str:
+    """Why the unit normal d does not certify x, y as antipodal ('' if it does)."""
+    hx = base_support(base, d)
+    hy = -base_support(base, -d)
+    if abs(float(np.dot(d, x)) - hx) > 1e-9 or abs(float(np.dot(d, y)) - hy) > 1e-9:
+        return "supporting-hyperplane certificate failed"
+    if hx - hy <= 1e-9:
+        return "supporting hyperplanes must be distinct"
+    return ""
 
 
 def _antipodal_normal(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    candidates = [x - y]
-    n = len(x)
-    eye = np.eye(n)
-    candidates.extend(eye[j] for j in range(n))
-    candidates.extend(-eye[j] for j in range(n))
-    from .domains import base_facet_normals
-
-    candidates.extend(base_facet_normals(base))
-    for cand in candidates:
+    eye = np.eye(len(x))
+    for cand in [x - y, *eye, *-eye, *base_facet_normals(base)]:
         norm = float(np.linalg.norm(cand))
-        if norm < 1e-14:
-            continue
-        d = cand / norm
-        hx = base_support(base, d)
-        hy = -base_support(base, -d)
-        if abs(float(np.dot(d, x)) - hx) <= 1e-9 and abs(float(np.dot(d, y)) - hy) <= 1e-9 \
-                and hx - hy > 1e-9:
-            return d
+        if norm >= 1e-14 and not _certificate_failure(base, cand / norm, x, y):
+            return cand / norm
     raise GeodesicError("no common supporting normal found; points are not antipodal")
 
 
@@ -346,7 +342,7 @@ def lift_geodesic(covering, curve: GeodesicCurve, base_preimage) -> GeodesicCurv
     power maps of the punctured disc; continuity of the argument tracks
     the branch, halving the step when the phase jumps too fast.
     """
-    from .coverings import ExpCover, HolomorphicMap, Power, apply_map
+    from .coverings import HolomorphicMap, apply_map
 
     if not isinstance(covering, HolomorphicMap):
         raise GeodesicError("covering must be a HolomorphicMap")
@@ -357,25 +353,9 @@ def lift_geodesic(covering, curve: GeodesicCurve, base_preimage) -> GeodesicCurv
     if float(np.max(np.abs(image - base_pt))) > 1e-8:
         raise GeodesicError("base_preimage does not map to the curve's basepoint")
 
-    kind = covering.kind
-    if isinstance(kind, ExpCover):
-        def local_lift(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-            raw = np.log(np.abs(w)) + 1j * np.angle(w)
-            shift = np.round((ref.imag - raw.imag) / (2.0 * math.pi))
-            return raw + 2.0 * math.pi * 1j * shift
-    elif isinstance(kind, Power):
-        n_pow = kind.n
-
-        def local_lift(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
-            # continuous n-th root: pick the branch whose n-th power has
-            # the argument nearest the reference's image
-            raw_angle = np.angle(w)
-            ref_angle = np.angle(ref) * n_pow
-            k = np.round((ref_angle - raw_angle) / (2.0 * math.pi))
-            ang = (raw_angle + 2.0 * math.pi * k) / n_pow
-            return np.abs(w) ** (1.0 / n_pow) * np.exp(1j * ang)
-    else:
-        raise GeodesicError(f"lifting not implemented for {kind!r}")
+    local_lift = covering.kind.local_inverse
+    if local_lift is None:
+        raise GeodesicError(f"lifting not implemented for {covering.kind!r}")
 
     def sample(t: float) -> np.ndarray:
         # continue the branch from the anchor; restart with finer steps
@@ -593,7 +573,7 @@ def antipodal_family(base: ConvexBase, count: int = 20,
     """
     from ._sampling import sphere_directions
 
-    n = len(base_reference(base))
+    n = base_dim(base)
     dirs = sphere_directions(count, n)
     members = []
     for k, d in enumerate(dirs):

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import stable_arctanh, strip_distance_offset, strip_density_offset
 from .domains import (Box, ConvexBase, EuclideanBall, LinearImage, Polytope, base_dim,
-                      base_facet_normals, base_membership, base_support, chord_interval)
+                      base_facet_normals, base_membership, chord_interval)
 
 DIRECTIONS_PER_DIM = 64
 
@@ -43,44 +44,32 @@ def _base_direction_block(base: ConvexBase) -> tuple:
     """Cached (directions, supports+, supports-) for the base-only sweep."""
     n = base_dim(base)
     rows: list[np.ndarray] = []
-    if isinstance(base, Polytope):
-        rows.extend(_normalize_rows(base_facet_normals(base)))
-    else:
+    if _TUBE_KINDS[type(base)].spread:
         rows.extend(list(sphere_directions(DIRECTIONS_PER_DIM * n, n)))
-        rows.extend(_normalize_rows(base_facet_normals(base)))
+    rows.extend(_normalize_rows(base_facet_normals(base)))
     eye = np.eye(n)
     rows.extend(eye[j] for j in range(n))
     rows.extend(-eye[j] for j in range(n))
     dirs = np.vstack(rows)
-    his = support_batch(base, dirs)
-    los = -support_batch(base, -dirs)
+    his = base.support(dirs)
+    los = -base.support(-dirs)
     dirs.setflags(write=False)
     his.setflags(write=False)
     los.setflags(write=False)
     return dirs, his, los
 
 
-def direction_set(base: ConvexBase, extras: tuple = ()) -> np.ndarray:
-    """Unit directions for the slab sweep: a deterministic spread of
-    64*dim, the coordinate axes, any facet normals, and caller extras."""
-    dirs, _, _ = _base_direction_block(base)
+def _slabs(base: ConvexBase, extras: tuple) -> tuple:
+    """(directions, supports+, supports-) of the slab sweep: the cached
+    base block (a deterministic spread of 64*dim unless the base is a
+    polytope, the facet normals, the coordinate axes) plus caller extras."""
+    dirs, his, los = _base_direction_block(base)
     ex = _normalize_rows([np.asarray(e, dtype=float) for e in extras])
     if not ex:
-        return dirs
-    return np.vstack([dirs, np.vstack(ex)])
-
-
-def support_batch(base: ConvexBase, dirs: np.ndarray) -> np.ndarray:
-    if isinstance(base, EuclideanBall):
-        return dirs @ np.asarray(base.center) + base.radius * np.linalg.norm(dirs, axis=1)
-    if isinstance(base, Box):
-        lo = np.asarray(base.lo)
-        hi = np.asarray(base.hi)
-        return np.sum(np.where(dirs >= 0.0, dirs * hi, dirs * lo), axis=1)
-    if isinstance(base, LinearImage):
-        a = np.asarray(base.matrix, dtype=float)
-        return support_batch(base.base, dirs @ a)
-    return np.array([base_support(base, d) for d in dirs])
+        return dirs, his, los
+    ex_dirs = np.vstack(ex)
+    return (np.vstack([dirs, ex_dirs]), np.concatenate([his, base.support(ex_dirs)]),
+            np.concatenate([los, -base.support(-ex_dirs)]))
 
 
 def _strip_distances_vec(lo: np.ndarray, hi: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
@@ -116,15 +105,7 @@ def caratheodory_lower(base: ConvexBase, u, v, extras: tuple = ()) -> float:
     if not base_membership(base, u.real) or not base_membership(base, v.real):
         raise ValueError("points must lie in the open tube")
     w = v - u
-    dirs0, his0, los0 = _base_direction_block(base)
-    ex = _normalize_rows([w.real, w.imag] + [np.asarray(e, dtype=float) for e in extras])
-    if ex:
-        ex_dirs = np.vstack(ex)
-        dirs = np.vstack([dirs0, ex_dirs])
-        his = np.concatenate([his0, support_batch(base, ex_dirs)])
-        los = np.concatenate([los0, -support_batch(base, -ex_dirs)])
-    else:
-        dirs, his, los = dirs0, his0, los0
+    dirs, his, los = _slabs(base, (w.real, w.imag, *extras))
     pu = dirs @ u
     pv = dirs @ v
     # interior points project strictly inside every slab
@@ -147,25 +128,27 @@ def affine_disc_tau(base: ConvexBase, anchor: np.ndarray, w: np.ndarray) -> floa
     x = np.asarray(anchor, dtype=float)
     a = np.asarray(w, dtype=complex).real.astype(float)
     b = np.asarray(w, dtype=complex).imag.astype(float)
-    if isinstance(base, Box):
-        lo = np.asarray(base.lo)
-        hi = np.asarray(base.hi)
-        taus = [math.hypot(aj, bj) / min(hj - xj, xj - lj)
-                for aj, bj, lj, hj, xj in zip(a, b, lo, hi, x)]
-        return max(taus)
-    if isinstance(base, Polytope):
-        taus = []
-        for n_i, b_i in zip(base.normals, base.offsets):
-            n_i = np.asarray(n_i, dtype=float)
-            slack = b_i - float(np.dot(n_i, x))
-            taus.append(_ellipse_extent(a, b, n_i) / slack)
-        return max(taus)
-    if isinstance(base, LinearImage):
-        inv = np.linalg.inv(np.asarray(base.matrix, dtype=float))
-        return affine_disc_tau(base.base, inv @ x, inv @ a + 1j * (inv @ b))
-    if isinstance(base, EuclideanBall):
-        return _ball_disc_tau(base, x, a, b)
-    raise ValueError(f"unsupported base {base!r}")
+    return _TUBE_KINDS[type(base)].tau(base, x, a, b)
+
+
+def _box_disc_tau(base: Box, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    return max(math.hypot(aj, bj) / min(hj - xj, xj - lj)
+               for aj, bj, lj, hj, xj in zip(a, b, base.lo, base.hi, x))
+
+
+def _polytope_disc_tau(base: Polytope, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    taus = []
+    for n_i, b_i in zip(base.normals, base.offsets):
+        n_i = np.asarray(n_i, dtype=float)
+        slack = b_i - float(np.dot(n_i, x))
+        taus.append(_ellipse_extent(a, b, n_i) / slack)
+    return max(taus)
+
+
+def _linear_image_disc_tau(base: LinearImage, x: np.ndarray, a: np.ndarray,
+                           b: np.ndarray) -> float:
+    inv = base.inverse
+    return affine_disc_tau(base.base, inv @ x, inv @ a + 1j * (inv @ b))
 
 
 def _ellipse_farthest(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -311,12 +294,7 @@ def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray,
 
 def _cheap_uppers(base: ConvexBase, u: np.ndarray, v: np.ndarray) -> list[float]:
     """Closed-form disc competitors: box product and the chord slice."""
-    candidates: list[float] = []
-    if isinstance(base, Box):
-        # product of strips: the coordinate-wise geodesic disc is exact
-        vals = [strip_distance_offset(l, h, complex(a), complex(b))
-                for l, h, a, b in zip(base.lo, base.hi, u, v)]
-        candidates.append(max(vals))
+    candidates = _product(base, u, v, strip_distance_offset)
     if float(np.max(np.abs(u.imag - v.imag))) < 1e-13:
         delta = (v - u).real
         if float(np.linalg.norm(delta)) > 1e-15:
@@ -426,10 +404,7 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
         raise ValueError("base point must lie in the open tube")
     if float(np.linalg.norm(v)) == 0.0:
         return 0.0, 0.0
-    extras = (v.real, v.imag)
-    dirs = direction_set(base, extras)
-    his = support_batch(base, dirs)
-    los = -support_batch(base, -dirs)
+    dirs, his, los = _slabs(base, (v.real, v.imag))
     pz = dirs @ z
     pv = dirs @ v
     a = 0.5 * (his - los)
@@ -439,11 +414,7 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
     if base_dim(base) == 1:
         return lower, lower
 
-    uppers = []
-    if isinstance(base, Box):
-        vals = [strip_density_offset(l, h, complex(zz), complex(vv))
-                for l, h, zz, vv in zip(base.lo, base.hi, z, v)]
-        uppers.append(max(vals))
+    uppers = _product(base, z, v, strip_density_offset)
     par = _parallel_scalar(v.real, v.imag)
     if par is not None:
         delta, zeta = par
@@ -457,3 +428,29 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
             raise TubeMetricError("infinitesimal bracket inverted")
         upper = lower
     return lower, upper
+
+
+def _box_product(base: Box, u: np.ndarray, v: np.ndarray, kernel) -> float:
+    # product of strips: the coordinate-wise geodesic disc is exact
+    return max(kernel(l, h, complex(a), complex(b)) for l, h, a, b in zip(base.lo, base.hi, u, v))
+
+
+def _product(base: ConvexBase, u: np.ndarray, v: np.ndarray, kernel) -> list[float]:
+    """The product competitor as a candidate list: `kernel` is the strip
+    distance or density, taken coordinatewise (empty off boxes)."""
+    product = _TUBE_KINDS[type(base)].product
+    return [] if product is None else [product(base, u, v, kernel)]
+
+
+class _TubeKind(NamedTuple):
+    tau: Callable              # (base, x, a, b) -> affine_disc_tau's value
+    product: Callable | None   # (base, u, v, kernel) -> the product competitor
+    spread: bool               # the slab sweep adds 64*dim sphere directions
+
+
+_TUBE_KINDS = {
+    EuclideanBall: _TubeKind(_ball_disc_tau, None, True),
+    Box: _TubeKind(_box_disc_tau, _box_product, True),
+    Polytope: _TubeKind(_polytope_disc_tau, None, False),
+    LinearImage: _TubeKind(_linear_image_disc_tau, None, True),
+}

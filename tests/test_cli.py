@@ -63,10 +63,23 @@ def test_dist_coincident_points():
 
 
 def test_dist_schema_error_exit_2():
+    ball = '{"kind": "ball", "center": [0, 0], "radius": 1}'
+    bases = ['{"kind": "polytope", "normals": [], "offsets": []}',
+             '{"kind": "polytope", "normals": [[1, 0], [0]], "offsets": [1, 1]}',
+             '{"kind": "polytope", "normals": [[1, 0], [0, 1]], "offsets": [1]}',
+             '{"kind": "ball", "center": [], "radius": 1}',
+             '{"kind": "box", "lo": [], "hi": []}',
+             '{"kind": "linear-image", "matrix": [[1, 0, 0], [0, 1, 0]], "base": %s}' % ball,
+             '{"kind": "linear-image", "matrix": [[2]], "base": %s}' % ball,
+             '{"kind": "linear-image", "matrix": [[1, 1], [1, 1]], "base": %s}' % ball]
     for domain in ['{"kind": "nope"}', '{"kind": "annulus", "R": "x"}', '[1, 2]',
-                   '{"kind": "tube", "base": {"kind": "ball", "center": [0], "radius": "a"}}']:
+                   '{"kind": "tube", "base": {"kind": "ball", "center": [0], "radius": "a"}}',
+                   *['{"kind": "tube", "base": %s}' % base for base in bases]]:
         code, _ = run_cli(["dist", "--domain", domain, "--z", "0", "--w", "0.5"])
         assert code == 2, domain
+    for batch in ['[[1, 2]]', '5']:
+        code, _ = run_cli(["dist", "--batch", batch])
+        assert code == 2, batch
 
 
 def test_dist_non_interior_exit_3():
@@ -131,6 +144,16 @@ def test_audit_config_error_exit_2():
         code, _ = run_cli(["audit", "--config", '{"map": %s}' % fmap])
         assert code == 2, fmap
     base = '{"kind": "ball", "center": [0, 0], "radius": 1}'
+    antipodal = '{"kind": "antipodal", "count": 2, "base": %s}' % base
+    for matrix in ['[[1.5, 0], [0, 1]]', '[[2]]']:
+        fmap = '{"kind": "monomial", "matrix": %s, "base": %s}' % (matrix, base)
+        code, _ = run_cli(["audit", "--map", fmap, "--family", antipodal])
+        assert code == 2, matrix
+    radial = {"map": {"kind": "power", "n": 2}, "family": {"kind": "corrupted-radial", "count": 3}}
+    for config in ['[1]', json.dumps({**radial, "samples": "x"}),
+                   json.dumps({**radial, "samples": 1}), json.dumps({**radial, "tol": -1})]:
+        code, _ = run_cli(["audit", "--config", config])
+        assert code == 2, config
     for family in ['{"kind": "radial", "count": 0}', '{"kind": "corrupted-radial", "count": 0}',
                    '{"kind": "antipodal", "count": 0, "base": %s}' % base,
                    '{"kind": "radial", "count": "x"}']:
@@ -142,6 +165,12 @@ def test_scaling_probe_bad_ts_exit_2():
     for ts in ("1.5", "0.5,x"):
         code, _ = run_cli(["scaling-probe", "--probe", "metric", "--ts", ts])
         assert code == 2, ts
+
+
+def test_scaling_probe_bad_n_exit_2():
+    for probe in ("metric", "persistence", "boundary", "divergence"):
+        code, _ = run_cli(["scaling-probe", "--probe", probe, "--n", "0"])
+        assert code == 2, probe
 
 
 def test_examples_single(tmp_path):

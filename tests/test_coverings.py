@@ -1,5 +1,6 @@
 import cmath
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -11,12 +12,48 @@ from kobalab import (Annulus, EuclideanBall, IntegerMatrix, PuncturedDisc, Strip
                      map_differential, monomial_apply, monomial_map, monomial_power,
                      monomial_preimages, power_map)
 from kobalab import closed_forms as cf
-from kobalab.coverings import CoveringError
+from kobalab import coverings
+from kobalab.coverings import CoveringError, MapKind, map_from_dict, map_to_dict
 from kobalab.domains import Box, LinearImage, base_support
 from kobalab.geodesics import AntipodalPair
 from kobalab.smith import smith_normal_form, snf_determinant
 
 GEN = np.random.default_rng(41)
+BALL = EuclideanBall((0.0, 0.0), 1.0)
+
+# (map, audit label, an interior point of its source), one row per kind
+ALL_MAPS = [
+    (power_map(3), "power-3", [0.5 + 0.2j]),
+    (exp_strip_cover(4.0), "exp-cover", [0.3 + 0.7j]),
+    (exp_tube_cover(BALL), "exp-cover", [0.2 - 1.0j, -0.3 + 2.0j]),
+    (monomial_map(((2, 1), (0, 1)), BALL), "monomial-det2", [0.8 + 0.3j, 0.5 - 0.6j]),
+    (ball_mobius_map(0.4, 2), "ballmobius", [0.2 + 0.1j, -0.3j]),
+    (identity_map(PuncturedDisc()), "identity", [0.4j]),
+    (compose_maps(power_map(2), power_map(3)), "compose", [0.5 + 0.1j]),
+]
+
+
+def test_every_map_kind_is_in_the_codec():
+    kinds = set(typing.get_args(MapKind))
+    assert set(coverings._MapKind.__subclasses__()) == kinds
+    assert set(coverings._MAP_KINDS.values()) == kinds
+    assert len(coverings._MAP_KINDS) == len(kinds)
+    assert {type(f.kind) for f, _, _ in ALL_MAPS} == kinds
+
+
+@pytest.mark.parametrize("f,label,z", ALL_MAPS,
+                         ids=[f"{label}-{f.source.kind}" for f, label, _ in ALL_MAPS])
+def test_map_kind_definition_is_complete(f, label, z, validate_schema):
+    data = map_to_dict(f)
+    validate_schema("map.json", data)
+    assert map_from_dict(data) == f
+    assert map_to_dict(map_from_dict(data)) == data
+    assert f.kind.label == label
+    z = np.asarray(z, dtype=complex)
+    v = np.linspace(1.0, 2.0, z.size) * (1.0 - 0.5j)
+    h = 1e-6
+    central = (apply_map(f, z + h * v) - apply_map(f, z - h * v)) / (2.0 * h)
+    assert np.allclose(map_differential(f, z, v), central, rtol=1e-8, atol=1e-8)
 
 
 def test_monomial_power_examples():
@@ -273,8 +310,6 @@ def test_smith_normal_form():
 
 
 def test_map_serialization_round_trip():
-    from kobalab.coverings import map_from_dict, map_to_dict
-
     ball = EuclideanBall((0.0, 0.0), 1.0)
     maps = [identity_map(PuncturedDisc()), power_map(4), exp_strip_cover(3.0),
             exp_tube_cover(ball), monomial_map(((2, 0), (0, 2)), ball),
@@ -287,3 +322,10 @@ def test_map_serialization_round_trip():
 def test_monomial_rejects_singular():
     with pytest.raises(CoveringError):
         monomial_map(((1, 1), (1, 1)), EuclideanBall((0.0, 0.0), 1.0))
+
+
+def test_monomial_rejects_malformed_exponents():
+    # a fractional exponent is not truncated, and A must match the base dimension
+    for matrix in (((1.5, 0), (0, 1)), ((2,),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(CoveringError):
+            monomial_map(matrix, BALL)

@@ -10,16 +10,26 @@ from kobalab import (Annulus, BoundaryPoint, Box, EuclideanBall, LeftHalfPlane, 
                      domain_from_dict, domain_to_dict, ellipsoid_defining_function,
                      infinitesimal_metric, log_coordinates, membership)
 from kobalab import domains
-from kobalab.domains import (DomainError, ModelDomain, base_from_dict, base_margin,
-                             base_membership, base_reference, base_support, base_to_dict,
-                             boundary_residual, chord_interval, dim, escape_margin,
-                             reference_point, to_polytope)
+from kobalab.domains import (ConvexBase, DomainError, ModelDomain, base_dim, base_from_dict,
+                             base_margin, base_membership, base_reference, base_support,
+                             base_to_dict, boundary_residual, chord_interval, dim,
+                             escape_margin, reference_point, to_polytope)
 from kobalab.mobius import ball_scaling_map
 
 ALL_DOMAINS = [
     UnitDisc(), PuncturedDisc(), Annulus(4.0), Strip(4.0), LeftHalfPlane(), UnitBall(2),
     UnitBall(3), Polydisc(2), TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)),
     ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0)), ScaledEllipsoid(0.05, 0.5, 2),
+]
+
+ALL_BASES = [
+    EuclideanBall((0.5, -0.25), 2.0), EuclideanBall((0.25,), 0.75),
+    Box((-1.0, 0.0), (1.0, 0.5)),
+    Polytope(((1.0, 0.0), (0.0, 1.0), (-1.0, -1.0), (1.0, -2.0)), (1.0, 1.0, 1.0, 2.0)),
+    Polytope(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), (1.0, 1.0, 2.0, 0.5),
+             (0.0, 0.0)),
+    LinearImage(((1.0, 1.0), (0.0, 2.0)), EuclideanBall((0.1, -0.2), 1.3)),
+    LinearImage(((2.0, 0.5), (-0.3, 1.0)), Box((-1.0, -0.5), (1.2, 0.7))),
 ]
 
 
@@ -32,8 +42,9 @@ def test_every_kind_is_in_the_codec():
 
 
 @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=repr)
-def test_kind_definition_is_complete(domain):
+def test_kind_definition_is_complete(domain, validate_schema):
     data = domain_to_dict(domain)
+    validate_schema("domain.json", data)
     assert domain_from_dict(data) == domain
     assert domain_to_dict(domain_from_dict(data)) == data
     ref = reference_point(domain)
@@ -44,6 +55,50 @@ def test_kind_definition_is_complete(domain):
     assert distance(domain, ref, ref).value == 0.0
     v = np.ones(dim(domain), dtype=complex)
     assert math.isfinite(infinitesimal_metric(domain, ref, v))
+
+
+def test_every_base_kind_is_in_the_codec():
+    kinds = set(typing.get_args(ConvexBase))
+    assert set(domains._Base.__subclasses__()) == kinds
+    assert set(domains._BASES.values()) == kinds
+    assert len(domains._BASES) == len(kinds)
+    assert {type(b) for b in ALL_BASES} == kinds
+
+
+@pytest.mark.parametrize("base", ALL_BASES, ids=repr)
+def test_base_kind_definition_is_complete(base, validate_schema):
+    data = base_to_dict(base)
+    validate_schema("base.json", data)
+    assert base_from_dict(data) == base
+    assert base_to_dict(base_from_dict(data)) == data
+    ref = base_reference(base)
+    assert ref.shape == (base_dim(base),)
+    assert base_membership(base, ref)
+    assert base_margin(base, ref) > 0.0
+    dirs = np.random.default_rng(7).normal(size=(12, base_dim(base)))
+    batch = base.support(dirs)
+    for d, h in zip(dirs, batch):
+        # the scalar support is the one-row case of the batch formula
+        assert base_support(base, d) == h
+        lo, hi = chord_interval(base, ref, d)
+        assert lo < 0.0 < hi
+        for s in (lo, hi):
+            assert abs(base_margin(base, ref + s * d)) < 1e-9
+        assert float(np.dot(d, ref + hi * d)) <= h + 1e-9
+
+
+def test_malformed_bases_rejected():
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    for build in [lambda: Polytope((), ()),
+                  lambda: Polytope(((1.0, 0.0), (0.0,)), (1.0, 1.0)),
+                  lambda: Polytope(((1.0, 0.0), (0.0, 1.0)), (1.0,)),
+                  lambda: EuclideanBall((), 1.0),
+                  lambda: Box((), ()),
+                  lambda: LinearImage(((1.0, 0.0),), ball),
+                  lambda: LinearImage(((2.0,),), ball),
+                  lambda: LinearImage(((1.0, 1.0), (1.0, 1.0)), ball)]:
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_membership_trivia():

@@ -1,0 +1,23 @@
+import pytest
+
+from kobalab import coverings, domains
+
+
+@pytest.mark.parametrize("name,registry", [("domain.json", domains._KINDS),
+                                           ("base.json", domains._BASES),
+                                           ("map.json", coverings._MAP_KINDS)])
+def test_schema_kinds_match_the_registries(schemas, name, registry):
+    kinds = {branch["properties"]["kind"]["const"] for branch in schemas[name]["oneOf"]}
+    assert kinds == set(registry)
+
+
+def test_schema_rejects_a_malformed_descriptor(validate_schema):
+    from jsonschema import ValidationError
+
+    validate_schema("base.json", {"kind": "ball", "center": [0.0], "radius": 1.0})
+    for name, data in [("base.json", {"kind": "ball", "center": [], "radius": 1.0}),
+                       ("domain.json", {"kind": "annulus", "R": 0.5}),
+                       ("map.json", {"kind": "monomial", "matrix": [[1.5]],
+                                     "base": {"kind": "ball", "center": [0.0], "radius": 1.0}})]:
+        with pytest.raises(ValidationError):
+            validate_schema(name, data)
