@@ -16,9 +16,9 @@ import numpy as np
 
 from .checker import reproduce_example
 from .coverings import CoveringError, map_from_dict
-from .domains import DomainError, NonInteriorError, domain_from_dict
+from .domains import DomainError, NonInteriorError, domain_from_dict, require_interior
 from .geodesics import GeodesicError, geodesic_samples_csv
-from .metric import DeckBoundError, SandwichGapError, distance
+from .metric import DeckBoundError, SandwichGapError, _within_gap, distance, distances
 from .serialize import family_from_dict, jsonify, parse_point, point_to_json
 
 EXIT_OK = 0
@@ -74,19 +74,37 @@ def _csv_row(domain: dict, z, w, val) -> str:
                      _fmt(val.value), val.method, _fmt(val.gap), deck])
 
 
+def _dist_batch(rows, gap_tol) -> list[str]:
+    """CSV lines of a --batch run.  Every row is decoded and checked first,
+    in input order, so the first bad row decides the exit code; then one
+    `distances` call runs per distinct domain, and rows print in input
+    order."""
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
+    checked = []
+    groups: dict = {}
+    for k, row in enumerate(rows):
+        dom = domain_from_dict(row["domain"])
+        z = require_interior(dom, parse_point(row["z"]))
+        w = require_interior(dom, parse_point(row["w"]))
+        checked.append((row["domain"], z, w))
+        groups.setdefault(dom, []).append(k)
+    vals = [None] * len(rows)
+    for dom, ks in groups.items():
+        points = [p for k in ks for p in checked[k][1:]]
+        found = distances(dom, points, [(2 * i, 2 * i + 1) for i in range(len(ks))])
+        for k, val in zip(ks, found):
+            vals[k] = val
+    _within_gap(vals, gap_tol)
+    return [_csv_row(*row, val) for row, val in zip(checked, vals)]
+
+
 def cmd_dist(args) -> int:
+    if args.gap_tol is not None and not args.gap_tol >= 0.0:
+        raise DomainError(f"--gap-tol must be >= 0, got {args.gap_tol}")
     if args.batch:
-        rows = _load_json_arg(args.batch)
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
-        lines = [_CSV_HEADER]
-        for row in rows:
-            dom = domain_from_dict(row["domain"])
-            z = parse_point(row["z"])
-            w = parse_point(row["w"])
-            val = distance(dom, z, w, gap_tol=args.gap_tol)
-            lines.append(_csv_row(row["domain"], z, w, val))
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = _dist_batch(_load_json_arg(args.batch), args.gap_tol)
+        _emit("\n".join([_CSV_HEADER, *lines]) + "\n", args.out)
         return EXIT_OK
     if args.domain is None or args.z is None or args.w is None:
         raise DomainError("dist needs --domain, --z, --w (or --batch)")
@@ -124,9 +142,13 @@ def cmd_audit(args) -> int:
     family = family_from_dict(config["family"])
     try:
         tol = float(config.get("tol", args.tol))
-        samples = int(config.get("samples", 32))
     except (TypeError, ValueError):
-        raise DomainError("audit tol and samples must be numbers") from None
+        raise DomainError("audit tol must be a number") from None
+    samples = config.get("samples", 32)
+    if (isinstance(samples, bool) or not isinstance(samples, (int, float))
+            or not float(samples).is_integer()):
+        raise DomainError(f"audit samples must be an integer, got {samples!r}")
+    samples = int(samples)
     report = audit_isometry(fmap, family, samples=samples, tol=tol)
     if args.format == "json":
         _emit(json.dumps(jsonify(report.to_dict()), sort_keys=True) + "\n", args.out)

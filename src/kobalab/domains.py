@@ -65,6 +65,38 @@ def as_point(z) -> np.ndarray:
     return arr
 
 
+def as_pairs(u, v) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(single, us, vs): one pair of points, or m pairs given as two (m, n)
+    arrays, as two (m, n) complex arrays; `single` says it was one pair."""
+    us = np.asarray(u, dtype=complex)
+    single = us.ndim < 2
+    us, vs = np.atleast_2d(us), np.atleast_2d(np.asarray(v, dtype=complex))
+    if us.ndim != 2 or us.shape != vs.shape:
+        raise ValueError("need two points of one dimension, or two (m, n) arrays of them")
+    return single, us, vs
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (..., n) arrays, summed column by
+    column, so a row's value never depends on how many rows are stacked."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
+def distinct_rows(*arrays: np.ndarray):
+    """Each distinct row of the arrays once, in order: pairs of a batch
+    share their points, which are checked once each."""
+    seen = set()
+    for rows in arrays:
+        for row in rows:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield row
+
+
 # ---------------------------------------------------------------------------
 # the codec shared by base and model-domain kinds
 # ---------------------------------------------------------------------------
@@ -149,7 +181,7 @@ class EuclideanBall(_Base):
         return float(np.linalg.norm(x - np.asarray(self.center))) < self.radius
 
     def support(self, dirs):
-        return dirs @ np.asarray(self.center) + self.radius * np.linalg.norm(dirs, axis=1)
+        return rowdot(dirs, np.asarray(self.center)) + self.radius * np.sqrt(rowdot(dirs, dirs))
 
     def reference(self):
         return np.asarray(self.center, dtype=float)
@@ -269,19 +301,7 @@ class Polytope(_Base):
     def reference(self):
         if self.interior is not None:
             return np.asarray(self.interior, dtype=float)
-        # Chebyshev center: maximize r s.t. <n_i, x> + r |n_i| <= b_i.
-        from scipy.optimize import linprog
-
-        a, b = self._rows()
-        n = a.shape[1]
-        cols = np.hstack([a, np.linalg.norm(a, axis=1, keepdims=True)])
-        cost = np.zeros(n + 1)
-        cost[-1] = -1.0
-        res = linprog(cost, A_ub=cols, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
-                      method="highs")
-        if not res.success or res.x[-1] <= 0:
-            raise DomainError("polytope has empty interior")
-        return res.x[:n]
+        return _chebyshev_center(self).copy()
 
     def facet_normals(self):
         return [np.asarray(row, dtype=float) for row in self.normals]
@@ -302,6 +322,26 @@ class Polytope(_Base):
 
     def to_polytope(self, facets_per_pair):
         return self
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_center(poly: Polytope) -> np.ndarray:
+    """The polytope's Chebyshev center, solved once per descriptor:
+    maximize r s.t. <n_i, x> + r |n_i| <= b_i."""
+    from scipy.optimize import linprog
+
+    a, b = poly._rows()
+    n = a.shape[1]
+    cols = np.hstack([a, np.linalg.norm(a, axis=1, keepdims=True)])
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_ub=cols, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
+                  method="highs")
+    if not res.success or res.x[-1] <= 0:
+        raise DomainError("polytope has empty interior")
+    center = res.x[:n]
+    center.setflags(write=False)
+    return center
 
 
 @dataclass(frozen=True)
@@ -336,7 +376,9 @@ class LinearImage(_Base):
         return self.base.contains(self.inverse @ x)
 
     def support(self, dirs):
-        return self.base.support(dirs @ np.asarray(self.matrix, dtype=float))
+        # (dirs A)_kj = <dirs_k, column j of A>, one row at a time
+        return self.base.support(rowdot(dirs[:, None, :],
+                                        np.asarray(self.matrix, dtype=float).T[None, :, :]))
 
     def reference(self):
         return np.asarray(self.matrix, dtype=float) @ self.base.reference()

@@ -13,6 +13,8 @@ Each kind has one engine entry in `_ENGINES`, its distance and its density
 * scaled ellipsoids: exact ball formula when eps = 0, inscribed/
   circumscribed ball sandwich otherwise.
 
+Distances are computed in batches: `distances` evaluates index pairs of a
+point set, checking each point once, and `distance` is its one-pair case.
 Every function is pure; results for sandwich kinds carry their bracket gap
 instead of pretending to be exact.
 """
@@ -30,9 +32,10 @@ import numpy as np
 from . import closed_forms as cf
 from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
-                      UnitBall, UnitDisc, base_support, dim, require_interior)
+                      UnitBall, UnitDisc, as_pairs, base_support, dim, distinct_rows,
+                      require_interior)
 from .quadrature import adaptive_simpson
-from .tube import caratheodory_lower, lempert_upper, tube_distance_bounds, tube_metric_bounds
+from .tube import caratheodory_lower, tube_distance_bounds, tube_metric_bounds, tube_upper
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -76,52 +79,52 @@ class DistanceValue:
 # ---------------------------------------------------------------------------
 # deck search over the exp covers
 # ---------------------------------------------------------------------------
+#
+# A cover record bounds the cover distance of translates: lower(us, vs) is
+# a lower bound for each row pair of two (m, n) arrays, computed for many
+# translates at once; upper(u, v, lo, cap) is the upper bound of one pair
+# whose lower bound is lo, where `cap` is that pair's best upper bound so
+# far (a translate whose lower bound exceeds it gets an infinite upper and
+# skips the expensive competitors).  offset_lower(us, vs, dys) is a cheap
+# lower bound for the translate whose imaginary offset from u is dys[k, l],
+# over an (m, L, n) array of offsets; threshold(us, vs, best) is the
+# per-coordinate |dy_j| beyond which that bound exceeds best, as (m, n).
+
+def _exact(kernel) -> tuple:
+    """(lower, upper) of a cover with a closed-form distance, called once per
+    translate: both bounds are the distance."""
+    return (lambda us, vs: np.array([kernel(complex(u[0]), complex(v[0])) for u, v in zip(us, vs)]),
+            lambda u, v, lo, cap: lo)
+
 
 def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
     # the half-plane bound is arcsinh of the vertical gap
-    def evaluate(u, v, cap=None):
-        d = cf.halfplane_distance(complex(u[0]), complex(v[0]))
-        return d, d
+    def scale(us, vs):
+        return 2.0 * np.sqrt((-us[:, 0].real) * (-vs[:, 0].real))
 
-    def scale(u, v):
-        xu, xv = -u[0].real, -v[0].real
-        return 2.0 * math.sqrt(xu * xv)
-
-    return (evaluate,
-            lambda u, v, dy: math.asinh(abs(dy[0]) / scale(u, v)),
-            lambda u, v, best: np.array([scale(u, v) * math.sinh(best)]))
+    return (*_exact(lambda z, w: cf.halfplane_distance(z, w)),
+            lambda us, vs, dys: np.arcsinh(np.abs(dys[..., 0]) / scale(us, vs)[:, None]),
+            lambda us, vs, best: (scale(us, vs) * np.sinh(best))[:, None])
 
 
-def _slab_cover(halfwidths: np.ndarray, evaluate) -> tuple:
+def _slab_cover(halfwidths: np.ndarray, lower, upper) -> tuple:
     # each coordinate slab of half-width a_j gives pi * |dy_j| / (4 a_j)
-    return (evaluate,
-            lambda u, v, dy: float(np.max(math.pi * np.abs(dy) / (4.0 * halfwidths))),
-            lambda u, v, best: 4.0 * halfwidths * best / math.pi)
+    return (lower, upper,
+            lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * halfwidths), axis=-1),
+            lambda us, vs, best: 4.0 * halfwidths * best[:, None] / math.pi)
 
 
 def _strip_cover(cover: Strip) -> tuple:
     a = cover.halfwidth
-
-    def evaluate(u, v, cap=None):
-        d = cf.strip_distance(a, complex(u[0]), complex(v[0]))
-        return d, d
-
-    return _slab_cover(np.array([a]), evaluate)
+    return _slab_cover(np.array([a]), *_exact(lambda z, w: cf.strip_distance(a, z, w)))
 
 
 def _tube_cover(cover: TubeOverBase) -> tuple:
     base = cover.base
-
-    def evaluate(u, v, cap=None):
-        lo = caratheodory_lower(base, u, v)
-        if cap is not None and lo > cap:
-            return lo, math.inf
-        hi = lempert_upper(base, u, v, good_enough=lo * (1.0 + 1e-12) + 1e-14)
-        return lo, max(lo, hi)
-
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
-    return _slab_cover(halfwidths, evaluate)
+    return _slab_cover(halfwidths, lambda us, vs: caratheodory_lower(base, us, vs),
+                       lambda u, v, lo, cap: tube_upper(base, u, v, lo, cap))
 
 
 _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _tube_cover}
@@ -129,105 +132,155 @@ _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _
 
 @functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
-    """What the deck search needs to know about one exp-cover, built once
-    per cover descriptor: (evaluate, offset_lower, threshold).
-
-    evaluate(u, v, cap) bounds the cover distance by a (lower, upper)
-    pair.  `cap` is the best upper bound found so far: translates whose
-    cheap lower bound already exceeds it skip the expensive disc
-    competitors and report an infinite upper (they can never be the
-    minimizer).  offset_lower(u, v, dy) is a cheap lower bound for the
-    translate whose imaginary offset from u is dy, and threshold(u, v, best)
-    the per-coordinate |dy_j| beyond which that bound exceeds best.
-    """
+    """(lower, upper, offset_lower, threshold) of one exp-cover, built once
+    per cover descriptor."""
     build = _COVERS.get(type(cover))
     if build is None:
         raise ValueError(f"{cover!r} is not a supported covering")
     return build(cover)
 
 
-def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None
-                 ) -> tuple[DistanceValue, tuple[int, ...]]:
+# lattice points per block of the vectorised shell bound
+_SHELL_BLOCK = 1 << 16
+
+
+def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
     """Minimum over deck translates v + 2*pi*i*nu of the cover distance.
 
-    With lattice_bound=None the search radius is grown until the slab
-    lower bound at the next shell provably exceeds the best value found,
-    so the returned minimum is attained and certified.  An explicit
-    lattice_bound is honored but still checked; failure to certify raises
-    DeckBoundError with the remaining gap.
+    u, v are one pair of points, giving (DistanceValue, nu), or m pairs as
+    (m, n) arrays, giving a list of m of them.  With lattice_bound=None the
+    search radius is grown until the slab lower bound at the next shell
+    provably exceeds the best value found, so the returned minimum is
+    attained and certified.  An explicit lattice_bound is honored but still
+    checked; failure to certify raises DeckBoundError with the remaining
+    gap.  Each pair is searched on its own; with several pairs, the error
+    of the first failing pair is raised.
     """
-    u = require_interior(cover, u)
-    v = require_interior(cover, v)
-    n = dim(cover)
-    evaluate, offset_lower, threshold = _cover(cover)
-    dy = u.imag - v.imag
+    single, us, vs = as_pairs(u, v)
+    for row in distinct_rows(us, vs):
+        require_interior(cover, row)
+    m, n = us.shape
+    lower, upper, offset_lower, threshold = _cover(cover)
+    dy = us.imag - vs.imag
     nu0 = np.round(dy / TWO_PI).astype(int)
-    lo0, hi0 = evaluate(u, v + TWO_PI * 1j * nu0)
-    best_hi = hi0
-    best_lo = lo0
-    best_nu = tuple(int(k) for k in nu0)
-    if not math.isfinite(best_hi):
-        raise DeckBoundError("initial deck translate has no finite upper bound")
-    evaluated = {best_nu}
+    v0 = vs + TWO_PI * 1j * nu0
+    best_lo = lower(us, v0).tolist()
+    best_hi = [upper(u, v, lo, None) for u, v, lo in zip(us, v0, best_lo)]
+    best_nu = [tuple(row) for row in nu0.tolist()]
+    evaluated = [{nu} for nu in best_nu]
+    errors: dict[int, DeckBoundError] = {}
+    for k in range(m):
+        if not math.isfinite(best_hi[k]):
+            errors[k] = DeckBoundError("initial deck translate has no finite upper bound")
 
-    def bounds_for(best: float) -> np.ndarray:
-        thr = threshold(u, v, best)
-        return np.floor((np.abs(dy) + thr) / TWO_PI).astype(int) + 1
+    def bounds_for(rows: list[int]) -> np.ndarray:
+        thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
+        return np.floor((np.abs(dy[rows]) + thr) / TWO_PI).astype(int) + 1
 
+    active = [k for k in range(m) if k not in errors]
     for _ in range(64):
-        limit = bounds_for(best_hi) if lattice_bound is None else np.full(n, lattice_bound, dtype=int)
-        total = int(np.prod(2 * limit + 1))
-        if total > DECK_ENUM_CAP:
-            raise DeckBoundError(f"deck enumeration needs {total} lattice points")
-        improved = False
-        for nu in _lattice_box(limit):
-            if nu in evaluated:
+        if not active:
+            break
+        limits = (bounds_for(active) if lattice_bound is None
+                  else np.full((len(active), n), lattice_bound, dtype=int))
+        improved = set()
+        boxes: dict[tuple, list[int]] = {}
+        for k, limit in zip(active, limits.tolist()):
+            boxes.setdefault(tuple(limit), []).append(k)
+        for limit, ks in boxes.items():
+            total = math.prod(2 * b + 1 for b in limit)
+            if total > DECK_ENUM_CAP:
+                for k in ks:
+                    errors[k] = DeckBoundError(f"deck enumeration needs {total} lattice points")
                 continue
-            arr = np.asarray(nu)
-            if offset_lower(u, v, dy - TWO_PI * arr) > best_hi:
+            box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
+            if not box:
                 continue
-            lo, hi = evaluate(u, v + TWO_PI * 1j * arr, cap=best_hi)
-            evaluated.add(nu)
-            best_lo = min(best_lo, lo)
-            if hi < best_hi:
-                best_hi = hi
-                best_nu = nu
-                improved = True
+            offsets = TWO_PI * np.array(box)
+            step = max(1, _SHELL_BLOCK // len(box))
+            for start in range(0, len(ks), step):
+                rows = ks[start:start + step]
+                bound = offset_lower(us[rows], vs[rows], dy[rows][:, None, :] - offsets)
+                # the translates whose offset bound does not exceed their
+                # pair's best so far survive, in per-pair lexicographic order
+                caps = np.array([best_hi[k] for k in rows])
+                hits = [(r, l) for r, l in zip(*[ix.tolist() for ix in
+                                                 np.nonzero(~(bound > caps[:, None]))])
+                        if box[l] not in evaluated[rows[r]]]
+                if not hits:
+                    continue
+                owners = [rows[r] for r, _ in hits]
+                moved = vs[owners] + TWO_PI * 1j * np.array([box[l] for _, l in hits])
+                # one lower-bound call for every survivor; each is then
+                # rechecked against its pair's running best before its upper
+                for (r, l), v, lo in zip(hits, moved, lower(us[owners], moved).tolist()):
+                    k, nu = rows[r], box[l]
+                    if bound[r, l] > best_hi[k]:
+                        continue
+                    hi = upper(us[k], v, lo, best_hi[k])
+                    evaluated[k].add(nu)
+                    best_lo[k] = min(best_lo[k], lo)
+                    if hi < best_hi[k]:
+                        best_hi[k] = hi
+                        best_nu[k] = nu
+                        improved.add(k)
+        active = [k for k in active if k not in errors]
         if lattice_bound is not None:
-            needed = bounds_for(best_hi)
-            if np.any(needed > lattice_bound):
-                gap = float(np.max(needed - lattice_bound))
-                raise DeckBoundError(
-                    f"lattice bound {lattice_bound} cannot certify the minimum "
-                    f"(rule wants {needed.tolist()}; shortfall {gap})")
+            for k, needed in zip(active, bounds_for(active)):
+                if np.any(needed > lattice_bound):
+                    gap = float(np.max(needed - lattice_bound))
+                    errors[k] = DeckBoundError(
+                        f"lattice bound {lattice_bound} cannot certify the minimum "
+                        f"(rule wants {needed.tolist()}; shortfall {gap})")
             break
-        if not improved and np.all(bounds_for(best_hi) <= limit):
-            break
-    value = 0.5 * (best_lo + best_hi)
-    gap = max(0.0, best_hi - best_lo)
-    method = "deck-infimum" if gap == 0.0 else "sandwich"
-    return DistanceValue(value, method, gap, best_nu), best_nu
+        # a pair whose best did not improve has the radius it was searched
+        # with, so its minimum is certified; the others search again
+        active = [k for k in active if k in improved]
+    if errors:
+        raise errors[min(errors)]
+    out = []
+    for lo, hi, nu in zip(best_lo, best_hi, best_nu):
+        gap = max(0.0, hi - lo)
+        method = "deck-infimum" if gap == 0.0 else "sandwich"
+        out.append((DistanceValue(0.5 * (lo + hi), method, gap, nu), nu))
+    return out[0] if single else out
 
 
-def _lattice_box(limit: np.ndarray):
-    """Lattice points of prod [-B_j, B_j], lexicographically sorted."""
-    return itertools.product(*[range(-int(b), int(b) + 1) for b in limit])
-
-
-def _canonical_order(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_pairs(points: list[np.ndarray], pairs) -> list[tuple[int, int]]:
     # exact symmetry by construction: evaluate every pair in a fixed order
     # (vectorized complex arithmetic is not bitwise conjugation-symmetric)
-    kz = tuple((c.real, c.imag) for c in z)
-    kw = tuple((c.real, c.imag) for c in w)
-    return (w, z) if kw < kz else (z, w)
+    keys = [tuple(zip(p.real.tolist(), p.imag.tolist())) for p in points]
+    return [(j, i) if keys[j] < keys[i] else (i, j) for i, j in pairs]
 
 
 def _principal_log(z: np.ndarray) -> np.ndarray:
     return np.log(np.abs(z)) + 1j * np.angle(z)
 
 
-def _deck_distance(cover: ModelDomain, z, w, lattice_bound) -> DistanceValue:
-    return deck_infimum(cover, _principal_log(z), _principal_log(w), lattice_bound)[0]
+def _ends(rows: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second point of every pair, as two (m, n) arrays."""
+    first, second = np.array(pairs).T
+    return rows[first], rows[second]
+
+
+def _deck(cover_of: Callable) -> Callable:
+    """Engine distances for a kind measured on an exp cover: each point's
+    principal log is taken once, and one deck search runs over all pairs."""
+    def run(domain, points, pairs, lattice_bound):
+        found = deck_infimum(cover_of(domain), *_ends(_principal_log(np.array(points)), pairs),
+                             lattice_bound)
+        return [val for val, _ in found]
+    return run
+
+
+def _tube(domain: TubeOverBase, points, pairs, lattice_bound) -> list[DistanceValue]:
+    lower, upper = tube_distance_bounds(domain.base, *_ends(np.array(points), pairs))
+    return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
+
+
+def _pairwise(kernel: Callable) -> Callable:
+    """Engine distances for a kind whose distance is one scalar call per pair."""
+    return lambda d, points, pairs, nb: [kernel(d, points[i], points[j]) for i, j in pairs]
 
 
 def _closed(value: float) -> DistanceValue:
@@ -255,7 +308,7 @@ def _inscribed_radius(domain: ScaledEllipsoid, *points) -> float:
     return r_in
 
 
-def _ellipsoid_distance(domain: ScaledEllipsoid, z, w, lattice_bound) -> DistanceValue:
+def _ellipsoid_distance(domain: ScaledEllipsoid, z, w) -> DistanceValue:
     if domain.eps == 0.0:
         return _closed(cf.ball_distance(z, w))
     r_in = _inscribed_radius(domain, z, w)
@@ -272,58 +325,84 @@ def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
 
 
 class _Engine(NamedTuple):
-    distance: Callable    # (domain, z, w, lattice_bound) -> DistanceValue
+    distances: Callable   # (domain, points, canonical pairs, lattice_bound) -> [DistanceValue]
     density: Callable     # (domain, z, v) -> float
 
 
 # Kernels are looked up in `cf` at call time, so tracing wrappers see them.
 _ENGINES: dict[type, _Engine] = {
     UnitDisc: _Engine(
-        lambda d, z, w, nb: _closed(cf.disc_distance(complex(z[0]), complex(w[0]))),
+        _pairwise(lambda d, z, w: _closed(cf.disc_distance(complex(z[0]), complex(w[0])))),
         lambda d, z, v: cf.disc_density(complex(z[0]), complex(v[0]))),
     Strip: _Engine(
-        lambda d, z, w, nb: _closed(cf.strip_distance(d.halfwidth, complex(z[0]), complex(w[0]))),
+        _pairwise(lambda d, z, w: _closed(cf.strip_distance(d.halfwidth, complex(z[0]),
+                                                            complex(w[0])))),
         lambda d, z, v: cf.strip_density(d.halfwidth, complex(z[0]), complex(v[0]))),
     LeftHalfPlane: _Engine(
-        lambda d, z, w, nb: _closed(cf.halfplane_distance(complex(z[0]), complex(w[0]))),
+        _pairwise(lambda d, z, w: _closed(cf.halfplane_distance(complex(z[0]), complex(w[0])))),
         lambda d, z, v: cf.halfplane_density(complex(z[0]), complex(v[0]))),
     UnitBall: _Engine(
-        lambda d, z, w, nb: _closed(cf.ball_distance(z, w)),
+        _pairwise(lambda d, z, w: _closed(cf.ball_distance(z, w))),
         lambda d, z, v: cf.ball_density(z, v)),
     Polydisc: _Engine(
-        lambda d, z, w, nb: _closed(cf.polydisc_distance(z, w)),
+        _pairwise(lambda d, z, w: _closed(cf.polydisc_distance(z, w))),
         lambda d, z, v: cf.polydisc_density(z, v)),
     PuncturedDisc: _Engine(
-        lambda d, z, w, nb: _deck_distance(LeftHalfPlane(), z, w, nb),
+        _deck(lambda d: LeftHalfPlane()),
         lambda d, z, v: cf.punctured_density(complex(z[0]), complex(v[0]))),
     Annulus: _Engine(
-        lambda d, z, w, nb: _deck_distance(Strip(d.R), z, w, nb),
+        _deck(lambda d: Strip(d.R)),
         lambda d, z, v: cf.annulus_density(d.R, complex(z[0]), complex(v[0]))),
     TubeOverBase: _Engine(
-        lambda d, z, w, nb: _sandwich(*tube_distance_bounds(d.base, z, w)),
+        _tube,
         lambda d, z, v: _midpoint(tube_metric_bounds(d.base, z, v))),
     ReinhardtLog: _Engine(
-        lambda d, z, w, nb: _deck_distance(TubeOverBase(d.base), z, w, nb),
+        _deck(lambda d: TubeOverBase(d.base)),
         # exp: tube -> Reinhardt is a local isometry; pull back along it
         lambda d, z, v: _midpoint(tube_metric_bounds(d.base, _principal_log(z), v / z))),
-    ScaledEllipsoid: _Engine(_ellipsoid_distance, _ellipsoid_density),
+    ScaledEllipsoid: _Engine(_pairwise(_ellipsoid_distance), _ellipsoid_density),
 }
+
+
+def _within_gap(values: list[DistanceValue], gap_tol: float | None) -> list[DistanceValue]:
+    """The values, or SandwichGapError at the first whose gap exceeds gap_tol."""
+    if gap_tol is not None:
+        for val in values:
+            if val.gap > gap_tol:
+                raise SandwichGapError(
+                    f"sandwich gap {val.gap:.3e} exceeds tolerance {gap_tol:.3e}")
+    return values
+
+
+def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
+              lattice_bound: int | None = None) -> list[DistanceValue]:
+    """Kobayashi distances between the listed index pairs of a point set.
+
+    Each point is checked once; each pair (i, j) gives the distance between
+    points[i] and points[j], in the order of `pairs`.  Pairs are evaluated
+    in a canonical order, so the distance of (i, j) and of (j, i) are
+    bit-identical.  Deck kinds run one search over all pairs and the tube
+    one slab sweep.  With gap_tol, SandwichGapError is raised at the first
+    pair whose bracket is wider; with several failing pairs, a deck search
+    raises the DeckBoundError of the first.
+    """
+    pts = [require_interior(domain, p) for p in points]
+    if not pairs:
+        return []
+    ordered = _canonical_pairs(pts, pairs)
+    return _within_gap(_ENGINES[type(domain)].distances(domain, pts, ordered, lattice_bound),
+                       gap_tol)
 
 
 def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,
              lattice_bound: int | None = None) -> DistanceValue:
-    """Kobayashi distance between interior points of a model domain.
+    """Kobayashi distance between interior points of a model domain: the
+    one-pair case of `distances`.
 
-    Symmetric in (z, w) exactly: the pair is evaluated in a canonical
-    order, so distance(D, z, w) and distance(D, w, z) are bit-identical.
+    Symmetric in (z, w) exactly: distance(D, z, w) and distance(D, w, z)
+    are bit-identical.
     """
-    z = require_interior(domain, z)
-    w = require_interior(domain, w)
-    z, w = _canonical_order(z, w)
-    val = _ENGINES[type(domain)].distance(domain, z, w, lattice_bound)
-    if gap_tol is not None and val.gap > gap_tol:
-        raise SandwichGapError(f"sandwich gap {val.gap:.3e} exceeds tolerance {gap_tol:.3e}")
-    return val
+    return distances(domain, [z, w], [(0, 1)], gap_tol, lattice_bound)[0]
 
 
 def infinitesimal_metric(domain: ModelDomain, z, v) -> float:

@@ -20,8 +20,9 @@ import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import stable_arctanh, strip_distance_offset, strip_density_offset
-from .domains import (Box, ConvexBase, EuclideanBall, LinearImage, Polytope, base_dim,
-                      base_facet_normals, base_membership, chord_interval)
+from .domains import (Box, ConvexBase, EuclideanBall, LinearImage, Polytope, as_pairs,
+                      base_dim, base_facet_normals, base_membership, chord_interval,
+                      distinct_rows, rowdot)
 
 DIRECTIONS_PER_DIM = 64
 
@@ -30,27 +31,27 @@ class TubeMetricError(RuntimeError):
     """No admissible competitor found; should not happen for convex tubes."""
 
 
-def _normalize_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    for r in rows:
-        n = float(np.linalg.norm(r))
-        if n > 1e-14:
-            out.append(r / n)
-    return out
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit, keep): the rows of a (..., n) array whose norm exceeds 1e-14,
+    scaled to unit length and stacked as (k, n), and the mask of the rows
+    kept.  Each row's arithmetic is independent of the other rows."""
+    norms = np.sqrt(rowdot(rows, rows))
+    keep = norms > 1e-14
+    return rows[keep] / norms[keep, None], keep
 
 
 @functools.lru_cache(maxsize=64)
 def _base_direction_block(base: ConvexBase) -> tuple:
-    """Cached (directions, supports+, supports-) for the base-only sweep."""
+    """Cached (directions, supports+, supports-) for the base-only sweep: a
+    deterministic spread of 64*dim unless the base is a polytope, the facet
+    normals, the coordinate axes."""
     n = base_dim(base)
-    rows: list[np.ndarray] = []
-    if _TUBE_KINDS[type(base)].spread:
-        rows.extend(list(sphere_directions(DIRECTIONS_PER_DIM * n, n)))
-    rows.extend(_normalize_rows(base_facet_normals(base)))
     eye = np.eye(n)
-    rows.extend(eye[j] for j in range(n))
-    rows.extend(-eye[j] for j in range(n))
-    dirs = np.vstack(rows)
+    blocks = [_unit_rows(np.array(base_facet_normals(base), dtype=float).reshape(-1, n))[0],
+              eye, -eye]
+    if _TUBE_KINDS[type(base)].spread:
+        blocks.insert(0, sphere_directions(DIRECTIONS_PER_DIM * n, n))
+    dirs = np.vstack(blocks)
     his = base.support(dirs)
     los = -base.support(-dirs)
     dirs.setflags(write=False)
@@ -59,32 +60,34 @@ def _base_direction_block(base: ConvexBase) -> tuple:
     return dirs, his, los
 
 
-def _slabs(base: ConvexBase, extras: tuple) -> tuple:
-    """(directions, supports+, supports-) of the slab sweep: the cached
-    base block (a deterministic spread of 64*dim unless the base is a
-    polytope, the facet normals, the coordinate axes) plus caller extras."""
-    dirs, his, los = _base_direction_block(base)
-    ex = _normalize_rows([np.asarray(e, dtype=float) for e in extras])
-    if not ex:
-        return dirs, his, los
-    ex_dirs = np.vstack(ex)
-    return (np.vstack([dirs, ex_dirs]), np.concatenate([his, base.support(ex_dirs)]),
-            np.concatenate([los, -base.support(-ex_dirs)]))
+def _extra_slabs(base: ConvexBase, rows: np.ndarray) -> tuple:
+    """(directions, supports+, supports-, kept) for the per-pair extra
+    directions: the rows of `rows` that are not ~0, normalised; `kept`
+    marks which rows they came from."""
+    dirs, keep = _unit_rows(rows)
+    return dirs, base.support(dirs), -base.support(-dirs), keep
 
 
-def _strip_distances_vec(lo: np.ndarray, hi: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Vectorized strip distance in {lo_i < Re < hi_i} between pu_i and pv_i."""
+def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """<dirs_d, points_k> for every point row k and direction row d, as a
+    (points, directions) array."""
+    return rowdot(points[:, None, :], dirs[None, :, :])
+
+
+def _strip_distances_vec(lo: np.ndarray, hi: np.ndarray, xu: np.ndarray, xv: np.ndarray,
+                         dy: np.ndarray) -> np.ndarray:
+    """Strip distance in {lo < Re < hi} between xu + i*y and xv + i*(y - dy),
+    elementwise over the broadcast shape of the arrays."""
     a = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x1 = pu.real - mid
-    x2 = pv.real - mid
-    dy = pu.imag - pv.imag
+    x1 = xu - mid
+    x2 = xv - mid
     p = math.pi * dy / (4.0 * a)
     q = math.pi * (x1 - x2) / (4.0 * a)
     c = np.cos(math.pi * x1 / (2.0 * a)) * np.cos(math.pi * x2 / (2.0 * a))
     c = np.maximum(c, 1e-300)
     ap = np.abs(p)
-    out = np.empty_like(a)
+    out = np.empty(p.shape)
     big = ap > 350.0
     if np.any(big):
         out[big] = ap[big] - 0.5 * np.log(c[big])
@@ -94,23 +97,47 @@ def _strip_distances_vec(lo: np.ndarray, hi: np.ndarray, pu: np.ndarray, pv: np.
     return out
 
 
-def caratheodory_lower(base: ConvexBase, u, v, extras: tuple = ()) -> float:
+# cells per block of the (pairs, directions) slab table, which bounds memory
+_SWEEP_CELLS = 1 << 12
+
+
+def caratheodory_lower(base: ConvexBase, u, v):
     """Supporting-slab lower bound for the tube distance.
 
-    Sweeps the direction set plus the real/imaginary parts of v - u and
-    returns the largest strip distance among the slab projections.
+    u, v are one pair of points, or m pairs as (m, n) arrays (the result is
+    then an (m,) array).  Sweeps the cached direction set plus each pair's
+    real/imaginary parts of v - u and returns the largest strip distance
+    among the slab projections.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if not base_membership(base, u.real) or not base_membership(base, v.real):
-        raise ValueError("points must lie in the open tube")
-    w = v - u
-    dirs, his, los = _slabs(base, (w.real, w.imag, *extras))
-    pu = dirs @ u
-    pv = dirs @ v
+    single, us, vs = as_pairs(u, v)
+    for x in distinct_rows(us.real, vs.real):
+        if not base_membership(base, x):
+            raise ValueError("points must lie in the open tube")
+    step = max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
+    best = np.concatenate([_slab_sweep(base, us[i:i + step], vs[i:i + step])
+                           for i in range(0, len(us), step)])
+    return float(best[0]) if single else best
+
+
+def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The largest slab strip distance of each row pair, over the table of
+    the cached block and each pair's extra slabs along Re(v - u) and
+    Im(v - u); a dropped extra (that part is ~0) stays the slab (-1, 1)
+    with both points at 0, at distance 0."""
+    m = len(us)
+    dirs, his, los = _base_direction_block(base)
+    d = len(dirs)
+    w = vs - us
+    ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
+    owner = np.nonzero(keep)[1]
+    lo, hi = np.full((m, d + 2), -1.0), np.full((m, d + 2), 1.0)
+    pu, pv = np.zeros((m, d + 2), dtype=complex), np.zeros((m, d + 2), dtype=complex)
+    lo[:, :d], hi[:, :d] = los, his
+    pu[:, :d], pv[:, :d] = _project(us, dirs), _project(vs, dirs)
+    lo[:, d:].T[keep], hi[:, d:].T[keep] = ex_los, ex_his
+    pu[:, d:].T[keep], pv[:, d:].T[keep] = rowdot(us[owner], ex), rowdot(vs[owner], ex)
     # interior points project strictly inside every slab
-    vals = _strip_distances_vec(los, his, pu, pv)
-    return float(np.max(vals))
+    return np.max(_strip_distances_vec(lo, hi, pu.real, pv.real, pu.imag - pv.imag), axis=1)
 
 
 def _ellipse_extent(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
@@ -363,18 +390,35 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None) -> f
     return min(candidates)
 
 
-def tube_distance_bounds(base: ConvexBase, u, v) -> tuple[float, float]:
-    """(lower, upper) bracket of the tube Kobayashi distance."""
-    lo = caratheodory_lower(base, u, v)
+def tube_upper(base: ConvexBase, u, v, lower: float, cap: float | None = None) -> float:
+    """Upper end of the bracket of one pair whose slab lower bound is
+    `lower`.  A pair whose lower bound exceeds `cap` (the best upper bound a
+    caller already holds) skips the disc competitors and gets inf: it can
+    never beat the cap."""
+    if cap is not None and lower > cap:
+        return math.inf
     if base_dim(base) == 1:
         # a 1-d tube IS a strip: the slab projection is a biholomorphism
-        return lo, lo
-    hi = lempert_upper(base, u, v, good_enough=lo * (1.0 + 1e-12) + 1e-14)
-    if hi < lo:
-        if hi < lo - 1e-9:
-            raise TubeMetricError(f"bracket inverted: lower {lo} > upper {hi}")
-        hi = lo
-    return lo, hi
+        return lower
+    hi = lempert_upper(base, u, v, good_enough=lower * (1.0 + 1e-12) + 1e-14)
+    if hi < lower:
+        if hi < lower - 1e-9:
+            raise TubeMetricError(f"bracket inverted: lower {lower} > upper {hi}")
+        hi = lower
+    return hi
+
+
+def tube_distance_bounds(base: ConvexBase, u, v):
+    """(lower, upper) bracket of the tube Kobayashi distance.
+
+    u, v are one pair of points, or m pairs as (m, n) arrays (the bracket
+    is then two (m,) arrays): one slab sweep over all pairs, then the disc
+    upper bound per pair.
+    """
+    single, us, vs = as_pairs(u, v)
+    lower = caratheodory_lower(base, us, vs)
+    upper = np.array([tube_upper(base, a, b, lo) for a, b, lo in zip(us, vs, lower.tolist())])
+    return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
 def _parallel_scalar(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, complex] | None:
@@ -404,9 +448,10 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
         raise ValueError("base point must lie in the open tube")
     if float(np.linalg.norm(v)) == 0.0:
         return 0.0, 0.0
-    dirs, his, los = _slabs(base, (v.real, v.imag))
-    pz = dirs @ z
-    pv = dirs @ v
+    extra = _extra_slabs(base, np.stack([v.real, v.imag]))
+    dirs, his, los = (np.concatenate(parts) for parts in zip(_base_direction_block(base), extra))
+    pz = rowdot(dirs, z)
+    pv = rowdot(dirs, v)
     a = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     dens = (math.pi / (4.0 * a)) * np.abs(pv) / np.cos(math.pi * (pz.real - mid) / (2.0 * a))

@@ -3,8 +3,10 @@ the measured figure next to its pinned tolerance.  Run with `pytest -s
 tests/test_acceptance.py` to see the lines."""
 
 import cmath
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -340,4 +342,26 @@ def test_12_cli_determinism(tmp_path):
     assert main(["examples", "--seed", "0", "--format", "json", "--out", str(out_a)]) == 0
     assert main(["examples", "--seed", "0", "--format", "json", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    _ok("12 determinism", f"two runs byte-identical ({out_a.stat().st_size} bytes)")
+    golden = json.loads((Path(__file__).parent / "data" / "examples_seed0.json").read_text())
+    worst = _golden_match(json.loads(out_a.read_text()), golden, "examples")
+    _ok("12 determinism", f"two runs byte-identical ({out_a.stat().st_size} bytes); "
+                          f"golden record matched, worst float difference {worst:.1e} <= 1e-12")
+
+
+def _golden_match(got, want, path: str) -> float:
+    """Compare a JSON value with its recorded golden copy: keys, strings,
+    booleans and integers identical, floats within 1e-12 absolute.  Returns
+    the largest float difference."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        return max((_golden_match(got[k], want[k], f"{path}.{k}") for k in want), default=0.0)
+    if isinstance(want, list):
+        assert len(got) == len(want), path
+        return max((_golden_match(g, w, f"{path}[{i}]")
+                    for i, (g, w) in enumerate(zip(got, want))), default=0.0)
+    if isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+        return abs(got - want)
+    assert got == want, path
+    return 0.0

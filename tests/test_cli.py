@@ -80,6 +80,10 @@ def test_dist_schema_error_exit_2():
     for batch in ['[[1, 2]]', '5']:
         code, _ = run_cli(["dist", "--batch", batch])
         assert code == 2, batch
+    # a negative sandwich-gap tolerance is a malformed option
+    code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", "0", "--w", "0.5",
+                       "--gap-tol", "-1"])
+    assert code == 2
 
 
 def test_dist_non_interior_exit_3():
@@ -102,6 +106,63 @@ def test_dist_csv_single_query_matches_batch(tmp_path):
     assert code == 0
     assert out == want
     assert out.splitlines()[0] == "domain,z,w,value,method,gap,deck_index"
+
+
+BATCH_ROWS = [
+    ({"kind": "unit-disc"}, "0.3-0.2j", "-0.5+0.1j"),
+    ({"kind": "unit-ball", "dim": 2}, [[0.1, 0.2], [0.3, 0]], [[-0.2, 0], [0, 0.4]]),
+    ({"kind": "punctured-disc"}, "0.3+0.4j", "-0.6-0.1j"),
+    ({"kind": "annulus", "R": 4}, "0.5", "0.1-2j"),
+    ({"kind": "annulus", "R": 4}, "-1.5+1j", "2j"),
+    ({"kind": "tube", "base": {"kind": "ball", "center": [0, 0], "radius": 1}},
+     [[0.2, 0.4], [-0.1, 0.2]], [[-0.3, -0.2], [0.4, 0.1]]),
+    ({"kind": "reinhardt-log", "base": {"kind": "ball", "center": [0, 0], "radius": 1}},
+     [[0.9, 0.5], [1.1, -0.4]], [[-0.7, 0.6], [0.2, 1.3]]),
+    ({"kind": "reinhardt-log", "base": {"kind": "ball", "center": [0, 0], "radius": 1}},
+     [[1.2, 0.1], [0.8, 0.3]], [[0.5, -0.9], [-1.1, 0.2]]),
+    ({"kind": "punctured-disc"}, "0.05", "0.9j"),
+    ({"kind": "unit-disc"}, "0.8j", "0.1"),
+    # bases whose support takes a product with a centre or a matrix
+    ({"kind": "reinhardt-log", "base": {"kind": "ball", "center": [0.3, -0.2], "radius": 0.9}},
+     [[1.1, 0.2], [0.7, -0.5]], [[-0.9, 0.9], [0.3, 1.0]]),
+    ({"kind": "tube", "base": {"kind": "linear-image", "matrix": [[1, 0.5], [0, 1.5]],
+                               "base": {"kind": "ball", "center": [0.1, 0], "radius": 1}}},
+     [[0.2, 0.4], [-0.1, 0.2]], [[-0.3, -0.2], [0.4, 2.1]]),
+]
+
+
+def _batch_file(tmp_path, rows, name="batch.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps([{"domain": d, "z": z, "w": w} for d, z, w in rows]))
+    return f"@{path}"
+
+
+def test_dist_batch_matches_single_queries(tmp_path):
+    order = [7, 2, 10, 0, 9, 4, 5, 11, 1, 8, 3, 6]
+    rows = [BATCH_ROWS[k] for k in order]
+    code, out = run_cli(["dist", "--batch", _batch_file(tmp_path, rows)])
+    assert code == 0
+    want = ["domain,z,w,value,method,gap,deck_index"]
+    for domain, z, w in rows:
+        z, w = (p if isinstance(p, str) else json.dumps(p) for p in (z, w))
+        code, single = run_cli(["dist", "--domain", json.dumps(domain), f"--z={z}", f"--w={w}",
+                                "--format", "csv"])
+        assert code == 0
+        want.append(single.splitlines()[1])
+    assert out == "\n".join(want) + "\n"
+
+
+def test_dist_batch_first_bad_row_decides(tmp_path, capsys):
+    good = BATCH_ROWS[3]
+    outside = ({"kind": "unit-disc"}, "0", "1.5")
+    malformed = ({"kind": "annulus", "R": "x"}, "0.5", "2")
+    for rows, code_wanted, bad in [([good, outside, malformed], 3, outside),
+                                   ([good, malformed, outside], 2, malformed)]:
+        capsys.readouterr()
+        assert main(["dist", "--batch", _batch_file(tmp_path, rows)]) == code_wanted
+        err = capsys.readouterr().err
+        assert main(["dist", "--batch", _batch_file(tmp_path, [bad], "one.json")]) == code_wanted
+        assert err == capsys.readouterr().err
 
 
 def test_dist_batch_deterministic(tmp_path):
@@ -151,7 +212,8 @@ def test_audit_config_error_exit_2():
         assert code == 2, matrix
     radial = {"map": {"kind": "power", "n": 2}, "family": {"kind": "corrupted-radial", "count": 3}}
     for config in ['[1]', json.dumps({**radial, "samples": "x"}),
-                   json.dumps({**radial, "samples": 1}), json.dumps({**radial, "tol": -1})]:
+                   json.dumps({**radial, "samples": 1}), json.dumps({**radial, "tol": -1}),
+                   json.dumps({**radial, "samples": 2.7}), json.dumps({**radial, "samples": True})]:
         code, _ = run_cli(["audit", "--config", config])
         assert code == 2, config
     for family in ['{"kind": "radial", "count": 0}', '{"kind": "corrupted-radial", "count": 0}',

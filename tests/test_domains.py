@@ -218,6 +218,21 @@ def test_linear_image_base():
     assert base_margin(sheared, a @ np.array([0.0, 0.0])) > 0.0
 
 
+def test_support_rows_are_independent():
+    # a batch's supports equal the one-row supports bit for bit, so a pair's
+    # slab bound never depends on the other pairs of its batch
+    bases = [EuclideanBall((0.3, -1.7, 0.9), 1.3),
+             LinearImage(((1.0, 0.4, 0.0), (0.2, 1.5, -0.3), (0.0, 0.7, 0.9)),
+                         EuclideanBall((0.1, 0.2, -0.4), 0.8)),
+             LinearImage(((1.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.3, 0.0, 2.0)),
+                         Box((-1.0, -1.0, 0.0), (1.0, 2.0, 0.5)))]
+    dirs = np.random.default_rng(2).normal(size=(37, 3))
+    for base in bases:
+        stacked = base.support(dirs)
+        assert [float(x) for x in stacked] == [base_support(base, d) for d in dirs]
+        assert [float(x) for x in base.support(dirs[5:9])] == [float(x) for x in stacked[5:9]]
+
+
 def test_chord_interval():
     ball = EuclideanBall((0.0, 0.0), 1.0)
     lo, hi = chord_interval(ball, [0.0, 0.0], [1.0, 0.0])
@@ -250,3 +265,23 @@ def test_base_reference_interior():
                       (1.0, 1.0, 1.0, 1.0))]
     for base in bases:
         assert base_membership(base, base_reference(base))
+
+
+def test_polytope_center_is_solved_once(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    # offsets no other test uses, so the center is not cached yet
+    poly = Polytope(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), (0.7, 0.3, 0.9, 0.1))
+    first = poly.reference()
+    first[0] = 99.0    # a caller's copy: the cached center is unchanged
+    assert poly.reference() == pytest.approx([0.2, 0.4])
+    ReinhardtLog(poly).project(np.exp(np.array([0.5, 0.6])).astype(complex))
+    assert len(calls) <= 1

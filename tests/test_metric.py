@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from kobalab import (Annulus, DeckBoundError, LeftHalfPlane, Polydisc, PuncturedDisc,
-                     SandwichGapError, Strip, TubeOverBase, UnitBall, UnitDisc,
-                     deck_infimum, distance, hyperbolic_length, infinitesimal_metric)
+                     ReinhardtLog, SandwichGapError, Strip, TubeOverBase, UnitBall, UnitDisc,
+                     deck_infimum, distance, distances, hyperbolic_length,
+                     infinitesimal_metric)
 from kobalab import closed_forms as cf
-from kobalab.domains import EuclideanBall, NonInteriorError
+from kobalab.domains import EuclideanBall, LinearImage, NonInteriorError
 from kobalab.geodesics import ball_geodesic_segment
+from test_domains import ALL_DOMAINS
 
 GEN = np.random.default_rng(11)
 
@@ -204,3 +206,115 @@ def test_sandwich_gap_tolerance():
 def test_non_interior_rejected():
     with pytest.raises(NonInteriorError):
         distance(UnitDisc(), 0.0, 1.5)
+
+
+def _interior_points(domain, count, gen):
+    """Points around the kind's reference point, kept if interior; the
+    imaginary parts of the tube-like kinds spread over a few units."""
+    from kobalab.domains import membership, reference_point
+
+    ref = reference_point(domain)
+    pts = []
+    while len(pts) < count:
+        p = ref + 0.6 * (gen.uniform(-1, 1, ref.size) + 1j * gen.uniform(-1, 1, ref.size))
+        if membership(domain, p):
+            pts.append(p)
+    return pts
+
+
+def _generic_reinhardt_points(count, gen):
+    # log moduli in the disc of radius 0.85, arguments (log imaginary parts)
+    # spread over [-2, 2]: pairs that need several deck shells
+    pts = []
+    for _ in range(count):
+        r, th = 0.85 * math.sqrt(gen.uniform()), gen.uniform(0, 2 * math.pi)
+        log = np.array([r * math.cos(th), r * math.sin(th)]) + 1j * gen.uniform(-2, 2, 2)
+        pts.append(np.exp(log))
+    return pts
+
+
+def _assert_same(batch, single):
+    # each pair's arithmetic is independent of the other pairs of its batch
+    assert [(b.value, b.gap, b.method, b.deck_index) for b in batch] == \
+        [(s.value, s.gap, s.method, s.deck_index) for s in single]
+
+
+# bases whose support takes a product with a centre or a matrix
+OFF_CENTRE = [
+    TubeOverBase(EuclideanBall((0.4, -0.3), 1.1)),
+    ReinhardtLog(EuclideanBall((0.3, -0.2), 0.9)),
+    TubeOverBase(LinearImage(((1.0, 0.5), (0.0, 1.5)), EuclideanBall((0.1, 0.0), 1.0))),
+]
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS + OFF_CENTRE, ids=repr)
+def test_distances_equal_per_pair_distance(domain):
+    gen = np.random.default_rng(21)
+    pts = _interior_points(domain, 5, gen)
+    pairs = [(i, j) for i in range(len(pts)) for j in range(len(pts))]
+    single = [distance(domain, pts[i], pts[j]) for i, j in pairs]
+    _assert_same(distances(domain, pts, pairs), single)
+
+
+def test_distances_generic_reinhardt_pairs():
+    domain = ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0))
+    pts = _generic_reinhardt_points(8, np.random.default_rng(22))
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    single = [distance(domain, pts[i], pts[j]) for i, j in pairs]
+    _assert_same(distances(domain, pts, pairs), single)
+    assert any(v.deck_index != (0, 0) for v in single)
+
+
+def test_reinhardt_log_over_an_interval_is_an_annulus():
+    # over the base (c - r, c + r) the domain is e^(c-r) < |z| < e^(c+r), the
+    # annulus of R = e^r scaled by e^c; its exp cover is a strip, so the deck
+    # search over the 1-d tube is exact
+    c, r = 0.4, 0.9
+    domain = ReinhardtLog(EuclideanBall((c,), r))
+    gen = np.random.default_rng(24)
+    logs = c + 0.85 * r * gen.uniform(-1, 1, 6) + 1j * gen.uniform(-3, 3, 6)
+    pts = [np.array([cmath.exp(x)]) for x in logs]
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    values = distances(domain, pts, pairs)
+    for (i, j), got in zip(pairs, values):
+        assert (got.method, got.gap) == ("deck-infimum", 0.0)
+        # brute force over the deck translates of the strip of half-width r
+        want = min(cf.strip_distance(r, logs[i] - c, logs[j] - c + 2j * math.pi * k)
+                   for k in range(-4, 5))
+        assert got.value == pytest.approx(want, abs=1e-12)
+        scaled = distance(Annulus(math.exp(r)), pts[i] * math.exp(-c), pts[j] * math.exp(-c))
+        assert got.value == pytest.approx(scaled.value, abs=1e-12)
+    assert any(v.deck_index != (0,) for v in values)
+
+
+def test_distances_lattice_bound_raises_on_the_same_pair():
+    domain = Annulus(4.0)
+    pts = [np.array([0.3 + 0.05j]), np.array([3.5 - 1.0j]), np.array([-3.6 + 0.5j]),
+           np.array([0.26j]), np.array([3.98 * cmath.exp(-2.5j)])]
+    pairs = [(0, 1), (0, 2), (3, 4)]
+    messages = []
+    for i, j in pairs:
+        try:
+            distance(domain, pts[i], pts[j], lattice_bound=1)
+            messages.append(None)
+        except DeckBoundError as exc:
+            messages.append(str(exc))
+    # the first pair certifies, the other two fail with different messages
+    assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
+    with pytest.raises(DeckBoundError) as exc:
+        distances(domain, pts, pairs, lattice_bound=1)
+    assert str(exc.value) == messages[1]
+    with pytest.raises(DeckBoundError) as exc:
+        distances(domain, pts, pairs[::-1], lattice_bound=1)
+    assert str(exc.value) == messages[2]
+
+
+def test_distances_is_symmetric_and_empty():
+    domain = ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0))
+    pts = _generic_reinhardt_points(4, np.random.default_rng(23))
+    forward = distances(domain, pts, [(0, 1), (2, 3)])
+    backward = distances(domain, pts, [(1, 0), (3, 2)])
+    assert forward == backward
+    assert distances(domain, pts, []) == []
+    with pytest.raises(NonInteriorError):
+        distances(UnitDisc(), [0.0, 1.5], [])
