@@ -26,6 +26,9 @@ EXIT_FAIL = 1
 EXIT_SCHEMA = 2
 EXIT_NON_INTERIOR = 3
 
+# the properties of schemas/v1/audit-config.json, which allows no others
+AUDIT_CONFIG_KEYS = frozenset({"map", "family", "expect", "tol", "samples"})
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -75,28 +78,31 @@ def _csv_row(domain: dict, z, w, val) -> str:
 
 
 def _dist_batch(rows, gap_tol) -> list[str]:
-    """CSV lines of a --batch run.  Every row is decoded and checked first,
-    in input order, so the first bad row decides the exit code; then one
-    `distances` call runs per distinct domain, and rows print in input
-    order."""
+    """CSV lines of a --batch run, in input order: one `distances` call
+    (which checks each point once) runs per distinct domain.  If anything
+    raises, the first bad row in input order decides the error raised."""
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
-    checked = []
-    groups: dict = {}
-    for k, row in enumerate(rows):
-        dom = domain_from_dict(row["domain"])
-        z = require_interior(dom, parse_point(row["z"]))
-        w = require_interior(dom, parse_point(row["w"]))
-        checked.append((row["domain"], z, w))
-        groups.setdefault(dom, []).append(k)
-    vals = [None] * len(rows)
-    for dom, ks in groups.items():
-        points = [p for k in ks for p in checked[k][1:]]
-        found = distances(dom, points, [(2 * i, 2 * i + 1) for i in range(len(ks))])
-        for k, val in zip(ks, found):
-            vals[k] = val
+    try:
+        decoded = [(row["domain"], domain_from_dict(row["domain"]), parse_point(row["z"]),
+                    parse_point(row["w"])) for row in rows]
+        groups: dict = {}
+        for k, (_, dom, _, _) in enumerate(decoded):
+            groups.setdefault(dom, []).append(k)
+        vals = [None] * len(rows)
+        for dom, ks in groups.items():
+            points = [p for k in ks for p in decoded[k][2:]]
+            found = distances(dom, points, [(2 * i, 2 * i + 1) for i in range(len(ks))])
+            for k, val in zip(ks, found):
+                vals[k] = val
+    except (ValueError, KeyError, RuntimeError):
+        for row in rows:
+            dom = domain_from_dict(row["domain"])
+            require_interior(dom, parse_point(row["z"]))
+            require_interior(dom, parse_point(row["w"]))
+        raise
     _within_gap(vals, gap_tol)
-    return [_csv_row(*row, val) for row, val in zip(checked, vals)]
+    return [_csv_row(data, z, w, val) for (data, _, z, w), val in zip(decoded, vals)]
 
 
 def cmd_dist(args) -> int:
@@ -130,8 +136,9 @@ def cmd_audit(args) -> int:
     from .checker import audit_isometry
 
     config = _load_json_arg(args.config) if args.config else {}
-    if not isinstance(config, dict):
-        raise DomainError(f"an audit config must be a JSON object, not {config!r}")
+    if not isinstance(config, dict) or not set(config) <= AUDIT_CONFIG_KEYS:
+        raise DomainError(f"an audit config must be a JSON object with keys among "
+                          f"{sorted(AUDIT_CONFIG_KEYS)}, not {config!r}")
     if args.map:
         config["map"] = _load_json_arg(args.map)
     if args.family:

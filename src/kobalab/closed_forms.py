@@ -5,6 +5,11 @@ All distances are in the Kobayashi normalization (disc density
 |v|/(1-|z|^2), so K_D(0, r) = arctanh r).  The strip and half-plane use
 arcsinh forms that stay accurate for hyperbolically distant points, which
 the deck-transform searches rely on.
+
+Each distance is one numpy kernel over arrays of pairs ((..., n) arrays
+of points for the ball and polydisc); one pair gives a Python float.  Each
+pair is computed on its own, so its value does not depend on its batch; a
+batch with one point outside the model raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,114 +18,115 @@ import math
 
 import numpy as np
 
+from .domains import rowdot
 
-def stable_arctanh(x: float) -> float:
+
+def _value(x):
+    """A Python float for the one-pair case, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def stable_arctanh(x):
     """arctanh via log1p; accurate near x = 1 where it diverges slowly."""
-    if x < 0.0 or x >= 1.0:
-        if 0.0 > x > -1e-15:
-            return 0.0
-        raise ValueError(f"arctanh argument {x} outside [0, 1)")
-    return 0.5 * math.log1p(2.0 * x / (1.0 - x))
+    x = np.asarray(x, dtype=float)
+    bad = ((x < 0.0) & ~(x > -1e-15)) | (x >= 1.0)
+    if np.any(bad):
+        raise ValueError(f"arctanh argument {x[bad].flat[0]} outside [0, 1)")
+    x = np.maximum(x, 0.0)
+    return _value(0.5 * np.log1p(2.0 * x / (1.0 - x)))
 
 
-def disc_distance(z: complex, w: complex) -> float:
-    num = abs(z - w)
-    den = abs(1.0 - w.conjugate() * z)
-    return stable_arctanh(num / den)
+def disc_distance(z, w):
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    return stable_arctanh(np.abs(z - w) / np.abs(1.0 - np.conj(w) * z))
 
 
 def disc_density(z: complex, v: complex) -> float:
     return abs(v) / (1.0 - abs(z) ** 2)
 
 
-def halfplane_distance(z: complex, w: complex) -> float:
+def halfplane_distance(z, w):
     """Left half-plane {Re < 0}: arcsinh(|z-w| / (2 sqrt(x_z x_w)))."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     xz, xw = -z.real, -w.real
-    if xz <= 0.0 or xw <= 0.0:
+    if np.any(xz <= 0.0) or np.any(xw <= 0.0):
         raise ValueError("points must have Re < 0")
-    return math.asinh(abs(z - w) / (2.0 * math.sqrt(xz * xw)))
+    return _value(np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(xz * xw))))
 
 
 def halfplane_density(z: complex, v: complex) -> float:
     return abs(v) / (2.0 * (-z.real))
 
 
-def strip_distance(halfwidth: float, z: complex, w: complex) -> float:
+def strip_distance(halfwidth, z, w):
     """Distance in {|Re| < halfwidth}.
 
     Via the exp chart onto the upper half-plane the distance reduces to
         arcsinh( sqrt(sinh^2(pi dy/4a) + sin^2(pi dx/4a))
                  / sqrt(cos(pi x1/2a) cos(pi x2/2a)) ),
-    which is stable for arbitrarily large imaginary separations.
+    which is stable for arbitrarily large imaginary separations.  The
+    half-width may be an array broadcast against the points.
     """
-    a = halfwidth
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     x1, x2 = z.real, w.real
-    if abs(x1) >= a or abs(x2) >= a:
+    if not np.all(np.maximum(np.abs(x1), np.abs(x2)) < halfwidth):
         raise ValueError("points must lie strictly inside the strip")
-    dx = x1 - x2
-    dy = z.imag - w.imag
-    p = math.pi * dy / (4.0 * a)
-    q = math.pi * dx / (4.0 * a)
-    c = math.cos(math.pi * x1 / (2.0 * a)) * math.cos(math.pi * x2 / (2.0 * a))
-    ap = abs(p)
-    if ap > 350.0:
-        # asymptotic: sinh dominates, arcsinh(y) ~ log(2y)
-        return ap + math.log(1.0 / math.sqrt(c))
-    s = math.sqrt(math.sinh(p) ** 2 + math.sin(q) ** 2)
-    return math.asinh(s / math.sqrt(c))
+    ap = np.abs(math.pi * (z.imag - w.imag) / (4.0 * halfwidth))
+    q = math.pi * (x1 - x2) / (4.0 * halfwidth)
+    c = np.cos(math.pi * x1 / (2.0 * halfwidth)) * np.cos(math.pi * x2 / (2.0 * halfwidth))
+    # sinh is capped where the asymptotic form below replaces it
+    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
+    big = ap > 350.0
+    if np.any(big):
+        # sinh dominates: arcsinh(y) ~ log(2y)
+        out = np.where(big, ap - 0.5 * np.log(c), out)
+    return _value(out)
 
 
-def strip_density(halfwidth: float, z: complex, v: complex) -> float:
+def strip_density(halfwidth, z, v):
     a = halfwidth
-    return (math.pi / (4.0 * a)) * abs(v) / math.cos(math.pi * z.real / (2.0 * a))
+    return _value((math.pi / (4.0 * a)) * np.abs(v) / np.cos(math.pi * np.real(z) / (2.0 * a)))
 
 
-def strip_distance_offset(lo: float, hi: float, z: complex, w: complex) -> float:
-    """Distance in the strip {lo < Re < hi}."""
+def strip_distance_offset(lo, hi, z, w):
+    """Distance in the strip {lo < Re < hi}; the ends may be arrays."""
     mid = 0.5 * (lo + hi)
     return strip_distance(0.5 * (hi - lo), z - mid, w - mid)
 
 
-def strip_density_offset(lo: float, hi: float, z: complex, v: complex) -> float:
+def strip_density_offset(lo, hi, z, v):
     mid = 0.5 * (lo + hi)
     return strip_density(0.5 * (hi - lo), z - mid, v)
 
 
-def ball_mobius_modulus_sq(z: np.ndarray, w: np.ndarray) -> float:
-    """|phi_z(w)|^2 computed cancellation-free.
-
-    tanh^2 K = (|z-w|^2 - G) / |1 - <z,w>|^2 with the Gram defect
-    G = |z|^2|w|^2 - |<z,w>|^2 expanded by the complex Lagrange identity.
-    """
-    diff2 = float(np.sum(np.abs(z - w) ** 2))
-    inner = complex(np.sum(z * np.conj(w)))
-    gram = 0.0
-    n = z.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            gram += abs(z[i] * w[j] - z[j] * w[i]) ** 2
-    den = abs(1.0 - inner) ** 2
-    return max(0.0, (diff2 - gram)) / den
+def ball_distance(z, w):
+    """arctanh |phi_z(w)| for (..., n) arrays, with |phi_z(w)|^2 computed
+    cancellation-free: tanh^2 K = (|z-w|^2 - G) / |1 - <z,w>|^2 with the
+    Gram defect G = |z|^2|w|^2 - |<z,w>|^2 expanded by the complex Lagrange
+    identity."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    diff = np.abs(z - w)
+    i, j = np.triu_indices(z.shape[-1], 1)
+    cross = np.abs(z[..., i] * w[..., j] - z[..., j] * w[..., i])
+    tanh2 = (np.maximum(0.0, rowdot(diff, diff) - rowdot(cross, cross))
+             / np.abs(1.0 - rowdot(z, np.conj(w))) ** 2)
+    return stable_arctanh(np.sqrt(tanh2))
 
 
-def ball_distance(z: np.ndarray, w: np.ndarray) -> float:
-    return stable_arctanh(math.sqrt(ball_mobius_modulus_sq(z, w)))
+def ball_density(z, v):
+    z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
+    one = 1.0 - rowdot(np.abs(z), np.abs(z))
+    vz = np.abs(rowdot(v, np.conj(z))) ** 2
+    return _value(np.sqrt(rowdot(np.abs(v), np.abs(v)) * one + vz) / one)
 
 
-def ball_density(z: np.ndarray, v: np.ndarray) -> float:
-    z2 = float(np.sum(np.abs(z) ** 2))
-    v2 = float(np.sum(np.abs(v) ** 2))
-    vz = abs(complex(np.sum(v * np.conj(z)))) ** 2
-    one = 1.0 - z2
-    return math.sqrt(v2 * one + vz) / one
+def polydisc_distance(z, w):
+    """The largest coordinate disc distance, for (..., n) arrays."""
+    return _value(np.max(disc_distance(z, w), axis=-1))
 
 
-def polydisc_distance(z: np.ndarray, w: np.ndarray) -> float:
-    return max(disc_distance(complex(a), complex(b)) for a, b in zip(z, w))
-
-
-def polydisc_density(z: np.ndarray, v: np.ndarray) -> float:
-    return max(disc_density(complex(a), complex(b)) for a, b in zip(z, v))
+def polydisc_density(z, v):
+    return _value(np.max(disc_density(np.asarray(z), np.asarray(v)), axis=-1))
 
 
 def punctured_density(z: complex, v: complex) -> float:

@@ -77,9 +77,10 @@ def as_pairs(u, v) -> tuple[bool, np.ndarray, np.ndarray]:
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (..., n) arrays, summed column by
-    column, so a row's value never depends on how many rows are stacked."""
-    out = a[..., 0] * b[..., 0]
+    """Row-wise dot products of two (..., n) arrays (0 for n = 0), summed
+    column by column, so a row's value never depends on how many rows are
+    stacked."""
+    out = a[..., 0] * b[..., 0] if a.shape[-1] else 0.0
     for j in range(1, a.shape[-1]):
         out = out + a[..., j] * b[..., j]
     return out
@@ -132,7 +133,8 @@ class _Base(_Codec):
     array), `reference()` (an interior point), `facet_normals()` (outward
     normals when finitely many, else []), `margin(x)` (a slack no larger
     than the boundary distance), `chord(p, d)` (the interval of s with
-    p + s d inside, p interior), `to_polytope(facets_per_pair)` (the facet
+    p + s d inside, p interior, as arrays of its ends over (m, n) rows p
+    and d), `to_polytope(facets_per_pair)` (the facet
     export) and `linear_image(a)` (the exact image A(base), A invertible).
     `__post_init__` validates the fields; points reach the methods as
     float arrays of the right size.
@@ -191,10 +193,10 @@ class EuclideanBall(_Base):
 
     def chord(self, p, d):
         q = p - np.asarray(self.center)
-        aa = float(np.dot(d, d))
-        bb = 2.0 * float(np.dot(q, d))
-        cc = float(np.dot(q, q)) - self.radius ** 2
-        root = math.sqrt(max(bb * bb - 4.0 * aa * cc, 0.0))
+        aa = rowdot(d, d)
+        bb = 2.0 * rowdot(q, d)
+        cc = rowdot(q, q) - self.radius ** 2
+        root = np.sqrt(np.maximum(bb * bb - 4.0 * aa * cc, 0.0))
         return (-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa)
 
     def linear_image(self, a):
@@ -240,15 +242,12 @@ class Box(_Base):
         return float(min(np.min(x - np.asarray(self.lo)), np.min(np.asarray(self.hi) - x)))
 
     def chord(self, p, d):
-        lo_s, hi_s = -math.inf, math.inf
-        for j in range(len(d)):
-            if d[j] == 0.0:
-                continue
-            s1 = (self.lo[j] - p[j]) / d[j]
-            s2 = (self.hi[j] - p[j]) / d[j]
-            lo_s = max(lo_s, min(s1, s2))
-            hi_s = min(hi_s, max(s1, s2))
-        return lo_s, hi_s
+        moving = d != 0.0
+        step = np.where(moving, d, 1.0)
+        s1 = (np.asarray(self.lo) - p) / step
+        s2 = (np.asarray(self.hi) - p) / step
+        return (np.max(np.where(moving, np.minimum(s1, s2), -math.inf), axis=-1),
+                np.min(np.where(moving, np.maximum(s1, s2), math.inf), axis=-1))
 
     def to_polytope(self, facets_per_pair):
         normals = tuple(tuple(row) for row in self.facet_normals())
@@ -312,13 +311,11 @@ class Polytope(_Base):
 
     def chord(self, p, d):
         a, b = self._rows()
-        lo_s, hi_s = -math.inf, math.inf
-        for slack, rate in zip(b - a @ p, a @ d):
-            if rate > 0.0:
-                hi_s = min(hi_s, slack / rate)
-            elif rate < 0.0:
-                lo_s = max(lo_s, slack / rate)
-        return lo_s, hi_s
+        slack = b - rowdot(p[:, None, :], a)
+        rate = rowdot(d[:, None, :], a)
+        s = slack / np.where(rate == 0.0, 1.0, rate)
+        return (np.max(np.where(rate < 0.0, s, -math.inf), axis=-1),
+                np.min(np.where(rate > 0.0, s, math.inf), axis=-1))
 
     def to_polytope(self, facets_per_pair):
         return self
@@ -392,7 +389,8 @@ class LinearImage(_Base):
                                                          1e-300)
 
     def chord(self, p, d):
-        return self.base.chord(self.inverse @ p, self.inverse @ d)
+        return self.base.chord(rowdot(p[:, None, :], self.inverse),
+                               rowdot(d[:, None, :], self.inverse))
 
 
 ConvexBase = EuclideanBall | Box | Polytope | LinearImage
@@ -439,8 +437,11 @@ def base_margin(base: ConvexBase, x) -> float:
 
 
 def chord_interval(base: ConvexBase, p, direction) -> tuple[float, float]:
-    """Parameter interval {s : p + s*direction in base}; p must be interior."""
-    return _known_base(base).chord(np.asarray(p, dtype=float), np.asarray(direction, dtype=float))
+    """Parameter interval {s : p + s*direction in base}; p must be interior
+    (the one-row case of the kind's `chord`)."""
+    lo, hi = _known_base(base).chord(np.asarray(p, dtype=float)[None, :],
+                                     np.asarray(direction, dtype=float)[None, :])
+    return float(lo[0]), float(hi[0])
 
 
 def to_polytope(base: ConvexBase, facets_per_pair: int = 64) -> Polytope:
@@ -708,7 +709,7 @@ class ReinhardtLog(_Kind):
                 direction = np.eye(n)[0]
                 norm = 1.0
             direction = direction / norm
-            lo, hi = self.base.chord(ref, direction)
+            lo, hi = chord_interval(self.base, ref, direction)
             u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
             phases = 2.0 * math.pi * cube[k, n:2 * n]
             pts.append(np.exp(u) * np.exp(1j * phases))
@@ -721,7 +722,7 @@ class ReinhardtLog(_Kind):
         norm = float(np.linalg.norm(direction))
         if norm < 1e-14:
             raise DomainError("cannot project the base reference point")
-        lo, hi = self.base.chord(ref, direction / norm)
+        lo, hi = chord_interval(self.base, ref, direction / norm)
         u_b = ref + hi * direction / norm
         return np.exp(u_b) * z / np.abs(z)
 

@@ -35,7 +35,8 @@ from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Pol
                       UnitBall, UnitDisc, as_pairs, base_support, dim, distinct_rows,
                       require_interior)
 from .quadrature import adaptive_simpson
-from .tube import caratheodory_lower, tube_distance_bounds, tube_metric_bounds, tube_upper
+from .tube import (chord_terms, closed_bounds, disc_upper, tube_distance_bounds,
+                   tube_metric_bounds)
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -80,21 +81,23 @@ class DistanceValue:
 # deck search over the exp covers
 # ---------------------------------------------------------------------------
 #
-# A cover record bounds the cover distance of translates: lower(us, vs) is
-# a lower bound for each row pair of two (m, n) arrays, computed for many
-# translates at once; upper(u, v, lo, cap) is the upper bound of one pair
-# whose lower bound is lo, where `cap` is that pair's best upper bound so
-# far (a translate whose lower bound exceeds it gets an infinite upper and
-# skips the expensive competitors).  offset_lower(us, vs, dys) is a cheap
-# lower bound for the translate whose imaginary offset from u is dys[k, l],
-# over an (m, L, n) array of offsets; threshold(us, vs, best) is the
-# per-coordinate |dy_j| beyond which that bound exceeds best, as (m, n).
+# A cover record bounds the cover distance of translates.  terms(us, vs) is
+# data every translate of a pair shares (the tube's chord terms), computed
+# once per search; bounds(us, vs, terms) is (lower, upper, settled: upper is
+# final) for the row pairs of two (m, n) arrays, many translates at once;
+# finish(u, v, lo, hi, term) is the upper bound of one translate left open.
+# offset_lower(us, vs, dys) is a cheap lower bound for the translate whose
+# imaginary offset from u is dys[k, l], over an (m, L, n) array of offsets;
+# threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
+# bound exceeds best, as (m, n).
 
 def _exact(kernel) -> tuple:
-    """(lower, upper) of a cover with a closed-form distance, called once per
-    translate: both bounds are the distance."""
-    return (lambda us, vs: np.array([kernel(complex(u[0]), complex(v[0])) for u, v in zip(us, vs)]),
-            lambda u, v, lo, cap: lo)
+    """(terms, bounds, finish) of a cover with a closed-form distance: one
+    kernel call over all translates gives both bounds."""
+    def bounds(us, vs, terms):
+        values = kernel(us[:, 0], vs[:, 0])
+        return values, values, np.ones(len(values), dtype=bool)
+    return lambda us, vs: np.zeros(len(us)), bounds, None
 
 
 def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
@@ -107,9 +110,9 @@ def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
             lambda us, vs, best: (scale(us, vs) * np.sinh(best))[:, None])
 
 
-def _slab_cover(halfwidths: np.ndarray, lower, upper) -> tuple:
+def _slab_cover(halfwidths: np.ndarray, terms, bounds, finish) -> tuple:
     # each coordinate slab of half-width a_j gives pi * |dy_j| / (4 a_j)
-    return (lower, upper,
+    return (terms, bounds, finish,
             lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * halfwidths), axis=-1),
             lambda us, vs, best: 4.0 * halfwidths * best[:, None] / math.pi)
 
@@ -123,8 +126,9 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
     base = cover.base
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
-    return _slab_cover(halfwidths, lambda us, vs: caratheodory_lower(base, us, vs),
-                       lambda u, v, lo, cap: tube_upper(base, u, v, lo, cap))
+    return _slab_cover(halfwidths, lambda us, vs: chord_terms(base, us, vs),
+                       lambda us, vs, terms: closed_bounds(base, us, vs, terms),
+                       lambda u, v, lo, hi, term: disc_upper(base, u, v, lo, hi, term))
 
 
 _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _tube_cover}
@@ -132,8 +136,8 @@ _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _
 
 @functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
-    """(lower, upper, offset_lower, threshold) of one exp-cover, built once
-    per cover descriptor."""
+    """(terms, bounds, finish, offset_lower, threshold) of one exp-cover,
+    built once per cover descriptor."""
     build = _COVERS.get(type(cover))
     if build is None:
         raise ValueError(f"{cover!r} is not a supported covering")
@@ -160,12 +164,14 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
     for row in distinct_rows(us, vs):
         require_interior(cover, row)
     m, n = us.shape
-    lower, upper, offset_lower, threshold = _cover(cover)
+    pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
+    terms = pair_terms(us, vs)
     dy = us.imag - vs.imag
     nu0 = np.round(dy / TWO_PI).astype(int)
     v0 = vs + TWO_PI * 1j * nu0
-    best_lo = lower(us, v0).tolist()
-    best_hi = [upper(u, v, lo, None) for u, v, lo in zip(us, v0, best_lo)]
+    best_lo, highs, settled = (x.tolist() for x in bounds(us, v0, terms))
+    best_hi = [hi if done else finish(u, v, lo, hi, t) for u, v, lo, hi, done, t
+               in zip(us, v0, best_lo, highs, settled, terms.tolist())]
     best_nu = [tuple(row) for row in nu0.tolist()]
     evaluated = [{nu} for nu in best_nu]
     errors: dict[int, DeckBoundError] = {}
@@ -211,13 +217,17 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
                     continue
                 owners = [rows[r] for r, _ in hits]
                 moved = vs[owners] + TWO_PI * 1j * np.array([box[l] for _, l in hits])
-                # one lower-bound call for every survivor; each is then
+                # one batched bounds call for every survivor; each is then
                 # rechecked against its pair's running best before its upper
-                for (r, l), v, lo in zip(hits, moved, lower(us[owners], moved).tolist()):
+                found = (x.tolist() for x in bounds(us[owners], moved, terms[owners]))
+                for (r, l), v, lo, hi, done in zip(hits, moved, *found):
                     k, nu = rows[r], box[l]
                     if bound[r, l] > best_hi[k]:
                         continue
-                    hi = upper(us[k], v, lo, best_hi[k])
+                    if lo > best_hi[k]:
+                        hi = math.inf
+                    elif not done:
+                        hi = finish(us[k], v, lo, hi, terms[k])
                     evaluated[k].add(nu)
                     best_lo[k] = min(best_lo[k], lo)
                     if hi < best_hi[k]:
@@ -278,9 +288,11 @@ def _tube(domain: TubeOverBase, points, pairs, lattice_bound) -> list[DistanceVa
     return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
 
 
-def _pairwise(kernel: Callable) -> Callable:
-    """Engine distances for a kind whose distance is one scalar call per pair."""
-    return lambda d, points, pairs, nb: [kernel(d, points[i], points[j]) for i, j in pairs]
+def _closed_form(kernel: Callable) -> Callable:
+    """Engine distances of a closed-form kind: one kernel(domain, us, vs) call."""
+    def run(domain, points, pairs, lattice_bound):
+        return [_closed(x) for x in kernel(domain, *_ends(np.array(points), pairs)).tolist()]
+    return run
 
 
 def _closed(value: float) -> DistanceValue:
@@ -295,7 +307,7 @@ def _midpoint(bounds: tuple[float, float]) -> float:
     return 0.5 * (bounds[0] + bounds[1])
 
 
-def _inscribed_radius(domain: ScaledEllipsoid, *points) -> float:
+def _inscribed_radius(domain: ScaledEllipsoid, points: np.ndarray) -> float:
     """Radius of the ball inscribed in a perturbed ellipsoid; the ball
     sandwich brackets its metric only at points inside that ball."""
     from .scaling import inscribed_radius
@@ -308,18 +320,20 @@ def _inscribed_radius(domain: ScaledEllipsoid, *points) -> float:
     return r_in
 
 
-def _ellipsoid_distance(domain: ScaledEllipsoid, z, w) -> DistanceValue:
+def _ellipsoid(domain: ScaledEllipsoid, points, pairs, lattice_bound) -> list[DistanceValue]:
+    us, vs = _ends(np.array(points), pairs)
+    lower = cf.ball_distance(us, vs)          # Omega_t inside the unit ball
     if domain.eps == 0.0:
-        return _closed(cf.ball_distance(z, w))
-    r_in = _inscribed_radius(domain, z, w)
-    lo = cf.ball_distance(z, w)          # Omega_t inside the unit ball
-    return _sandwich(lo, max(cf.ball_distance(z / r_in, w / r_in), lo))
+        return [_closed(x) for x in lower.tolist()]
+    r_in = _inscribed_radius(domain, np.concatenate([us, vs]))
+    upper = np.maximum(cf.ball_distance(us / r_in, vs / r_in), lower)
+    return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
 
 
 def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
     if domain.eps == 0.0:
         return cf.ball_density(z, v)
-    r_in = _inscribed_radius(domain, z)
+    r_in = _inscribed_radius(domain, z[None])
     lo = cf.ball_density(z, v)
     return 0.5 * (lo + max(lo, cf.ball_density(z / r_in, v / r_in)))
 
@@ -332,20 +346,19 @@ class _Engine(NamedTuple):
 # Kernels are looked up in `cf` at call time, so tracing wrappers see them.
 _ENGINES: dict[type, _Engine] = {
     UnitDisc: _Engine(
-        _pairwise(lambda d, z, w: _closed(cf.disc_distance(complex(z[0]), complex(w[0])))),
+        _closed_form(lambda d, us, vs: cf.disc_distance(us[:, 0], vs[:, 0])),
         lambda d, z, v: cf.disc_density(complex(z[0]), complex(v[0]))),
     Strip: _Engine(
-        _pairwise(lambda d, z, w: _closed(cf.strip_distance(d.halfwidth, complex(z[0]),
-                                                            complex(w[0])))),
+        _closed_form(lambda d, us, vs: cf.strip_distance(d.halfwidth, us[:, 0], vs[:, 0])),
         lambda d, z, v: cf.strip_density(d.halfwidth, complex(z[0]), complex(v[0]))),
     LeftHalfPlane: _Engine(
-        _pairwise(lambda d, z, w: _closed(cf.halfplane_distance(complex(z[0]), complex(w[0])))),
+        _closed_form(lambda d, us, vs: cf.halfplane_distance(us[:, 0], vs[:, 0])),
         lambda d, z, v: cf.halfplane_density(complex(z[0]), complex(v[0]))),
     UnitBall: _Engine(
-        _pairwise(lambda d, z, w: _closed(cf.ball_distance(z, w))),
+        _closed_form(lambda d, us, vs: cf.ball_distance(us, vs)),
         lambda d, z, v: cf.ball_density(z, v)),
     Polydisc: _Engine(
-        _pairwise(lambda d, z, w: _closed(cf.polydisc_distance(z, w))),
+        _closed_form(lambda d, us, vs: cf.polydisc_distance(us, vs)),
         lambda d, z, v: cf.polydisc_density(z, v)),
     PuncturedDisc: _Engine(
         _deck(lambda d: LeftHalfPlane()),
@@ -360,7 +373,7 @@ _ENGINES: dict[type, _Engine] = {
         _deck(lambda d: TubeOverBase(d.base)),
         # exp: tube -> Reinhardt is a local isometry; pull back along it
         lambda d, z, v: _midpoint(tube_metric_bounds(d.base, _principal_log(z), v / z))),
-    ScaledEllipsoid: _Engine(_pairwise(_ellipsoid_distance), _ellipsoid_density),
+    ScaledEllipsoid: _Engine(_ellipsoid, _ellipsoid_density),
 }
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._sampling import sphere_directions
-from .closed_forms import stable_arctanh, strip_distance_offset, strip_density_offset
+from .closed_forms import strip_density_offset, strip_distance_offset
 from .domains import (Box, ConvexBase, EuclideanBall, LinearImage, Polytope, as_pairs,
                       base_dim, base_facet_normals, base_membership, chord_interval,
                       distinct_rows, rowdot)
@@ -68,35 +68,6 @@ def _extra_slabs(base: ConvexBase, rows: np.ndarray) -> tuple:
     return dirs, base.support(dirs), -base.support(-dirs), keep
 
 
-def _project(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """<dirs_d, points_k> for every point row k and direction row d, as a
-    (points, directions) array."""
-    return rowdot(points[:, None, :], dirs[None, :, :])
-
-
-def _strip_distances_vec(lo: np.ndarray, hi: np.ndarray, xu: np.ndarray, xv: np.ndarray,
-                         dy: np.ndarray) -> np.ndarray:
-    """Strip distance in {lo < Re < hi} between xu + i*y and xv + i*(y - dy),
-    elementwise over the broadcast shape of the arrays."""
-    a = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x1 = xu - mid
-    x2 = xv - mid
-    p = math.pi * dy / (4.0 * a)
-    q = math.pi * (x1 - x2) / (4.0 * a)
-    c = np.cos(math.pi * x1 / (2.0 * a)) * np.cos(math.pi * x2 / (2.0 * a))
-    c = np.maximum(c, 1e-300)
-    ap = np.abs(p)
-    out = np.empty(p.shape)
-    big = ap > 350.0
-    if np.any(big):
-        out[big] = ap[big] - 0.5 * np.log(c[big])
-    small = ~big
-    s = np.sqrt(np.sinh(p[small]) ** 2 + np.sin(q[small]) ** 2)
-    out[small] = np.arcsinh(s / np.sqrt(c[small]))
-    return out
-
-
 # cells per block of the (pairs, directions) slab table, which bounds memory
 _SWEEP_CELLS = 1 << 12
 
@@ -122,8 +93,7 @@ def caratheodory_lower(base: ConvexBase, u, v):
 def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The largest slab strip distance of each row pair, over the table of
     the cached block and each pair's extra slabs along Re(v - u) and
-    Im(v - u); a dropped extra (that part is ~0) stays the slab (-1, 1)
-    with both points at 0, at distance 0."""
+    Im(v - u); a dropped extra (that part ~0) is (-1, 1) with both points at 0."""
     m = len(us)
     dirs, his, los = _base_direction_block(base)
     d = len(dirs)
@@ -133,11 +103,12 @@ def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     lo, hi = np.full((m, d + 2), -1.0), np.full((m, d + 2), 1.0)
     pu, pv = np.zeros((m, d + 2), dtype=complex), np.zeros((m, d + 2), dtype=complex)
     lo[:, :d], hi[:, :d] = los, his
-    pu[:, :d], pv[:, :d] = _project(us, dirs), _project(vs, dirs)
+    # <dirs_d, p_k> as (pairs, directions)
+    pu[:, :d], pv[:, :d] = (rowdot(p[:, None, :], dirs) for p in (us, vs))
     lo[:, d:].T[keep], hi[:, d:].T[keep] = ex_los, ex_his
     pu[:, d:].T[keep], pv[:, d:].T[keep] = rowdot(us[owner], ex), rowdot(vs[owner], ex)
     # interior points project strictly inside every slab
-    return np.max(_strip_distances_vec(lo, hi, pu.real, pv.real, pu.imag - pv.imag), axis=1)
+    return np.max(strip_distance_offset(lo, hi, pu, pv), axis=1)
 
 
 def _ellipse_extent(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
@@ -301,7 +272,7 @@ def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray,
     """
     tau0 = tau_hint if tau_hint is not None else affine_disc_tau(base, u.real, v - u)
     if tau0 < 0.7:
-        return stable_arctanh(tau0)
+        return math.atanh(tau0)
     legs = max(2, int(math.ceil(tau0 / 0.5)))
     for _ in range(8):
         total = 0.0
@@ -312,22 +283,11 @@ def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray,
             if tau >= 0.95:
                 ok = False
                 break
-            total += stable_arctanh(tau)
+            total += math.atanh(tau)
         if ok:
             return total
         legs *= 2
     raise TubeMetricError("affine chain failed to refine")
-
-
-def _cheap_uppers(base: ConvexBase, u: np.ndarray, v: np.ndarray) -> list[float]:
-    """Closed-form disc competitors: box product and the chord slice."""
-    candidates = _product(base, u, v, strip_distance_offset)
-    if float(np.max(np.abs(u.imag - v.imag))) < 1e-13:
-        delta = (v - u).real
-        if float(np.linalg.norm(delta)) > 1e-15:
-            s_lo, s_hi = chord_interval(base, u.real, delta)
-            candidates.append(strip_distance_offset(s_lo, s_hi, 0.0 + 0.0j, 1.0 + 0.0j))
-    return candidates
 
 
 def _vertical_cap(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> float:
@@ -341,28 +301,71 @@ def _vertical_cap(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> float:
         return 0.0
     tau0 = affine_disc_tau(base, x, 1j * y.astype(complex))
     legs = max(1, int(math.ceil(tau0 / 0.5)))
-    return legs * stable_arctanh(tau0 / legs)
+    return legs * math.atanh(tau0 / legs)
 
 
-def _via_real_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray) -> float:
-    """Upper bound routing through the real points below u and v:
-    vertical descent, chord slice across, vertical ascent."""
-    total = _vertical_cap(base, u.real, u.imag) + _vertical_cap(base, v.real, v.imag)
-    delta = (v - u).real
-    if float(np.linalg.norm(delta)) > 1e-15:
-        s_lo, s_hi = chord_interval(base, u.real, delta)
-        total += strip_distance_offset(s_lo, s_hi, 0.0 + 0.0j, 1.0 + 0.0j)
-    return total
+def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The chord-slice term of each row pair: the strip distance from 0 to 1
+    in the interval of s with Re u + s Re(v - u) in the base (0 where
+    Re u = Re v).  Every deck translate of a pair shares it."""
+    delta = (vs - us).real
+    moved = np.sqrt(rowdot(delta, delta)) > 1e-15
+    out = np.zeros(len(us))
+    s_lo, s_hi = base.chord(us.real[moved], delta[moved])
+    out[moved] = strip_distance_offset(s_lo, s_hi, 0.0, 1.0)
+    return out
 
 
-def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None) -> float:
-    """Analytic-disc upper bound for the tube distance (family minimum).
+def _good_enough(lower):
+    """An upper bound this close to the lower bound settles a pair."""
+    return lower * (1.0 + 1e-12) + 1e-14
 
-    Competitors, cheapest first: the exact product disc over box bases,
-    the chord-slice disc for equal-imaginary pairs, affine discs in both
-    orders, and chained affine discs as a convexity fallback.  When
-    `good_enough` is given, evaluation stops once a candidate reaches it
-    (used to skip the affine solve when a cheap disc is already tight).
+
+def _raised(upper, lower):
+    """The upper bound, raised to the lower bound where rounding left it
+    below; a bracket inverted beyond rounding is an error."""
+    if np.any(upper < lower - 1e-9):
+        raise TubeMetricError(f"bracket inverted: lower {lower} > upper {upper}")
+    return np.maximum(upper, lower)
+
+
+def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.ndarray) -> tuple:
+    """(lower, upper, settled) of a batch of row pairs with chord terms
+    `chord`: the slab lower bound, the best closed-form disc (the exact
+    product disc over box bases, the chord slice for pairs with equal
+    imaginary parts; inf if neither applies, 0 on equal pairs), and whether
+    it is within rounding of the lower bound, i.e. final."""
+    lower = caratheodory_lower(base, us, vs)
+    if base_dim(base) == 1:
+        # a 1-d tube IS a strip: the slab projection is a biholomorphism
+        return lower, lower, np.ones(len(lower), dtype=bool)
+    product = _TUBE_KINDS[type(base)].product
+    best = (np.full(len(us), math.inf) if product is None
+            else product(base, us, vs, strip_distance_offset))
+    flat = np.max(np.abs(us.imag - vs.imag), axis=1) < 1e-13
+    # the chord term is positive exactly when the real parts differ
+    best = np.minimum(best, np.where(flat & (chord > 0.0), chord, math.inf))
+    best = np.where(np.all(us == vs, axis=1), 0.0, best)
+    return lower, _raised(best, lower), best <= _good_enough(lower)
+
+
+def disc_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, lower: float, best: float,
+               chord: float) -> float:
+    """Upper end of the bracket of one pair that `closed_bounds` left open,
+    given its lower bound, closed-form competitor and chord term."""
+    return float(_raised(lempert_upper(base, u, v, _good_enough(lower), (best, chord)), lower))
+
+
+def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
+                  closed: tuple[float, float] | None = None) -> float:
+    """Analytic-disc upper bound for the tube distance of one pair (family minimum).
+
+    Competitors, cheapest first: the closed-form discs of `closed_bounds`,
+    affine discs in both orders, the route through the real points below u
+    and v, and chained affine discs as a convexity fallback.  When
+    `good_enough` is given, evaluation stops once a candidate reaches it.
+    `closed` is the pair's (closed-form disc, chord term) when a caller
+    computed them for a whole batch; else they are computed here.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -370,54 +373,44 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None) -> f
         raise ValueError("points must lie in the open tube")
     if np.array_equal(u, v):
         return 0.0
-    candidates = _cheap_uppers(base, u, v)
-    if good_enough is not None and candidates and min(candidates) <= good_enough:
-        return min(candidates)
+    if closed is None:
+        chord = chord_terms(base, u[None], v[None])
+        closed = float(closed_bounds(base, u[None], v[None], chord)[1][0]), float(chord[0])
+    best, chord = closed
+    if good_enough is not None and best <= good_enough:
+        return best
     taus = []
     for p, q in ((u, v), (v, u)):
         tau = affine_disc_tau(base, p.real, q - p)
         taus.append(tau)
         if tau < 1.0:
-            candidates.append(stable_arctanh(tau))
-            if good_enough is not None and candidates[-1] <= good_enough:
-                return min(candidates)
-    had_disc = len(candidates) > 0
-    candidates.append(_via_real_upper(base, u, v))
+            best = min(best, math.atanh(tau))
+            if good_enough is not None and best <= good_enough:
+                return best
+    had_disc = best < math.inf
+    # through the real points: vertical descent, chord slice, vertical ascent
+    best = min(best, _vertical_cap(base, u.real, u.imag) + _vertical_cap(base, v.real, v.imag)
+               + chord)
     if not had_disc and min(taus) < 6.0:
         # mid-range pair with no admissible single disc: the short chain
         # is usually tighter than the via-real route
-        candidates.append(_chain_upper(base, u, v, tau_hint=min(taus)))
-    return min(candidates)
-
-
-def tube_upper(base: ConvexBase, u, v, lower: float, cap: float | None = None) -> float:
-    """Upper end of the bracket of one pair whose slab lower bound is
-    `lower`.  A pair whose lower bound exceeds `cap` (the best upper bound a
-    caller already holds) skips the disc competitors and gets inf: it can
-    never beat the cap."""
-    if cap is not None and lower > cap:
-        return math.inf
-    if base_dim(base) == 1:
-        # a 1-d tube IS a strip: the slab projection is a biholomorphism
-        return lower
-    hi = lempert_upper(base, u, v, good_enough=lower * (1.0 + 1e-12) + 1e-14)
-    if hi < lower:
-        if hi < lower - 1e-9:
-            raise TubeMetricError(f"bracket inverted: lower {lower} > upper {hi}")
-        hi = lower
-    return hi
+        best = min(best, _chain_upper(base, u, v, tau_hint=min(taus)))
+    return best
 
 
 def tube_distance_bounds(base: ConvexBase, u, v):
     """(lower, upper) bracket of the tube Kobayashi distance.
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the bracket
-    is then two (m,) arrays): one slab sweep over all pairs, then the disc
-    upper bound per pair.
+    is then two (m,) arrays): `closed_bounds` over all pairs, then
+    `disc_upper` for each pair it leaves open.
     """
     single, us, vs = as_pairs(u, v)
-    lower = caratheodory_lower(base, us, vs)
-    upper = np.array([tube_upper(base, a, b, lo) for a, b, lo in zip(us, vs, lower.tolist())])
+    chord = chord_terms(base, us, vs)
+    lower, upper, settled = closed_bounds(base, us, vs, chord)
+    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, c) for a, b, lo, hi, done, c
+                      in zip(us, vs, lower.tolist(), upper.tolist(), settled.tolist(),
+                             chord.tolist())])
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
@@ -450,16 +443,12 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
         return 0.0, 0.0
     extra = _extra_slabs(base, np.stack([v.real, v.imag]))
     dirs, his, los = (np.concatenate(parts) for parts in zip(_base_direction_block(base), extra))
-    pz = rowdot(dirs, z)
-    pv = rowdot(dirs, v)
-    a = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    dens = (math.pi / (4.0 * a)) * np.abs(pv) / np.cos(math.pi * (pz.real - mid) / (2.0 * a))
-    lower = float(np.max(dens))
+    lower = float(np.max(strip_density_offset(los, his, rowdot(dirs, z), rowdot(dirs, v))))
     if base_dim(base) == 1:
         return lower, lower
 
-    uppers = _product(base, z, v, strip_density_offset)
+    product = _TUBE_KINDS[type(base)].product
+    uppers = [] if product is None else [float(product(base, z, v, strip_density_offset))]
     par = _parallel_scalar(v.real, v.imag)
     if par is not None:
         delta, zeta = par
@@ -475,21 +464,14 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
     return lower, upper
 
 
-def _box_product(base: Box, u: np.ndarray, v: np.ndarray, kernel) -> float:
+def _box_product(base: Box, u: np.ndarray, v: np.ndarray, kernel):
     # product of strips: the coordinate-wise geodesic disc is exact
-    return max(kernel(l, h, complex(a), complex(b)) for l, h, a, b in zip(base.lo, base.hi, u, v))
-
-
-def _product(base: ConvexBase, u: np.ndarray, v: np.ndarray, kernel) -> list[float]:
-    """The product competitor as a candidate list: `kernel` is the strip
-    distance or density, taken coordinatewise (empty off boxes)."""
-    product = _TUBE_KINDS[type(base)].product
-    return [] if product is None else [product(base, u, v, kernel)]
+    return np.max(kernel(np.asarray(base.lo), np.asarray(base.hi), u, v), axis=-1)
 
 
 class _TubeKind(NamedTuple):
     tau: Callable              # (base, x, a, b) -> affine_disc_tau's value
-    product: Callable | None   # (base, u, v, kernel) -> the product competitor
+    product: Callable | None   # (base, us, vs, kernel) -> the product competitor per row
     spread: bool               # the slab sweep adds 64*dim sphere directions
 
 

@@ -213,7 +213,8 @@ def test_audit_config_error_exit_2():
     radial = {"map": {"kind": "power", "n": 2}, "family": {"kind": "corrupted-radial", "count": 3}}
     for config in ['[1]', json.dumps({**radial, "samples": "x"}),
                    json.dumps({**radial, "samples": 1}), json.dumps({**radial, "tol": -1}),
-                   json.dumps({**radial, "samples": 2.7}), json.dumps({**radial, "samples": True})]:
+                   json.dumps({**radial, "samples": 2.7}), json.dumps({**radial, "samples": True}),
+                   json.dumps({**radial, "seed": 1}), json.dumps({**radial, "sample": 10})]:
         code, _ = run_cli(["audit", "--config", config])
         assert code == 2, config
     for family in ['{"kind": "radial", "count": 0}', '{"kind": "corrupted-radial", "count": 0}',

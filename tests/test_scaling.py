@@ -87,6 +87,16 @@ def test_metric_probe_single_coincident_pair():
     assert table.summary()["max_deviation"] == 0.0
 
 
+def test_metric_probe_rows_are_distance_brackets():
+    grid = [_ball_pt(2, radius=0.5) for _ in range(4)]
+    table = metric_convergence_probe(0.05, [0.5, 0.9], grid=grid)
+    assert len(table.rows) == 12
+    for t, key, dev, gap in table.rows:
+        i, j = (int(k) for k in key.split("-")[1:])
+        want = distance(ScaledEllipsoid(0.05, t, 2), grid[i], grid[j]).gap
+        assert gap == want and dev == 0.5 * want
+
+
 def test_metric_probe_decreasing():
     table = metric_convergence_probe(0.05, [0.5, 0.9, 0.99])
     per_t = table.max_deviation_per_t()

@@ -1,6 +1,6 @@
 import pytest
 
-from kobalab import coverings, domains
+from kobalab import cli, coverings, domains
 
 
 @pytest.mark.parametrize("name,registry", [("domain.json", domains._KINDS),
@@ -21,3 +21,7 @@ def test_schema_rejects_a_malformed_descriptor(validate_schema):
                                      "base": {"kind": "ball", "center": [0.0], "radius": 1.0}})]:
         with pytest.raises(ValidationError):
             validate_schema(name, data)
+
+
+def test_audit_config_keys_match_the_schema(schemas):
+    assert set(schemas["audit-config.json"]["properties"]) == cli.AUDIT_CONFIG_KEYS

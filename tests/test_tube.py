@@ -156,3 +156,24 @@ def test_one_dimensional_tube_is_a_strip():
         want = cf.strip_distance_offset(-0.5, 1.0, complex(u[0]), complex(v[0]))
         assert hi == lo
         assert lo == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("base,radius", [
+    (BOX, 0.45),
+    (to_polytope(BALL, 8), 0.8),
+    (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5),
+])
+def test_batched_bounds_equal_per_pair_bounds(base, radius):
+    # real parts in a ball of `radius` about 0 (inside each base); half the
+    # pairs share their imaginary parts, the other half are generic
+    gen = np.random.default_rng(7)
+    m = 12
+    dirs = gen.normal(size=(2, m, 2))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    reals = radius * gen.uniform(0.0, 1.0, (2, m, 1)) * dirs
+    imag_u = gen.uniform(-2.0, 2.0, (m, 2))
+    imag_v = np.where(np.arange(m)[:, None] < m // 2, imag_u, gen.uniform(-2.0, 2.0, (m, 2)))
+    us, vs = reals[0] + 1j * imag_u, reals[1] + 1j * imag_v
+    lower, upper = tube_distance_bounds(base, us, vs)
+    for k in range(m):
+        assert (lower[k], upper[k]) == tube_distance_bounds(base, us[k], vs[k])
