@@ -285,17 +285,7 @@ class Polytope(_Base):
         return bool(np.all(a @ x < b))
 
     def support(self, dirs):
-        # H-representation support needs an LP; bounded polytopes only.
-        from scipy.optimize import linprog
-
-        a, b = self._rows()
-        out = []
-        for d in dirs:
-            res = linprog(-d, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1], method="highs")
-            if not res.success:
-                raise DomainError("polytope support LP failed (unbounded or empty base?)")
-            out.append(float(-res.fun))
-        return np.array(out)
+        return np.max(rowdot(dirs[:, None, :], _vertices(self)), axis=-1)
 
     def reference(self):
         if self.interior is not None:
@@ -339,6 +329,35 @@ def _chebyshev_center(poly: Polytope) -> np.ndarray:
     center = res.x[:n]
     center.setflags(write=False)
     return center
+
+
+@functools.lru_cache(maxsize=64)
+def _vertices(poly: Polytope) -> np.ndarray:
+    """The vertices of a bounded polytope as (k, n) rows, enumerated once
+    per descriptor by intersecting its half-spaces about the Chebyshev
+    center; an unbounded one raises DomainError."""
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    a, b = poly._rows()
+    center = _chebyshev_center(poly)
+    if poly.dim == 1:
+        # qhull needs two dimensions; a 1-d polytope with a center is the
+        # bounded chord through it
+        verts = center + np.stack(poly.chord(center[None], np.ones((1, 1))))
+    else:
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cut = HalfspaceIntersection(np.hstack([a, -b[:, None]]), center)
+        except QhullError:
+            # the dual points are too few or too flat to surround the center
+            raise DomainError("polytope is unbounded") from None
+        # bounded iff the center is strictly inside the hull of the dual points;
+        # else some "vertices" are infinite
+        if not np.all(cut.dual_equations[:, -1] < 0.0):
+            raise DomainError("polytope is unbounded")
+        verts = cut.intersections
+    verts.setflags(write=False)
+    return verts
 
 
 @dataclass(frozen=True)
@@ -796,17 +815,22 @@ def ellipsoid_defining_function(eps: float, z) -> float:
     return -1.0 + float(np.sum(np.abs(z) ** 2)) + eps * d2 * d2
 
 
-def membership(domain: ModelDomain, z) -> bool:
-    """True iff z is an interior point of the domain."""
+def _domain_point(domain: ModelDomain, z) -> np.ndarray:
+    """z as a validated point of the domain's dimension."""
     z = as_point(z)
     if z.size != dim(domain):
         raise DomainError(f"point dimension {z.size} does not match domain {domain!r}")
-    return domain.contains(z)
+    return z
+
+
+def membership(domain: ModelDomain, z) -> bool:
+    """True iff z is an interior point of the domain."""
+    return domain.contains(_domain_point(domain, z))
 
 
 def require_interior(domain: ModelDomain, z) -> np.ndarray:
-    z = as_point(z)
-    if not membership(domain, z):
+    z = _domain_point(domain, z)
+    if not domain.contains(z):
         raise NonInteriorError(f"point {z} is not interior to {domain!r}")
     return z
 

@@ -111,17 +111,12 @@ def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.max(strip_distance_offset(lo, hi, pu, pv), axis=1)
 
 
-def _ellipse_extent(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> float:
-    """sup over alpha^2 + beta^2 <= 1 of <d, alpha a + beta b>."""
-    return math.hypot(float(np.dot(d, a)), float(np.dot(d, b)))
-
-
 def affine_disc_tau(base: ConvexBase, anchor: np.ndarray, w: np.ndarray) -> float:
     """Smallest tau with Re(anchor) + {Re(lam w)/tau : |lam| <= 1} inside base.
 
     The affine disc lam -> anchor + lam w / tau is then admissible; tau is
-    exact for boxes, polytopes and their linear images, and Newton-solved
-    (with a verified pad) for ball bases.
+    exact for boxes, polytopes and their linear images, and for ball bases
+    comes from one scalar equation plus an S-lemma certificate (with a pad).
     """
     x = np.asarray(anchor, dtype=float)
     a = np.asarray(w, dtype=complex).real.astype(float)
@@ -130,17 +125,15 @@ def affine_disc_tau(base: ConvexBase, anchor: np.ndarray, w: np.ndarray) -> floa
 
 
 def _box_disc_tau(base: Box, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return max(math.hypot(aj, bj) / min(hj - xj, xj - lj)
-               for aj, bj, lj, hj, xj in zip(a, b, base.lo, base.hi, x))
+    # each coordinate's ellipse half-width over its distance to the nearer face
+    return float(np.max(np.hypot(a, b) / np.minimum(np.asarray(base.hi) - x,
+                                                     x - np.asarray(base.lo))))
 
 
 def _polytope_disc_tau(base: Polytope, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    taus = []
-    for n_i, b_i in zip(base.normals, base.offsets):
-        n_i = np.asarray(n_i, dtype=float)
-        slack = b_i - float(np.dot(n_i, x))
-        taus.append(_ellipse_extent(a, b, n_i) / slack)
-    return max(taus)
+    # each facet's ellipse extent sup <n_i, alpha a + beta b> over its slack
+    normals, offsets = np.asarray(base.normals, dtype=float), np.asarray(base.offsets, dtype=float)
+    return float(np.max(np.hypot(normals @ a, normals @ b) / (offsets - normals @ x)))
 
 
 def _linear_image_disc_tau(base: LinearImage, x: np.ndarray, a: np.ndarray,
@@ -149,115 +142,62 @@ def _linear_image_disc_tau(base: LinearImage, x: np.ndarray, a: np.ndarray,
     return affine_disc_tau(base.base, inv @ x, inv @ a + 1j * (inv @ b))
 
 
-def _ellipse_farthest(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray]:
-    """max over theta of |cos(th) a + sin(th) b + m| and the maximizer point.
-
-    Writing x = (cos th, sin th), the square is x^T S x + 2 g^T x + |m|^2
-    with S = [a b]^T [a b]; the circle-constrained maximizer solves the
-    trust-region secular equation sum g_i^2/(lam - s_i)^2 = 1 for
-    lam > s_max in the eigenbasis of S.  All scalar 2x2 arithmetic.
-    """
-    s11 = float(np.dot(a, a))
-    s22 = float(np.dot(b, b))
-    s12 = float(np.dot(a, b))
-    g1 = float(np.dot(a, m))
-    g2 = float(np.dot(b, m))
-    m2 = float(np.dot(m, m))
-    # eigendecomposition of [[s11, s12], [s12, s22]]
-    half_tr = 0.5 * (s11 + s22)
-    disc = math.sqrt(max(0.0, (0.5 * (s11 - s22)) ** 2 + s12 * s12))
-    e_hi, e_lo = half_tr + disc, half_tr - disc
-    # top eigenvector from whichever row gives the larger residual vector
-    cand1 = (s12, e_hi - s11)
-    cand2 = (e_hi - s22, s12)
-    n1 = math.hypot(*cand1)
-    n2 = math.hypot(*cand2)
-    if max(n1, n2) < 1e-300:
-        c, s = (1.0, 0.0) if s11 >= s22 else (0.0, 1.0)
-    elif n1 >= n2:
-        c, s = cand1[0] / n1, cand1[1] / n1
-    else:
-        c, s = cand2[0] / n2, cand2[1] / n2
-    # eigvec for e_hi is (c, s); for e_lo it's (-s, c)
-    gt1 = c * g1 + s * g2
-    gt2 = -s * g1 + c * g2
-    gnorm = math.hypot(gt1, gt2)
-    if gnorm <= 1e-14 * max(1.0, abs(e_hi)):
-        # linear term below rounding: quadratic-only maximizer
-        xt1, xt2 = 1.0, 0.0
-    elif abs(gt1) < 1e-14 * gnorm and abs(gt2) / max(e_hi - e_lo, 1e-300) <= 1.0:
-        # hard case: free component along the top eigenvector
-        xt2 = gt2 / max(e_hi - e_lo, 1e-300)
-        xt1 = math.sqrt(max(0.0, 1.0 - xt2 * xt2))
-    else:
-        lo = e_hi + 0.5 * abs(gt1) if abs(gt1) > 0 else e_hi + 1e-18 * max(1.0, abs(e_hi))
-        hi = e_hi + gnorm
-        lam = hi
-        for _ in range(60):
-            d1 = lam - e_hi
-            d2 = lam - e_lo
-            phi = (gt1 / d1) ** 2 + (gt2 / d2) ** 2
-            resid = phi - 1.0
-            if abs(resid) < 1e-14:
-                break
-            if resid > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            dphi = -2.0 * (gt1 * gt1 / d1 ** 3 + gt2 * gt2 / d2 ** 3)
-            step = lam - resid / dphi if dphi != 0.0 else 0.5 * (lo + hi)
-            lam = step if lo < step < hi else 0.5 * (lo + hi)
-        xt1 = gt1 / (lam - e_hi)
-        xt2 = gt2 / (lam - e_lo)
-        nrm = math.hypot(xt1, xt2)
-        if nrm > 0:
-            xt1, xt2 = xt1 / nrm, xt2 / nrm
-    x1 = c * xt1 - s * xt2
-    x2 = s * xt1 + c * xt2
-    val = (s11 * x1 * x1 + 2.0 * s12 * x1 * x2 + s22 * x2 * x2
-           + 2.0 * (g1 * x1 + g2 * x2) + m2)
-    # the antipode competes when the linear term is small
-    val_neg = (s11 * x1 * x1 + 2.0 * s12 * x1 * x2 + s22 * x2 * x2
-               - 2.0 * (g1 * x1 + g2 * x2) + m2)
-    if val_neg > val:
-        x1, x2, val = -x1, -x2, val_neg
-    point = x1 * a + x2 * b + m
-    return math.sqrt(max(val, 0.0)), point
-
-
 def _ball_disc_tau(base: EuclideanBall, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest tau with max_theta |cos(th) a + sin(th) b + tau m| = tau r.
+    """Smallest tau with x + {cos(th) a + sin(th) b}/tau inside the ball.
 
-    Solved by Newton on tau; the derivative of the max is <d*, m> for the
-    farthest direction d* (envelope theorem), and |m| < r makes the fixed
-    point unique.  The result is padded and verified so the affine disc it
-    certifies genuinely stays in the tube.
+    One scalar equation plus an S-lemma certificate.  Let m = x - c,
+    room = r^2 - |m|^2, S = [a b]^T [a b] with eigenvalues top >= top - gap
+    and g = [a b]^T m in S's eigenbasis (gap_1 = 0, gap_2 = gap).  The
+    S-lemma, lossless for one quadratic constraint, says the disc fits iff
+    the Schur complement room - lam/tau^2 - sum_i g_i^2/(d + gap_i) is >= 0
+    for some multiplier lam = top + d, d >= 0.  Each d thus certifies
+    tau(d)^2 = lam / (room - sum_i g_i^2/(d + gap_i)); the smallest is at
+    the root d* of the decreasing
+        F(d) = sum_i g_i^2 (top + gap_i + 2 d) / (d + gap_i)^2 = room,
+    or at d* = 0 when g_1 = 0 and F(0) <= room (the hard case).  tau(d) is
+    stationary at d*, so an error in d* enters tau only to second order.
+    The padded tau is checked against the certificate before it is returned.
     """
     m = x - np.asarray(base.center)
-    r = base.radius
-    if len(base.center) == 1:
-        e = math.hypot(a[0], b[0])
-        return max(e / (r - m[0]), e / (r + m[0]))
-    e0, _ = _ellipse_farthest(a, b, 0.0 * m)
-    if e0 == 0.0:
+    dist, r = float(np.linalg.norm(m)), base.radius
+    room = (r - dist) * (r + dist)
+    if not room > 0.0:
+        raise TubeMetricError("affine disc anchored outside the ball")
+    s11, s12, s22 = float(np.dot(a, a)), float(np.dot(a, b)), float(np.dot(b, b))
+    gap = math.hypot(s11 - s22, 2.0 * s12)
+    top = 0.5 * (s11 + s22 + gap)
+    if top == 0.0:
         return 0.0
-    tau = e0 / r
-    for _ in range(100):
-        big_m, point = _ellipse_farthest(a, b, tau * m)
-        if big_m <= tau * r * (1.0 + 5e-14):
-            break
-        norm_pt = float(np.linalg.norm(point))
-        slope = float(np.dot(point, m)) / norm_pt if norm_pt > 0 else 0.0
-        denom = r - slope
-        tau_new = (big_m - tau * slope) / denom if denom > 1e-15 else big_m / r
-        tau = max(tau_new, tau * (1.0 + 1e-16))
-    tau *= 1.0 + 1e-10
-    for _ in range(60):
-        big_m, _ = _ellipse_farthest(a, b, tau * m)
-        if big_m <= tau * r:
-            break
-        tau = big_m / r * (1.0 + 1e-12)
+    ga, gb = float(np.dot(a, m)), float(np.dot(b, m))
+    # rotate g into S's eigenbasis; for S = top * I any basis is one, so align it with g
+    th = 0.5 * math.atan2(2.0 * s12, s11 - s22) if gap > 0.0 else math.atan2(gb, ga)
+    g1, g2 = math.cos(th) * ga + math.sin(th) * gb, math.cos(th) * gb - math.sin(th) * ga
+    terms = [(gg, gp) for gg, gp in ((g1 * g1, 0.0), (g2 * g2, gap)) if gg > 0.0]
+    d = 0.0
+    if g1 != 0.0 or sum(gg * (top + gp) / (gp * gp) for gg, gp in terms) > room:
+        # F's bracket: its first term alone, and all of g on the first pole
+        d = lo = _pole_root(g1 * g1, top, room)
+        hi = _pole_root(g1 * g1 + g2 * g2, top + gap, room)
+        for _ in range(100):
+            f = sum(gg * (top + gp + 2.0 * d) / (d + gp) ** 2 for gg, gp in terms)
+            df = -2.0 * (top + d) * sum(gg / (d + gp) ** 3 for gg, gp in terms)
+            lo, hi = (d, hi) if f > room else (lo, d)
+            # Newton on F^(-1/2), nearly linear in d; bisect if it leaves the bracket
+            step = 2.0 * f * (1.0 - math.sqrt(f / room)) / df
+            if abs(step) <= 1e-13 * d:
+                break
+            d = d + step if lo < d + step < hi else 0.5 * (lo + hi)
+    lam, sigma = top + d, sum(gg / (d + gp) for gg, gp in terms)
+    tau = math.sqrt(lam / (room - sigma)) * (1.0 + 1e-10) if room > sigma else math.nan
+    # the certificate: Schur complement of the S-lemma matrix at multiplier lam/tau^2
+    if not room - lam / (tau * tau) - sigma >= 0.0:
+        raise TubeMetricError("affine disc failed its S-lemma certificate")
     return tau
+
+
+def _pole_root(gg: float, k: float, room: float) -> float:
+    """The d > 0 with gg (k + 2 d) / d^2 = room (0 when gg = 0)."""
+    return (gg + math.sqrt(gg * gg + room * gg * k)) / room
 
 
 def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray,

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import settings
 from referencing import Registry, Resource
+
+# the same examples on every run, and no example database written into the checkout
+settings.register_profile("kobalab", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("kobalab")
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas" / "v1"
 

@@ -285,3 +285,45 @@ def test_polytope_center_is_solved_once(monkeypatch):
     assert poly.reference() == pytest.approx([0.2, 0.4])
     ReinhardtLog(poly).project(np.exp(np.array([0.5, 0.6])).astype(complex))
     assert len(calls) <= 1
+
+
+def test_polytope_support_from_vertices(monkeypatch):
+    import scipy.optimize
+
+    # a hexagon no other test uses, so neither its center nor its vertices are cached yet
+    angles = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False) + 0.3
+    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    offsets = np.array([1.0, 1.2, 0.9, 1.1, 1.3, 0.8])
+    poly = Polytope(tuple(map(tuple, normals)), tuple(offsets))
+    dirs = np.random.default_rng(3).normal(size=(20, 2))
+    # the reference: one LP per direction
+    want = [-scipy.optimize.linprog(-d, A_ub=normals, b_ub=offsets, bounds=[(None, None)] * 2,
+                                    method="highs").fun for d in dirs]
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    for _ in range(3):
+        assert poly.support(dirs) == pytest.approx(want, abs=1e-12)
+    assert [base_support(poly, d) for d in dirs] == [float(h) for h in poly.support(dirs)]
+    assert len(calls) <= 1
+    interval = Polytope(((2.0,), (-1.0,)), (1.0, 0.5))
+    assert interval.support(np.array([[1.0], [-3.0]])) == pytest.approx([0.5, 1.5])
+
+
+@pytest.mark.parametrize("normals,offsets", [
+    (((1.0, 0.0), (-1.0, 0.0)), (1.0, 1.0)),                           # a strip
+    (((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), (1.0, 1.0, 1.0)),          # a half-strip
+    (((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), (1.0, 1.0, 1.5)),           # a cut quadrant
+    (((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
+     (1.0, 1.0, 1.0, 1.0, 1.0)),                                       # a half-prism
+    (((1.0,),), (1.0,)),                                               # a 1-d half-line
+    (((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), (1.0, -2.0, 1.0, 1.0)),  # empty
+])
+def test_unbounded_or_empty_polytope_support_rejected(normals, offsets):
+    with pytest.raises(DomainError):
+        Polytope(normals, offsets).support(np.eye(len(normals[0])))

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_distance_bounds
 from kobalab import closed_forms as cf
@@ -91,6 +94,98 @@ def test_affine_disc_tau_admissible_on_ball():
         for th in np.linspace(0, 2 * math.pi, 40):
             pt = x + (math.cos(th) * w.real + math.sin(th) * w.imag) / tau
             assert np.linalg.norm(pt) <= 1.0 + 1e-8
+
+
+def _ball_case(seed: int, n: int, kind: str, depth: float):
+    """(ball, anchor, a, b): a seeded ball in R^n, an anchor `depth`*r inside
+    its sphere, and an ellipse of the named kind."""
+    gen = np.random.default_rng(seed)
+    ball = EuclideanBall(tuple(gen.normal(size=n)), float(gen.uniform(0.5, 2.0)))
+    frame = np.linalg.qr(gen.normal(size=(n, n)))[0]
+    a, b, out = gen.normal(size=n), gen.normal(size=n), frame[:, -1]
+    if kind == "b=0":
+        b = 0.0 * b
+    elif kind == "b||a":
+        b = gen.normal() * a
+    elif kind == "a=b=0":
+        a, b = 0.0 * a, 0.0 * b
+    elif kind == "hard" and n >= 2:
+        # m along the lower eigenvector of S = diag(4, 1): g has no top component
+        a, b, out = 2.0 * frame[:, 0], frame[:, 1], frame[:, 1]
+    elif kind == "normal" and n >= 3:
+        # m orthogonal to the ellipse plane: g = 0
+        a, b, out = frame[:, 0], gen.normal() * frame[:, 0] + frame[:, 1], frame[:, 2]
+    depth = 1.0 if kind == "centre" else depth
+    return ball, np.asarray(ball.center) + (1.0 - depth) * ball.radius * out, a, b
+
+
+def _brute_ball_tau(ball, x, a, b) -> float:
+    """Bisection on tau: the farthest ellipse point over 20,001 sampled
+    angles, refined on a grid 100 times finer about the sampled local maxima."""
+    m = x - np.asarray(ball.center)
+    coarse = np.linspace(0.0, 2.0 * math.pi, 20001)
+
+    def farthest(tau):
+        def norms(th):
+            return np.linalg.norm(m + (np.outer(np.cos(th), a) + np.outer(np.sin(th), b)) / tau,
+                                  axis=-1)
+        v = norms(coarse)
+        peaks = np.nonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1)))[0]
+        peaks = peaks[np.argsort(v[peaks])[-4:]]
+        fine = (coarse[peaks, None] + (coarse[1] / 100.0) * np.arange(-100, 101)).ravel()
+        return max(v.max(), norms(fine).max())
+
+    lo, hi = 0.0, 1.0
+    while farthest(hi) > ball.radius:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if farthest(mid) <= ball.radius else (mid, hi)
+    return hi
+
+
+_ELLIPSES = ["generic", "b=0", "b||a", "a=b=0", "centre", "hard", "normal"]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), kind=st.sampled_from(_ELLIPSES),
+       depth=st.floats(1e-3, 1.0))
+def test_ball_tau_matches_brute_force(seed, n, kind, depth):
+    # anchors at least 1e-3 r inside: the scalar equation's tau is the
+    # smallest admissible one, up to the 1e-10 pad
+    ball, x, a, b = _ball_case(seed, n, kind, depth)
+    tau = affine_disc_tau(ball, x, a + 1j * b)
+    if kind == "a=b=0":
+        assert tau == 0.0
+    else:
+        assert tau == pytest.approx(_brute_ball_tau(ball, x, a, b), rel=1e-8)
+
+
+@pytest.mark.parametrize("exponent", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("n,kind", [(2, "generic"), (3, "generic"), (4, "b||a"), (2, "hard")])
+def test_ball_tau_disc_stays_inside_near_the_sphere(exponent, n, kind):
+    # the float disc, evaluated exactly (40 digits) about its farthest
+    # point, overshoots the sphere by no more than rounding
+    ball, x, a, b = _ball_case(100 * exponent + n, n, kind, 10.0 ** -exponent)
+    tau = affine_disc_tau(ball, x, a + 1j * b)
+    th = np.linspace(0.0, 2.0 * math.pi, 20001)
+    pts = x + (np.outer(np.cos(th), a) + np.outer(np.sin(th), b)) / tau
+    start = th[np.argmax(np.linalg.norm(pts - np.asarray(ball.center), axis=1))]
+    with mpmath.workdps(40):
+        m = [mpmath.mpf(float(xi)) - mpmath.mpf(float(ci)) for xi, ci in zip(x, ball.center)]
+        ma, mb = [mpmath.mpf(float(t)) for t in a], [mpmath.mpf(float(t)) for t in b]
+        inv = 1 / mpmath.mpf(tau)
+
+        def point(t):
+            return [mi + (mpmath.cos(t) * ai + mpmath.sin(t) * bi) * inv
+                    for mi, ai, bi in zip(m, ma, mb)]
+
+        def slope(t):
+            tangent = [(mpmath.cos(t) * bi - mpmath.sin(t) * ai) * inv for ai, bi in zip(ma, mb)]
+            return mpmath.fsum(p * q for p, q in zip(point(t), tangent))
+
+        top = mpmath.findroot(slope, mpmath.mpf(float(start)))
+        farthest = max(mpmath.norm(point(t)) for t in (top, mpmath.mpf(float(start))))
+        assert farthest - mpmath.mpf(ball.radius) <= 1e-15 * ball.radius
 
 
 def test_linear_image_base_bounds():
