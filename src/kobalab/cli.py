@@ -64,35 +64,45 @@ def _emit(text: str, out_path: str | None):
 
 
 def _point_csv(z) -> str:
-    return ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in np.atleast_1d(z))
+    return ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in np.atleast_1d(z).tolist())
 
 
 _CSV_HEADER = "domain,z,w,value,method,gap,deck_index"
 
 
-def _csv_row(domain: dict, z, w, val) -> str:
+def _descriptor_text(domain: dict) -> str:
+    """The descriptor as the CSV domain column writes it, and as --batch
+    keys its decoded domains."""
+    return json.dumps(domain, sort_keys=True)
+
+
+def _csv_row(domain_text: str, z, w, val) -> str:
     deck = "" if val.deck_index is None else ";".join(str(k) for k in val.deck_index)
-    return ",".join([json.dumps(domain, sort_keys=True).replace(",", ";"),
-                     _point_csv(z), _point_csv(w),
+    return ",".join([domain_text.replace(",", ";"), _point_csv(z), _point_csv(w),
                      _fmt(val.value), val.method, _fmt(val.gap), deck])
 
 
 def _dist_batch(rows, gap_tol) -> list[str]:
-    """CSV lines of a --batch run, in input order: one `distances` call
-    (which checks each point once) runs per distinct domain.  If anything
-    raises, the first bad row in input order decides the error raised."""
+    """CSV lines of a --batch run, in input order.  Each distinct descriptor
+    text is decoded once, and one `distances` call (which checks its points
+    with one row-wise call) runs per distinct domain.  If anything raises,
+    the first bad row in input order decides the error raised."""
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
     try:
-        decoded = [(row["domain"], domain_from_dict(row["domain"]), parse_point(row["z"]),
-                    parse_point(row["w"])) for row in rows]
+        texts = [_descriptor_text(row["domain"]) for row in rows]
+        domains: dict = {}
+        for text, row in zip(texts, rows):
+            if text not in domains:
+                domains[text] = domain_from_dict(row["domain"])
+        points = [(parse_point(row["z"]), parse_point(row["w"])) for row in rows]
         groups: dict = {}
-        for k, (_, dom, _, _) in enumerate(decoded):
-            groups.setdefault(dom, []).append(k)
+        for k, text in enumerate(texts):
+            groups.setdefault(domains[text], []).append(k)
         vals = [None] * len(rows)
         for dom, ks in groups.items():
-            points = [p for k in ks for p in decoded[k][2:]]
-            found = distances(dom, points, [(2 * i, 2 * i + 1) for i in range(len(ks))])
+            found = distances(dom, [p for k in ks for p in points[k]],
+                              np.arange(2 * len(ks)).reshape(-1, 2))
             for k, val in zip(ks, found):
                 vals[k] = val
     except (ValueError, KeyError, RuntimeError):
@@ -102,7 +112,7 @@ def _dist_batch(rows, gap_tol) -> list[str]:
             require_interior(dom, parse_point(row["w"]))
         raise
     _within_gap(vals, gap_tol)
-    return [_csv_row(data, z, w, val) for (data, _, z, w), val in zip(decoded, vals)]
+    return [_csv_row(text, z, w, val) for text, (z, w), val in zip(texts, points, vals)]
 
 
 def cmd_dist(args) -> int:
@@ -120,7 +130,7 @@ def cmd_dist(args) -> int:
     w = parse_point(args.w)
     val = distance(dom, z, w, gap_tol=args.gap_tol)
     if args.format == "csv":
-        _emit(f"{_CSV_HEADER}\n{_csv_row(data, z, w, val)}\n", args.out)
+        _emit(f"{_CSV_HEADER}\n{_csv_row(_descriptor_text(data), z, w, val)}\n", args.out)
     elif args.format == "json":
         payload = {"value": val.value, "method": val.method, "gap": val.gap,
                    "deck_index": list(val.deck_index) if val.deck_index else None,

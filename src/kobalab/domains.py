@@ -42,7 +42,7 @@ from typing import get_args
 import numpy as np
 
 from ._sampling import ball_points, halton
-from .mobius import ball_scaling_map
+from .mobius import POLE_TOL, ball_scaling_map
 
 BOUNDARY_TOL = 1e-12
 
@@ -86,18 +86,6 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def distinct_rows(*arrays: np.ndarray):
-    """Each distinct row of the arrays once, in order: pairs of a batch
-    share their points, which are checked once each."""
-    seen = set()
-    for rows in arrays:
-        for row in rows:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                yield row
-
-
 # ---------------------------------------------------------------------------
 # the codec shared by base and model-domain kinds
 # ---------------------------------------------------------------------------
@@ -128,16 +116,18 @@ class _Codec:
 class _Base(_Codec):
     """What a convex-base kind defines, with the shared defaults.
 
-    `kind`, `dim`, `contains(x)`, `support(dirs)` (the support function
-    h(d) = sup over the base of <d, x>, one value per row of an (m, n)
-    array), `reference()` (an interior point), `facet_normals()` (outward
-    normals when finitely many, else []), `margin(x)` (a slack no larger
-    than the boundary distance), `chord(p, d)` (the interval of s with
-    p + s d inside, p interior, as arrays of its ends over (m, n) rows p
-    and d), `to_polytope(facets_per_pair)` (the facet
-    export) and `linear_image(a)` (the exact image A(base), A invertible).
+    `kind`, `dim`, `contains(xs)` (the membership verdict of each row of
+    an (N, n) array), `support(dirs)` (the support function h(d) = sup
+    over the base of <d, x>, one value per row of an (m, n) array),
+    `reference()` (an interior point), `facet_normals()` (outward normals
+    when finitely many, else []), `margin(x)` (a slack no larger than the
+    boundary distance), `chord(p, d)` (the interval of s with p + s d
+    inside, p interior, as arrays of its ends over (m, n) rows p and d),
+    `to_polytope(facets_per_pair)` (the facet export) and
+    `linear_image(a)` (the exact image A(base), A invertible).
     `__post_init__` validates the fields; points reach the methods as
-    float arrays of the right size.
+    float arrays of the right size.  Row-wise methods sum column by column
+    (`rowdot`), so a row's value never depends on the rest of its batch.
     """
 
     def facet_normals(self) -> list[np.ndarray]:
@@ -179,8 +169,9 @@ class EuclideanBall(_Base):
     def dim(self) -> int:
         return len(self.center)
 
-    def contains(self, x):
-        return float(np.linalg.norm(x - np.asarray(self.center))) < self.radius
+    def contains(self, xs):
+        q = xs - np.asarray(self.center)
+        return np.sqrt(rowdot(q, q)) < self.radius
 
     def support(self, dirs):
         return rowdot(dirs, np.asarray(self.center)) + self.radius * np.sqrt(rowdot(dirs, dirs))
@@ -223,8 +214,8 @@ class Box(_Base):
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, x):
-        return bool(np.all(x > np.asarray(self.lo)) and np.all(x < np.asarray(self.hi)))
+    def contains(self, xs):
+        return np.all(xs > np.asarray(self.lo), axis=-1) & np.all(xs < np.asarray(self.hi), axis=-1)
 
     def support(self, dirs):
         lo = np.asarray(self.lo)
@@ -280,9 +271,9 @@ class Polytope(_Base):
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.normals, dtype=float), np.asarray(self.offsets, dtype=float)
 
-    def contains(self, x):
+    def contains(self, xs):
         a, b = self._rows()
-        return bool(np.all(a @ x < b))
+        return np.all(rowdot(xs[:, None, :], a) < b, axis=-1)
 
     def support(self, dirs):
         return np.max(rowdot(dirs[:, None, :], _vertices(self)), axis=-1)
@@ -324,6 +315,9 @@ def _chebyshev_center(poly: Polytope) -> np.ndarray:
     cost[-1] = -1.0
     res = linprog(cost, A_ub=cols, b_ub=b, bounds=[(None, None)] * n + [(0, None)],
                   method="highs")
+    if res.status == 3:
+        # the inscribed radius grows without bound
+        raise DomainError("polytope is unbounded")
     if not res.success or res.x[-1] <= 0:
         raise DomainError("polytope has empty interior")
     center = res.x[:n]
@@ -388,8 +382,8 @@ class LinearImage(_Base):
     def dim(self) -> int:
         return len(self.matrix)
 
-    def contains(self, x):
-        return self.base.contains(self.inverse @ x)
+    def contains(self, xs):
+        return self.base.contains(rowdot(xs[:, None, :], self.inverse))
 
     def support(self, dirs):
         # (dirs A)_kj = <dirs_k, column j of A>, one row at a time
@@ -428,10 +422,12 @@ def base_dim(base: ConvexBase) -> int:
 
 
 def base_membership(base: ConvexBase, x) -> bool:
+    """True iff x is an interior point of the base (the one-row case of the
+    kind's `contains`)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (base_dim(base),):
         raise DomainError("base point has wrong dimension")
-    return base.contains(x)
+    return bool(base.contains(x[None])[0])
 
 
 def base_support(base: ConvexBase, d) -> float:
@@ -480,13 +476,16 @@ def to_polytope(base: ConvexBase, facets_per_pair: int = 64) -> Polytope:
 class _Kind(_Codec):
     """What a model-domain kind defines, with the shared defaults.
 
-    `kind` (the descriptor name), `dim`, `contains(z)` (the membership
-    formula), `reference()` (a canonical interior point) and `margin(z)`, a
-    signed gauge of the boundary distance: positive inside, 0 on the
-    boundary.  Unbounded kinds cap `escape_margin`.  Where a kind has them:
+    `kind` (the descriptor name), `dim`, `contains(zs)` (the membership
+    formula, one verdict per row of an (N, n) array, summed column by
+    column so that a row's verdict never depends on its batch),
+    `reference()` (a canonical interior point) and `margin(z)`, a signed
+    gauge of the boundary distance: positive inside, 0 on the boundary.
+    Unbounded kinds cap `escape_margin`.  Where a kind has them:
     `grid(count, skip, imag_window)`, quasi-random interior points, and
     `project(z)`, the boundary point an escaping z approaches.  The codec
-    maps the dataclass fields.  Points reach these methods validated.
+    maps the dataclass fields.  Points reach these methods validated and
+    finite.
     """
 
     def reference(self) -> np.ndarray:
@@ -511,8 +510,8 @@ class UnitDisc(_Kind):
     kind = "unit-disc"
     dim = 1
 
-    def contains(self, z):
-        return abs(z[0]) < 1.0
+    def contains(self, zs):
+        return np.abs(zs[:, 0]) < 1.0
 
     def margin(self, z):
         return 1.0 - abs(z[0])
@@ -529,8 +528,9 @@ class PuncturedDisc(_Kind):
     kind = "punctured-disc"
     dim = 1
 
-    def contains(self, z):
-        return 0.0 < abs(z[0]) < 1.0
+    def contains(self, zs):
+        r = np.abs(zs[:, 0])
+        return (0.0 < r) & (r < 1.0)
 
     def reference(self):
         return np.array([0.5 + 0.0j])
@@ -558,8 +558,9 @@ class Annulus(_Kind):
         if self.R <= 1.0:
             raise DomainError("annulus needs R > 1")
 
-    def contains(self, z):
-        return 1.0 / self.R < abs(z[0]) < self.R
+    def contains(self, zs):
+        r = np.abs(zs[:, 0])
+        return (1.0 / self.R < r) & (r < self.R)
 
     def reference(self):
         return np.array([1.0 + 0.0j])
@@ -597,8 +598,8 @@ class Strip(_Kind):
     def halfwidth(self) -> float:
         return math.log(self.R)
 
-    def contains(self, z):
-        return abs(z[0].real) < self.halfwidth
+    def contains(self, zs):
+        return np.abs(zs[:, 0].real) < self.halfwidth
 
     def margin(self, z):
         return self.halfwidth - abs(z[0].real)
@@ -621,8 +622,8 @@ class LeftHalfPlane(_Kind):
     kind = "left-half-plane"
     dim = 1
 
-    def contains(self, z):
-        return z[0].real < 0.0
+    def contains(self, zs):
+        return zs[:, 0].real < 0.0
 
     def reference(self):
         return np.array([-1.0 + 0.0j])
@@ -643,8 +644,9 @@ class UnitBall(_Kind):
         if self.dim < 1:
             raise DomainError("ball dimension must be >= 1")
 
-    def contains(self, z):
-        return float(np.sum(np.abs(z) ** 2)) < 1.0
+    def contains(self, zs):
+        r = np.abs(zs)
+        return rowdot(r, r) < 1.0
 
     def margin(self, z):
         return 1.0 - float(np.linalg.norm(z))
@@ -665,8 +667,8 @@ class Polydisc(_Kind):
         if self.dim < 1:
             raise DomainError("polydisc dimension must be >= 1")
 
-    def contains(self, z):
-        return bool(np.all(np.abs(z) < 1.0))
+    def contains(self, zs):
+        return np.all(np.abs(zs) < 1.0, axis=-1)
 
     def margin(self, z):
         return float(np.min(1.0 - np.abs(z)))
@@ -681,8 +683,8 @@ class TubeOverBase(_Kind):
     def dim(self) -> int:
         return self.base.dim
 
-    def contains(self, z):
-        return self.base.contains(z.real)
+    def contains(self, zs):
+        return self.base.contains(zs.real)
 
     def reference(self):
         return self.base.reference().astype(complex)
@@ -703,10 +705,11 @@ class ReinhardtLog(_Kind):
     def dim(self) -> int:
         return self.base.dim
 
-    def contains(self, z):
-        if np.any(np.abs(z) == 0.0):
-            return False
-        return self.base.contains(np.log(np.abs(z)))
+    def contains(self, zs):
+        mags = np.abs(zs)
+        nonzero = np.all(mags != 0.0, axis=-1)
+        # a row with a zero coordinate is outside (its logs are taken of 1)
+        return nonzero & self.base.contains(np.log(np.where(nonzero[:, None], mags, 1.0)))
 
     def reference(self):
         return np.exp(self.base.reference()).astype(complex)
@@ -761,15 +764,18 @@ class ScaledEllipsoid(_Kind):
         if not 0.0 <= self.t < 1.0:
             raise DomainError("scaling parameter t must lie in [0, 1)")
 
-    def _rho(self, z) -> float:
-        return ellipsoid_defining_function(self.eps, ball_scaling_map(self.t, z))
+    def _rho(self, zs) -> np.ndarray:
+        return _ellipsoid_rho(self.eps, ball_scaling_map(self.t, zs))
 
-    def contains(self, z):
-        return self._rho(z) < 0.0
+    def contains(self, zs):
+        # a row at the pole of A_t lies outside the ball, so outside Omega_t;
+        # it is mapped as 0 instead, so that it cannot raise for its batch
+        pole = np.abs(1.0 + self.t * zs[:, 0]) < POLE_TOL
+        return ~pole & (self._rho(np.where(pole[:, None], 0.0, zs)) < 0.0)
 
     def margin(self, z):
         # defining-function residual; gradient has modulus ~2 near the sphere
-        return -self._rho(z) / 2.0
+        return -float(self._rho(z[None])[0]) / 2.0
 
     def escape_margin(self, z):
         return max(0.0, self.margin(z))
@@ -808,11 +814,17 @@ def ellipsoid_defining_function(eps: float, z) -> float:
     """
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
-    z = as_point(z)
-    e1 = np.zeros(z.size, dtype=complex)
-    e1[0] = 1.0
-    d2 = float(np.sum(np.abs(z - e1) ** 2))
-    return -1.0 + float(np.sum(np.abs(z) ** 2)) + eps * d2 * d2
+    return float(_ellipsoid_rho(eps, as_point(z)[None])[0])
+
+
+def _ellipsoid_rho(eps: float, zs: np.ndarray) -> np.ndarray:
+    """rho of each row of an (N, n) array."""
+    shifted = zs.copy()
+    shifted[:, 0] -= 1.0
+    d = np.abs(shifted)
+    r = np.abs(zs)
+    d2 = rowdot(d, d)
+    return -1.0 + rowdot(r, r) + eps * d2 * d2
 
 
 def _domain_point(domain: ModelDomain, z) -> np.ndarray:
@@ -824,15 +836,38 @@ def _domain_point(domain: ModelDomain, z) -> np.ndarray:
 
 
 def membership(domain: ModelDomain, z) -> bool:
-    """True iff z is an interior point of the domain."""
-    return domain.contains(_domain_point(domain, z))
+    """True iff z is an interior point of the domain (the one-row case of
+    the kind's `contains`)."""
+    return bool(domain.contains(_domain_point(domain, z)[None])[0])
 
 
 def require_interior(domain: ModelDomain, z) -> np.ndarray:
-    z = _domain_point(domain, z)
-    if not domain.contains(z):
-        raise NonInteriorError(f"point {z} is not interior to {domain!r}")
-    return z
+    """z as a checked interior point of the domain.
+
+    z is one point (a scalar or 1-d sequence, returned as a 1-d complex
+    array) or a batch of points as the rows of an (N, n) array (returned
+    as an (N, n) complex array), checked with one `contains` call.  A bad
+    batch raises the error its first bad row would raise on its own:
+    DomainError for a malformed, non-finite or wrong-dimension point,
+    NonInteriorError for one outside the domain.
+    """
+    arr = np.asarray(z, dtype=complex)
+    if arr.ndim > 2:
+        raise DomainError("a point must be a scalar or a 1-d sequence")
+    single = arr.ndim < 2
+    rows = arr.reshape(1, -1) if single else arr
+    fits = rows.shape[1] == dim(domain)
+    if fits and np.isfinite(rows).all():
+        inside = domain.contains(rows)
+    else:
+        inside = np.isfinite(rows).all(axis=1) & fits
+        if fits:
+            inside[inside] = domain.contains(rows[inside])
+    if not inside.all():
+        # a malformed, non-finite or wrong-dimension row raises here
+        point = _domain_point(domain, rows[int(inside.argmin())])
+        raise NonInteriorError(f"point {point} is not interior to {domain!r}")
+    return rows[0] if single else rows
 
 
 def reference_point(domain: ModelDomain) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import closed_forms as cf
 from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
-                      UnitBall, UnitDisc, as_pairs, base_support, dim, distinct_rows,
+                      UnitBall, UnitDisc, as_pairs, as_point, base_support, dim,
                       require_interior)
 from .quadrature import adaptive_simpson
 from .tube import (chord_terms, closed_bounds, disc_upper, tube_distance_bounds,
@@ -161,8 +161,7 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
     of the first failing pair is raised.
     """
     single, us, vs = as_pairs(u, v)
-    for row in distinct_rows(us, vs):
-        require_interior(cover, row)
+    require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
     pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
     terms = pair_terms(us, vs)
@@ -256,42 +255,82 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
     return out[0] if single else out
 
 
-def _canonical_pairs(points: list[np.ndarray], pairs) -> list[tuple[int, int]]:
-    # exact symmetry by construction: evaluate every pair in a fixed order
-    # (vectorized complex arithmetic is not bitwise conjugation-symmetric)
-    keys = [tuple(zip(p.real.tolist(), p.imag.tolist())) for p in points]
-    return [(j, i) if keys[j] < keys[i] else (i, j) for i, j in pairs]
+def _point_rows(domain: ModelDomain, points) -> np.ndarray:
+    """The points as the rows of a C-contiguous (N, n) complex array,
+    checked with one `require_interior` call; points of differing shapes
+    are checked one by one, so the first bad one raises its own error."""
+    try:
+        rows = np.ascontiguousarray(points, dtype=complex)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is not None and rows.ndim == 1:
+        rows = rows[:, None]        # N scalar points
+    if rows is None or rows.ndim != 2:
+        return np.array([require_interior(domain, as_point(p)) for p in points])
+    return require_interior(domain, rows)
+
+
+def _index_pairs(pairs, count: int) -> np.ndarray:
+    """The pairs as an (m, 2) integer array of indices into `count` points."""
+    try:
+        idx = np.asarray(pairs)
+    except ValueError:
+        idx = None
+    if idx is not None and idx.shape == (0,):
+        idx = np.zeros((0, 2), dtype=int)   # an empty list
+    if idx is None or idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
+        raise ValueError("pairs must be a list of (i, j) index pairs or an (m, 2) integer array")
+    if idx.size and (idx.min() < 0 or idx.max() >= count):
+        raise ValueError(f"pair indices must lie in [0, {count}) for {count} points")
+    return idx
+
+
+def _canonical_order(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Each pair (i, j) as (j, i) when point j precedes point i in the
+    lexicographic order of (Re z_1, Im z_1, Re z_2, ...), with -0.0 equal to
+    0.0: evaluating every pair in a fixed order makes the distance exactly
+    symmetric (vectorized complex arithmetic is not bitwise
+    conjugation-symmetric).  rows must be C-contiguous."""
+    flat = rows.view(float)     # Re, Im of each coordinate in turn
+    if len(pairs) == 1:
+        # one pair (`distance`): Python's list order is the same order, at a
+        # fraction of the fixed cost of the array calls below
+        (i, j), = pairs.tolist()
+        return pairs[:, ::-1] if flat[j].tolist() < flat[i].tolist() else pairs
+    ends = flat[pairs.T]
+    first = (ends[0] != ends[1]).argmax(axis=1)     # 0 where the points are equal
+    a, b = ends[:, np.arange(len(pairs)), first]
+    return np.where((b < a)[:, None], pairs[:, ::-1], pairs)
 
 
 def _principal_log(z: np.ndarray) -> np.ndarray:
     return np.log(np.abs(z)) + 1j * np.angle(z)
 
 
-def _ends(rows: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second point of every pair, as two (m, n) arrays."""
-    first, second = np.array(pairs).T
-    return rows[first], rows[second]
+def _ends(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The first and the second point of every pair, stacked as (2, m, n)."""
+    return rows[pairs.T]
 
 
 def _deck(cover_of: Callable) -> Callable:
     """Engine distances for a kind measured on an exp cover: each point's
     principal log is taken once, and one deck search runs over all pairs."""
-    def run(domain, points, pairs, lattice_bound):
-        found = deck_infimum(cover_of(domain), *_ends(_principal_log(np.array(points)), pairs),
+    def run(domain, rows, pairs, lattice_bound):
+        found = deck_infimum(cover_of(domain), *_ends(_principal_log(rows), pairs),
                              lattice_bound)
         return [val for val, _ in found]
     return run
 
 
-def _tube(domain: TubeOverBase, points, pairs, lattice_bound) -> list[DistanceValue]:
-    lower, upper = tube_distance_bounds(domain.base, *_ends(np.array(points), pairs))
+def _tube(domain: TubeOverBase, rows, pairs, lattice_bound) -> list[DistanceValue]:
+    lower, upper = tube_distance_bounds(domain.base, *_ends(rows, pairs))
     return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
 
 
 def _closed_form(kernel: Callable) -> Callable:
     """Engine distances of a closed-form kind: one kernel(domain, us, vs) call."""
-    def run(domain, points, pairs, lattice_bound):
-        return [_closed(x) for x in kernel(domain, *_ends(np.array(points), pairs)).tolist()]
+    def run(domain, rows, pairs, lattice_bound):
+        return [_closed(x) for x in kernel(domain, *_ends(rows, pairs)).tolist()]
     return run
 
 
@@ -320,8 +359,8 @@ def _inscribed_radius(domain: ScaledEllipsoid, points: np.ndarray) -> float:
     return r_in
 
 
-def _ellipsoid(domain: ScaledEllipsoid, points, pairs, lattice_bound) -> list[DistanceValue]:
-    us, vs = _ends(np.array(points), pairs)
+def _ellipsoid(domain: ScaledEllipsoid, rows, pairs, lattice_bound) -> list[DistanceValue]:
+    us, vs = _ends(rows, pairs)
     lower = cf.ball_distance(us, vs)          # Omega_t inside the unit ball
     if domain.eps == 0.0:
         return [_closed(x) for x in lower.tolist()]
@@ -339,7 +378,8 @@ def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
 
 
 class _Engine(NamedTuple):
-    distances: Callable   # (domain, points, canonical pairs, lattice_bound) -> [DistanceValue]
+    distances: Callable   # (domain, (N, n) rows, canonical (m, 2) pairs, lattice_bound)
+                          # -> [DistanceValue]
     density: Callable     # (domain, z, v) -> float
 
 
@@ -391,19 +431,28 @@ def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
               lattice_bound: int | None = None) -> list[DistanceValue]:
     """Kobayashi distances between the listed index pairs of a point set.
 
-    Each point is checked once; each pair (i, j) gives the distance between
-    points[i] and points[j], in the order of `pairs`.  Pairs are evaluated
-    in a canonical order, so the distance of (i, j) and of (j, i) are
-    bit-identical.  Deck kinds run one search over all pairs and the tube
-    one slab sweep.  With gap_tol, SandwichGapError is raised at the first
-    pair whose bracket is wider; with several failing pairs, a deck search
-    raises the DeckBoundError of the first.
+    `points` is a sequence of points or an (N, n) array of them, one per
+    row; they are stacked once and checked with one `require_interior`
+    call, so the first bad point raises its error.  `pairs` is a list of
+    index pairs (i, j) or an (m, 2) integer array; each gives the distance
+    between points[i] and points[j], in the order of `pairs`.  Pairs are
+    evaluated in a canonical order, so the distance of (i, j) and of (j, i)
+    are bit-identical.  Deck kinds run one search over all pairs and the
+    tube one slab sweep.  With gap_tol, SandwichGapError is raised at the
+    first pair whose bracket is wider; with several failing pairs, a deck
+    search raises the DeckBoundError of the first.
     """
-    pts = [require_interior(domain, p) for p in points]
-    if not pairs:
+    rows = _point_rows(domain, points)
+    return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol, lattice_bound)
+
+
+def _evaluate(domain: ModelDomain, rows: np.ndarray, pairs: np.ndarray, gap_tol: float | None,
+              lattice_bound: int | None) -> list[DistanceValue]:
+    """`distances` of checked point rows and valid (m, 2) index pairs."""
+    if not len(pairs):
         return []
-    ordered = _canonical_pairs(pts, pairs)
-    return _within_gap(_ENGINES[type(domain)].distances(domain, pts, ordered, lattice_bound),
+    ordered = _canonical_order(rows, pairs)
+    return _within_gap(_ENGINES[type(domain)].distances(domain, rows, ordered, lattice_bound),
                        gap_tol)
 
 
@@ -415,7 +464,11 @@ def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,
     Symmetric in (z, w) exactly: distance(D, z, w) and distance(D, w, z)
     are bit-identical.
     """
-    return distances(domain, [z, w], [(0, 1)], gap_tol, lattice_bound)[0]
+    return _evaluate(domain, _point_rows(domain, [z, w]), _ONE_PAIR, gap_tol, lattice_bound)[0]
+
+
+_ONE_PAIR = np.array([[0, 1]])
+_ONE_PAIR.setflags(write=False)
 
 
 def infinitesimal_metric(domain: ModelDomain, z, v) -> float:

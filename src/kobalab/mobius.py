@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# |1 + t z_1| below this is the pole of the scaling automorphism A_t
+POLE_TOL = 1e-300
+
 
 def herm(z: np.ndarray, w: np.ndarray) -> complex:
     """Hermitian inner product <z, w> = sum z_j conj(w_j)."""
@@ -61,16 +64,17 @@ def ball_scaling_map(t: float, z: np.ndarray) -> np.ndarray:
     """First-axis scaling automorphism A_t of the ball, t in (-1, 1).
 
     A_t(z) = ((z_1 + t)/(1 + t z_1), sqrt(1-t^2) z''/(1 + t z_1)); fixes
-    +-e_1 and sends 0 to t e_1.  A_t^{-1} = A_{-t}.
+    +-e_1 and sends 0 to t e_1.  A_t^{-1} = A_{-t}.  z is one point or an
+    (N, n) array of points, one per row.
     """
     z = np.asarray(z, dtype=complex)
-    denom = 1.0 + t * z[0]
-    if abs(denom) < 1e-300:
+    denom = 1.0 + t * z[..., 0]
+    if np.any(np.abs(denom) < POLE_TOL):
         raise ZeroDivisionError("pole of the scaling automorphism: 1 + t z_1 = 0")
     out = np.empty_like(z)
-    out[0] = (z[0] + t) / denom
-    if z.size > 1:
-        out[1:] = np.sqrt(1.0 - t * t) * z[1:] / denom
+    out[..., 0] = (z[..., 0] + t) / denom
+    if z.shape[-1] > 1:
+        out[..., 1:] = np.sqrt(1.0 - t * t) * z[..., 1:] / denom[..., None]
     return out
 
 

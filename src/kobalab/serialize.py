@@ -18,26 +18,32 @@ from .geodesics import (GeodesicCurve, GeodesicFamily, Segment, antipodal_family
 
 
 def parse_point(raw) -> np.ndarray:
-    """Accept '0.5+0.2j', a number, or a JSON-style list of [re, im] pairs."""
-    if isinstance(raw, str):
-        text = raw.strip()
-        if text.startswith("["):
-            return parse_point(json.loads(text))
-        return np.array([complex(text.replace(" ", ""))])
-    if isinstance(raw, (int, float, complex)):
-        return np.array([complex(raw)])
-    if isinstance(raw, (list, tuple)):
-        coords = []
-        for item in raw:
-            if isinstance(item, (list, tuple)):
-                if len(item) != 2:
-                    raise DomainError("coordinate pairs must be [re, im]")
-                coords.append(complex(float(item[0]), float(item[1])))
-            elif isinstance(item, str):
-                coords.append(complex(item.replace(" ", "")))
-            else:
-                coords.append(complex(item))
-        return np.array(coords)
+    """Accept '0.5+0.2j', a number, or a JSON-style list of [re, im] pairs;
+    anything else raises DomainError (JSON syntax errors pass unchanged)."""
+    try:
+        if isinstance(raw, str):
+            text = raw.strip()
+            if text.startswith("["):
+                return parse_point(json.loads(text))
+            return np.array([complex(text.replace(" ", ""))])
+        if isinstance(raw, (int, float, complex)):
+            return np.array([complex(raw)])
+        if isinstance(raw, (list, tuple)):
+            coords = []
+            for item in raw:
+                if isinstance(item, (list, tuple)):
+                    if len(item) != 2:
+                        raise DomainError("coordinate pairs must be [re, im]")
+                    coords.append(complex(float(item[0]), float(item[1])))
+                elif isinstance(item, str):
+                    coords.append(complex(item.replace(" ", "")))
+                else:
+                    coords.append(complex(item))
+            return np.array(coords)
+    except (TypeError, ValueError) as exc:
+        if type(exc) not in (TypeError, ValueError):
+            raise
+        raise DomainError(f"cannot parse point from {raw!r}: {exc}") from None
     raise DomainError(f"cannot parse point from {raw!r}")
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import strip_density_offset, strip_distance_offset
-from .domains import (Box, ConvexBase, EuclideanBall, LinearImage, Polytope, as_pairs,
-                      base_dim, base_facet_normals, base_membership, chord_interval,
-                      distinct_rows, rowdot)
+from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
+                      as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
+                      rowdot)
 
 DIRECTIONS_PER_DIM = 64
 
@@ -81,13 +81,20 @@ def caratheodory_lower(base: ConvexBase, u, v):
     among the slab projections.
     """
     single, us, vs = as_pairs(u, v)
-    for x in distinct_rows(us.real, vs.real):
-        if not base_membership(base, x):
-            raise ValueError("points must lie in the open tube")
+    _require_in_tube(base, np.concatenate([us.real, vs.real]))
     step = max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
     best = np.concatenate([_slab_sweep(base, us[i:i + step], vs[i:i + step])
                            for i in range(0, len(us), step)])
     return float(best[0]) if single else best
+
+
+def _require_in_tube(base: ConvexBase, xs: np.ndarray):
+    """Raise unless every row of xs, the real parts of tube points, lies in
+    the open base (one row-wise `contains` call)."""
+    if xs.shape[1] != base_dim(base):
+        raise DomainError("base point has wrong dimension")
+    if not base.contains(xs).all():
+        raise ValueError("points must lie in the open tube")
 
 
 def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -309,8 +316,9 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if not base_membership(base, u.real) or not base_membership(base, v.real):
-        raise ValueError("points must lie in the open tube")
+    if u.shape != v.shape or u.ndim != 1:
+        raise DomainError("base point has wrong dimension")
+    _require_in_tube(base, np.stack([u.real, v.real]))
     if np.array_equal(u, v):
         return 0.0
     if closed is None:

@@ -80,6 +80,10 @@ def test_dist_schema_error_exit_2():
     for batch in ['[[1, 2]]', '5']:
         code, _ = run_cli(["dist", "--batch", batch])
         assert code == 2, batch
+    # malformed points
+    for z in ["x", '[[1, "a"]]', '[{"a": 1}]', "[[1, 2, 3]]"]:
+        code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", z, "--w", "0.5"])
+        assert code == 2, z
     # a negative sandwich-gap tolerance is a malformed option
     code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", "0", "--w", "0.5",
                        "--gap-tol", "-1"])
@@ -155,14 +159,54 @@ def test_dist_batch_matches_single_queries(tmp_path):
 def test_dist_batch_first_bad_row_decides(tmp_path, capsys):
     good = BATCH_ROWS[3]
     outside = ({"kind": "unit-disc"}, "0", "1.5")
-    malformed = ({"kind": "annulus", "R": "x"}, "0.5", "2")
-    for rows, code_wanted, bad in [([good, outside, malformed], 3, outside),
-                                   ([good, malformed, outside], 2, malformed)]:
+    outside_later = ({"kind": "annulus", "R": 4}, "0.5", "5")
+    malformed = [({"kind": "annulus", "R": "x"}, "0.5", "2"),      # descriptor
+                 ({"kind": "annulus", "R": 4}, "0.5", "x"),        # point
+                 ({"kind": "annulus", "R": 4}, "0.5", [[1, 0], [1, 0]]),  # dimension
+                 ({"kind": "unit-disc"}, [["NaN", 0]], "0")]       # non-finite
+    cases = [([good, outside, malformed[0]], 3, outside),
+             ([good, malformed[0], outside], 2, malformed[0])]
+    for bad in malformed:
+        # a non-interior row before a malformed one, and the reverse, in the
+        # same domain group and in another one
+        cases += [([good, outside_later, bad], 3, outside_later),
+                  ([good, bad, outside_later], 2, bad),
+                  ([bad, outside], 2, bad), ([outside, good, bad], 3, outside)]
+    for rows, code_wanted, bad in cases:
         capsys.readouterr()
-        assert main(["dist", "--batch", _batch_file(tmp_path, rows)]) == code_wanted
+        assert main(["dist", "--batch", _batch_file(tmp_path, rows)]) == code_wanted, rows
         err = capsys.readouterr().err
         assert main(["dist", "--batch", _batch_file(tmp_path, [bad], "one.json")]) == code_wanted
         assert err == capsys.readouterr().err
+        assert err.startswith("non-interior point: " if code_wanted == 3 else "config error: ")
+
+
+def test_dist_batch_keeps_each_rows_descriptor_text(tmp_path):
+    # key order does not matter (the column sorts keys), but 4 and 4.0 are
+    # different texts of the same annulus: each row keeps its own
+    rows = [({"kind": "annulus", "R": 4}, "0.5", "0.1-2j"),
+            ({"R": 4, "kind": "annulus"}, "-1.5+1j", "2j"),
+            ({"kind": "annulus", "R": 4.0}, "0.5", "0.1-2j"),
+            ({"kind": "tube", "base": {"radius": 1, "kind": "ball", "center": [0, 0]}},
+             [[0.2, 0.4], [-0.1, 0.2]], [[-0.3, -0.2], [0.4, 0.1]]),
+            ({"base": {"center": [0, 0], "kind": "ball", "radius": 1}, "kind": "tube"},
+             [[0.2, 0.4], [-0.1, 0.2]], [[-0.3, -0.2], [0.4, 0.1]])]
+    code, out = run_cli(["dist", "--batch", _batch_file(tmp_path, rows)])
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [
+        '{"R": 4; "kind": "annulus"}', '{"R": 4; "kind": "annulus"}',
+        '{"R": 4.0; "kind": "annulus"}',
+        '{"base": {"center": [0; 0]; "kind": "ball"; "radius": 1}; "kind": "tube"}',
+        '{"base": {"center": [0; 0]; "kind": "ball"; "radius": 1}; "kind": "tube"}']
+    assert lines[0].split(",")[1:] == lines[2].split(",")[1:]
+    assert lines[3].split(",")[1:] == lines[4].split(",")[1:]
+    for (domain, z, w), line in zip(rows, lines):
+        z, w = (p if isinstance(p, str) else json.dumps(p) for p in (z, w))
+        code, single = run_cli(["dist", "--domain", json.dumps(domain), f"--z={z}", f"--w={w}",
+                                "--format", "csv"])
+        assert code == 0
+        assert single.splitlines()[1] == line
 
 
 def test_dist_batch_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import typing
 
@@ -327,3 +328,28 @@ def test_polytope_support_from_vertices(monkeypatch):
 def test_unbounded_or_empty_polytope_support_rejected(normals, offsets):
     with pytest.raises(DomainError):
         Polytope(normals, offsets).support(np.eye(len(normals[0])))
+
+
+@pytest.mark.parametrize("normals,offsets,message", [
+    (((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)), (1.0, 1.0, 1.5), "polytope is unbounded"),
+    (((1.0,),), (1.0,), "polytope is unbounded"),
+    (((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)), (1.0, -2.0, 1.0, 1.0),
+     "polytope has empty interior"),
+    (((1.0,), (-1.0,)), (0.0, 0.0), "polytope has empty interior"),
+])
+def test_polytope_without_a_bounded_interior_says_why(normals, offsets, message):
+    # an unbounded inradius is told apart from an infeasible or flat polytope
+    poly = Polytope(normals, offsets)
+    for call in (poly.reference, lambda: poly.support(np.eye(poly.dim))):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_unbounded_polytope_exits_2(capsys):
+    from kobalab.cli import main
+
+    base = {"kind": "polytope", "normals": [[1, 0], [0, 1], [1, 1]], "offsets": [1, 1, 1.5]}
+    domain = json.dumps({"kind": "reinhardt-log", "base": base})
+    assert main(["dist", "--domain", domain, "--z", "[[1, 0], [1, 0]]",
+                 "--w", "[[0.5, 0], [1, 0]]"]) == 2
+    assert capsys.readouterr().err == "config error: polytope is unbounded\n"

@@ -209,15 +209,19 @@ def test_non_interior_rejected():
 
 
 def _interior_points(domain, count, gen):
-    """Points around the kind's reference point, kept if interior; the
-    imaginary parts of the tube-like kinds spread over a few units."""
-    from kobalab.domains import membership, reference_point
+    """Points around the kind's reference point, kept if interior (for the
+    perturbed ellipsoid, inside the ball its sandwich needs); the imaginary
+    parts of the tube-like kinds spread over a few units."""
+    from kobalab.domains import ScaledEllipsoid, membership, reference_point
+    from kobalab.scaling import inscribed_radius
 
     ref = reference_point(domain)
+    r_in = (inscribed_radius(domain.eps, domain.t, domain.dim)
+            if isinstance(domain, ScaledEllipsoid) else math.inf)
     pts = []
     while len(pts) < count:
         p = ref + 0.6 * (gen.uniform(-1, 1, ref.size) + 1j * gen.uniform(-1, 1, ref.size))
-        if membership(domain, p):
+        if membership(domain, p) and np.linalg.norm(p) < r_in:
             pts.append(p)
     return pts
 
