@@ -28,8 +28,9 @@ from .geodesics import (AntipodalPair, GeodesicCurve, GeodesicFamily, antipodal_
                         landing_point, lift_geodesic,
                         radial_family, shadowing_bound, strip_crossing_family,
                         strip_crossing_geodesic, strip_vertical_line, to_arc_length)
-from .metric import (DeckBoundError, DistanceValue, SandwichGapError, deck_infimum,
-                     distance, distances, hyperbolic_length, infinitesimal_metric)
+from .metric import (DeckBoundError, DistanceColumns, DistanceValue, SandwichGapError,
+                     deck_infimum, distance, distances, hyperbolic_length,
+                     infinitesimal_metric)
 from .scaling import (ConvergenceTable, compactly_divergent_probe,
                       geodesic_persistence_probe, inscribed_radius,
                       metric_convergence_probe, scaled_domain_membership,

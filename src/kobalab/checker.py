@@ -19,7 +19,7 @@ import numpy as np
 from ._sampling import halton, rng
 from .coverings import HolomorphicMap, apply_map, monomial_preimages
 from .domains import (DomainError, ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog,
-                      Strip, as_point, base_dim, escape_margin, membership)
+                      Strip, as_point, base_dim, escape_margin, require_interior)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
 from .metric import distances
@@ -86,8 +86,16 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
                    samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
                    window: float = 6.0) -> IsometryReport:
     """Compare K_source(c(t), c(s)) with K_target(F c(t), F c(s)) over all
-    parameter pairs from `samples` values per family member; each member's
-    pair matrix is one batched `distances` call on each side.
+    parameter pairs from `samples` values per family member.
+
+    Each member's samples are stacked once as (samples, n) rows.  The
+    source side's pair matrix is one batched `distances` call, which checks
+    the rows on the source with one `require_interior` call; one row-wise
+    `apply` then maps them, one more call checks the images on the target,
+    and the target side is one more `distances` call.  The member's
+    separation, raw deviation and gap are reduced over those columns.  A
+    sample outside the source raises NonInteriorError naming it, and so
+    does an image outside the target.
 
     The default ray/line window spans 6 hyperbolic units: beyond that the
     sampled points sit so close to the boundary that closed-form arctanh
@@ -95,29 +103,32 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     """
     if samples < 2 or not tol > 0.0:
         raise DomainError(f"an audit needs samples >= 2 and tol > 0, got {samples} and {tol}")
+    pairs = np.transpose(np.triu_indices(samples, 1))
     per = []
     for member in family.members:
         w0, w1 = member.window(window)
-        ts = np.linspace(w0, w1, samples)
-        pts = [member.sample(float(t)) for t in ts]
-        imgs = []
-        for p in pts:
-            q = apply_map(f, p)
-            if not membership(f.target, q):
-                raise NonInteriorError(f"image point {q} leaves the target domain")
-            imgs.append(q)
-        pairs = [(i, j) for i in range(len(ts)) for j in range(i + 1, len(ts))]
-        max_sep = 0.0
-        max_raw = 0.0
-        max_gap = 0.0
-        for d_src, d_tgt in zip(distances(f.source, pts, pairs), distances(f.target, imgs, pairs)):
-            sep = max(0.0, d_src.lower - d_tgt.upper, d_tgt.lower - d_src.upper)
-            max_sep = max(max_sep, sep)
-            max_raw = max(max_raw, abs(d_src.value - d_tgt.value))
-            max_gap = max(max_gap, d_src.gap + d_tgt.gap)
-        per.append(GeodesicAudit(member.label or "geodesic", max_sep, max_raw, max_gap,
-                                 len(pairs)))
+        pts = np.array([as_point(member.sample(float(t))) for t in np.linspace(w0, w1, samples)])
+        src = distances(f.source, pts, pairs)
+        imgs = f.kind.apply(pts)
+        try:
+            require_interior(f.target, imgs)
+        except NonInteriorError as exc:
+            raise NonInteriorError(f"an image point leaves the target domain: {exc}") from None
+        tgt = distances(f.target, imgs, pairs)
+        per.append(GeodesicAudit(
+            member.label or "geodesic",
+            _largest(src.lower - tgt.upper, tgt.lower - src.upper),
+            _largest(np.abs(src.value - tgt.value)),
+            _largest(src.gap + tgt.gap),
+            len(pairs)))
     return IsometryReport(map_label=f.kind.label, per_geodesic=per, tol=tol)
+
+
+def _largest(*columns: np.ndarray) -> float:
+    """The largest entry of the columns, or 0.0 if none is positive; NaN
+    entries are skipped."""
+    top = float(np.fmax.reduce(np.concatenate(columns), initial=0.0))
+    return top if top > 0.0 else 0.0
 
 
 def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6,
@@ -152,33 +163,53 @@ def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6,
 
 
 def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
-    """All grid pairs with nearly equal images.
+    """All grid pairs (i, j), i < j, whose points differ by more than tol
+    but whose images differ by less, in (i, j) order.
 
-    For power/monomial maps each collision is cross-checked against the
-    enumerated fiber: the partner must be a deck sibling of the first
-    point, so a collision that is not explained by the covering structure
-    is flagged.
+    The grid is mapped by one row-wise `apply`, and the point and image
+    separations (the largest coordinate modulus of the difference) are
+    taken over the upper triangle in array passes.  For power/monomial
+    maps each collision is cross-checked against the enumerated fiber: the
+    partner must be a deck sibling of the first point, so a collision that
+    is not explained by the covering structure is flagged.
     """
-    pts = [as_point(z) for z in grid]
-    imgs = [apply_map(f, z) for z in pts]
+    pts = np.array([as_point(z) for z in grid])
+    imgs = f.kind.apply(pts)
     matrix = f.kind.fiber_matrix
     collisions = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if float(np.max(np.abs(pts[i] - pts[j]))) <= tol:
-                continue
-            gap = float(np.max(np.abs(imgs[i] - imgs[j])))
-            if gap < tol:
-                entry = {"i": i, "j": j,
-                         "z": [complex(c) for c in pts[i]],
-                         "w": [complex(c) for c in pts[j]],
-                         "image_gap": gap}
-                if matrix is not None:
-                    fiber = monomial_preimages(matrix, imgs[i])
-                    entry["deck_pair"] = any(
-                        float(np.max(np.abs(p - pts[j]))) < 1e-7 for p in fiber)
-                collisions.append(entry)
+    for i, j, gap in _close_images(pts, imgs, tol):
+        entry = {"i": i, "j": j,
+                 "z": [complex(c) for c in pts[i]],
+                 "w": [complex(c) for c in pts[j]],
+                 "image_gap": gap}
+        if matrix is not None:
+            fiber = monomial_preimages(matrix, imgs[i])
+            entry["deck_pair"] = any(
+                float(np.max(np.abs(p - pts[j]))) < 1e-7 for p in fiber)
+        collisions.append(entry)
     return collisions
+
+
+# pairs per block of the injectivity probe's triangle, which bounds memory
+_TRIANGLE_BLOCK = 1 << 16
+
+
+def _close_images(pts: np.ndarray, imgs: np.ndarray, tol: float) -> list[tuple]:
+    """(i, j, image separation) of each pair i < j, in (i, j) order, whose
+    points are not within tol of each other and whose images are."""
+    count = len(pts)
+    found = []
+    step = max(1, _TRIANGLE_BLOCK // max(count, 1))
+    for start in range(0, count, step):
+        i, j = np.nonzero(np.arange(start, min(start + step, count))[:, None]
+                          < np.arange(count))
+        i += start
+        apart = ~(np.max(np.abs(pts[i] - pts[j]), axis=1) <= tol)
+        i, j = i[apart], j[apart]
+        gaps = np.max(np.abs(imgs[i] - imgs[j]), axis=1)
+        hit = gaps < tol
+        found += zip(i[hit].tolist(), j[hit].tolist(), gaps[hit].tolist())
+    return found
 
 
 def properness_probe(f: HolomorphicMap, sequences) -> dict:

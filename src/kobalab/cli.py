@@ -111,7 +111,7 @@ def _dist_batch(rows, gap_tol) -> list[str]:
             require_interior(dom, parse_point(row["z"]))
             require_interior(dom, parse_point(row["w"]))
         raise
-    _within_gap(vals, gap_tol)
+    _within_gap([val.gap for val in vals], gap_tol)
     return [_csv_row(text, z, w, val) for text, (z, w), val in zip(texts, points, vals)]
 
 

@@ -11,14 +11,16 @@ Each map kind is one class below (`_MapKind` lists what it defines: the
 map and its differential, fibers, local inverse, audit label and codec);
 `HolomorphicMap` pairs it with a source and a target, and the module
 functions (`apply_map`, `map_differential`, `deck_preimages`,
-`map_to_dict`, `map_from_dict`) dispatch to it.
+`map_to_dict`, `map_from_dict`) dispatch to it.  Every kind maps the rows
+of an (N, n) array at once, and `apply_map` is the one-row case, so a
+point's image never depends on the batch it is mapped in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import get_args
 
 import numpy as np
@@ -74,7 +76,8 @@ class _MapKind:
     """What a map kind defines, with the shared defaults.
 
     `kind` (the descriptor name), `label` (the audit report's name for the
-    map), `apply(z)`, `differential(z, v)` (dF_z v), `fiber_matrix` (the
+    map), `apply(zs)` (the image of each row of an (N, n) complex array, as
+    (N, n) rows), `differential(z, v)` (dF_z v), `fiber_matrix` (the
     exponent matrix whose Smith form enumerates a finite fiber, else
     None), `preimages(source, w, imag_window)`, `local_inverse(w, ref)`
     (the preimage of w on the branch through ref, for covering lifts; None
@@ -109,8 +112,8 @@ class Power(_MapKind):
     def fiber_matrix(self) -> IntegerMatrix:
         return IntegerMatrix(((self.n,),))
 
-    def apply(self, z):
-        return np.array([_int_pow(complex(z[0]), self.n)])
+    def apply(self, zs):
+        return _complex(*_pow_rows(zs[:, 0].real, zs[:, 0].imag, self.n))[:, None]
 
     def differential(self, z, v):
         return np.array([self.n * _int_pow(complex(z[0]), self.n - 1) * v[0]])
@@ -137,8 +140,8 @@ class ExpCover(_MapKind):
     kind = "exp"
     label = "exp-cover"
 
-    def apply(self, z):
-        return np.exp(z)
+    def apply(self, zs):
+        return np.exp(zs)
 
     def differential(self, z, v):
         return np.exp(z) * v
@@ -188,8 +191,8 @@ class Monomial(_MapKind):
     def fiber_matrix(self) -> IntegerMatrix:
         return self.matrix
 
-    def apply(self, z):
-        return monomial_apply(self.matrix, z)
+    def apply(self, zs):
+        return _monomial_rows(self.matrix, zs)
 
     def differential(self, z, v):
         return monomial_apply(self.matrix, z) * (self.matrix.as_array() @ (v / z))
@@ -213,8 +216,8 @@ class BallMobius(_MapKind):
         if not 0.0 <= self.t < 1.0:
             raise CoveringError("scaling parameter t must lie in [0, 1)")
 
-    def apply(self, z):
-        return ball_scaling_map(self.t, z)
+    def apply(self, zs):
+        return ball_scaling_map(self.t, zs)
 
     def differential(self, z, v):
         return ball_scaling_differential(self.t, z, v)
@@ -232,8 +235,8 @@ class Identity(_MapKind):
     kind = "identity"
     label = "identity"
 
-    def apply(self, z):
-        return z.copy()
+    def apply(self, zs):
+        return zs.copy()
 
     def differential(self, z, v):
         return v.copy()
@@ -255,8 +258,8 @@ class Compose(_MapKind):
     kind = "compose"
     label = "compose"
 
-    def apply(self, z):
-        return reduce(lambda acc, part: apply_map(part, acc), self.parts, z)
+    def apply(self, zs):
+        return functools.reduce(lambda acc, part: part.kind.apply(acc), self.parts, zs)
 
     def differential(self, z, v):
         for part in self.parts:
@@ -350,32 +353,87 @@ def monomial_power(z, alpha) -> complex:
     Exact integer exponents via repeated squaring; a zero coordinate with a
     negative exponent is rejected.
     """
-    z = as_point(z)
-    out = complex(1.0)
-    for zj, aj in zip(z, alpha):
+    re, im = _monomial_power_rows(as_point(z)[None], alpha)
+    return complex(re[0], im[0])
+
+
+def _monomial_power_rows(zs: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of zs_k^alpha for each row of an (N, n) complex array: the
+    factors z_j^{alpha_j} multiplied in coordinate order, as Python's
+    complex arithmetic would, and 0 * the product so far for a zero
+    coordinate with a positive exponent."""
+    re, im = np.ones(len(zs)), np.zeros(len(zs))
+    for zj, aj in zip(zs.T, alpha):
         aj = int(aj)
         if aj == 0:
             continue
-        if zj == 0:
-            if aj < 0:
-                raise CoveringError("zero coordinate with negative exponent")
-            out = 0.0 * out
-            continue
-        out *= _int_pow(complex(zj), aj)
+        zero = zj == 0
+        if not zero.any():
+            re, im = _mul(re, im, *_pow_rows(zj.real, zj.imag, aj))
+        elif aj < 0:
+            raise CoveringError("zero coordinate with negative exponent")
+        else:
+            re, im = np.where(zero, _mul(0.0, 0.0, re, im),
+                              _mul(re, im, *_pow_rows(zj.real, zj.imag, aj)))
+    return re, im
+
+
+# Row-wise complex arithmetic on (Re, Im) float arrays, operation for
+# operation as Python's complex * and /: numpy's complex product can round
+# differently in the last bit, and images must not depend on which of the
+# two computed them.
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _mul(ar, ai, br, bi) -> tuple:
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi) -> tuple:
+    """a / b by Smith's method, with CPython's branches and rounding."""
+    if np.any((br == 0.0) & (bi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    with np.errstate(all="ignore"):
+        by_re = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _pow_rows(re: np.ndarray, im: np.ndarray, k: int) -> tuple:
+    """(Re, Im) of z^k for an integer k by repeated squaring; 1 / z^-k for
+    k < 0."""
+    if k < 0:
+        return _div(1.0, 0.0, *_pow_rows(re, im, -k))
+    if k == 0:
+        return np.ones_like(re), np.zeros_like(re)
+    out = 1.0, 0.0      # the scalar 1 + 0i: the first product still rounds as Python's
+    while k:
+        if k & 1:
+            out = _mul(*out, re, im)
+        k >>= 1
+        if k:
+            re, im = _mul(re, im, re, im)
     return out
 
 
 def _int_pow(z: complex, k: int) -> complex:
-    if k < 0:
-        return 1.0 / _int_pow(z, -k)
-    result = complex(1.0)
-    basepow = z
-    while k:
-        if k & 1:
-            result *= basepow
-        basepow *= basepow
-        k >>= 1
-    return result
+    """z^k for one complex number, as `_pow_rows` computes it."""
+    re, im = _pow_rows(np.array([z.real]), np.array([z.imag]), k)
+    return complex(re[0], im[0])
+
+
+def _monomial_rows(matrix: IntegerMatrix, zs: np.ndarray) -> np.ndarray:
+    """Phi_A of each row of an (N, n) complex array."""
+    out = np.empty((len(zs), matrix.n), dtype=complex)
+    for j, row in enumerate(matrix.entries):
+        out.real[:, j], out.imag[:, j] = _monomial_power_rows(zs, row)
+    return out
 
 
 def monomial_apply(matrix: IntegerMatrix, z) -> np.ndarray:
@@ -383,11 +441,12 @@ def monomial_apply(matrix: IntegerMatrix, z) -> np.ndarray:
     z = as_point(z)
     if z.size != matrix.n:
         raise CoveringError("dimension mismatch")
-    return np.array([monomial_power(z, row) for row in matrix.entries])
+    return _monomial_rows(matrix, z[None])[0]
 
 
 def apply_map(f: HolomorphicMap, z) -> np.ndarray:
-    return f.kind.apply(as_point(z))
+    """F(z) for one point: the one-row case of the map kind's `apply`."""
+    return f.kind.apply(as_point(z)[None])[0]
 
 
 def map_differential(f: HolomorphicMap, z, v) -> np.ndarray:
@@ -410,25 +469,31 @@ def monomial_preimages(matrix: IntegerMatrix, w) -> list[np.ndarray]:
         raise CoveringError("dimension mismatch")
     if np.any(w == 0.0):
         raise CoveringError("preimages need w in C_*^n")
-    u_mat, s_mat, v_mat = smith_normal_form([list(r) for r in matrix.entries])
-    count = abs(snf_determinant(s_mat))
-    if count == 0:
-        raise CoveringError("singular exponent matrix")
-    a = matrix.as_array()
+    offsets = _fiber_offsets(matrix)
     log_w = np.log(np.abs(w)) + 1j * np.angle(w)
-    zeta0 = np.linalg.solve(a, log_w)
+    zeta0 = np.linalg.solve(matrix.as_array(), log_w)
+    out = [np.exp(zeta0 + 2.0 * math.pi * 1j * frac) for frac in offsets]
+    # one row-wise forward pass verifies every candidate
+    miss = np.max(np.abs(_monomial_rows(matrix, np.array(out)) - w), axis=1)
+    if np.any(miss > 1e-8 * max(1.0, float(np.max(np.abs(w))))):
+        raise CoveringError("preimage verification failed")
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _fiber_offsets(matrix: IntegerMatrix) -> tuple[np.ndarray, ...]:
+    """The fiber's offsets V S^{-1} k, 0 <= k_j < s_j, in log coordinates,
+    from the Smith form U A V = S, computed once per matrix."""
+    _, s_mat, v_mat = smith_normal_form([list(r) for r in matrix.entries])
+    if snf_determinant(s_mat) == 0:
+        raise CoveringError("singular exponent matrix")
     v_arr = np.asarray(v_mat, dtype=float)
     s_diag = np.array([s_mat[i][i] for i in range(matrix.n)], dtype=float)
-    out = []
-    for k in _mixed_radix(np.abs(s_diag).astype(int)):
-        frac = v_arr @ (np.asarray(k, dtype=float) / s_diag)
-        zeta = zeta0 + 2.0 * math.pi * 1j * frac
-        cand = np.exp(zeta)
-        img = monomial_apply(matrix, cand)
-        if float(np.max(np.abs(img - w))) > 1e-8 * max(1.0, float(np.max(np.abs(w)))):
-            raise CoveringError("preimage verification failed")
-        out.append(cand)
-    return out
+    offsets = tuple(v_arr @ (np.asarray(k, dtype=float) / s_diag)
+                    for k in _mixed_radix(np.abs(s_diag).astype(int)))
+    for frac in offsets:
+        frac.setflags(write=False)
+    return offsets
 
 
 def _mixed_radix(sizes):

@@ -122,8 +122,9 @@ class _Base(_Codec):
     `reference()` (an interior point), `facet_normals()` (outward normals
     when finitely many, else []), `margin(x)` (a slack no larger than the
     boundary distance), `chord(p, d)` (the interval of s with p + s d
-    inside, p interior, as arrays of its ends over (m, n) rows p and d),
-    `to_polytope(facets_per_pair)` (the facet export) and
+    inside, p interior, as arrays of its ends over (m, n) rows p and d;
+    an unbounded polytope, whose chords can be infinite, raises
+    DomainError), `to_polytope(facets_per_pair)` (the facet export) and
     `linear_image(a)` (the exact image A(base), A invertible).
     `__post_init__` validates the fields; points reach the methods as
     float arrays of the right size.  Row-wise methods sum column by column
@@ -295,8 +296,12 @@ class Polytope(_Base):
         slack = b - rowdot(p[:, None, :], a)
         rate = rowdot(d[:, None, :], a)
         s = slack / np.where(rate == 0.0, 1.0, rate)
-        return (np.max(np.where(rate < 0.0, s, -math.inf), axis=-1),
+        ends = (np.max(np.where(rate < 0.0, s, -math.inf), axis=-1),
                 np.min(np.where(rate > 0.0, s, math.inf), axis=-1))
+        if not (np.isfinite(ends[0]).all() and np.isfinite(ends[1]).all()):
+            # no facet stops the line through an interior point: a ray lies inside
+            raise DomainError("polytope is unbounded")
+        return ends
 
     def to_polytope(self, facets_per_pair):
         return self

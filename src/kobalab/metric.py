@@ -15,8 +15,10 @@ Each kind has one engine entry in `_ENGINES`, its distance and its density
 
 Distances are computed in batches: `distances` evaluates index pairs of a
 point set, checking each point once, and `distance` is its one-pair case.
-Every function is pure; results for sandwich kinds carry their bracket gap
-instead of pretending to be exact.
+Engines return columns (value, gap, method, deck index), and a
+`DistanceValue` is built only when one pair is looked at.  Every function
+is pure; results for sandwich kinds carry their bracket gap instead of
+pretending to be exact.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,6 +78,67 @@ class DistanceValue:
     @property
     def upper(self) -> float:
         return self.value + 0.5 * self.gap
+
+
+class DistanceColumns(Sequence):
+    """The distances of a batch of pairs as read-only columns.
+
+    `value`, `gap` and `method` are (m,) arrays and `deck_index` is an
+    (m, n) integer array for the deck kinds, else None; `lower` and
+    `upper` are the bracket ends.  As a sequence it holds one
+    `DistanceValue` per pair, built when that pair is looked at, and it
+    compares equal to a list of them.
+    """
+
+    __slots__ = ("value", "gap", "method", "deck_index")
+
+    def __init__(self, value: np.ndarray, gap: np.ndarray, method: np.ndarray,
+                 deck_index: np.ndarray | None = None):
+        if value.min(initial=0.0) < 0.0 or gap.min(initial=0.0) < 0.0:
+            raise ValueError("distance and gap must be nonnegative")
+        for name, column in zip(self.__slots__, (value, gap, method, deck_index)):
+            if column is not None:
+                column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("distance columns are read-only")
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.value - 0.5 * self.gap
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.value + 0.5 * self.gap
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return DistanceColumns(self.value[k], self.gap[k], self.method[k],
+                                   None if self.deck_index is None else self.deck_index[k])
+        value = self.value.item(k)      # an int k, negative counting from the end
+        deck = None if self.deck_index is None else tuple(self.deck_index[k].tolist())
+        return DistanceValue(value, self.method.item(k), self.gap.item(k), deck)
+
+    def __iter__(self):
+        decks = ([None] * len(self) if self.deck_index is None
+                 else map(tuple, self.deck_index.tolist()))
+        for value, method, gap, deck in zip(self.value.tolist(), self.method.tolist(),
+                                            self.gap.tolist(), decks):
+            yield DistanceValue(value, method, gap, deck)
+
+    def __eq__(self, other):
+        if isinstance(other, (DistanceColumns, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"DistanceColumns({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +225,13 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
     of the first failing pair is raised.
     """
     single, us, vs = as_pairs(u, v)
+    out = [(val, val.deck_index) for val in _deck_columns(cover, us, vs, lattice_bound)]
+    return out[0] if single else out
+
+
+def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
+                  lattice_bound: int | None) -> DistanceColumns:
+    """`deck_infimum` of the row pairs of two (m, n) arrays, as columns."""
     require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
     pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
@@ -247,12 +318,12 @@ def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
         active = [k for k in active if k in improved]
     if errors:
         raise errors[min(errors)]
-    out = []
-    for lo, hi, nu in zip(best_lo, best_hi, best_nu):
-        gap = max(0.0, hi - lo)
-        method = "deck-infimum" if gap == 0.0 else "sandwich"
-        out.append((DistanceValue(0.5 * (lo + hi), method, gap, nu), nu))
-    return out[0] if single else out
+    lo, hi = np.array(best_lo), np.array(best_hi)
+    spread = hi - lo
+    gap = np.where(spread > 0.0, spread, 0.0)
+    return DistanceColumns(0.5 * (lo + hi), gap,
+                           np.where(gap == 0.0, "deck-infimum", "sandwich"),
+                           np.array(best_nu, dtype=int).reshape(m, n))
 
 
 def _point_rows(domain: ModelDomain, points) -> np.ndarray:
@@ -316,30 +387,29 @@ def _deck(cover_of: Callable) -> Callable:
     """Engine distances for a kind measured on an exp cover: each point's
     principal log is taken once, and one deck search runs over all pairs."""
     def run(domain, rows, pairs, lattice_bound):
-        found = deck_infimum(cover_of(domain), *_ends(_principal_log(rows), pairs),
+        return _deck_columns(cover_of(domain), *_ends(_principal_log(rows), pairs),
                              lattice_bound)
-        return [val for val, _ in found]
     return run
 
 
-def _tube(domain: TubeOverBase, rows, pairs, lattice_bound) -> list[DistanceValue]:
-    lower, upper = tube_distance_bounds(domain.base, *_ends(rows, pairs))
-    return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
+def _tube(domain: TubeOverBase, rows, pairs, lattice_bound) -> DistanceColumns:
+    return _sandwich(*tube_distance_bounds(domain.base, *_ends(rows, pairs)))
 
 
 def _closed_form(kernel: Callable) -> Callable:
     """Engine distances of a closed-form kind: one kernel(domain, us, vs) call."""
     def run(domain, rows, pairs, lattice_bound):
-        return [_closed(x) for x in kernel(domain, *_ends(rows, pairs)).tolist()]
+        return _closed(kernel(domain, *_ends(rows, pairs)))
     return run
 
 
-def _closed(value: float) -> DistanceValue:
-    return DistanceValue(value, "closed-form")
+def _closed(values: np.ndarray) -> DistanceColumns:
+    return DistanceColumns(values, np.zeros(len(values)), np.full(len(values), "closed-form"))
 
 
-def _sandwich(lo: float, hi: float) -> DistanceValue:
-    return DistanceValue(0.5 * (lo + hi), "sandwich", hi - lo)
+def _sandwich(lower: np.ndarray, upper: np.ndarray) -> DistanceColumns:
+    return DistanceColumns(0.5 * (lower + upper), upper - lower,
+                           np.full(len(lower), "sandwich"))
 
 
 def _midpoint(bounds: tuple[float, float]) -> float:
@@ -359,14 +429,13 @@ def _inscribed_radius(domain: ScaledEllipsoid, points: np.ndarray) -> float:
     return r_in
 
 
-def _ellipsoid(domain: ScaledEllipsoid, rows, pairs, lattice_bound) -> list[DistanceValue]:
+def _ellipsoid(domain: ScaledEllipsoid, rows, pairs, lattice_bound) -> DistanceColumns:
     us, vs = _ends(rows, pairs)
     lower = cf.ball_distance(us, vs)          # Omega_t inside the unit ball
     if domain.eps == 0.0:
-        return [_closed(x) for x in lower.tolist()]
+        return _closed(lower)
     r_in = _inscribed_radius(domain, np.concatenate([us, vs]))
-    upper = np.maximum(cf.ball_distance(us / r_in, vs / r_in), lower)
-    return [_sandwich(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
+    return _sandwich(lower, np.maximum(cf.ball_distance(us / r_in, vs / r_in), lower))
 
 
 def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
@@ -379,7 +448,7 @@ def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
 
 class _Engine(NamedTuple):
     distances: Callable   # (domain, (N, n) rows, canonical (m, 2) pairs, lattice_bound)
-                          # -> [DistanceValue]
+                          # -> DistanceColumns
     density: Callable     # (domain, z, v) -> float
 
 
@@ -417,18 +486,17 @@ _ENGINES: dict[type, _Engine] = {
 }
 
 
-def _within_gap(values: list[DistanceValue], gap_tol: float | None) -> list[DistanceValue]:
-    """The values, or SandwichGapError at the first whose gap exceeds gap_tol."""
+def _within_gap(gaps, gap_tol: float | None):
+    """Raise SandwichGapError at the first of the gaps that exceeds gap_tol."""
     if gap_tol is not None:
-        for val in values:
-            if val.gap > gap_tol:
-                raise SandwichGapError(
-                    f"sandwich gap {val.gap:.3e} exceeds tolerance {gap_tol:.3e}")
-    return values
+        wide = np.asarray(gaps) > gap_tol
+        if wide.any():
+            gap = float(np.asarray(gaps)[wide.argmax()])
+            raise SandwichGapError(f"sandwich gap {gap:.3e} exceeds tolerance {gap_tol:.3e}")
 
 
 def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
-              lattice_bound: int | None = None) -> list[DistanceValue]:
+              lattice_bound: int | None = None) -> DistanceColumns:
     """Kobayashi distances between the listed index pairs of a point set.
 
     `points` is a sequence of points or an (N, n) array of them, one per
@@ -438,22 +506,28 @@ def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
     between points[i] and points[j], in the order of `pairs`.  Pairs are
     evaluated in a canonical order, so the distance of (i, j) and of (j, i)
     are bit-identical.  Deck kinds run one search over all pairs and the
-    tube one slab sweep.  With gap_tol, SandwichGapError is raised at the
-    first pair whose bracket is wider; with several failing pairs, a deck
-    search raises the DeckBoundError of the first.
+    tube one slab sweep.
+
+    The result is a read-only `DistanceColumns`: the `.value`, `.gap`,
+    `.lower` and `.upper` arrays (plus `.method` and `.deck_index`) hold
+    one entry per pair, and indexing or iterating it builds one
+    `DistanceValue` per pair looked at.  With gap_tol, SandwichGapError is
+    raised at the first pair whose bracket is wider; with several failing
+    pairs, a deck search raises the DeckBoundError of the first.
     """
     rows = _point_rows(domain, points)
     return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol, lattice_bound)
 
 
 def _evaluate(domain: ModelDomain, rows: np.ndarray, pairs: np.ndarray, gap_tol: float | None,
-              lattice_bound: int | None) -> list[DistanceValue]:
+              lattice_bound: int | None) -> DistanceColumns:
     """`distances` of checked point rows and valid (m, 2) index pairs."""
     if not len(pairs):
-        return []
-    ordered = _canonical_order(rows, pairs)
-    return _within_gap(_ENGINES[type(domain)].distances(domain, rows, ordered, lattice_bound),
-                       gap_tol)
+        return DistanceColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=str))
+    found = _ENGINES[type(domain)].distances(domain, rows, _canonical_order(rows, pairs),
+                                             lattice_bound)
+    _within_gap(found.gap, gap_tol)
+    return found
 
 
 def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kobalab
 from kobalab import (EuclideanBall, PuncturedDisc, ReinhardtLog, Strip, UnitBall,
                      UnitDisc, audit_isometry, ball_landing_family, ball_mobius_map,
                      completeness_check, exp_strip_cover, identity_map,
@@ -184,3 +185,121 @@ def test_report_serialization():
     assert len(data["per_geodesic"]) == 3
     text = report.to_text()
     assert "verdict" in text
+
+
+# the array passes against per-pair references ---------------------------------
+
+def _reference_probe(f, grid, tol=1e-9):
+    """The injectivity probe as one loop over the pairs i < j."""
+    from kobalab import apply_map, monomial_preimages
+
+    pts = [np.asarray(z, dtype=complex).reshape(-1) for z in grid]
+    imgs = [apply_map(f, z) for z in pts]
+    matrix = f.kind.fiber_matrix
+    out = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if float(np.max(np.abs(pts[i] - pts[j]))) <= tol:
+                continue
+            gap = float(np.max(np.abs(imgs[i] - imgs[j])))
+            if gap < tol:
+                entry = {"i": i, "j": j, "z": [complex(c) for c in pts[i]],
+                         "w": [complex(c) for c in pts[j]], "image_gap": gap}
+                if matrix is not None:
+                    entry["deck_pair"] = any(float(np.max(np.abs(p - pts[j]))) < 1e-7
+                                             for p in monomial_preimages(matrix, imgs[i]))
+                out.append(entry)
+    return out
+
+
+def _exact(collisions):
+    # every field, with the image gap's bits
+    return [{**c, "image_gap": c["image_gap"].hex()} for c in collisions]
+
+
+_BALL2 = EuclideanBall((0.0, 0.0), 1.0)
+_BALL3 = EuclideanBall((0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("f,grid", [
+    (power_map(2), polar_orbit_grid()),
+    (power_map(3), polar_orbit_grid()),
+    (power_map(3), polar_orbit_grid(radii=(0.3, 0.7), angles=12)),
+    (exp_strip_cover(4.0), strip_lattice_grid(4.0)),
+    (monomial_map(((2, 0), (0, 2)), _BALL2), reinhardt_sign_grid(_BALL2)),
+    (monomial_map(((2, 1), (0, 2)), _BALL2), reinhardt_sign_grid(_BALL2)),
+    (monomial_map(((2, 0, 0), (0, 2, 0), (0, 0, 2)), _BALL3), reinhardt_sign_grid(_BALL3)),
+    (identity_map(UnitDisc()), polar_orbit_grid(radii=(0.5,), angles=8)),
+    # repeated points, and points within tol of each other, are no collision;
+    # points 5e-9 apart near 0 are one, their squares lying 1e-10 apart
+    (power_map(2), polar_orbit_grid(radii=(0.4,), angles=6)
+     + [np.array([0.4 + 0j]), np.array([0.4 + 1e-12j]), np.array([-0.4 + 2e-9j]),
+        np.array([0.01 + 0j]), np.array([0.01 + 5e-9j])]),
+], ids=["power2", "power3", "power3-small", "exp", "monomial-2I", "monomial-sheared",
+        "monomial-3d", "identity", "near-duplicates"])
+def test_pairwise_probe_equals_per_pair_reference(f, grid):
+    got = injectivity_probe(f, grid)
+    assert _exact(got) == _exact(_reference_probe(f, grid))
+    assert [(c["i"], c["j"]) for c in got] == sorted((c["i"], c["j"]) for c in got)
+
+
+def test_pairwise_probe_in_blocks(monkeypatch):
+    from kobalab import checker
+
+    grid = polar_orbit_grid()
+    want = injectivity_probe(power_map(2), grid)
+    assert len(want) >= 1
+    for block in (1, 7, 149, 150, 151):
+        monkeypatch.setattr(checker, "_TRIANGLE_BLOCK", block)
+        assert _exact(injectivity_probe(power_map(2), grid)) == _exact(want)
+
+
+def _reference_audit(f, family, samples, window=6.0):
+    """Per member: (max separation, max raw deviation, max gap, pair count)
+    from one `distance` call per pair on each side and a loop over pairs."""
+    from kobalab import apply_map, distance
+
+    out = []
+    for member in family.members:
+        pts = [member.sample(float(t)) for t in np.linspace(*member.window(window), samples)]
+        imgs = [apply_map(f, p) for p in pts]
+        sep = raw = gap = 0.0
+        count = 0
+        for i in range(samples):
+            for j in range(i + 1, samples):
+                src, tgt = distance(f.source, pts[i], pts[j]), distance(f.target, imgs[i], imgs[j])
+                sep = max(sep, max(0.0, src.lower - tgt.upper, tgt.lower - src.upper))
+                raw = max(raw, abs(src.value - tgt.value))
+                gap = max(gap, src.gap + tgt.gap)
+                count += 1
+        out.append((member.label or "geodesic", sep.hex(), raw.hex(), gap.hex(), count))
+    return out
+
+
+@pytest.mark.parametrize("f,family,samples", [
+    (power_map(2), radial_family(4), 9),
+    (exp_strip_cover(4.0), strip_crossing_family(4.0, (-2.0, 0.0, 3.0)), 9),
+    (monomial_map(((2, 0), (0, 2)), _BALL2),
+     kobalab.antipodal_family(_BALL2, 3), 6),
+    (ball_mobius_map(0.5, 2), ball_landing_family(2, [1.0, 0.0]), 8),
+], ids=["power-disc", "exp-annulus", "monomial-tube", "ball-mobius"])
+def test_audit_equals_per_pair_reference(f, family, samples):
+    report = audit_isometry(f, family, samples=samples)
+    got = [(g.label, g.max_deviation.hex(), g.max_raw_deviation.hex(), g.max_gap.hex(),
+            g.samples) for g in report.per_geodesic]
+    assert got == _reference_audit(f, family, samples)
+
+
+def test_audit_names_the_point_that_leaves_the_source_or_the_target():
+    from kobalab import HolomorphicMap
+    from kobalab.coverings import Identity
+    from kobalab.domains import NonInteriorError
+
+    # the radial family reaches radius 1/4, which the annulus excludes
+    with pytest.raises(NonInteriorError, match=r"point \[.*\] is not interior to Annulus"):
+        audit_isometry(identity_map(kobalab.Annulus(4.0)), radial_family(2), samples=8)
+    # the same points as images of a map into the annulus
+    leaky = HolomorphicMap(Identity(), PuncturedDisc(), kobalab.Annulus(4.0))
+    with pytest.raises(NonInteriorError, match=r"image point leaves the target domain: "
+                                               r"point \[.*\] is not interior to Annulus"):
+        audit_isometry(leaky, radial_family(2), samples=8)

@@ -325,3 +325,24 @@ def test_scaling_probe_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("kind,z,w", [
+    ("tube", [[0, 0], [0, 0]], [[-1, 0], [0, 0]]),        # real parts differ: a chord
+    ("tube", [[0, 0], [0, 0]], [[0, 0], [0, 1]]),         # equal real parts: slabs only
+    ("reinhardt-log", [[1, 0], [1, 0]], [[0.5, 0], [1, 0]]),
+])
+def test_unbounded_polytope_base_exits_2(kind, z, w, capsys):
+    base = {"kind": "polytope", "normals": [[1, 0], [0, 1], [1, 1]], "offsets": [1, 1, 1.5]}
+    domain = json.dumps({"kind": kind, "base": base})
+    code, out = run_cli(["dist", "--domain", domain, "--z", json.dumps(z), "--w", json.dumps(w)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "config error: polytope is unbounded\n"
+
+
+def test_audit_leaving_the_source_names_the_point(capsys):
+    code, _ = run_cli(["audit", "--map", '{"kind": "identity", "domain": {"kind": "annulus", "R": 4}}',
+                       "--family", '{"kind": "radial", "count": 2}'])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("non-interior point: point [") and "Annulus(R=4.0)" in err
