@@ -22,7 +22,7 @@ from .domains import (DomainError, ModelDomain, NonInteriorError, PuncturedDisc,
                       Strip, as_point, base_dim, escape_margin, require_interior)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
-from .metric import distances
+from .metric import _evaluate, distances
 
 DEFAULT_SAMPLES = 32
 DEFAULT_TOL = 1e-9
@@ -92,7 +92,7 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     source side's pair matrix is one batched `distances` call, which checks
     the rows on the source with one `require_interior` call; one row-wise
     `apply` then maps them, one more call checks the images on the target,
-    and the target side is one more `distances` call.  The member's
+    and the target side is evaluated on those checked rows.  The member's
     separation, raw deviation and gap are reduced over those columns.  A
     sample outside the source raises NonInteriorError naming it, and so
     does an image outside the target.
@@ -109,12 +109,11 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
         w0, w1 = member.window(window)
         pts = np.array([as_point(member.sample(float(t))) for t in np.linspace(w0, w1, samples)])
         src = distances(f.source, pts, pairs)
-        imgs = f.kind.apply(pts)
         try:
-            require_interior(f.target, imgs)
+            imgs = require_interior(f.target, np.ascontiguousarray(f.kind.apply(pts)))
         except NonInteriorError as exc:
             raise NonInteriorError(f"an image point leaves the target domain: {exc}") from None
-        tgt = distances(f.target, imgs, pairs)
+        tgt = _evaluate(f.target, imgs, pairs, None, None)
         per.append(GeodesicAudit(
             member.label or "geodesic",
             _largest(src.lower - tgt.upper, tgt.lower - src.upper),

@@ -38,11 +38,13 @@ from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Pol
                       UnitBall, UnitDisc, as_pairs, as_point, base_support, dim,
                       require_interior)
 from .quadrature import adaptive_simpson
-from .tube import (chord_terms, closed_bounds, disc_upper, tube_distance_bounds,
+from .tube import (closed_bounds, disc_upper, translate_terms, tube_distance_bounds,
                    tube_metric_bounds)
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
+# growth rounds of the deck search radius before a pair that still improves fails
+DECK_ROUNDS = 64
 
 
 class DeckBoundError(RuntimeError):
@@ -146,10 +148,11 @@ class DistanceColumns(Sequence):
 # ---------------------------------------------------------------------------
 #
 # A cover record bounds the cover distance of translates.  terms(us, vs) is
-# data every translate of a pair shares (the tube's chord terms), computed
-# once per search; bounds(us, vs, terms) is (lower, upper, settled: upper is
-# final) for the row pairs of two (m, n) arrays, many translates at once;
-# finish(u, v, lo, hi, term) is the upper bound of one translate left open.
+# data every translate of a pair shares (the tube's chord term and vertical
+# cap at u), set up once per search; bounds(us, vs, terms) is (lower, upper,
+# settled: upper is final) for the row pairs of two (m, n) arrays, many
+# translates at once; finish(u, v, lo, hi, term) is the upper bound of one
+# translate left open, given its pair's row of terms, which it may fill in.
 # offset_lower(us, vs, dys) is a cheap lower bound for the translate whose
 # imaginary offset from u is dys[k, l], over an (m, L, n) array of offsets;
 # threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
@@ -190,8 +193,8 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
     base = cover.base
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
-    return _slab_cover(halfwidths, lambda us, vs: chord_terms(base, us, vs),
-                       lambda us, vs, terms: closed_bounds(base, us, vs, terms),
+    return _slab_cover(halfwidths, lambda us, vs: translate_terms(base, us, vs),
+                       lambda us, vs, terms: closed_bounds(base, us, vs, terms[:, 0]),
                        lambda u, v, lo, hi, term: disc_upper(base, u, v, lo, hi, term))
 
 
@@ -241,7 +244,7 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
     v0 = vs + TWO_PI * 1j * nu0
     best_lo, highs, settled = (x.tolist() for x in bounds(us, v0, terms))
     best_hi = [hi if done else finish(u, v, lo, hi, t) for u, v, lo, hi, done, t
-               in zip(us, v0, best_lo, highs, settled, terms.tolist())]
+               in zip(us, v0, best_lo, highs, settled, terms)]
     best_nu = [tuple(row) for row in nu0.tolist()]
     evaluated = [{nu} for nu in best_nu]
     errors: dict[int, DeckBoundError] = {}
@@ -254,7 +257,7 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
         return np.floor((np.abs(dy[rows]) + thr) / TWO_PI).astype(int) + 1
 
     active = [k for k in range(m) if k not in errors]
-    for _ in range(64):
+    for _ in range(DECK_ROUNDS):
         if not active:
             break
         limits = (bounds_for(active) if lattice_bound is None
@@ -287,23 +290,31 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
                     continue
                 owners = [rows[r] for r, _ in hits]
                 moved = vs[owners] + TWO_PI * 1j * np.array([box[l] for _, l in hits])
-                # one batched bounds call for every survivor; each is then
-                # rechecked against its pair's running best before its upper
-                found = (x.tolist() for x in bounds(us[owners], moved, terms[owners]))
-                for (r, l), v, lo, hi, done in zip(hits, moved, *found):
-                    k, nu = rows[r], box[l]
+                # one batched bounds call for every survivor; the settled ones
+                # are taken first in that order, then the open ones best-first
+                # (by lower bound), each rechecked against its pair's running
+                # best before its upper: a survivor whose lower bound exceeds
+                # the running best cannot lower the final minimum
+                lows, highs, done = bounds(us[owners], moved, terms[owners])
+                order = np.argsort(np.where(done, -math.inf, lows), kind="stable")
+                lows, highs, done = lows.tolist(), highs.tolist(), done.tolist()
+                # pair -> position in `hits` of the best this shell found; on
+                # equal uppers the survivor earlier in the per-pair order wins
+                found_at: dict[int, int] = {}
+                for i in order.tolist():
+                    (r, l), k = hits[i], owners[i]
                     if bound[r, l] > best_hi[k]:
                         continue
+                    evaluated[k].add(box[l])
+                    lo = lows[i]
                     if lo > best_hi[k]:
-                        hi = math.inf
-                    elif not done:
-                        hi = finish(us[k], v, lo, hi, terms[k])
-                    evaluated[k].add(nu)
+                        continue
                     best_lo[k] = min(best_lo[k], lo)
-                    if hi < best_hi[k]:
-                        best_hi[k] = hi
-                        best_nu[k] = nu
-                        improved.add(k)
+                    hi = highs[i] if done[i] else finish(us[k], moved[i], lo, highs[i], terms[k])
+                    if hi < best_hi[k] or (hi == best_hi[k] and i < found_at.get(k, -1)):
+                        if hi < best_hi[k]:
+                            improved.add(k)
+                        best_hi[k], best_nu[k], found_at[k] = hi, box[l], i
         active = [k for k in active if k not in errors]
         if lattice_bound is not None:
             for k, needed in zip(active, bounds_for(active)):
@@ -316,6 +327,11 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
         # a pair whose best did not improve has the radius it was searched
         # with, so its minimum is certified; the others search again
         active = [k for k in active if k in improved]
+    else:
+        # the last round still improved these pairs: their minimum is not certified
+        for k in active:
+            errors[k] = DeckBoundError(
+                f"deck search still improving after {DECK_ROUNDS} growth rounds")
     if errors:
         raise errors[min(errors)]
     lo, hi = np.array(best_lo), np.array(best_hi)

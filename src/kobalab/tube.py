@@ -125,10 +125,8 @@ def affine_disc_tau(base: ConvexBase, anchor: np.ndarray, w: np.ndarray) -> floa
     exact for boxes, polytopes and their linear images, and for ball bases
     comes from one scalar equation plus an S-lemma certificate (with a pad).
     """
-    x = np.asarray(anchor, dtype=float)
-    a = np.asarray(w, dtype=complex).real.astype(float)
-    b = np.asarray(w, dtype=complex).imag.astype(float)
-    return _TUBE_KINDS[type(base)].tau(base, x, a, b)
+    w = np.asarray(w, dtype=complex)
+    return _TUBE_KINDS[type(base)].tau(base, np.asarray(anchor, dtype=float), w.real, w.imag)
 
 
 def _box_disc_tau(base: Box, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -164,37 +162,52 @@ def _ball_disc_tau(base: EuclideanBall, x: np.ndarray, a: np.ndarray, b: np.ndar
     or at d* = 0 when g_1 = 0 and F(0) <= room (the hard case).  tau(d) is
     stationary at d*, so an error in d* enters tau only to second order.
     The padded tau is checked against the certificate before it is returned.
+    The arithmetic is on Python floats: the vectors are short and the
+    Newton loop takes a few steps, so numpy's per-call cost would dominate.
     """
-    m = x - np.asarray(base.center)
-    dist, r = float(np.linalg.norm(m)), base.radius
+    mm = s11 = s12 = s22 = ga = gb = 0.0
+    for xi, ci, ai, bi in zip(x.tolist(), base.center, a.tolist(), b.tolist()):
+        mi = xi - ci
+        mm += mi * mi
+        s11 += ai * ai
+        s12 += ai * bi
+        s22 += bi * bi
+        ga += ai * mi
+        gb += bi * mi
+    dist, r = math.sqrt(mm), base.radius
     room = (r - dist) * (r + dist)
     if not room > 0.0:
         raise TubeMetricError("affine disc anchored outside the ball")
-    s11, s12, s22 = float(np.dot(a, a)), float(np.dot(a, b)), float(np.dot(b, b))
     gap = math.hypot(s11 - s22, 2.0 * s12)
     top = 0.5 * (s11 + s22 + gap)
     if top == 0.0:
         return 0.0
-    ga, gb = float(np.dot(a, m)), float(np.dot(b, m))
     # rotate g into S's eigenbasis; for S = top * I any basis is one, so align it with g
     th = 0.5 * math.atan2(2.0 * s12, s11 - s22) if gap > 0.0 else math.atan2(gb, ga)
-    g1, g2 = math.cos(th) * ga + math.sin(th) * gb, math.cos(th) * gb - math.sin(th) * ga
-    terms = [(gg, gp) for gg, gp in ((g1 * g1, 0.0), (g2 * g2, gap)) if gg > 0.0]
+    c, s = math.cos(th), math.sin(th)
+    g1, g2 = c * ga + s * gb, c * gb - s * ga
+    # the weights g_i^2 at the poles 0 and -gap; a zero weight drops its term
+    p1, p2 = g1 * g1, g2 * g2
     d = 0.0
-    if g1 != 0.0 or sum(gg * (top + gp) / (gp * gp) for gg, gp in terms) > room:
+    if g1 != 0.0 or (p2 > 0.0 and p2 * (top + gap) / (gap * gap) > room):
         # F's bracket: its first term alone, and all of g on the first pole
-        d = lo = _pole_root(g1 * g1, top, room)
-        hi = _pole_root(g1 * g1 + g2 * g2, top + gap, room)
+        d = lo = _pole_root(p1, top, room)
+        hi = _pole_root(p1 + p2, top + gap, room)
         for _ in range(100):
-            f = sum(gg * (top + gp + 2.0 * d) / (d + gp) ** 2 for gg, gp in terms)
-            df = -2.0 * (top + d) * sum(gg / (d + gp) ** 3 for gg, gp in terms)
+            # q_i = g_i^2 / (d + gap_i)^2, and F and F' from them
+            e = d + gap
+            q1 = p1 / (d * d) if p1 > 0.0 else 0.0
+            q2 = p2 / (e * e) if p2 > 0.0 else 0.0
+            f = q1 * (top + 2.0 * d) + q2 * (top + gap + 2.0 * d)
+            df = -2.0 * (top + d) * ((q1 / d if p1 > 0.0 else 0.0) + q2 / e)
             lo, hi = (d, hi) if f > room else (lo, d)
             # Newton on F^(-1/2), nearly linear in d; bisect if it leaves the bracket
             step = 2.0 * f * (1.0 - math.sqrt(f / room)) / df
             if abs(step) <= 1e-13 * d:
                 break
             d = d + step if lo < d + step < hi else 0.5 * (lo + hi)
-    lam, sigma = top + d, sum(gg / (d + gp) for gg, gp in terms)
+    lam = top + d
+    sigma = (p1 / d if p1 > 0.0 else 0.0) + (p2 / (d + gap) if p2 > 0.0 else 0.0)
     tau = math.sqrt(lam / (room - sigma)) * (1.0 + 1e-10) if room > sigma else math.nan
     # the certificate: Schur complement of the S-lemma matrix at multiplier lam/tau^2
     if not room - lam / (tau * tau) - sigma >= 0.0:
@@ -296,35 +309,48 @@ def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.nd
     return lower, _raised(best, lower), best <= _good_enough(lower)
 
 
+def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The terms that every deck translate v + i*t of each row pair shares,
+    as (m, 2) rows: the chord term (`chord_terms`) and the vertical cap at
+    u, which is NaN until `disc_upper` first needs it and stores it."""
+    return np.stack([chord_terms(base, us, vs), np.full(len(us), math.nan)], axis=1)
+
+
 def disc_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, lower: float, best: float,
-               chord: float) -> float:
+               terms: np.ndarray) -> float:
     """Upper end of the bracket of one pair that `closed_bounds` left open,
-    given its lower bound, closed-form competitor and chord term."""
-    return float(_raised(lempert_upper(base, u, v, _good_enough(lower), (best, chord)), lower))
+    given its lower bound, closed-form competitor and its writable row of
+    `translate_terms` (the vertical cap at u is computed into it if still NaN)."""
+    if math.isnan(terms[1]):
+        terms[1] = _vertical_cap(base, u.real, u.imag)
+    closed = (best, float(terms[0]), float(terms[1]))
+    return float(_raised(lempert_upper(base, u, v, _good_enough(lower), closed), lower))
 
 
 def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
-                  closed: tuple[float, float] | None = None) -> float:
+                  closed: tuple[float, float, float] | None = None) -> float:
     """Analytic-disc upper bound for the tube distance of one pair (family minimum).
 
     Competitors, cheapest first: the closed-form discs of `closed_bounds`,
     affine discs in both orders, the route through the real points below u
     and v, and chained affine discs as a convexity fallback.  When
     `good_enough` is given, evaluation stops once a candidate reaches it.
-    `closed` is the pair's (closed-form disc, chord term) when a caller
-    computed them for a whole batch; else they are computed here.
+    `closed` is the pair's (closed-form disc, chord term, vertical cap at u)
+    when a caller computed them with `closed_bounds`, which also checked
+    both points; else the points are checked and the terms computed here.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 1:
         raise DomainError("base point has wrong dimension")
-    _require_in_tube(base, np.stack([u.real, v.real]))
-    if np.array_equal(u, v):
-        return 0.0
     if closed is None:
+        _require_in_tube(base, np.stack([u.real, v.real]))
+        if np.array_equal(u, v):
+            return 0.0
         chord = chord_terms(base, u[None], v[None])
-        closed = float(closed_bounds(base, u[None], v[None], chord)[1][0]), float(chord[0])
-    best, chord = closed
+        closed = (float(closed_bounds(base, u[None], v[None], chord)[1][0]), float(chord[0]),
+                  _vertical_cap(base, u.real, u.imag))
+    best, chord, cap_u = closed
     if good_enough is not None and best <= good_enough:
         return best
     taus = []
@@ -337,8 +363,7 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
                 return best
     had_disc = best < math.inf
     # through the real points: vertical descent, chord slice, vertical ascent
-    best = min(best, _vertical_cap(base, u.real, u.imag) + _vertical_cap(base, v.real, v.imag)
-               + chord)
+    best = min(best, cap_u + _vertical_cap(base, v.real, v.imag) + chord)
     if not had_disc and min(taus) < 6.0:
         # mid-range pair with no admissible single disc: the short chain
         # is usually tighter than the via-real route
@@ -354,11 +379,10 @@ def tube_distance_bounds(base: ConvexBase, u, v):
     `disc_upper` for each pair it leaves open.
     """
     single, us, vs = as_pairs(u, v)
-    chord = chord_terms(base, us, vs)
-    lower, upper, settled = closed_bounds(base, us, vs, chord)
-    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, c) for a, b, lo, hi, done, c
-                      in zip(us, vs, lower.tolist(), upper.tolist(), settled.tolist(),
-                             chord.tolist())])
+    terms = translate_terms(base, us, vs)
+    lower, upper, settled = closed_bounds(base, us, vs, terms[:, 0])
+    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, t) for a, b, lo, hi, done, t
+                      in zip(us, vs, lower.tolist(), upper.tolist(), settled.tolist(), terms)])
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 

@@ -188,6 +188,113 @@ def test_ball_tau_disc_stays_inside_near_the_sphere(exponent, n, kind):
         assert farthest - mpmath.mpf(ball.radius) <= 1e-15 * ball.radius
 
 
+def _axis_case(seed: int, n: int, kind: str, depth: float):
+    """(ball, anchor, a, b) with an ellipse on coordinate axes, so that the
+    special cases hold exactly in floating point: "hard" (S = diag(4, 1),
+    anchor offset along the lower eigenvector, so g has no top component),
+    "isotropic" (S = 4 I, gap 0), "vertical" (a = 0, the affine disc of a
+    vertical cap) and "generic"; the anchor is `depth`*r inside the sphere."""
+    gen = np.random.default_rng(seed)
+    ball = EuclideanBall(tuple(gen.normal(size=n)), float(gen.uniform(0.5, 2.0)))
+    out = gen.normal(size=n)
+    a, b = gen.normal(size=n), gen.normal(size=n)
+    eye = np.eye(n)
+    if kind == "hard":
+        a, b, out = 2.0 * eye[0], eye[1], eye[1]
+    elif kind == "isotropic":
+        a, b = 2.0 * eye[0], 2.0 * eye[1]
+    elif kind == "vertical":
+        a = 0.0 * a
+    out = out / np.linalg.norm(out)
+    return ball, np.asarray(ball.center) + (1.0 - depth) * ball.radius * out, a, b
+
+
+def _mp_ball_tau(ball, x, a, b):
+    """(tau, room): the smallest admissible tau of the affine disc, unpadded,
+    from the S-lemma equation solved by bisection at 40 digits, and
+    room = r^2 - |x - c|^2."""
+    with mpmath.workdps(40):
+        mp = [mpmath.mpf(float(t)) for t in x]
+        m = mpmath.matrix([xi - mpmath.mpf(float(ci)) for xi, ci in zip(mp, ball.center)])
+        ab = mpmath.matrix([[mpmath.mpf(float(ai)), mpmath.mpf(float(bi))] for ai, bi in zip(a, b)])
+        room = mpmath.mpf(ball.radius) ** 2 - sum(t * t for t in m)
+        low_top, frame = mpmath.eigsy(ab.T * ab)
+        low, top = low_top[0], low_top[1]
+        if top == 0:
+            return mpmath.mpf(0), room
+        gap = top - low
+        g = frame.T * (ab.T * m)
+        w_low, w_top = g[0] ** 2, g[1] ** 2
+
+        def schur(d):
+            return room - w_top / d - (w_low / (d + gap) if w_low else 0)
+
+        def excess(d):
+            # F(d) - room, decreasing in d
+            return (w_top * (top + 2 * d) / d ** 2
+                    + (w_low * (top + gap + 2 * d) / (d + gap) ** 2 if w_low else 0) - room)
+
+        if w_top == 0 and gap > 0 and w_low * (top + gap) / gap ** 2 <= room:
+            d = mpmath.mpf(0)      # the hard case
+            sigma = w_low / gap
+        else:
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            while excess(hi) > 0:
+                lo, hi = hi, 2 * hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+            d = hi
+            sigma = room - schur(d)
+        return mpmath.sqrt((top + d) / (room - sigma)), room
+
+
+_AXIS_KINDS = [(n, kind) for n in (1, 2, 3, 4)
+               for kind in ("generic", "vertical", "hard", "isotropic") if n >= 2 or kind in
+               ("generic", "vertical")]
+
+
+@pytest.mark.parametrize("depth", [0.6, 0.3, 0.05])
+@pytest.mark.parametrize("n,kind", _AXIS_KINDS)
+def test_ball_tau_matches_a_40_digit_solve(n, kind, depth):
+    # the float tau, unpadded, agrees with the 40-digit root to 1e-12, and
+    # the padded tau is admissible: at least the exact smallest tau
+    for seed in range(5):
+        ball, x, a, b = _axis_case(seed, n, kind, depth)
+        tau = affine_disc_tau(ball, x, a + 1j * b)
+        want, _ = _mp_ball_tau(ball, x, a, b)
+        assert tau / (1.0 + 1e-10) == pytest.approx(float(want), rel=1e-12)
+        assert tau >= want
+
+
+def test_ball_tau_hard_case_and_gap_zero_take_their_branches():
+    # depth 0.6: |m| = 0.4 r <= 0.75 r, so the hard case has d* = 0, where
+    # tau^2 = top / (room - g_2^2 / gap) in closed form
+    ball, x, a, b = _axis_case(0, 2, "hard", 0.6)
+    m = x - np.asarray(ball.center)
+    room = ball.radius ** 2 - float(m @ m)
+    want = math.sqrt(4.0 / (room - float(b @ m) ** 2 / 3.0))
+    assert affine_disc_tau(ball, x, a + 1j * b) / (1.0 + 1e-10) == pytest.approx(want, rel=1e-14)
+    # gap 0 at the centre: S = 4 I and g = 0, so tau = 2 / r
+    ball, _, a, b = _axis_case(1, 3, "isotropic", 0.5)
+    centre = np.asarray(ball.center)
+    assert affine_disc_tau(ball, centre, a + 1j * b) / (1.0 + 1e-10) == pytest.approx(
+        2.0 / ball.radius, rel=1e-14)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), case=st.sampled_from(_AXIS_KINDS),
+       depth=st.floats(1e-9, 1e-2))
+def test_ball_tau_near_the_sphere_matches_a_40_digit_solve(seed, case, depth):
+    # near the sphere, room = r^2 - |m|^2 carries the rounding of |m|^2
+    # (relative eps * r^2 / room), and the tau follows it; the call
+    # returning at all means the float certificate passed
+    ball, x, a, b = _axis_case(seed, *case, depth)
+    tau = affine_disc_tau(ball, x, a + 1j * b)
+    want, room = _mp_ball_tau(ball, x, a, b)
+    cond = float(ball.radius ** 2 / room)
+    assert tau / (1.0 + 1e-10) == pytest.approx(float(want), rel=1e-12 + 8e-16 * cond)
+
+
 def test_linear_image_base_bounds():
     sheared = LinearImage(((1.0, 1.0), (0.0, 1.0)), BOX)
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
