@@ -26,6 +26,12 @@ from .metric import _evaluate, distances
 
 DEFAULT_SAMPLES = 32
 DEFAULT_TOL = 1e-9
+# width of each ray/line window of an audit, in hyperbolic units: beyond it
+# the sampled points sit so close to the boundary that closed-form arctanh
+# evaluations carry more than the 1e-9 default tolerance in rounding
+AUDIT_WINDOW = 6.0
+# parameter samples per member when a finite family is scanned for coverage
+SCAN_SAMPLES = 400
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ class IsometryReport:
 
 
 def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
-                   samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL,
-                   window: float = 6.0) -> IsometryReport:
+                   samples: int = DEFAULT_SAMPLES,
+                   tol: float = DEFAULT_TOL) -> IsometryReport:
     """Compare K_source(c(t), c(s)) with K_target(F c(t), F c(s)) over all
     parameter pairs from `samples` values per family member.
 
@@ -95,25 +101,22 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     and the target side is evaluated on those checked rows.  The member's
     separation, raw deviation and gap are reduced over those columns.  A
     sample outside the source raises NonInteriorError naming it, and so
-    does an image outside the target.
-
-    The default ray/line window spans 6 hyperbolic units: beyond that the
-    sampled points sit so close to the boundary that closed-form arctanh
-    evaluations carry more than the 1e-9 default tolerance in rounding.
+    does an image outside the target.  Each member is sampled on its
+    window of AUDIT_WINDOW hyperbolic units.
     """
     if samples < 2 or not tol > 0.0:
         raise DomainError(f"an audit needs samples >= 2 and tol > 0, got {samples} and {tol}")
     pairs = np.transpose(np.triu_indices(samples, 1))
     per = []
     for member in family.members:
-        w0, w1 = member.window(window)
+        w0, w1 = member.window(AUDIT_WINDOW)
         pts = np.array([as_point(member.sample(float(t))) for t in np.linspace(w0, w1, samples)])
         src = distances(f.source, pts, pairs)
         try:
             imgs = require_interior(f.target, np.ascontiguousarray(f.kind.apply(pts)))
         except NonInteriorError as exc:
             raise NonInteriorError(f"an image point leaves the target domain: {exc}") from None
-        tgt = _evaluate(f.target, imgs, pairs, None, None)
+        tgt = _evaluate(f.target, imgs, pairs, None)
         per.append(GeodesicAudit(
             member.label or "geodesic",
             _largest(src.lower - tgt.upper, tgt.lower - src.upper),
@@ -130,12 +133,11 @@ def _largest(*columns: np.ndarray) -> float:
     return top if top > 0.0 else 0.0
 
 
-def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6,
-                       scan_samples: int = 400) -> dict:
+def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6) -> dict:
     """Coverage of a point grid by the family.
 
     Families with a `member_through` locator are queried exactly; finite
-    families fall back to a dense parameter scan per member.
+    families fall back to a scan of SCAN_SAMPLES parameters per member.
     """
     if not family.members and family.member_through is None:
         raise ValueError("empty family")
@@ -150,7 +152,7 @@ def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6,
             miss = math.inf
             for member in family.members:
                 w0, w1 = member.window()
-                for t in np.linspace(w0, w1, scan_samples):
+                for t in np.linspace(w0, w1, SCAN_SAMPLES):
                     cand = float(np.max(np.abs(member.sample(float(t)) - z)))
                     if cand < miss:
                         miss = cand
@@ -236,13 +238,12 @@ def properness_probe(f: HolomorphicMap, sequences) -> dict:
 # deterministic grids
 # ---------------------------------------------------------------------------
 
-def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0,
-                     imag_window: float = 4.0) -> list[np.ndarray]:
+def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0) -> list[np.ndarray]:
     """Deterministic low-discrepancy interior points for coverage grids."""
     build = getattr(domain, "grid", None)
     if build is None:
         raise ValueError(f"no grid builder for {domain!r}")
-    return build(count, 20 + 1000 * seed, imag_window)
+    return build(count, 20 + 1000 * seed)
 
 
 def polar_orbit_grid(radii=(0.2, 0.35, 0.5, 0.65, 0.8), angles: int = 30) -> list[np.ndarray]:

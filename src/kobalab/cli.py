@@ -16,7 +16,7 @@ import numpy as np
 
 from .checker import reproduce_example
 from .coverings import CoveringError, map_from_dict
-from .domains import DomainError, NonInteriorError, domain_from_dict, require_interior
+from .domains import DomainError, NonInteriorError, _decoder, domain_from_dict, require_interior
 from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import DeckBoundError, SandwichGapError, _within_gap, distance, distances
 from .serialize import family_from_dict, jsonify, parse_point, point_to_json
@@ -207,6 +207,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_export_geodesic(args) -> int:
+    if args.count < 0:
+        raise DomainError(f"--count must be >= 0, got {args.count}")
     spec = _load_json_arg(args.geodesic)
     curve = _geodesic_from_dict(spec)
     lo, hi = curve.window(args.window)
@@ -215,6 +217,7 @@ def cmd_export_geodesic(args) -> int:
     return EXIT_OK
 
 
+@_decoder
 def _geodesic_from_dict(spec: dict):
     from .domains import base_from_dict
     from .geodesics import (AntipodalPair, annulus_radial_geodesic, antipodal_geodesic,

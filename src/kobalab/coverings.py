@@ -79,7 +79,7 @@ class _MapKind:
     map), `apply(zs)` (the image of each row of an (N, n) complex array, as
     (N, n) rows), `differential(z, v)` (dF_z v), `fiber_matrix` (the
     exponent matrix whose Smith form enumerates a finite fiber, else
-    None), `preimages(source, w, imag_window)`, `local_inverse(w, ref)`
+    None), `preimages(source, w)`, `local_inverse(w, ref)`
     (the preimage of w on the branch through ref, for covering lifts; None
     where no lift is implemented) and the codec `to_dict(source)` /
     `from_dict(data)`, which the map's source completes.  Points reach
@@ -89,7 +89,7 @@ class _MapKind:
     fiber_matrix = None
     local_inverse = None
 
-    def preimages(self, source: ModelDomain, w: np.ndarray, imag_window: float) -> list:
+    def preimages(self, source: ModelDomain, w: np.ndarray) -> list:
         if self.fiber_matrix is None:
             raise CoveringError(f"no preimage enumeration for {self!r}")
         return monomial_preimages(self.fiber_matrix, w)
@@ -146,10 +146,11 @@ class ExpCover(_MapKind):
     def differential(self, z, v):
         return np.exp(z) * v
 
-    def preimages(self, source, w, imag_window):
-        # the lattice translates with imaginary parts within imag_window
+    def preimages(self, source, w):
+        # the principal log moved by each lattice vector 2 pi i k, |k_j| <= 2:
+        # every preimage with imaginary parts within 12
         base_log = np.log(np.abs(w)) + 1j * np.angle(w)
-        k_max = int(imag_window / (2.0 * math.pi)) + 1
+        k_max = 2
         out = []
         for k in _mixed_radix([2 * k_max + 1] * w.size):
             cand = base_log + 2.0 * math.pi * 1j * (np.asarray(k) - k_max)
@@ -241,7 +242,7 @@ class Identity(_MapKind):
     def differential(self, z, v):
         return v.copy()
 
-    def preimages(self, source, w, imag_window):
+    def preimages(self, source, w):
         return [w.copy()]
 
     def to_dict(self, source):
@@ -543,13 +544,14 @@ def antipodal_image_check(matrix: IntegerMatrix, pair):
                          tuple(float(c) for c in d))
 
 
-def deck_preimages(f: HolomorphicMap, w, imag_window: float = 12.0) -> list[np.ndarray]:
+def deck_preimages(f: HolomorphicMap, w) -> list[np.ndarray]:
     """Preimage points of w under the implemented coverings.
 
     Power/monomial fibers are finite and complete; exp-covers return the
-    lattice translates with imaginary parts within `imag_window`.
+    lattice translates of the principal log by 2 pi i k, |k_j| <= 2 (those in
+    the source), which include every preimage with imaginary parts within 12.
     """
-    return f.kind.preimages(f.source, as_point(w), imag_window)
+    return f.kind.preimages(f.source, as_point(w))
 
 
 # serialization ---------------------------------------------------------------

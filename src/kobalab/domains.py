@@ -487,7 +487,7 @@ class _Kind(_Codec):
     `reference()` (a canonical interior point) and `margin(z)`, a signed
     gauge of the boundary distance: positive inside, 0 on the boundary.
     Unbounded kinds cap `escape_margin`.  Where a kind has them:
-    `grid(count, skip, imag_window)`, quasi-random interior points, and
+    `grid(count, skip)`, quasi-random interior points, and
     `project(z)`, the boundary point an escaping z approaches.  The codec
     maps the dataclass fields.  Points reach these methods validated and
     finite.
@@ -521,7 +521,7 @@ class UnitDisc(_Kind):
     def margin(self, z):
         return 1.0 - abs(z[0])
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         return _disc_grid(count, skip, 0.0)
 
     def project(self, z):
@@ -543,7 +543,7 @@ class PuncturedDisc(_Kind):
     def margin(self, z):
         return min(1.0 - abs(z[0]), abs(z[0]))
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         return _disc_grid(count, skip, 0.05)
 
     def project(self, z):
@@ -573,7 +573,7 @@ class Annulus(_Kind):
     def margin(self, z):
         return min(self.R - abs(z[0]), abs(z[0]) - 1.0 / self.R)
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         a = math.log(self.R)
         cube = halton(count, 2, skip=skip)
         return [np.array([math.exp(a * (2.0 * cube[k, 0] - 1.0) * 0.95)
@@ -612,11 +612,12 @@ class Strip(_Kind):
     def escape_margin(self, z):
         return min(self.margin(z), 1.0 / (1.0 + abs(z[0].imag)))
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         a = self.halfwidth
         cube = halton(count, 2, skip=skip)
+        # imaginary parts spread over [-4, 4]
         return [np.array([complex(a * (2.0 * cube[k, 0] - 1.0) * 0.95,
-                                  imag_window * (2.0 * cube[k, 1] - 1.0))])
+                                  4.0 * (2.0 * cube[k, 1] - 1.0))])
                 for k in range(count)]
 
 
@@ -656,7 +657,7 @@ class UnitBall(_Kind):
     def margin(self, z):
         return 1.0 - float(np.linalg.norm(z))
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         return [np.asarray(p) for p in ball_points(count, self.dim, radius=0.9)]
 
     def project(self, z):
@@ -724,7 +725,7 @@ class ReinhardtLog(_Kind):
             return 0.0
         return self.base.margin(np.log(np.abs(z)))
 
-    def grid(self, count, skip, imag_window):
+    def grid(self, count, skip):
         n = self.dim
         ref = self.base.reference()
         cube = halton(count, 2 * n + 1, skip=skip)

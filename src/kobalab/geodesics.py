@@ -45,12 +45,13 @@ class Line:
 Interval = Segment | Ray | Line
 
 
-def interval_window(interval: Interval, width: float = 8.0, inset: float = 0.05
-                    ) -> tuple[float, float]:
-    """A closed parameter window safely inside the interval, for sampling."""
+def interval_window(interval: Interval, width: float = 8.0) -> tuple[float, float]:
+    """A closed parameter window safely inside the interval, for sampling:
+    a segment less 5 % of its span at each open end, a ray's [0, width],
+    or a line's width centred on 0."""
     if isinstance(interval, Segment):
         span = interval.b - interval.a
-        pad = inset * span if interval.open_ends else 0.0
+        pad = 0.05 * span if interval.open_ends else 0.0
         return interval.a + pad, interval.b - pad
     if isinstance(interval, Ray):
         return 0.0, width

@@ -215,26 +215,19 @@ def _cover(cover: ModelDomain) -> tuple:
 _SHELL_BLOCK = 1 << 16
 
 
-def deck_infimum(cover: ModelDomain, u, v, lattice_bound: int | None = None):
+def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
     """Minimum over deck translates v + 2*pi*i*nu of the cover distance.
 
-    u, v are one pair of points, giving (DistanceValue, nu), or m pairs as
-    (m, n) arrays, giving a list of m of them.  With lattice_bound=None the
+    u, v are one pair of points or m pairs as two (m, n) arrays; the result
+    has one row per pair, and its `deck_index` holds each pair's nu.  The
     search radius is grown until the slab lower bound at the next shell
     provably exceeds the best value found, so the returned minimum is
-    attained and certified.  An explicit lattice_bound is honored but still
-    checked; failure to certify raises DeckBoundError with the remaining
-    gap.  Each pair is searched on its own; with several pairs, the error
-    of the first failing pair is raised.
+    attained and certified; a pair whose search would enumerate more than
+    DECK_ENUM_CAP lattice points, or still improves after DECK_ROUNDS
+    rounds, raises DeckBoundError.  Each pair is searched on its own; with
+    several pairs, the error of the first failing pair is raised.
     """
-    single, us, vs = as_pairs(u, v)
-    out = [(val, val.deck_index) for val in _deck_columns(cover, us, vs, lattice_bound)]
-    return out[0] if single else out
-
-
-def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
-                  lattice_bound: int | None) -> DistanceColumns:
-    """`deck_infimum` of the row pairs of two (m, n) arrays, as columns."""
+    _, us, vs = as_pairs(u, v)
     require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
     pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
@@ -260,11 +253,9 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
     for _ in range(DECK_ROUNDS):
         if not active:
             break
-        limits = (bounds_for(active) if lattice_bound is None
-                  else np.full((len(active), n), lattice_bound, dtype=int))
         improved = set()
         boxes: dict[tuple, list[int]] = {}
-        for k, limit in zip(active, limits.tolist()):
+        for k, limit in zip(active, bounds_for(active).tolist()):
             boxes.setdefault(tuple(limit), []).append(k)
         for limit, ks in boxes.items():
             total = math.prod(2 * b + 1 for b in limit)
@@ -315,17 +306,9 @@ def _deck_columns(cover: ModelDomain, us: np.ndarray, vs: np.ndarray,
                         if hi < best_hi[k]:
                             improved.add(k)
                         best_hi[k], best_nu[k], found_at[k] = hi, box[l], i
-        active = [k for k in active if k not in errors]
-        if lattice_bound is not None:
-            for k, needed in zip(active, bounds_for(active)):
-                if np.any(needed > lattice_bound):
-                    gap = float(np.max(needed - lattice_bound))
-                    errors[k] = DeckBoundError(
-                        f"lattice bound {lattice_bound} cannot certify the minimum "
-                        f"(rule wants {needed.tolist()}; shortfall {gap})")
-            break
         # a pair whose best did not improve has the radius it was searched
-        # with, so its minimum is certified; the others search again
+        # with, so its minimum is certified; the others search again (a pair
+        # over the enumeration cap was not searched, so it did not improve)
         active = [k for k in active if k in improved]
     else:
         # the last round still improved these pairs: their minimum is not certified
@@ -401,20 +384,20 @@ def _ends(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _deck(cover_of: Callable) -> Callable:
     """Engine distances for a kind measured on an exp cover: each point's
-    principal log is taken once, and one deck search runs over all pairs."""
-    def run(domain, rows, pairs, lattice_bound):
-        return _deck_columns(cover_of(domain), *_ends(_principal_log(rows), pairs),
-                             lattice_bound)
+    principal log is taken once, and one `deck_infimum` call, looked up at
+    call time so that tracing wrappers see it, covers all pairs."""
+    def run(domain, rows, pairs):
+        return deck_infimum(cover_of(domain), *_ends(_principal_log(rows), pairs))
     return run
 
 
-def _tube(domain: TubeOverBase, rows, pairs, lattice_bound) -> DistanceColumns:
+def _tube(domain: TubeOverBase, rows, pairs) -> DistanceColumns:
     return _sandwich(*tube_distance_bounds(domain.base, *_ends(rows, pairs)))
 
 
 def _closed_form(kernel: Callable) -> Callable:
     """Engine distances of a closed-form kind: one kernel(domain, us, vs) call."""
-    def run(domain, rows, pairs, lattice_bound):
+    def run(domain, rows, pairs):
         return _closed(kernel(domain, *_ends(rows, pairs)))
     return run
 
@@ -445,7 +428,7 @@ def _inscribed_radius(domain: ScaledEllipsoid, points: np.ndarray) -> float:
     return r_in
 
 
-def _ellipsoid(domain: ScaledEllipsoid, rows, pairs, lattice_bound) -> DistanceColumns:
+def _ellipsoid(domain: ScaledEllipsoid, rows, pairs) -> DistanceColumns:
     us, vs = _ends(rows, pairs)
     lower = cf.ball_distance(us, vs)          # Omega_t inside the unit ball
     if domain.eps == 0.0:
@@ -463,8 +446,7 @@ def _ellipsoid_density(domain: ScaledEllipsoid, z, v) -> float:
 
 
 class _Engine(NamedTuple):
-    distances: Callable   # (domain, (N, n) rows, canonical (m, 2) pairs, lattice_bound)
-                          # -> DistanceColumns
+    distances: Callable   # (domain, (N, n) rows, canonical (m, 2) pairs) -> DistanceColumns
     density: Callable     # (domain, z, v) -> float
 
 
@@ -511,8 +493,8 @@ def _within_gap(gaps, gap_tol: float | None):
             raise SandwichGapError(f"sandwich gap {gap:.3e} exceeds tolerance {gap_tol:.3e}")
 
 
-def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
-              lattice_bound: int | None = None) -> DistanceColumns:
+def distances(domain: ModelDomain, points, pairs,
+              gap_tol: float | None = None) -> DistanceColumns:
     """Kobayashi distances between the listed index pairs of a point set.
 
     `points` is a sequence of points or an (N, n) array of them, one per
@@ -532,29 +514,27 @@ def distances(domain: ModelDomain, points, pairs, gap_tol: float | None = None,
     pairs, a deck search raises the DeckBoundError of the first.
     """
     rows = _point_rows(domain, points)
-    return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol, lattice_bound)
+    return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol)
 
 
-def _evaluate(domain: ModelDomain, rows: np.ndarray, pairs: np.ndarray, gap_tol: float | None,
-              lattice_bound: int | None) -> DistanceColumns:
+def _evaluate(domain: ModelDomain, rows: np.ndarray, pairs: np.ndarray,
+              gap_tol: float | None) -> DistanceColumns:
     """`distances` of checked point rows and valid (m, 2) index pairs."""
     if not len(pairs):
         return DistanceColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=str))
-    found = _ENGINES[type(domain)].distances(domain, rows, _canonical_order(rows, pairs),
-                                             lattice_bound)
+    found = _ENGINES[type(domain)].distances(domain, rows, _canonical_order(rows, pairs))
     _within_gap(found.gap, gap_tol)
     return found
 
 
-def distance(domain: ModelDomain, z, w, gap_tol: float | None = None,
-             lattice_bound: int | None = None) -> DistanceValue:
+def distance(domain: ModelDomain, z, w, gap_tol: float | None = None) -> DistanceValue:
     """Kobayashi distance between interior points of a model domain: the
     one-pair case of `distances`.
 
     Symmetric in (z, w) exactly: distance(D, z, w) and distance(D, w, z)
     are bit-identical.
     """
-    return _evaluate(domain, _point_rows(domain, [z, w]), _ONE_PAIR, gap_tol, lattice_bound)[0]
+    return _evaluate(domain, _point_rows(domain, [z, w]), _ONE_PAIR, gap_tol)[0]
 
 
 _ONE_PAIR = np.array([[0, 1]])
@@ -575,12 +555,16 @@ def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
     return _ENGINES[type(domain)].density(domain, z, v)
 
 
+# step of the central difference that stands in for a missing curve derivative
+_FD_STEP = 1e-6
+
+
 def hyperbolic_length(domain: ModelDomain, curve, s: float, t: float,
-                      tol: float = 1e-8, fd_step: float = 1e-6) -> float:
+                      tol: float = 1e-8) -> float:
     """Length int_s^t k(curve(u); curve'(u)) du by adaptive Simpson.
 
     `curve` is a GeodesicCurve or a plain sampler u -> point; without an
-    analytic derivative a central difference with step `fd_step` is used.
+    analytic derivative a central difference with step 1e-6 is used.
     Raises NonInteriorError if the curve leaves the domain on [s, t].
     """
     if s > t:
@@ -591,7 +575,8 @@ def hyperbolic_length(domain: ModelDomain, curve, s: float, t: float,
     deriv = getattr(curve, "derivative", None)
     if deriv is None:
         def deriv(u):
-            return (np.asarray(sample(u + fd_step)) - np.asarray(sample(u - fd_step))) / (2.0 * fd_step)
+            return ((np.asarray(sample(u + _FD_STEP)) - np.asarray(sample(u - _FD_STEP)))
+                    / (2.0 * _FD_STEP))
 
     def integrand(u: float) -> float:
         p = sample(u)

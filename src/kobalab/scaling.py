@@ -49,8 +49,12 @@ def scaled_domain_membership(eps: float, t: float, z) -> bool:
     return ellipsoid_defining_function(eps, scaling_automorphism(t, z)) < 0.0
 
 
+# samples per angle of the inscribed-radius scan
+_RADIUS_MESH = 192
+
+
 @functools.lru_cache(maxsize=256)
-def inscribed_radius(eps: float, t: float, n: int, mesh: int = 192) -> float:
+def inscribed_radius(eps: float, t: float, n: int) -> float:
     """Largest certified r with B(0, r) inside Omega_t.
 
     Membership of z = r*u in Omega_t depends only on (r, alpha, beta) with
@@ -71,6 +75,7 @@ def inscribed_radius(eps: float, t: float, n: int, mesh: int = 192) -> float:
         return 1.0
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    mesh = _RADIUS_MESH
     if n == 1:
         c = np.ones((1, mesh))
         s = np.zeros((1, mesh))

@@ -143,8 +143,8 @@ def _polytope_disc_tau(base: Polytope, x: np.ndarray, a: np.ndarray, b: np.ndarr
 
 def _linear_image_disc_tau(base: LinearImage, x: np.ndarray, a: np.ndarray,
                            b: np.ndarray) -> float:
-    inv = base.inverse
-    return affine_disc_tau(base.base, inv @ x, inv @ a + 1j * (inv @ b))
+    inv, inner = base.inverse, base.base
+    return _TUBE_KINDS[type(inner)].tau(inner, inv @ x, inv @ a, inv @ b)
 
 
 def _ball_disc_tau(base: EuclideanBall, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -220,17 +220,15 @@ def _pole_root(gg: float, k: float, room: float) -> float:
     return (gg + math.sqrt(gg * gg + room * gg * k)) / room
 
 
-def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray,
-                 tau_hint: float | None = None) -> float:
+def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, tau0: float) -> float:
     """Upper bound by chaining affine discs along the Euclidean segment.
 
     Convexity keeps the segment inside the tube, and the Kobayashi
     distance satisfies the triangle inequality, so summing per-leg disc
     bounds is an upper bound for the whole pair.  The disc parameter
     scales roughly linearly in the leg length, so the leg count is chosen
-    arithmetically from the whole-pair tau and doubled on failure.
+    arithmetically from the whole-pair tau tau0 and doubled on failure.
     """
-    tau0 = tau_hint if tau_hint is not None else affine_disc_tau(base, u.real, v - u)
     if tau0 < 0.7:
         return math.atanh(tau0)
     legs = max(2, int(math.ceil(tau0 / 0.5)))
@@ -367,7 +365,7 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     if not had_disc and min(taus) < 6.0:
         # mid-range pair with no admissible single disc: the short chain
         # is usually tighter than the via-real route
-        best = min(best, _chain_upper(base, u, v, tau_hint=min(taus)))
+        best = min(best, _chain_upper(base, u, v, min(taus)))
     return best
 
 

@@ -309,6 +309,18 @@ def test_export_geodesic_csv(tmp_path):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("args", [
+    ["--geodesic", "[1]"],
+    ["--geodesic", '{"kind": "radial", "omega": "x"}'],
+    ["--geodesic", '{"kind": "radial"}', "--count", "-1"],
+], ids=["not-an-object", "bad-field", "negative-count"])
+def test_export_geodesic_malformed_input_exit_2(args, capsys):
+    code, out = run_cli(["export-geodesic", *args])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 def test_scaling_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     code = main(["scaling-probe", "--probe", "metric", "--eps", "0", "--ts", "0.5,0.9",

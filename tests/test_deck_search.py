@@ -32,7 +32,7 @@ BASES = {
 }
 
 
-def reference_deck_columns(cover, us, vs, lattice_bound):
+def reference_deck_columns(cover, us, vs):
     """The sequential deck search: nu0, then shell after shell, every
     survivor finished in per-pair lexicographic order."""
     require_interior(cover, np.concatenate([us, vs]))
@@ -56,10 +56,8 @@ def reference_deck_columns(cover, us, vs, lattice_bound):
     for _ in range(64):
         if not active:
             break
-        limits = (bounds_for(active) if lattice_bound is None
-                  else np.full((len(active), n), lattice_bound, dtype=int))
         improved = set()
-        for k, limit in zip(active, limits.tolist()):
+        for k, limit in zip(active, bounds_for(active).tolist()):
             box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
             offsets = metric.TWO_PI * np.array(box)
             bound = offset_lower(us[[k]], vs[[k]], dy[[k]][:, None, :] - offsets)[0]
@@ -82,8 +80,6 @@ def reference_deck_columns(cover, us, vs, lattice_bound):
                     best_hi[k] = hi
                     best_nu[k] = box[l]
                     improved.add(k)
-        if lattice_bound is not None:
-            break
         active = [k for k in active if k in improved]
     lo, hi = np.array(best_lo), np.array(best_hi)
     gap = np.where(hi - lo > 0.0, hi - lo, 0.0)
@@ -99,11 +95,11 @@ def reinhardt_points(count: int, seed: int, radius: float = 0.45) -> np.ndarray:
     return np.exp(logs) * np.exp(2j * math.pi * gen.random((count, 2)))
 
 
-def reference_distances(domain, points, pairs, lattice_bound=None):
+def reference_distances(domain, points, pairs):
     """The reference search on the pairs as `distances` orders them."""
     pairs = metric._canonical_order(points, np.asarray(pairs))
     us, vs = metric._ends(metric._principal_log(points), pairs)
-    return reference_deck_columns(TubeOverBase(domain.base), us, vs, lattice_bound)
+    return reference_deck_columns(TubeOverBase(domain.base), us, vs)
 
 
 def assert_same_columns(got, want):
@@ -121,16 +117,6 @@ def test_best_first_search_equals_sequential_search(name):
     pairs = list(itertools.combinations(range(len(points)), 2))
     assert_same_columns(distances(domain, points, pairs),
                         reference_distances(domain, points, pairs))
-
-
-@pytest.mark.parametrize("name", ["ball", "linear-image"])
-def test_best_first_search_equals_sequential_search_with_a_lattice_bound(name):
-    base, radius = BASES[name]
-    domain = ReinhardtLog(base)
-    points = reinhardt_points(5, seed=40 + len(name), radius=radius)
-    pairs = list(itertools.combinations(range(len(points)), 2))
-    assert_same_columns(distances(domain, points, pairs, lattice_bound=3),
-                        reference_distances(domain, points, pairs, lattice_bound=3))
 
 
 def tied_pair() -> np.ndarray:
@@ -180,9 +166,9 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
     us = np.array([[0.0 + 0.5j, 0.0 + 0.5j]])
-    want = reference_deck_columns(cover, us, us, None)
+    want = reference_deck_columns(cover, us, us)
     assert want[2].tolist() == [[-1, -1]]
-    assert_same_columns(metric._deck_columns(cover, us, us, None), want)
+    assert_same_columns(metric.deck_infimum(cover, us, us), want)
 
 
 def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
@@ -224,5 +210,5 @@ def test_exact_covers_settle_every_survivor_without_a_finish():
     assert finish is None
     us = np.array([[0.3 + 1.0j], [-0.2 - 2.5j]])
     vs = np.array([[-0.1 - 4.0j], [0.4 + 6.0j]])
-    got = metric._deck_columns(Strip(4.0), us, vs, None)
-    assert_same_columns(got, reference_deck_columns(Strip(4.0), us, vs, None))
+    got = metric.deck_infimum(Strip(4.0), us, vs)
+    assert_same_columns(got, reference_deck_columns(Strip(4.0), us, vs))

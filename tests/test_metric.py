@@ -9,6 +9,7 @@ from kobalab import (Annulus, DeckBoundError, LeftHalfPlane, Polydisc, Punctured
                      deck_infimum, distance, distances, hyperbolic_length,
                      infinitesimal_metric)
 from kobalab import closed_forms as cf
+from kobalab import metric
 from kobalab.domains import EuclideanBall, LinearImage, NonInteriorError
 from kobalab.geodesics import ball_geodesic_segment
 from test_domains import ALL_DOMAINS
@@ -151,17 +152,17 @@ def test_hyperbolic_length_rejects_exiting_curve():
 
 
 def test_deck_infimum_identical_points():
-    val, nu = deck_infimum(Strip(4.0), [0.2 + 1j], [0.2 + 1j])
-    assert val.value == 0.0 and nu == (0,)
+    found = deck_infimum(Strip(4.0), [0.2 + 1j], [0.2 + 1j])
+    assert found[0].value == 0.0 and found[0].deck_index == (0,)
 
 
 def test_deck_infimum_shift_by_period():
     u = np.array([-0.4 + 0.3j])
     v = np.array([-0.9 - 0.2j])
-    base_val, base_nu = deck_infimum(LeftHalfPlane(), u, v)
-    shifted_val, shifted_nu = deck_infimum(LeftHalfPlane(), u, v + 2j * math.pi)
-    assert shifted_val.value == pytest.approx(base_val.value, abs=1e-14)
-    assert shifted_nu[0] == base_nu[0] - 1
+    base = deck_infimum(LeftHalfPlane(), u, v)[0]
+    shifted = deck_infimum(LeftHalfPlane(), u, v + 2j * math.pi)[0]
+    assert shifted.value == pytest.approx(base.value, abs=1e-14)
+    assert shifted.deck_index[0] == base.deck_index[0] - 1
 
 
 def test_deck_infimum_real_tube_points_minimize_at_zero():
@@ -170,8 +171,42 @@ def test_deck_infimum_real_tube_points_minimize_at_zero():
     for _ in range(20):
         u = gen.uniform(-0.5, 0.5, size=2).astype(complex)
         v = gen.uniform(-0.5, 0.5, size=2).astype(complex)
-        _, nu = deck_infimum(TubeOverBase(base), u, v)
-        assert nu == (0, 0)
+        assert deck_infimum(TubeOverBase(base), u, v)[0].deck_index == (0, 0)
+
+
+def _sorted_points(points):
+    # in the lexicographic order of (Re z, Im z), so every pair (i, j) with
+    # i < j is already in the order `distances` evaluates it in
+    return sorted(points, key=lambda z: (z[0].real, z[0].imag))
+
+
+@pytest.mark.parametrize("domain, cover", [(Annulus(4.0), Strip(4.0)),
+                                           (PuncturedDisc(), LeftHalfPlane())], ids=repr)
+def test_deck_kinds_are_deck_infimum_on_principal_logs(domain, cover):
+    pts = np.array(_sorted_points(_interior_points(domain, 7, np.random.default_rng(31))))
+    i, j = np.triu_indices(len(pts), 1)
+    logs = np.log(np.abs(pts)) + 1j * np.angle(pts)
+    got = distances(domain, pts, np.stack([i, j], axis=1))
+    want = deck_infimum(cover, logs[i], logs[j])
+    for column in ("value", "gap", "method", "deck_index"):
+        assert getattr(got, column).tolist() == getattr(want, column).tolist()
+
+
+@pytest.mark.parametrize("domain", [PuncturedDisc(), Annulus(4.0),
+                                    ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0))], ids=repr)
+def test_each_deck_distances_call_runs_one_deck_infimum(domain, monkeypatch):
+    calls = []
+    search = metric.deck_infimum
+
+    def counted(cover, u, v):
+        calls.append(len(np.atleast_2d(u)))
+        return search(cover, u, v)
+
+    monkeypatch.setattr(metric, "deck_infimum", counted)
+    pts = _interior_points(domain, 5, np.random.default_rng(32))
+    distances(domain, pts, [(0, 1), (1, 2), (3, 4), (4, 0)])
+    distance(domain, pts[0], pts[2])
+    assert calls == [4, 1]
 
 
 def test_deck_brute_force_oracle():
@@ -186,10 +221,12 @@ def test_deck_brute_force_oracle():
         assert got == pytest.approx(brute, abs=1e-12)
 
 
-def test_deck_bound_certification_failure():
-    # vertical far pair: bound 0 cannot certify the minimum
+def test_deck_bound_certification_failure(monkeypatch):
+    # vertical far pair: its certifying shell holds more lattice points
+    # than a cap of 3 allows
+    monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
     with pytest.raises(DeckBoundError):
-        deck_infimum(Strip(4.0), [0.0 + 0j], [0.0 + 40j], lattice_bound=0)
+        deck_infimum(Strip(4.0), [0.0 + 0j], [0.0 + 40j])
 
 
 def test_sandwich_gap_tolerance():
@@ -291,7 +328,9 @@ def test_reinhardt_log_over_an_interval_is_an_annulus():
     assert any(v.deck_index != (0,) for v in values)
 
 
-def test_distances_lattice_bound_raises_on_the_same_pair():
+def test_distances_lattice_bound_raises_on_the_same_pair(monkeypatch):
+    # a cap of 3 lattice points per shell leaves some pairs uncertified
+    monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
     domain = Annulus(4.0)
     pts = [np.array([0.3 + 0.05j]), np.array([3.5 - 1.0j]), np.array([-3.6 + 0.5j]),
            np.array([0.26j]), np.array([3.98 * cmath.exp(-2.5j)])]
@@ -299,17 +338,17 @@ def test_distances_lattice_bound_raises_on_the_same_pair():
     messages = []
     for i, j in pairs:
         try:
-            distance(domain, pts[i], pts[j], lattice_bound=1)
+            distance(domain, pts[i], pts[j])
             messages.append(None)
         except DeckBoundError as exc:
             messages.append(str(exc))
     # the first pair certifies, the other two fail with different messages
     assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
     with pytest.raises(DeckBoundError) as exc:
-        distances(domain, pts, pairs, lattice_bound=1)
+        distances(domain, pts, pairs)
     assert str(exc.value) == messages[1]
     with pytest.raises(DeckBoundError) as exc:
-        distances(domain, pts, pairs[::-1], lattice_bound=1)
+        distances(domain, pts, pairs[::-1])
     assert str(exc.value) == messages[2]
 
 

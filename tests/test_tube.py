@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_distance_bounds
 from kobalab import closed_forms as cf
+from kobalab import tube
 from kobalab.domains import LinearImage, Polytope, to_polytope
 from kobalab.tube import affine_disc_tau, tube_metric_bounds
 
@@ -305,6 +306,43 @@ def test_linear_image_base_bounds():
     want_lo, want_hi = tube_distance_bounds(BOX, np.array([0.3, -0.1], dtype=complex),
                                             np.array([-0.4, 0.2], dtype=complex))
     assert lo <= want_hi + 1e-9 and want_lo <= hi + 1e-9
+
+
+def _complex_route_tau(base, x, w):
+    # a linear-image tau pulled back to its inner base with the direction
+    # recombined as one complex vector, a base kind's tau on anything else
+    w = np.asarray(w, dtype=complex)
+    if isinstance(base, LinearImage):
+        inv = base.inverse
+        return _complex_route_tau(base.base, inv @ x, inv @ w.real + 1j * (inv @ w.imag))
+    return tube._TUBE_KINDS[type(base)].tau(base, x, w.real, w.imag)
+
+
+@pytest.mark.parametrize("inner", [BALL, BOX, to_polytope(BALL, 8),
+                                   LinearImage(((0.8, -0.3), (0.2, 1.1)), BALL)],
+                         ids=["ball", "box", "polytope", "linear-image"])
+def test_linear_image_tau_is_one_call_on_the_inner_base(inner, monkeypatch):
+    calls = []
+    tau = tube.affine_disc_tau
+
+    def counted(*args):
+        calls.append(1)
+        return tau(*args)
+
+    monkeypatch.setattr(tube, "affine_disc_tau", counted)
+    base = LinearImage(((1.0, 0.5), (-0.25, 1.5)), inner)
+    matrix = np.array(base.matrix)
+    gen = np.random.default_rng(12)
+    for k in range(60):
+        x = matrix @ (0.3 * gen.uniform(-1.0, 1.0, 2))
+        a, b = gen.normal(size=(2, 2))
+        # exact zeros of either sign in some components
+        a[k % 2] = (0.0, -0.0, a[0], a[0])[k % 4]
+        b[(k // 2) % 2] = (-0.0, 0.0, b[1])[k % 3]
+        calls.clear()
+        got = tube.affine_disc_tau(base, x, a + 1j * b)
+        assert len(calls) == 1
+        assert got == _complex_route_tau(base, x, a + 1j * b)
 
 
 def test_tube_metric_bounds_exact_on_diameter():
