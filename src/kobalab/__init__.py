@@ -29,7 +29,7 @@ from .geodesics import (AntipodalPair, GeodesicCurve, GeodesicFamily, antipodal_
                         radial_family, shadowing_bound, strip_crossing_family,
                         strip_crossing_geodesic, strip_vertical_line, to_arc_length)
 from .metric import (DeckBoundError, DistanceColumns, DistanceValue, SandwichGapError,
-                     deck_infimum, distance, distances, hyperbolic_length,
+                     SandwichRangeError, deck_infimum, distance, distances, hyperbolic_length,
                      infinitesimal_metric)
 from .scaling import (ConvergenceTable, compactly_divergent_probe,
                       geodesic_persistence_probe, inscribed_radius,

@@ -9,6 +9,7 @@ descriptors or config, 3 non-interior points.  All sampling is seeded
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,9 +17,11 @@ import numpy as np
 
 from .checker import reproduce_example
 from .coverings import CoveringError, map_from_dict
-from .domains import DomainError, NonInteriorError, _decoder, domain_from_dict, require_interior
+from .domains import (DomainError, ModelDomain, NonInteriorError, _decoder, domain_from_dict,
+                      require_interior)
 from .geodesics import GeodesicError, geodesic_samples_csv
-from .metric import DeckBoundError, SandwichGapError, _within_gap, distance, distances
+from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
+                     _within_gap, distances)
 from .serialize import family_from_dict, jsonify, parse_point, point_to_json
 
 EXIT_OK = 0
@@ -63,56 +66,100 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _point_csv(z) -> str:
-    return ";".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in np.atleast_1d(z).tolist())
-
-
 _CSV_HEADER = "domain,z,w,value,method,gap,deck_index"
 
 
-def _descriptor_text(domain: dict) -> str:
-    """The descriptor as the CSV domain column writes it, and as --batch
-    keys its decoded domains."""
-    return json.dumps(domain, sort_keys=True)
+def _csv_lines(columns: list[str], points: np.ndarray, found: DistanceColumns) -> list[str]:
+    """CSV lines of the pairs (points[2i], points[2i + 1]) of one domain,
+    whose distances are `found`; columns[i] is row i's domain column.
+    points is a C-contiguous (2m, n) complex array.  One %-format, built
+    once, fills each line from lists of the columns."""
+    m, n = len(found), points.shape[1]
+    point = ";".join(["%.17g%+.17gj"] * n)
+    deck = found.deck_index
+    fmt = (f"%s,{point},{point},%.17g,%s,%.17g,"
+           + ";".join(["%d"] * (0 if deck is None else deck.shape[1])))
+    # a row of points.view(float) is Re, Im of each coordinate in turn
+    floats = np.column_stack([points.view(float).reshape(m, 4 * n), found.value]).tolist()
+    decks = [()] * m if deck is None else deck.tolist()
+    return [fmt % (column, *coords, method, gap, *nu) for column, coords, method, gap, nu
+            in zip(columns, floats, found.method.tolist(), found.gap.tolist(), decks)]
 
 
-def _csv_row(domain_text: str, z, w, val) -> str:
-    deck = "" if val.deck_index is None else ";".join(str(k) for k in val.deck_index)
-    return ",".join([domain_text.replace(",", ";"), _point_csv(z), _point_csv(w),
-                     _fmt(val.value), val.method, _fmt(val.gap), deck])
+def _csv_column(domain) -> str:
+    """The descriptor as the CSV domain column writes it: its JSON text
+    with sorted keys, commas turned into semicolons."""
+    return json.dumps(domain, sort_keys=True).replace(",", ";")
+
+
+def _domain_groups(rows) -> list[tuple[list[int], list[str], ModelDomain]]:
+    """The --batch rows grouped by decoded domain, in order of first
+    appearance, as (row indices in input order, their CSV domain columns,
+    domain).  A descriptor's text is made once per distinct value, keyed
+    by its repr (for decoded JSON, equal reprs mean equal texts, and 4 and
+    4.0 stay two texts), and decoded once per distinct text."""
+    entries: dict[str, tuple] = {}      # repr -> (group, column)
+    by_column: dict[str, tuple] = {}    # column -> group
+    groups: dict = {}                   # domain -> (row indices, columns)
+    for k, row in enumerate(rows):
+        desc = row["domain"]
+        key = repr(desc)
+        entry = entries.get(key)
+        if entry is None:
+            column = _csv_column(desc)
+            if column not in by_column:
+                by_column[column] = groups.setdefault(domain_from_dict(desc), ([], []))
+            entry = entries[key] = (by_column[column], column)
+        (ks, columns), column = entry
+        ks.append(k)
+        columns.append(column)
+    return [(ks, columns, domain) for domain, (ks, columns) in groups.items()]
+
+
+def _group_points(rows, ks: list[int]):
+    """The points of the rows ks in the order z, w of each row: one (2k, n)
+    complex array when every z and every w is a list of n [re, im] number
+    pairs (one np.array call each), else the list of their parse_points."""
+    coords = []
+    for key in ("z", "w"):
+        try:
+            got = np.array([rows[k][key] for k in ks])
+        except (TypeError, ValueError, OverflowError):
+            break
+        if got.dtype.kind not in "iuf" or got.ndim != 3 or got.shape[2] != 2:
+            break
+        coords.append(got)
+    else:
+        if coords[0].shape == coords[1].shape:
+            pairs = np.stack(coords, axis=1).astype(float)      # (k, 2, n, 2)
+            return pairs.view(complex).reshape(2 * len(ks), -1)
+    return [parse_point(rows[k][key]) for k in ks for key in ("z", "w")]
 
 
 def _dist_batch(rows, gap_tol) -> list[str]:
-    """CSV lines of a --batch run, in input order.  Each distinct descriptor
-    text is decoded once, and one `distances` call (which checks its points
-    with one row-wise call) runs per distinct domain.  If anything raises,
-    the first bad row in input order decides the error raised."""
+    """CSV lines of a --batch run, in input order.  One `distances` call
+    runs per distinct domain (see `_domain_groups`, `_group_points`), and
+    the lines are formatted from its columns.  If anything raises, the
+    first bad row in input order decides the error raised."""
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
+    lines = [""] * len(rows)
+    gaps = np.zeros(len(rows))
     try:
-        texts = [_descriptor_text(row["domain"]) for row in rows]
-        domains: dict = {}
-        for text, row in zip(texts, rows):
-            if text not in domains:
-                domains[text] = domain_from_dict(row["domain"])
-        points = [(parse_point(row["z"]), parse_point(row["w"])) for row in rows]
-        groups: dict = {}
-        for k, text in enumerate(texts):
-            groups.setdefault(domains[text], []).append(k)
-        vals = [None] * len(rows)
-        for dom, ks in groups.items():
-            found = distances(dom, [p for k in ks for p in points[k]],
-                              np.arange(2 * len(ks)).reshape(-1, 2))
-            for k, val in zip(ks, found):
-                vals[k] = val
+        for ks, columns, domain in _domain_groups(rows):
+            points = _group_points(rows, ks)
+            found = distances(domain, points, np.arange(2 * len(ks)).reshape(-1, 2))
+            gaps[ks] = found.gap
+            for k, line in zip(ks, _csv_lines(columns, np.asarray(points), found)):
+                lines[k] = line
     except (ValueError, KeyError, RuntimeError):
         for row in rows:
             dom = domain_from_dict(row["domain"])
             require_interior(dom, parse_point(row["z"]))
             require_interior(dom, parse_point(row["w"]))
         raise
-    _within_gap([val.gap for val in vals], gap_tol)
-    return [_csv_row(text, z, w, val) for text, (z, w), val in zip(texts, points, vals)]
+    _within_gap(gaps, gap_tol)
+    return lines
 
 
 def cmd_dist(args) -> int:
@@ -128,9 +175,11 @@ def cmd_dist(args) -> int:
     dom = domain_from_dict(data)
     z = parse_point(args.z)
     w = parse_point(args.w)
-    val = distance(dom, z, w, gap_tol=args.gap_tol)
+    found = distances(dom, [z, w], [(0, 1)], gap_tol=args.gap_tol)
+    val = found[0]
     if args.format == "csv":
-        _emit(f"{_CSV_HEADER}\n{_csv_row(_descriptor_text(data), z, w, val)}\n", args.out)
+        line, = _csv_lines([_csv_column(data)], np.array([z, w]), found)
+        _emit(f"{_CSV_HEADER}\n{line}\n", args.out)
     elif args.format == "json":
         payload = {"value": val.value, "method": val.method, "gap": val.gap,
                    "deck_index": list(val.deck_index) if val.deck_index else None,
@@ -280,6 +329,7 @@ def cmd_scaling_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kobalab",
@@ -352,7 +402,7 @@ def main(argv=None) -> int:
             FileNotFoundError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_SCHEMA
-    except (DeckBoundError, SandwichGapError) as exc:
+    except (DeckBoundError, SandwichGapError, SandwichRangeError) as exc:
         sys.stderr.write(f"certification error: {exc}\n")
         return EXIT_FAIL
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import closed_forms as cf
-from .domains import (Annulus, LeftHalfPlane, ModelDomain, NonInteriorError, Polydisc,
+from .domains import (Annulus, LeftHalfPlane, ModelDomain, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
                       UnitBall, UnitDisc, as_pairs, as_point, base_support, dim,
                       require_interior)
@@ -53,6 +53,10 @@ class DeckBoundError(RuntimeError):
 
 class SandwichGapError(RuntimeError):
     """A sandwich bracket exceeded the caller's gap tolerance."""
+
+
+class SandwichRangeError(ValueError):
+    """An interior point lies where the sandwich cannot bracket the metric."""
 
 
 @dataclass(frozen=True)
@@ -219,27 +223,41 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
     """Minimum over deck translates v + 2*pi*i*nu of the cover distance.
 
     u, v are one pair of points or m pairs as two (m, n) arrays; the result
-    has one row per pair, and its `deck_index` holds each pair's nu.  The
-    search radius is grown until the slab lower bound at the next shell
-    provably exceeds the best value found, so the returned minimum is
-    attained and certified; a pair whose search would enumerate more than
-    DECK_ENUM_CAP lattice points, or still improves after DECK_ROUNDS
-    rounds, raises DeckBoundError.  Each pair is searched on its own; with
-    several pairs, the error of the first failing pair is raised.
+    has one row per pair, and its `deck_index` holds each pair's nu.  Each
+    pair's search box is centred on its nearest translate nu0, and its
+    radius is grown until the slab lower bound at the next shell provably
+    exceeds the best value found, so the returned minimum is attained and
+    certified; a pair whose nu0 leaves the int64 range, whose search would
+    enumerate more than DECK_ENUM_CAP lattice points, or which still
+    improves after DECK_ROUNDS rounds, raises DeckBoundError.  Each pair
+    is searched on its own; with several pairs, the error of the first
+    failing pair is raised.
     """
     _, us, vs = as_pairs(u, v)
     require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
     pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
-    terms = pair_terms(us, vs)
     dy = us.imag - vs.imag
-    nu0 = np.round(dy / TWO_PI).astype(int)
+    turns = np.round(dy / TWO_PI)
+    wild = ~(np.abs(turns) < 2.0 ** 63).all(axis=1)
+    if wild.any():
+        # the nearest translate has no int64 index; an earlier pair's error
+        # comes first, and pairs are searched independently
+        first = int(wild.argmax())
+        if first:
+            deck_infimum(cover, us[:first], vs[:first])
+        raise DeckBoundError(f"nearest deck translate {turns[first].tolist()} "
+                             f"is outside the int64 range")
+    # the search runs over offsets from the nearest translate nu0 of each pair
+    nu0 = turns.astype(int)
+    dy0 = dy - TWO_PI * nu0
+    terms = pair_terms(us, vs)
     v0 = vs + TWO_PI * 1j * nu0
     best_lo, highs, settled = (x.tolist() for x in bounds(us, v0, terms))
     best_hi = [hi if done else finish(u, v, lo, hi, t) for u, v, lo, hi, done, t
                in zip(us, v0, best_lo, highs, settled, terms)]
-    best_nu = [tuple(row) for row in nu0.tolist()]
-    evaluated = [{nu} for nu in best_nu]
+    best_nu = [(0,) * n] * m
+    evaluated = [{(0,) * n} for _ in range(m)]
     errors: dict[int, DeckBoundError] = {}
     for k in range(m):
         if not math.isfinite(best_hi[k]):
@@ -247,7 +265,10 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
 
     def bounds_for(rows: list[int]) -> np.ndarray:
         thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
-        return np.floor((np.abs(dy[rows]) + thr) / TWO_PI).astype(int) + 1
+        # a radius past the cap fails on the cap below; clipping first keeps
+        # the cast in range
+        radii = np.floor((np.abs(dy0[rows]) + thr) / TWO_PI)
+        return np.minimum(radii, DECK_ENUM_CAP).astype(int) + 1
 
     active = [k for k in range(m) if k not in errors]
     for _ in range(DECK_ROUNDS):
@@ -266,11 +287,12 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
             box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
             if not box:
                 continue
-            offsets = TWO_PI * np.array(box)
+            offsets = np.array(box)
             step = max(1, _SHELL_BLOCK // len(box))
             for start in range(0, len(ks), step):
                 rows = ks[start:start + step]
-                bound = offset_lower(us[rows], vs[rows], dy[rows][:, None, :] - offsets)
+                nus = nu0[rows][:, None, :] + offsets
+                bound = offset_lower(us[rows], vs[rows], dy[rows][:, None, :] - TWO_PI * nus)
                 # the translates whose offset bound does not exceed their
                 # pair's best so far survive, in per-pair lexicographic order
                 caps = np.array([best_hi[k] for k in rows])
@@ -280,7 +302,7 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
                 if not hits:
                     continue
                 owners = [rows[r] for r, _ in hits]
-                moved = vs[owners] + TWO_PI * 1j * np.array([box[l] for _, l in hits])
+                moved = vs[owners] + TWO_PI * 1j * nus[[r for r, _ in hits], [l for _, l in hits]]
                 # one batched bounds call for every survivor; the settled ones
                 # are taken first in that order, then the open ones best-first
                 # (by lower bound), each rechecked against its pair's running
@@ -322,7 +344,7 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
     gap = np.where(spread > 0.0, spread, 0.0)
     return DistanceColumns(0.5 * (lo + hi), gap,
                            np.where(gap == 0.0, "deck-infimum", "sandwich"),
-                           np.array(best_nu, dtype=int).reshape(m, n))
+                           nu0 + np.array(best_nu, dtype=int).reshape(m, n))
 
 
 def _point_rows(domain: ModelDomain, points) -> np.ndarray:
@@ -422,7 +444,7 @@ def _inscribed_radius(domain: ScaledEllipsoid, points: np.ndarray) -> float:
 
     r_in = inscribed_radius(domain.eps, domain.t, domain.dim)
     if any(float(np.linalg.norm(p)) >= r_in for p in points):
-        raise NonInteriorError(
+        raise SandwichRangeError(
             f"perturbed-ellipsoid values are bracketed only inside the "
             f"inscribed ball of radius {r_in:.6f}")
     return r_in

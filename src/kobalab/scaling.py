@@ -171,7 +171,8 @@ def metric_convergence_probe(eps: float, ts, grid=None, n: int = 2) -> Convergen
     the ball) and the inscribed-ball distance by one `distances` call per t;
     a row's deviation |midpoint - K_ball| is half its gap, the bracket width.
     eps = 0 gives exact zeros (Omega_t is the ball).  A grid point outside
-    Omega_t or its inscribed ball raises NonInteriorError, a ValueError.
+    Omega_t raises NonInteriorError, and one outside its inscribed ball
+    SandwichRangeError; both are ValueErrors.
     """
     if grid is None:
         grid = default_probe_grid(n)

@@ -19,7 +19,8 @@ from .geodesics import (GeodesicCurve, GeodesicFamily, Segment, antipodal_family
 
 def parse_point(raw) -> np.ndarray:
     """Accept '0.5+0.2j', a number, or a JSON-style list of [re, im] pairs;
-    anything else raises DomainError (JSON syntax errors pass unchanged)."""
+    anything else, an integer too large for a float included, raises
+    DomainError (JSON syntax errors pass unchanged)."""
     try:
         if isinstance(raw, str):
             text = raw.strip()
@@ -40,8 +41,8 @@ def parse_point(raw) -> np.ndarray:
                 else:
                     coords.append(complex(item))
             return np.array(coords)
-    except (TypeError, ValueError) as exc:
-        if type(exc) not in (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError) as exc:
+        if type(exc) not in (TypeError, ValueError, OverflowError):
             raise
         raise DomainError(f"cannot parse point from {raw!r}: {exc}") from None
     raise DomainError(f"cannot parse point from {raw!r}")

@@ -2,8 +2,11 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kobalab.cli import main
 
@@ -358,3 +361,119 @@ def test_audit_leaving_the_source_names_the_point(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("non-interior point: point [") and "Annulus(R=4.0)" in err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_dist_batch_golden_csv(tmp_path):
+    # every dist kind, pair- and string-form points, several dimensions and
+    # several descriptor texts of one domain; the CSV was written by the
+    # row-by-row edge that the columnar one replaced
+    out = tmp_path / "golden.csv"
+    assert main(["dist", "--batch", f"@{DATA / 'dist_batch_golden.json'}", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "dist_batch_golden.csv").read_bytes()
+
+
+def test_dist_batch_edge_rows_keep_their_outputs(tmp_path, capsys):
+    # bools and numeric strings inside pairs, NaN and infinity, integers
+    # beyond int64, ragged and mixed-dimension groups, a missing key and an
+    # empty batch: exit code, stderr and CSV as the row-by-row edge wrote them
+    for case in json.loads((DATA / "dist_batch_edges.json").read_text()):
+        batch = tmp_path / "edge.json"
+        batch.write_text(case["batch"])
+        capsys.readouterr()
+        code = main(["dist", "--batch", f"@{batch}"])
+        assert (code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"]), \
+            case["batch"]
+
+
+def _point_text(re: float, im: float) -> str:
+    return f"{re!r}{im:+}j"
+
+
+# (descriptor, dimension)
+_FORM_DOMAINS = [({"kind": "unit-disc"}, 1), ({"kind": "strip", "R": 4}, 1),
+                 ({"kind": "punctured-disc"}, 1), ({"kind": "annulus", "R": 4}, 1),
+                 ({"kind": "unit-ball", "dim": 2}, 2), ({"kind": "polydisc", "dim": 2}, 2),
+                 ({"kind": "tube", "base": {"kind": "ball", "center": [0, 0], "radius": 1}}, 2)]
+_COORD = st.floats(-0.49, 0.49, allow_subnormal=False)
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_FORM_DOMAINS) - 1),
+                          st.lists(_COORD, min_size=8, max_size=8)), min_size=1, max_size=6))
+def test_dist_batch_pair_and_string_forms_agree(tmp_path_factory, rows):
+    # the same rows written as [[re, im], ...] pairs (one array parse per
+    # group) and as "a+bj" strings (parse_point per row) give the same output
+    tmp = tmp_path_factory.mktemp("forms")
+    outputs = []
+    for as_text in (False, True):
+        batch = []
+        for kind, xs in rows:
+            domain, n = _FORM_DOMAINS[kind]
+            # annulus points need moduli in (1/4, 4)
+            shift = 1.5 if domain["kind"] == "annulus" else 0.0
+            z = [[xs[2 * j] + shift, xs[2 * j + 1]] for j in range(n)]
+            w = [[xs[4 + 2 * j] + shift, xs[5 + 2 * j]] for j in range(n)]
+            if as_text:
+                z, w = ([_point_text(*c) for c in p] for p in (z, w))
+            batch.append({"domain": domain, "z": z, "w": w})
+        path = tmp / f"{as_text}.json"
+        path.write_text(json.dumps(batch))
+        outputs.append(run_cli(["dist", "--batch", f"@{path}"]))
+    assert outputs[0] == outputs[1]
+
+
+def test_dist_batch_parses_pairs_by_array_and_keys_descriptors_once(tmp_path, monkeypatch):
+    from kobalab import cli
+
+    descriptors = [{"kind": "unit-disc"}, {"kind": "annulus", "R": 4},
+                   {"kind": "annulus", "R": 4.0}]
+    rows = []
+    for k in range(30):
+        domain = descriptors[k % 3]
+        shift = 1.0 if domain["kind"] == "annulus" else 0.0
+        rows.append((domain, [[shift + 0.1 * (k % 5), -0.2]], [[shift + 0.3, 0.02 * k]]))
+    path = _batch_file(tmp_path, rows)
+    calls = {"parse_point": 0, "dumps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_point", counted("parse_point", cli.parse_point))
+    monkeypatch.setattr(cli.json, "dumps", counted("dumps", cli.json.dumps))
+    code, out = run_cli(["dist", "--batch", path])
+    monkeypatch.undo()
+    assert code == 0 and len(out.splitlines()) == 31
+    assert calls == {"parse_point": 0, "dumps": 3}
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "unit-disc", "--z", f"[[{HUGE}, 0]]", "--w", "0"],
+    ["--batch", f'[{{"domain": {{"kind": "unit-disc"}}, "z": [[{HUGE}, 0]], "w": 0}}]'],
+    ["--batch", f'[{{"domain": {{"kind": "unit-disc"}}, "z": {HUGE}, "w": 0}}]'],
+])
+def test_dist_huge_integer_coordinate_exits_2(args, capsys):
+    assert main(["dist", *args]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot parse point from ")
+
+
+def test_perturbed_ellipsoid_refusal_is_a_certification_error(tmp_path, capsys):
+    # (0.95, 0) lies in Omega_0.5 but outside the ball that its sandwich
+    # brackets in: a certification failure (exit 1), not a non-interior point
+    domain = {"kind": "scaled-ellipsoid", "eps": 0.05, "t": 0.5, "dim": 2}
+    single = ["dist", "--domain", json.dumps(domain), "--z", "[0, 0]"]
+    assert main([*single, "--w", "[0.95, 0]"]) == 1
+    assert capsys.readouterr().err.startswith("certification error: ")
+    rows = [(domain, "[0, 0]", "[0.1, 0]"), (domain, "[0, 0]", "[0.95, 0]")]
+    assert main(["dist", "--batch", _batch_file(tmp_path, rows)]) == 1
+    assert capsys.readouterr().err.startswith("certification error: ")
+    # a point outside Omega_t is still a non-interior point
+    assert main([*single, "--w", "[1.0, 0]"]) == 3
+    assert capsys.readouterr().err.startswith("non-interior point: ")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,11 +223,42 @@ def test_deck_brute_force_oracle():
 
 
 def test_deck_bound_certification_failure(monkeypatch):
-    # vertical far pair: its certifying shell holds more lattice points
-    # than a cap of 3 allows
+    # vertical far pair near the strip's edge: the certifying shell around
+    # its nearest translate holds more lattice points than a cap of 3 allows
     monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
-    with pytest.raises(DeckBoundError):
-        deck_infimum(Strip(4.0), [0.0 + 0j], [0.0 + 40j])
+    with pytest.raises(DeckBoundError, match="needs 5 lattice points"):
+        deck_infimum(Strip(4.0), [0.0 + 0j], [1.38 + 40j])
+
+
+def test_deck_search_box_is_centred_on_the_nearest_translate(monkeypatch):
+    strip, u = Strip(4.0), [0.1 + 0j]
+    # nu0 = -15,915: the value and deck index that a box about 0 found
+    near = deck_infimum(strip, u, [0.2 + 1e5j])
+    assert near.value[0].hex() == "0x1.c668d00f2e30cp+0"
+    assert near.deck_index.tolist() == [[-15915]]
+    # nu0 = -103,451, where a box about 0 needs 206,905 lattice points: the
+    # search on the reduced pair v + 2 pi i nu0, shifted by nu0
+    v = 0.2 + 6.5e5j
+    nu0 = round(-v.imag / (2.0 * math.pi))
+    far = deck_infimum(strip, u, [v])
+    reduced = deck_infimum(strip, u, [v + 2j * math.pi * nu0])
+    assert far.value[0] == pytest.approx(reduced.value[0], abs=1e-12)
+    assert far.deck_index.tolist() == [[nu0 + int(reduced.deck_index[0, 0])]]
+    # a nearest translate beyond the int64 range raises, with no cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DeckBoundError, match="int64 range"):
+            deck_infimum(strip, u, [0.2 + 1e20j])
+        # with an earlier failing pair, that pair's error is raised
+        monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
+        us, vs = [[0j], [0.1 + 0j]], [[1.38 + 40j], [0.2 + 1e20j]]
+        with pytest.raises(DeckBoundError, match="needs 5 lattice points"):
+            deck_infimum(strip, us, vs)
+        with pytest.raises(DeckBoundError, match="int64 range"):
+            deck_infimum(strip, us[::-1], vs[::-1])
+        # a certifying radius beyond the int64 range is over the cap too
+        with pytest.raises(DeckBoundError, match="lattice points"):
+            deck_infimum(LeftHalfPlane(), [-1e-300 + 0j], [-1e300 + 1j])
 
 
 def test_sandwich_gap_tolerance():
@@ -333,7 +365,7 @@ def test_distances_lattice_bound_raises_on_the_same_pair(monkeypatch):
     monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
     domain = Annulus(4.0)
     pts = [np.array([0.3 + 0.05j]), np.array([3.5 - 1.0j]), np.array([-3.6 + 0.5j]),
-           np.array([0.26j]), np.array([3.98 * cmath.exp(-2.5j)])]
+           np.array([3.94 + 0j]), np.array([3.98 * cmath.exp(-2.5j)])]
     pairs = [(0, 1), (0, 2), (3, 4)]
     messages = []
     for i, j in pairs:
