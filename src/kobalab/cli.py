@@ -17,12 +17,12 @@ import numpy as np
 
 from .checker import reproduce_example
 from .coverings import CoveringError, map_from_dict
-from .domains import (DomainError, ModelDomain, NonInteriorError, _decoder, domain_from_dict,
+from .domains import (DomainError, ModelDomain, NonInteriorError, _int, domain_from_dict,
                       require_interior)
 from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
                      _within_gap, distances)
-from .serialize import family_from_dict, jsonify, parse_point, point_to_json
+from .serialize import family_from_dict, geodesic_from_dict, jsonify, parse_point, point_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -208,13 +208,9 @@ def cmd_audit(args) -> int:
     family = family_from_dict(config["family"])
     try:
         tol = float(config.get("tol", args.tol))
-    except (TypeError, ValueError):
-        raise DomainError("audit tol must be a number") from None
-    samples = config.get("samples", 32)
-    if (isinstance(samples, bool) or not isinstance(samples, (int, float))
-            or not float(samples).is_integer()):
-        raise DomainError(f"audit samples must be an integer, got {samples!r}")
-    samples = int(samples)
+        samples = _int(config.get("samples", 32))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"audit tol must be a number and samples an integer: {exc}") from None
     report = audit_isometry(fmap, family, samples=samples, tol=tol)
     if args.format == "json":
         _emit(json.dumps(jsonify(report.to_dict()), sort_keys=True) + "\n", args.out)
@@ -259,38 +255,11 @@ def cmd_export_geodesic(args) -> int:
     if args.count < 0:
         raise DomainError(f"--count must be >= 0, got {args.count}")
     spec = _load_json_arg(args.geodesic)
-    curve = _geodesic_from_dict(spec)
+    curve = geodesic_from_dict(spec)
     lo, hi = curve.window(args.window)
     ts = np.linspace(lo, hi, args.count)
     _emit(geodesic_samples_csv(curve, ts), args.out)
     return EXIT_OK
-
-
-@_decoder
-def _geodesic_from_dict(spec: dict):
-    from .domains import base_from_dict
-    from .geodesics import (AntipodalPair, annulus_radial_geodesic, antipodal_geodesic,
-                            ball_geodesic_segment, ball_landing_ray, disc_radial_geodesic,
-                            strip_crossing_geodesic, strip_vertical_line)
-
-    kind = spec.get("kind")
-    if kind == "ball-segment":
-        return ball_geodesic_segment(int(spec["dim"]), parse_point(spec["z"]), parse_point(spec["w"]))
-    if kind == "ball-ray":
-        return ball_landing_ray(int(spec["dim"]), parse_point(spec["z"]), parse_point(spec["p"]))
-    if kind == "strip-crossing":
-        return strip_crossing_geodesic(float(spec["R"]), float(spec.get("height", 0.0)))
-    if kind == "strip-vertical":
-        return strip_vertical_line(float(spec["R"]), float(spec.get("t0", 0.0)))
-    if kind == "radial":
-        return disc_radial_geodesic(complex(spec.get("omega", "1")), bool(spec.get("punctured", True)))
-    if kind == "annulus-radial":
-        return annulus_radial_geodesic(float(spec["R"]), float(spec.get("phase", 0.0)))
-    if kind == "antipodal":
-        base = base_from_dict(spec["base"])
-        pair = AntipodalPair(base, tuple(spec["x"]), tuple(spec["y"]))
-        return antipodal_geodesic(base, pair)
-    raise DomainError(f"unknown geodesic kind {kind!r}")
 
 
 def cmd_scaling_probe(args) -> int:

@@ -46,12 +46,23 @@ def disc_density(z: complex, v: complex) -> float:
 
 
 def halfplane_distance(z, w):
-    """Left half-plane {Re < 0}: arcsinh(|z-w| / (2 sqrt(x_z x_w)))."""
+    """Left half-plane {Re < 0}: arcsinh(q), q = |z-w| / (2 sqrt(x_z x_w)).
+    Where q is not finite (x_z x_w underflows or the quotient overflows),
+    log q is taken as a sum of logs: then arcsinh q = log 2q if q > e^20."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     xz, xw = -z.real, -w.real
     if np.any(xz <= 0.0) or np.any(xw <= 0.0):
         raise ValueError("points must have Re < 0")
-    return _value(np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(xz * xw))))
+    d = np.abs(z - w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = d / (2.0 * np.sqrt(xz * xw))
+        far = ~np.isfinite(q)
+        if not np.any(far):
+            return _value(np.arcsinh(q))
+        logq = np.log(d) - 0.5 * (np.log(xz) + np.log(xw)) - math.log(2.0)
+        return _value(np.where(far, np.where(logq > 20.0, logq + math.log(2.0),
+                                             np.arcsinh(np.exp(np.minimum(logq, 20.0)))),
+                               np.arcsinh(q)))
 
 
 def halfplane_density(z: complex, v: complex) -> float:

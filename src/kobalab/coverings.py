@@ -26,8 +26,9 @@ from typing import get_args
 import numpy as np
 
 from .domains import (Annulus, ConvexBase, ModelDomain, PuncturedDisc, ReinhardtLog, Strip,
-                      TubeOverBase, UnitBall, _decoder, as_point, base_dim, base_from_dict,
-                      base_to_dict, dim, domain_from_dict, domain_to_dict, membership)
+                      TubeOverBase, UnitBall, _decoder, _float, _int, as_point, base_dim,
+                      base_from_dict, base_to_dict, dim, domain_from_dict, domain_to_dict,
+                      membership)
 from .mobius import ball_scaling_differential, ball_scaling_map
 from .smith import smith_normal_form, snf_determinant
 
@@ -132,7 +133,7 @@ class Power(_MapKind):
 
     @classmethod
     def from_dict(cls, data):
-        return power_map(int(data["n"]))
+        return power_map(_int(data["n"]))
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ class BallMobius(_MapKind):
 
     @classmethod
     def from_dict(cls, data):
-        return ball_mobius_map(float(data["t"]), int(data["dim"]))
+        return ball_mobius_map(_float(data["t"]), _int(data["dim"]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ class too (`_Base` lists what it defines: membership, the support
 function, chords, margins, facets, validation, ...); the `base_*`
 functions, `chord_interval` and `to_polytope` dispatch to it.  Its tube
 maths (affine-disc solver, product competitor) is its entry in tube.py.
-Both kinds of class derive their codec from their dataclass fields.
+
+Every descriptor kind (domain, base, and in serialize.py family and
+geodesic) decodes the same way: `_kind_decoder` looks its `kind` up in a
+registry of constructors (kind classes or functions) and calls it with
+each parameter decoded from the field of that name by the codec of its
+annotation; a missing field takes its default.  The number codecs are
+strict: int fields take integral JSON numbers, float fields finite ones.
 
 The available kinds:
 
@@ -35,8 +41,10 @@ ScaledEllipsoid     A_t^{-1} of the perturbed ball {-1+|z|^2+eps|z-e_1|^4<0}
 from __future__ import annotations
 
 import functools
+import inspect
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field
 from typing import get_args
 
 import numpy as np
@@ -53,6 +61,10 @@ class DomainError(ValueError):
 
 class NonInteriorError(ValueError):
     """A point required to be interior is not."""
+
+
+# a point of C^n, as `as_point` makes it (the codec annotation of point fields)
+Point = np.ndarray
 
 
 def as_point(z) -> np.ndarray:
@@ -91,9 +103,9 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Codec:
-    """A descriptor is `kind` (the descriptor name) plus the dataclass
-    fields, each mapped by the codec of its annotation; a field that is
-    None is left out, and a field with a default may be missing."""
+    """A descriptor is `kind` (the descriptor name) plus the constructor
+    fields, each mapped by the codec of its annotation (`_field_codecs`);
+    a field that is None is left out."""
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -102,11 +114,6 @@ class _Codec:
             if value is not None:
                 out[name] = encode(value)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        return cls(**{name: decode(data[name] if required else data.get(name))
-                      for name, decode, _, required in _field_codecs(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +496,7 @@ class _Kind(_Codec):
     Unbounded kinds cap `escape_margin`.  Where a kind has them:
     `grid(count, skip)`, quasi-random interior points, and
     `project(z)`, the boundary point an escaping z approaches.  The codec
-    maps the dataclass fields.  Points reach these methods validated and
+    maps the constructor fields.  Points reach these methods validated and
     finite.
     """
 
@@ -931,32 +938,68 @@ def _decoder(from_fields):
             raise DomainError(f"a descriptor must be a JSON object, not {data!r}")
         try:
             return from_fields(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            if type(exc) not in (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if type(exc) not in (KeyError, TypeError, ValueError, OverflowError):
                 raise
             raise DomainError(f"malformed descriptor {data!r}: {exc!r}") from exc
     return from_dict
+
+
+def _kind_decoder(registry: dict, what: str):
+    """The decoder of the `what` descriptors: registry[data["kind"]] called
+    with each of its parameters decoded from the field of that name, or
+    left to its default when the field is missing."""
+    @_decoder
+    def from_dict(data: dict):
+        kind = data.get("kind")
+        if kind not in registry:
+            raise DomainError(f"unknown {what} kind {kind!r}")
+        ctor = registry[kind]
+        return ctor(**{name: decode(data[name])
+                       for name, decode, _, required in _field_codecs(ctor)
+                       if required or name in data})
+    return from_dict
+
+
+def _int(value) -> int:
+    """An integral JSON number: 3 or 3.0, not 2.5, true or "3"."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _float(value) -> float:
+    """A finite JSON number: not NaN, Infinity, true or "3"."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    """A JSON boolean: not 0 or "false"."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(_float(c) for c in values)
 
 
 def base_to_dict(base: ConvexBase) -> dict:
     return _known_base(base).to_dict()
 
 
-@_decoder
-def base_from_dict(data: dict) -> ConvexBase:
-    kind = data.get("kind")
-    if kind not in _BASES:
-        raise DomainError(f"unknown base kind {kind!r}")
-    return _BASES[kind].from_dict(data)
+base_from_dict = _kind_decoder(_BASES, "base")
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(c) for c in values)
-
-
-# (decode, encode) of a kind's field by its annotation, a string (PEP 563)
+# (decode, encode) of a constructor field by its annotation, a string (PEP
+# 563); complex numbers (a JSON number or a string such as "1-2j") and the
+# point fields that serialize.py adds are decoded only
 _CODEC_BY_ANNOTATION = {
-    "float": (float, lambda x: x), "int": (int, lambda x: x),
+    "int": (_int, lambda x: x), "float": (_float, lambda x: x), "bool": (_bool, lambda x: x),
+    "complex": (lambda v: complex(v if isinstance(v, str) else _float(v)), None),
     "tuple[float, ...]": (_floats, list),
     "tuple[float, ...] | None": (lambda v: None if v is None else _floats(v), list),
     "tuple[tuple[float, ...], ...]": (lambda rows: tuple(_floats(r) for r in rows),
@@ -966,20 +1009,15 @@ _CODEC_BY_ANNOTATION = {
 
 
 @functools.cache
-def _field_codecs(cls: type) -> tuple:
-    """(name, decode, encode, required) for each constructor field of a
-    kind, in field order."""
-    return tuple((f.name, *_CODEC_BY_ANNOTATION[f.type], f.default is MISSING)
-                 for f in fields(cls) if f.init)
+def _field_codecs(ctor) -> tuple:
+    """(name, decode, encode, required) for each parameter of a kind's
+    constructor (its class, or a function), in order."""
+    return tuple((p.name, *_CODEC_BY_ANNOTATION[p.annotation], p.default is p.empty)
+                 for p in inspect.signature(ctor).parameters.values())
 
 
 def domain_to_dict(domain: ModelDomain) -> dict:
     return _known(domain).to_dict()
 
 
-@_decoder
-def domain_from_dict(data: dict) -> ModelDomain:
-    kind = data.get("kind")
-    if kind not in _KINDS:
-        raise DomainError(f"unknown domain kind {kind!r}")
-    return _KINDS[kind].from_dict(data)
+domain_from_dict = _kind_decoder(_KINDS, "domain")

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms as cf
-from .domains import (Annulus, BoundaryPoint, ConvexBase, ModelDomain, PuncturedDisc,
+from .domains import (Annulus, BoundaryPoint, ConvexBase, ModelDomain, Point, PuncturedDisc,
                       ReinhardtLog, Strip, UnitBall, UnitDisc, as_point, base_dim,
                       base_facet_normals, base_reference, base_support, boundary_point,
                       chord_interval, dim, require_interior)
@@ -97,57 +97,47 @@ class GeodesicError(ValueError):
 # ball geodesics
 # ---------------------------------------------------------------------------
 
-def ball_geodesic_segment(n: int, z, w) -> GeodesicCurve:
-    """Arc-length geodesic segment of the unit ball from z to w.
+def _ball_line(z: np.ndarray, u: np.ndarray, interval: Interval, label: str) -> GeodesicCurve:
+    """The arc-length geodesic t -> phi_z(tanh(t) u) of the unit ball, for
+    an interior z and a unit vector u; phi_z is the automorphism swapping
+    z and the origin, which carries the radial line through u to z."""
+    zc = z.copy()
 
-    Transports the radial geodesic u -> tanh(u) e_1 by the automorphism
-    sending z to the origin; the segment ends at parameter K(z, w).
-    """
-    domain = UnitBall(n)
+    def sample(t: float) -> np.ndarray:
+        return mobius_to_origin(zc, math.tanh(t) * u)
+
+    def derivative(t: float) -> np.ndarray:
+        c = math.tanh(t)
+        return mobius_differential(zc, c * u, (1.0 - c * c) * u)
+
+    return GeodesicCurve(UnitBall(len(z)), interval, "arc-length", sample, derivative, label)
+
+
+def ball_geodesic_segment(dim: int, z: Point, w: Point) -> GeodesicCurve:
+    """Arc-length geodesic segment of the unit ball from z to w; it ends at
+    parameter K(z, w)."""
+    domain = UnitBall(dim)
     z = require_interior(domain, z)
     w = require_interior(domain, w)
     if np.array_equal(z, w):
         zc = z.copy()
         return GeodesicCurve(domain, Segment(0.0, 0.0), "arc-length",
-                             lambda t: zc.copy(), lambda t: np.zeros(n, dtype=complex),
+                             lambda t: zc.copy(), lambda t: np.zeros(dim, dtype=complex),
                              label="constant")
     w_hat = mobius_to_origin(z, w)
-    direction = w_hat / np.linalg.norm(w_hat)
-    total = cf.ball_distance(z, w)
-    zc = z.copy()
-
-    def sample(t: float) -> np.ndarray:
-        return mobius_to_origin(zc, math.tanh(t) * direction)
-
-    def derivative(t: float) -> np.ndarray:
-        c = math.tanh(t)
-        sech2 = 1.0 - c * c
-        return mobius_differential(zc, c * direction, sech2 * direction)
-
-    return GeodesicCurve(domain, Segment(0.0, total), "arc-length", sample, derivative,
-                         label=f"ball-segment-{n}d")
+    return _ball_line(z, w_hat / np.linalg.norm(w_hat), Segment(0.0, cf.ball_distance(z, w)),
+                      f"ball-segment-{dim}d")
 
 
-def ball_landing_ray(n: int, z, p) -> GeodesicCurve:
+def ball_landing_ray(dim: int, z: Point, p: Point) -> GeodesicCurve:
     """Arc-length ray from interior z landing at the boundary point p."""
-    domain = UnitBall(n)
-    z = require_interior(domain, z)
+    z = require_interior(UnitBall(dim), z)
     p_arr = p.as_array() if isinstance(p, BoundaryPoint) else as_point(p)
     if abs(float(np.linalg.norm(p_arr)) - 1.0) > 1e-9:
         raise GeodesicError("landing point must lie on the unit sphere")
-    p_hat = mobius_to_origin(z, p_arr)
-    p_hat = p_hat / np.linalg.norm(p_hat)  # renormalize against rounding
-    zc = z.copy()
-
-    def sample(t: float) -> np.ndarray:
-        return mobius_to_origin(zc, math.tanh(t) * p_hat)
-
-    def derivative(t: float) -> np.ndarray:
-        c = math.tanh(t)
-        return mobius_differential(zc, c * p_hat, (1.0 - c * c) * p_hat)
-
-    return GeodesicCurve(domain, Ray(), "arc-length", sample, derivative,
-                         label=f"ball-ray-to-{np.round(p_arr, 6)}")
+    p_hat = mobius_to_origin(z, p_arr)  # of unit norm, renormalized against rounding
+    return _ball_line(z, p_hat / np.linalg.norm(p_hat), Ray(),
+                      f"ball-ray-to-{np.round(p_arr, 6)}")
 
 
 def ball_complex_geodesic(n: int, z, p) -> Callable[[complex], np.ndarray]:
@@ -176,10 +166,30 @@ def ball_complex_geodesic(n: int, z, p) -> Callable[[complex], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# strip geodesics (cover of the annulus)
+# affine geodesics: strip, (punctured) disc and annulus lines
 # ---------------------------------------------------------------------------
 
-def strip_crossing_geodesic(R: float, height: float) -> GeodesicCurve:
+def _line(domain: ModelDomain, interval: Interval, label: str, c, d, rot=None) -> GeodesicCurve:
+    """The affine curve t -> c + t d, or t -> exp(c + t d) rot given a phase
+    rot; c, d and rot are numbers for a curve in C (exp is math.exp of a
+    real), or arrays of one per coordinate (np.exp)."""
+    if rot is None:
+        def sample(t: float) -> np.ndarray:
+            return np.array([c + t * d])
+    elif isinstance(rot, np.ndarray):
+        def sample(t: float) -> np.ndarray:
+            return np.exp(c + t * d) * rot
+    else:
+        def sample(t: float) -> np.ndarray:
+            return np.array([math.exp(c + t * d) * rot])
+
+    def derivative(t: float) -> np.ndarray:
+        return np.array([d]) if rot is None else sample(t) * d
+
+    return GeodesicCurve(domain, interval, "affine", sample, derivative, label)
+
+
+def strip_crossing_geodesic(R: float, height: float = 0.0) -> GeodesicCurve:
     """The geodesic line of H_R crossing the strip at Im = height.
 
     Affine parametrization t -> t + i*height on (-log R, log R); under the
@@ -189,18 +199,10 @@ def strip_crossing_geodesic(R: float, height: float) -> GeodesicCurve:
     domain = Strip(R)
     a = domain.halfwidth
     h = float(height)
-
-    def sample(t: float) -> np.ndarray:
-        return np.array([t + 1j * h])
-
-    def derivative(t: float) -> np.ndarray:
-        return np.array([1.0 + 0.0j])
-
-    return GeodesicCurve(domain, Segment(-a, a, open_ends=True), "affine",
-                         sample, derivative, label=f"strip-crossing@{h:g}")
+    return _line(domain, Segment(-a, a, open_ends=True), f"strip-crossing@{h:g}", 1j * h, 1 + 0j)
 
 
-def strip_vertical_line(R: float, t0: float) -> GeodesicCurve:
+def strip_vertical_line(R: float, t0: float = 0.0) -> GeodesicCurve:
     """The vertical line s -> t0 + i s in H_R (affine parametrization).
 
     Only the midline t0 = 0 is a metric geodesic; off-midline verticals
@@ -211,47 +213,27 @@ def strip_vertical_line(R: float, t0: float) -> GeodesicCurve:
     if abs(t0) >= domain.halfwidth:
         raise GeodesicError("t0 outside the base interval of the strip")
     x = float(t0)
-
-    def sample(s: float) -> np.ndarray:
-        return np.array([x + 1j * s])
-
-    def derivative(s: float) -> np.ndarray:
-        return np.array([1j])
-
-    return GeodesicCurve(domain, Line(), "affine", sample, derivative,
-                         label=f"strip-vertical@{x:g}")
+    return _line(domain, Line(), f"strip-vertical@{x:g}", x, 1j)
 
 
 def disc_radial_geodesic(omega: complex = 1.0, punctured: bool = True) -> GeodesicCurve:
     """The radial geodesic line (0,1) -> t*omega of the (punctured) disc."""
     w = complex(omega)
-    w = w / abs(w)
+    r = abs(w)
+    if not 0.0 < r < math.inf:
+        raise GeodesicError(f"a radial direction needs a nonzero finite omega, got {omega!r}")
+    w = w / r
     domain = PuncturedDisc() if punctured else UnitDisc()
-
-    def sample(t: float) -> np.ndarray:
-        return np.array([t * w])
-
-    def derivative(t: float) -> np.ndarray:
-        return np.array([w])
-
-    return GeodesicCurve(domain, Segment(0.0, 1.0, open_ends=True), "affine",
-                         sample, derivative, label=f"radial@{w:.4f}")
+    # -0j is the exact zero of addition: c + t*w is t*w to the bit
+    return _line(domain, Segment(0.0, 1.0, open_ends=True), f"radial@{w:.4f}", -0j, w)
 
 
 def annulus_radial_geodesic(R: float, phase: float = 0.0) -> GeodesicCurve:
     """Radial geodesic line t -> e^t e^{i phase} of A_R, t in (-log R, log R)."""
-    domain = Annulus(R)
     a = math.log(R)
     rot = complex(math.cos(phase), math.sin(phase))
-
-    def sample(t: float) -> np.ndarray:
-        return np.array([math.exp(t) * rot])
-
-    def derivative(t: float) -> np.ndarray:
-        return np.array([math.exp(t) * rot])
-
-    return GeodesicCurve(domain, Segment(-a, a, open_ends=True), "affine",
-                         sample, derivative, label=f"annulus-radial@{phase:g}")
+    return _line(Annulus(R), Segment(-a, a, open_ends=True), f"annulus-radial@{phase:g}",
+                 0.0, 1.0, rot)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +295,11 @@ def antipodal_geodesic(base: ConvexBase, pair: AntipodalPair,
     """
     x = np.asarray(pair.x, dtype=float)
     y = np.asarray(pair.y, dtype=float)
-    mid = 0.5 * (x + y)
-    half = 0.5 * (x - y)
-    domain = ReinhardtLog(base)
     rot = np.ones(len(x), dtype=complex)
     if phases is not None:
         rot = np.exp(1j * np.asarray(phases, dtype=float))
-
-    def sample(t: float) -> np.ndarray:
-        return rot * np.exp(mid + t * half)
-
-    def derivative(t: float) -> np.ndarray:
-        return rot * np.exp(mid + t * half) * half
-
-    return GeodesicCurve(domain, Segment(-1.0, 1.0, open_ends=True), "affine",
-                         sample, derivative, label="antipodal")
+    return _line(ReinhardtLog(base), Segment(-1.0, 1.0, open_ends=True), "antipodal",
+                 0.5 * (x + y), 0.5 * (x - y), rot)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +464,17 @@ def to_arc_length(curve: GeodesicCurve, anchor: float | None = None) -> Geodesic
 # family builders
 # ---------------------------------------------------------------------------
 
-def radial_family(n_members: int = 12, punctured: bool = True) -> GeodesicFamily:
+def _need_members(count: int) -> None:
+    if count < 1:
+        raise GeodesicError(f"a family needs count >= 1, got {count}")
+
+
+def radial_family(count: int = 12, punctured: bool = True) -> GeodesicFamily:
     """Complete radial family of the (punctured) disc, anchored at the
     puncture (every ray t*omega converges to 0 as t -> 0+)."""
+    _need_members(count)
     members = tuple(disc_radial_geodesic(complex(math.cos(a), math.sin(a)), punctured)
-                    for a in (2.0 * math.pi * k / n_members for k in range(n_members)))
+                    for a in (2.0 * math.pi * k / count for k in range(count)))
     domain = members[0].domain
 
     def member_through(z: np.ndarray):
@@ -522,7 +500,7 @@ def strip_crossing_family(R: float, heights: tuple[float, ...] = ()) -> Geodesic
     return GeodesicFamily(Strip(R), members, member_through, None, label="strip-crossing")
 
 
-def ball_segment_family(n: int, p, targets: tuple = ()) -> GeodesicFamily:
+def ball_segment_family(dim: int, p: Point, targets: tuple[Point, ...] = ()) -> GeodesicFamily:
     """Geodesic segments of the ball starting from the interior point p.
 
     Complete by construction: `member_through(z)` returns the segment from
@@ -532,33 +510,33 @@ def ball_segment_family(n: int, p, targets: tuple = ()) -> GeodesicFamily:
     if not targets:
         from ._sampling import ball_points
 
-        targets = tuple(ball_points(8, n, radius=0.7, seed=1))
-    members = tuple(ball_geodesic_segment(n, p_arr, w) for w in targets
+        targets = tuple(ball_points(8, dim, radius=0.7, seed=1))
+    members = tuple(ball_geodesic_segment(dim, p_arr, w) for w in targets
                     if not np.array_equal(as_point(w), p_arr))
 
     def member_through(z: np.ndarray):
         z = as_point(z)
-        seg = ball_geodesic_segment(n, p_arr, z)
+        seg = ball_geodesic_segment(dim, p_arr, z)
         return seg, seg.interval.b
 
-    return GeodesicFamily(UnitBall(n), members, member_through,
+    return GeodesicFamily(UnitBall(dim), members, member_through,
                           ("interior", tuple(complex(c) for c in p_arr)),
                           label=f"segments@{np.round(p_arr, 4)}")
 
 
-def ball_landing_family(n: int, p, starts: tuple = ()) -> GeodesicFamily:
+def ball_landing_family(dim: int, p: Point, starts: tuple[Point, ...] = ()) -> GeodesicFamily:
     """Rays of the ball landing at the boundary point p, anchored there."""
     p_arr = p.as_array() if isinstance(p, BoundaryPoint) else as_point(p)
     if not starts:
         from ._sampling import ball_points
 
-        starts = tuple(ball_points(8, n, radius=0.6))
-    members = tuple(ball_landing_ray(n, s, p_arr) for s in starts)
+        starts = tuple(ball_points(8, dim, radius=0.6))
+    members = tuple(ball_landing_ray(dim, s, p_arr) for s in starts)
 
     def member_through(z: np.ndarray):
-        return ball_landing_ray(n, z, p_arr), 0.0
+        return ball_landing_ray(dim, z, p_arr), 0.0
 
-    return GeodesicFamily(UnitBall(n), members, member_through,
+    return GeodesicFamily(UnitBall(dim), members, member_through,
                           ("boundary-landing", tuple(complex(c) for c in p_arr)),
                           label=f"landing@{np.round(p_arr, 4)}")
 
@@ -574,6 +552,7 @@ def antipodal_family(base: ConvexBase, count: int = 20,
     """
     from ._sampling import sphere_directions
 
+    _need_members(count)
     n = base_dim(base)
     dirs = sphere_directions(count, n)
     members = []

@@ -1,8 +1,12 @@
 """Descriptor codecs shared by the CLI and the JSON schemas: points,
-geodesic family descriptors (decode only), and report JSON-ification.
+family and geodesic descriptors (decode only), and report JSON-ification.
 
-Domain and map codecs live next to their types (domains.py, coverings.py);
-this module adds the family descriptors and the small glue the CLI needs.
+Every descriptor kind is decoded the same way (see domains.py): a
+registry maps its `kind` to a constructor, and the constructor's
+annotated parameters name the fields and their codecs.  Domain and map
+codecs live next to their types (domains.py, coverings.py); this module
+holds the family and geodesic registries, the point codec, and the small
+glue the CLI needs.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ import math
 
 import numpy as np
 
-from .domains import DomainError, _decoder, base_from_dict
-from .geodesics import (GeodesicCurve, GeodesicFamily, Segment, antipodal_family,
-                        ball_landing_family, radial_family, strip_crossing_family)
+from .domains import _CODEC_BY_ANNOTATION, ConvexBase, DomainError, PuncturedDisc, _kind_decoder
+from .geodesics import (AntipodalPair, GeodesicCurve, GeodesicFamily, Segment, _need_members,
+                        annulus_radial_geodesic, antipodal_family, antipodal_geodesic,
+                        ball_geodesic_segment, ball_landing_family, ball_landing_ray,
+                        ball_segment_family, disc_radial_geodesic, radial_family,
+                        strip_crossing_family, strip_crossing_geodesic, strip_vertical_line)
 
 
 def parse_point(raw) -> np.ndarray:
@@ -52,54 +59,46 @@ def point_to_json(z) -> list:
     return [[float(c.real), float(c.imag)] for c in np.atleast_1d(np.asarray(z, dtype=complex))]
 
 
-@_decoder
-def family_from_dict(data: dict) -> GeodesicFamily:
-    kind = data.get("kind")
-    if kind == "radial":
-        return radial_family(_count(data, 12), bool(data.get("punctured", True)))
-    if kind == "strip-crossing":
-        heights = tuple(float(h) for h in data.get("heights", ()))
-        return strip_crossing_family(float(data["R"]), heights)
-    if kind == "ball-landing":
-        n = int(data["dim"])
-        p = parse_point(data["p"])
-        starts = tuple(parse_point(s) for s in data.get("starts", ()))
-        return ball_landing_family(n, p, starts)
-    if kind == "antipodal":
-        return antipodal_family(base_from_dict(data["base"]), _count(data, 20),
-                                bool(data.get("with_phases", False)))
-    if kind == "corrupted-radial":
-        return corrupted_radial_family(_count(data, 8), float(data.get("wobble", 2.0)))
-    raise DomainError(f"unknown family kind {kind!r}")
-
-
-def _count(data: dict, default: int) -> int:
-    count = int(data.get("count", default))
-    if count < 1:
-        raise DomainError(f"a family needs count >= 1, got {count}")
-    return count
-
-
 def corrupted_radial_family(count: int = 8, wobble: float = 2.0) -> GeodesicFamily:
     """Radial rays with a phase wobble: NOT geodesics of the punctured
     disc.  With a wobble beyond pi/2 the power-map deck shortcut activates
     and the isometry audit must flag the family as violated."""
-    from .domains import PuncturedDisc
-
+    _need_members(count)
     members = []
     for k in range(count):
         theta = 2.0 * math.pi * k / count
         omega = complex(math.cos(theta), math.sin(theta))
 
-        def make(omega=omega):
-            def sample(t: float) -> np.ndarray:
-                phase = wobble * math.sin(3.0 * math.pi * t)
-                return np.array([t * omega * complex(math.cos(phase), math.sin(phase))])
-            return sample
+        def sample(t: float, omega=omega) -> np.ndarray:
+            phase = wobble * math.sin(3.0 * math.pi * t)
+            return np.array([t * omega * complex(math.cos(phase), math.sin(phase))])
 
         members.append(GeodesicCurve(PuncturedDisc(), Segment(0.0, 1.0, open_ends=True),
-                                     "affine", make(), None, label=f"wobble@{theta:.3f}"))
+                                     "affine", sample, None, label=f"wobble@{theta:.3f}"))
     return GeodesicFamily(PuncturedDisc(), tuple(members), None, None, label="corrupted-radial")
+
+
+def _antipodal_geodesic(base: ConvexBase, x: tuple[float, ...],
+                        y: tuple[float, ...]) -> GeodesicCurve:
+    """The antipodal geodesic line through the boundary points x, y of the base."""
+    return antipodal_geodesic(base, AntipodalPair(base, x, y))
+
+
+# the point fields of family and geodesic descriptors
+_CODEC_BY_ANNOTATION.update({
+    "Point": (parse_point, None),
+    "tuple[Point, ...]": (lambda points: tuple(parse_point(p) for p in points), None)})
+
+# descriptor name -> constructor, for each family kind and each geodesic kind
+_FAMILIES = {"radial": radial_family, "strip-crossing": strip_crossing_family,
+             "ball-segment": ball_segment_family, "ball-landing": ball_landing_family,
+             "antipodal": antipodal_family, "corrupted-radial": corrupted_radial_family}
+_GEODESICS = {"ball-segment": ball_geodesic_segment, "ball-ray": ball_landing_ray,
+              "strip-crossing": strip_crossing_geodesic, "strip-vertical": strip_vertical_line,
+              "radial": disc_radial_geodesic, "annulus-radial": annulus_radial_geodesic,
+              "antipodal": _antipodal_geodesic}
+family_from_dict = _kind_decoder(_FAMILIES, "family")
+geodesic_from_dict = _kind_decoder(_GEODESICS, "geodesic")
 
 
 def jsonify(obj):

@@ -177,6 +177,67 @@ def test_family_from_dict():
     assert len(fam3.members) == 2
 
 
+_BALL2_DESC = {"kind": "ball", "center": [0, 0], "radius": 1}
+
+
+def _family_kinds():
+    """(descriptor, the family built directly) for each family kind."""
+    from kobalab.geodesics import antipodal_family, ball_segment_family
+
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    return [
+        ({"kind": "radial", "count": 5, "punctured": False}, radial_family(5, False)),
+        ({"kind": "radial"}, radial_family(12, True)),
+        ({"kind": "strip-crossing", "R": 3, "heights": [0, 1.5]},
+         strip_crossing_family(3.0, (0.0, 1.5))),
+        ({"kind": "ball-segment", "dim": 2, "p": [[0.1, 0], [0, 0.2]],
+          "targets": [[[0.3, 0], [0, 0]], "[[0,0],[0,-0.4]]"]},
+         ball_segment_family(2, [0.1, 0.2j], ([0.3, 0.0], [0.0, -0.4j]))),
+        ({"kind": "ball-segment", "dim": 2, "p": [[0, 0], [0.5, 0]]},
+         ball_segment_family(2, [0.0, 0.5])),
+        ({"kind": "ball-landing", "dim": 2, "p": [[0, 0], [1, 0]], "starts": ["[[0.1,0],[0,0]]"]},
+         ball_landing_family(2, [0.0, 1.0], ([0.1, 0.0],))),
+        ({"kind": "antipodal", "base": _BALL2_DESC, "count": 3, "with_phases": True},
+         antipodal_family(ball, 3, True)),
+        ({"kind": "corrupted-radial", "count": 4, "wobble": 1.0},
+         corrupted_radial_family(4, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(len(_family_kinds())))
+def test_family_descriptor_decodes_to_the_built_family(k, validate_schema):
+    from kobalab import serialize
+
+    assert {data["kind"] for data, _ in _family_kinds()} == set(serialize._FAMILIES)
+    data, want = _family_kinds()[k]
+    validate_schema("family.json", data)
+    got = family_from_dict(data)
+    assert (got.domain, got.anchor, got.label) == (want.domain, want.anchor, want.label)
+    assert [m.label for m in got.members] == [m.label for m in want.members]
+    assert (got.member_through is None) == (want.member_through is None)
+    for mine, theirs in zip(got.members, want.members):
+        assert mine.interval == theirs.interval
+        for t in np.linspace(*mine.window(4.0), 5):
+            assert np.array_equal(mine.sample(t), theirs.sample(t))
+
+
+def test_family_count_must_be_positive():
+    from kobalab.geodesics import GeodesicError
+
+    for data in [{"kind": "radial", "count": 0}, {"kind": "corrupted-radial", "count": -1},
+                 {"kind": "antipodal", "base": _BALL2_DESC, "count": 0}]:
+        with pytest.raises(GeodesicError, match="count >= 1"):
+            family_from_dict(data)
+
+
+def test_ball_segment_family_audit_of_an_automorphism():
+    # the first theorem's family: all segments from p, under a ball automorphism
+    family = family_from_dict({"kind": "ball-segment", "dim": 2, "p": [[0.1, 0], [0, 0.2]]})
+    report = audit_isometry(ball_mobius_map(0.5, 2), family, samples=8)
+    assert report.verdict == "isometric-along-family"
+    assert family.anchor[0] == "interior"
+
+
 def test_report_serialization():
     fam = radial_family(3)
     report = audit_isometry(power_map(2), fam, samples=8)

@@ -4,10 +4,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kobalab import serialize
 from kobalab.cli import main
 
 
@@ -312,11 +314,69 @@ def test_export_geodesic_csv(tmp_path):
     assert len(lines) == 10
 
 
+_BALL2 = {"kind": "ball", "center": [0, 0], "radius": 1}
+
+
+def _geodesic_kinds():
+    """(descriptor, the curve built directly) for each geodesic kind."""
+    from kobalab import EuclideanBall
+    from kobalab.geodesics import (AntipodalPair, annulus_radial_geodesic, antipodal_geodesic,
+                                   ball_geodesic_segment, ball_landing_ray, disc_radial_geodesic,
+                                   strip_crossing_geodesic, strip_vertical_line)
+
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    return [
+        ({"kind": "ball-segment", "dim": 2, "z": [[0.1, 0.2], [0, -0.3]],
+          "w": "[[0.3,0],[-0.2,0.1]]"},
+         ball_geodesic_segment(2, [0.1 + 0.2j, complex(0, -0.3)], [0.3, -0.2 + 0.1j])),
+        ({"kind": "ball-ray", "dim": 2, "z": [[0.1, 0.2], [0, 0.3]], "p": [[0, 0], [1, 0]]},
+         ball_landing_ray(2, [0.1 + 0.2j, 0.3j], [0.0, 1.0])),
+        ({"kind": "strip-crossing", "R": 3.5, "height": -1.25},
+         strip_crossing_geodesic(3.5, -1.25)),
+        ({"kind": "strip-vertical", "R": 4, "t0": -0.7}, strip_vertical_line(4.0, -0.7)),
+        ({"kind": "radial", "omega": "0.3-0.8j", "punctured": False},
+         disc_radial_geodesic(0.3 - 0.8j, False)),
+        ({"kind": "annulus-radial", "R": 7.5, "phase": -2.1}, annulus_radial_geodesic(7.5, -2.1)),
+        ({"kind": "antipodal", "base": _BALL2, "x": [0.6, 0.8], "y": [-0.6, -0.8]},
+         antipodal_geodesic(ball, AntipodalPair(ball, (0.6, 0.8), (-0.6, -0.8)))),
+        # defaulted fields left out
+        ({"kind": "strip-crossing", "R": 4}, strip_crossing_geodesic(4.0, 0.0)),
+        ({"kind": "strip-vertical", "R": 4}, strip_vertical_line(4.0, 0.0)),
+        ({"kind": "radial"}, disc_radial_geodesic(1.0, True)),
+        ({"kind": "annulus-radial", "R": 4}, annulus_radial_geodesic(4.0, 0.0)),
+    ]
+
+
+@pytest.mark.parametrize("count,window", [(65, 8.0), (9, 3.5)])
+def test_export_geodesic_csv_of_every_kind(count, window, validate_schema):
+    from kobalab.geodesics import geodesic_samples_csv
+
+    kinds = _geodesic_kinds()
+    assert {spec["kind"] for spec, _ in kinds} == set(serialize._GEODESICS)
+    for spec, curve in kinds:
+        validate_schema("geodesic.json", spec)
+        code, out = run_cli(["export-geodesic", "--geodesic", json.dumps(spec),
+                             "--count", str(count), "--window", str(window)])
+        assert code == 0, spec
+        assert out == geodesic_samples_csv(curve, np.linspace(*curve.window(window), count)), spec
+
+
 @pytest.mark.parametrize("args", [
     ["--geodesic", "[1]"],
     ["--geodesic", '{"kind": "radial", "omega": "x"}'],
     ["--geodesic", '{"kind": "radial"}', "--count", "-1"],
-], ids=["not-an-object", "bad-field", "negative-count"])
+    ["--geodesic", '{"kind": "radial", "omega": "0"}'],
+    ["--geodesic", '{"kind": "radial", "omega": 0}'],
+    ["--geodesic", '{"kind": "radial", "omega": "nan"}'],
+    ["--geodesic", '{"kind": "radial", "omega": true}'],
+    ["--geodesic", '{"kind": "radial", "punctured": "false"}'],
+    ["--geodesic", '{"kind": "strip-crossing", "R": 4, "height": Infinity}'],
+    ["--geodesic", '{"kind": "ball-segment", "dim": 2.5, "z": 0, "w": 0}'],
+    ["--geodesic", '{"kind": "ball-segment", "dim": 1e400, "z": 0, "w": 0}'],
+    ["--geodesic", '{"kind": "helix"}'],
+], ids=["not-an-object", "bad-field", "negative-count", "zero-omega", "zero-number-omega",
+        "nan-omega", "bool-omega", "string-bool", "infinite-height", "fractional-dim",
+        "overflowing-dim", "unknown-kind"])
 def test_export_geodesic_malformed_input_exit_2(args, capsys):
     code, out = run_cli(["export-geodesic", *args])
     err = capsys.readouterr().err
@@ -373,6 +433,18 @@ def test_dist_batch_golden_csv(tmp_path):
     out = tmp_path / "golden.csv"
     assert main(["dist", "--batch", f"@{DATA / 'dist_batch_golden.json'}", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "dist_batch_golden.csv").read_bytes()
+
+
+def test_export_geodesic_golden_csv():
+    # every geodesic kind, defaulted and signed-zero fields among them; the
+    # CSV was written by the per-kind closures that _ball_line and _line replaced
+    got = []
+    for spec in json.loads((DATA / "export_geodesic_golden.json").read_text()):
+        code, out = run_cli(["export-geodesic", "--geodesic", json.dumps(spec),
+                             "--count", "17", "--window", "5"])
+        assert code == 0, spec
+        got.append(out)
+    assert "".join(got) == (DATA / "export_geodesic_golden.csv").read_text()
 
 
 def test_dist_batch_edge_rows_keep_their_outputs(tmp_path, capsys):
@@ -477,3 +549,50 @@ def test_perturbed_ellipsoid_refusal_is_a_certification_error(tmp_path, capsys):
     # a point outside Omega_t is still a non-interior point
     assert main([*single, "--w", "[1.0, 0]"]) == 3
     assert capsys.readouterr().err.startswith("non-interior point: ")
+
+
+BALL_DOMAIN = '{"kind": "tube", "base": {"kind": "ball", "center": [0, 0], "radius": %s}}'
+
+
+@pytest.mark.parametrize("args", [
+    # int fields take integral JSON numbers only
+    ["dist", "--domain", '{"kind": "unit-ball", "dim": 1e400}', "--z", "0", "--w", "0"],
+    ["dist", "--domain", '{"kind": "unit-ball", "dim": 2.5}', "--z", "[0, 0]", "--w", "[0, 0]"],
+    ["dist", "--domain", '{"kind": "unit-ball", "dim": true}', "--z", "0", "--w", "0"],
+    ["dist", "--domain", '{"kind": "polydisc", "dim": "2"}', "--z", "[0, 0]", "--w", "[0, 0]"],
+    ["audit", "--map", '{"kind": "power", "n": 1e400}', "--family", '{"kind": "radial"}'],
+    ["audit", "--map", '{"kind": "power", "n": 2.5}', "--family", '{"kind": "radial"}'],
+    ["audit", "--map", '{"kind": "ball-mobius", "t": 0.5, "dim": true}',
+     "--family", '{"kind": "ball-landing", "dim": 1, "p": 1}'],
+    ["audit", "--map", '{"kind": "power", "n": 2}', "--family", '{"kind": "radial", "count": 1e400}'],
+    ["audit", "--map", '{"kind": "power", "n": 2}', "--family", '{"kind": "radial", "count": 2.5}'],
+    ["audit", "--config", '{"map": {"kind": "power", "n": 2}, "family": {"kind": "radial"}, '
+                          '"samples": 1e400}'],
+    # float fields take finite numbers only
+    ["dist", "--domain", '{"kind": "strip", "R": Infinity}', "--z", "0", "--w", "0.5"],
+    ["dist", "--domain", '{"kind": "strip", "R": NaN}', "--z", "0", "--w", "0.5"],
+    ["dist", "--domain", '{"kind": "annulus", "R": "4"}', "--z", "1", "--w", "2"],
+    ["dist", "--domain", '{"kind": "annulus", "R": 1%s}' % ("0" * 400), "--z", "1", "--w", "2"],
+    ["dist", "--domain", BALL_DOMAIN % "true", "--z", "[0, 0]", "--w", "[0, 0]"],
+    ["dist", "--domain", '{"kind": "scaled-ellipsoid", "eps": NaN, "t": 0.5}', "--z", "[0, 0]",
+     "--w", "[0, 0]"],
+    ["audit", "--map", '{"kind": "ball-mobius", "t": NaN, "dim": 1}',
+     "--family", '{"kind": "ball-landing", "dim": 1, "p": 1}'],
+    # bool fields take JSON booleans only
+    ["audit", "--map", '{"kind": "power", "n": 2}', "--family", '{"kind": "radial", "punctured": 0}'],
+])
+def test_malformed_number_fields_exit_2(args, capsys):
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, ""), args
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_missing_defaulted_field_takes_its_default(validate_schema):
+    # a scaled ellipsoid without "dim" is the default two-dimensional one
+    data = {"kind": "scaled-ellipsoid", "eps": 0.1, "t": 0.5}
+    validate_schema("domain.json", data)
+    args = ["dist", "--domain", json.dumps(data), "--z", "[0, 0]", "--w", "[0.1, 0]"]
+    assert run_cli(args) == run_cli(["dist", "--domain", json.dumps({**data, "dim": 2}),
+                                     *args[3:]])
+    assert run_cli(args)[0] == 0

@@ -102,6 +102,24 @@ def test_halfplane_distance_batch():
         cf.halfplane_distance(np.append(z, 0.1), np.append(w, -1.0))
 
 
+def test_halfplane_distance_where_the_quotient_is_not_finite():
+    # real parts hundreds of orders of magnitude apart overflow the quotient
+    # (the first pair's distance is about 727), and tiny ones underflow
+    # x_z x_w to 0 with a moderate quotient; a batch that mixes them with an
+    # ordinary pair keeps the ordinary pair's bits
+    z = np.array([-5e-324, -1e-300 + 2j, -1e-200, -1e-170, -0.5 + 0.25j])
+    w = np.array([-1.7e308 + 1j, -1e300 - 3j, -1e-200 + 1e-200j, -3e-170 + 1e-169j, -2.0 - 1j])
+
+    def oracle():
+        return [mpmath.asinh(abs(_mp(a) - _mp(b)) / (2 * mpmath.sqrt(_mp(a).real * _mp(b).real)))
+                for a, b in zip(z, w)]
+
+    _check(cf.halfplane_distance(z, w),
+           [cf.halfplane_distance(a, b) for a, b in zip(z.tolist(), w.tolist())], oracle)
+    assert 727.0 < cf.halfplane_distance(z[0], w[0]) < 727.1
+    assert cf.halfplane_distance(z[-1:], w[-1:])[0] == cf.halfplane_distance(z, w)[-1]
+
+
 def test_strip_distance_batch():
     a = 1.3
     z, w = _strip_pairs(np.random.default_rng(23), a)

@@ -1,14 +1,29 @@
 import pytest
 
-from kobalab import cli, coverings, domains
+from kobalab import cli, coverings, domains, serialize
 
 
 @pytest.mark.parametrize("name,registry", [("domain.json", domains._KINDS),
                                            ("base.json", domains._BASES),
-                                           ("map.json", coverings._MAP_KINDS)])
+                                           ("map.json", coverings._MAP_KINDS),
+                                           ("family.json", serialize._FAMILIES),
+                                           ("geodesic.json", serialize._GEODESICS)])
 def test_schema_kinds_match_the_registries(schemas, name, registry):
     kinds = {branch["properties"]["kind"]["const"] for branch in schemas[name]["oneOf"]}
     assert kinds == set(registry)
+
+
+@pytest.mark.parametrize("name,registry", [("domain.json", domains._KINDS),
+                                           ("base.json", domains._BASES),
+                                           ("family.json", serialize._FAMILIES),
+                                           ("geodesic.json", serialize._GEODESICS)])
+def test_schema_fields_match_the_constructors(schemas, name, registry):
+    # each branch names the constructor's parameters, and requires those
+    # without a default
+    for branch in schemas[name]["oneOf"]:
+        codecs = domains._field_codecs(registry[branch["properties"]["kind"]["const"]])
+        assert set(branch["properties"]) == {"kind"} | {c[0] for c in codecs}
+        assert set(branch["required"]) == {"kind"} | {c[0] for c in codecs if c[3]}
 
 
 def test_schema_rejects_a_malformed_descriptor(validate_schema):
