@@ -106,6 +106,8 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     """
     if samples < 2 or not tol > 0.0:
         raise DomainError(f"an audit needs samples >= 2 and tol > 0, got {samples} and {tol}")
+    if not family.members:
+        raise DomainError(f"an audit needs a family member, {family.label!r} has none")
     pairs = np.transpose(np.triu_indices(samples, 1))
     per = []
     for member in family.members:
@@ -113,7 +115,7 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
         pts = np.array([as_point(member.sample(float(t))) for t in np.linspace(w0, w1, samples)])
         src = distances(f.source, pts, pairs)
         try:
-            imgs = require_interior(f.target, np.ascontiguousarray(f.kind.apply(pts)))
+            imgs = require_interior(f.target, np.ascontiguousarray(f.apply(pts)))
         except NonInteriorError as exc:
             raise NonInteriorError(f"an image point leaves the target domain: {exc}") from None
         tgt = _evaluate(f.target, imgs, pairs, None)
@@ -123,7 +125,7 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
             _largest(np.abs(src.value - tgt.value)),
             _largest(src.gap + tgt.gap),
             len(pairs)))
-    return IsometryReport(map_label=f.kind.label, per_geodesic=per, tol=tol)
+    return IsometryReport(map_label=f.label, per_geodesic=per, tol=tol)
 
 
 def _largest(*columns: np.ndarray) -> float:
@@ -175,8 +177,8 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
     is not explained by the covering structure is flagged.
     """
     pts = np.array([as_point(z) for z in grid])
-    imgs = f.kind.apply(pts)
-    matrix = f.kind.fiber_matrix
+    imgs = f.apply(pts)
+    matrix = f.fiber_matrix
     collisions = []
     for i, j, gap in _close_images(pts, imgs, tol):
         entry = {"i": i, "j": j,
@@ -287,7 +289,7 @@ def reinhardt_sign_grid(base, log_points=None) -> list[np.ndarray]:
 
 def reproduce_example(name: str, n: int = 2, R: float = 4.0, seed: int = 0,
                       samples: int = DEFAULT_SAMPLES) -> dict:
-    """Run the bundled audit for one of the named constructions.
+    """Run the bundled audit for one of the named constructions (EXAMPLES).
 
     power-disc      lambda -> lambda^n on the punctured disc, radial family
     exp-annulus     exp: H_R -> A_R along the crossing-line family
@@ -297,16 +299,12 @@ def reproduce_example(name: str, n: int = 2, R: float = 4.0, seed: int = 0,
     Each bundle reports the isometry audit, completeness, injectivity,
     properness, and the assertions that make it a certified (counter)example.
     """
-    if name == "power-disc":
-        return _example_power_disc(n, seed, samples)
-    if name == "exp-annulus":
-        return _example_exp_annulus(R, seed, samples)
-    if name == "monomial-tube":
-        return _example_monomial_tube(n, seed, samples)
-    raise ValueError(f"unknown example {name!r}; choose power-disc, exp-annulus, monomial-tube")
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; choose {', '.join(EXAMPLES)}")
+    return EXAMPLES[name](n, R, seed, samples)
 
 
-def _example_power_disc(n: int, seed: int, samples: int) -> dict:
+def _example_power_disc(n: int, R: float, seed: int, samples: int) -> dict:
     from .coverings import power_map
 
     f = power_map(n)
@@ -328,7 +326,7 @@ def _example_power_disc(n: int, seed: int, samples: int) -> dict:
             "assertions": assertions, "passed": all(assertions.values())}
 
 
-def _example_exp_annulus(R: float, seed: int, samples: int) -> dict:
+def _example_exp_annulus(n: int, R: float, seed: int, samples: int) -> dict:
     from .coverings import exp_strip_cover
 
     f = exp_strip_cover(R)
@@ -351,7 +349,7 @@ def _example_exp_annulus(R: float, seed: int, samples: int) -> dict:
             "assertions": assertions, "passed": all(assertions.values())}
 
 
-def _example_monomial_tube(n: int, seed: int, samples: int) -> dict:
+def _example_monomial_tube(n: int, R: float, seed: int, samples: int) -> dict:
     from .coverings import IntegerMatrix, monomial_map
     from .domains import EuclideanBall
 
@@ -389,3 +387,9 @@ def _example_monomial_tube(n: int, seed: int, samples: int) -> dict:
     return {"name": "monomial-tube", "n": n, "multiplicity": abs(matrix.det),
             "report": report, "properness": properness,
             "assertions": assertions, "passed": all(assertions.values())}
+
+
+# the bundled examples, in the order `kobalab examples` runs them: name ->
+# builder(n, R, seed, samples), each using the parameters its construction has
+EXAMPLES = {"power-disc": _example_power_disc, "exp-annulus": _example_exp_annulus,
+            "monomial-tube": _example_monomial_tube}

@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .checker import reproduce_example
+from .checker import EXAMPLES, reproduce_example
 from .coverings import CoveringError, map_from_dict
-from .domains import (DomainError, ModelDomain, NonInteriorError, _int, domain_from_dict,
-                      require_interior)
+from .domains import (DomainError, ModelDomain, NonInteriorError, _float, _int,
+                      domain_from_dict, require_interior)
 from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
                      _within_gap, distances)
@@ -207,7 +207,7 @@ def cmd_audit(args) -> int:
     fmap = map_from_dict(config["map"])
     family = family_from_dict(config["family"])
     try:
-        tol = float(config.get("tol", args.tol))
+        tol = _float(config.get("tol", args.tol))
         samples = _int(config.get("samples", 32))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"audit tol must be a number and samples an integer: {exc}") from None
@@ -224,7 +224,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    names = [args.only] if args.only else ["power-disc", "exp-annulus", "monomial-tube"]
+    names = [args.only] if args.only else list(EXAMPLES)
     bundles = []
     for name in names:
         bundle = reproduce_example(name, n=args.n, R=args.R, seed=args.seed)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_ex = sub.add_parser("examples", help="run the bundled example audits")
-    p_ex.add_argument("--only", choices=("power-disc", "exp-annulus", "monomial-tube"))
+    p_ex.add_argument("--only", choices=tuple(EXAMPLES))
     p_ex.add_argument("--n", type=int, default=2)
     p_ex.add_argument("--R", type=float, default=4.0)
     p_ex.add_argument("--seed", type=int, default=0)

@@ -7,12 +7,14 @@ identity, and compositions.  Monomial preimage fibers are enumerated
 exactly through the Smith normal form of A: the fiber over any point of
 C_*^n has |det A| points.
 
-Each map kind is one class below (`_MapKind` lists what it defines: the
-map and its differential, fibers, local inverse, audit label and codec);
-`HolomorphicMap` pairs it with a source and a target, and the module
-functions (`apply_map`, `map_differential`, `deck_preimages`,
-`map_to_dict`, `map_from_dict`) dispatch to it.  Every kind maps the rows
-of an (N, n) array at once, and `apply_map` is the one-row case, so a
+Each map kind is one frozen dataclass below whose fields are its
+descriptor's fields (`_MapKind` lists what it defines: the source and
+target, derived from the fields, the map and its differential, fibers,
+local inverse and audit label); `HolomorphicMap` is the union of the kinds.
+A map encodes and decodes through the codec shared by every descriptor
+kind (domains.py), and the module functions (`apply_map`,
+`map_differential`, `deck_preimages`) dispatch to it.  Every kind maps the
+rows of an (N, n) array at once, and `apply_map` is the one-row case, so a
 point's image never depends on the batch it is mapped in.
 """
 
@@ -25,10 +27,9 @@ from typing import get_args
 
 import numpy as np
 
-from .domains import (Annulus, ConvexBase, ModelDomain, PuncturedDisc, ReinhardtLog, Strip,
-                      TubeOverBase, UnitBall, _decoder, _float, _int, as_point, base_dim,
-                      base_from_dict, base_to_dict, dim, domain_from_dict, domain_to_dict,
-                      membership)
+from .domains import (_CODEC_BY_ANNOTATION, Annulus, ConvexBase, ModelDomain, PuncturedDisc,
+                      ReinhardtLog, Strip, TubeOverBase, UnitBall, _Codec, _int, _kind_decoder,
+                      as_point, base_dim, domain_to_dict, membership)
 from .mobius import ball_scaling_differential, ball_scaling_map
 from .smith import smith_normal_form, snf_determinant
 
@@ -73,24 +74,29 @@ def _int_det(a: list[list[int]]) -> int:
 
 # map kinds: one class per kind ------------------------------------------------
 
-class _MapKind:
+class _MapKind(_Codec):
     """What a map kind defines, with the shared defaults.
 
-    `kind` (the descriptor name), `label` (the audit report's name for the
+    `kind` (the descriptor name), the constructor fields (the descriptor's
+    fields, encoded and decoded by the shared codec), `source` and `target`
+    (derived from the fields), `label` (the audit report's name for the
     map), `apply(zs)` (the image of each row of an (N, n) complex array, as
     (N, n) rows), `differential(z, v)` (dF_z v), `fiber_matrix` (the
-    exponent matrix whose Smith form enumerates a finite fiber, else
-    None), `preimages(source, w)`, `local_inverse(w, ref)`
-    (the preimage of w on the branch through ref, for covering lifts; None
-    where no lift is implemented) and the codec `to_dict(source)` /
-    `from_dict(data)`, which the map's source completes.  Points reach
-    these methods validated.
+    exponent matrix whose Smith form enumerates a finite fiber, else None),
+    `preimages(w)` and `local_inverse(w, ref)` (the preimage of w on the
+    branch through ref, for covering lifts; None where no lift is
+    implemented).  Points reach these methods validated.
     """
 
     fiber_matrix = None
     local_inverse = None
 
-    def preimages(self, source: ModelDomain, w: np.ndarray) -> list:
+    @property
+    def target(self) -> ModelDomain:
+        """The default for the kinds that map their source into itself."""
+        return self.source
+
+    def preimages(self, w: np.ndarray) -> list:
         if self.fiber_matrix is None:
             raise CoveringError(f"no preimage enumeration for {self!r}")
         return monomial_preimages(self.fiber_matrix, w)
@@ -100,6 +106,7 @@ class _MapKind:
 class Power(_MapKind):
     n: int
     kind = "power"
+    source = target = PuncturedDisc()
 
     def __post_init__(self):
         if self.n < 1:
@@ -128,18 +135,25 @@ class Power(_MapKind):
         ang = (raw_angle + 2.0 * math.pi * k) / self.n
         return np.abs(w) ** (1.0 / self.n) * np.exp(1j * ang)
 
-    def to_dict(self, source):
-        return {"kind": self.kind, "n": self.n}
 
-    @classmethod
-    def from_dict(cls, data):
-        return power_map(_int(data["n"]))
+# the exp image of each exp-cover source kind
+_EXP_IMAGES = {Strip: lambda strip: Annulus(strip.R),
+               TubeOverBase: lambda tube: ReinhardtLog(tube.base)}
 
 
 @dataclass(frozen=True)
 class ExpCover(_MapKind):
+    source: ModelDomain
     kind = "exp"
     label = "exp-cover"
+
+    def __post_init__(self):
+        if type(self.source) not in _EXP_IMAGES:
+            raise CoveringError("exp cover needs a strip or tube source")
+
+    @functools.cached_property
+    def target(self) -> ModelDomain:
+        return _EXP_IMAGES[type(self.source)](self.source)
 
     def apply(self, zs):
         return np.exp(zs)
@@ -147,7 +161,7 @@ class ExpCover(_MapKind):
     def differential(self, z, v):
         return np.exp(z) * v
 
-    def preimages(self, source, w):
+    def preimages(self, w):
         # the principal log moved by each lattice vector 2 pi i k, |k_j| <= 2:
         # every preimage with imaginary parts within 12
         base_log = np.log(np.abs(w)) + 1j * np.angle(w)
@@ -155,7 +169,7 @@ class ExpCover(_MapKind):
         out = []
         for k in _mixed_radix([2 * k_max + 1] * w.size):
             cand = base_log + 2.0 * math.pi * 1j * (np.asarray(k) - k_max)
-            if membership(source, cand):
+            if membership(self.source, cand):
                 out.append(cand)
         return out
 
@@ -164,26 +178,27 @@ class ExpCover(_MapKind):
         shift = np.round((ref.imag - raw.imag) / (2.0 * math.pi))
         return raw + 2.0 * math.pi * 1j * shift
 
-    def to_dict(self, source):
-        return {"kind": self.kind, "source": domain_to_dict(source)}
-
-    @classmethod
-    def from_dict(cls, data):
-        source = domain_from_dict(data["source"])
-        cover = _EXP_COVERS.get(type(source))
-        if cover is None:
-            raise CoveringError("exp cover needs a strip or tube source")
-        return cover(source)
-
 
 @dataclass(frozen=True)
 class Monomial(_MapKind):
     matrix: IntegerMatrix
+    base: ConvexBase
     kind = "monomial"
 
     def __post_init__(self):
+        n = self.matrix.n
+        if n != base_dim(self.base):
+            raise CoveringError(f"a {n}x{n} exponent matrix needs a {n}-d base")
         if self.matrix.det == 0:
             raise CoveringError("monomial maps need det A != 0")
+
+    @functools.cached_property
+    def source(self) -> ReinhardtLog:
+        return ReinhardtLog(self.base)
+
+    @functools.cached_property
+    def target(self) -> ReinhardtLog:
+        return ReinhardtLog(log_image(self.matrix, self.base))
 
     @property
     def label(self) -> str:
@@ -199,24 +214,23 @@ class Monomial(_MapKind):
     def differential(self, z, v):
         return monomial_apply(self.matrix, z) * (self.matrix.as_array() @ (v / z))
 
-    def to_dict(self, source):
-        return {"kind": self.kind, "matrix": [list(r) for r in self.matrix.entries],
-                "base": base_to_dict(source.base)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return monomial_map(data["matrix"], base_from_dict(data["base"]))
-
 
 @dataclass(frozen=True)
 class BallMobius(_MapKind):
     t: float
+    dim: int
     kind = "ball-mobius"
     label = "ballmobius"
 
     def __post_init__(self):
         if not 0.0 <= self.t < 1.0:
             raise CoveringError("scaling parameter t must lie in [0, 1)")
+        if self.dim < 1:
+            raise CoveringError("ball dimension must be >= 1")
+
+    @functools.cached_property
+    def source(self) -> UnitBall:
+        return UnitBall(self.dim)
 
     def apply(self, zs):
         return ball_scaling_map(self.t, zs)
@@ -224,18 +238,16 @@ class BallMobius(_MapKind):
     def differential(self, z, v):
         return ball_scaling_differential(self.t, z, v)
 
-    def to_dict(self, source):
-        return {"kind": self.kind, "t": self.t, "dim": dim(source)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return ball_mobius_map(_float(data["t"]), _int(data["dim"]))
-
 
 @dataclass(frozen=True)
 class Identity(_MapKind):
+    domain: ModelDomain
     kind = "identity"
     label = "identity"
+
+    @property
+    def source(self) -> ModelDomain:
+        return self.domain
 
     def apply(self, zs):
         return zs.copy()
@@ -243,108 +255,100 @@ class Identity(_MapKind):
     def differential(self, z, v):
         return v.copy()
 
-    def preimages(self, source, w):
+    def preimages(self, w):
         return [w.copy()]
-
-    def to_dict(self, source):
-        return {"kind": self.kind, "domain": domain_to_dict(source)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return identity_map(domain_from_dict(data["domain"]))
 
 
 @dataclass(frozen=True)
 class Compose(_MapKind):
-    parts: tuple[HolomorphicMap, ...]
+    maps: tuple[HolomorphicMap, ...]
     kind = "compose"
     label = "compose"
 
+    def __post_init__(self):
+        if not self.maps:
+            raise CoveringError("need at least one map")
+        for f, g in zip(self.maps, self.maps[1:]):
+            if domain_to_dict(f.target) != domain_to_dict(g.source):
+                raise CoveringError("composition chain does not typecheck")
+
+    @property
+    def source(self) -> ModelDomain:
+        return self.maps[0].source
+
+    @property
+    def target(self) -> ModelDomain:
+        return self.maps[-1].target
+
     def apply(self, zs):
-        return functools.reduce(lambda acc, part: part.kind.apply(acc), self.parts, zs)
+        return functools.reduce(lambda acc, part: part.apply(acc), self.maps, zs)
 
     def differential(self, z, v):
-        for part in self.parts:
+        for part in self.maps:
             v = map_differential(part, z, v)
             z = apply_map(part, z)
         return v
 
-    def to_dict(self, source):
-        return {"kind": self.kind, "maps": [map_to_dict(p) for p in self.parts]}
 
-    @classmethod
-    def from_dict(cls, data):
-        return compose_maps(*[map_from_dict(d) for d in data["maps"]])
+HolomorphicMap = Power | ExpCover | Monomial | BallMobius | Identity | Compose
+_MAP_KINDS = {cls.kind: cls for cls in get_args(HolomorphicMap)}  # descriptor name -> kind
 
 
-MapKind = Power | ExpCover | Monomial | BallMobius | Identity | Compose
-_MAP_KINDS = {cls.kind: cls for cls in get_args(MapKind)}  # descriptor name -> kind
-_MAP_TYPES = frozenset(_MAP_KINDS.values())
+def _integer_matrix(rows) -> IntegerMatrix:
+    """An exponent matrix from rows of integral numbers (3 or 3.0, not 1.5
+    or true); an IntegerMatrix passes unchanged."""
+    if isinstance(rows, IntegerMatrix):
+        return rows
+    try:
+        entries = tuple(tuple(_int(x) for x in row) for row in rows)
+    except ValueError as exc:
+        raise CoveringError(f"monomial exponents must be integers: {exc}") from None
+    return IntegerMatrix(entries)
 
 
-@dataclass(frozen=True)
-class HolomorphicMap:
-    kind: MapKind
-    source: ModelDomain
-    target: ModelDomain
-
-    def __post_init__(self):
-        if type(self.kind) not in _MAP_TYPES:
-            raise CoveringError(f"unknown map kind {self.kind!r}")
+# the map fields' codecs: exponent matrices and the parts of a composition
+_CODEC_BY_ANNOTATION.update({
+    "IntegerMatrix": (_integer_matrix, lambda matrix: [list(r) for r in matrix.entries]),
+    "tuple[HolomorphicMap, ...]": (lambda maps: tuple(map_from_dict(d) for d in maps),
+                                   lambda maps: [map_to_dict(f) for f in maps])})
 
 
 # constructors ----------------------------------------------------------------
 
 def power_map(n: int) -> HolomorphicMap:
     """lambda -> lambda^n on the punctured disc (a holomorphic covering)."""
-    return HolomorphicMap(Power(n), PuncturedDisc(), PuncturedDisc())
+    return Power(n)
 
 
 def exp_strip_cover(R: float) -> HolomorphicMap:
-    return HolomorphicMap(ExpCover(), Strip(R), Annulus(R))
+    return ExpCover(Strip(R))
 
 
 def exp_tube_cover(base: ConvexBase) -> HolomorphicMap:
-    return HolomorphicMap(ExpCover(), TubeOverBase(base), ReinhardtLog(base))
+    return ExpCover(TubeOverBase(base))
 
 
 def monomial_map(matrix, base: ConvexBase) -> HolomorphicMap:
-    """Phi_A restricted to the Reinhardt domain over `base`.
+    """Phi_A restricted to the Reinhardt domain over `base`, for A an
+    IntegerMatrix or rows of integral numbers.
 
     The target is the Reinhardt domain over the exact linear image A(base),
     matching log(Phi_A(D)) = A(log D).
     """
-    mat = matrix if isinstance(matrix, IntegerMatrix) else IntegerMatrix(
-        tuple(tuple(_exponent(x) for x in row) for row in matrix))
-    if mat.n != base_dim(base):
-        raise CoveringError(f"a {mat.n}x{mat.n} exponent matrix needs a {mat.n}-d base")
-    return HolomorphicMap(Monomial(mat), ReinhardtLog(base),
-                          ReinhardtLog(log_image(mat, base)))
-
-
-def _exponent(x) -> int:
-    k = int(x)
-    if k != x:
-        raise CoveringError(f"monomial exponents must be integers, got {x!r}")
-    return k
+    return Monomial(_integer_matrix(matrix), base)
 
 
 def ball_mobius_map(t: float, n: int) -> HolomorphicMap:
-    return HolomorphicMap(BallMobius(t), UnitBall(n), UnitBall(n))
+    return BallMobius(t, n)
 
 
 def identity_map(domain: ModelDomain) -> HolomorphicMap:
-    return HolomorphicMap(Identity(), domain, domain)
+    return Identity(domain)
 
 
 def compose_maps(*maps: HolomorphicMap) -> HolomorphicMap:
     """Composition applying left-to-right: compose(f, g) sends z to g(f(z))."""
-    if not maps:
-        raise CoveringError("need at least one map")
-    for f, g in zip(maps, maps[1:]):
-        if domain_to_dict(f.target) != domain_to_dict(g.source):
-            raise CoveringError("composition chain does not typecheck")
-    return HolomorphicMap(Compose(tuple(maps)), maps[0].source, maps[-1].target)
+    return Compose(maps)
 
 
 # evaluation ------------------------------------------------------------------
@@ -448,12 +452,12 @@ def monomial_apply(matrix: IntegerMatrix, z) -> np.ndarray:
 
 def apply_map(f: HolomorphicMap, z) -> np.ndarray:
     """F(z) for one point: the one-row case of the map kind's `apply`."""
-    return f.kind.apply(as_point(z)[None])[0]
+    return f.apply(as_point(z)[None])[0]
 
 
 def map_differential(f: HolomorphicMap, z, v) -> np.ndarray:
     """Complex differential dF_z applied to v."""
-    return f.kind.differential(as_point(z), as_point(v))
+    return f.differential(as_point(z), as_point(v))
 
 
 # preimages and log geometry --------------------------------------------------
@@ -552,23 +556,13 @@ def deck_preimages(f: HolomorphicMap, w) -> list[np.ndarray]:
     lattice translates of the principal log by 2 pi i k, |k_j| <= 2 (those in
     the source), which include every preimage with imaginary parts within 12.
     """
-    return f.kind.preimages(f.source, as_point(w))
+    return f.preimages(as_point(w))
 
 
 # serialization ---------------------------------------------------------------
 
 def map_to_dict(f: HolomorphicMap) -> dict:
-    return f.kind.to_dict(f.source)
+    return f.to_dict()
 
 
-@_decoder
-def map_from_dict(data: dict) -> HolomorphicMap:
-    kind = data.get("kind")
-    if kind not in _MAP_KINDS:
-        raise CoveringError(f"unknown map kind {kind!r}")
-    return _MAP_KINDS[kind].from_dict(data)
-
-
-# the exp cover of each source kind (its target is the exp image)
-_EXP_COVERS = {Strip: lambda source: exp_strip_cover(source.R),
-               TubeOverBase: lambda source: exp_tube_cover(source.base)}
+map_from_dict = _kind_decoder(_MAP_KINDS, "map")

@@ -15,12 +15,13 @@ function, chords, margins, facets, validation, ...); the `base_*`
 functions, `chord_interval` and `to_polytope` dispatch to it.  Its tube
 maths (affine-disc solver, product competitor) is its entry in tube.py.
 
-Every descriptor kind (domain, base, and in serialize.py family and
-geodesic) decodes the same way: `_kind_decoder` looks its `kind` up in a
-registry of constructors (kind classes or functions) and calls it with
-each parameter decoded from the field of that name by the codec of its
-annotation; a missing field takes its default.  The number codecs are
-strict: int fields take integral JSON numbers, float fields finite ones.
+Every descriptor kind (domain, base, map in coverings.py, and family and
+geodesic in serialize.py) decodes the same way: `_kind_decoder` looks its
+`kind` up in a registry of constructors (kind classes or functions) and
+calls it with each parameter decoded from the field of that name by the
+codec of its annotation; a missing field takes its default, and a field
+that names no parameter is refused.  The number codecs are strict: int
+fields take integral JSON numbers, float fields finite ones.
 
 The available kinds:
 
@@ -928,36 +929,31 @@ def boundary_point(domain: ModelDomain, z) -> BoundaryPoint:
 # serialization (schemas/v1); round-trips are lossless
 # ---------------------------------------------------------------------------
 
-def _decoder(from_fields):
-    """Wrap a descriptor decoder so that a non-object descriptor, or the
-    built-in error of a missing or unconvertible field, raises DomainError;
+def _kind_decoder(registry: dict, what: str):
+    """The decoder of the `what` descriptors: registry[data["kind"]] called
+    with each of its parameters decoded from the field of that name, or
+    left to its default when the field is missing.  A non-object
+    descriptor, an unknown kind, a field that names no parameter, or the
+    built-in error of a missing or unconvertible field raises DomainError;
     the package's own errors (subclasses) pass unchanged."""
-    @functools.wraps(from_fields)
     def from_dict(data):
         if not isinstance(data, dict):
             raise DomainError(f"a descriptor must be a JSON object, not {data!r}")
         try:
-            return from_fields(data)
+            kind = data.get("kind")
+            if kind not in registry:
+                raise DomainError(f"unknown {what} kind {kind!r}")
+            codecs = _field_codecs(registry[kind])
+            unknown = data.keys() - {"kind", *(c[0] for c in codecs)}
+            if unknown:
+                raise DomainError(f"unknown fields {sorted(unknown)} in a {kind!r} {what} "
+                                  f"descriptor")
+            return registry[kind](**{name: decode(data[name]) for name, decode, _, required
+                                     in codecs if required or name in data})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if type(exc) not in (KeyError, TypeError, ValueError, OverflowError):
                 raise
             raise DomainError(f"malformed descriptor {data!r}: {exc!r}") from exc
-    return from_dict
-
-
-def _kind_decoder(registry: dict, what: str):
-    """The decoder of the `what` descriptors: registry[data["kind"]] called
-    with each of its parameters decoded from the field of that name, or
-    left to its default when the field is missing."""
-    @_decoder
-    def from_dict(data: dict):
-        kind = data.get("kind")
-        if kind not in registry:
-            raise DomainError(f"unknown {what} kind {kind!r}")
-        ctor = registry[kind]
-        return ctor(**{name: decode(data[name])
-                       for name, decode, _, required in _field_codecs(ctor)
-                       if required or name in data})
     return from_dict
 
 
@@ -991,12 +987,18 @@ def base_to_dict(base: ConvexBase) -> dict:
     return _known_base(base).to_dict()
 
 
+def domain_to_dict(domain: ModelDomain) -> dict:
+    return _known(domain).to_dict()
+
+
 base_from_dict = _kind_decoder(_BASES, "base")
+domain_from_dict = _kind_decoder(_KINDS, "domain")
 
 
 # (decode, encode) of a constructor field by its annotation, a string (PEP
-# 563); complex numbers (a JSON number or a string such as "1-2j") and the
-# point fields that serialize.py adds are decoded only
+# 563); coverings.py adds the map fields' codecs; complex numbers (a JSON
+# number or a string such as "1-2j") and the point fields that serialize.py
+# adds are decoded only
 _CODEC_BY_ANNOTATION = {
     "int": (_int, lambda x: x), "float": (_float, lambda x: x), "bool": (_bool, lambda x: x),
     "complex": (lambda v: complex(v if isinstance(v, str) else _float(v)), None),
@@ -1005,6 +1007,7 @@ _CODEC_BY_ANNOTATION = {
     "tuple[tuple[float, ...], ...]": (lambda rows: tuple(_floats(r) for r in rows),
                                       lambda rows: [list(r) for r in rows]),
     "ConvexBase": (base_from_dict, base_to_dict),
+    "ModelDomain": (domain_from_dict, domain_to_dict),
 }
 
 
@@ -1015,9 +1018,3 @@ def _field_codecs(ctor) -> tuple:
     return tuple((p.name, *_CODEC_BY_ANNOTATION[p.annotation], p.default is p.empty)
                  for p in inspect.signature(ctor).parameters.values())
 
-
-def domain_to_dict(domain: ModelDomain) -> dict:
-    return _known(domain).to_dict()
-
-
-domain_from_dict = _kind_decoder(_KINDS, "domain")

@@ -326,9 +326,9 @@ def lift_geodesic(covering, curve: GeodesicCurve, base_preimage) -> GeodesicCurv
     if float(np.max(np.abs(image - base_pt))) > 1e-8:
         raise GeodesicError("base_preimage does not map to the curve's basepoint")
 
-    local_lift = covering.kind.local_inverse
+    local_lift = covering.local_inverse
     if local_lift is None:
-        raise GeodesicError(f"lifting not implemented for {covering.kind!r}")
+        raise GeodesicError(f"lifting not implemented for {covering!r}")
 
     def sample(t: float) -> np.ndarray:
         # continue the branch from the anchor; restart with finer steps

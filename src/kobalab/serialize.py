@@ -1,12 +1,12 @@
 """Descriptor codecs shared by the CLI and the JSON schemas: points,
 family and geodesic descriptors (decode only), and report JSON-ification.
 
-Every descriptor kind is decoded the same way (see domains.py): a
-registry maps its `kind` to a constructor, and the constructor's
-annotated parameters name the fields and their codecs.  Domain and map
-codecs live next to their types (domains.py, coverings.py); this module
-holds the family and geodesic registries, the point codec, and the small
-glue the CLI needs.
+Every descriptor kind is decoded the same way, by the shared codec of
+domains.py: a registry maps its `kind` to a constructor, and the
+constructor's annotated parameters name the fields and their codecs.  The
+domain and map registries live next to their types (domains.py,
+coverings.py); this module holds the family and geodesic registries, the
+point codec, and the small glue the CLI needs.
 """
 
 from __future__ import annotations

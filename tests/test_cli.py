@@ -255,13 +255,14 @@ def test_audit_config_error_exit_2():
         assert code == 2, fmap
     base = '{"kind": "ball", "center": [0, 0], "radius": 1}'
     antipodal = '{"kind": "antipodal", "count": 2, "base": %s}' % base
-    for matrix in ['[[1.5, 0], [0, 1]]', '[[2]]']:
+    for matrix in ['[[1.5, 0], [0, 1]]', '[[true, 0], [0, 2]]', '[[2]]']:
         fmap = '{"kind": "monomial", "matrix": %s, "base": %s}' % (matrix, base)
         code, _ = run_cli(["audit", "--map", fmap, "--family", antipodal])
         assert code == 2, matrix
     radial = {"map": {"kind": "power", "n": 2}, "family": {"kind": "corrupted-radial", "count": 3}}
     for config in ['[1]', json.dumps({**radial, "samples": "x"}),
                    json.dumps({**radial, "samples": 1}), json.dumps({**radial, "tol": -1}),
+                   json.dumps({**radial, "tol": True}), json.dumps({**radial, "tol": "1e-9"}),
                    json.dumps({**radial, "samples": 2.7}), json.dumps({**radial, "samples": True}),
                    json.dumps({**radial, "seed": 1}), json.dumps({**radial, "sample": 10})]:
         code, _ = run_cli(["audit", "--config", config])
@@ -271,6 +272,16 @@ def test_audit_config_error_exit_2():
                    '{"kind": "radial", "count": "x"}']:
         code, _ = run_cli(["audit", "--map", '{"kind": "power", "n": 2}', "--family", family])
         assert code == 2, family
+
+
+def test_audit_of_an_empty_family_exit_2(capsys):
+    # the only target is p itself, so the family has no member to audit
+    family = {"kind": "ball-segment", "dim": 2, "p": [[0.1, 0], [0, 0.2]],
+              "targets": [[[0.1, 0], [0, 0.2]]]}
+    code, out = run_cli(["audit", "--map", '{"kind": "ball-mobius", "t": 0.5, "dim": 2}',
+                         "--family", json.dumps(family)])
+    assert (code, out) == (2, "")
+    assert "needs a family member" in capsys.readouterr().err
 
 
 def test_scaling_probe_bad_ts_exit_2():
@@ -586,6 +597,27 @@ def test_malformed_number_fields_exit_2(args, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (2, ""), args
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,kind,unknown", [
+    (["dist", "--domain", '{"kind": "scaled-ellipsoid", "eps": 0.1, "t": 0.5, "Dim": 3}',
+      "--z", "[0, 0]", "--w", "[0.1, 0]"], "scaled-ellipsoid", "['Dim']"),
+    (["dist", "--domain", "unit-disc", "--R", "4", "--z", "0", "--w", "0.5"], "unit-disc", "['R']"),
+    (["dist", "--domain", BALL_DOMAIN % '1, "centre": [0, 0]', "--z", "[0, 0]", "--w", "[0, 0]"],
+     "ball", "['centre']"),
+    (["audit", "--map", '{"kind": "power", "n": 2}',
+      "--family", '{"kind": "radial", "count": 3, "puncture": false}'], "radial", "['puncture']"),
+    (["audit", "--map", '{"kind": "power", "n": 2, "m": 1, "k": 0}', "--family", '{"kind": "radial"}'],
+     "power", "['k', 'm']"),
+    (["export-geodesic", "--geodesic", '{"kind": "radial", "omega": 1, "puncture": false}'],
+     "radial", "['puncture']"),
+])
+def test_unknown_descriptor_fields_exit_2(args, kind, unknown, capsys):
+    # a misspelled defaulted field is refused, not silently dropped
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, ""), args
+    assert err.startswith(f"config error: unknown fields {unknown} in a {kind!r} ")
 
 
 def test_missing_defaulted_field_takes_its_default(validate_schema):

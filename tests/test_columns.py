@@ -116,19 +116,19 @@ def _source_rows(f, z0, gen, count=40):
                          ids=[f"{label}-{f.source.kind}" for f, label, _ in ALL_MAPS])
 def test_rowwise_apply_equals_apply_map(f, label, z):
     rows = _source_rows(f, z, np.random.default_rng(29))
-    images = f.kind.apply(rows)
+    images = f.apply(rows)
     assert images.shape == rows.shape and images.dtype == complex
     one = np.array([apply_map(f, row) for row in rows])
     assert images.tobytes() == one.tobytes()
     # and a row's image does not depend on its batch
-    assert f.kind.apply(rows[5:9]).tobytes() == images[5:9].tobytes()
+    assert f.apply(rows[5:9]).tobytes() == images[5:9].tobytes()
 
 
 def test_rowwise_monomial_with_negative_exponents_and_zeros():
     matrix = IntegerMatrix(((3, -1), (-2, 1)))
     f = monomial_map(matrix, EuclideanBall((0.0, 0.0), 1.0))
     rows = _source_rows(f, [0.9 + 0.4j, -0.5 + 0.7j], np.random.default_rng(2))
-    assert f.kind.apply(rows).tobytes() == \
+    assert f.apply(rows).tobytes() == \
         np.array([monomial_apply(matrix, row) for row in rows]).tobytes()
     # Python's complex arithmetic on each point, factor by factor
     for row in rows[:8]:

@@ -13,7 +13,7 @@ from kobalab import (Annulus, EuclideanBall, IntegerMatrix, PuncturedDisc, Strip
                      monomial_preimages, power_map)
 from kobalab import closed_forms as cf
 from kobalab import coverings
-from kobalab.coverings import CoveringError, MapKind, map_from_dict, map_to_dict
+from kobalab.coverings import CoveringError, HolomorphicMap, map_from_dict, map_to_dict
 from kobalab.domains import Box, LinearImage, base_support
 from kobalab.geodesics import AntipodalPair
 from kobalab.smith import smith_normal_form, snf_determinant
@@ -34,11 +34,11 @@ ALL_MAPS = [
 
 
 def test_every_map_kind_is_in_the_codec():
-    kinds = set(typing.get_args(MapKind))
+    kinds = set(typing.get_args(HolomorphicMap))
     assert set(coverings._MapKind.__subclasses__()) == kinds
     assert set(coverings._MAP_KINDS.values()) == kinds
     assert len(coverings._MAP_KINDS) == len(kinds)
-    assert {type(f.kind) for f, _, _ in ALL_MAPS} == kinds
+    assert {type(f) for f, _, _ in ALL_MAPS} == kinds
 
 
 @pytest.mark.parametrize("f,label,z", ALL_MAPS,
@@ -48,7 +48,7 @@ def test_map_kind_definition_is_complete(f, label, z, validate_schema):
     validate_schema("map.json", data)
     assert map_from_dict(data) == f
     assert map_to_dict(map_from_dict(data)) == data
-    assert f.kind.label == label
+    assert f.label == label
     z = np.asarray(z, dtype=complex)
     v = np.linspace(1.0, 2.0, z.size) * (1.0 - 0.5j)
     h = 1e-6
@@ -319,13 +319,25 @@ def test_map_serialization_round_trip():
         assert map_to_dict(map_from_dict(data)) == data
 
 
+def test_map_constructors_check_their_fields():
+    # each kind checks its descriptor's fields when it is built, not when
+    # its source or target is first used
+    for build in (lambda: power_map(0), lambda: ball_mobius_map(1.0, 2),
+                  lambda: ball_mobius_map(0.5, 0), lambda: compose_maps(),
+                  lambda: map_from_dict({"kind": "exp", "source": {"kind": "unit-disc"}})):
+        with pytest.raises(CoveringError):
+            build()
+
+
 def test_monomial_rejects_singular():
     with pytest.raises(CoveringError):
         monomial_map(((1, 1), (1, 1)), EuclideanBall((0.0, 0.0), 1.0))
 
 
 def test_monomial_rejects_malformed_exponents():
-    # a fractional exponent is not truncated, and A must match the base dimension
-    for matrix in (((1.5, 0), (0, 1)), ((2,),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+    # a fractional exponent is not truncated, a boolean is not an exponent,
+    # and A must match the base dimension
+    for matrix in (((1.5, 0), (0, 1)), ((True, 0), (0, 2)), ((2,),),
+                   ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
         with pytest.raises(CoveringError):
             monomial_map(matrix, BALL)

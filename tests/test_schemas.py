@@ -16,7 +16,8 @@ def test_schema_kinds_match_the_registries(schemas, name, registry):
 @pytest.mark.parametrize("name,registry", [("domain.json", domains._KINDS),
                                            ("base.json", domains._BASES),
                                            ("family.json", serialize._FAMILIES),
-                                           ("geodesic.json", serialize._GEODESICS)])
+                                           ("geodesic.json", serialize._GEODESICS),
+                                           ("map.json", coverings._MAP_KINDS)])
 def test_schema_fields_match_the_constructors(schemas, name, registry):
     # each branch names the constructor's parameters, and requires those
     # without a default
