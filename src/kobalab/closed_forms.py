@@ -76,22 +76,37 @@ def strip_distance(halfwidth, z, w):
         arcsinh( sqrt(sinh^2(pi dy/4a) + sin^2(pi dx/4a))
                  / sqrt(cos(pi x1/2a) cos(pi x2/2a)) ),
     which is stable for arbitrarily large imaginary separations.  The
-    half-width may be an array broadcast against the points.
+    half-width may be an array broadcast against the points.  It is the
+    imaginary stage applied to the real stage of the pair.
     """
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    x1, x2 = z.real, w.real
+    sin2q, c = strip_real_stage(halfwidth, z.real, w.real)
+    return _value(strip_imag_stage(halfwidth, z.imag - w.imag, sin2q, c))
+
+
+def strip_real_stage(halfwidth, x1, x2) -> tuple:
+    """The part of `strip_distance` that depends only on the real parts x1,
+    x2 of the points: (sin^2(pi dx/4a), c) with c = cos(pi x1/2a)
+    cos(pi x2/2a).  Points that differ only in their imaginary parts share
+    it."""
     if not np.all(np.maximum(np.abs(x1), np.abs(x2)) < halfwidth):
         raise ValueError("points must lie strictly inside the strip")
-    ap = np.abs(math.pi * (z.imag - w.imag) / (4.0 * halfwidth))
     q = math.pi * (x1 - x2) / (4.0 * halfwidth)
     c = np.cos(math.pi * x1 / (2.0 * halfwidth)) * np.cos(math.pi * x2 / (2.0 * halfwidth))
+    return np.sin(q) ** 2, c
+
+
+def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
+    """`strip_distance` of points whose imaginary parts differ by dy, given
+    their `strip_real_stage`."""
+    ap = np.abs(math.pi * dy / (4.0 * halfwidth))
     # sinh is capped where the asymptotic form below replaces it
-    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
+    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q) / np.sqrt(c))
     big = ap > 350.0
     if np.any(big):
         # sinh dominates: arcsinh(y) ~ log(2y)
         out = np.where(big, ap - 0.5 * np.log(c), out)
-    return _value(out)
+    return out
 
 
 def strip_density(halfwidth, z, v):

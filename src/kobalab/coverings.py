@@ -20,6 +20,7 @@ point's image never depends on the batch it is mapped in.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ class Power(_MapKind):
         return IntegerMatrix(((self.n,),))
 
     def apply(self, zs):
-        return _complex(*_pow_rows(zs[:, 0].real, zs[:, 0].imag, self.n))[:, None]
+        return _images(zs, lambda zs: _complex(*_pow_rows(zs[:, 0].real, zs[:, 0].imag,
+                                                           self.n))[:, None])
 
     def differential(self, z, v):
         return np.array([self.n * _int_pow(complex(z[0]), self.n - 1) * v[0]])
@@ -359,29 +361,32 @@ def monomial_power(z, alpha) -> complex:
     Exact integer exponents via repeated squaring; a zero coordinate with a
     negative exponent is rejected.
     """
-    re, im = _monomial_power_rows(as_point(z)[None], alpha)
-    return complex(re[0], im[0])
+    image = _images(as_point(z)[None],
+                    lambda zs: _complex(*_monomial_power_rows(zs, alpha, zs == 0))[:, None])
+    return complex(image[0, 0])
 
 
-def _monomial_power_rows(zs: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of zs_k^alpha for each row of an (N, n) complex array: the
-    factors z_j^{alpha_j} multiplied in coordinate order, as Python's
-    complex arithmetic would, and 0 * the product so far for a zero
-    coordinate with a positive exponent."""
-    re, im = np.ones(len(zs)), np.zeros(len(zs))
-    for zj, aj in zip(zs.T, alpha):
+def _monomial_power_rows(zs: np.ndarray, alpha, zero: np.ndarray) -> tuple:
+    """(Re, Im) of zs_k^alpha for each row of an (N, n) complex array, given
+    the mask `zero` of its zero entries: the factors z_j^{alpha_j}
+    multiplied in coordinate order, as Python's complex arithmetic would
+    (from 1 + 0i), and 0 * the product so far for a zero coordinate with a
+    positive exponent."""
+    acc = None      # the product so far; None is 1 + 0i
+    for zj, aj, zero_j, any_zero in zip(zs.T, alpha, zero.T, zero.any(axis=0).tolist()):
         aj = int(aj)
         if aj == 0:
             continue
-        zero = zj == 0
-        if not zero.any():
-            re, im = _mul(re, im, *_pow_rows(zj.real, zj.imag, aj))
+        if not any_zero:
+            factor = _pow_rows(zj.real, zj.imag, aj)
+            acc = _one_times(*factor) if acc is None else _mul(*acc, *factor)
         elif aj < 0:
             raise CoveringError("zero coordinate with negative exponent")
         else:
-            re, im = np.where(zero, _mul(0.0, 0.0, re, im),
-                              _mul(re, im, *_pow_rows(zj.real, zj.imag, aj)))
-    return re, im
+            acc = (np.ones(len(zs)), np.zeros(len(zs))) if acc is None else acc
+            acc = np.where(zero_j, _mul(0.0, 0.0, *acc),
+                           _mul(*acc, *_pow_rows(zj.real, zj.imag, aj)))
+    return (np.ones(len(zs)), np.zeros(len(zs))) if acc is None else acc
 
 
 # Row-wise complex arithmetic on (Re, Im) float arrays, operation for
@@ -397,6 +402,12 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _mul(ar, ai, br, bi) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _one_times(br, bi) -> tuple:
+    """(1 + 0i) * b as `_mul` rounds it: 1.0 * x is x exactly, so only the
+    products with the zero imaginary part are left."""
+    return br - 0.0 * bi, bi + 0.0 * br
 
 
 def _div(ar, ai, br, bi) -> tuple:
@@ -418,10 +429,10 @@ def _pow_rows(re: np.ndarray, im: np.ndarray, k: int) -> tuple:
         return _div(1.0, 0.0, *_pow_rows(re, im, -k))
     if k == 0:
         return np.ones_like(re), np.zeros_like(re)
-    out = 1.0, 0.0      # the scalar 1 + 0i: the first product still rounds as Python's
+    out = None      # 1 + 0i: the first product still rounds as Python's
     while k:
         if k & 1:
-            out = _mul(*out, re, im)
+            out = _one_times(re, im) if out is None else _mul(*out, re, im)
         k >>= 1
         if k:
             re, im = _mul(re, im, re, im)
@@ -436,10 +447,40 @@ def _int_pow(z: complex, k: int) -> complex:
 
 def _monomial_rows(matrix: IntegerMatrix, zs: np.ndarray) -> np.ndarray:
     """Phi_A of each row of an (N, n) complex array."""
-    out = np.empty((len(zs), matrix.n), dtype=complex)
-    for j, row in enumerate(matrix.entries):
-        out.real[:, j], out.imag[:, j] = _monomial_power_rows(zs, row)
-    return out
+    def rows(zs):
+        out = np.empty((len(zs), matrix.n), dtype=complex)
+        zero = zs == 0
+        for j, row in enumerate(matrix.entries):
+            out.real[:, j], out.imag[:, j] = _monomial_power_rows(zs, row, zero)
+        return out
+    return _images(zs, rows)
+
+
+def _images(zs: np.ndarray, images_of) -> np.ndarray:
+    """images_of(zs), the images of the rows zs under a power or monomial
+    map, unless the image of a point with no zero coordinate has a
+    coordinate 0, infinite or NaN, or divides by such a 0: its exponents
+    then under- or overflow floating point, which CoveringError reports
+    (and numpy does not warn of)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            images = images_of(zs)
+        except ZeroDivisionError:
+            # only a power of a nonzero coordinate that underflowed to 0
+            # divides by 0: a zero coordinate with a negative exponent is
+            # refused before
+            raise CoveringError("an image under- or overflows floating point: the map's "
+                                "exponents are too large") from None
+        # a NaN or an infinite coordinate makes the sum non-finite (and so
+        # may an overflow of the sum itself, which the test below clears)
+        if images.all() and cmath.isfinite(images.sum()):
+            return images
+    lost = ~np.isfinite(images) | ((images == 0) & zs.all(axis=1, keepdims=True))
+    if lost.any():
+        k = int(lost.any(axis=1).argmax())
+        raise CoveringError(f"the image of {zs[k]} under- or overflows floating point: "
+                            f"the map's exponents are too large")
+    return images
 
 
 def monomial_apply(matrix: IntegerMatrix, z) -> np.ndarray:

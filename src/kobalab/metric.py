@@ -38,8 +38,8 @@ from .domains import (Annulus, LeftHalfPlane, ModelDomain, Polydisc,
                       UnitBall, UnitDisc, as_pairs, as_point, base_support, dim,
                       require_interior)
 from .quadrature import adaptive_simpson
-from .tube import (closed_bounds, disc_upper, translate_terms, tube_distance_bounds,
-                   tube_metric_bounds)
+from .tube import (closed_bounds, disc_upper, slab_lower, slab_table, translate_terms,
+                   tube_distance_bounds, tube_metric_bounds)
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -151,24 +151,28 @@ class DistanceColumns(Sequence):
 # deck search over the exp covers
 # ---------------------------------------------------------------------------
 #
-# A cover record bounds the cover distance of translates.  terms(us, vs) is
-# data every translate of a pair shares (the tube's chord term and vertical
-# cap at u), set up once per search; bounds(us, vs, terms) is (lower, upper,
-# settled: upper is final) for the row pairs of two (m, n) arrays, many
-# translates at once; finish(u, v, lo, hi, term) is the upper bound of one
-# translate left open, given its pair's row of terms, which it may fill in.
-# offset_lower(us, vs, dys) is a cheap lower bound for the translate whose
-# imaginary offset from u is dys[k, l], over an (m, L, n) array of offsets;
-# threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
-# bound exceeds best, as (m, n).
+# A cover record bounds the cover distance of translates.  start(us, vs) is
+# (pairs, lower, upper, settled): what every translate of the m row pairs
+# of two (m, n) arrays shares (the pairs' first points; for the tube also
+# the slab table and the chord terms and vertical caps at u), set up once
+# per search, and the bounds of the translates vs themselves (settled:
+# upper is final).  bounds(pairs, owners, vs) is (lower, upper, settled)
+# for the translates vs[k] of the pairs owners[k], many translates at once;
+# finish(pairs, k, v, lo, hi, cut) is the upper bound of one translate v of
+# pair k left open (it may fill in the pair's shared terms), or any value
+# above cut once the bound is known to exceed cut: such a translate cannot
+# lower its pair's best.  offset_lower(us, vs, dys) is a cheap lower bound
+# for the translate whose imaginary offset from u is dys[k, l], over an
+# (m, L, n) array of offsets; threshold(us, vs, best) is the per-coordinate
+# |dy_j| beyond which that bound exceeds best, as (m, n).
 
 def _exact(kernel) -> tuple:
-    """(terms, bounds, finish) of a cover with a closed-form distance: one
+    """(start, bounds, finish) of a cover with a closed-form distance: one
     kernel call over all translates gives both bounds."""
-    def bounds(us, vs, terms):
-        values = kernel(us[:, 0], vs[:, 0])
+    def bounds(us, owners, vs):
+        values = kernel(us[owners, 0], vs[:, 0])
         return values, values, np.ones(len(values), dtype=bool)
-    return lambda us, vs: np.zeros(len(us)), bounds, None
+    return lambda us, vs: (us, *bounds(us, slice(None), vs)), bounds, None
 
 
 def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
@@ -197,9 +201,22 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
     base = cover.base
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
-    return _slab_cover(halfwidths, lambda us, vs: translate_terms(base, us, vs),
-                       lambda us, vs, terms: closed_bounds(base, us, vs, terms[:, 0]),
-                       lambda u, v, lo, hi, term: disc_upper(base, u, v, lo, hi, term))
+
+    def start(us, vs):
+        table, lower = slab_table(base, us, vs)
+        terms = translate_terms(base, us, vs)
+        return (table, terms), lower, *closed_bounds(base, us, vs, terms[:, 0], lower)
+
+    def bounds(pairs, owners, vs):
+        table, terms = pairs
+        lower = slab_lower(base, table, owners, vs)
+        return (lower, *closed_bounds(base, table.us[owners], vs, terms[owners, 0], lower))
+
+    def finish(pairs, k, v, lo, hi, cut):
+        table, terms = pairs
+        return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
+
+    return _slab_cover(halfwidths, start, bounds, finish)
 
 
 _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _tube_cover}
@@ -207,7 +224,7 @@ _COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _
 
 @functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
-    """(terms, bounds, finish, offset_lower, threshold) of one exp-cover,
+    """(start, bounds, finish, offset_lower, threshold) of one exp-cover,
     built once per cover descriptor."""
     build = _COVERS.get(type(cover))
     if build is None:
@@ -236,7 +253,7 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
     _, us, vs = as_pairs(u, v)
     require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
-    pair_terms, bounds, finish, offset_lower, threshold = _cover(cover)
+    start, bounds, finish, offset_lower, threshold = _cover(cover)
     dy = us.imag - vs.imag
     turns = np.round(dy / TWO_PI)
     wild = ~(np.abs(turns) < 2.0 ** 63).all(axis=1)
@@ -251,11 +268,13 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
     # the search runs over offsets from the nearest translate nu0 of each pair
     nu0 = turns.astype(int)
     dy0 = dy - TWO_PI * nu0
-    terms = pair_terms(us, vs)
+    # every pair's shared terms (the tube's slab table) are built once, with
+    # the bounds of its translate nu0, and serve all its shell rounds
     v0 = vs + TWO_PI * 1j * nu0
-    best_lo, highs, settled = (x.tolist() for x in bounds(us, v0, terms))
-    best_hi = [hi if done else finish(u, v, lo, hi, t) for u, v, lo, hi, done, t
-               in zip(us, v0, best_lo, highs, settled, terms)]
+    pairs, *first = start(us, v0)
+    best_lo, highs, settled = (x.tolist() for x in first)
+    best_hi = [hi if done else finish(pairs, k, v, lo, hi, math.inf)
+               for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
     best_nu = [(0,) * n] * m
     evaluated = [{(0,) * n} for _ in range(m)]
     errors: dict[int, DeckBoundError] = {}
@@ -308,7 +327,7 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
                 # (by lower bound), each rechecked against its pair's running
                 # best before its upper: a survivor whose lower bound exceeds
                 # the running best cannot lower the final minimum
-                lows, highs, done = bounds(us[owners], moved, terms[owners])
+                lows, highs, done = bounds(pairs, np.array(owners), moved)
                 order = np.argsort(np.where(done, -math.inf, lows), kind="stable")
                 lows, highs, done = lows.tolist(), highs.tolist(), done.tolist()
                 # pair -> position in `hits` of the best this shell found; on
@@ -323,7 +342,8 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
                     if lo > best_hi[k]:
                         continue
                     best_lo[k] = min(best_lo[k], lo)
-                    hi = highs[i] if done[i] else finish(us[k], moved[i], lo, highs[i], terms[k])
+                    hi = (highs[i] if done[i]
+                          else finish(pairs, k, moved[i], lo, highs[i], best_hi[k]))
                     if hi < best_hi[k] or (hi == best_hi[k] and i < found_at.get(k, -1)):
                         if hi < best_hi[k]:
                             improved.add(k)

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._sampling import sphere_directions
-from .closed_forms import strip_density_offset, strip_distance_offset
+from .closed_forms import (strip_density_offset, strip_distance_offset, strip_imag_stage,
+                           strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
                       rowdot)
@@ -63,13 +64,140 @@ def _base_direction_block(base: ConvexBase) -> tuple:
 def _extra_slabs(base: ConvexBase, rows: np.ndarray) -> tuple:
     """(directions, supports+, supports-, kept) for the per-pair extra
     directions: the rows of `rows` that are not ~0, normalised; `kept`
-    marks which rows they came from."""
+    marks which rows they came from.  One support call serves both signs."""
     dirs, keep = _unit_rows(rows)
-    return dirs, base.support(dirs), -base.support(-dirs), keep
+    both = base.support(np.concatenate([dirs, -dirs]))
+    return dirs, both[:len(dirs)], -both[len(dirs):], keep
 
 
 # cells per block of the (pairs, directions) slab table, which bounds memory
 _SWEEP_CELLS = 1 << 12
+
+
+class SlabTable(NamedTuple):
+    """The real stage of the slab lower bound of m row pairs (u, v).
+
+    A deck translate v + i t of a pair changes only the imaginary parts of
+    its projections, so the strip kernel's real stage (`strip_real_stage`)
+    is computed once per (pair, direction) and every translate pays only
+    its imaginary stage.  Columns 0..d-1 are the cached direction block and
+    column d the pair's slab along Re(v - u), which every translate shares;
+    column d + 1 is left for the slab along Im(v - u), which changes with
+    the translate.  A dropped extra slab (that part ~0) is (-1, 1) with
+    both points at 0, whose strip distance is 0; column d + 1 holds that
+    until a translate fills it in.  The imaginary parts of the projections
+    are not kept: a translate recomputes them with its own.
+
+    The rows are kept in the blocks of `_sweep_rows` pairs they were
+    computed in, each block as (along, along_halfwidth, sin2q, c): the unit
+    Re(v - u) directions (n columns, 0 where dropped), column d's
+    half-widths and the real stage (d + 2 columns).
+    """
+
+    us: np.ndarray      # (m, n) the first points of the pairs
+    blocks: list
+
+
+def _strip_columns(lo, hi, xu, xv) -> tuple:
+    """(halfwidth, *strip_real_stage) of the slabs lo < x < hi at the
+    projected real parts xu, xv, centred as `strip_distance_offset` does."""
+    mid = 0.5 * (lo + hi)
+    halfwidth = 0.5 * (hi - lo)
+    return (halfwidth, *strip_real_stage(halfwidth, xu - mid, xv - mid))
+
+
+def _sweep_rows(base: ConvexBase) -> int:
+    """Rows per block of _SWEEP_CELLS cells of the slab table."""
+    return max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
+
+
+def slab_table(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> tuple:
+    """(table, lower): the `SlabTable` of the row pairs (us, vs), whose
+    points the caller has checked to lie in the open tube, and each pair's
+    slab lower bound, in one pass over blocks of _SWEEP_CELLS cells (which
+    bounds the memory of the intermediate arrays): the largest strip
+    distance over the cached direction block and the pair's extra slabs
+    along Re(v - u) and Im(v - u)."""
+    dirs, his, los = _base_direction_block(base)
+    d = len(dirs)
+    step = _sweep_rows(base)
+    blocks, lower = [], []
+    for i in range(0, len(us), step):
+        u, v = us[i:i + step], vs[i:i + step]
+        w = v - u
+        ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
+        owner = np.nonzero(keep)[1]
+        lo, hi = np.full((len(u), d + 2), -1.0), np.full((len(u), d + 2), 1.0)
+        pu, pv = np.zeros(lo.shape, dtype=complex), np.zeros(lo.shape, dtype=complex)
+        lo[:, :d], hi[:, :d] = los, his
+        lo[:, d:].T[keep], hi[:, d:].T[keep] = ex_los, ex_his
+        # <dirs_k, p> as (pairs, directions)
+        pu[:, :d], pv[:, :d] = rowdot(u[:, None, :], dirs), rowdot(v[:, None, :], dirs)
+        pu[:, d:].T[keep], pv[:, d:].T[keep] = rowdot(u[owner], ex), rowdot(v[owner], ex)
+        hw, sin2q, c = _strip_columns(lo, hi, pu.real, pv.real)
+        lower.append(np.max(strip_imag_stage(hw, pu.imag - pv.imag, sin2q, c), axis=1))
+        # every translate shares all but the slab along Im(v - u), whose
+        # column holds the dropped slab until a translate fills it in
+        sin2q[:, d + 1], c[:, d + 1] = 0.0, 1.0
+        along = np.zeros(u.shape)
+        along[keep[0]] = ex[:np.count_nonzero(keep[0])]
+        blocks.append((along, hw[:, d].copy(), sin2q, c))
+    return SlabTable(us, blocks), np.concatenate(lower)
+
+
+def _table_rows(table: SlabTable, owners: np.ndarray) -> list:
+    """The table's (along, along_halfwidth, sin2q, c) rows of the pairs
+    `owners`, gathered from the blocks that hold them."""
+    if len(table.blocks) == 1:
+        return [a[owners] for a in table.blocks[0]]
+    block, row = np.divmod(owners, len(table.blocks[0][0]))
+    out = [np.empty((len(owners),) + a.shape[1:]) for a in table.blocks[0]]
+    for j in np.unique(block).tolist():
+        at = block == j
+        for gathered, a in zip(out, table.blocks[j]):
+            gathered[at] = a[row[at]]
+    return out
+
+
+def slab_lower(base: ConvexBase, table: SlabTable, owners: np.ndarray,
+               vs: np.ndarray) -> np.ndarray:
+    """The largest slab strip distance of each translate vs[k] of the pair
+    owners[k] of the table, in blocks of _SWEEP_CELLS cells: the table's
+    rows are gathered one block at a time and take only their imaginary
+    stage, and the slab along Im(v - u) both stages, in the same call."""
+    step = _sweep_rows(base)
+    return np.concatenate([_slab_block(base, table, owners[i:i + step], vs[i:i + step])
+                           for i in range(0, len(vs), step)])
+
+
+def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
+                vs: np.ndarray) -> np.ndarray:
+    dirs = _base_direction_block(base)[0]
+    d = len(dirs)
+    us, vim = table.us[owners], vs.imag
+    uim = us.imag
+    along, along_halfwidth, sin2q, c = _table_rows(table, owners)
+    halfwidth = np.repeat(_slab_halfwidths(base)[None], len(vs), axis=0)
+    halfwidth[:, d] = along_halfwidth
+    dy = np.zeros(sin2q.shape)
+    dy[:, :d] = rowdot(uim[:, None, :], dirs) - rowdot(vim[:, None, :], dirs)
+    dy[:, d] = rowdot(uim, along) - rowdot(vim, along)
+    across, ex_his, ex_los, keep = _extra_slabs(base, vim - uim)
+    pu, pv = rowdot(us[keep], across), rowdot(vs[keep], across)
+    extra = _strip_columns(ex_los, ex_his, pu.real, pv.real)
+    for column, kept in zip((halfwidth, sin2q, c, dy), (*extra, pu.imag - pv.imag)):
+        column[keep, d + 1] = kept
+    return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _slab_halfwidths(base: ConvexBase) -> np.ndarray:
+    """The half-widths of the cached direction block's slabs, then those of
+    two dropped extra slabs."""
+    _, his, los = _base_direction_block(base)
+    out = np.concatenate([0.5 * (his - los), [1.0, 1.0]])
+    out.setflags(write=False)
+    return out
 
 
 def caratheodory_lower(base: ConvexBase, u, v):
@@ -78,12 +206,13 @@ def caratheodory_lower(base: ConvexBase, u, v):
     u, v are one pair of points, or m pairs as (m, n) arrays (the result is
     then an (m,) array).  Sweeps the cached direction set plus each pair's
     real/imaginary parts of v - u and returns the largest strip distance
-    among the slab projections.
+    among the slab projections; the slab table is built and evaluated in
+    blocks of _SWEEP_CELLS cells.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))
-    step = max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
-    best = np.concatenate([_slab_sweep(base, us[i:i + step], vs[i:i + step])
+    step = _sweep_rows(base)
+    best = np.concatenate([slab_table(base, us[i:i + step], vs[i:i + step])[1]
                            for i in range(0, len(us), step)])
     return float(best[0]) if single else best
 
@@ -97,57 +226,44 @@ def _require_in_tube(base: ConvexBase, xs: np.ndarray):
         raise ValueError("points must lie in the open tube")
 
 
-def _slab_sweep(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The largest slab strip distance of each row pair, over the table of
-    the cached block and each pair's extra slabs along Re(v - u) and
-    Im(v - u); a dropped extra (that part ~0) is (-1, 1) with both points at 0."""
-    m = len(us)
-    dirs, his, los = _base_direction_block(base)
-    d = len(dirs)
-    w = vs - us
-    ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
-    owner = np.nonzero(keep)[1]
-    lo, hi = np.full((m, d + 2), -1.0), np.full((m, d + 2), 1.0)
-    pu, pv = np.zeros((m, d + 2), dtype=complex), np.zeros((m, d + 2), dtype=complex)
-    lo[:, :d], hi[:, :d] = los, his
-    # <dirs_d, p_k> as (pairs, directions)
-    pu[:, :d], pv[:, :d] = (rowdot(p[:, None, :], dirs) for p in (us, vs))
-    lo[:, d:].T[keep], hi[:, d:].T[keep] = ex_los, ex_his
-    pu[:, d:].T[keep], pv[:, d:].T[keep] = rowdot(us[owner], ex), rowdot(vs[owner], ex)
-    # interior points project strictly inside every slab
-    return np.max(strip_distance_offset(lo, hi, pu, pv), axis=1)
-
-
-def affine_disc_tau(base: ConvexBase, anchor: np.ndarray, w: np.ndarray) -> float:
+def affine_disc_tau(base: ConvexBase, anchor, w) -> float:
     """Smallest tau with Re(anchor) + {Re(lam w)/tau : |lam| <= 1} inside base.
 
     The affine disc lam -> anchor + lam w / tau is then admissible; tau is
     exact for boxes, polytopes and their linear images, and for ball bases
     comes from one scalar equation plus an S-lemma certificate (with a pad).
+    `anchor` holds n reals and `w` n complex numbers, as lists or arrays;
+    the kinds take lists of Python numbers, since the vectors are short.
     """
-    w = np.asarray(w, dtype=complex)
-    return _TUBE_KINDS[type(base)].tau(base, np.asarray(anchor, dtype=float), w.real, w.imag)
+    if isinstance(w, np.ndarray):
+        w = w.astype(complex).tolist()
+    if isinstance(anchor, np.ndarray):
+        anchor = anchor.astype(float).tolist()
+    return _TUBE_KINDS[type(base)].tau(base, anchor, [z.real for z in w], [z.imag for z in w])
 
 
-def _box_disc_tau(base: Box, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _box_disc_tau(base: Box, x: list, a: list, b: list) -> float:
     # each coordinate's ellipse half-width over its distance to the nearer face
     return float(np.max(np.hypot(a, b) / np.minimum(np.asarray(base.hi) - x,
                                                      x - np.asarray(base.lo))))
 
 
-def _polytope_disc_tau(base: Polytope, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _polytope_disc_tau(base: Polytope, x: list, a: list, b: list) -> float:
     # each facet's ellipse extent sup <n_i, alpha a + beta b> over its slack
     normals, offsets = np.asarray(base.normals, dtype=float), np.asarray(base.offsets, dtype=float)
     return float(np.max(np.hypot(normals @ a, normals @ b) / (offsets - normals @ x)))
 
 
-def _linear_image_disc_tau(base: LinearImage, x: np.ndarray, a: np.ndarray,
-                           b: np.ndarray) -> float:
-    inv, inner = base.inverse, base.base
-    return _TUBE_KINDS[type(inner)].tau(inner, inv @ x, inv @ a, inv @ b)
+def _linear_image_disc_tau(base: LinearImage, x: list, a: list, b: list) -> float:
+    # A^-1 applied to the three vectors in one stacked product, which rounds
+    # as three separate `inv @ vector` products do
+    inner = base.base
+    return _TUBE_KINDS[type(inner)].tau(inner, *np.matmul(base.inverse,
+                                                          np.array([x, a, b])[:, :, None])
+                                        [:, :, 0].tolist())
 
 
-def _ball_disc_tau(base: EuclideanBall, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     """Smallest tau with x + {cos(th) a + sin(th) b}/tau inside the ball.
 
     One scalar equation plus an S-lemma certificate.  Let m = x - c,
@@ -166,7 +282,7 @@ def _ball_disc_tau(base: EuclideanBall, x: np.ndarray, a: np.ndarray, b: np.ndar
     Newton loop takes a few steps, so numpy's per-call cost would dominate.
     """
     mm = s11 = s12 = s22 = ga = gb = 0.0
-    for xi, ci, ai, bi in zip(x.tolist(), base.center, a.tolist(), b.tolist()):
+    for xi, ci, ai, bi in zip(x, base.center, a, b):
         mi = xi - ci
         mm += mi * mi
         s11 += ai * ai
@@ -220,44 +336,56 @@ def _pole_root(gg: float, k: float, room: float) -> float:
     return (gg + math.sqrt(gg * gg + room * gg * k)) / room
 
 
-def _chain_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, tau0: float) -> float:
+def _chain_upper(base: ConvexBase, u: list, v: list, taus: list, cut: float) -> float:
     """Upper bound by chaining affine discs along the Euclidean segment.
 
     Convexity keeps the segment inside the tube, and the Kobayashi
     distance satisfies the triangle inequality, so summing per-leg disc
     bounds is an upper bound for the whole pair.  The disc parameter
     scales roughly linearly in the leg length, so the leg count is chosen
-    arithmetically from the whole-pair tau tau0 and doubled on failure.
+    arithmetically from the smaller whole-pair tau (`taus` holds the taus
+    anchored at u and at v) and doubled on failure.  u and v are lists of
+    complex numbers.
+
+    A chain stops once its partial sum exceeds `cut` and no later leg can
+    fail, and returns that sum: the whole chain is larger still.  Over a
+    convex base the reciprocal of tau is concave in the anchor for a fixed
+    disc direction, so no later leg's tau exceeds the larger of this leg's
+    and the one anchored at v; a leg fails at 0.95, and below 0.9 there is
+    room for rounding.
     """
+    tau0 = min(taus)
     if tau0 < 0.7:
         return math.atanh(tau0)
     legs = max(2, int(math.ceil(tau0 / 0.5)))
+    delta = [b - a for a, b in zip(u, v)]
     for _ in range(8):
         total = 0.0
-        ok = True
-        pts = [u + (v - u) * (i / legs) for i in range(legs + 1)]
+        pts = [[a + e * (i / legs) for a, e in zip(u, delta)] for i in range(legs + 1)]
         for p, q in zip(pts, pts[1:]):
-            tau = affine_disc_tau(base, p.real, q - p)
+            tau = affine_disc_tau(base, [z.real for z in p], [b - a for a, b in zip(p, q)])
             if tau >= 0.95:
-                ok = False
                 break
             total += math.atanh(tau)
-        if ok:
+            if total > cut and max(tau, taus[1] / legs) < 0.9:
+                return total
+        else:
             return total
         legs *= 2
     raise TubeMetricError("affine chain failed to refine")
 
 
-def _vertical_cap(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> float:
-    """Upper bound for K(x, x + iy) by chained affine discs.
+def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
+    """Upper bound for K(x, x + iy) by chained affine discs, for lists of
+    floats x and y.
 
     Along a vertical segment every point has real part x, so the per-leg
     disc parameter is exactly tau0/legs and one tau evaluation covers the
     whole chain.
     """
-    if float(np.linalg.norm(y)) < 1e-300:
+    if math.sqrt(sum(t * t for t in y)) < 1e-300:
         return 0.0
-    tau0 = affine_disc_tau(base, x, 1j * y.astype(complex))
+    tau0 = affine_disc_tau(base, x, [1j * t for t in y])
     legs = max(1, int(math.ceil(tau0 / 0.5)))
     return legs * math.atanh(tau0 / legs)
 
@@ -270,7 +398,8 @@ def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     moved = np.sqrt(rowdot(delta, delta)) > 1e-15
     out = np.zeros(len(us))
     s_lo, s_hi = base.chord(us.real[moved], delta[moved])
-    out[moved] = strip_distance_offset(s_lo, s_hi, 0.0, 1.0)
+    halfwidth, *real = _strip_columns(s_lo, s_hi, 0.0, 1.0)
+    out[moved] = strip_imag_stage(halfwidth, 0.0, *real)
     return out
 
 
@@ -279,32 +408,36 @@ def _good_enough(lower):
     return lower * (1.0 + 1e-12) + 1e-14
 
 
-def _raised(upper, lower):
+def _raised(upper: float, lower: float) -> float:
     """The upper bound, raised to the lower bound where rounding left it
     below; a bracket inverted beyond rounding is an error."""
-    if np.any(upper < lower - 1e-9):
+    if upper < lower - 1e-9:
         raise TubeMetricError(f"bracket inverted: lower {lower} > upper {upper}")
-    return np.maximum(upper, lower)
+    return max(upper, lower)
 
 
-def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.ndarray) -> tuple:
-    """(lower, upper, settled) of a batch of row pairs with chord terms
-    `chord`: the slab lower bound, the best closed-form disc (the exact
-    product disc over box bases, the chord slice for pairs with equal
-    imaginary parts; inf if neither applies, 0 on equal pairs), and whether
-    it is within rounding of the lower bound, i.e. final."""
-    lower = caratheodory_lower(base, us, vs)
+def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.ndarray,
+                  lower: np.ndarray) -> tuple:
+    """(upper, settled) of a batch of row pairs with chord terms `chord` and
+    slab lower bounds `lower`: the best closed-form disc (the exact product
+    disc over box bases, the chord slice for pairs with equal imaginary
+    parts; inf if neither applies, 0 on equal pairs), raised to the lower
+    bound, and whether it is within rounding of the lower bound, i.e. final."""
     if base_dim(base) == 1:
         # a 1-d tube IS a strip: the slab projection is a biholomorphism
-        return lower, lower, np.ones(len(lower), dtype=bool)
-    product = _TUBE_KINDS[type(base)].product
-    best = (np.full(len(us), math.inf) if product is None
-            else product(base, us, vs, strip_distance_offset))
+        return lower, np.ones(len(lower), dtype=bool)
     flat = np.max(np.abs(us.imag - vs.imag), axis=1) < 1e-13
     # the chord term is positive exactly when the real parts differ
-    best = np.minimum(best, np.where(flat & (chord > 0.0), chord, math.inf))
+    best = np.where(flat & (chord > 0.0), chord, math.inf)
+    product = _TUBE_KINDS[type(base)].product
+    if product is not None:
+        best = np.minimum(product(base, us, vs, strip_distance_offset), best)
     best = np.where(np.all(us == vs, axis=1), 0.0, best)
-    return lower, _raised(best, lower), best <= _good_enough(lower)
+    inverted = best < lower - 1e-9
+    if inverted.any():
+        k = int(inverted.argmax())
+        raise TubeMetricError(f"bracket inverted: lower {lower[k]} > upper {best[k]}")
+    return np.maximum(best, lower), best <= _good_enough(lower)
 
 
 def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -315,18 +448,21 @@ def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndar
 
 
 def disc_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, lower: float, best: float,
-               terms: np.ndarray) -> float:
+               terms: np.ndarray, cut: float) -> float:
     """Upper end of the bracket of one pair that `closed_bounds` left open,
     given its lower bound, closed-form competitor and its writable row of
-    `translate_terms` (the vertical cap at u is computed into it if still NaN)."""
+    `translate_terms` (the vertical cap at u is computed into it if still
+    NaN).  A value above `cut` may be any value above it (see
+    `lempert_upper`)."""
     if math.isnan(terms[1]):
-        terms[1] = _vertical_cap(base, u.real, u.imag)
+        terms[1] = _vertical_cap(base, u.real.tolist(), u.imag.tolist())
     closed = (best, float(terms[0]), float(terms[1]))
-    return float(_raised(lempert_upper(base, u, v, _good_enough(lower), closed), lower))
+    return _raised(lempert_upper(base, u, v, _good_enough(lower), closed, cut), lower)
 
 
 def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
-                  closed: tuple[float, float, float] | None = None) -> float:
+                  closed: tuple[float, float, float] | None = None,
+                  cut: float = math.inf) -> float:
     """Analytic-disc upper bound for the tube distance of one pair (family minimum).
 
     Competitors, cheapest first: the closed-form discs of `closed_bounds`,
@@ -336,6 +472,10 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     `closed` is the pair's (closed-form disc, chord term, vertical cap at u)
     when a caller computed them with `closed_bounds`, which also checked
     both points; else the points are checked and the terms computed here.
+    A caller that only needs to know whether the bound exceeds `cut` (a
+    deck translate against its pair's best so far) gets, when it does, some
+    value above `cut` that the chain reached before it was finished.  The
+    competitors run on Python floats.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -346,14 +486,16 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
         if np.array_equal(u, v):
             return 0.0
         chord = chord_terms(base, u[None], v[None])
-        closed = (float(closed_bounds(base, u[None], v[None], chord)[1][0]), float(chord[0]),
-                  _vertical_cap(base, u.real, u.imag))
+        lower = caratheodory_lower(base, u[None], v[None])
+        closed = (float(closed_bounds(base, u[None], v[None], chord, lower)[0][0]),
+                  float(chord[0]), _vertical_cap(base, u.real.tolist(), u.imag.tolist()))
     best, chord, cap_u = closed
     if good_enough is not None and best <= good_enough:
         return best
+    u, v = u.tolist(), v.tolist()
     taus = []
     for p, q in ((u, v), (v, u)):
-        tau = affine_disc_tau(base, p.real, q - p)
+        tau = affine_disc_tau(base, [z.real for z in p], [b - a for a, b in zip(p, q)])
         taus.append(tau)
         if tau < 1.0:
             best = min(best, math.atanh(tau))
@@ -361,11 +503,13 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
                 return best
     had_disc = best < math.inf
     # through the real points: vertical descent, chord slice, vertical ascent
-    best = min(best, cap_u + _vertical_cap(base, v.real, v.imag) + chord)
+    best = min(best, cap_u + _vertical_cap(base, [z.real for z in v], [z.imag for z in v])
+               + chord)
     if not had_disc and min(taus) < 6.0:
         # mid-range pair with no admissible single disc: the short chain
-        # is usually tighter than the via-real route
-        best = min(best, _chain_upper(base, u, v, min(taus)))
+        # is usually tighter than the via-real route; a chain past the
+        # best so far (or past cut) cannot matter
+        best = min(best, _chain_upper(base, u, v, taus, min(best, cut)))
     return best
 
 
@@ -373,13 +517,15 @@ def tube_distance_bounds(base: ConvexBase, u, v):
     """(lower, upper) bracket of the tube Kobayashi distance.
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the bracket
-    is then two (m,) arrays): `closed_bounds` over all pairs, then
-    `disc_upper` for each pair it leaves open.
+    is then two (m,) arrays): the slab lower bound and `closed_bounds`
+    over all pairs, then `disc_upper` for each pair they leave open.
     """
     single, us, vs = as_pairs(u, v)
     terms = translate_terms(base, us, vs)
-    lower, upper, settled = closed_bounds(base, us, vs, terms[:, 0])
-    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, t) for a, b, lo, hi, done, t
+    lower = caratheodory_lower(base, us, vs)
+    upper, settled = closed_bounds(base, us, vs, terms[:, 0], lower)
+    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, t, math.inf)
+                      for a, b, lo, hi, done, t
                       in zip(us, vs, lower.tolist(), upper.tolist(), settled.tolist(), terms)])
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 

@@ -628,3 +628,19 @@ def test_missing_defaulted_field_takes_its_default(validate_schema):
     assert run_cli(args) == run_cli(["dist", "--domain", json.dumps({**data, "dim": 2}),
                                      *args[3:]])
     assert run_cli(args)[0] == 0
+
+
+@pytest.mark.parametrize("fmap,family", [
+    ({"kind": "power", "n": 1e18}, {"kind": "radial", "count": 2}),
+    ({"kind": "monomial", "matrix": [[1e20, 0], [0, 1]],
+      "base": {"kind": "ball", "center": [0, 0], "radius": 1}},
+     {"kind": "antipodal", "count": 2,
+      "base": {"kind": "ball", "center": [0, 0], "radius": 1}}),
+])
+def test_audit_with_exponents_too_large_for_floats_exit_2(fmap, family, capsys):
+    # the images of interior points under- or overflow floating point: a
+    # config error, not a non-interior point, and no numpy warning (which
+    # the test configuration turns into an error)
+    code, out = run_cli(["audit", "--map", json.dumps(fmap), "--family", json.dumps(family)])
+    assert (code, out) == (2, "")
+    assert "under- or overflows floating point" in capsys.readouterr().err

@@ -7,6 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kobalab import closed_forms as cf
 
@@ -196,3 +198,48 @@ def test_ball_and_polydisc_density_batch(n):
         singles = [kernel(a, b) for a, b in zip(z, v)]
         assert all(type(x) is float for x in singles)
         assert np.array_equal(kernel(z, v), np.array(singles))
+
+
+# the strip kernel as one formula, as it was before its split into a real
+# and an imaginary stage; the stages must compose to it bit for bit
+def _reference_strip_distance(halfwidth, z, w):
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    x1, x2 = z.real, w.real
+    ap = np.abs(math.pi * (z.imag - w.imag) / (4.0 * halfwidth))
+    q = math.pi * (x1 - x2) / (4.0 * halfwidth)
+    c = np.cos(math.pi * x1 / (2.0 * halfwidth)) * np.cos(math.pi * x2 / (2.0 * halfwidth))
+    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
+    return np.where(ap > 350.0, ap - 0.5 * np.log(c), out)
+
+
+_UNIT = st.floats(-0.999, 0.999, allow_nan=False)
+
+
+@given(a=st.floats(0.05, 20.0), s1=_UNIT, s2=_UNIT,
+       dy=st.one_of(st.floats(-5.0, 5.0), st.floats(-1e4, 1e4), st.just(0.0)),
+       dropped=st.booleans())
+def test_split_strip_kernel_equals_the_one_formula(a, s1, s2, dy, dropped):
+    # `dropped` is the slab table's stand-in for a dropped extra slab:
+    # (-1, 1) with both points at 0, whose distance is 0
+    if dropped:
+        a, s1, s2, dy = 1.0, 0.0, 0.0, 0.0
+    x1, x2 = s1 * a, s2 * a
+    # imaginary gaps of up to 1e4 half-widths take the ap > 350 branch
+    z, w = complex(x1, 0.5), complex(x2, 0.5 + dy * a)
+    want = float(_reference_strip_distance(a, z, w))
+    assert cf.strip_distance(a, z, w) == want
+    staged = cf.strip_imag_stage(a, np.array([z.imag - w.imag]),
+                                 *cf.strip_real_stage(a, np.array([x1]), np.array([x2])))
+    assert staged.tolist() == [want]
+    if dropped:
+        assert want == 0.0
+
+
+def test_split_strip_kernel_batch_takes_both_branches():
+    gen = np.random.default_rng(17)
+    a = gen.uniform(0.1, 5.0, M)
+    z, w = _strip_pairs(gen, a)
+    want = _reference_strip_distance(a, z, w)
+    big = np.abs(math.pi * (z.imag - w.imag) / (4.0 * a)) > 350.0
+    assert big.any() and not big.all()
+    assert cf.strip_distance(a, z, w).tolist() == want.tolist()

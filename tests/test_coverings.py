@@ -341,3 +341,15 @@ def test_monomial_rejects_malformed_exponents():
                    ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
         with pytest.raises(CoveringError):
             monomial_map(matrix, BALL)
+
+
+def test_images_that_leave_floating_point_raise():
+    with pytest.raises(CoveringError, match="under- or overflows"):
+        apply_map(power_map(10 ** 18), [0.5])
+    with pytest.raises(CoveringError, match="under- or overflows"):
+        apply_map(monomial_map(((1, 0), (0, 3000)), BALL), [0.5, 2.0])
+    with pytest.raises(CoveringError, match="under- or overflows"):
+        monomial_power([0.5, 1.0], (-2000, 1))
+    # a zero coordinate keeps its exact zero image
+    assert monomial_power([0.0, 2.0], (3000, 0)) == 0.0
+    assert monomial_apply(IntegerMatrix(((2000, 0), (0, 1))), [0.0, 0.5]).tolist() == [0, 0.5]

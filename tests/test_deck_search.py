@@ -8,7 +8,9 @@ bit, while computing fewer upper bounds.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from kobalab import (Box, DeckBoundError, EuclideanBall, LinearImage, ReinhardtLog, Strip,
                      TubeOverBase, distances)
 from kobalab import metric, tube
-from kobalab.domains import require_interior, to_polytope
+from kobalab.domains import domain_from_dict, require_interior, to_polytope
 
 BALL = EuclideanBall((0.0, 0.0), 1.0)
 # stretched along (1, -1): vertical offsets along (1, -1) are cheap, so the
@@ -37,14 +39,14 @@ def reference_deck_columns(cover, us, vs):
     survivor finished in per-pair lexicographic order."""
     require_interior(cover, np.concatenate([us, vs]))
     m, n = us.shape
-    pair_terms, bounds, finish, offset_lower, threshold = metric._cover(cover)
-    terms = pair_terms(us, vs)
+    start, bounds, finish, offset_lower, threshold = metric._cover(cover)
     dy = us.imag - vs.imag
     nu0 = np.round(dy / metric.TWO_PI).astype(int)
     v0 = vs + metric.TWO_PI * 1j * nu0
-    best_lo, highs, settled = (x.tolist() for x in bounds(us, v0, terms))
-    best_hi = [hi if done else finish(u, v, lo, hi, t) for u, v, lo, hi, done, t
-               in zip(us, v0, best_lo, highs, settled, terms)]
+    pairs, *first = start(us, v0)
+    best_lo, highs, settled = (x.tolist() for x in first)
+    best_hi = [hi if done else finish(pairs, k, v, lo, hi, math.inf)
+               for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
     best_nu = [tuple(row) for row in nu0.tolist()]
     evaluated = [{nu} for nu in best_nu]
 
@@ -66,14 +68,15 @@ def reference_deck_columns(cover, us, vs):
             if not hits:
                 continue
             moved = vs[[k] * len(hits)] + metric.TWO_PI * 1j * np.array([box[l] for l in hits])
-            found = (x.tolist() for x in bounds(us[[k] * len(hits)], moved, terms[[k] * len(hits)]))
+            found = (x.tolist() for x in bounds(pairs, np.full(len(hits), k), moved))
             for l, v, lo, hi, done in zip(hits, moved, *found):
                 if bound[l] > best_hi[k]:
                     continue
                 if lo > best_hi[k]:
                     hi = math.inf
                 elif not done:
-                    hi = finish(us[k], v, lo, hi, terms[k])
+                    # the whole upper bound: no cut at the running best
+                    hi = finish(pairs, k, v, lo, hi, math.inf)
                 evaluated[k].add(box[l])
                 best_lo[k] = min(best_lo[k], lo)
                 if hi < best_hi[k]:
@@ -134,13 +137,15 @@ def test_exact_tie_goes_to_the_first_translate_in_lexicographic_order():
     points = tied_pair()
     logs = metric._principal_log(points)
     cover = TubeOverBase(STRETCHED)
-    pair_terms, bounds, finish, _, _ = metric._cover(cover)
+    start, bounds, finish, _, _ = metric._cover(cover)
     uppers = []
     for nu in ((-1, 0), (0, -1)):
         u, v = logs[:1], logs[1:] + metric.TWO_PI * 1j * np.array([nu])
-        lo, hi, done = bounds(u, v, pair_terms(u, v))
+        pairs, lo, hi, done = start(u, v)
+        assert [x.tolist() for x in bounds(pairs, np.array([0]), v)] == \
+            [lo.tolist(), hi.tolist(), done.tolist()]
         assert not done[0]
-        uppers.append(finish(u[0], v[0], lo[0], hi[0], pair_terms(u, v)[0]))
+        uppers.append(finish(pairs, 0, v[0], lo[0], hi[0], math.inf))
     assert uppers[0] == uppers[1]
     got = distances(domain, points, [(0, 1)])
     assert got.deck_index.tolist() == [[-1, 0]]
@@ -151,16 +156,16 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     # a cover record on which every translate but nu0 has the same upper
     # bound and the lower bounds fall in lexicographic order, so the
     # best-first pass finishes the lexicographically last survivor first
-    def pair_terms(us, vs):
-        return np.zeros(len(us))
+    def start(us, vs):
+        return (us, *bounds(us, np.arange(len(us)), vs))
 
-    def bounds(us, vs, terms):
+    def bounds(pairs, owners, vs):
         nu = np.round((vs.imag - 0.5) / metric.TWO_PI)
         lows = 1.0 - 0.01 * (nu[:, 0] * 10 + nu[:, 1])
         highs = np.where(np.all(nu == 0.0, axis=1), 5.0, 2.0)
-        return lows, highs, np.zeros(len(us), dtype=bool)
+        return lows, highs, np.zeros(len(vs), dtype=bool)
 
-    record = (pair_terms, bounds, lambda u, v, lo, hi, term: hi,
+    record = (start, bounds, lambda pairs, k, v, lo, hi, cut: hi,
               lambda us, vs, dys: np.zeros(dys.shape[:2]),
               lambda us, vs, best: np.full(us.shape, 3.0))
     cover = TubeOverBase(BALL)
@@ -206,9 +211,68 @@ def test_search_still_improving_after_the_last_round_raises(monkeypatch):
 
 def test_exact_covers_settle_every_survivor_without_a_finish():
     # the strip cover's bounds are exact, so nothing is left open
-    pair_terms, bounds, finish, _, _ = metric._cover(Strip(4.0))
+    _, _, finish, _, _ = metric._cover(Strip(4.0))
     assert finish is None
     us = np.array([[0.3 + 1.0j], [-0.2 - 2.5j]])
     vs = np.array([[-0.1 - 4.0j], [0.4 + 6.0j]])
     got = metric.deck_infimum(Strip(4.0), us, vs)
     assert_same_columns(got, reference_deck_columns(Strip(4.0), us, vs))
+
+
+GOLDEN = Path(__file__).parent / "data" / "deck_golden.json"
+
+
+def _points(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def test_deck_golden():
+    # value, gap, method and deck index of fixed Reinhardt and tube-cover
+    # pairs over ball, box, polytope and linear-image bases, recorded before
+    # the slab lower bound was split into a per-pair table and a
+    # per-translate stage; the search must reproduce them bit for bit
+    for case in json.loads(GOLDEN.read_text()):
+        if "domain" in case:
+            got = distances(domain_from_dict(case["domain"]), _points(case["points"]),
+                            case["pairs"])
+        else:
+            got = metric.deck_infimum(domain_from_dict(case["cover"]), _points(case["us"]),
+                                      _points(case["vs"]))
+        assert got.value.tolist() == case["value"], case["name"]
+        assert got.gap.tolist() == case["gap"], case["name"]
+        assert got.method.tolist() == case["method"], case["name"]
+        assert got.deck_index.tolist() == case["deck_index"], case["name"]
+
+
+def test_search_builds_each_pair_slab_table_once(monkeypatch):
+    # 36 pairs fill two blocks of the table; their shell rounds gather rows
+    # of the one table
+    built, evaluated = [], []
+    slab_table, slab_lower = metric.slab_table, metric.slab_lower
+
+    def counted_table(base, us, vs):
+        built.append(len(us))
+        return slab_table(base, us, vs)
+
+    def counted_lower(base, table, owners, vs):
+        evaluated.extend(np.asarray(owners).tolist())
+        return slab_lower(base, table, owners, vs)
+
+    monkeypatch.setattr(metric, "slab_table", counted_table)
+    monkeypatch.setattr(metric, "slab_lower", counted_lower)
+    monkeypatch.setattr(tube, "slab_table", counted_table)
+    points = reinhardt_points(9, seed=5, radius=0.85)
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    distances(ReinhardtLog(BALL), points, pairs)
+    assert built == [len(pairs)]
+    # shells ran for pairs of both blocks
+    assert min(evaluated) < tube._sweep_rows(BALL) <= max(evaluated)
+
+
+def test_each_pair_is_searched_on_its_own():
+    # a pair's result does not depend on the other pairs of its search
+    points = reinhardt_points(9, seed=6, radius=0.85)
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    together = distances(ReinhardtLog(STRETCHED), points, pairs)
+    alone = [distances(ReinhardtLog(STRETCHED), points, [p])[0] for p in pairs]
+    assert list(together) == alone

@@ -417,3 +417,77 @@ def test_batched_bounds_equal_per_pair_bounds(base, radius):
     lower, upper = tube_distance_bounds(base, us, vs)
     for k in range(m):
         assert (lower[k], upper[k]) == tube_distance_bounds(base, us[k], vs[k])
+
+
+# the slab sweep as it ran before the slab table: every cell of the
+# (pairs, directions) table through the one-formula strip kernel
+def _reference_slab_sweep(base, us, vs):
+    dirs, his, los = tube._base_direction_block(base)
+    d = len(dirs)
+    w = vs - us
+    rows = np.array([w.real, w.imag])
+    norms = np.sqrt(np.sum(rows * rows, axis=-1))
+    keep = norms > 1e-14
+    ex = rows[keep] / norms[keep, None]
+    owner = np.nonzero(keep)[1]
+    lo, hi = np.full((len(us), d + 2), -1.0), np.full((len(us), d + 2), 1.0)
+    pu, pv = np.zeros((len(us), d + 2), complex), np.zeros((len(us), d + 2), complex)
+    lo[:, :d], hi[:, :d] = los, his
+    lo[:, d:].T[keep], hi[:, d:].T[keep] = -base.support(-ex), base.support(ex)
+    pu[:, :d], pv[:, :d] = (tube.rowdot(p[:, None, :], dirs) for p in (us, vs))
+    pu[:, d:].T[keep], pv[:, d:].T[keep] = tube.rowdot(us[owner], ex), tube.rowdot(vs[owner], ex)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    z, w = pu - mid, pv - mid
+    ap = np.abs(math.pi * (z.imag - w.imag) / (4.0 * half))
+    q = math.pi * (z.real - w.real) / (4.0 * half)
+    c = np.cos(math.pi * z.real / (2.0 * half)) * np.cos(math.pi * w.real / (2.0 * half))
+    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
+    return np.max(np.where(ap > 350.0, ap - 0.5 * np.log(c), out), axis=1)
+
+
+def _tube_pairs(gen, m, radius, flat=0, vertical=0):
+    """m row pairs with real parts in the disc of `radius`; the first `flat`
+    pairs share their imaginary parts (the slab along Im(v - u) is dropped)
+    and the next `vertical` share their real parts (the one along Re(v - u))."""
+    dirs = gen.normal(size=(2, m, 2))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    reals = radius * gen.uniform(0.0, 1.0, (2, m, 1)) * dirs
+    imags = gen.uniform(-3.0, 3.0, (2, m, 2))
+    imags[1, :flat] = imags[0, :flat]
+    reals[1, flat:flat + vertical] = reals[0, flat:flat + vertical]
+    return reals[0] + 1j * imags[0], reals[1] + 1j * imags[1]
+
+
+@pytest.mark.parametrize("base,radius", [
+    (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
+    (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5)])
+def test_slab_table_equals_the_one_pass_sweep(base, radius):
+    # 70 pairs fill three blocks of the table
+    gen = np.random.default_rng(23)
+    us, vs = _tube_pairs(gen, 70, radius, flat=5, vertical=5)
+    want = _reference_slab_sweep(base, us, vs)
+    assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
+    table, lower = tube.slab_table(base, us, vs)
+    assert lower.tolist() == want.tolist()
+    # the translates v + 2 pi i nu of pairs taken from every block, in a
+    # scrambled order, from the table's real stage
+    owners = gen.permutation(np.repeat(np.arange(70), 2))
+    nus = gen.integers(-2, 3, (len(owners), 2))
+    nus[:3] = 0                  # a translate that is the pair itself
+    nus[3:6, 0] = nus[3:6, 1] = -1
+    moved = vs[owners] + 2.0 * math.pi * 1j * nus
+    got = tube.slab_lower(base, table, owners, moved)
+    assert got.tolist() == _reference_slab_sweep(base, us[owners], moved).tolist()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), cut=st.floats(0.0, 8.0))
+def test_chain_cut_only_stops_chains_that_exceed_it(seed, cut):
+    # a chain stopped at cut returns more than cut, and is whole otherwise
+    gen = np.random.default_rng(seed)
+    us, vs = _tube_pairs(gen, 1, 0.95)
+    u, v = us[0].tolist(), vs[0].tolist()
+    taus = [affine_disc_tau(BALL, [z.real for z in p], [b - a for a, b in zip(p, q)])
+            for p, q in ((u, v), (v, u))]
+    whole = tube._chain_upper(BALL, u, v, taus, math.inf)
+    got = tube._chain_upper(BALL, u, v, taus, cut)
+    assert got == whole if whole <= cut else cut < got <= whole
