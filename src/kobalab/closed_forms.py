@@ -14,6 +14,7 @@ batch with one point outside the model raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -88,12 +89,25 @@ def strip_real_stage(halfwidth, x1, x2) -> tuple:
     """The part of `strip_distance` that depends only on the real parts x1,
     x2 of the points: (sin^2(pi dx/4a), c) with c = cos(pi x1/2a)
     cos(pi x2/2a).  Points that differ only in their imaginary parts share
-    it."""
-    if not np.all(np.maximum(np.abs(x1), np.abs(x2)) < halfwidth):
+    it.  It is `strip_pair_stage` of the two points' `strip_point_stage`."""
+    return strip_pair_stage(halfwidth, x1, x2, strip_point_stage(halfwidth, x1),
+                            strip_point_stage(halfwidth, x2))
+
+
+def strip_point_stage(halfwidth, x) -> np.ndarray:
+    """cos(pi x/2a) of real parts x strictly inside the strip: the factor of
+    `strip_real_stage` that depends on one point, which every pair of that
+    point shares."""
+    if not (np.abs(x) < halfwidth).all():
         raise ValueError("points must lie strictly inside the strip")
+    return np.cos(math.pi * x / (2.0 * halfwidth))
+
+
+def strip_pair_stage(halfwidth, x1, x2, cos1, cos2) -> tuple:
+    """`strip_real_stage` of the real parts x1, x2 given their
+    `strip_point_stage` values cos1, cos2."""
     q = math.pi * (x1 - x2) / (4.0 * halfwidth)
-    c = np.cos(math.pi * x1 / (2.0 * halfwidth)) * np.cos(math.pi * x2 / (2.0 * halfwidth))
-    return np.sin(q) ** 2, c
+    return np.sin(q) ** 2, cos1 * cos2
 
 
 def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
@@ -125,6 +139,16 @@ def strip_density_offset(lo, hi, z, v):
     return strip_density(0.5 * (hi - lo), z - mid, v)
 
 
+@functools.lru_cache(maxsize=None)
+def _index_pairs(n: int) -> tuple:
+    """The read-only index arrays (i, j) of the coordinate pairs i < j of n
+    coordinates."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def ball_distance(z, w):
     """arctanh |phi_z(w)| for (..., n) arrays, with |phi_z(w)|^2 computed
     cancellation-free: tanh^2 K = (|z-w|^2 - G) / |1 - <z,w>|^2 with the
@@ -132,7 +156,7 @@ def ball_distance(z, w):
     identity."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     diff = np.abs(z - w)
-    i, j = np.triu_indices(z.shape[-1], 1)
+    i, j = _index_pairs(z.shape[-1])
     cross = np.abs(z[..., i] * w[..., j] - z[..., j] * w[..., i])
     tanh2 = (np.maximum(0.0, rowdot(diff, diff) - rowdot(cross, cross))
              / np.abs(1.0 - rowdot(z, np.conj(w))) ** 2)

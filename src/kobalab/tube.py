@@ -20,7 +20,7 @@ import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import (strip_density_offset, strip_distance_offset, strip_imag_stage,
-                           strip_real_stage)
+                           strip_pair_stage, strip_point_stage, strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
                       rowdot)
@@ -70,7 +70,11 @@ def _extra_slabs(base: ConvexBase, rows: np.ndarray) -> tuple:
     return dirs, both[:len(dirs)], -both[len(dirs):], keep
 
 
-# cells per block of the (pairs, directions) slab table, which bounds memory
+# cells per block of the (points or pairs, slabs) arrays of the slab table,
+# which bounds the memory of the intermediate arrays.  Measured with
+# perfbench on a 2-vCPU VM: blocks of 8192 cells ran `examples` about 3 %
+# faster and 16384 no faster, and both raised peak RSS by 0.3 to 1 MB there
+# and on `generic-pairs`
 _SWEEP_CELLS = 1 << 12
 
 
@@ -78,24 +82,51 @@ class SlabTable(NamedTuple):
     """The real stage of the slab lower bound of m row pairs (u, v).
 
     A deck translate v + i t of a pair changes only the imaginary parts of
-    its projections, so the strip kernel's real stage (`strip_real_stage`)
-    is computed once per (pair, direction) and every translate pays only
-    its imaginary stage.  Columns 0..d-1 are the cached direction block and
-    column d the pair's slab along Re(v - u), which every translate shares;
-    column d + 1 is left for the slab along Im(v - u), which changes with
-    the translate.  A dropped extra slab (that part ~0) is (-1, 1) with
-    both points at 0, whose strip distance is 0; column d + 1 holds that
-    until a translate fills it in.  The imaginary parts of the projections
-    are not kept: a translate recomputes them with its own.
+    its projections, so the strip kernel's real stage is computed once per
+    (pair, slab) cell and every translate pays only its imaginary stage.
+    The slabs are the cached direction block (d columns), the pair's slab
+    along Re(v - u) (column d), which every translate shares, and the slab
+    along Im(v - u) (column d + 1), which changes with the translate.  A
+    dropped extra slab (that part ~0) is (-1, 1) with both points at 0,
+    whose strip distance is 0.
 
-    The rows are kept in the blocks of `_sweep_rows` pairs they were
-    computed in, each block as (along, along_halfwidth, sin2q, c): the unit
-    Re(v - u) directions (n columns, 0 where dropped), column d's
-    half-widths and the real stage (d + 2 columns).
+    A cell's c is the product of the two rows of `cos` that `ends` gives
+    for its pair.  The direction block's cosines (`strip_point_stage`)
+    depend on one point only, so when the pairs have no more distinct real
+    parts than there are pairs (a pair matrix), `cos` keeps a row per
+    distinct real part, with 1 in the two extra columns.  Otherwise it
+    keeps each pair's c, then a row of ones that is every pair's second
+    row, so it never has more than m + 1 rows.  Per pair the table keeps
+    sin^2(pi dx/4a) of every cell, and of column d the unit direction
+    (n columns, 0 where dropped), its half-width and its c.  Column d + 1
+    holds the dropped slab (sin^2 0, c 1) until a translate fills it in.
+    The imaginary parts of the projections are not kept: a translate
+    recomputes them with its own.
     """
 
-    us: np.ndarray      # (m, n) the first points of the pairs
-    blocks: list
+    us: np.ndarray               # (m, n) the first points of the pairs
+    ends: np.ndarray             # (2, m) the `cos` rows of each pair
+    cos: np.ndarray              # (points or m + 1, d + 2)
+    sin2q: np.ndarray            # (m, d + 2)
+    along: np.ndarray            # (m, n)
+    along_halfwidth: np.ndarray  # (m,)
+    along_c: np.ndarray          # (m,)
+
+
+@functools.lru_cache(maxsize=64)
+def _slab_strips(base: ConvexBase) -> tuple:
+    """(directions, mid, halfwidth) of the table's slabs: the cached
+    direction block followed by two zero rows, and the slabs' centres and
+    half-widths followed by those of two dropped extra slabs (0 and 1),
+    so that projecting on them gives a table row with the dropped slabs.
+    The directions are stored by column, which `rowdot` reads."""
+    dirs, his, los = _base_direction_block(base)
+    out = (np.asfortranarray(np.vstack([dirs, np.zeros((2, dirs.shape[1]))])),
+           np.concatenate([0.5 * (los + his), [0.0, 0.0]]),
+           np.concatenate([0.5 * (his - los), [1.0, 1.0]]))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _strip_columns(lo, hi, xu, xv) -> tuple:
@@ -111,76 +142,138 @@ def _sweep_rows(base: ConvexBase) -> int:
     return max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
 
 
+def _point_rows(rows: np.ndarray, strips: tuple, step: int) -> tuple:
+    """(stage, cos, ends) of a `SlabTable` of the m pairs whose first and
+    second points' real parts are the (2m, n) `rows`.  If the rows hold no
+    more distinct rows, by their bytes, than pairs, `stage` and `cos` are
+    the `_point_stage` of each distinct row; else `stage` is None and `cos`
+    has room for each pair's c, and its last row is 1.  Equal bytes give
+    equal values, so a pair's result never depends on its batch.  A single
+    pair skips the sort: its one row of c is already the smallest table."""
+    m = len(rows) // 2
+    if m > 1:
+        packed = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize
+                                                           * rows.shape[1])))[:, 0]
+        _, first, index = np.unique(packed, return_index=True, return_inverse=True)
+        if len(first) <= m:
+            x, cos = _point_stage(rows[first], strips, step)
+            return x, cos, index.reshape(2, m)
+    cos = np.empty((m + 1, len(strips[0])))
+    cos[m] = 1.0
+    ends = np.full((2, m), m)
+    ends[0] = np.arange(m)
+    return None, cos, ends
+
+
+def _point_stage(points: np.ndarray, strips: tuple, step: int) -> tuple:
+    """(x, cos) of the real points `points` in the slabs (dirs, mid,
+    halfwidth) of `_slab_strips`, in blocks of `step` points: the centred
+    projections and their `strip_point_stage`, which are 0 and 1 in the two
+    dropped extra slabs."""
+    dirs, mid, halfwidth = strips
+    x, cos = np.empty((len(points), len(dirs))), np.empty((len(points), len(dirs)))
+    for i in range(0, len(points), step):
+        block = np.subtract(rowdot(points[i:i + step, None, :], dirs), mid, out=x[i:i + step])
+        cos[i:i + step] = strip_point_stage(halfwidth, block)
+    return x, cos
+
+
+def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, stage) -> tuple:
+    """(lower, halfwidth, sin2q, c, along) of the (pair, slab) cells of
+    the pairs whose (u, v) are uv[0], uv[1]: their slab lower bound, the
+    slabs' half-widths, the strip kernel's real stage and the unit
+    Re(v - u) directions (0 where dropped).  `stage` holds the direction
+    block's (x, cos) of the pairs' ends as (2, pairs, slabs), gathered from
+    a `_point_stage` with 0 and 1 in the two extra columns, and only the
+    kept extra slabs' are taken here; if it is None, all of them are."""
+    dirs, mid, halfwidth = strips
+    d = len(dirs) - 2
+    w = uv[1] - uv[0]
+    ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
+    hw = halfwidth[None].repeat(len(w), axis=0)
+    ex_hw = hw[:, d:].T[keep] = 0.5 * (ex_his - ex_los)
+    if stage is None:
+        # the centred projections of the real parts as (u or v, pair, slab)
+        xs = rowdot(uv.real[:, :, None, :], dirs) - mid
+    else:
+        xs, cos = stage
+    proj = rowdot(uv[:, np.nonzero(keep)[1]], ex)
+    ex_x = xs[..., d:].swapaxes(1, 2)[:, keep] = proj.real - 0.5 * (ex_los + ex_his)
+    if stage is None:
+        cos = strip_point_stage(hw, xs)
+    else:
+        cos[..., d:].swapaxes(1, 2)[:, keep] = strip_point_stage(ex_hw, ex_x)
+    sin2q, c = strip_pair_stage(hw, xs[0], xs[1], cos[0], cos[1])
+    del xs, cos, stage
+    dy = np.subtract(*rowdot(uv.imag[:, :, None, :], dirs))
+    dy[:, d:].T[keep] = proj.imag[0] - proj.imag[1]
+    along = np.zeros(w.shape)
+    along[keep[0]] = ex[:np.count_nonzero(keep[0])]
+    return np.max(strip_imag_stage(hw, dy, sin2q, c), axis=1), hw, sin2q, c, along
+
+
 def slab_table(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> tuple:
     """(table, lower): the `SlabTable` of the row pairs (us, vs), whose
     points the caller has checked to lie in the open tube, and each pair's
-    slab lower bound, in one pass over blocks of _SWEEP_CELLS cells (which
-    bounds the memory of the intermediate arrays): the largest strip
-    distance over the cached direction block and the pair's extra slabs
-    along Re(v - u) and Im(v - u)."""
-    dirs, his, los = _base_direction_block(base)
-    d = len(dirs)
-    step = _sweep_rows(base)
-    blocks, lower = [], []
-    for i in range(0, len(us), step):
-        u, v = us[i:i + step], vs[i:i + step]
-        w = v - u
-        ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
-        owner = np.nonzero(keep)[1]
-        lo, hi = np.full((len(u), d + 2), -1.0), np.full((len(u), d + 2), 1.0)
-        pu, pv = np.zeros(lo.shape, dtype=complex), np.zeros(lo.shape, dtype=complex)
-        lo[:, :d], hi[:, :d] = los, his
-        lo[:, d:].T[keep], hi[:, d:].T[keep] = ex_los, ex_his
-        # <dirs_k, p> as (pairs, directions)
-        pu[:, :d], pv[:, :d] = rowdot(u[:, None, :], dirs), rowdot(v[:, None, :], dirs)
-        pu[:, d:].T[keep], pv[:, d:].T[keep] = rowdot(u[owner], ex), rowdot(v[owner], ex)
-        hw, sin2q, c = _strip_columns(lo, hi, pu.real, pv.real)
-        lower.append(np.max(strip_imag_stage(hw, pu.imag - pv.imag, sin2q, c), axis=1))
+    slab lower bound: the largest strip distance over the cached direction
+    block and the pair's extra slabs along Re(v - u) and Im(v - u).  When
+    the pairs have no more distinct real parts than pairs, the direction
+    block's projections and cosines are taken once per distinct real part
+    (`_point_rows`); then each pair's cells take the rest of the real
+    stage and the imaginary stage.  Both stages run in blocks of
+    _SWEEP_CELLS cells, which bounds the memory of the intermediate
+    arrays."""
+    strips = _slab_strips(base)
+    (m, n), step = us.shape, _sweep_rows(base)
+    uv = np.array([us, vs])
+    x, cos, ends = _point_rows(uv.real.reshape(2 * m, n), strips, step)
+    table = SlabTable(us, ends, cos, np.empty((m, len(strips[0]))), np.empty((m, n)),
+                      np.empty(m), np.empty(m))
+    d = len(strips[0]) - 2
+    lower = np.empty(m)
+    for i in range(0, m, step):
+        rows = slice(i, min(i + step, m))
+        pair = ends[:, rows]
+        lower[rows], hw, sin2q, c, table.along[rows] = _slab_cells(
+            base, strips, uv[:, rows], None if x is None else (x[pair], cos[pair]))
         # every translate shares all but the slab along Im(v - u), whose
         # column holds the dropped slab until a translate fills it in
         sin2q[:, d + 1], c[:, d + 1] = 0.0, 1.0
-        along = np.zeros(u.shape)
-        along[keep[0]] = ex[:np.count_nonzero(keep[0])]
-        blocks.append((along, hw[:, d].copy(), sin2q, c))
-    return SlabTable(us, blocks), np.concatenate(lower)
-
-
-def _table_rows(table: SlabTable, owners: np.ndarray) -> list:
-    """The table's (along, along_halfwidth, sin2q, c) rows of the pairs
-    `owners`, gathered from the blocks that hold them."""
-    if len(table.blocks) == 1:
-        return [a[owners] for a in table.blocks[0]]
-    block, row = np.divmod(owners, len(table.blocks[0][0]))
-    out = [np.empty((len(owners),) + a.shape[1:]) for a in table.blocks[0]]
-    for j in np.unique(block).tolist():
-        at = block == j
-        for gathered, a in zip(out, table.blocks[j]):
-            gathered[at] = a[row[at]]
-    return out
+        table.sin2q[rows] = sin2q
+        if x is None:
+            cos[rows] = c
+        table.along_halfwidth[rows] = hw[:, d]
+        table.along_c[rows] = c[:, d]
+    return table, lower
 
 
 def slab_lower(base: ConvexBase, table: SlabTable, owners: np.ndarray,
                vs: np.ndarray) -> np.ndarray:
     """The largest slab strip distance of each translate vs[k] of the pair
     owners[k] of the table, in blocks of _SWEEP_CELLS cells: the table's
-    rows are gathered one block at a time and take only their imaginary
-    stage, and the slab along Im(v - u) both stages, in the same call."""
+    rows take only their imaginary stage, and the slab along Im(v - u) both
+    stages, in the same call."""
     step = _sweep_rows(base)
-    return np.concatenate([_slab_block(base, table, owners[i:i + step], vs[i:i + step])
-                           for i in range(0, len(vs), step)])
+    out = np.empty(len(vs))
+    for i in range(0, len(vs), step):
+        out[i:i + step] = _slab_block(base, table, owners[i:i + step], vs[i:i + step])
+    return out
 
 
 def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
                 vs: np.ndarray) -> np.ndarray:
-    dirs = _base_direction_block(base)[0]
-    d = len(dirs)
+    dirs, _, halfwidths = _slab_strips(base)
+    d = len(dirs) - 2
     us, vim = table.us[owners], vs.imag
     uim = us.imag
-    along, along_halfwidth, sin2q, c = _table_rows(table, owners)
-    halfwidth = np.repeat(_slab_halfwidths(base)[None], len(vs), axis=0)
-    halfwidth[:, d] = along_halfwidth
-    dy = np.zeros(sin2q.shape)
-    dy[:, :d] = rowdot(uim[:, None, :], dirs) - rowdot(vim[:, None, :], dirs)
+    along = table.along[owners]
+    sin2q = table.sin2q[owners]
+    c = table.cos[table.ends[0, owners]]
+    c *= table.cos[table.ends[1, owners]]
+    c[:, d] = table.along_c[owners]
+    halfwidth = halfwidths[None].repeat(len(vs), axis=0)
+    halfwidth[:, d] = table.along_halfwidth[owners]
+    dy = rowdot(uim[:, None, :], dirs) - rowdot(vim[:, None, :], dirs)
     dy[:, d] = rowdot(uim, along) - rowdot(vim, along)
     across, ex_his, ex_los, keep = _extra_slabs(base, vim - uim)
     pu, pv = rowdot(us[keep], across), rowdot(vs[keep], across)
@@ -190,30 +283,22 @@ def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
     return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
 
 
-@functools.lru_cache(maxsize=64)
-def _slab_halfwidths(base: ConvexBase) -> np.ndarray:
-    """The half-widths of the cached direction block's slabs, then those of
-    two dropped extra slabs."""
-    _, his, los = _base_direction_block(base)
-    out = np.concatenate([0.5 * (his - los), [1.0, 1.0]])
-    out.setflags(write=False)
-    return out
-
-
 def caratheodory_lower(base: ConvexBase, u, v):
     """Supporting-slab lower bound for the tube distance.
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the result is
     then an (m,) array).  Sweeps the cached direction set plus each pair's
     real/imaginary parts of v - u and returns the largest strip distance
-    among the slab projections; the slab table is built and evaluated in
-    blocks of _SWEEP_CELLS cells.
+    among the slab projections; the slab cells are built and evaluated in
+    blocks of _SWEEP_CELLS cells, and no table is kept.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))
-    step = _sweep_rows(base)
-    best = np.concatenate([slab_table(base, us[i:i + step], vs[i:i + step])[1]
-                           for i in range(0, len(us), step)])
+    strips, step = _slab_strips(base), _sweep_rows(base)
+    uv = np.array([us, vs])
+    best = np.empty(len(us))
+    for i in range(0, len(us), step):
+        best[i:i + step] = _slab_cells(base, strips, uv[:, i:i + step], None)[0]
     return float(best[0]) if single else best
 
 

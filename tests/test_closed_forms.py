@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kobalab import closed_forms as cf
+from kobalab.domains import rowdot
 
 M = 64
 
@@ -175,6 +176,27 @@ def test_ball_distance_batch(n):
     outside[-1] = 1.01
     with pytest.raises(ValueError):
         cf.ball_distance(np.vstack([z, outside]), np.vstack([w, np.zeros(n)]))
+
+
+def test_ball_distance_index_pairs_are_built_once_per_dimension():
+    # the kernel with indices built afresh on every call, as it was before
+    # they were cached; the cached ones are read-only
+    def fresh(z, w):
+        diff = np.abs(z - w)
+        i, j = np.triu_indices(z.shape[-1], 1)
+        cross = np.abs(z[..., i] * w[..., j] - z[..., j] * w[..., i])
+        tanh2 = (np.maximum(0.0, rowdot(diff, diff) - rowdot(cross, cross))
+                 / np.abs(1.0 - rowdot(z, np.conj(w))) ** 2)
+        return cf.stable_arctanh(np.sqrt(tanh2))
+
+    gen = np.random.default_rng(50)
+    for n in range(1, 5):
+        z, w = _ball(gen, M, n), _ball(gen, M, n)
+        assert cf.ball_distance(z, w).tolist() == fresh(z, w).tolist()
+        assert cf.ball_distance(z[0], w[0]) == fresh(z[0], w[0])
+        assert cf._index_pairs(n) is cf._index_pairs(n)
+        for index in cf._index_pairs(n):
+            assert not index.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3])

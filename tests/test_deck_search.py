@@ -245,10 +245,11 @@ def test_deck_golden():
 
 
 def test_search_builds_each_pair_slab_table_once(monkeypatch):
-    # 36 pairs fill two blocks of the table; their shell rounds gather rows
-    # of the one table
-    built, evaluated = [], []
-    slab_table, slab_lower = metric.slab_table, metric.slab_lower
+    # enough pairs to fill two blocks of the table; their shell rounds
+    # gather rows of the one table, and the points' stage of the table runs
+    # once per distinct point, not once per end of a pair
+    built, evaluated, staged = [], [], []
+    slab_table, slab_lower, point_stage = metric.slab_table, metric.slab_lower, tube._point_stage
 
     def counted_table(base, us, vs):
         built.append(len(us))
@@ -258,15 +259,36 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
         evaluated.extend(np.asarray(owners).tolist())
         return slab_lower(base, table, owners, vs)
 
+    def counted_stage(points, *args):
+        staged.append(len(points))
+        return point_stage(points, *args)
+
     monkeypatch.setattr(metric, "slab_table", counted_table)
     monkeypatch.setattr(metric, "slab_lower", counted_lower)
     monkeypatch.setattr(tube, "slab_table", counted_table)
-    points = reinhardt_points(9, seed=5, radius=0.85)
+    monkeypatch.setattr(tube, "_point_stage", counted_stage)
+    count = 2
+    while count * (count - 1) // 2 <= tube._sweep_rows(BALL):
+        count += 1
+    points = reinhardt_points(count, seed=5, radius=0.85)
     pairs = list(itertools.combinations(range(len(points)), 2))
     distances(ReinhardtLog(BALL), points, pairs)
     assert built == [len(pairs)]
+    assert staged == [count]
     # shells ran for pairs of both blocks
     assert min(evaluated) < tube._sweep_rows(BALL) <= max(evaluated)
+
+
+def test_empty_batches_give_empty_results():
+    # zero pairs give zero rows, on the tube cover as on the strip
+    for cover, n in ((TubeOverBase(BALL), 2), (Strip(4.0), 1)):
+        none = np.empty((0, n), dtype=complex)
+        got = metric.deck_infimum(cover, none, none)
+        assert len(got) == 0 and got.deck_index.shape == (0, n)
+    none = np.empty((0, 2), dtype=complex)
+    assert tube.caratheodory_lower(BALL, none, none).shape == (0,)
+    lower, upper = tube.tube_distance_bounds(BALL, none, none)
+    assert lower.shape == upper.shape == (0,)
 
 
 def test_each_pair_is_searched_on_its_own():

@@ -458,26 +458,60 @@ def _tube_pairs(gen, m, radius, flat=0, vertical=0):
     return reals[0] + 1j * imags[0], reals[1] + 1j * imags[1]
 
 
-@pytest.mark.parametrize("base,radius", [
-    (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
-    (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5)])
-def test_slab_table_equals_the_one_pass_sweep(base, radius):
-    # 70 pairs fill three blocks of the table
-    gen = np.random.default_rng(23)
-    us, vs = _tube_pairs(gen, 70, radius, flat=5, vertical=5)
-    want = _reference_slab_sweep(base, us, vs)
-    assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
-    table, lower = tube.slab_table(base, us, vs)
-    assert lower.tolist() == want.tolist()
-    # the translates v + 2 pi i nu of pairs taken from every block, in a
-    # scrambled order, from the table's real stage
-    owners = gen.permutation(np.repeat(np.arange(70), 2))
+def _pair_matrix(gen, radius):
+    """All pairs i < j of 9 points with real parts in the disc of `radius`:
+    point 8 repeats point 2, and the real parts of points 0 and 1 are equal
+    but for a first coordinate of 0.0 in one and -0.0 in the other."""
+    points = _tube_pairs(gen, 9, radius)[0]
+    points[8] = points[2]
+    points[0, 0] = complex(0.0, points[0, 0].imag)
+    points[1, 0] = complex(-0.0, points[1, 0].imag)
+    points[1, 1] = complex(points[0, 1].real, points[1, 1].imag)
+    i, j = np.triu_indices(9, 1)
+    return points[i], points[j]
+
+
+def _check_translates(gen, base, us, vs, table):
+    """slab_lower of translates v + 2 pi i nu of the table's pairs, taken
+    from every block in a scrambled order, against the reference sweep."""
+    owners = gen.permutation(np.repeat(np.arange(len(us)), 2))
     nus = gen.integers(-2, 3, (len(owners), 2))
     nus[:3] = 0                  # a translate that is the pair itself
     nus[3:6, 0] = nus[3:6, 1] = -1
     moved = vs[owners] + 2.0 * math.pi * 1j * nus
     got = tube.slab_lower(base, table, owners, moved)
     assert got.tolist() == _reference_slab_sweep(base, us[owners], moved).tolist()
+
+
+@pytest.mark.parametrize("base,radius", [
+    (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
+    (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5)])
+def test_slab_table_equals_the_one_pass_sweep(base, radius):
+    # enough pairs to fill three blocks of the table over the ball
+    gen = np.random.default_rng(23)
+    m = 2 * tube._sweep_rows(BALL) + 10
+    us, vs = _tube_pairs(gen, m, radius, flat=5, vertical=5)
+    want = _reference_slab_sweep(base, us, vs)
+    assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
+    table, lower = tube.slab_table(base, us, vs)
+    assert lower.tolist() == want.tolist()
+    # distinct points: the table keeps each pair's c and a row of ones
+    assert len(table.cos) == m + 1
+    _check_translates(gen, base, us, vs, table)
+    # a pair matrix: its points' stage runs once per distinct real part (by
+    # bytes: the repeated point is one, the signed zeros are two)
+    us, vs = _pair_matrix(gen, radius)
+    want = _reference_slab_sweep(base, us, vs)
+    table, lower = tube.slab_table(base, us, vs)
+    assert len(table.cos) == 8
+    assert lower.tolist() == want.tolist()
+    assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
+    _check_translates(gen, base, us, vs, table)
+    # one pair, here with real parts that differ only in a signed zero
+    for k in (0, 5):
+        table, lower = tube.slab_table(base, us[k:k + 1], vs[k:k + 1])
+        assert len(table.cos) == 2 and lower.tolist() == want[k:k + 1].tolist()
+        _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), cut=st.floats(0.0, 8.0))
