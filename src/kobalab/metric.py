@@ -35,7 +35,7 @@ import numpy as np
 from . import closed_forms as cf
 from .domains import (Annulus, LeftHalfPlane, ModelDomain, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
-                      UnitBall, UnitDisc, as_pairs, as_point, base_support, dim,
+                      UnitBall, UnitDisc, as_point, base_support, dim,
                       require_interior)
 from .quadrature import adaptive_simpson
 from .tube import (closed_bounds, disc_upper, slab_lower, slab_table, translate_terms,
@@ -43,8 +43,6 @@ from .tube import (closed_bounds, disc_upper, slab_lower, slab_table, translate_
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
-# growth rounds of the deck search radius before a pair that still improves fails
-DECK_ROUNDS = 64
 
 
 class DeckBoundError(RuntimeError):
@@ -151,20 +149,22 @@ class DistanceColumns(Sequence):
 # deck search over the exp covers
 # ---------------------------------------------------------------------------
 #
-# A cover record bounds the cover distance of translates.  start(us, vs) is
-# (pairs, lower, upper, settled): what every translate of the m row pairs
-# of two (m, n) arrays shares (the pairs' first points; for the tube also
-# the slab table and the chord terms and vertical caps at u), set up once
-# per search, and the bounds of the translates vs themselves (settled:
-# upper is final).  bounds(pairs, owners, vs) is (lower, upper, settled)
-# for the translates vs[k] of the pairs owners[k], many translates at once;
-# finish(pairs, k, v, lo, hi, cut) is the upper bound of one translate v of
+# A cover record bounds the cover distance of translates.
+# start(rows, pairs, vs) is (shared, lower, upper, settled): what every
+# translate of the pairs (rows[i], rows[j]) of the (m, 2) index pairs
+# shares (the pairs' first points; for the tube also the slab table and the
+# chord terms and vertical caps at u), set up once per search, and the
+# bounds of the translates vs of the second points (settled: upper is
+# final).  bounds(shared, owners, vs) is (lower, upper, settled) for the
+# translates vs[k] of the pairs owners[k], many translates at once;
+# finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v of
 # pair k left open (it may fill in the pair's shared terms), or any value
 # above cut once the bound is known to exceed cut: such a translate cannot
 # lower its pair's best.  offset_lower(us, vs, dys) is a cheap lower bound
 # for the translate whose imaginary offset from u is dys[k, l], over an
 # (m, L, n) array of offsets; threshold(us, vs, best) is the per-coordinate
-# |dy_j| beyond which that bound exceeds best, as (m, n).
+# |dy_j| beyond which that bound exceeds best, as (m, n); it does not
+# decrease as best grows.
 
 def _exact(kernel) -> tuple:
     """(start, bounds, finish) of a cover with a closed-form distance: one
@@ -172,7 +172,11 @@ def _exact(kernel) -> tuple:
     def bounds(us, owners, vs):
         values = kernel(us[owners, 0], vs[:, 0])
         return values, values, np.ones(len(values), dtype=bool)
-    return lambda us, vs: (us, *bounds(us, slice(None), vs)), bounds, None
+
+    def start(rows, pairs, vs):
+        us = rows[pairs[:, 0]]
+        return (us, *bounds(us, slice(None), vs))
+    return start, bounds, None
 
 
 def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
@@ -202,18 +206,18 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
 
-    def start(us, vs):
-        table, lower = slab_table(base, us, vs)
-        terms = translate_terms(base, us, vs)
-        return (table, terms), lower, *closed_bounds(base, us, vs, terms[:, 0], lower)
+    def start(rows, pairs, vs):
+        table, lower = slab_table(base, rows, pairs, vs)
+        terms = translate_terms(base, table.us, vs)
+        return (table, terms), lower, *closed_bounds(base, table.us, vs, terms[:, 0], lower)
 
-    def bounds(pairs, owners, vs):
-        table, terms = pairs
+    def bounds(shared, owners, vs):
+        table, terms = shared
         lower = slab_lower(base, table, owners, vs)
         return (lower, *closed_bounds(base, table.us[owners], vs, terms[owners, 0], lower))
 
-    def finish(pairs, k, v, lo, hi, cut):
-        table, terms = pairs
+    def finish(shared, k, v, lo, hi, cut):
+        table, terms = shared
         return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
 
     return _slab_cover(halfwidths, start, bounds, finish)
@@ -232,26 +236,29 @@ def _cover(cover: ModelDomain) -> tuple:
     return build(cover)
 
 
-# lattice points per block of the vectorised shell bound
+# lattice points per block of the vectorised offset bound
 _SHELL_BLOCK = 1 << 16
 
 
-def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
+def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     """Minimum over deck translates v + 2*pi*i*nu of the cover distance.
 
-    u, v are one pair of points or m pairs as two (m, n) arrays; the result
-    has one row per pair, and its `deck_index` holds each pair's nu.  Each
-    pair's search box is centred on its nearest translate nu0, and its
-    radius is grown until the slab lower bound at the next shell provably
-    exceeds the best value found, so the returned minimum is attained and
-    certified; a pair whose nu0 leaves the int64 range, whose search would
-    enumerate more than DECK_ENUM_CAP lattice points, or which still
-    improves after DECK_ROUNDS rounds, raises DeckBoundError.  Each pair
-    is searched on its own; with several pairs, the error of the first
-    failing pair is raised.
+    `points` and `pairs` are as in `distances`: the cover points, checked
+    with one `require_interior` call, and index pairs (i, j), each the pair
+    (u, v) = (points[i], points[j]).  The result has one row per pair, and
+    its `deck_index` holds each pair's nu.  Each pair's search box is
+    centred on its nearest translate nu0 and sized from nu0's upper bound B:
+    every translate outside it has an offset lower bound above B, which is
+    at least the final best, so the one box holds every translate that can
+    lower the minimum and the returned minimum is attained and certified.
+    A pair whose nu0 leaves the int64 range, or
+    whose box would enumerate more than DECK_ENUM_CAP lattice points,
+    raises DeckBoundError.  Each pair is searched on its own; with several
+    pairs, the error of the first failing pair is raised.
     """
-    _, us, vs = as_pairs(u, v)
-    require_interior(cover, np.concatenate([us, vs]))
+    rows = _point_rows(cover, points)
+    pairs = _index_pairs(pairs, len(rows))
+    us, vs = _ends(rows, pairs)
     m, n = us.shape
     start, bounds, finish, offset_lower, threshold = _cover(cover)
     dy = us.imag - vs.imag
@@ -262,101 +269,73 @@ def deck_infimum(cover: ModelDomain, u, v) -> DistanceColumns:
         # comes first, and pairs are searched independently
         first = int(wild.argmax())
         if first:
-            deck_infimum(cover, us[:first], vs[:first])
+            deck_infimum(cover, rows, pairs[:first])
         raise DeckBoundError(f"nearest deck translate {turns[first].tolist()} "
                              f"is outside the int64 range")
     # the search runs over offsets from the nearest translate nu0 of each pair
     nu0 = turns.astype(int)
     dy0 = dy - TWO_PI * nu0
     # every pair's shared terms (the tube's slab table) are built once, with
-    # the bounds of its translate nu0, and serve all its shell rounds
+    # the bounds of its translate nu0, and serve its whole box
     v0 = vs + TWO_PI * 1j * nu0
-    pairs, *first = start(us, v0)
+    shared, *first = start(rows, pairs, v0)
     best_lo, highs, settled = (x.tolist() for x in first)
-    best_hi = [hi if done else finish(pairs, k, v, lo, hi, math.inf)
+    best_hi = [hi if done else finish(shared, k, v, lo, hi, math.inf)
                for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
     best_nu = [(0,) * n] * m
-    evaluated = [{(0,) * n} for _ in range(m)]
-    errors: dict[int, DeckBoundError] = {}
-    for k in range(m):
-        if not math.isfinite(best_hi[k]):
-            errors[k] = DeckBoundError("initial deck translate has no finite upper bound")
-
-    def bounds_for(rows: list[int]) -> np.ndarray:
-        thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
-        # a radius past the cap fails on the cap below; clipping first keeps
-        # the cast in range
-        radii = np.floor((np.abs(dy0[rows]) + thr) / TWO_PI)
-        return np.minimum(radii, DECK_ENUM_CAP).astype(int) + 1
-
+    errors = {k: DeckBoundError("initial deck translate has no finite upper bound")
+              for k in range(m) if not math.isfinite(best_hi[k])}
     active = [k for k in range(m) if k not in errors]
-    for _ in range(DECK_ROUNDS):
-        if not active:
-            break
-        improved = set()
-        boxes: dict[tuple, list[int]] = {}
-        for k, limit in zip(active, bounds_for(active).tolist()):
-            boxes.setdefault(tuple(limit), []).append(k)
-        for limit, ks in boxes.items():
-            total = math.prod(2 * b + 1 for b in limit)
-            if total > DECK_ENUM_CAP:
-                for k in ks:
-                    errors[k] = DeckBoundError(f"deck enumeration needs {total} lattice points")
+    thr = threshold(us[active], vs[active], np.array(best_hi)[active])
+    # a radius past the cap fails on the cap below; clipping first keeps the
+    # cast in range
+    radii = np.floor((np.abs(dy0[active]) + thr) / TWO_PI)
+    boxes: dict[tuple, list[int]] = {}
+    for k, limit in zip(active, (np.minimum(radii, DECK_ENUM_CAP).astype(int) + 1).tolist()):
+        boxes.setdefault(tuple(limit), []).append(k)
+    for limit, ks in boxes.items():
+        total = math.prod(2 * b + 1 for b in limit)
+        if total > DECK_ENUM_CAP:
+            for k in ks:
+                errors[k] = DeckBoundError(f"deck enumeration needs {total} lattice points")
+            continue
+        # the box about nu0, less nu0 itself
+        box = [o for o in itertools.product(*[range(-b, b + 1) for b in limit]) if any(o)]
+        offsets = np.array(box)
+        step = max(1, _SHELL_BLOCK // len(box))
+        for begin in range(0, len(ks), step):
+            block = ks[begin:begin + step]
+            nus = nu0[block][:, None, :] + offsets
+            bound = offset_lower(us[block], vs[block], dy[block][:, None, :] - TWO_PI * nus)
+            # the translates whose offset bound does not exceed their pair's
+            # best so far survive, in per-pair lexicographic order
+            caps = np.array([best_hi[k] for k in block])
+            hits = list(zip(*[ix.tolist() for ix in np.nonzero(~(bound > caps[:, None]))]))
+            if not hits:
                 continue
-            box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
-            if not box:
-                continue
-            offsets = np.array(box)
-            step = max(1, _SHELL_BLOCK // len(box))
-            for start in range(0, len(ks), step):
-                rows = ks[start:start + step]
-                nus = nu0[rows][:, None, :] + offsets
-                bound = offset_lower(us[rows], vs[rows], dy[rows][:, None, :] - TWO_PI * nus)
-                # the translates whose offset bound does not exceed their
-                # pair's best so far survive, in per-pair lexicographic order
-                caps = np.array([best_hi[k] for k in rows])
-                hits = [(r, l) for r, l in zip(*[ix.tolist() for ix in
-                                                 np.nonzero(~(bound > caps[:, None]))])
-                        if box[l] not in evaluated[rows[r]]]
-                if not hits:
+            owners = [block[r] for r, _ in hits]
+            moved = vs[owners] + TWO_PI * 1j * nus[[r for r, _ in hits], [l for _, l in hits]]
+            # one batched bounds call for every survivor; the settled ones are
+            # taken first in that order, then the open ones best-first (by
+            # lower bound), each rechecked against its pair's running best
+            # before its upper: a survivor whose lower bound exceeds the
+            # running best cannot lower the final minimum
+            lows, highs, done = bounds(shared, np.array(owners), moved)
+            order = np.argsort(np.where(done, -math.inf, lows), kind="stable")
+            lows, highs, done = lows.tolist(), highs.tolist(), done.tolist()
+            # pair -> position in `hits` of its best in this box; on equal
+            # uppers the survivor earlier in the per-pair order wins
+            found_at: dict[int, int] = {}
+            for i in order.tolist():
+                (r, l), k = hits[i], owners[i]
+                lo = lows[i]
+                if bound[r, l] > best_hi[k] or lo > best_hi[k]:
                     continue
-                owners = [rows[r] for r, _ in hits]
-                moved = vs[owners] + TWO_PI * 1j * nus[[r for r, _ in hits], [l for _, l in hits]]
-                # one batched bounds call for every survivor; the settled ones
-                # are taken first in that order, then the open ones best-first
-                # (by lower bound), each rechecked against its pair's running
-                # best before its upper: a survivor whose lower bound exceeds
-                # the running best cannot lower the final minimum
-                lows, highs, done = bounds(pairs, np.array(owners), moved)
-                order = np.argsort(np.where(done, -math.inf, lows), kind="stable")
-                lows, highs, done = lows.tolist(), highs.tolist(), done.tolist()
-                # pair -> position in `hits` of the best this shell found; on
-                # equal uppers the survivor earlier in the per-pair order wins
-                found_at: dict[int, int] = {}
-                for i in order.tolist():
-                    (r, l), k = hits[i], owners[i]
-                    if bound[r, l] > best_hi[k]:
-                        continue
-                    evaluated[k].add(box[l])
-                    lo = lows[i]
-                    if lo > best_hi[k]:
-                        continue
-                    best_lo[k] = min(best_lo[k], lo)
-                    hi = (highs[i] if done[i]
-                          else finish(pairs, k, moved[i], lo, highs[i], best_hi[k]))
-                    if hi < best_hi[k] or (hi == best_hi[k] and i < found_at.get(k, -1)):
-                        if hi < best_hi[k]:
-                            improved.add(k)
-                        best_hi[k], best_nu[k], found_at[k] = hi, box[l], i
-        # a pair whose best did not improve has the radius it was searched
-        # with, so its minimum is certified; the others search again (a pair
-        # over the enumeration cap was not searched, so it did not improve)
-        active = [k for k in active if k in improved]
-    else:
-        # the last round still improved these pairs: their minimum is not certified
-        for k in active:
-            errors[k] = DeckBoundError(
-                f"deck search still improving after {DECK_ROUNDS} growth rounds")
+                best_lo[k] = min(best_lo[k], lo)
+                hi = (highs[i] if done[i]
+                      else finish(shared, k, moved[i], lo, highs[i], best_hi[k]))
+                if hi < best_hi[k] or (hi == best_hi[k] and i < found_at.get(k, -1)):
+                    best_hi[k], best_nu[k], found_at[k] = hi, box[l], i
     if errors:
         raise errors[min(errors)]
     lo, hi = np.array(best_lo), np.array(best_hi)
@@ -429,7 +408,7 @@ def _deck(cover_of: Callable) -> Callable:
     principal log is taken once, and one `deck_infimum` call, looked up at
     call time so that tracing wrappers see it, covers all pairs."""
     def run(domain, rows, pairs):
-        return deck_infimum(cover_of(domain), *_ends(_principal_log(rows), pairs))
+        return deck_infimum(cover_of(domain), _principal_log(rows), pairs)
     return run
 
 

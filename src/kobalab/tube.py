@@ -79,7 +79,7 @@ _SWEEP_CELLS = 1 << 12
 
 
 class SlabTable(NamedTuple):
-    """The real stage of the slab lower bound of m row pairs (u, v).
+    """The real stage of the slab lower bound of m pairs of point rows.
 
     A deck translate v + i t of a pair changes only the imaginary parts of
     its projections, so the strip kernel's real stage is computed once per
@@ -90,23 +90,21 @@ class SlabTable(NamedTuple):
     dropped extra slab (that part ~0) is (-1, 1) with both points at 0,
     whose strip distance is 0.
 
-    A cell's c is the product of the two rows of `cos` that `ends` gives
-    for its pair.  The direction block's cosines (`strip_point_stage`)
-    depend on one point only, so when the pairs have no more distinct real
-    parts than there are pairs (a pair matrix), `cos` keeps a row per
-    distinct real part, with 1 in the two extra columns.  Otherwise it
-    keeps each pair's c, then a row of ones that is every pair's second
-    row, so it never has more than m + 1 rows.  Per pair the table keeps
-    sin^2(pi dx/4a) of every cell, and of column d the unit direction
-    (n columns, 0 where dropped), its half-width and its c.  Column d + 1
-    holds the dropped slab (sin^2 0, c 1) until a translate fills it in.
-    The imaginary parts of the projections are not kept: a translate
-    recomputes them with its own.
+    `cos` holds one row per point row: the direction block's cosines
+    (`strip_point_stage`), which depend on one point only, with 1 in the
+    two extra columns.  A cell's c is the product of the two rows of `cos`
+    that the pair's indices in `ends` give, so a deck search over all pairs
+    of N points pays N cosine rows, not one per end of a pair.  Per pair
+    the table keeps sin^2(pi dx/4a) of every cell, and of column d the unit
+    direction (n columns, 0 where dropped), its half-width and its c.
+    Column d + 1 holds the dropped slab (sin^2 0, c 1) until a translate
+    fills it in.  The imaginary parts of the projections are not kept: a
+    translate recomputes them with its own.
     """
 
     us: np.ndarray               # (m, n) the first points of the pairs
-    ends: np.ndarray             # (2, m) the `cos` rows of each pair
-    cos: np.ndarray              # (points or m + 1, d + 2)
+    ends: np.ndarray             # (2, m) the point rows of each pair
+    cos: np.ndarray              # (points, d + 2)
     sin2q: np.ndarray            # (m, d + 2)
     along: np.ndarray            # (m, n)
     along_halfwidth: np.ndarray  # (m,)
@@ -142,29 +140,6 @@ def _sweep_rows(base: ConvexBase) -> int:
     return max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
 
 
-def _point_rows(rows: np.ndarray, strips: tuple, step: int) -> tuple:
-    """(stage, cos, ends) of a `SlabTable` of the m pairs whose first and
-    second points' real parts are the (2m, n) `rows`.  If the rows hold no
-    more distinct rows, by their bytes, than pairs, `stage` and `cos` are
-    the `_point_stage` of each distinct row; else `stage` is None and `cos`
-    has room for each pair's c, and its last row is 1.  Equal bytes give
-    equal values, so a pair's result never depends on its batch.  A single
-    pair skips the sort: its one row of c is already the smallest table."""
-    m = len(rows) // 2
-    if m > 1:
-        packed = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.dtype.itemsize
-                                                           * rows.shape[1])))[:, 0]
-        _, first, index = np.unique(packed, return_index=True, return_inverse=True)
-        if len(first) <= m:
-            x, cos = _point_stage(rows[first], strips, step)
-            return x, cos, index.reshape(2, m)
-    cos = np.empty((m + 1, len(strips[0])))
-    cos[m] = 1.0
-    ends = np.full((2, m), m)
-    ends[0] = np.arange(m)
-    return None, cos, ends
-
-
 def _point_stage(points: np.ndarray, strips: tuple, step: int) -> tuple:
     """(x, cos) of the real points `points` in the slabs (dirs, mid,
     halfwidth) of `_slab_strips`, in blocks of `step` points: the centred
@@ -178,33 +153,26 @@ def _point_stage(points: np.ndarray, strips: tuple, step: int) -> tuple:
     return x, cos
 
 
-def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, stage) -> tuple:
+def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, xs: np.ndarray,
+                cos: np.ndarray) -> tuple:
     """(lower, halfwidth, sin2q, c, along) of the (pair, slab) cells of
     the pairs whose (u, v) are uv[0], uv[1]: their slab lower bound, the
     slabs' half-widths, the strip kernel's real stage and the unit
-    Re(v - u) directions (0 where dropped).  `stage` holds the direction
-    block's (x, cos) of the pairs' ends as (2, pairs, slabs), gathered from
-    a `_point_stage` with 0 and 1 in the two extra columns, and only the
-    kept extra slabs' are taken here; if it is None, all of them are."""
+    Re(v - u) directions (0 where dropped).  xs and cos are the
+    `_point_stage` of the pairs' ends as writable (2, pairs, slabs) arrays,
+    with 0 and 1 in the two extra columns; the kept extra slabs' are filled
+    in here."""
     dirs, mid, halfwidth = strips
     d = len(dirs) - 2
     w = uv[1] - uv[0]
     ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
     hw = halfwidth[None].repeat(len(w), axis=0)
     ex_hw = hw[:, d:].T[keep] = 0.5 * (ex_his - ex_los)
-    if stage is None:
-        # the centred projections of the real parts as (u or v, pair, slab)
-        xs = rowdot(uv.real[:, :, None, :], dirs) - mid
-    else:
-        xs, cos = stage
     proj = rowdot(uv[:, np.nonzero(keep)[1]], ex)
     ex_x = xs[..., d:].swapaxes(1, 2)[:, keep] = proj.real - 0.5 * (ex_los + ex_his)
-    if stage is None:
-        cos = strip_point_stage(hw, xs)
-    else:
-        cos[..., d:].swapaxes(1, 2)[:, keep] = strip_point_stage(ex_hw, ex_x)
+    cos[..., d:].swapaxes(1, 2)[:, keep] = strip_point_stage(ex_hw, ex_x)
     sin2q, c = strip_pair_stage(hw, xs[0], xs[1], cos[0], cos[1])
-    del xs, cos, stage
+    del xs, cos
     dy = np.subtract(*rowdot(uv.imag[:, :, None, :], dirs))
     dy[:, d:].T[keep] = proj.imag[0] - proj.imag[1]
     along = np.zeros(w.shape)
@@ -212,38 +180,38 @@ def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, stage) -> tuple
     return np.max(strip_imag_stage(hw, dy, sin2q, c), axis=1), hw, sin2q, c, along
 
 
-def slab_table(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> tuple:
-    """(table, lower): the `SlabTable` of the row pairs (us, vs), whose
-    points the caller has checked to lie in the open tube, and each pair's
-    slab lower bound: the largest strip distance over the cached direction
-    block and the pair's extra slabs along Re(v - u) and Im(v - u).  When
-    the pairs have no more distinct real parts than pairs, the direction
-    block's projections and cosines are taken once per distinct real part
-    (`_point_rows`); then each pair's cells take the rest of the real
-    stage and the imaginary stage.  Both stages run in blocks of
-    _SWEEP_CELLS cells, which bounds the memory of the intermediate
-    arrays."""
+def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray,
+               vs: np.ndarray) -> tuple:
+    """(table, lower): the `SlabTable` of the m pairs (rows[i], vs[k]),
+    where (i, j) is row k of the (m, 2) index pairs and vs[k] has the real
+    part of rows[j] (a deck translate of it), and each pair's slab lower
+    bound: the largest strip distance over the cached direction block and
+    the pair's extra slabs along Re(v - u) and Im(v - u).  The caller has
+    checked the rows to lie in the open tube.
+    The direction block's projections and cosines are taken once per point
+    row; then each pair's cells take the rest of the real stage and the
+    imaginary stage.  Both stages run in blocks of _SWEEP_CELLS cells,
+    which bounds the memory of the intermediate arrays."""
     strips = _slab_strips(base)
-    (m, n), step = us.shape, _sweep_rows(base)
-    uv = np.array([us, vs])
-    x, cos, ends = _point_rows(uv.real.reshape(2 * m, n), strips, step)
-    table = SlabTable(us, ends, cos, np.empty((m, len(strips[0]))), np.empty((m, n)),
+    (m, n), step = vs.shape, _sweep_rows(base)
+    x, cos = _point_stage(rows.real, strips, step)
+    ends = pairs.T
+    uv = np.array([rows[ends[0]], vs])
+    table = SlabTable(uv[0], ends, cos, np.empty((m, len(strips[0]))), np.empty((m, n)),
                       np.empty(m), np.empty(m))
     d = len(strips[0]) - 2
     lower = np.empty(m)
     for i in range(0, m, step):
-        rows = slice(i, min(i + step, m))
-        pair = ends[:, rows]
-        lower[rows], hw, sin2q, c, table.along[rows] = _slab_cells(
-            base, strips, uv[:, rows], None if x is None else (x[pair], cos[pair]))
+        block = slice(i, min(i + step, m))
+        pair = ends[:, block]
+        lower[block], hw, sin2q, c, table.along[block] = _slab_cells(
+            base, strips, uv[:, block], x[pair], cos[pair])
         # every translate shares all but the slab along Im(v - u), whose
         # column holds the dropped slab until a translate fills it in
-        sin2q[:, d + 1], c[:, d + 1] = 0.0, 1.0
-        table.sin2q[rows] = sin2q
-        if x is None:
-            cos[rows] = c
-        table.along_halfwidth[rows] = hw[:, d]
-        table.along_c[rows] = c[:, d]
+        sin2q[:, d + 1] = 0.0
+        table.sin2q[block] = sin2q
+        table.along_halfwidth[block] = hw[:, d]
+        table.along_c[block] = c[:, d]
     return table, lower
 
 
@@ -298,7 +266,10 @@ def caratheodory_lower(base: ConvexBase, u, v):
     uv = np.array([us, vs])
     best = np.empty(len(us))
     for i in range(0, len(us), step):
-        best[i:i + step] = _slab_cells(base, strips, uv[:, i:i + step], None)[0]
+        block = uv[:, i:i + step]
+        x, cos = _point_stage(block.real.reshape(-1, us.shape[1]), strips, step)
+        ends = (2, block.shape[1], -1)
+        best[i:i + step] = _slab_cells(base, strips, block, x.reshape(ends), cos.reshape(ends))[0]
     return float(best[0]) if single else best
 
 

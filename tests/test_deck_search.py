@@ -1,22 +1,24 @@
 """The best-first deck search against the sequential lexicographic search.
 
 `reference_deck_columns` is the deck search as it ran before the open
-survivors of a shell were finished best-first: every survivor in per-pair
-lexicographic order, each rechecked against its pair's running best.  The
-search in `metric` must give the same value, gap and deck index bit for
-bit, while computing fewer upper bounds.
+survivors of a box were finished best-first and before its growth rounds
+became one box: every survivor in per-pair lexicographic order, each
+rechecked against its pair's running best, in rounds of boxes grown from
+each pair's best so far.  The search in `metric` must give the same value,
+gap and deck index bit for bit, while computing fewer upper bounds.
 """
 
 import itertools
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from kobalab import (Box, DeckBoundError, EuclideanBall, LinearImage, ReinhardtLog, Strip,
-                     TubeOverBase, distances)
+from kobalab import (Box, EuclideanBall, LinearImage, ReinhardtLog, Strip, TubeOverBase,
+                     distance, distances)
 from kobalab import metric, tube
 from kobalab.domains import domain_from_dict, require_interior, to_polytope
 
@@ -34,21 +36,33 @@ BASES = {
 }
 
 
-def reference_deck_columns(cover, us, vs):
-    """The sequential deck search: nu0, then shell after shell, every
-    survivor finished in per-pair lexicographic order."""
-    require_interior(cover, np.concatenate([us, vs]))
+class Reference(NamedTuple):
+    value: np.ndarray
+    gap: np.ndarray
+    deck_index: np.ndarray
+    survivors: list     # per growth round, the (pair, offset) survivors
+
+
+def reference_deck_columns(cover, points, pairs):
+    """The sequential deck search: nu0, then round after round of boxes
+    grown from each pair's best so far, every survivor finished in per-pair
+    lexicographic order.  It records each round's survivors."""
+    rows = np.atleast_2d(np.asarray(points, dtype=complex))
+    require_interior(cover, rows)
+    pairs = np.asarray(pairs)
+    us, vs = rows[pairs.T]
     m, n = us.shape
     start, bounds, finish, offset_lower, threshold = metric._cover(cover)
     dy = us.imag - vs.imag
     nu0 = np.round(dy / metric.TWO_PI).astype(int)
     v0 = vs + metric.TWO_PI * 1j * nu0
-    pairs, *first = start(us, v0)
+    shared, *first = start(rows, pairs, v0)
     best_lo, highs, settled = (x.tolist() for x in first)
-    best_hi = [hi if done else finish(pairs, k, v, lo, hi, math.inf)
+    best_hi = [hi if done else finish(shared, k, v, lo, hi, math.inf)
                for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
     best_nu = [tuple(row) for row in nu0.tolist()]
     evaluated = [{nu} for nu in best_nu]
+    survivors = []
 
     def bounds_for(rows):
         thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
@@ -59,16 +73,18 @@ def reference_deck_columns(cover, us, vs):
         if not active:
             break
         improved = set()
+        survivors.append([])
         for k, limit in zip(active, bounds_for(active).tolist()):
             box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
             offsets = metric.TWO_PI * np.array(box)
             bound = offset_lower(us[[k]], vs[[k]], dy[[k]][:, None, :] - offsets)[0]
             hits = [l for l in range(len(box))
                     if not bound[l] > best_hi[k] and box[l] not in evaluated[k]]
+            survivors[-1] += [(k, box[l]) for l in hits]
             if not hits:
                 continue
             moved = vs[[k] * len(hits)] + metric.TWO_PI * 1j * np.array([box[l] for l in hits])
-            found = (x.tolist() for x in bounds(pairs, np.full(len(hits), k), moved))
+            found = (x.tolist() for x in bounds(shared, np.full(len(hits), k), moved))
             for l, v, lo, hi, done in zip(hits, moved, *found):
                 if bound[l] > best_hi[k]:
                     continue
@@ -76,7 +92,7 @@ def reference_deck_columns(cover, us, vs):
                     hi = math.inf
                 elif not done:
                     # the whole upper bound: no cut at the running best
-                    hi = finish(pairs, k, v, lo, hi, math.inf)
+                    hi = finish(shared, k, v, lo, hi, math.inf)
                 evaluated[k].add(box[l])
                 best_lo[k] = min(best_lo[k], lo)
                 if hi < best_hi[k]:
@@ -86,7 +102,13 @@ def reference_deck_columns(cover, us, vs):
         active = [k for k in active if k in improved]
     lo, hi = np.array(best_lo), np.array(best_hi)
     gap = np.where(hi - lo > 0.0, hi - lo, 0.0)
-    return 0.5 * (lo + hi), gap, np.array(best_nu, dtype=int).reshape(m, n)
+    return Reference(0.5 * (lo + hi), gap, np.array(best_nu, dtype=int).reshape(m, n), survivors)
+
+
+def disjoint(us, vs):
+    """The row pairs (us[k], vs[k]) as points and index pairs."""
+    m = len(us)
+    return np.concatenate([us, vs]), np.stack([np.arange(m), m + np.arange(m)], axis=1)
 
 
 def reinhardt_points(count: int, seed: int, radius: float = 0.45) -> np.ndarray:
@@ -101,15 +123,21 @@ def reinhardt_points(count: int, seed: int, radius: float = 0.45) -> np.ndarray:
 def reference_distances(domain, points, pairs):
     """The reference search on the pairs as `distances` orders them."""
     pairs = metric._canonical_order(points, np.asarray(pairs))
-    us, vs = metric._ends(metric._principal_log(points), pairs)
-    return reference_deck_columns(TubeOverBase(domain.base), us, vs)
+    return reference_deck_columns(TubeOverBase(domain.base), metric._principal_log(points),
+                                  pairs)
 
 
 def assert_same_columns(got, want):
-    value, gap, deck_index = want
-    assert got.value.tolist() == value.tolist()
-    assert got.gap.tolist() == gap.tolist()
-    assert got.deck_index.tolist() == deck_index.tolist()
+    assert got.value.tolist() == want.value.tolist()
+    assert got.gap.tolist() == want.gap.tolist()
+    assert got.deck_index.tolist() == want.deck_index.tolist()
+
+
+def assert_one_round(want):
+    # the first round's box, sized from nu0's upper bound, holds every
+    # survivor: each later round's box lies inside it, and its translates
+    # were evaluated or pruned by a larger best
+    assert want.survivors and not any(want.survivors[1:])
 
 
 @pytest.mark.parametrize("name", list(BASES))
@@ -118,8 +146,9 @@ def test_best_first_search_equals_sequential_search(name):
     domain = ReinhardtLog(base)
     points = reinhardt_points(7, seed=len(name), radius=radius)
     pairs = list(itertools.combinations(range(len(points)), 2))
-    assert_same_columns(distances(domain, points, pairs),
-                        reference_distances(domain, points, pairs))
+    want = reference_distances(domain, points, pairs)
+    assert_one_round(want)
+    assert_same_columns(distances(domain, points, pairs), want)
 
 
 def tied_pair() -> np.ndarray:
@@ -140,12 +169,12 @@ def test_exact_tie_goes_to_the_first_translate_in_lexicographic_order():
     start, bounds, finish, _, _ = metric._cover(cover)
     uppers = []
     for nu in ((-1, 0), (0, -1)):
-        u, v = logs[:1], logs[1:] + metric.TWO_PI * 1j * np.array([nu])
-        pairs, lo, hi, done = start(u, v)
-        assert [x.tolist() for x in bounds(pairs, np.array([0]), v)] == \
+        v = logs[1:] + metric.TWO_PI * 1j * np.array([nu])
+        shared, lo, hi, done = start(logs, np.array([[0, 1]]), v)
+        assert [x.tolist() for x in bounds(shared, np.array([0]), v)] == \
             [lo.tolist(), hi.tolist(), done.tolist()]
         assert not done[0]
-        uppers.append(finish(pairs, 0, v[0], lo[0], hi[0], math.inf))
+        uppers.append(finish(shared, 0, v[0], lo[0], hi[0], math.inf))
     assert uppers[0] == uppers[1]
     got = distances(domain, points, [(0, 1)])
     assert got.deck_index.tolist() == [[-1, 0]]
@@ -156,8 +185,8 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     # a cover record on which every translate but nu0 has the same upper
     # bound and the lower bounds fall in lexicographic order, so the
     # best-first pass finishes the lexicographically last survivor first
-    def start(us, vs):
-        return (us, *bounds(us, np.arange(len(us)), vs))
+    def start(rows, pairs, vs):
+        return (rows[pairs[:, 0]], *bounds(None, np.arange(len(vs)), vs))
 
     def bounds(pairs, owners, vs):
         nu = np.round((vs.imag - 0.5) / metric.TWO_PI)
@@ -171,9 +200,9 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
     us = np.array([[0.0 + 0.5j, 0.0 + 0.5j]])
-    want = reference_deck_columns(cover, us, us)
-    assert want[2].tolist() == [[-1, -1]]
-    assert_same_columns(metric.deck_infimum(cover, us, us), want)
+    want = reference_deck_columns(cover, us, [(0, 0)])
+    assert want.deck_index.tolist() == [[-1, -1]]
+    assert_same_columns(metric.deck_infimum(cover, us, [(0, 0)]), want)
 
 
 def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
@@ -197,16 +226,12 @@ def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
     assert (sequential, len(calls)) == (61, 51)
 
 
-def test_search_still_improving_after_the_last_round_raises(monkeypatch):
+def test_search_still_improving_after_the_last_round_raises():
     domain = ReinhardtLog(STRETCHED)
     points = tied_pair()
-    # one growth round improves on nu0; the second certifies the minimum
+    # the box sized from nu0's upper bound finds the better translate and
+    # certifies the minimum in one pass
     assert distances(domain, points, [(0, 1)]).deck_index.tolist() == [[-1, 0]]
-    monkeypatch.setattr(metric, "DECK_ROUNDS", 2)
-    assert distances(domain, points, [(0, 1)]).deck_index.tolist() == [[-1, 0]]
-    monkeypatch.setattr(metric, "DECK_ROUNDS", 1)
-    with pytest.raises(DeckBoundError, match="still improving after 1 growth round"):
-        distances(domain, points, [(0, 1)])
 
 
 def test_exact_covers_settle_every_survivor_without_a_finish():
@@ -215,8 +240,8 @@ def test_exact_covers_settle_every_survivor_without_a_finish():
     assert finish is None
     us = np.array([[0.3 + 1.0j], [-0.2 - 2.5j]])
     vs = np.array([[-0.1 - 4.0j], [0.4 + 6.0j]])
-    got = metric.deck_infimum(Strip(4.0), us, vs)
-    assert_same_columns(got, reference_deck_columns(Strip(4.0), us, vs))
+    got = metric.deck_infimum(Strip(4.0), *disjoint(us, vs))
+    assert_same_columns(got, reference_deck_columns(Strip(4.0), *disjoint(us, vs)))
 
 
 GOLDEN = Path(__file__).parent / "data" / "deck_golden.json"
@@ -230,14 +255,21 @@ def test_deck_golden():
     # value, gap, method and deck index of fixed Reinhardt and tube-cover
     # pairs over ball, box, polytope and linear-image bases, recorded before
     # the slab lower bound was split into a per-pair table and a
-    # per-translate stage; the search must reproduce them bit for bit
+    # per-translate stage; the search must reproduce them bit for bit, and
+    # the sequential reference must find no survivor after its first round
     for case in json.loads(GOLDEN.read_text()):
         if "domain" in case:
-            got = distances(domain_from_dict(case["domain"]), _points(case["points"]),
-                            case["pairs"])
+            domain = domain_from_dict(case["domain"])
+            points = _points(case["points"])
+            got = distances(domain, points, case["pairs"])
+            want = reference_distances(domain, points, case["pairs"])
         else:
-            got = metric.deck_infimum(domain_from_dict(case["cover"]), _points(case["us"]),
-                                      _points(case["vs"]))
+            cover = domain_from_dict(case["cover"])
+            points, pairs = disjoint(_points(case["us"]), _points(case["vs"]))
+            got = metric.deck_infimum(cover, points, pairs)
+            want = reference_deck_columns(cover, points, pairs)
+        assert_one_round(want)
+        assert_same_columns(got, want)
         assert got.value.tolist() == case["value"], case["name"]
         assert got.gap.tolist() == case["gap"], case["name"]
         assert got.method.tolist() == case["method"], case["name"]
@@ -245,15 +277,15 @@ def test_deck_golden():
 
 
 def test_search_builds_each_pair_slab_table_once(monkeypatch):
-    # enough pairs to fill two blocks of the table; their shell rounds
-    # gather rows of the one table, and the points' stage of the table runs
-    # once per distinct point, not once per end of a pair
+    # enough pairs to fill two blocks of the table; their boxes gather rows
+    # of the one table, and the points' stage of the table runs once per
+    # point row, not once per end of a pair
     built, evaluated, staged = [], [], []
     slab_table, slab_lower, point_stage = metric.slab_table, metric.slab_lower, tube._point_stage
 
-    def counted_table(base, us, vs):
-        built.append(len(us))
-        return slab_table(base, us, vs)
+    def counted_table(base, rows, pairs, vs):
+        built.append(len(pairs))
+        return slab_table(base, rows, pairs, vs)
 
     def counted_lower(base, table, owners, vs):
         evaluated.extend(np.asarray(owners).tolist())
@@ -275,15 +307,25 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
     distances(ReinhardtLog(BALL), points, pairs)
     assert built == [len(pairs)]
     assert staged == [count]
-    # shells ran for pairs of both blocks
+    # the boxes ran for pairs of both blocks
     assert min(evaluated) < tube._sweep_rows(BALL) <= max(evaluated)
+    # disjoint pairs: one stage over both ends of every pair
+    built.clear(), staged.clear()
+    m = tube._sweep_rows(BALL) + 1
+    distances(ReinhardtLog(BALL), reinhardt_points(2 * m, seed=7, radius=0.85),
+              np.stack([np.arange(m), m + np.arange(m)], axis=1))
+    assert built == [m] and staged == [2 * m]
+    # one pair: its two points
+    built.clear(), staged.clear()
+    distance(ReinhardtLog(BALL), *points[:2])
+    assert built == [1] and staged == [2]
 
 
 def test_empty_batches_give_empty_results():
     # zero pairs give zero rows, on the tube cover as on the strip
     for cover, n in ((TubeOverBase(BALL), 2), (Strip(4.0), 1)):
         none = np.empty((0, n), dtype=complex)
-        got = metric.deck_infimum(cover, none, none)
+        got = metric.deck_infimum(cover, none, [])
         assert len(got) == 0 and got.deck_index.shape == (0, n)
     none = np.empty((0, 2), dtype=complex)
     assert tube.caratheodory_lower(BALL, none, none).shape == (0,)

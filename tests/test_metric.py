@@ -153,15 +153,15 @@ def test_hyperbolic_length_rejects_exiting_curve():
 
 
 def test_deck_infimum_identical_points():
-    found = deck_infimum(Strip(4.0), [0.2 + 1j], [0.2 + 1j])
+    found = deck_infimum(Strip(4.0), [0.2 + 1j], [(0, 0)])
     assert found[0].value == 0.0 and found[0].deck_index == (0,)
 
 
 def test_deck_infimum_shift_by_period():
     u = np.array([-0.4 + 0.3j])
     v = np.array([-0.9 - 0.2j])
-    base = deck_infimum(LeftHalfPlane(), u, v)[0]
-    shifted = deck_infimum(LeftHalfPlane(), u, v + 2j * math.pi)[0]
+    base = deck_infimum(LeftHalfPlane(), [u, v], [(0, 1)])[0]
+    shifted = deck_infimum(LeftHalfPlane(), [u, v + 2j * math.pi], [(0, 1)])[0]
     assert shifted.value == pytest.approx(base.value, abs=1e-14)
     assert shifted.deck_index[0] == base.deck_index[0] - 1
 
@@ -172,7 +172,7 @@ def test_deck_infimum_real_tube_points_minimize_at_zero():
     for _ in range(20):
         u = gen.uniform(-0.5, 0.5, size=2).astype(complex)
         v = gen.uniform(-0.5, 0.5, size=2).astype(complex)
-        assert deck_infimum(TubeOverBase(base), u, v)[0].deck_index == (0, 0)
+        assert deck_infimum(TubeOverBase(base), [u, v], [(0, 1)])[0].deck_index == (0, 0)
 
 
 def _sorted_points(points):
@@ -188,7 +188,7 @@ def test_deck_kinds_are_deck_infimum_on_principal_logs(domain, cover):
     i, j = np.triu_indices(len(pts), 1)
     logs = np.log(np.abs(pts)) + 1j * np.angle(pts)
     got = distances(domain, pts, np.stack([i, j], axis=1))
-    want = deck_infimum(cover, logs[i], logs[j])
+    want = deck_infimum(cover, logs, np.stack([i, j], axis=1))
     for column in ("value", "gap", "method", "deck_index"):
         assert getattr(got, column).tolist() == getattr(want, column).tolist()
 
@@ -199,9 +199,9 @@ def test_each_deck_distances_call_runs_one_deck_infimum(domain, monkeypatch):
     calls = []
     search = metric.deck_infimum
 
-    def counted(cover, u, v):
-        calls.append(len(np.atleast_2d(u)))
-        return search(cover, u, v)
+    def counted(cover, points, pairs):
+        calls.append(len(pairs))
+        return search(cover, points, pairs)
 
     monkeypatch.setattr(metric, "deck_infimum", counted)
     pts = _interior_points(domain, 5, np.random.default_rng(32))
@@ -227,38 +227,38 @@ def test_deck_bound_certification_failure(monkeypatch):
     # its nearest translate holds more lattice points than a cap of 3 allows
     monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
     with pytest.raises(DeckBoundError, match="needs 5 lattice points"):
-        deck_infimum(Strip(4.0), [0.0 + 0j], [1.38 + 40j])
+        deck_infimum(Strip(4.0), [0.0 + 0j, 1.38 + 40j], [(0, 1)])
 
 
 def test_deck_search_box_is_centred_on_the_nearest_translate(monkeypatch):
     strip, u = Strip(4.0), [0.1 + 0j]
     # nu0 = -15,915: the value and deck index that a box about 0 found
-    near = deck_infimum(strip, u, [0.2 + 1e5j])
+    near = deck_infimum(strip, u + [0.2 + 1e5j], [(0, 1)])
     assert near.value[0].hex() == "0x1.c668d00f2e30cp+0"
     assert near.deck_index.tolist() == [[-15915]]
     # nu0 = -103,451, where a box about 0 needs 206,905 lattice points: the
     # search on the reduced pair v + 2 pi i nu0, shifted by nu0
     v = 0.2 + 6.5e5j
     nu0 = round(-v.imag / (2.0 * math.pi))
-    far = deck_infimum(strip, u, [v])
-    reduced = deck_infimum(strip, u, [v + 2j * math.pi * nu0])
+    far = deck_infimum(strip, u + [v], [(0, 1)])
+    reduced = deck_infimum(strip, u + [v + 2j * math.pi * nu0], [(0, 1)])
     assert far.value[0] == pytest.approx(reduced.value[0], abs=1e-12)
     assert far.deck_index.tolist() == [[nu0 + int(reduced.deck_index[0, 0])]]
     # a nearest translate beyond the int64 range raises, with no cast warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DeckBoundError, match="int64 range"):
-            deck_infimum(strip, u, [0.2 + 1e20j])
+            deck_infimum(strip, u + [0.2 + 1e20j], [(0, 1)])
         # with an earlier failing pair, that pair's error is raised
         monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
-        us, vs = [[0j], [0.1 + 0j]], [[1.38 + 40j], [0.2 + 1e20j]]
+        points, pairs = [0j, 0.1 + 0j, 1.38 + 40j, 0.2 + 1e20j], [(0, 2), (1, 3)]
         with pytest.raises(DeckBoundError, match="needs 5 lattice points"):
-            deck_infimum(strip, us, vs)
+            deck_infimum(strip, points, pairs)
         with pytest.raises(DeckBoundError, match="int64 range"):
-            deck_infimum(strip, us[::-1], vs[::-1])
+            deck_infimum(strip, points, pairs[::-1])
         # a certifying radius beyond the int64 range is over the cap too
         with pytest.raises(DeckBoundError, match="lattice points"):
-            deck_infimum(LeftHalfPlane(), [-1e-300 + 0j], [-1e300 + 1j])
+            deck_infimum(LeftHalfPlane(), [-1e-300 + 0j, -1e300 + 1j], [(0, 1)])
 
 
 def test_sandwich_gap_tolerance():

@@ -211,9 +211,9 @@ def test_each_batch_is_checked_in_one_call(monkeypatch):
     pairs = [(i, j) for i in range(12) for j in range(i)]
     distances(Annulus(4.0), pts, pairs)
     # the annulus points once, and their logs once on the strip cover
-    assert calls == [(12, 1), (2 * len(pairs), 1)]
+    assert calls == [(12, 1), (12, 1)]
     calls.clear()
-    deck_infimum(Strip(4.0), np.log(pts[:3]), np.log(pts[3:6]))
+    deck_infimum(Strip(4.0), np.log(pts[:6]), [(0, 3), (1, 4), (2, 5)])
     assert calls == [(6, 1)]
 
 

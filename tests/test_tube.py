@@ -459,16 +459,16 @@ def _tube_pairs(gen, m, radius, flat=0, vertical=0):
 
 
 def _pair_matrix(gen, radius):
-    """All pairs i < j of 9 points with real parts in the disc of `radius`:
-    point 8 repeats point 2, and the real parts of points 0 and 1 are equal
-    but for a first coordinate of 0.0 in one and -0.0 in the other."""
+    """(points, pairs): all pairs i < j of 9 points with real parts in the
+    disc of `radius`; point 8 repeats point 2, and the real parts of points
+    0 and 1 are equal but for a first coordinate of 0.0 in one and -0.0 in
+    the other."""
     points = _tube_pairs(gen, 9, radius)[0]
     points[8] = points[2]
     points[0, 0] = complex(0.0, points[0, 0].imag)
     points[1, 0] = complex(-0.0, points[1, 0].imag)
     points[1, 1] = complex(points[0, 1].real, points[1, 1].imag)
-    i, j = np.triu_indices(9, 1)
-    return points[i], points[j]
+    return points, np.stack(np.triu_indices(9, 1), axis=1)
 
 
 def _check_translates(gen, base, us, vs, table):
@@ -493,23 +493,26 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     us, vs = _tube_pairs(gen, m, radius, flat=5, vertical=5)
     want = _reference_slab_sweep(base, us, vs)
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
-    table, lower = tube.slab_table(base, us, vs)
+    table, lower = tube.slab_table(base, np.concatenate([us, vs]),
+                                   np.stack([np.arange(m), m + np.arange(m)], axis=1), vs)
     assert lower.tolist() == want.tolist()
-    # distinct points: the table keeps each pair's c and a row of ones
-    assert len(table.cos) == m + 1
+    # disjoint pairs: the table keeps one cosine row per point row
+    assert len(table.cos) == 2 * m
     _check_translates(gen, base, us, vs, table)
-    # a pair matrix: its points' stage runs once per distinct real part (by
-    # bytes: the repeated point is one, the signed zeros are two)
-    us, vs = _pair_matrix(gen, radius)
+    # a pair matrix: its points' stage runs once per point row (the
+    # repeated point and the signed zeros included)
+    points, pairs = _pair_matrix(gen, radius)
+    us, vs = points[pairs.T]
     want = _reference_slab_sweep(base, us, vs)
-    table, lower = tube.slab_table(base, us, vs)
-    assert len(table.cos) == 8
+    table, lower = tube.slab_table(base, points, pairs, vs)
+    assert len(table.cos) == 9
     assert lower.tolist() == want.tolist()
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
     _check_translates(gen, base, us, vs, table)
     # one pair, here with real parts that differ only in a signed zero
     for k in (0, 5):
-        table, lower = tube.slab_table(base, us[k:k + 1], vs[k:k + 1])
+        table, lower = tube.slab_table(base, np.array([us[k], vs[k]]), np.array([[0, 1]]),
+                                       vs[k:k + 1])
         assert len(table.cos) == 2 and lower.tolist() == want[k:k + 1].tolist()
         _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
 
