@@ -23,6 +23,7 @@ from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
                      _within_gap, distances)
 from .serialize import family_from_dict, geodesic_from_dict, jsonify, parse_point, point_to_json
+from .tube import TubeMetricError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -254,6 +255,8 @@ def cmd_examples(args) -> int:
 def cmd_export_geodesic(args) -> int:
     if args.count < 0:
         raise DomainError(f"--count must be >= 0, got {args.count}")
+    if not 0.0 < args.window < np.inf:
+        raise DomainError(f"--window must be a finite number > 0, got {args.window}")
     spec = _load_json_arg(args.geodesic)
     curve = geodesic_from_dict(spec)
     lo, hi = curve.window(args.window)
@@ -371,7 +374,7 @@ def main(argv=None) -> int:
             FileNotFoundError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_SCHEMA
-    except (DeckBoundError, SandwichGapError, SandwichRangeError) as exc:
+    except (DeckBoundError, SandwichGapError, SandwichRangeError, TubeMetricError) as exc:
         sys.stderr.write(f"certification error: {exc}\n")
         return EXIT_FAIL
 

@@ -128,15 +128,20 @@ def strip_density(halfwidth, z, v):
     return _value((math.pi / (4.0 * a)) * np.abs(v) / np.cos(math.pi * np.real(z) / (2.0 * a)))
 
 
+def strip_centre(lo, hi) -> tuple:
+    """(mid, halfwidth) of the strip {lo < Re < hi}; every slab is centred here."""
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 def strip_distance_offset(lo, hi, z, w):
     """Distance in the strip {lo < Re < hi}; the ends may be arrays."""
-    mid = 0.5 * (lo + hi)
-    return strip_distance(0.5 * (hi - lo), z - mid, w - mid)
+    mid, halfwidth = strip_centre(lo, hi)
+    return strip_distance(halfwidth, z - mid, w - mid)
 
 
 def strip_density_offset(lo, hi, z, v):
-    mid = 0.5 * (lo + hi)
-    return strip_density(0.5 * (hi - lo), z - mid, v)
+    mid, halfwidth = strip_centre(lo, hi)
+    return strip_density(halfwidth, z - mid, v)
 
 
 @functools.lru_cache(maxsize=None)

@@ -773,8 +773,7 @@ class ScaledEllipsoid(_Kind):
     kind = "scaled-ellipsoid"
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise DomainError("eps must be >= 0")
+        check_eps(self.eps)
         if not 0.0 <= self.t < 1.0:
             raise DomainError("scaling parameter t must lie in [0, 1)")
 
@@ -826,9 +825,14 @@ def ellipsoid_defining_function(eps: float, z) -> float:
     The quartic term is the fixed perturbation vanishing to order 4 at e_1,
     so Omega_0 agrees with the unit ball to higher than second order there.
     """
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0")
-    return float(_ellipsoid_rho(eps, as_point(z)[None])[0])
+    return float(_ellipsoid_rho(check_eps(eps), as_point(z)[None])[0])
+
+
+def check_eps(eps: float) -> float:
+    """eps, the quartic weight of Omega_0, once it is known finite and >= 0."""
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    return eps
 
 
 def _ellipsoid_rho(eps: float, zs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._sampling import ball_points
-from .domains import DomainError, ScaledEllipsoid, ellipsoid_defining_function
+from .domains import DomainError, ScaledEllipsoid, check_eps, ellipsoid_defining_function
 from .geodesics import ball_landing_ray
 from .metric import distances
 from .mobius import ball_scaling_map
@@ -174,6 +174,7 @@ def metric_convergence_probe(eps: float, ts, grid=None, n: int = 2) -> Convergen
     Omega_t raises NonInteriorError, and one outside its inscribed ball
     SandwichRangeError; both are ValueErrors.
     """
+    check_eps(eps)
     if grid is None:
         grid = default_probe_grid(n)
     pairs = [(i, j) for i in range(len(grid)) for j in range(i + 1, len(grid))]
@@ -195,6 +196,7 @@ def geodesic_persistence_probe(eps: float, ts, w0, n: int = 2,
     rounding level; with eps > 0 the probe additionally reports how deep
     the transported ray sits inside Omega_0 (diagnostic mode).
     """
+    check_eps(eps)
     w0 = np.asarray(w0, dtype=complex)
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
@@ -248,6 +250,7 @@ def boundary_deviation_probe(eps: float, ts, beta: float = -0.5, n: int = 2,
     first-crossing points satisfy Re z_1 > beta and records sup ||z| - 1|,
     the deviation of the boundary sheet from the unit sphere.
     """
+    check_eps(eps)
     table = ConvergenceTable()
     for t in ts:
         _check_t(t)

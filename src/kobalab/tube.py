@@ -1,13 +1,15 @@
 """Two-sided Kobayashi bounds for tube domains over bounded convex bases.
 
-The lower bound projects the tube onto supporting slabs (strips) and takes
-the best strip distance; every holomorphic projection contracts, so this
-never exceeds the true distance.  The upper bound evaluates explicit
-analytic-disc competitors: affine discs, the chord-slice disc for pairs
-with equal imaginary parts, chained affine discs for far pairs, and the
-exact product formula over box bases.  The pair (lower, upper) brackets
-the true distance; on segments joining antipodal boundary points of the
-base the two sides coincide up to rounding.
+The lower bound projects the tube onto supporting slabs (strips), each
+held as (unit direction, centre, half-width), the base's cached once,
+and takes the best strip distance; every holomorphic projection
+contracts, so this never exceeds the true distance.  The upper bound
+evaluates explicit analytic-disc competitors: affine discs, the
+chord-slice disc for pairs with equal imaginary parts, chained affine
+discs for far pairs, and the exact product formula over box bases.  The
+pair (lower, upper) brackets the true distance; on segments joining
+antipodal boundary points of the base the two sides coincide up to
+rounding.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._sampling import sphere_directions
-from .closed_forms import (strip_density_offset, strip_distance_offset, strip_imag_stage,
-                           strip_pair_stage, strip_point_stage, strip_real_stage)
+from .closed_forms import (strip_centre, strip_density, strip_density_offset,
+                           strip_distance_offset, strip_imag_stage, strip_pair_stage,
+                           strip_point_stage, strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
                       rowdot)
@@ -33,41 +36,26 @@ class TubeMetricError(RuntimeError):
 
 
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unit, keep): the rows of a (..., n) array whose norm exceeds 1e-14,
-    scaled to unit length and stacked as (k, n), and the mask of the rows
-    kept.  Each row's arithmetic is independent of the other rows."""
-    norms = np.sqrt(rowdot(rows, rows))
+    """(unit, keep): the rows of a (..., n) array with norm > 1e-14, scaled to
+    unit length as (k, n), and the mask of the rows kept.  Each row's norm is
+    its own; one whose square overflows is divided by its largest entry first."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(rowdot(rows, rows))
+    huge = np.isinf(norms)
+    if huge.any():  # rare; an empty rescale would cost more than the norms themselves
+        scale = np.max(np.abs(rows[huge]), axis=-1, keepdims=True)
+        norms[huge] = scale[:, 0] * np.sqrt(rowdot(rows[huge] / scale, rows[huge] / scale))
     keep = norms > 1e-14
     return rows[keep] / norms[keep, None], keep
 
 
-@functools.lru_cache(maxsize=64)
-def _base_direction_block(base: ConvexBase) -> tuple:
-    """Cached (directions, supports+, supports-) for the base-only sweep: a
-    deterministic spread of 64*dim unless the base is a polytope, the facet
-    normals, the coordinate axes."""
-    n = base_dim(base)
-    eye = np.eye(n)
-    blocks = [_unit_rows(np.array(base_facet_normals(base), dtype=float).reshape(-1, n))[0],
-              eye, -eye]
-    if _TUBE_KINDS[type(base)].spread:
-        blocks.insert(0, sphere_directions(DIRECTIONS_PER_DIM * n, n))
-    dirs = np.vstack(blocks)
-    his = base.support(dirs)
-    los = -base.support(-dirs)
-    dirs.setflags(write=False)
-    his.setflags(write=False)
-    los.setflags(write=False)
-    return dirs, his, los
-
-
 def _extra_slabs(base: ConvexBase, rows: np.ndarray) -> tuple:
-    """(directions, supports+, supports-, kept) for the per-pair extra
-    directions: the rows of `rows` that are not ~0, normalised; `kept`
-    marks which rows they came from.  One support call serves both signs."""
+    """(directions, mid, halfwidth, kept) of the per-pair extra slabs along
+    the rows of `rows` that are not ~0, normalised; `kept` marks which rows
+    they came from.  One support call serves both signs."""
     dirs, keep = _unit_rows(rows)
     both = base.support(np.concatenate([dirs, -dirs]))
-    return dirs, both[:len(dirs)], -both[len(dirs):], keep
+    return (dirs, *strip_centre(-both[len(dirs):], both[:len(dirs)]), keep)
 
 
 # cells per block of the (points or pairs, slabs) arrays of the slab table,
@@ -113,31 +101,28 @@ class SlabTable(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _slab_strips(base: ConvexBase) -> tuple:
-    """(directions, mid, halfwidth) of the table's slabs: the cached
-    direction block followed by two zero rows, and the slabs' centres and
-    half-widths followed by those of two dropped extra slabs (0 and 1),
-    so that projecting on them gives a table row with the dropped slabs.
-    The directions are stored by column, which `rowdot` reads."""
-    dirs, his, los = _base_direction_block(base)
-    out = (np.asfortranarray(np.vstack([dirs, np.zeros((2, dirs.shape[1]))])),
-           np.concatenate([0.5 * (los + his), [0.0, 0.0]]),
-           np.concatenate([0.5 * (his - los), [1.0, 1.0]]))
+    """(directions, mid, halfwidth) of the base's slabs: a spread of 64*dim
+    directions unless the base is a polytope, the facet normals and the axes,
+    then two zero rows with mid 0 and half-width 1, the dropped extra slabs of
+    a table row.  The directions are stored by column for `rowdot`."""
+    n = base_dim(base)
+    eye = np.eye(n)
+    blocks = [_unit_rows(np.array(base_facet_normals(base), dtype=float).reshape(-1, n))[0],
+              eye, -eye]
+    if _TUBE_KINDS[type(base)].spread:
+        blocks.insert(0, sphere_directions(DIRECTIONS_PER_DIM * n, n))
+    dirs = np.vstack(blocks)
+    mid, halfwidth = strip_centre(-base.support(-dirs), base.support(dirs))
+    out = (np.asfortranarray(np.vstack([dirs, np.zeros((2, n))])),
+           np.concatenate([mid, [0.0, 0.0]]), np.concatenate([halfwidth, [1.0, 1.0]]))
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def _strip_columns(lo, hi, xu, xv) -> tuple:
-    """(halfwidth, *strip_real_stage) of the slabs lo < x < hi at the
-    projected real parts xu, xv, centred as `strip_distance_offset` does."""
-    mid = 0.5 * (lo + hi)
-    halfwidth = 0.5 * (hi - lo)
-    return (halfwidth, *strip_real_stage(halfwidth, xu - mid, xv - mid))
-
-
 def _sweep_rows(base: ConvexBase) -> int:
     """Rows per block of _SWEEP_CELLS cells of the slab table."""
-    return max(1, _SWEEP_CELLS // (len(_base_direction_block(base)[0]) + 2))
+    return max(1, _SWEEP_CELLS // len(_slab_strips(base)[0]))
 
 
 def _point_stage(points: np.ndarray, strips: tuple, step: int) -> tuple:
@@ -165,11 +150,11 @@ def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, xs: np.ndarray,
     dirs, mid, halfwidth = strips
     d = len(dirs) - 2
     w = uv[1] - uv[0]
-    ex, ex_his, ex_los, keep = _extra_slabs(base, np.array([w.real, w.imag]))
+    ex, ex_mid, ex_hw, keep = _extra_slabs(base, np.array([w.real, w.imag]))
     hw = halfwidth[None].repeat(len(w), axis=0)
-    ex_hw = hw[:, d:].T[keep] = 0.5 * (ex_his - ex_los)
+    hw[:, d:].T[keep] = ex_hw
     proj = rowdot(uv[:, np.nonzero(keep)[1]], ex)
-    ex_x = xs[..., d:].swapaxes(1, 2)[:, keep] = proj.real - 0.5 * (ex_los + ex_his)
+    ex_x = xs[..., d:].swapaxes(1, 2)[:, keep] = proj.real - ex_mid
     cos[..., d:].swapaxes(1, 2)[:, keep] = strip_point_stage(ex_hw, ex_x)
     sin2q, c = strip_pair_stage(hw, xs[0], xs[1], cos[0], cos[1])
     del xs, cos
@@ -190,8 +175,7 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray,
     checked the rows to lie in the open tube.
     The direction block's projections and cosines are taken once per point
     row; then each pair's cells take the rest of the real stage and the
-    imaginary stage.  Both stages run in blocks of _SWEEP_CELLS cells,
-    which bounds the memory of the intermediate arrays."""
+    imaginary stage, both in blocks of _SWEEP_CELLS cells."""
     strips = _slab_strips(base)
     (m, n), step = vs.shape, _sweep_rows(base)
     x, cos = _point_stage(rows.real, strips, step)
@@ -243,10 +227,10 @@ def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
     halfwidth[:, d] = table.along_halfwidth[owners]
     dy = rowdot(uim[:, None, :], dirs) - rowdot(vim[:, None, :], dirs)
     dy[:, d] = rowdot(uim, along) - rowdot(vim, along)
-    across, ex_his, ex_los, keep = _extra_slabs(base, vim - uim)
+    across, ex_mid, ex_hw, keep = _extra_slabs(base, vim - uim)
     pu, pv = rowdot(us[keep], across), rowdot(vs[keep], across)
-    extra = _strip_columns(ex_los, ex_his, pu.real, pv.real)
-    for column, kept in zip((halfwidth, sin2q, c, dy), (*extra, pu.imag - pv.imag)):
+    extra = strip_real_stage(ex_hw, pu.real - ex_mid, pv.real - ex_mid)
+    for column, kept in zip((halfwidth, sin2q, c, dy), (ex_hw, *extra, pu.imag - pv.imag)):
         column[keep, d + 1] = kept
     return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
 
@@ -255,10 +239,9 @@ def caratheodory_lower(base: ConvexBase, u, v):
     """Supporting-slab lower bound for the tube distance.
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the result is
-    then an (m,) array).  Sweeps the cached direction set plus each pair's
-    real/imaginary parts of v - u and returns the largest strip distance
-    among the slab projections; the slab cells are built and evaluated in
-    blocks of _SWEEP_CELLS cells, and no table is kept.
+    then an (m,) array).  The largest strip distance over the cached slabs
+    and each pair's slabs along Re(v - u) and Im(v - u), in blocks of
+    _SWEEP_CELLS cells; no table is kept.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))
@@ -453,9 +436,9 @@ def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     delta = (vs - us).real
     moved = np.sqrt(rowdot(delta, delta)) > 1e-15
     out = np.zeros(len(us))
-    s_lo, s_hi = base.chord(us.real[moved], delta[moved])
-    halfwidth, *real = _strip_columns(s_lo, s_hi, 0.0, 1.0)
-    out[moved] = strip_imag_stage(halfwidth, 0.0, *real)
+    mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
+    out[moved] = strip_imag_stage(halfwidth, 0.0,
+                                  *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
     return out
 
 
@@ -613,9 +596,10 @@ def tube_metric_bounds(base: ConvexBase, z, v) -> tuple[float, float]:
         raise ValueError("base point must lie in the open tube")
     if float(np.linalg.norm(v)) == 0.0:
         return 0.0, 0.0
-    extra = _extra_slabs(base, np.stack([v.real, v.imag]))
-    dirs, his, los = (np.concatenate(parts) for parts in zip(_base_direction_block(base), extra))
-    lower = float(np.max(strip_density_offset(los, his, rowdot(dirs, z), rowdot(dirs, v))))
+    # the two zero rows of the cached slabs have density 0
+    extra = _extra_slabs(base, np.stack([v.real, v.imag]))[:3]
+    dirs, mid, halfwidth = (np.concatenate(parts) for parts in zip(_slab_strips(base), extra))
+    lower = float(np.max(strip_density(halfwidth, rowdot(dirs, z) - mid, rowdot(dirs, v))))
     if base_dim(base) == 1:
         return lower, lower
 

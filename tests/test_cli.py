@@ -296,6 +296,14 @@ def test_scaling_probe_bad_n_exit_2():
         assert code == 2, probe
 
 
+@pytest.mark.parametrize("probe", ["metric", "persistence", "boundary"])
+def test_scaling_probe_non_finite_eps_exit_2(probe, capsys):
+    for eps in ("nan", "inf", "-0.5"):
+        code, out = run_cli(["scaling-probe", "--probe", probe, "--eps", eps, "--ts", "0.5"])
+        assert (code, out) == (2, ""), eps
+        assert capsys.readouterr().err.startswith("config error: eps must be finite")
+
+
 def test_examples_single(tmp_path):
     code, out = run_cli(["examples", "--only", "power-disc", "--n", "3"])
     assert code == 0
@@ -385,9 +393,14 @@ def test_export_geodesic_csv_of_every_kind(count, window, validate_schema):
     ["--geodesic", '{"kind": "ball-segment", "dim": 2.5, "z": 0, "w": 0}'],
     ["--geodesic", '{"kind": "ball-segment", "dim": 1e400, "z": 0, "w": 0}'],
     ["--geodesic", '{"kind": "helix"}'],
+    ["--geodesic", '{"kind": "radial"}', "--window", "nan"],
+    ["--geodesic", '{"kind": "radial"}', "--window", "inf"],
+    ["--geodesic", '{"kind": "radial"}', "--window", "-2"],
+    ["--geodesic", '{"kind": "radial"}', "--window", "0"],
 ], ids=["not-an-object", "bad-field", "negative-count", "zero-omega", "zero-number-omega",
         "nan-omega", "bool-omega", "string-bool", "infinite-height", "fractional-dim",
-        "overflowing-dim", "unknown-kind"])
+        "overflowing-dim", "unknown-kind", "nan-window", "infinite-window", "negative-window",
+        "zero-window"])
 def test_export_geodesic_malformed_input_exit_2(args, capsys):
     code, out = run_cli(["export-geodesic", *args])
     err = capsys.readouterr().err
@@ -563,6 +576,24 @@ def test_perturbed_ellipsoid_refusal_is_a_certification_error(tmp_path, capsys):
 
 
 BALL_DOMAIN = '{"kind": "tube", "base": {"kind": "ball", "center": [0, 0], "radius": %s}}'
+
+
+def test_tube_points_with_huge_imaginary_parts(capsys):
+    # over a box the slab along Im(v - u) gives the exact value; the ball's
+    # affine disc fails its certificate there, which is reported, not raised
+    box = '{"kind": "tube", "base": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]}}'
+
+    def dist(domain, im):
+        return run_cli(["dist", "--domain", domain, "--z", "[[0.5, %s], [0, 0]]" % im,
+                        "--w", "[[0, 0], [0, 0]]"])
+
+    code, out = dist(box, "1e200")
+    assert code == 0
+    assert out.startswith("7.8539816339744822e+199  method=sandwich")
+    code, out = dist(BALL_DOMAIN % 1, "1e160")
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("certification error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

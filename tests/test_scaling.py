@@ -6,6 +6,7 @@ from kobalab import (ScaledEllipsoid, compactly_divergent_probe, distance,
                      inscribed_radius, membership, metric_convergence_probe,
                      scaled_domain_membership, scaling_automorphism, scaling_inverse)
 from kobalab import closed_forms as cf
+from kobalab.domains import DomainError
 from kobalab.scaling import boundary_deviation_probe
 
 GEN = np.random.default_rng(31)
@@ -165,3 +166,16 @@ def test_probe_rejects_escaping_grid():
     with pytest.raises(ValueError):
         metric_convergence_probe(0.05, [0.5], grid=[np.array([0.95 + 0j, 0j]),
                                                     np.zeros(2, complex)])
+
+
+@pytest.mark.parametrize("probe", [
+    lambda eps: metric_convergence_probe(eps, []),
+    lambda eps: geodesic_persistence_probe(eps, [], np.zeros(2, complex)),
+    lambda eps: geodesic_persistence_probe(eps, [0.5], np.zeros(2, complex), samples=0),
+    lambda eps: boundary_deviation_probe(eps, []),
+])
+def test_probes_refuse_a_bad_eps_before_any_work(probe):
+    # the check does not wait for a loop body that may never run
+    for eps in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(DomainError, match="eps must be finite"):
+            probe(eps)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_distance_bounds
 from kobalab import closed_forms as cf
 from kobalab import tube
-from kobalab.domains import LinearImage, Polytope, to_polytope
+from kobalab.domains import LinearImage, Polytope, base_dim, to_polytope
 from kobalab.tube import affine_disc_tau, tube_metric_bounds
 
 BALL = EuclideanBall((0.0, 0.0), 1.0)
@@ -365,6 +365,63 @@ def test_tube_metric_bounds_box_exact():
     assert hi == pytest.approx(want, abs=1e-12)
 
 
+# the lower end of the infinitesimal bracket as one strip_density_offset
+# sweep over the slab directions and the unit Re v and Im v slabs, with the
+# supports recomputed here
+def _reference_density_lower(base, z, v):
+    rows = np.array([v.real, v.imag])
+    norms = np.sqrt(np.sum(rows * rows, axis=-1))
+    dirs = np.concatenate([tube._slab_strips(base)[0][:-2],
+                           rows[norms > 1e-14] / norms[norms > 1e-14, None]])
+    his, los = base.support(dirs), -base.support(-dirs)
+    return float(np.max(cf.strip_density_offset(los, his, tube.rowdot(dirs, z),
+                                                tube.rowdot(dirs, v))))
+
+
+@pytest.mark.parametrize("base,radius", [
+    (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
+    (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5), (Box((-0.5,), (1.0,)), 0.45)])
+def test_density_lower_end_equals_the_one_formula_sweep(base, radius):
+    gen = np.random.default_rng(31)
+    n = base_dim(base)
+    for k in range(24):
+        z = radius * gen.uniform(-1.0, 1.0, n) / math.sqrt(n) + 1j * gen.uniform(-3.0, 3.0, n)
+        v = gen.normal(size=n) + 1j * gen.normal(size=n)
+        # generic, purely real and purely imaginary (the other slab dropped)
+        v = (v, v.real + 0j, 1j * v.imag)[k % 3]
+        lo, hi = tube_metric_bounds(base, z, v)
+        assert lo == _reference_density_lower(base, z, v)
+        if n == 1:
+            assert hi == lo
+
+
+def test_unit_rows_scale_only_the_rows_whose_square_overflows():
+    gen = np.random.default_rng(3)
+    rows = gen.normal(size=(2, 6, 2))
+    rows[0, 1] = (1e200, -3e199)
+    rows[1, 4] = (0.0, -1e300)
+    rows[1, 5] = (1e-20, 0.0)
+    unit, keep = tube._unit_rows(rows)
+    assert keep.tolist() == [[True] * 6, [True] * 5 + [False]]
+    got = np.zeros(rows.shape)
+    got[keep] = unit
+    ordinary = keep.copy()
+    ordinary[0, 1] = ordinary[1, 4] = False
+    plain = rows[ordinary]
+    assert got[ordinary].tolist() == (plain / np.sqrt(tube.rowdot(plain, plain))[:, None]).tolist()
+    assert got[0, 1] == pytest.approx(np.array([1e200, -3e199]) / math.hypot(1e200, 3e199),
+                                      rel=1e-15)
+    assert got[1, 4].tolist() == [0.0, -1.0]
+
+
+def test_huge_imaginary_parts_keep_a_finite_bracket():
+    # the slab along Im(v - u) of a pair 1e300 apart has a unit direction
+    u, v = np.array([0.5 + 1e300j, 0j]), np.zeros(2, dtype=complex)
+    for base in (Box((-1.0, -1.0), (1.0, 1.0)), to_polytope(BALL, 8)):
+        lo, hi = tube_distance_bounds(base, u, v)
+        assert 0.0 < lo <= hi < math.inf
+
+
 def test_polytope_base_bounds_match_box():
     # the polytope engine lacks the product-disc shortcut, so only the
     # lower bounds coincide; its bracket must still contain the exact
@@ -422,7 +479,8 @@ def test_batched_bounds_equal_per_pair_bounds(base, radius):
 # the slab sweep as it ran before the slab table: every cell of the
 # (pairs, directions) table through the one-formula strip kernel
 def _reference_slab_sweep(base, us, vs):
-    dirs, his, los = tube._base_direction_block(base)
+    dirs = tube._slab_strips(base)[0][:-2]
+    his, los = base.support(dirs), -base.support(-dirs)
     d = len(dirs)
     w = vs - us
     rows = np.array([w.real, w.imag])
