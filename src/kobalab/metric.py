@@ -24,7 +24,6 @@ pretending to be exact.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -150,12 +149,13 @@ class DistanceColumns(Sequence):
 # ---------------------------------------------------------------------------
 #
 # A cover record bounds the cover distance of translates.
-# start(rows, pairs, vs) is (shared, lower, upper, settled): what every
+# start(rows, pairs, us, vs) is (shared, lower, upper, settled): what every
 # translate of the pairs (rows[i], rows[j]) of the (m, 2) index pairs
-# shares (the pairs' first points; for the tube also the slab table and the
-# chord terms and vertical caps at u), set up once per search, and the
-# bounds of the translates vs of the second points (settled: upper is
-# final).  bounds(shared, owners, vs) is (lower, upper, settled) for the
+# shares (the pairs' first points us, which the caller gathered as
+# rows[pairs[:, 0]]; for the tube also the slab table and the chord terms
+# and vertical caps at u), set up once per search, and the bounds of the
+# translates vs of the second points (settled: upper is final).
+# bounds(shared, owners, vs) is (lower, upper, settled) for the
 # translates vs[k] of the pairs owners[k], many translates at once;
 # finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v of
 # pair k left open (it may fill in the pair's shared terms), or any value
@@ -173,8 +173,7 @@ def _exact(kernel) -> tuple:
         values = kernel(us[owners, 0], vs[:, 0])
         return values, values, np.ones(len(values), dtype=bool)
 
-    def start(rows, pairs, vs):
-        us = rows[pairs[:, 0]]
+    def start(rows, pairs, us, vs):
         return (us, *bounds(us, slice(None), vs))
     return start, bounds, None
 
@@ -206,10 +205,10 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
 
-    def start(rows, pairs, vs):
-        table, lower = slab_table(base, rows, pairs, vs)
-        terms = translate_terms(base, table.us, vs)
-        return (table, terms), lower, *closed_bounds(base, table.us, vs, terms[:, 0], lower)
+    def start(rows, pairs, us, vs):
+        table, lower = slab_table(base, rows, pairs, us, vs)
+        terms = translate_terms(base, us, vs)
+        return (table, terms), lower, *closed_bounds(base, us, vs, terms[:, 0], lower)
 
     def bounds(shared, owners, vs):
         table, terms = shared
@@ -255,6 +254,9 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     whose box would enumerate more than DECK_ENUM_CAP lattice points,
     raises DeckBoundError.  Each pair is searched on its own; with several
     pairs, the error of the first failing pair is raised.
+    The running bests, boxes and caps are arrays over the pairs; only the
+    open survivors that may still lower their pair's best are taken one at
+    a time.
     """
     rows = _point_rows(cover, points)
     pairs = _index_pairs(pairs, len(rows))
@@ -278,72 +280,97 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     # every pair's shared terms (the tube's slab table) are built once, with
     # the bounds of its translate nu0, and serve its whole box
     v0 = vs + TWO_PI * 1j * nu0
-    shared, *first = start(rows, pairs, v0)
-    best_lo, highs, settled = (x.tolist() for x in first)
-    best_hi = [hi if done else finish(shared, k, v, lo, hi, math.inf)
-               for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
-    best_nu = [(0,) * n] * m
-    errors = {k: DeckBoundError("initial deck translate has no finite upper bound")
-              for k in range(m) if not math.isfinite(best_hi[k])}
-    active = [k for k in range(m) if k not in errors]
-    thr = threshold(us[active], vs[active], np.array(best_hi)[active])
+    shared, lo0, hi0, settled = start(rows, pairs, us, v0)
+    # the running bests, as copies: an exact cover's two columns are one array
+    best_lo, best_hi = np.array(lo0), np.array(hi0)
+    for k in np.flatnonzero(~settled).tolist():
+        best_hi[k] = finish(shared, k, v0[k], best_lo.item(k), best_hi.item(k), math.inf)
+    best_nu = np.zeros((m, n), dtype=int)
+    # the first failing pair of each cause -> its DeckBoundError; the first
+    # of them is raised
+    errors: dict[int, DeckBoundError] = {}
+    finite = np.isfinite(best_hi)
+    if not finite.all():
+        errors[int(finite.argmin())] = DeckBoundError(
+            "initial deck translate has no finite upper bound")
+    active = np.flatnonzero(finite)
+    thr = threshold(us[active], vs[active], best_hi[active])
     # a radius past the cap fails on the cap below; clipping first keeps the
     # cast in range
     radii = np.floor((np.abs(dy0[active]) + thr) / TWO_PI)
-    boxes: dict[tuple, list[int]] = {}
-    for k, limit in zip(active, (np.minimum(radii, DECK_ENUM_CAP).astype(int) + 1).tolist()):
-        boxes.setdefault(tuple(limit), []).append(k)
-    for limit, ks in boxes.items():
+    for limit, ks in _boxes(np.minimum(radii, DECK_ENUM_CAP).astype(int) + 1, active):
         total = math.prod(2 * b + 1 for b in limit)
         if total > DECK_ENUM_CAP:
-            for k in ks:
-                errors[k] = DeckBoundError(f"deck enumeration needs {total} lattice points")
+            errors[int(ks[0])] = DeckBoundError(f"deck enumeration needs {total} lattice points")
             continue
-        # the box about nu0, less nu0 itself
-        box = [o for o in itertools.product(*[range(-b, b + 1) for b in limit]) if any(o)]
-        offsets = np.array(box)
-        step = max(1, _SHELL_BLOCK // len(box))
+        # the box about nu0 in lexicographic order; nu0 itself, at its
+        # centre, is no survivor
+        box = np.indices([2 * b + 1 for b in limit]).reshape(n, -1).T - limit
+        step = max(1, _SHELL_BLOCK // (total - 1))
         for begin in range(0, len(ks), step):
             block = ks[begin:begin + step]
-            nus = nu0[block][:, None, :] + offsets
+            nus = nu0[block][:, None, :] + box
             bound = offset_lower(us[block], vs[block], dy[block][:, None, :] - TWO_PI * nus)
             # the translates whose offset bound does not exceed their pair's
             # best so far survive, in per-pair lexicographic order
-            caps = np.array([best_hi[k] for k in block])
-            hits = list(zip(*[ix.tolist() for ix in np.nonzero(~(bound > caps[:, None]))]))
-            if not hits:
+            hit = ~(bound > best_hi[block][:, None])
+            hit[:, total // 2] = False
+            r, l = np.nonzero(hit)
+            if not len(r):
                 continue
-            owners = [block[r] for r, _ in hits]
-            moved = vs[owners] + TWO_PI * 1j * nus[[r for r, _ in hits], [l for _, l in hits]]
+            owners, bound = block[r], bound[r, l]
+            moved = vs[owners] + TWO_PI * 1j * nus[r, l]
             # one batched bounds call for every survivor; the settled ones are
             # taken first in that order, then the open ones best-first (by
             # lower bound), each rechecked against its pair's running best
             # before its upper: a survivor whose lower bound exceeds the
             # running best cannot lower the final minimum
-            lows, highs, done = bounds(shared, np.array(owners), moved)
-            order = np.argsort(np.where(done, -math.inf, lows), kind="stable")
-            lows, highs, done = lows.tolist(), highs.tolist(), done.tolist()
-            # pair -> position in `hits` of its best in this box; on equal
-            # uppers the survivor earlier in the per-pair order wins
+            lows, highs, done = bounds(shared, owners, moved)
+            # pair -> position in the survivors of its best in this box; on
+            # equal uppers the survivor earlier in the per-pair order wins
             found_at: dict[int, int] = {}
-            for i in order.tolist():
-                (r, l), k = hits[i], owners[i]
-                lo = lows[i]
-                if bound[r, l] > best_hi[k] or lo > best_hi[k]:
+            left = np.flatnonzero(done)
+            while len(left):
+                # the first settled survivor left of each pair, all at once
+                leading = np.ones(len(left), dtype=bool)
+                leading[1:] = r[left[1:]] != r[left[:-1]]
+                i, left = left[leading], left[~leading]
+                k, lo, hi = owners[i], lows[i], highs[i]
+                cut = best_hi[k]
+                taken = ~(bound[i] > cut) & ~(lo > cut)
+                best_lo[k] = np.where(taken & (lo < best_lo[k]), lo, best_lo[k])
+                won = taken & (hi < cut)
+                best_hi[k[won]], best_nu[k[won]] = hi[won], box[l[i[won]]]
+                found_at.update(zip(k[won].tolist(), i[won].tolist()))
+            # an open survivor whose offset or lower bound already exceeds
+            # its pair's best would be skipped below; it is dropped here
+            open_ = np.flatnonzero(~done & ~(np.maximum(bound, lows) > best_hi[owners]))
+            for i in open_[np.argsort(lows[open_], kind="stable")].tolist():
+                k, lo = owners.item(i), lows.item(i)
+                cut = best_hi.item(k)
+                if bound[i] > cut or lo > cut:
                     continue
-                best_lo[k] = min(best_lo[k], lo)
-                hi = (highs[i] if done[i]
-                      else finish(shared, k, moved[i], lo, highs[i], best_hi[k]))
-                if hi < best_hi[k] or (hi == best_hi[k] and i < found_at.get(k, -1)):
-                    best_hi[k], best_nu[k], found_at[k] = hi, box[l], i
+                if lo < best_lo[k]:
+                    best_lo[k] = lo
+                hi = finish(shared, k, moved[i], lo, highs.item(i), cut)
+                if hi < cut or (hi == cut and i < found_at.get(k, -1)):
+                    best_hi[k], best_nu[k], found_at[k] = hi, box[l[i]], i
     if errors:
         raise errors[min(errors)]
-    lo, hi = np.array(best_lo), np.array(best_hi)
-    spread = hi - lo
+    spread = best_hi - best_lo
     gap = np.where(spread > 0.0, spread, 0.0)
-    return DistanceColumns(0.5 * (lo + hi), gap,
-                           np.where(gap == 0.0, "deck-infimum", "sandwich"),
-                           nu0 + np.array(best_nu, dtype=int).reshape(m, n))
+    return DistanceColumns(0.5 * (best_lo + best_hi), gap,
+                           np.where(gap == 0.0, "deck-infimum", "sandwich"), nu0 + best_nu)
+
+
+def _boxes(limits: np.ndarray, pairs: np.ndarray):
+    """(limit, pairs) for each distinct row of the (a, n) box limits of the
+    pairs, in the order of first appearance, with the pairs whose row it is
+    (in their order)."""
+    while len(pairs):
+        same = (limits == limits[0]).all(axis=1)
+        yield limits[0].tolist(), pairs[same]
+        limits, pairs = limits[~same], pairs[~same]
 
 
 def _point_rows(domain: ModelDomain, points) -> np.ndarray:

@@ -84,10 +84,12 @@ class SlabTable(NamedTuple):
     that the pair's indices in `ends` give, so a deck search over all pairs
     of N points pays N cosine rows, not one per end of a pair.  Per pair
     the table keeps sin^2(pi dx/4a) of every cell, and of column d the unit
-    direction (n columns, 0 where dropped), its half-width and its c.
-    Column d + 1 holds the dropped slab (sin^2 0, c 1) until a translate
-    fills it in.  The imaginary parts of the projections are not kept: a
-    translate recomputes them with its own.
+    direction (n columns, 0 where dropped), its half-width and its c, all
+    three taken from the pair's extra slabs (`_pair_slabs`), which the
+    table's build sets up once for all its pairs.  Column d + 1 holds the
+    dropped slab (sin^2 0, c 1) until a translate fills it in.  The
+    imaginary parts of the projections are not kept: a translate recomputes
+    them with its own.
     """
 
     us: np.ndarray               # (m, n) the first points of the pairs
@@ -138,64 +140,85 @@ def _point_stage(points: np.ndarray, strips: tuple, step: int) -> tuple:
     return x, cos
 
 
-def _slab_cells(base: ConvexBase, strips: tuple, uv: np.ndarray, xs: np.ndarray,
-                cos: np.ndarray) -> tuple:
-    """(lower, halfwidth, sin2q, c, along) of the (pair, slab) cells of
-    the pairs whose (u, v) are uv[0], uv[1]: their slab lower bound, the
-    slabs' half-widths, the strip kernel's real stage and the unit
-    Re(v - u) directions (0 where dropped).  xs and cos are the
-    `_point_stage` of the pairs' ends as writable (2, pairs, slabs) arrays,
-    with 0 and 1 in the two extra columns; the kept extra slabs' are filled
-    in here."""
-    dirs, mid, halfwidth = strips
-    d = len(dirs) - 2
+# the (x of u, x of v, dy, halfwidth) columns of a dropped extra slab
+_DROPPED = np.array([0.0, 0.0, 0.0, 1.0])[:, None, None].repeat(2, axis=2)
+_DROPPED.setflags(write=False)
+
+
+def _pair_slabs(base: ConvexBase, uv: np.ndarray) -> tuple:
+    """(x, dy, halfwidth, along) of the extra slabs of the m pairs whose
+    (u, v) are uv[0], uv[1], along Re(v - u) (column 0) and Im(v - u)
+    (column 1): the centred real parts of both ends' projections as
+    (2, m, 2), the differences Im(u - v) of the projections and the
+    half-widths as (m, 2), and the unit Re(v - u) directions as (m, n), 0
+    where dropped.  A dropped slab gets the columns of `_DROPPED`.  One
+    `_extra_slabs` call and one projection serve all m pairs."""
     w = uv[1] - uv[0]
-    ex, ex_mid, ex_hw, keep = _extra_slabs(base, np.array([w.real, w.imag]))
-    hw = halfwidth[None].repeat(len(w), axis=0)
-    hw[:, d:].T[keep] = ex_hw
-    proj = rowdot(uv[:, np.nonzero(keep)[1]], ex)
-    ex_x = xs[..., d:].swapaxes(1, 2)[:, keep] = proj.real - ex_mid
-    cos[..., d:].swapaxes(1, 2)[:, keep] = strip_point_stage(ex_hw, ex_x)
-    sin2q, c = strip_pair_stage(hw, xs[0], xs[1], cos[0], cos[1])
-    del xs, cos
-    dy = np.subtract(*rowdot(uv.imag[:, :, None, :], dirs))
-    dy[:, d:].T[keep] = proj.imag[0] - proj.imag[1]
+    dirs, mid, halfwidth, keep = _extra_slabs(base, np.array([w.real, w.imag]))
+    proj = rowdot(uv[:, np.nonzero(keep)[1]], dirs)
+    cols = _DROPPED.repeat(len(w), axis=1)
+    cols.swapaxes(1, 2)[:, keep] = np.array([*(proj.real - mid),
+                                             proj.imag[0] - proj.imag[1], halfwidth])
     along = np.zeros(w.shape)
-    along[keep[0]] = ex[:np.count_nonzero(keep[0])]
-    return np.max(strip_imag_stage(hw, dy, sin2q, c), axis=1), hw, sin2q, c, along
+    along[keep[0]] = dirs[:np.count_nonzero(keep[0])]
+    return cols[:2], cols[2], cols[3], along
 
 
-def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray,
+def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np.ndarray,
+                ims: np.ndarray, dy_extra: np.ndarray) -> tuple:
+    """(lower, sin2q) of the (pair, slab) cells of a block of pairs: their
+    slab lower bound and the strip kernel's sin^2(pi dx/4a).  halfwidth is
+    the block's (pairs, slabs) half-widths, xs and cos the centred real
+    projections of the pairs' ends and their `strip_point_stage` as
+    (2, pairs, slabs), all three with the pairs' extra slabs in the last two
+    columns; ims holds the ends' imaginary parts as (2, pairs, n) and
+    dy_extra the extra slabs' imaginary differences as (pairs, 2).  dirs is
+    the direction block of `_slab_strips`."""
+    d = len(dirs) - 2
+    sin2q, c = strip_pair_stage(halfwidth, xs[0], xs[1], cos[0], cos[1])
+    del xs, cos
+    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
+    dy[:, d:] = dy_extra
+    return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1), sin2q
+
+
+def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
                vs: np.ndarray) -> tuple:
-    """(table, lower): the `SlabTable` of the m pairs (rows[i], vs[k]),
-    where (i, j) is row k of the (m, 2) index pairs and vs[k] has the real
-    part of rows[j] (a deck translate of it), and each pair's slab lower
-    bound: the largest strip distance over the cached direction block and
-    the pair's extra slabs along Re(v - u) and Im(v - u).  The caller has
+    """(table, lower): the `SlabTable` of the m pairs (us[k], vs[k]),
+    where (i, j) is row k of the (m, 2) index pairs, us[k] is rows[i] (the
+    caller's gather of the pairs' first points) and vs[k] has the real part
+    of rows[j] (a deck translate of it), and each pair's slab lower bound:
+    the largest strip distance over the cached direction block and the
+    pair's extra slabs along Re(v - u) and Im(v - u).  The caller has
     checked the rows to lie in the open tube.
     The direction block's projections and cosines are taken once per point
-    row; then each pair's cells take the rest of the real stage and the
-    imaginary stage, both in blocks of _SWEEP_CELLS cells."""
+    row, and the extra slabs of all m pairs once (`_pair_slabs`); then each
+    block of _SWEEP_CELLS cells gathers its pairs' rows, copies in their
+    extra slabs and takes the rest of the real stage and the imaginary
+    stage, one kernel call each."""
     strips = _slab_strips(base)
-    (m, n), step = vs.shape, _sweep_rows(base)
+    m, step = len(vs), _sweep_rows(base)
+    d = len(strips[0]) - 2
     x, cos = _point_stage(rows.real, strips, step)
     ends = pairs.T
-    uv = np.array([rows[ends[0]], vs])
-    table = SlabTable(uv[0], ends, cos, np.empty((m, len(strips[0]))), np.empty((m, n)),
-                      np.empty(m), np.empty(m))
-    d = len(strips[0]) - 2
+    uv = np.array([us, vs])
+    ex_x, ex_dy, ex_hw, along = _pair_slabs(base, uv)
+    ex_cos = strip_point_stage(ex_hw, ex_x)
+    table = SlabTable(us, ends, cos, np.empty((m, d + 2)), along, ex_hw[:, 0],
+                      ex_cos[0, :, 0] * ex_cos[1, :, 0])
     lower = np.empty(m)
     for i in range(0, m, step):
         block = slice(i, min(i + step, m))
         pair = ends[:, block]
-        lower[block], hw, sin2q, c, table.along[block] = _slab_cells(
-            base, strips, uv[:, block], x[pair], cos[pair])
+        xs, cs = x[pair], cos[pair]
+        xs[..., d:], cs[..., d:] = ex_x[:, block], ex_cos[:, block]
+        hw = strips[2][None].repeat(block.stop - i, axis=0)
+        hw[:, d:] = ex_hw[block]
+        lower[block], sin2q = _slab_cells(strips[0], hw, xs, cs, uv.imag[:, block], ex_dy[block])
         # every translate shares all but the slab along Im(v - u), whose
         # column holds the dropped slab until a translate fills it in
         sin2q[:, d + 1] = 0.0
         table.sin2q[block] = sin2q
-        table.along_halfwidth[block] = hw[:, d]
-        table.along_c[block] = c[:, d]
     return table, lower
 
 
@@ -240,19 +263,27 @@ def caratheodory_lower(base: ConvexBase, u, v):
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the result is
     then an (m,) array).  The largest strip distance over the cached slabs
-    and each pair's slabs along Re(v - u) and Im(v - u), in blocks of
-    _SWEEP_CELLS cells; no table is kept.
+    and each pair's slabs along Re(v - u) and Im(v - u).  The extra slabs
+    of all pairs are set up once (`_pair_slabs`); then each block of
+    _SWEEP_CELLS cells projects its pairs' ends on the direction block and
+    takes both stages, with one `strip_point_stage` call over the direction
+    block and the extra slabs together.  No table is kept.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))
-    strips, step = _slab_strips(base), _sweep_rows(base)
+    dirs, mid, halfwidths = _slab_strips(base)
+    step, d = _sweep_rows(base), len(dirs) - 2
     uv = np.array([us, vs])
+    ex_x, ex_dy, ex_hw = _pair_slabs(base, uv)[:3]
     best = np.empty(len(us))
     for i in range(0, len(us), step):
-        block = uv[:, i:i + step]
-        x, cos = _point_stage(block.real.reshape(-1, us.shape[1]), strips, step)
-        ends = (2, block.shape[1], -1)
-        best[i:i + step] = _slab_cells(base, strips, block, x.reshape(ends), cos.reshape(ends))[0]
+        block = slice(i, min(i + step, len(us)))
+        hw = halfwidths[None].repeat(block.stop - i, axis=0)
+        hw[:, d:] = ex_hw[block]
+        xs = rowdot(uv.real[:, block, None, :], dirs) - mid
+        xs[..., d:] = ex_x[:, block]
+        best[block] = _slab_cells(dirs, hw, xs, strip_point_stage(hw, xs), uv.imag[:, block],
+                                  ex_dy[block])[0]
     return float(best[0]) if single else best
 
 

@@ -8,6 +8,8 @@ each pair's best so far.  The search in `metric` must give the same value,
 gap and deck index bit for bit, while computing fewer upper bounds.
 """
 
+import cmath
+import collections
 import itertools
 import json
 import math
@@ -17,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from kobalab import (Box, EuclideanBall, LinearImage, ReinhardtLog, Strip, TubeOverBase,
-                     distance, distances)
+from kobalab import (Annulus, Box, EuclideanBall, LeftHalfPlane, LinearImage, PuncturedDisc,
+                     ReinhardtLog, Strip, TubeOverBase, distance, distances)
 from kobalab import metric, tube
 from kobalab.domains import domain_from_dict, require_interior, to_polytope
 
@@ -56,7 +58,7 @@ def reference_deck_columns(cover, points, pairs):
     dy = us.imag - vs.imag
     nu0 = np.round(dy / metric.TWO_PI).astype(int)
     v0 = vs + metric.TWO_PI * 1j * nu0
-    shared, *first = start(rows, pairs, v0)
+    shared, *first = start(rows, pairs, us, v0)
     best_lo, highs, settled = (x.tolist() for x in first)
     best_hi = [hi if done else finish(shared, k, v, lo, hi, math.inf)
                for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
@@ -120,10 +122,18 @@ def reinhardt_points(count: int, seed: int, radius: float = 0.45) -> np.ndarray:
     return np.exp(logs) * np.exp(2j * math.pi * gen.random((count, 2)))
 
 
+# the exp cover of each deck kind
+COVERS = {
+    ReinhardtLog: lambda d: TubeOverBase(d.base),
+    Annulus: lambda d: Strip(d.R),
+    PuncturedDisc: lambda d: LeftHalfPlane(),
+}
+
+
 def reference_distances(domain, points, pairs):
     """The reference search on the pairs as `distances` orders them."""
     pairs = metric._canonical_order(points, np.asarray(pairs))
-    return reference_deck_columns(TubeOverBase(domain.base), metric._principal_log(points),
+    return reference_deck_columns(COVERS[type(domain)](domain), metric._principal_log(points),
                                   pairs)
 
 
@@ -170,7 +180,7 @@ def test_exact_tie_goes_to_the_first_translate_in_lexicographic_order():
     uppers = []
     for nu in ((-1, 0), (0, -1)):
         v = logs[1:] + metric.TWO_PI * 1j * np.array([nu])
-        shared, lo, hi, done = start(logs, np.array([[0, 1]]), v)
+        shared, lo, hi, done = start(logs, np.array([[0, 1]]), logs[:1], v)
         assert [x.tolist() for x in bounds(shared, np.array([0]), v)] == \
             [lo.tolist(), hi.tolist(), done.tolist()]
         assert not done[0]
@@ -185,8 +195,8 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     # a cover record on which every translate but nu0 has the same upper
     # bound and the lower bounds fall in lexicographic order, so the
     # best-first pass finishes the lexicographically last survivor first
-    def start(rows, pairs, vs):
-        return (rows[pairs[:, 0]], *bounds(None, np.arange(len(vs)), vs))
+    def start(rows, pairs, us, vs):
+        return (us, *bounds(None, np.arange(len(vs)), vs))
 
     def bounds(pairs, owners, vs):
         nu = np.round((vs.imag - 0.5) / metric.TWO_PI)
@@ -203,6 +213,42 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
     want = reference_deck_columns(cover, us, [(0, 0)])
     assert want.deck_index.tolist() == [[-1, -1]]
     assert_same_columns(metric.deck_infimum(cover, us, [(0, 0)]), want)
+
+
+def test_settled_survivors_are_taken_in_order_before_the_open_ones(monkeypatch):
+    # a cover record that settles all but one translate of a 3 x 3 box, as
+    # (lower, upper, settled) per pair and offset.  Pair 0: its settled
+    # translates lower the running best in lexicographic order, later ones
+    # are skipped by it or lose to it, and the open one loses.  Pair 1: the
+    # open translate ties with a settled one later in lexicographic order,
+    # so it wins although it is finished after it.
+    rest = (3.0, 6.0, True)
+    tables = [
+        {(0, 0): (4.5, 5.0, True), (-1, -1): (2.5, 3.0, True), (-1, 0): (3.5, 4.0, True),
+         (-1, 1): (1.0, 1.5, False), (0, -1): (2.0, 2.5, True), (0, 1): (0.5, 1.2, True),
+         (1, -1): (1.1, 2.0, True), (1, 0): (1.6, 1.8, True), (1, 1): (1.0, 1.8, True)},
+        {(0, 0): (4.5, 5.0, True), (-1, 1): (1.0, 1.5, False), (0, 1): (0.5, 1.5, True)},
+    ]
+
+    def start(rows, pairs, us, vs):
+        return (us, *bounds(None, np.arange(len(vs)), vs))
+
+    def bounds(shared, owners, vs):
+        nus = np.round((vs.imag - 0.5) / metric.TWO_PI).astype(int)
+        found = [tables[k].get(tuple(nu), rest) for k, nu in zip(owners.tolist(), nus.tolist())]
+        lows, highs, done = (np.array(column) for column in zip(*found))
+        return lows, highs, done
+
+    record = (start, bounds, lambda shared, k, v, lo, hi, cut: hi,
+              lambda us, vs, dys: np.zeros(dys.shape[:2]),
+              lambda us, vs, best: np.full(us.shape, 3.0))
+    cover = TubeOverBase(BALL)
+    monkeypatch.setattr(metric, "_cover", lambda c: record)
+    points, pairs = np.array([[0.0 + 0.5j, 0.0 + 0.5j]]), [(0, 0), (0, 0)]
+    want = reference_deck_columns(cover, points, pairs)
+    assert want.deck_index.tolist() == [[0, 1], [-1, 1]]
+    assert want.value.tolist() == [0.5 * (0.5 + 1.2), 0.5 * (0.5 + 1.5)]
+    assert_same_columns(metric.deck_infimum(cover, points, pairs), want)
 
 
 def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
@@ -283,9 +329,9 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
     built, evaluated, staged = [], [], []
     slab_table, slab_lower, point_stage = metric.slab_table, metric.slab_lower, tube._point_stage
 
-    def counted_table(base, rows, pairs, vs):
+    def counted_table(base, rows, pairs, us, vs):
         built.append(len(pairs))
-        return slab_table(base, rows, pairs, vs)
+        return slab_table(base, rows, pairs, us, vs)
 
     def counted_lower(base, table, owners, vs):
         evaluated.extend(np.asarray(owners).tolist())
@@ -319,6 +365,42 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
     built.clear(), staged.clear()
     distance(ReinhardtLog(BALL), *points[:2])
     assert built == [1] and staged == [2]
+
+
+# moduli near both edges of the exact deck kinds; at arguments -3.0 and 2.9
+# the nearest translate of a pair of them is often not 0, and some pairs
+# have several (settled) survivors in their box
+EDGE_MODULI = {
+    "annulus": (Annulus(4.0), [3.9, 0.26, 1.0, 3.5, 0.3]),
+    "punctured-disc": (PuncturedDisc(), [0.999, 1e-6, 0.5, 0.99, 1e-4]),
+}
+
+
+@pytest.mark.parametrize("name", [*BASES, *EDGE_MODULI])
+def test_small_shell_blocks_give_the_same_columns(name, monkeypatch):
+    # with a small shell block each box's pairs run in several blocks of one
+    # to three pairs: every pair's running best, cap and survivors carry
+    # over from block to block bit for bit
+    if name in BASES:
+        base, radius = BASES[name]
+        domain, points = ReinhardtLog(base), reinhardt_points(9, seed=40 + len(name),
+                                                              radius=radius)
+    else:
+        domain, moduli = EDGE_MODULI[name]
+        points = np.array([[r * cmath.exp(1j * t)] for r in moduli for t in (-3.0, 2.9)][:9])
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    whole = distances(domain, points, pairs)
+    monkeypatch.setattr(metric, "_SHELL_BLOCK", 24)
+    got = distances(domain, points, pairs)
+    assert got.method.tolist() == whole.method.tolist()
+    assert_same_columns(got, whole)
+    want = reference_distances(domain, points, pairs)
+    assert_same_columns(got, want)
+    if name in EDGE_MODULI:
+        logs = metric._principal_log(points)
+        us, vs = logs[np.array(pairs).T]
+        assert np.round((us.imag - vs.imag) / metric.TWO_PI).any()
+        assert max(collections.Counter(k for k, _ in want.survivors[0]).values()) >= 2
 
 
 def test_empty_batches_give_empty_results():

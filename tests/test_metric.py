@@ -384,6 +384,15 @@ def test_distances_lattice_bound_raises_on_the_same_pair(monkeypatch):
     assert str(exc.value) == messages[2]
 
 
+@pytest.mark.parametrize("case", [test_distances_lattice_bound_raises_on_the_same_pair,
+                                  test_deck_search_box_is_centred_on_the_nearest_translate])
+def test_first_failing_pair_error_holds_in_small_shell_blocks(case, monkeypatch):
+    # every pair in a shell block of its own: the errors, and the results of
+    # the pairs that certify, are those of one block
+    monkeypatch.setattr(metric, "_SHELL_BLOCK", 1)
+    case(monkeypatch)
+
+
 def test_distances_is_symmetric_and_empty():
     domain = ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0))
     pts = _generic_reinhardt_points(4, np.random.default_rng(23))

@@ -552,7 +552,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     want = _reference_slab_sweep(base, us, vs)
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
     table, lower = tube.slab_table(base, np.concatenate([us, vs]),
-                                   np.stack([np.arange(m), m + np.arange(m)], axis=1), vs)
+                                   np.stack([np.arange(m), m + np.arange(m)], axis=1), us, vs)
     assert lower.tolist() == want.tolist()
     # disjoint pairs: the table keeps one cosine row per point row
     assert len(table.cos) == 2 * m
@@ -562,7 +562,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     points, pairs = _pair_matrix(gen, radius)
     us, vs = points[pairs.T]
     want = _reference_slab_sweep(base, us, vs)
-    table, lower = tube.slab_table(base, points, pairs, vs)
+    table, lower = tube.slab_table(base, points, pairs, us, vs)
     assert len(table.cos) == 9
     assert lower.tolist() == want.tolist()
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
@@ -570,9 +570,34 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     # one pair, here with real parts that differ only in a signed zero
     for k in (0, 5):
         table, lower = tube.slab_table(base, np.array([us[k], vs[k]]), np.array([[0, 1]]),
-                                       vs[k:k + 1])
+                                       us[k:k + 1], vs[k:k + 1])
         assert len(table.cos) == 2 and lower.tolist() == want[k:k + 1].tolist()
         _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
+
+
+def test_extra_slabs_are_set_up_once_per_call(monkeypatch):
+    # a pair matrix over at least three blocks of the table: the slabs
+    # along Re(v - u) and Im(v - u) of all its pairs come from one
+    # `_extra_slabs` call, in `slab_table` as in `caratheodory_lower`
+    calls = []
+    extra_slabs = tube._extra_slabs
+
+    def counted(base, rows):
+        calls.append(rows.shape[:-1])
+        return extra_slabs(base, rows)
+
+    monkeypatch.setattr(tube, "_extra_slabs", counted)
+    count = 2
+    while count * (count - 1) // 2 <= 2 * tube._sweep_rows(BALL):
+        count += 1
+    points = _tube_pairs(np.random.default_rng(29), count, 0.85)[0]
+    pairs = np.stack(np.triu_indices(count, 1), axis=1)
+    us, vs = points[pairs.T]
+    lower = tube.slab_table(BALL, points, pairs, us, vs)[1]
+    assert calls == [(2, len(pairs))]
+    calls.clear()
+    assert caratheodory_lower(BALL, us, vs).tolist() == lower.tolist()
+    assert calls == [(2, len(pairs))]
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), cut=st.floats(0.0, 8.0))
