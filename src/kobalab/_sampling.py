@@ -26,13 +26,21 @@ def halton_value(index: int, base: int) -> float:
 
 
 def halton(count: int, dim: int, skip: int = 20) -> np.ndarray:
-    """count x dim array of Halton points in the open unit cube."""
+    """count x dim array of Halton points in the open unit cube: row k is
+    halton_value(k + 1 + skip, p_j) in column j, to the bit.  Each column's
+    radical inverse runs over the whole index column at once, one digit
+    per pass; a row whose digits are spent adds 0.0, which leaves it as
+    it is."""
     if dim > len(_PRIMES):
         raise ValueError("Halton dimension too large")
-    out = np.empty((count, dim))
-    for k in range(count):
-        for j in range(dim):
-            out[k, j] = halton_value(k + 1 + skip, _PRIMES[j])
+    out = np.zeros((count, dim))
+    for j, base in enumerate(_PRIMES[:dim]):
+        f = 1.0
+        i = np.arange(skip + 1, skip + 1 + count)
+        while i.any():
+            f /= base
+            out[:, j] += f * (i % base)
+            i //= base
     return out
 
 

@@ -32,6 +32,8 @@ DEFAULT_TOL = 1e-9
 AUDIT_WINDOW = 6.0
 # parameter samples per member when a finite family is scanned for coverage
 SCAN_SAMPLES = 400
+# (point, sample) pairs per block of that scan, which bounds memory
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,31 +140,45 @@ def _largest(*columns: np.ndarray) -> float:
 def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6) -> dict:
     """Coverage of a point grid by the family.
 
-    Families with a `member_through` locator are queried exactly; finite
-    families fall back to a scan of SCAN_SAMPLES parameters per member.
+    The grid's points are checked on the family's domain with one
+    `require_interior` call (NonInteriorError names the first point
+    outside it), and each point's miss is the largest coordinate modulus
+    of its distance to the family.  A family with a `member_through`
+    locator is queried once for the whole grid, and each miss is taken
+    against the locator's hit.  A family without one is scanned:
+    SCAN_SAMPLES parameters of each member's window are sampled once, and
+    each point's miss is its smallest miss over those samples.
     """
     if not family.members and family.member_through is None:
         raise ValueError("empty family")
-    misses = []
-    for z in grid:
-        z = as_point(z)
+    rows = np.asarray(grid, dtype=complex)
+    if rows.size == 0:
+        misses = np.zeros(0)
+    else:
+        rows = require_interior(family.domain, rows.reshape(len(rows), -1))
         if family.member_through is not None:
-            member, t = family.member_through(z)
-            hit = member.sample(t)
-            miss = float(np.max(np.abs(hit - z)))
+            _, hits = family.member_through(rows)
+            misses = np.max(np.abs(hits - rows), axis=1)
         else:
-            miss = math.inf
-            for member in family.members:
-                w0, w1 = member.window()
-                for t in np.linspace(w0, w1, SCAN_SAMPLES):
-                    cand = float(np.max(np.abs(member.sample(float(t)) - z)))
-                    if cand < miss:
-                        miss = cand
-        misses.append(miss)
-    covered = sum(1 for m in misses if m < tol)
+            misses = _scan_misses(family, rows)
+    covered = int(np.count_nonzero(misses < tol))
     return {"grid_size": len(misses), "covered": covered,
-            "max_miss": max(misses, default=0.0), "tol": tol,
+            "max_miss": float(np.max(misses, initial=0.0)), "tol": tol,
             "complete": covered == len(misses)}
+
+
+def _scan_misses(family: GeodesicFamily, rows: np.ndarray) -> np.ndarray:
+    """Each row's smallest miss over SCAN_SAMPLES samples per member; the
+    misses of samples with a NaN coordinate are skipped."""
+    samples = np.array([member.sample(float(t)) for member in family.members
+                        for t in np.linspace(*member.window(), SCAN_SAMPLES)])
+    misses = np.empty(len(rows))
+    step = max(1, _SCAN_BLOCK // len(samples))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        gaps = np.max(np.abs(samples[None, :, :] - block[:, None, :]), axis=2)
+        misses[start:start + step] = np.fmin.reduce(gaps, axis=1, initial=math.inf)
+    return misses
 
 
 def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
@@ -172,24 +188,23 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
     The grid is mapped by one row-wise `apply`, and the point and image
     separations (the largest coordinate modulus of the difference) are
     taken over the upper triangle in array passes.  For power/monomial
-    maps each collision is cross-checked against the enumerated fiber: the
+    maps the collisions are cross-checked against the enumerated fibers of
+    their first points' images, in one `monomial_preimages` call: the
     partner must be a deck sibling of the first point, so a collision that
     is not explained by the covering structure is flagged.
     """
     pts = np.array([as_point(z) for z in grid])
     imgs = f.apply(pts)
-    matrix = f.fiber_matrix
-    collisions = []
-    for i, j, gap in _close_images(pts, imgs, tol):
-        entry = {"i": i, "j": j,
-                 "z": [complex(c) for c in pts[i]],
-                 "w": [complex(c) for c in pts[j]],
-                 "image_gap": gap}
-        if matrix is not None:
-            fiber = monomial_preimages(matrix, imgs[i])
-            entry["deck_pair"] = any(
-                float(np.max(np.abs(p - pts[j]))) < 1e-7 for p in fiber)
-        collisions.append(entry)
+    found = _close_images(pts, imgs, tol)
+    collisions = [{"i": i, "j": j, "z": [complex(c) for c in pts[i]],
+                   "w": [complex(c) for c in pts[j]], "image_gap": gap}
+                  for i, j, gap in found]
+    if f.fiber_matrix is not None and found:
+        firsts, partners, _ = zip(*found)
+        fibers = monomial_preimages(f.fiber_matrix, imgs[list(firsts)])
+        siblings = np.max(np.abs(fibers - pts[list(partners)][:, None, :]), axis=2) < 1e-7
+        for entry, deck in zip(collisions, siblings.any(axis=1).tolist()):
+            entry["deck_pair"] = deck
     return collisions
 
 
@@ -240,8 +255,9 @@ def properness_probe(f: HolomorphicMap, sequences) -> dict:
 # deterministic grids
 # ---------------------------------------------------------------------------
 
-def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0) -> list[np.ndarray]:
-    """Deterministic low-discrepancy interior points for coverage grids."""
+def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0) -> np.ndarray:
+    """Deterministic low-discrepancy interior points for coverage grids, as
+    the rows of a (count, n) array."""
     build = getattr(domain, "grid", None)
     if build is None:
         raise ValueError(f"no grid builder for {domain!r}")
@@ -362,13 +378,9 @@ def _example_monomial_tube(n: int, R: float, seed: int, samples: int) -> dict:
         family, quasirandom_grid(ReinhardtLog(base), 256, seed))
     report.collisions = injectivity_probe(f, reinhardt_sign_grid(base))
     gen = rng(seed)
-    multiplicity_ok = True
-    for _ in range(50):
-        w = np.exp(gen.normal(size=n) * 0.4 + 1j * gen.uniform(0.0, 2.0 * math.pi, size=n))
-        fiber = monomial_preimages(matrix, w)
-        if len(fiber) != abs(matrix.det):
-            multiplicity_ok = False
-            break
+    ws = np.array([np.exp(gen.normal(size=n) * 0.4 + 1j * gen.uniform(0.0, 2.0 * math.pi, size=n))
+                   for _ in range(50)])
+    multiplicity_ok = monomial_preimages(matrix, ws).shape[1] == abs(matrix.det)
     direction = np.zeros(n)
     direction[0] = 1.0
     seqs = [[np.exp((1.0 - 2.0 ** -k) * direction).astype(complex) for k in range(1, 13)]]

@@ -28,9 +28,9 @@ from typing import get_args
 
 import numpy as np
 
-from .domains import (_CODEC_BY_ANNOTATION, Annulus, ConvexBase, ModelDomain, PuncturedDisc,
-                      ReinhardtLog, Strip, TubeOverBase, UnitBall, _Codec, _int, _kind_decoder,
-                      as_point, base_dim, domain_to_dict, membership)
+from .domains import (_CODEC_BY_ANNOTATION, Annulus, ConvexBase, DomainError, ModelDomain,
+                      PuncturedDisc, ReinhardtLog, Strip, TubeOverBase, UnitBall, _Codec, _int,
+                      _kind_decoder, as_point, base_dim, domain_to_dict, membership)
 from .mobius import ball_scaling_differential, ball_scaling_map
 from .smith import smith_normal_form, snf_determinant
 
@@ -503,43 +503,55 @@ def map_differential(f: HolomorphicMap, z, v) -> np.ndarray:
 
 # preimages and log geometry --------------------------------------------------
 
-def monomial_preimages(matrix: IntegerMatrix, w) -> list[np.ndarray]:
+def monomial_preimages(matrix: IntegerMatrix, w) -> list[np.ndarray] | np.ndarray:
     """The full Phi_A-fiber over w in C_*^n: exactly |det A| points.
 
     Writing z = exp(zeta), the equation becomes A zeta = Log w + 2 pi i nu;
     distinct solutions modulo 2 pi i Z^n correspond to the cosets of A Z^n,
     which the Smith form U A V = S enumerates as V S^{-1} k with
     0 <= k_j < s_j.  Every returned point is verified forward.
+
+    w is one point, whose fiber is returned as a list of points, or the
+    rows of an (N, n) array, whose fibers are returned as one
+    (N, |det A|, n) array; the rows take one solve, one exp and one
+    row-wise forward pass, and a row's fiber does not depend on its batch
+    beyond rounding.
     """
-    w = as_point(w)
-    if w.size != matrix.n:
+    ws = np.asarray(w, dtype=complex)
+    single = ws.ndim < 2
+    if single:
+        ws = as_point(ws)[None]
+    elif not np.isfinite(ws).all():
+        raise DomainError("point has non-finite coordinates")
+    if ws.ndim != 2 or ws.shape[1] != matrix.n:
         raise CoveringError("dimension mismatch")
-    if np.any(w == 0.0):
+    if np.any(ws == 0.0):
         raise CoveringError("preimages need w in C_*^n")
     offsets = _fiber_offsets(matrix)
-    log_w = np.log(np.abs(w)) + 1j * np.angle(w)
-    zeta0 = np.linalg.solve(matrix.as_array(), log_w)
-    out = [np.exp(zeta0 + 2.0 * math.pi * 1j * frac) for frac in offsets]
+    log_w = np.log(np.abs(ws)) + 1j * np.angle(ws)
+    zeta0 = np.linalg.solve(matrix.as_array(), log_w.T).T
+    fibers = np.exp(zeta0[:, None, :] + 2.0 * math.pi * 1j * offsets)
     # one row-wise forward pass verifies every candidate
-    miss = np.max(np.abs(_monomial_rows(matrix, np.array(out)) - w), axis=1)
-    if np.any(miss > 1e-8 * max(1.0, float(np.max(np.abs(w))))):
+    images = _monomial_rows(matrix, fibers.reshape(-1, matrix.n)).reshape(fibers.shape)
+    miss = np.max(np.abs(images - ws[:, None, :]), axis=(1, 2), initial=0.0)
+    if np.any(miss > 1e-8 * np.maximum(1.0, np.max(np.abs(ws), axis=1, initial=0.0))):
         raise CoveringError("preimage verification failed")
-    return out
+    return list(fibers[0]) if single else fibers
 
 
 @functools.lru_cache(maxsize=64)
-def _fiber_offsets(matrix: IntegerMatrix) -> tuple[np.ndarray, ...]:
+def _fiber_offsets(matrix: IntegerMatrix) -> np.ndarray:
     """The fiber's offsets V S^{-1} k, 0 <= k_j < s_j, in log coordinates,
-    from the Smith form U A V = S, computed once per matrix."""
+    as the rows of a read-only (|det A|, n) array, from the Smith form
+    U A V = S, computed once per matrix."""
     _, s_mat, v_mat = smith_normal_form([list(r) for r in matrix.entries])
     if snf_determinant(s_mat) == 0:
         raise CoveringError("singular exponent matrix")
     v_arr = np.asarray(v_mat, dtype=float)
     s_diag = np.array([s_mat[i][i] for i in range(matrix.n)], dtype=float)
-    offsets = tuple(v_arr @ (np.asarray(k, dtype=float) / s_diag)
-                    for k in _mixed_radix(np.abs(s_diag).astype(int)))
-    for frac in offsets:
-        frac.setflags(write=False)
+    offsets = np.array([v_arr @ (np.asarray(k, dtype=float) / s_diag)
+                        for k in _mixed_radix(np.abs(s_diag).astype(int))])
+    offsets.setflags(write=False)
     return offsets
 
 

@@ -495,7 +495,8 @@ class _Kind(_Codec):
     `reference()` (a canonical interior point) and `margin(z)`, a signed
     gauge of the boundary distance: positive inside, 0 on the boundary.
     Unbounded kinds cap `escape_margin`.  Where a kind has them:
-    `grid(count, skip)`, quasi-random interior points, and
+    `grid(count, skip)`, quasi-random interior points as the rows of a
+    (count, n) array, built over the whole Halton cube at once, and
     `project(z)`, the boundary point an escaping z approaches.  The codec
     maps the constructor fields.  Points reach these methods validated and
     finite.
@@ -508,14 +509,17 @@ class _Kind(_Codec):
         return self.margin(z)
 
 
-def _disc_grid(count: int, skip: int, inner: float) -> list[np.ndarray]:
+def _polar_rows(r: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """(N, 1) rows r e^{i th}, with the real and imaginary parts r cos th
+    and r sin th of `r * complex(math.cos(th), math.sin(th))`."""
+    pts = (r * np.cos(th)).astype(complex)
+    pts.imag = r * np.sin(th)
+    return pts[:, None]
+
+
+def _disc_grid(count: int, skip: int, inner: float) -> np.ndarray:
     cube = halton(count, 2, skip=skip)
-    pts = []
-    for k in range(count):
-        r = inner + (0.95 - inner) * cube[k, 0]
-        th = 2.0 * math.pi * cube[k, 1]
-        pts.append(np.array([r * complex(math.cos(th), math.sin(th))]))
-    return pts
+    return _polar_rows(inner + (0.95 - inner) * cube[:, 0], 2.0 * math.pi * cube[:, 1])
 
 
 @dataclass(frozen=True)
@@ -584,10 +588,9 @@ class Annulus(_Kind):
     def grid(self, count, skip):
         a = math.log(self.R)
         cube = halton(count, 2, skip=skip)
-        return [np.array([math.exp(a * (2.0 * cube[k, 0] - 1.0) * 0.95)
-                          * complex(math.cos(2.0 * math.pi * cube[k, 1]),
-                                    math.sin(2.0 * math.pi * cube[k, 1]))])
-                for k in range(count)]
+        # math.exp, not np.exp: the two differ in the last bit on some arguments
+        radii = np.array([math.exp(x) for x in a * (2.0 * cube[:, 0] - 1.0) * 0.95])
+        return _polar_rows(radii, 2.0 * math.pi * cube[:, 1])
 
     def project(self, z):
         r = abs(z[0])
@@ -621,12 +624,11 @@ class Strip(_Kind):
         return min(self.margin(z), 1.0 / (1.0 + abs(z[0].imag)))
 
     def grid(self, count, skip):
-        a = self.halfwidth
         cube = halton(count, 2, skip=skip)
+        pts = (self.halfwidth * (2.0 * cube[:, 0] - 1.0) * 0.95).astype(complex)
         # imaginary parts spread over [-4, 4]
-        return [np.array([complex(a * (2.0 * cube[k, 0] - 1.0) * 0.95,
-                                  4.0 * (2.0 * cube[k, 1] - 1.0))])
-                for k in range(count)]
+        pts.imag = 4.0 * (2.0 * cube[:, 1] - 1.0)
+        return pts[:, None]
 
 
 @dataclass(frozen=True)
@@ -666,7 +668,8 @@ class UnitBall(_Kind):
         return 1.0 - float(np.linalg.norm(z))
 
     def grid(self, count, skip):
-        return [np.asarray(p) for p in ball_points(count, self.dim, radius=0.9)]
+        pts = ball_points(count, self.dim, radius=0.9)
+        return np.array(pts, dtype=complex).reshape(count, self.dim)
 
     def project(self, z):
         return z / float(np.linalg.norm(z))
@@ -737,19 +740,16 @@ class ReinhardtLog(_Kind):
         n = self.dim
         ref = self.base.reference()
         cube = halton(count, 2 * n + 1, skip=skip)
-        pts = []
-        for k in range(count):
-            direction = cube[k, :n] - 0.5
-            norm = float(np.linalg.norm(direction))
-            if norm < 1e-12:
-                direction = np.eye(n)[0]
-                norm = 1.0
-            direction = direction / norm
-            lo, hi = chord_interval(self.base, ref, direction)
-            u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
-            phases = 2.0 * math.pi * cube[k, n:2 * n]
-            pts.append(np.exp(u) * np.exp(1j * phases))
-        return pts
+        direction = cube[:, :n] - 0.5
+        norm = np.sqrt(rowdot(direction, direction))
+        flat = norm < 1e-12
+        direction[flat] = np.eye(n)[0]
+        norm[flat] = 1.0
+        direction /= norm[:, None]
+        _, hi = self.base.chord(np.broadcast_to(ref, direction.shape), direction)
+        u = ref + (0.9 * cube[:, 2 * n] * hi)[:, None] * direction
+        phases = 2.0 * math.pi * cube[:, n:2 * n]
+        return np.exp(u) * np.exp(1j * phases)
 
     def project(self, z):
         u = np.log(np.abs(z))

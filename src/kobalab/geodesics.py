@@ -3,8 +3,11 @@
 Curves are immutable closures: a GeodesicCurve owns its domain, its
 parameter interval, a parametrization tag ('arc-length' curves satisfy
 K(c(s), c(t)) = |t - s|), and pure sample/derivative callables.  Families
-bundle members with an optional `member_through` locator so completeness
-checks can query the member containing a given point exactly.
+bundle members with an optional `member_through` locator, so that a
+completeness check can find the member through each point of a grid
+exactly.  A locator takes the grid's (N, n) rows at once and returns, per
+row, the parameter on the member through it and that member's point
+there, in one array pass that builds no curve.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import numpy as np
 
 from . import closed_forms as cf
 from .domains import (Annulus, BoundaryPoint, ConvexBase, ModelDomain, Point, PuncturedDisc,
-                      ReinhardtLog, Strip, UnitBall, UnitDisc, as_point, base_dim,
-                      base_facet_normals, base_reference, base_support, boundary_point,
-                      chord_interval, dim, require_interior)
+                      ReinhardtLog, Strip, UnitBall, UnitDisc, _known_base, as_point, base_dim,
+                      base_facet_normals, base_reference, boundary_point, dim,
+                      require_interior, rowdot)
 from .metric import distance
 from .mobius import herm, mobius_differential, mobius_to_origin
 from .quadrature import bisect_root
@@ -76,15 +79,17 @@ class GeodesicFamily:
     """A (possibly continuum) family of geodesics in one domain.
 
     `members` is a finite sample of the family; `member_through`, when
-    given, maps an interior point to (member, parameter) with
-    member.sample(parameter) at (or nearest to) the point.  `anchor` is
+    given, maps the interior points given as the rows of an (N, n) array
+    to (ts, hits): each row's parameter on the member of the family
+    through it (an (N,) array), and that member's point at that parameter
+    (an (N, n) array, the row itself up to rounding).  `anchor` is
     ('interior', point) or ('boundary-landing', point) when the family
     shares one, else None.
     """
 
     domain: ModelDomain
     members: tuple[GeodesicCurve, ...]
-    member_through: Callable[[np.ndarray], tuple[GeodesicCurve, float]] | None = None
+    member_through: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     anchor: tuple[str, tuple[complex, ...]] | None = None
     label: str = ""
 
@@ -111,6 +116,27 @@ def _ball_line(z: np.ndarray, u: np.ndarray, interval: Interval, label: str) -> 
         return mobius_differential(zc, c * u, (1.0 - c * c) * u)
 
     return GeodesicCurve(UnitBall(len(z)), interval, "arc-length", sample, derivative, label)
+
+
+def _mobius_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mobius_to_origin(a, z) row by row, for (N, n) arrays a and z; either
+    may be one point, taken with each row of the other."""
+    a, z = np.broadcast_arrays(a, z)
+    a2 = rowdot(np.abs(a), np.abs(a))
+    centre = a2 < 1e-28
+    s = np.sqrt(np.maximum(0.0, 1.0 - a2))[:, None]
+    za = rowdot(z, np.conj(a))
+    proj = (za / np.where(centre, 1.0, a2))[:, None] * a
+    return np.where(centre[:, None], -z, (a - proj - s * (z - proj)) / (1.0 - za)[:, None])
+
+
+def _ball_line_points(z: np.ndarray, w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row by row, the point at parameter ts of the ball line `_ball_line`
+    through z whose direction is the unit vector of phi_z(w) (any direction
+    where that is 0); z or w may be one point."""
+    head = _mobius_rows(z, w)
+    size = np.sqrt(rowdot(np.abs(head), np.abs(head)))
+    return _mobius_rows(z, np.tanh(ts)[:, None] * head / np.where(size > 0.0, size, 1.0)[:, None])
 
 
 def ball_geodesic_segment(dim: int, z: Point, w: Point) -> GeodesicCurve:
@@ -251,39 +277,68 @@ class AntipodalPair:
     normal: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if np.allclose(x, y):
-            raise GeodesicError("antipodal points must differ")
-        if self.normal:
-            d = np.asarray(self.normal, dtype=float)
-            d = d / np.linalg.norm(d)
-        else:
-            d = _antipodal_normal(self.base, x, y)
+        x = np.asarray(self.x, dtype=float)[None]
+        y = np.asarray(self.y, dtype=float)[None]
+        if not self.normal:
+            d = _antipodal_normals(self.base, x, y)[0]
             object.__setattr__(self, "normal", tuple(float(c) for c in d))
-        failure = _certificate_failure(self.base, d, x, y)
-        if failure:
-            raise GeodesicError(failure)
+            return
+        _distinct(x, y)
+        d = np.asarray(self.normal, dtype=float)
+        missed, flat = _certificate_failures(_known_base(self.base), d[None] / np.linalg.norm(d),
+                                             x, y)
+        if missed[0]:
+            raise GeodesicError("supporting-hyperplane certificate failed")
+        if flat[0]:
+            raise GeodesicError("supporting hyperplanes must be distinct")
 
 
-def _certificate_failure(base: ConvexBase, d: np.ndarray, x: np.ndarray, y: np.ndarray) -> str:
-    """Why the unit normal d does not certify x, y as antipodal ('' if it does)."""
-    hx = base_support(base, d)
-    hy = -base_support(base, -d)
-    if abs(float(np.dot(d, x)) - hx) > 1e-9 or abs(float(np.dot(d, y)) - hy) > 1e-9:
-        return "supporting-hyperplane certificate failed"
-    if hx - hy <= 1e-9:
-        return "supporting hyperplanes must be distinct"
-    return ""
+def _distinct(x: np.ndarray, y: np.ndarray) -> None:
+    if np.isclose(x, y).all(axis=1).any():
+        raise GeodesicError("antipodal points must differ")
 
 
-def _antipodal_normal(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    eye = np.eye(len(x))
+def _certificate_failures(base: ConvexBase, d: np.ndarray, x: np.ndarray,
+                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, how the unit normal d fails to certify the boundary
+    points x, y as antipodal (all (N, n) arrays), as two (N,) columns: a
+    supporting hyperplane misses x or y by more than 1e-9, and the two
+    hyperplanes lie within 1e-9 of each other."""
+    hx = base.support(d)
+    hy = -base.support(-d)
+    missed = (np.abs(rowdot(d, x) - hx) > 1e-9) | (np.abs(rowdot(d, y) - hy) > 1e-9)
+    return missed, hx - hy <= 1e-9
+
+
+def _antipodal_normals(base: ConvexBase, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row by row, the first unit normal among x - y, the coordinate axes,
+    their negatives and the base's facet normals that certifies the
+    boundary points x, y ((N, n) arrays) as antipodal.  GeodesicError if
+    the two points of a row coincide, or if no candidate certifies them."""
+    _distinct(x, y)
+    eye = np.eye(x.shape[1])
+    normals = np.empty_like(x)
+    rows = np.arange(len(x))  # the rows without a normal yet
     for cand in [x - y, *eye, *-eye, *base_facet_normals(base)]:
-        norm = float(np.linalg.norm(cand))
-        if norm >= 1e-14 and not _certificate_failure(base, cand / norm, x, y):
-            return cand / norm
+        c = np.broadcast_to(cand, x.shape)[rows]
+        norm = np.sqrt(rowdot(c, c))
+        usable = norm >= 1e-14
+        d = c / np.where(usable, norm, 1.0)[:, None]
+        missed, flat = _certificate_failures(base, d, x[rows], y[rows])
+        found = usable & ~missed & ~flat
+        normals[rows[found]] = d[found]
+        rows = rows[~found]
+        if not len(rows):
+            return normals
     raise GeodesicError("no common supporting normal found; points are not antipodal")
+
+
+def _antipodal_ends(base: ConvexBase, origin: np.ndarray,
+                    dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends origin + hi d and origin + lo d of the chord [lo, hi]
+    through origin along each unit row d of dirs, as two (N, n) arrays."""
+    lo, hi = base.chord(np.broadcast_to(origin, dirs.shape), dirs)
+    return origin + hi[:, None] * dirs, origin + lo[:, None] * dirs
 
 
 def antipodal_geodesic(base: ConvexBase, pair: AntipodalPair,
@@ -477,11 +532,10 @@ def radial_family(count: int = 12, punctured: bool = True) -> GeodesicFamily:
                     for a in (2.0 * math.pi * k / count for k in range(count)))
     domain = members[0].domain
 
-    def member_through(z: np.ndarray):
-        z = as_point(z)
-        w = complex(z[0])
-        r = abs(w)
-        return disc_radial_geodesic(w / r, punctured), r
+    def member_through(zs: np.ndarray):
+        ts = np.abs(zs[:, 0])
+        # the unit disc's centre is every member's point at t = 0
+        return ts, (ts * (zs[:, 0] / np.where(ts > 0.0, ts, 1.0)))[:, None]
 
     anchor = ("boundary-landing", (0.0 + 0.0j,)) if punctured else None
     return GeodesicFamily(domain, members, member_through, anchor, label="radial")
@@ -493,9 +547,9 @@ def strip_crossing_family(R: float, heights: tuple[float, ...] = ()) -> Geodesic
         heights = tuple(np.linspace(-4.0, 4.0, 9))
     members = tuple(strip_crossing_geodesic(R, h) for h in heights)
 
-    def member_through(z: np.ndarray):
-        z = as_point(z)
-        return strip_crossing_geodesic(R, z[0].imag), float(z[0].real)
+    def member_through(zs: np.ndarray):
+        ts = zs[:, 0].real
+        return ts, (1j * zs[:, 0].imag + ts)[:, None]
 
     return GeodesicFamily(Strip(R), members, member_through, None, label="strip-crossing")
 
@@ -503,10 +557,10 @@ def strip_crossing_family(R: float, heights: tuple[float, ...] = ()) -> Geodesic
 def ball_segment_family(dim: int, p: Point, targets: tuple[Point, ...] = ()) -> GeodesicFamily:
     """Geodesic segments of the ball starting from the interior point p.
 
-    Complete by construction: `member_through(z)` returns the segment from
-    p through z, which contains z at parameter K(p, z).
+    Complete by construction: the segment from p through z contains z at
+    parameter K(p, z).
     """
-    p_arr = as_point(p)
+    p_arr = require_interior(UnitBall(dim), p)
     if not targets:
         from ._sampling import ball_points
 
@@ -514,10 +568,9 @@ def ball_segment_family(dim: int, p: Point, targets: tuple[Point, ...] = ()) -> 
     members = tuple(ball_geodesic_segment(dim, p_arr, w) for w in targets
                     if not np.array_equal(as_point(w), p_arr))
 
-    def member_through(z: np.ndarray):
-        z = as_point(z)
-        seg = ball_geodesic_segment(dim, p_arr, z)
-        return seg, seg.interval.b
+    def member_through(zs: np.ndarray):
+        ts = cf.ball_distance(p_arr, zs)
+        return ts, _ball_line_points(p_arr, zs, ts)
 
     return GeodesicFamily(UnitBall(dim), members, member_through,
                           ("interior", tuple(complex(c) for c in p_arr)),
@@ -533,8 +586,10 @@ def ball_landing_family(dim: int, p: Point, starts: tuple[Point, ...] = ()) -> G
         starts = tuple(ball_points(8, dim, radius=0.6))
     members = tuple(ball_landing_ray(dim, s, p_arr) for s in starts)
 
-    def member_through(z: np.ndarray):
-        return ball_landing_ray(dim, z, p_arr), 0.0
+    def member_through(zs: np.ndarray):
+        # the ray from z starts at z
+        ts = np.zeros(len(zs))
+        return ts, _ball_line_points(zs, p_arr, ts)
 
     return GeodesicFamily(UnitBall(dim), members, member_through,
                           ("boundary-landing", tuple(complex(c) for c in p_arr)),
@@ -545,53 +600,43 @@ def antipodal_family(base: ConvexBase, count: int = 20,
                      with_phases: bool = False) -> GeodesicFamily:
     """Antipodal geodesic lines of the Reinhardt domain over a ball base.
 
-    Members run through `count` diametral directions; `member_through`
-    returns the rotated diametral line through any interior point, which
-    makes the family complete whenever every base point lies on a segment
-    joining antipodal boundary points (true for balls).
+    Members run through `count` diametral directions.  The member through
+    an interior point z is the diametral line through log|z|, rotated by
+    z's phases, which makes the family complete whenever every base point
+    lies on a segment joining antipodal boundary points (true for balls);
+    the locator certifies each row's ends as antipodal.
     """
     from ._sampling import sphere_directions
 
     _need_members(count)
     n = base_dim(base)
-    dirs = sphere_directions(count, n)
+    ref = base_reference(base)
+    xs, ys = _antipodal_ends(base, ref, sphere_directions(count, n))
     members = []
-    for k, d in enumerate(dirs):
-        x = _boundary_along(base, d)
-        y = _boundary_along(base, -d)
+    for k, (x, y) in enumerate(zip(xs, ys)):
         pair = AntipodalPair(base, tuple(x), tuple(y))
         phases = None
         if with_phases:
             phases = tuple(2.0 * math.pi * ((k * 7 + j * 3) % 11) / 11.0 for j in range(n))
         members.append(antipodal_geodesic(base, pair, phases))
-    domain = ReinhardtLog(base)
 
-    def member_through(z: np.ndarray):
-        z = as_point(z)
-        u = np.log(np.abs(z))
-        ref = base_reference(base)
+    def member_through(zs: np.ndarray):
+        u = np.log(np.abs(zs))
         rel = u - ref
-        norm = float(np.linalg.norm(rel))
-        if norm < 1e-13:
-            rel = np.eye(n)[0]
-            norm = 1.0
-        d = rel / norm
-        x = _boundary_along(base, d, ref)
-        y = _boundary_along(base, -d, ref)
-        pair = AntipodalPair(base, tuple(x), tuple(y))
-        curve = antipodal_geodesic(base, pair, tuple(np.angle(z)))
-        # u = mid + t*half with half = (x - y)/2
-        half = 0.5 * (x - y)
-        t = float(np.dot(u - 0.5 * (x + y), half) / np.dot(half, half))
-        return curve, t
+        norm = np.sqrt(rowdot(rel, rel))
+        centre = norm < 1e-13
+        rel[centre] = np.eye(n)[0]
+        norm[centre] = 1.0
+        xs, ys = _antipodal_ends(base, ref, rel / norm[:, None])
+        _antipodal_normals(base, xs, ys)
+        # u = mid + t half on the line t -> exp(mid + t half) rot
+        mid = 0.5 * (xs + ys)
+        half = 0.5 * (xs - ys)
+        ts = rowdot(u - mid, half) / rowdot(half, half)
+        return ts, np.exp(mid + ts[:, None] * half) * np.exp(1j * np.angle(zs))
 
-    return GeodesicFamily(domain, tuple(members), member_through, None, label="antipodal")
-
-
-def _boundary_along(base: ConvexBase, direction: np.ndarray, origin=None) -> np.ndarray:
-    ref = base_reference(base) if origin is None else np.asarray(origin, dtype=float)
-    lo, hi = chord_interval(base, ref, direction)
-    return ref + hi * direction
+    return GeodesicFamily(ReinhardtLog(base), tuple(members), member_through, None,
+                          label="antipodal")
 
 
 # ---------------------------------------------------------------------------

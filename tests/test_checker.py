@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,12 +80,100 @@ def test_completeness_empty_family_rejected():
         completeness_check(GeodesicFamily(UnitDisc(), ()), [np.array([0.0 + 0j])])
 
 
+def test_completeness_of_an_empty_grid():
+    want = {"grid_size": 0, "covered": 0, "max_miss": 0.0, "tol": 1e-6, "complete": True}
+    assert completeness_check(radial_family(8), []) == want
+    assert completeness_check(corrupted_radial_family(2), np.empty((0, 1))) == want
+
+
+@pytest.mark.parametrize("family,point", [
+    (radial_family(8), [1.5]),
+    (strip_crossing_family(4.0), [5.0 + 1.0j]),
+    (kobalab.antipodal_family(EuclideanBall((0.0, 0.0), 1.0), 20), [3.0, 1.0]),
+    (radial_family(8), [0.0]),  # the puncture
+    (corrupted_radial_family(2), [1.5]),
+], ids=["radial", "strip-crossing", "antipodal", "radial-puncture", "scan"])
+def test_completeness_refuses_points_outside_the_domain(family, point):
+    # a locator would place them on a member's extension beyond its interval
+    from kobalab.domains import NonInteriorError
+
+    rows = quasirandom_grid(family.domain, 4)
+    bad = np.array(point, dtype=complex)
+    grid = [rows[0], rows[1], bad, 2.0 * bad + 3.0, rows[2]]
+    with pytest.raises(NonInteriorError, match=re.escape(f"point {bad} is not interior to "
+                                                         f"{family.domain!r}")):
+        completeness_check(family, grid)
+
+
+def _reference_scan(family, grid):
+    """Each point's smallest miss over SCAN_SAMPLES samples per member, one
+    point and one sample at a time."""
+    from kobalab.checker import SCAN_SAMPLES
+
+    misses = []
+    for z in grid:
+        miss = math.inf
+        for member in family.members:
+            for t in np.linspace(*member.window(), SCAN_SAMPLES):
+                cand = float(np.max(np.abs(member.sample(float(t)) - z)))
+                if cand < miss:
+                    miss = cand
+        misses.append(miss)
+    return misses
+
+
+def test_completeness_scan_equals_the_per_point_scan(monkeypatch):
+    from kobalab import checker
+    from kobalab.geodesics import GeodesicFamily
+
+    seg = ball_geodesic_segment(2, [0.0, 0.0], [0.5, 0.0])
+    single = GeodesicFamily(UnitBall(2), (seg,), None, None, "single")
+    cases = [(corrupted_radial_family(3), quasirandom_grid(PuncturedDisc(), 12)),
+             (single, np.array([[0.2 + 0.2j, 0.4 + 0.1j], [0.0 + 0.5j, -0.2 + 0.0j],
+                                [0.25 + 0.0j, 0.0 + 0.0j]]))]
+    for family, grid in cases:
+        want = _reference_scan(family, grid)
+        rec = completeness_check(family, grid, tol=1e-3)
+        assert rec["max_miss"] == max(want)
+        assert rec["covered"] == sum(m < 1e-3 for m in want)
+        for block in (1, 399, 400, 401, 1 << 16):
+            monkeypatch.setattr(checker, "_SCAN_BLOCK", block)
+            assert checker._scan_misses(family, grid).tolist() == want
+
+
+def test_completeness_locates_each_grid_in_one_call(monkeypatch):
+    import dataclasses
+
+    from kobalab import ball_segment_family, geodesics
+
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    cases = [(radial_family(12), PuncturedDisc()), (strip_crossing_family(4.0), Strip(4.0)),
+             (kobalab.antipodal_family(ball, 20), ReinhardtLog(ball)),
+             (ball_segment_family(2, [0.1, 0.2j]), UnitBall(2)),
+             (ball_landing_family(2, [1.0, 0.0]), UnitBall(2))]
+    built = []
+    monkeypatch.setattr(geodesics, "GeodesicCurve", lambda *args, **kw: built.append(args))
+    for family, domain in cases:
+        calls = []
+
+        def locate(rows, locate=family.member_through):
+            calls.append(len(rows))
+            return locate(rows)
+
+        rec = completeness_check(dataclasses.replace(family, member_through=locate),
+                                 quasirandom_grid(domain, 256))
+        assert rec["complete"] and calls == [256]
+    assert built == []
+
+
 def test_injectivity_probe():
     f = power_map(2)
     grid = [np.array([0.5 + 0j]), np.array([-0.5 + 0j]), np.array([0.3 + 0j])]
     cols = injectivity_probe(f, grid)
     assert len(cols) == 1 and cols[0]["deck_pair"]
     assert injectivity_probe(identity_map(UnitDisc()), grid) == []
+    # a power map's grid without collisions
+    assert injectivity_probe(f, polar_orbit_grid(radii=(0.5,), angles=7)) == []
 
 
 def test_injectivity_monomial_sign_classes():

@@ -14,7 +14,7 @@ from kobalab import (Annulus, EuclideanBall, IntegerMatrix, PuncturedDisc, Strip
 from kobalab import closed_forms as cf
 from kobalab import coverings
 from kobalab.coverings import CoveringError, HolomorphicMap, map_from_dict, map_to_dict
-from kobalab.domains import Box, LinearImage, base_support
+from kobalab.domains import Box, DomainError, LinearImage, base_support
 from kobalab.geodesics import AntipodalPair
 from kobalab.smith import smith_normal_form, snf_determinant
 
@@ -119,6 +119,34 @@ def test_preimage_errors():
         IntegerMatrix(((1, 1), (1, 1))) and monomial_preimages(IntegerMatrix(((1, 1), (1, 1))), [1.0, 1.0])
     with pytest.raises(CoveringError):
         monomial_preimages(IntegerMatrix(((2, 0), (0, 2))), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rows", [((2,),), ((3,),), ((2, 0), (0, 2)), ((2, 1), (0, 2)),
+                                  ((1, -1), (2, 3)), ((-2, 0), (0, 1)),
+                                  ((2, 0, 0), (0, 2, 0), (1, 0, 2))], ids=str)
+def test_preimage_rows_equal_one_point_fibers(rows):
+    a = IntegerMatrix(rows)
+    n, det = a.n, abs(a.det)
+    ws = np.exp(GEN.normal(size=(20, n)) * 0.4 + 1j * GEN.uniform(0, 2 * math.pi, (20, n)))
+    fibers = monomial_preimages(a, ws)
+    assert fibers.shape == (20, det, n)
+    for w, fiber in zip(ws, fibers):
+        one = monomial_preimages(a, w)
+        assert isinstance(one, list) and len(one) == det
+        assert np.abs(fiber - np.array(one)).max() <= 1e-15
+    assert monomial_preimages(a, np.empty((0, n))).shape == (0, det, n)
+
+
+def test_preimage_rows_refuse_what_one_point_refuses():
+    a = IntegerMatrix(((2, 0), (0, 2)))
+    ws = np.array([[1.0, 1.0], [0.5j, 2.0]])
+    for bad, error, message in [([0.0, 1.0], CoveringError, r"preimages need w in C_\*\^n"),
+                                ([1.0, 2.0, 3.0], CoveringError, "dimension mismatch"),
+                                ([np.nan, 1.0], DomainError, "non-finite")]:
+        batch = np.vstack([ws, bad]) if len(bad) == a.n else np.array([bad, bad])
+        for w in (bad, batch):
+            with pytest.raises(error, match=message):
+                monomial_preimages(a, w)
 
 
 def test_apply_map_examples():

@@ -353,3 +353,93 @@ def test_unbounded_polytope_exits_2(capsys):
     assert main(["dist", "--domain", domain, "--z", "[[1, 0], [1, 0]]",
                  "--w", "[[0.5, 0], [1, 0]]"]) == 2
     assert capsys.readouterr().err == "config error: polytope is unbounded\n"
+
+
+# grids built by columns against the per-point builders --------------------------
+
+def _reference_halton(count, dim, skip):
+    from kobalab._sampling import _PRIMES, halton_value
+
+    return np.array([[halton_value(k + 1 + skip, _PRIMES[j]) for j in range(dim)]
+                     for k in range(count)]).reshape(count, dim)
+
+
+@pytest.mark.parametrize("skip", [0, 7, 20, 1020, 99_999])
+def test_halton_columns_equal_the_per_value_loop(skip):
+    from kobalab._sampling import halton
+
+    for dim in range(1, 17):
+        for count in (0, 1, 37):
+            got = halton(count, dim, skip)
+            assert got.shape == (count, dim)
+            assert got.tobytes() == _reference_halton(count, dim, skip).tobytes()
+
+
+def _reference_grid(domain, count, skip):
+    """The kinds' grids as the per-point builders made them."""
+    from kobalab._sampling import ball_points, halton
+
+    if isinstance(domain, UnitBall):
+        return [np.asarray(p) for p in ball_points(count, domain.dim, radius=0.9)]
+    n = dim(domain)
+    cube = halton(count, 2 * n + 1 if isinstance(domain, ReinhardtLog) else 2, skip=skip)
+    pts = []
+    for k in range(count):
+        if isinstance(domain, (UnitDisc, PuncturedDisc)):
+            inner = 0.05 if isinstance(domain, PuncturedDisc) else 0.0
+            r = inner + (0.95 - inner) * cube[k, 0]
+            th = 2.0 * math.pi * cube[k, 1]
+            pts.append(np.array([r * complex(math.cos(th), math.sin(th))]))
+        elif isinstance(domain, Annulus):
+            a = math.log(domain.R)
+            pts.append(np.array([math.exp(a * (2.0 * cube[k, 0] - 1.0) * 0.95)
+                                 * complex(math.cos(2.0 * math.pi * cube[k, 1]),
+                                           math.sin(2.0 * math.pi * cube[k, 1]))]))
+        elif isinstance(domain, Strip):
+            a = domain.halfwidth
+            pts.append(np.array([complex(a * (2.0 * cube[k, 0] - 1.0) * 0.95,
+                                         4.0 * (2.0 * cube[k, 1] - 1.0))]))
+        else:
+            ref = base_reference(domain.base)
+            direction = cube[k, :n] - 0.5
+            norm = float(np.linalg.norm(direction))
+            if norm < 1e-12:
+                direction, norm = np.eye(n)[0], 1.0
+            direction = direction / norm
+            lo, hi = chord_interval(domain.base, ref, direction)
+            u = ref + (0.9 * cube[k, 2 * n] * hi) * direction
+            pts.append(np.exp(u) * np.exp(1j * 2.0 * math.pi * cube[k, n:2 * n]))
+    return pts
+
+
+def _grid_rows(domain, count, skip):
+    got = domain.grid(count, skip)
+    assert isinstance(got, np.ndarray) and got.shape == (count, dim(domain))
+    assert got.dtype == complex
+    return got
+
+
+@pytest.mark.parametrize("domain", [PuncturedDisc(), UnitDisc(), Strip(4.0), Strip(1.5),
+                                    Annulus(4.0), Annulus(1.2), UnitBall(2), UnitBall(3)],
+                         ids=repr)
+def test_grid_columns_equal_the_per_point_builders(domain):
+    for skip in (20, 1020, 2020, 3):
+        for count in (1, 256):
+            got = _grid_rows(domain, count, skip)
+            assert got.tobytes() == np.array(_reference_grid(domain, count, skip)).tobytes()
+    _grid_rows(domain, 0, 20)
+
+
+@pytest.mark.parametrize("base", [EuclideanBall((0.0, 0.0), 1.0),
+                                  EuclideanBall((0.1, 0.0, -0.2), 0.8),
+                                  Box((-1.0, -0.5), (1.0, 0.5)), ALL_BASES[3], ALL_BASES[5]],
+                         ids=repr)
+def test_reinhardt_grid_moves_by_rounding_only(base):
+    # the direction norms are summed column by column, where np.linalg.norm
+    # takes a BLAS dot product: the two differ in the last bit on some rows
+    domain = ReinhardtLog(base)
+    for skip in (20, 1020, 2020):
+        got = _grid_rows(domain, 256, skip)
+        want = np.array(_reference_grid(domain, 256, skip))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+        assert domain.contains(got).all()

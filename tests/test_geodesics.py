@@ -234,26 +234,27 @@ def test_shadowing_bound():
 
 
 def test_family_completeness_locators():
+    # each locator takes (N, n) rows; here one row each
     fam = radial_family(8)
-    z = np.array([0.4 * np.exp(0.77j)])
-    member, t = fam.member_through(z)
-    assert np.abs(member.sample(t) - z).max() < 1e-12
+    z = np.array([[0.4 * np.exp(0.77j)]])
+    ts, hits = fam.member_through(z)
+    assert ts.shape == (1,) and np.abs(hits - z).max() < 1e-12
 
     fam2 = strip_crossing_family(4.0)
-    z2 = np.array([0.3 + 2.2j])
-    member, t = fam2.member_through(z2)
-    assert np.abs(member.sample(t) - z2).max() < 1e-12
+    z2 = np.array([[0.3 + 2.2j]])
+    ts, hits = fam2.member_through(z2)
+    assert ts.shape == (1,) and np.abs(hits - z2).max() < 1e-12
 
     ball = EuclideanBall((0.0, 0.0), 1.0)
     fam3 = antipodal_family(ball, 6)
     z3 = np.exp(np.array([0.2, -0.3])) * np.exp(1j * np.array([0.5, 1.1]))
-    member, t = fam3.member_through(z3)
-    assert np.abs(member.sample(t) - z3).max() < 1e-9
+    ts, hits = fam3.member_through(z3[None])
+    assert ts.shape == (1,) and np.abs(hits - z3).max() < 1e-9
 
     fam4 = ball_landing_family(2, [1.0, 0.0])
     z4 = np.array([0.1 + 0.2j, -0.3 + 0.1j])
-    member, t = fam4.member_through(z4)
-    assert np.abs(member.sample(t) - z4).max() < 1e-9
+    ts, hits = fam4.member_through(z4[None])
+    assert ts.shape == (1,) and np.abs(hits - z4).max() < 1e-9
 
 
 def test_segment_family_anchor():
@@ -269,6 +270,106 @@ def test_ball_segment_family_complete_from_interior_anchor():
     assert fam.anchor[0] == "interior"
     for member in fam.members:
         assert np.abs(member.sample(0.0) - p).max() < 1e-12
-    for z in ([0.4 + 0.2j, 0.1 - 0.3j], [0.0 + 0.0j, 0.5 + 0.0j]):
-        member, t = fam.member_through(np.array(z))
-        assert np.abs(member.sample(t) - np.array(z)).max() < 1e-9
+    zs = np.array([[0.4 + 0.2j, 0.1 - 0.3j], [0.0 + 0.0j, 0.5 + 0.0j]])
+    ts, hits = fam.member_through(zs)
+    assert ts.shape == (2,) and np.abs(hits - zs).max() < 1e-9
+
+
+# the row-wise locators against the per-point locators ----------------------------
+
+def _old_radial(punctured):
+    def locate(z):
+        w = complex(z[0])
+        return disc_radial_geodesic(w / abs(w), punctured), abs(w)
+    return locate
+
+
+def _old_strip_crossing(R):
+    return lambda z: (strip_crossing_geodesic(R, z[0].imag), float(z[0].real))
+
+
+def _old_antipodal(base):
+    from kobalab.domains import base_reference, chord_interval
+
+    def locate(z):
+        u = np.log(np.abs(z))
+        ref = base_reference(base)
+        rel = u - ref
+        norm = float(np.linalg.norm(rel))
+        if norm < 1e-13:
+            rel, norm = np.eye(len(z))[0], 1.0
+        d = rel / norm
+        x = ref + chord_interval(base, ref, d)[1] * d
+        y = ref + chord_interval(base, ref, -d)[1] * -d
+        curve = antipodal_geodesic(base, AntipodalPair(base, tuple(x), tuple(y)),
+                                   tuple(np.angle(z)))
+        half = 0.5 * (x - y)
+        return curve, float(np.dot(u - 0.5 * (x + y), half) / np.dot(half, half))
+    return locate
+
+
+def _old_segment(dim, p):
+    def locate(z):
+        seg = ball_geodesic_segment(dim, p, z)
+        return seg, seg.interval.b
+    return locate
+
+
+def _old_landing(dim, p):
+    return lambda z: (ball_landing_ray(dim, z, p), 0.0)
+
+
+def _locator_cases():
+    from kobalab import PuncturedDisc, ball_segment_family
+    from kobalab.checker import quasirandom_grid
+
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    ball3 = EuclideanBall((0.1, 0.0, -0.2), 0.8)
+    box = Box((-1.0, -0.5), (1.0, 0.5))
+    p = np.array([0.2 + 0.1j, -0.1 + 0.0j])
+    landing3 = np.array([0.0, 1j, 0.0])
+    return [
+        (radial_family(8), _old_radial(True), quasirandom_grid(PuncturedDisc(), 64)),
+        (radial_family(8, punctured=False), _old_radial(False), quasirandom_grid(UnitDisc(), 64)),
+        (strip_crossing_family(4.0), _old_strip_crossing(4.0), quasirandom_grid(Strip(4.0), 64)),
+        (antipodal_family(ball, 20), _old_antipodal(ball), quasirandom_grid(ReinhardtLog(ball), 64)),
+        (antipodal_family(ball3, 20), _old_antipodal(ball3),
+         quasirandom_grid(ReinhardtLog(ball3), 64)),
+        (antipodal_family(box, 8), _old_antipodal(box), quasirandom_grid(ReinhardtLog(box), 64)),
+        (ball_segment_family(2, p), _old_segment(2, p),
+         np.vstack([quasirandom_grid(UnitBall(2), 64), p])),
+        (ball_landing_family(2, [1.0, 0.0]), _old_landing(2, np.array([1.0, 0.0])),
+         quasirandom_grid(UnitBall(2), 64)),
+        (ball_landing_family(3, landing3), _old_landing(3, landing3),
+         quasirandom_grid(UnitBall(3), 64)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(len(_locator_cases())),
+                         ids=["radial", "radial-unit-disc", "strip-crossing", "antipodal-ball",
+                              "antipodal-ball-3d", "antipodal-box", "ball-segment",
+                              "ball-landing", "ball-landing-3d"])
+def test_row_locator_equals_the_per_point_locator(k):
+    family, locate, rows = _locator_cases()[k]
+    ts, hits = family.member_through(rows)
+    assert ts.shape == (len(rows),) and hits.shape == rows.shape
+    for z, t, hit in zip(rows, ts, hits):
+        curve, want = locate(z)
+        assert abs(t - want) <= 1e-12
+        assert np.abs(hit - curve.sample(float(t))).max() <= 1e-12
+
+
+def test_row_antipodal_certificate_equals_the_pairs_normals():
+    from kobalab.geodesics import _antipodal_normals
+
+    box = Box((-1.0, -0.5), (1.0, 0.5))
+    xs = np.array([[1.0, 0.2], [0.4, 0.5], [1.0, -0.3], [-0.6, 0.5], [1.0, 0.5]])
+    ys = np.array([[-1.0, -0.1], [-0.2, -0.5], [-1.0, 0.4], [0.1, -0.5], [-1.0, -0.5]])
+    normals = _antipodal_normals(box, xs, ys)
+    for x, y, d in zip(xs, ys, normals):
+        assert np.abs(np.array(AntipodalPair(box, tuple(x), tuple(y)).normal) - d).max() <= 1e-15
+    # one row that no candidate certifies, or one whose points coincide, fails the batch
+    with pytest.raises(GeodesicError, match="no common supporting normal found"):
+        _antipodal_normals(box, np.vstack([xs, [1.0, 0.2]]), np.vstack([ys, [0.0, -0.5]]))
+    with pytest.raises(GeodesicError, match="antipodal points must differ"):
+        _antipodal_normals(box, np.vstack([xs, [1.0, 0.2]]), np.vstack([ys, [1.0, 0.2]]))
