@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._sampling import halton, rng
-from .coverings import HolomorphicMap, apply_map, monomial_preimages
+from .coverings import HolomorphicMap, monomial_preimages
 from .domains import (DomainError, ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog,
-                      Strip, as_point, base_dim, escape_margin, require_interior)
+                      Strip, _polar_rows, as_point, base_dim, escape_margin,
+                      require_interior)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
 from .metric import _evaluate, distances
@@ -185,7 +186,8 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
     """All grid pairs (i, j), i < j, whose points differ by more than tol
     but whose images differ by less, in (i, j) order.
 
-    The grid is mapped by one row-wise `apply`, and the point and image
+    The grid (N points of one dimension, or their (N, n) rows) is mapped
+    by one row-wise `apply`, and the point and image
     separations (the largest coordinate modulus of the difference) are
     taken over the upper triangle in array passes.  For power/monomial
     maps the collisions are cross-checked against the enumerated fibers of
@@ -193,7 +195,7 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
     partner must be a deck sibling of the first point, so a collision that
     is not explained by the covering structure is flagged.
     """
-    pts = np.array([as_point(z) for z in grid])
+    pts = _grid_rows(grid)
     imgs = f.apply(pts)
     found = _close_images(pts, imgs, tol)
     collisions = [{"i": i, "j": j, "z": [complex(c) for c in pts[i]],
@@ -206,6 +208,19 @@ def injectivity_probe(f: HolomorphicMap, grid, tol: float = 1e-9) -> list[dict]:
         for entry, deck in zip(collisions, siblings.any(axis=1).tolist()):
             entry["deck_pair"] = deck
     return collisions
+
+
+def _grid_rows(points) -> np.ndarray:
+    """The (N, n) complex rows of N points given as scalars, 1-d sequences
+    of one length, or rows, in one conversion; a malformed or non-finite
+    point raises the DomainError of `as_point`."""
+    rows = np.asarray(points, dtype=complex)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    if rows.ndim != 2 or rows.shape[1] < 1:
+        raise DomainError("a point must be a scalar or a 1-d sequence")
+    if not np.isfinite(rows).all():
+        raise DomainError("point has non-finite coordinates")
+    return rows
 
 
 # pairs per block of the injectivity probe's triangle, which bounds memory
@@ -236,13 +251,13 @@ def properness_probe(f: HolomorphicMap, sequences) -> dict:
     A sequence escapes when its source margins decay; the map is
     proper-compatible when every escaping sequence has image margins
     decaying to the boundary as well (final margin below 1e-2 or below 5%
-    of the initial one).
+    of the initial one).  Each sequence is mapped by one row-wise `apply`.
     """
     out = []
     for seq in sequences:
-        pts = [as_point(z) for z in seq]
+        pts = _grid_rows(seq)
         src = [float(escape_margin(f.source, z)) for z in pts]
-        img = [float(escape_margin(f.target, apply_map(f, z))) for z in pts]
+        img = [float(escape_margin(f.target, w)) for w in f.apply(pts)]
         escapes = bool(src[-1] < max(1e-3, 0.05 * src[0]))
         to_boundary = bool(img[-1] < max(1e-2, 0.05 * img[0]))
         out.append({"source_margins": src, "image_margins": img,
@@ -264,39 +279,39 @@ def quasirandom_grid(domain: ModelDomain, count: int = 256, seed: int = 0) -> np
     return build(count, 20 + 1000 * seed)
 
 
-def polar_orbit_grid(radii=(0.2, 0.35, 0.5, 0.65, 0.8), angles: int = 30) -> list[np.ndarray]:
+def polar_orbit_grid(radii=(0.2, 0.35, 0.5, 0.65, 0.8), angles: int = 30) -> np.ndarray:
     """Structured punctured-disc grid closed under rotation by 2 pi/k for
-    every k dividing `angles` (so power-map collisions appear exactly)."""
-    pts = []
-    for r in radii:
-        for a in range(angles):
-            th = 2.0 * math.pi * a / angles
-            pts.append(np.array([r * complex(math.cos(th), math.sin(th))]))
-    return pts
+    every k dividing `angles` (so power-map collisions appear exactly): the
+    (N, 1) rows r e^{2 pi i a/angles}, a = 0, ..., angles - 1, of each
+    radius in turn."""
+    th = 2.0 * math.pi * np.arange(angles) / angles
+    return _polar_rows(np.repeat(np.asarray(radii, dtype=float), angles),
+                       np.tile(th, len(radii)))
 
 
-def strip_lattice_grid(R: float, re_count: int = 5, im_values=None) -> list[np.ndarray]:
-    """Strip grid containing exact 2*pi*i-translate pairs."""
+def strip_lattice_grid(R: float, re_count: int = 5, im_values=None) -> np.ndarray:
+    """Strip grid containing exact 2*pi*i-translate pairs: the (N, 1) rows
+    x + iy, each real part x with every y of `im_values` in turn."""
     a = math.log(R)
     if im_values is None:
         im_values = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi]
     res = np.linspace(-0.8 * a, 0.8 * a, re_count)
-    return [np.array([complex(x, y)]) for x in res for y in im_values]
+    pts = np.repeat(res, len(im_values)).astype(complex)
+    pts.imag = np.tile(np.asarray(im_values, dtype=float), re_count)
+    return pts[:, None]
 
 
-def reinhardt_sign_grid(base, log_points=None) -> list[np.ndarray]:
-    """Reinhardt grid containing full sign-pattern orbits of each modulus."""
+def reinhardt_sign_grid(base, log_points=None) -> np.ndarray:
+    """Reinhardt grid containing full sign-pattern orbits of each modulus:
+    the (N, n) rows exp(u) s of each log point u, s over the 2^n sign
+    patterns (coordinate j of pattern k is negative where bit j of k is
+    set)."""
     n = base_dim(base)
-    if log_points is None:
-        cube = halton(6, n, skip=7)
-        log_points = [0.6 * (row - 0.5) for row in cube]
-    pts = []
-    for u in log_points:
-        u = np.asarray(u, dtype=float)
-        for mask in range(2 ** n):
-            signs = np.array([(-1.0) ** ((mask >> j) & 1) for j in range(n)])
-            pts.append(np.exp(u) * signs.astype(complex))
-    return pts
+    logs = 0.6 * (halton(6, n, skip=7) - 0.5) if log_points is None else log_points
+    logs = np.asarray(logs, dtype=float).reshape(-1, n)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    signs = np.where(bits == 1, -1.0, 1.0)
+    return (np.exp(logs)[:, None, :] * signs).reshape(-1, n).astype(complex)
 
 
 # ---------------------------------------------------------------------------

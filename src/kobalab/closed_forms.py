@@ -110,17 +110,37 @@ def strip_pair_stage(halfwidth, x1, x2, cos1, cos2) -> tuple:
     return np.sin(q) ** 2, cos1 * cos2
 
 
+def _strip_imag_terms(halfwidth, dy, sin2q, c) -> tuple:
+    """(ap, arg, big) of the imaginary stage: ap = |pi dy/4a|, the arcsinh
+    argument sqrt(sinh^2 ap + sin2q)/sqrt(c), and the cells with ap > 350,
+    where sinh dominates and the distance is ap - log(c)/2 (arcsinh(y) ~
+    log 2y) instead."""
+    ap = np.abs(math.pi * dy / (4.0 * halfwidth))
+    # sinh is capped where the asymptotic form replaces it
+    return ap, np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q) / np.sqrt(c), ap > 350.0
+
+
 def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
     """`strip_distance` of points whose imaginary parts differ by dy, given
     their `strip_real_stage`."""
-    ap = np.abs(math.pi * dy / (4.0 * halfwidth))
-    # sinh is capped where the asymptotic form below replaces it
-    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q) / np.sqrt(c))
-    big = ap > 350.0
+    ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
+    out = np.arcsinh(arg)
     if np.any(big):
-        # sinh dominates: arcsinh(y) ~ log(2y)
         out = np.where(big, ap - 0.5 * np.log(c), out)
     return out
+
+
+def strip_imag_max(halfwidth, dy, sin2q, c) -> np.ndarray:
+    """np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=-1) with one
+    arcsinh per row: arcsinh is increasing, so it maps the row max of the
+    arguments to the row max of the distances.  Cells past the cap take
+    their asymptotic form and the larger of the two maxima counts; both
+    start from 0, which no cell is below (c <= 1)."""
+    ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
+    if not np.any(big):
+        return np.arcsinh(np.max(arg, axis=-1))
+    near = np.arcsinh(np.max(arg, axis=-1, where=~big, initial=0.0))
+    return np.maximum(near, np.max(ap - 0.5 * np.log(c), axis=-1, where=big, initial=0.0))
 
 
 def strip_density(halfwidth, z, v):

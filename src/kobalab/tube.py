@@ -1,10 +1,11 @@
 """Two-sided Kobayashi bounds for tube domains over bounded convex bases.
 
 The lower bound projects the tube onto supporting slabs (strips), each
-held as (unit direction, centre, half-width), the base's cached once,
-and takes the best strip distance; every holomorphic projection
-contracts, so this never exceeds the true distance.  The upper bound
-evaluates explicit analytic-disc competitors: affine discs, the
+held as (unit direction, centre, half-width), the base's cached once
+with one direction per line (the slab of -e is the slab of e), and takes
+the best strip distance, with one arcsinh per pair; every holomorphic
+projection contracts, so this never exceeds the true distance.  The
+upper bound evaluates explicit analytic-disc competitors: affine discs, the
 chord-slice disc for pairs with equal imaginary parts, chained affine
 discs for far pairs, and the exact product formula over box bases.  The
 pair (lower, upper) brackets the true distance; on segments joining
@@ -22,8 +23,8 @@ import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import (strip_centre, strip_density, strip_density_offset,
-                           strip_distance_offset, strip_imag_stage, strip_pair_stage,
-                           strip_point_stage, strip_real_stage)
+                           strip_distance_offset, strip_imag_max, strip_imag_stage,
+                           strip_pair_stage, strip_point_stage, strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
                       rowdot)
@@ -101,19 +102,40 @@ class SlabTable(NamedTuple):
     along_c: np.ndarray          # (m,)
 
 
+def _one_per_line(rows: np.ndarray) -> np.ndarray:
+    """The rows of `rows` that equal no earlier row and no earlier row
+    negated, in their order.  Each row is signed so that its first nonzero
+    entry is positive, which maps a row and its negation to one row; a
+    stable sort puts equal signed rows next to each other, first the
+    earliest, and every later one is dropped (exact comparisons)."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0.0, axis=1)]
+    signed = np.where(lead[:, None] < 0.0, -rows, rows)
+    order = np.lexsort(signed.T[::-1])
+    ranked = signed[order]
+    repeat = np.zeros(len(rows), dtype=bool)
+    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    return rows[~repeat]
+
+
 @functools.lru_cache(maxsize=64)
 def _slab_strips(base: ConvexBase) -> tuple:
-    """(directions, mid, halfwidth) of the base's slabs: a spread of 64*dim
-    directions unless the base is a polytope, the facet normals and the axes,
-    then two zero rows with mid 0 and half-width 1, the dropped extra slabs of
-    a table row.  The directions are stored by column for `rowdot`."""
+    """(directions, mid, halfwidth) of the base's slabs, one direction per
+    line: the strip of -e is the strip of e, with the same distances.  The
+    directions are a spread of lines unless the base is a polytope (in 2-d
+    the DIRECTIONS_PER_DIM angles pi k/64 of [0, pi), in n >= 3 dimensions
+    64 n Halton directions), the facet normals and the axes, less every row
+    that repeats an earlier one up to sign; then two zero rows with mid 0
+    and half-width 1, the dropped extra slabs of a table row.  The
+    directions are stored by column for `rowdot`."""
     n = base_dim(base)
     eye = np.eye(n)
     blocks = [_unit_rows(np.array(base_facet_normals(base), dtype=float).reshape(-1, n))[0],
               eye, -eye]
     if _TUBE_KINDS[type(base)].spread:
-        blocks.insert(0, sphere_directions(DIRECTIONS_PER_DIM * n, n))
-    dirs = np.vstack(blocks)
+        spread = sphere_directions(DIRECTIONS_PER_DIM * n, n)
+        # the angles of [pi, 2 pi) negate those of [0, pi) only up to rounding
+        blocks.insert(0, spread[:DIRECTIONS_PER_DIM] if n == 2 else spread)
+    dirs = _one_per_line(np.vstack(blocks))
     mid, halfwidth = strip_centre(-base.support(-dirs), base.support(dirs))
     out = (np.asfortranarray(np.vstack([dirs, np.zeros((2, n))])),
            np.concatenate([mid, [0.0, 0.0]]), np.concatenate([halfwidth, [1.0, 1.0]]))
@@ -179,7 +201,7 @@ def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np
     del xs, cos
     dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
     dy[:, d:] = dy_extra
-    return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1), sin2q
+    return strip_imag_max(halfwidth, dy, sin2q, c), sin2q
 
 
 def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
@@ -255,7 +277,7 @@ def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
     extra = strip_real_stage(ex_hw, pu.real - ex_mid, pv.real - ex_mid)
     for column, kept in zip((halfwidth, sin2q, c, dy), (ex_hw, *extra, pu.imag - pv.imag)):
         column[keep, d + 1] = kept
-    return np.max(strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
+    return strip_imag_max(halfwidth, dy, sin2q, c)
 
 
 def caratheodory_lower(base: ConvexBase, u, v):
@@ -659,7 +681,7 @@ def _box_product(base: Box, u: np.ndarray, v: np.ndarray, kernel):
 class _TubeKind(NamedTuple):
     tau: Callable              # (base, x, a, b) -> affine_disc_tau's value
     product: Callable | None   # (base, us, vs, kernel) -> the product competitor per row
-    spread: bool               # the slab sweep adds 64*dim sphere directions
+    spread: bool               # the slab block adds a spread of lines
 
 
 _TUBE_KINDS = {

@@ -11,6 +11,7 @@ from kobalab import (EuclideanBall, PuncturedDisc, ReinhardtLog, Strip, UnitBall
                      injectivity_probe, monomial_map, power_map, properness_probe,
                      radial_family, reproduce_example, strip_crossing_family)
 from kobalab.checker import polar_orbit_grid, quasirandom_grid, reinhardt_sign_grid, strip_lattice_grid
+from kobalab.domains import DomainError
 from kobalab.geodesics import ball_geodesic_segment, to_arc_length
 from kobalab.serialize import corrupted_radial_family, family_from_dict
 
@@ -184,6 +185,32 @@ def test_injectivity_monomial_sign_classes():
     # each modulus class contributes C(4,2) = 6 colliding pairs
     assert len(cols) >= 6
     assert all(c["deck_pair"] for c in cols)
+
+
+def test_grids_are_rows_and_probes_convert_once(monkeypatch):
+    ball = EuclideanBall((0.0, 0.0, 0.0), 1.0)
+    for grid, n in ((polar_orbit_grid(), 1), (strip_lattice_grid(4.0), 1),
+                    (reinhardt_sign_grid(ball), 3)):
+        assert isinstance(grid, np.ndarray) and grid.dtype == complex and grid.shape[1] == n
+    f = power_map(2)
+    grid = polar_orbit_grid()
+    want = injectivity_probe(f, grid)
+    assert want and _exact(injectivity_probe(f, list(grid))) == _exact(want)
+    assert injectivity_probe(f, [0.5, -0.5, 0.3]) == injectivity_probe(f, [[0.5], [-0.5], [0.3]])
+    # malformed and non-finite points raise the errors of `as_point`
+    for bad, message in (([[[0.5]], [[0.3]]], "a point must be"), ([[], []], "a point must be"),
+                         ([0.5, complex(math.nan, 0.0)], "non-finite"),
+                         ([[0.5, 0.1], [math.inf, 0.2]], "non-finite")):
+        with pytest.raises(DomainError, match=message):
+            injectivity_probe(f, bad)
+        with pytest.raises(DomainError, match=message):
+            properness_probe(f, [bad])
+    # one row-wise `apply` per escaping sequence
+    calls = []
+    apply = type(f).apply
+    monkeypatch.setattr(type(f), "apply", lambda self, zs: calls.append(zs.shape) or apply(self, zs))
+    properness_probe(f, [[0.5, 0.9, 0.99], [[0.1], [0.01]]])
+    assert calls == [(3, 1), (2, 1)]
 
 
 def test_properness_probe():
@@ -382,9 +409,9 @@ _BALL3 = EuclideanBall((0.0, 0.0, 0.0), 1.0)
     (identity_map(UnitDisc()), polar_orbit_grid(radii=(0.5,), angles=8)),
     # repeated points, and points within tol of each other, are no collision;
     # points 5e-9 apart near 0 are one, their squares lying 1e-10 apart
-    (power_map(2), polar_orbit_grid(radii=(0.4,), angles=6)
-     + [np.array([0.4 + 0j]), np.array([0.4 + 1e-12j]), np.array([-0.4 + 2e-9j]),
-        np.array([0.01 + 0j]), np.array([0.01 + 5e-9j])]),
+    (power_map(2), [*polar_orbit_grid(radii=(0.4,), angles=6),
+                    np.array([0.4 + 0j]), np.array([0.4 + 1e-12j]), np.array([-0.4 + 2e-9j]),
+                    np.array([0.01 + 0j]), np.array([0.01 + 5e-9j])]),
 ], ids=["power2", "power3", "power3-small", "exp", "monomial-2I", "monomial-sheared",
         "monomial-3d", "identity", "near-duplicates"])
 def test_pairwise_probe_equals_per_pair_reference(f, grid):

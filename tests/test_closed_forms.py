@@ -265,3 +265,41 @@ def test_split_strip_kernel_batch_takes_both_branches():
     big = np.abs(math.pi * (z.imag - w.imag) / (4.0 * a)) > 350.0
     assert big.any() and not big.all()
     assert cf.strip_distance(a, z, w).tolist() == want.tolist()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 9),
+       far=st.sampled_from([0.0, 0.3, 1.0]))
+def test_one_arcsinh_per_row_is_the_row_max_of_the_stage(seed, rows, cols, far):
+    # the row max of the arcsinh arguments, with the cells past the cap in
+    # their asymptotic form, is the row max of the per-cell stage to the
+    # bit: rows with no cell past the cap, mixed rows and rows of such
+    # cells only, single-column rows among them
+    gen = np.random.default_rng(seed)
+    halfwidth = gen.uniform(0.05, 5.0, (rows, cols))
+    # about a `far` share of the cells lie past ap = 350
+    scale = np.where(gen.uniform(size=(rows, cols)) < far, 1e3, 5.0)
+    dy = scale * halfwidth * gen.uniform(-1.0, 1.0, (rows, cols))
+    sin2q = gen.uniform(0.0, 1.0, (rows, cols))
+    c = np.cos(math.pi * gen.uniform(-0.999, 0.999, (rows, cols)) / 2.0) \
+        * np.cos(math.pi * gen.uniform(-0.999, 0.999, (rows, cols)) / 2.0)
+    c[:, -1] = 1.0  # a dropped slab's cell
+    want = np.max(cf.strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
+    assert cf.strip_imag_max(halfwidth, dy, sin2q, c).tobytes() == want.tobytes()
+
+
+def test_one_arcsinh_per_row_takes_every_kind_of_row():
+    # a row under the cap, a mixed row, a row past the cap, a row whose
+    # largest cell is under the cap although another is past it (c tiny),
+    # and a single-column row past the cap
+    halfwidth = np.ones((4, 3))
+    dy = np.array([[1.0, 2.0, 3.0], [1.0, 500.0, 3.0], [500.0, 600.0, 700.0],
+                   [445.0, 446.0, 1.0]])
+    c = np.array([[0.5, 0.9, 1.0], [0.5, 0.9, 1.0], [0.5, 0.9, 1.0], [1e-300, 1.0, 1.0]])
+    sin2q = np.full((4, 3), 0.25)
+    ap = np.abs(math.pi * dy / 4.0)
+    assert [(row > 350.0).sum() for row in ap] == [0, 1, 3, 1]
+    stage = cf.strip_imag_stage(halfwidth, dy, sin2q, c)
+    assert np.argmax(stage[3]) == 0 and ap[3, 0] < 350.0 < ap[3, 1]
+    assert cf.strip_imag_max(halfwidth, dy, sin2q, c).tolist() == np.max(stage, axis=1).tolist()
+    one = (halfwidth[:1, :1], dy[2:3, :1], sin2q[:1, :1], c[:1, :1])
+    assert cf.strip_imag_max(*one).tolist() == cf.strip_imag_stage(*one)[:, 0].tolist()

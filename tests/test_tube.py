@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_distance_bounds
 from kobalab import closed_forms as cf
 from kobalab import tube
+from kobalab._sampling import sphere_directions
 from kobalab.domains import LinearImage, Polytope, base_dim, to_polytope
 from kobalab.tube import affine_disc_tau, tube_metric_bounds
 
@@ -611,3 +612,105 @@ def test_chain_cut_only_stops_chains_that_exceed_it(seed, cut):
     whole = tube._chain_upper(BALL, u, v, taus, math.inf)
     got = tube._chain_upper(BALL, u, v, taus, cut)
     assert got == whole if whole <= cut else cut < got <= whole
+
+
+def _slab_bases():
+    """A ball, box, polytope and linear-image base in each of 1-4 dimensions;
+    each holds the ball of radius 0.45 about 0."""
+    out = []
+    for n in range(1, 5):
+        ball = EuclideanBall(tuple(0.05 * (-1.0) ** j for j in range(n)), 1.0)
+        matrix = 1.2 * np.eye(n) + 0.3 * np.eye(n, k=1)
+        out += [ball, Box((-0.5,) * n, tuple(1.0 - 0.1 * j for j in range(n))),
+                to_polytope(ball, 8), LinearImage(tuple(map(tuple, matrix.tolist())), ball)]
+    return out
+
+
+SLAB_BASES = _slab_bases()
+
+
+def _two_sided_block(base):
+    """The two-sided slab block, with both directions of most lines: the
+    spread of 64*dim sphere directions (bases other than polytopes), the
+    unit facet normals, the axes and the negated axes."""
+    n = base_dim(base)
+    normals = np.array(tube.base_facet_normals(base), dtype=float).reshape(-1, n)
+    spread = [sphere_directions(tube.DIRECTIONS_PER_DIM * n, n)] \
+        if tube._TUBE_KINDS[type(base)].spread else []
+    return np.vstack(spread + [tube._unit_rows(normals)[0], np.eye(n), -np.eye(n)])
+
+
+def _same_line(a, b):
+    """(len(a), len(b)) mask: a row of a equals a row of b or its negation."""
+    return (a[:, None] == b[None]).all(axis=-1) | (a[:, None] == -b[None]).all(axis=-1)
+
+
+@pytest.mark.parametrize("base", SLAB_BASES, ids=repr)
+def test_slab_block_keeps_one_direction_per_line(base):
+    n = base_dim(base)
+    dirs, mid, halfwidth = tube._slab_strips(base)
+    assert (dirs[-2:] == 0.0).all() and mid[-2:].tolist() == [0.0, 0.0] \
+        and halfwidth[-2:].tolist() == [1.0, 1.0]
+    dirs = dirs[:-2]
+    # no row equals another row or another row negated
+    assert not (_same_line(dirs, dirs) & ~np.eye(len(dirs), dtype=bool)).any()
+    # every line of the two-sided block is kept, but the 2-d spread's
+    # angles of [pi, 2 pi) are kept only where they negate those of
+    # [0, pi) exactly, not just up to rounding
+    block = _two_sided_block(base)
+    kept = _same_line(block, dirs).any(axis=1)
+    if tube._TUBE_KINDS[type(base)].spread and n == 2:
+        assert dirs[:64].tobytes() == sphere_directions(128, 2)[:64].tobytes()
+        exact = (block[64:128] == -block[:64]).all(axis=1)
+        assert kept[64:128].tolist() == exact.tolist() and exact.sum() == 1
+        kept = np.delete(kept, np.s_[64:128])
+    assert kept.all()
+
+
+def _cells(base, dirs, us, vs):
+    """The strip distance of every (pair, direction) cell of row pairs
+    (us[k], vs[k]), through the strip kernel's stages."""
+    mid, halfwidth = cf.strip_centre(-base.support(-dirs), base.support(dirs))
+    xu, xv = (tube.rowdot(p.real[:, None, :], dirs) - mid for p in (us, vs))
+    dy = tube.rowdot(us.imag[:, None, :], dirs) - tube.rowdot(vs.imag[:, None, :], dirs)
+    return cf.strip_imag_stage(halfwidth, dy, *cf.strip_real_stage(halfwidth, xu, xv))
+
+
+def _slab_pairs(gen, m, n):
+    """m row pairs in the tube over a base of `SLAB_BASES` of dimension n."""
+    dirs = gen.normal(size=(2, m, n))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    reals = 0.45 * gen.uniform(0.0, 1.0, (2, m, 1)) * dirs
+    return reals + 1j * gen.uniform(-4.0, 4.0, (2, m, n))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_negated_direction_has_the_same_column(seed):
+    # wherever a line's second direction is an exact negation (or repeat)
+    # of its first, the two columns agree to the bit, so dropping it
+    # changes no slab lower bound
+    gen = np.random.default_rng(seed)
+    for base in SLAB_BASES:
+        block = _two_sided_block(base)
+        us, vs = _slab_pairs(gen, 16, base_dim(base))
+        cells = _cells(base, block, us, vs)
+        twin = np.triu(_same_line(block, block), 1)
+        first, second = np.nonzero(twin)
+        assert len(first) > 0
+        assert cells[:, first].tobytes() == cells[:, second].tobytes(), repr(base)
+
+
+@pytest.mark.parametrize("base", SLAB_BASES, ids=repr)
+def test_slab_lower_stays_within_rounding_of_the_two_sided_block(base, monkeypatch):
+    # the one-per-line block drops only exact twins and, in 2-d, the
+    # spread's rounded negations: its bound is never above the sweep over
+    # every line's two directions and within 1e-13 of it
+    gen = np.random.default_rng(41)
+    us, vs = _slab_pairs(gen, 3000, base_dim(base))
+    got = caratheodory_lower(base, us, vs)
+    n = base_dim(base)
+    block = np.vstack([_two_sided_block(base), np.zeros((2, n))])
+    monkeypatch.setattr(tube, "_slab_strips", lambda _: (block,))
+    want = _reference_slab_sweep(base, us, vs)
+    assert (got <= want).all()
+    assert (want - got <= 1e-13 * want).all()
