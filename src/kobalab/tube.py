@@ -71,34 +71,35 @@ class SlabTable(NamedTuple):
     """The real stage of the slab lower bound of m pairs of point rows.
 
     A deck translate v + i t of a pair changes only the imaginary parts of
-    its projections, so the strip kernel's real stage is computed once per
-    (pair, slab) cell and every translate pays only its imaginary stage.
-    The slabs are the cached direction block (d columns), the pair's slab
-    along Re(v - u) (column d), which every translate shares, and the slab
-    along Im(v - u) (column d + 1), which changes with the translate.  A
-    dropped extra slab (that part ~0) is (-1, 1) with both points at 0,
-    whose strip distance is 0.
+    its projections, so the strip kernel's real stage is set up once per
+    search and every translate pays only its pair stage and its imaginary
+    stage.  The slabs are the cached direction block (d columns), the
+    pair's slab along Re(v - u) (column d), which every translate shares,
+    and the slab along Im(v - u) (column d + 1), which changes with the
+    translate.  A dropped extra slab (that part ~0) is (-1, 1) with both
+    points at 0, whose strip distance is 0.
 
-    `cos` holds one row per point row: the direction block's cosines
-    (`strip_point_stage`), which depend on one point only, with 1 in the
-    two extra columns.  A cell's c is the product of the two rows of `cos`
-    that the pair's indices in `ends` give, so a deck search over all pairs
-    of N points pays N cosine rows, not one per end of a pair.  Per pair
-    the table keeps sin^2(pi dx/4a) of every cell, and of column d the unit
-    direction (n columns, 0 where dropped), its half-width and its c, all
-    three taken from the pair's extra slabs (`_pair_slabs`), which the
-    table's build sets up once for all its pairs.  Column d + 1 holds the
-    dropped slab (sin^2 0, c 1) until a translate fills it in.  The
-    imaginary parts of the projections are not kept: a translate recomputes
-    them with its own.
+    `x` and `cos` hold one row per point row: the direction block's centred
+    real projections and their cosines (`strip_point_stage`), which depend
+    on one point only, with 0 and 1 in the two extra columns.  A
+    translate's sin^2(pi dx/4a) and c come from one `strip_pair_stage`
+    call over the two rows of each that the pair's indices in `ends` give,
+    so the table holds no (pair, slab) array: a deck search over all pairs
+    of N points keeps N rows of each, not one per pair.  Per pair the table
+    keeps only the slab along Re(v - u): its unit direction (n columns, 0
+    where dropped), half-width, sin^2(pi dx/4a) and c, all taken from the
+    pair's extra slabs (`_pair_slabs`), which the table's build sets up
+    once for all its pairs.  The imaginary parts of the projections are not
+    kept: a translate recomputes them with its own.
     """
 
     us: np.ndarray               # (m, n) the first points of the pairs
     ends: np.ndarray             # (2, m) the point rows of each pair
+    x: np.ndarray                # (points, d + 2)
     cos: np.ndarray              # (points, d + 2)
-    sin2q: np.ndarray            # (m, d + 2)
     along: np.ndarray            # (m, n)
     along_halfwidth: np.ndarray  # (m,)
+    along_sin2q: np.ndarray      # (m,)
     along_c: np.ndarray          # (m,)
 
 
@@ -214,10 +215,12 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
     pair's extra slabs along Re(v - u) and Im(v - u).  The caller has
     checked the rows to lie in the open tube.
     The direction block's projections and cosines are taken once per point
-    row, and the extra slabs of all m pairs once (`_pair_slabs`); then each
-    block of _SWEEP_CELLS cells gathers its pairs' rows, copies in their
-    extra slabs and takes the rest of the real stage and the imaginary
-    stage, one kernel call each."""
+    row and kept, and the extra slabs of all m pairs once (`_pair_slabs`);
+    then each block of _SWEEP_CELLS cells gathers its pairs' rows, copies
+    in their extra slabs and takes the rest of the real stage and the
+    imaginary stage, one kernel call each, of which the table keeps the
+    sin^2 q of the slab along Re(v - u).  For a pair matrix of N points the
+    table holds O(N (d + 2) + m n) numbers."""
     strips = _slab_strips(base)
     m, step = len(vs), _sweep_rows(base)
     d = len(strips[0]) - 2
@@ -226,7 +229,7 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
     uv = np.array([us, vs])
     ex_x, ex_dy, ex_hw, along = _pair_slabs(base, uv)
     ex_cos = strip_point_stage(ex_hw, ex_x)
-    table = SlabTable(us, ends, cos, np.empty((m, d + 2)), along, ex_hw[:, 0],
+    table = SlabTable(us, ends, x, cos, along, ex_hw[:, 0], np.empty(m),
                       ex_cos[0, :, 0] * ex_cos[1, :, 0])
     lower = np.empty(m)
     for i in range(0, m, step):
@@ -237,19 +240,17 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
         hw = strips[2][None].repeat(block.stop - i, axis=0)
         hw[:, d:] = ex_hw[block]
         lower[block], sin2q = _slab_cells(strips[0], hw, xs, cs, uv.imag[:, block], ex_dy[block])
-        # every translate shares all but the slab along Im(v - u), whose
-        # column holds the dropped slab until a translate fills it in
-        sin2q[:, d + 1] = 0.0
-        table.sin2q[block] = sin2q
+        table.along_sin2q[block] = sin2q[:, d]
     return table, lower
 
 
 def slab_lower(base: ConvexBase, table: SlabTable, owners: np.ndarray,
                vs: np.ndarray) -> np.ndarray:
     """The largest slab strip distance of each translate vs[k] of the pair
-    owners[k] of the table, in blocks of _SWEEP_CELLS cells: the table's
-    rows take only their imaginary stage, and the slab along Im(v - u) both
-    stages, in the same call."""
+    owners[k] of the table, in blocks of _SWEEP_CELLS cells: the direction
+    block's cells take their pair stage from the table's point rows and
+    their imaginary stage, the slab along Re(v - u) only the imaginary
+    stage, and the slab along Im(v - u) all three, in the same calls."""
     step = _sweep_rows(base)
     out = np.empty(len(vs))
     for i in range(0, len(vs), step):
@@ -261,21 +262,23 @@ def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
                 vs: np.ndarray) -> np.ndarray:
     dirs, _, halfwidths = _slab_strips(base)
     d = len(dirs) - 2
-    us, vim = table.us[owners], vs.imag
-    uim = us.imag
-    along = table.along[owners]
-    sin2q = table.sin2q[owners]
-    c = table.cos[table.ends[0, owners]]
-    c *= table.cos[table.ends[1, owners]]
-    c[:, d] = table.along_c[owners]
+    # the translates' ends, stacked as (2, k, n): each projection below is
+    # one call for both ends
+    uv = np.array([table.us[owners], vs])
+    ims = uv.imag
+    ends = table.ends[:, owners]
+    # the two extra columns read sin^2 0 and c = 1 here, since x is 0 there
+    sin2q, c = strip_pair_stage(halfwidths, *table.x[ends], *table.cos[ends])
+    sin2q[:, d], c[:, d] = table.along_sin2q[owners], table.along_c[owners]
     halfwidth = halfwidths[None].repeat(len(vs), axis=0)
     halfwidth[:, d] = table.along_halfwidth[owners]
-    dy = rowdot(uim[:, None, :], dirs) - rowdot(vim[:, None, :], dirs)
-    dy[:, d] = rowdot(uim, along) - rowdot(vim, along)
-    across, ex_mid, ex_hw, keep = _extra_slabs(base, vim - uim)
-    pu, pv = rowdot(us[keep], across), rowdot(vs[keep], across)
-    extra = strip_real_stage(ex_hw, pu.real - ex_mid, pv.real - ex_mid)
-    for column, kept in zip((halfwidth, sin2q, c, dy), (ex_hw, *extra, pu.imag - pv.imag)):
+    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
+    dy[:, d] = np.subtract(*rowdot(ims, table.along[owners]))
+    across, ex_mid, ex_hw, keep = _extra_slabs(base, ims[1] - ims[0])
+    proj = rowdot(uv[:, keep], across)
+    xs = proj.real - ex_mid
+    extra = strip_pair_stage(ex_hw, *xs, *strip_point_stage(ex_hw, xs))
+    for column, kept in zip((halfwidth, sin2q, c, dy), (ex_hw, *extra, np.subtract(*proj.imag))):
         column[keep, d + 1] = kept
     return strip_imag_max(halfwidth, dy, sin2q, c)
 

@@ -453,14 +453,34 @@ def _reference_audit(f, family, samples, window=6.0):
     return out
 
 
-@pytest.mark.parametrize("f,family,samples", [
-    (power_map(2), radial_family(4), 9),
-    (exp_strip_cover(4.0), strip_crossing_family(4.0, (-2.0, 0.0, 3.0)), 9),
-    (monomial_map(((2, 0), (0, 2)), _BALL2),
-     kobalab.antipodal_family(_BALL2, 3), 6),
-    (ball_mobius_map(0.5, 2), ball_landing_family(2, [1.0, 0.0]), 8),
-], ids=["power-disc", "exp-annulus", "monomial-tube", "ball-mobius"])
-def test_audit_equals_per_pair_reference(f, family, samples):
+_AUDIT_CASES = {
+    "power-disc": (power_map(2), radial_family(4), 9),
+    "exp-annulus": (exp_strip_cover(4.0), strip_crossing_family(4.0, (-2.0, 0.0, 3.0)), 9),
+    "monomial-tube": (monomial_map(((2, 0), (0, 2)), _BALL2),
+                      kobalab.antipodal_family(_BALL2, 3), 6),
+    "ball-mobius": (ball_mobius_map(0.5, 2), ball_landing_family(2, [1.0, 0.0]), 8),
+}
+
+
+def _audit_budgets():
+    """Each case at the default _AUDIT_PAIRS (None), at one member per call
+    and at groups of all but the last member (a short last group)."""
+    out = []
+    for name, (f, family, samples) in _AUDIT_CASES.items():
+        count = samples * (samples - 1) // 2
+        out += [pytest.param(f, family, samples, None, id=name),
+                pytest.param(f, family, samples, 1, id=f"{name}-one"),
+                pytest.param(f, family, samples, max(1, len(family.members) - 1) * count,
+                             id=f"{name}-short")]
+    return out
+
+
+@pytest.mark.parametrize("f,family,samples,budget", _audit_budgets())
+def test_audit_equals_per_pair_reference(f, family, samples, budget, monkeypatch):
+    from kobalab import checker
+
+    if budget is not None:
+        monkeypatch.setattr(checker, "_AUDIT_PAIRS", budget)
     report = audit_isometry(f, family, samples=samples)
     got = [(g.label, g.max_deviation.hex(), g.max_raw_deviation.hex(), g.max_gap.hex(),
             g.samples) for g in report.per_geodesic]
@@ -482,3 +502,72 @@ def test_audit_names_the_point_that_leaves_the_source_or_the_target():
     with pytest.raises(NonInteriorError, match=r"image point leaves the target domain: "
                                                r"point \[.*\] is not interior to Annulus"):
         audit_isometry(leaky, radial_family(2), samples=8)
+
+
+@pytest.mark.parametrize("samples,calls", [(32, 5), (100, 20)])
+def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypatch):
+    # 32 samples: 496 pairs a member, four members (1,984 pairs) a group;
+    # 100 samples: 4,950 pairs a member, more than a group holds, so each
+    # member goes alone
+    from kobalab import metric
+
+    searched = []
+    deck_infimum = metric.deck_infimum
+
+    def counted(cover, points, pairs):
+        searched.append(len(pairs))
+        return deck_infimum(cover, points, pairs)
+
+    monkeypatch.setattr(metric, "deck_infimum", counted)
+    family = kobalab.antipodal_family(_BALL2, 20)
+    report = audit_isometry(monomial_map(((2, 0), (0, 2)), _BALL2), family, samples=samples,
+                            tol=1e-6)
+    assert len(report.per_geodesic) == 20
+    count = samples * (samples - 1) // 2
+    assert searched == [count * 20 // calls] * (2 * calls)
+
+
+def test_audit_raises_the_first_members_image_error_inside_a_group(monkeypatch):
+    import dataclasses
+
+    from kobalab import checker
+    from kobalab.coverings import Identity
+    from kobalab.domains import NonInteriorError
+
+    class Leaky(Identity):
+        target = kobalab.Annulus(4.0)
+
+    # member 0 reaches radius 1/4, which the annulus excludes; member 1's
+    # samples, doubled, leave the punctured disc as well
+    radial = radial_family(2)
+    first, second = radial.members
+    doubled = dataclasses.replace(second, sample=lambda t: 2.0 * second.sample(t))
+    family = dataclasses.replace(radial, members=(first, doubled))
+    leaky = Leaky(PuncturedDisc())
+    with pytest.raises(NonInteriorError) as alone:
+        audit_isometry(leaky, dataclasses.replace(radial, members=(first,)), samples=8)
+    assert str(alone.value).startswith("an image point leaves the target domain: ")
+    for budget in (1, 28, 56, checker._AUDIT_PAIRS):
+        monkeypatch.setattr(checker, "_AUDIT_PAIRS", budget)
+        with pytest.raises(NonInteriorError) as grouped:
+            audit_isometry(leaky, family, samples=8)
+        assert str(grouped.value) == str(alone.value)
+
+
+def test_audit_memory_does_not_grow_with_the_family():
+    # the traced peak of an audit is that of one group, whatever the
+    # number of groups
+    import tracemalloc
+
+    f = monomial_map(((2, 0), (0, 2)), _BALL2)
+    peaks = []
+    for count in (20, 40):
+        family = kobalab.antipodal_family(_BALL2, count)
+        audit_isometry(f, family, tol=1e-6)       # fills the caches
+        tracemalloc.start()
+        try:
+            audit_isometry(f, family, tol=1e-6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

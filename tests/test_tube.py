@@ -542,6 +542,18 @@ def _check_translates(gen, base, us, vs, table):
     assert got.tolist() == _reference_slab_sweep(base, us[owners], moved).tolist()
 
 
+def _check_table_rows(base, table, points):
+    """The table keeps its projections and cosines by point row, and no
+    per-pair field holds more than n numbers per pair: no (pair, slab)
+    array."""
+    m, n = table.us.shape
+    slabs = len(tube._slab_strips(base)[0])
+    assert table.x.shape == table.cos.shape == (points, slabs)
+    for name, field in table._asdict().items():
+        if name not in ("x", "cos"):
+            assert field.size <= m * n, name
+
+
 @pytest.mark.parametrize("base,radius", [
     (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
     (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5)])
@@ -555,8 +567,8 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     table, lower = tube.slab_table(base, np.concatenate([us, vs]),
                                    np.stack([np.arange(m), m + np.arange(m)], axis=1), us, vs)
     assert lower.tolist() == want.tolist()
-    # disjoint pairs: the table keeps one cosine row per point row
-    assert len(table.cos) == 2 * m
+    # disjoint pairs: the table keeps one row of each per point row
+    _check_table_rows(base, table, 2 * m)
     _check_translates(gen, base, us, vs, table)
     # a pair matrix: its points' stage runs once per point row (the
     # repeated point and the signed zeros included)
@@ -564,7 +576,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     us, vs = points[pairs.T]
     want = _reference_slab_sweep(base, us, vs)
     table, lower = tube.slab_table(base, points, pairs, us, vs)
-    assert len(table.cos) == 9
+    _check_table_rows(base, table, 9)
     assert lower.tolist() == want.tolist()
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
     _check_translates(gen, base, us, vs, table)
@@ -572,7 +584,8 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
     for k in (0, 5):
         table, lower = tube.slab_table(base, np.array([us[k], vs[k]]), np.array([[0, 1]]),
                                        us[k:k + 1], vs[k:k + 1])
-        assert len(table.cos) == 2 and lower.tolist() == want[k:k + 1].tolist()
+        assert lower.tolist() == want[k:k + 1].tolist()
+        _check_table_rows(base, table, 2)
         _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
 
 
