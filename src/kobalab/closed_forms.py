@@ -114,18 +114,28 @@ def _strip_imag_terms(halfwidth, dy, sin2q, c) -> tuple:
     """(ap, arg, big) of the imaginary stage: ap = |pi dy/4a|, the arcsinh
     argument sqrt(sinh^2 ap + sin2q)/sqrt(c), and the cells with ap > 350,
     where sinh dominates and the distance is ap - log(c)/2 (arcsinh(y) ~
-    log 2y) instead."""
-    ap = np.abs(math.pi * dy / (4.0 * halfwidth))
-    # sinh is capped where the asymptotic form replaces it
-    return ap, np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q) / np.sqrt(c), ap > 350.0
+    log 2y) instead.  dy None stands for dy = 0 in every cell: sinh^2 0 = 0
+    and 0 + sin2q = sin2q exactly, so the sinh term is dropped, the argument
+    is sqrt(sin2q)/sqrt(c) to the bit, no cell is past the cap and big is
+    None."""
+    if dy is None:
+        ap = big = None
+        square = sin2q
+    else:
+        ap = np.abs(math.pi * dy / (4.0 * halfwidth))
+        big = ap > 350.0
+        # sinh is capped where the asymptotic form replaces it
+        square = np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q
+    return ap, np.sqrt(square) / np.sqrt(c), big
 
 
 def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
     """`strip_distance` of points whose imaginary parts differ by dy, given
-    their `strip_real_stage`."""
+    their `strip_real_stage`; dy None for points with equal imaginary parts
+    (see `_strip_imag_terms`)."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
     out = np.arcsinh(arg)
-    if np.any(big):
+    if big is not None and np.any(big):
         out = np.where(big, ap - 0.5 * np.log(c), out)
     return out
 
@@ -135,9 +145,11 @@ def strip_imag_max(halfwidth, dy, sin2q, c) -> np.ndarray:
     arcsinh per row: arcsinh is increasing, so it maps the row max of the
     arguments to the row max of the distances.  Cells past the cap take
     their asymptotic form and the larger of the two maxima counts; both
-    start from 0, which no cell is below (c <= 1)."""
+    start from 0, which no cell is below (c <= 1).  dy None stands for
+    dy = 0 in every cell (equal imaginary parts): the zero-dy form skips the
+    sinh stage and gives the same bytes as a dy array of signed zeros."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
-    if not np.any(big):
+    if big is None or not np.any(big):
         return np.arcsinh(np.max(arg, axis=-1))
     near = np.arcsinh(np.max(arg, axis=-1, where=~big, initial=0.0))
     return np.maximum(near, np.max(ap - 0.5 * np.log(c), axis=-1, where=big, initial=0.0))

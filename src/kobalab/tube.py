@@ -4,7 +4,10 @@ The lower bound projects the tube onto supporting slabs (strips), each
 held as (unit direction, centre, half-width), the base's cached once
 with one direction per line (the slab of -e is the slab of e), and takes
 the best strip distance, with one arcsinh per pair; every holomorphic
-projection contracts, so this never exceeds the true distance.  The
+projection contracts, so this never exceeds the true distance.  A block
+of pairs with equal imaginary parts (real points, say) takes the strip
+kernel's real stage alone: there every slab's imaginary difference is 0,
+so the sinh stage adds exactly 0.  The
 upper bound evaluates explicit analytic-disc competitors: affine discs, the
 chord-slice disc for pairs with equal imaginary parts, chained affine
 discs for far pairs, and the exact product formula over box bases.  The
@@ -196,12 +199,20 @@ def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np
     (2, pairs, slabs), all three with the pairs' extra slabs in the last two
     columns; ims holds the ends' imaginary parts as (2, pairs, n) and
     dy_extra the extra slabs' imaginary differences as (pairs, 2).  dirs is
-    the direction block of `_slab_strips`."""
+    the direction block of `_slab_strips`.
+    A block whose every pair has Im u == Im v (compared exactly, so -0.0
+    equals 0.0) takes the real stage alone, through the zero-dy form of
+    `strip_imag_max`: every cell's dy is then a signed zero, since the
+    slab along Im(v - u) is dropped and equal imaginary parts project to
+    equal numbers, so the bound is the same to the bit.  Any other block
+    projects the imaginary parts and takes the sinh stage."""
     d = len(dirs) - 2
     sin2q, c = strip_pair_stage(halfwidth, xs[0], xs[1], cos[0], cos[1])
     del xs, cos
-    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
-    dy[:, d:] = dy_extra
+    dy = None
+    if not (ims[0] == ims[1]).all():
+        dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
+        dy[:, d:] = dy_extra
     return strip_imag_max(halfwidth, dy, sin2q, c), sin2q
 
 
@@ -219,8 +230,9 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
     then each block of _SWEEP_CELLS cells gathers its pairs' rows, copies
     in their extra slabs and takes the rest of the real stage and the
     imaginary stage, one kernel call each, of which the table keeps the
-    sin^2 q of the slab along Re(v - u).  For a pair matrix of N points the
-    table holds O(N (d + 2) + m n) numbers."""
+    sin^2 q of the slab along Re(v - u); a block whose pairs all have equal
+    imaginary parts skips the imaginary stage (`_slab_cells`).  For a pair
+    matrix of N points the table holds O(N (d + 2) + m n) numbers."""
     strips = _slab_strips(base)
     m, step = len(vs), _sweep_rows(base)
     d = len(strips[0]) - 2
@@ -292,7 +304,9 @@ def caratheodory_lower(base: ConvexBase, u, v):
     of all pairs are set up once (`_pair_slabs`); then each block of
     _SWEEP_CELLS cells projects its pairs' ends on the direction block and
     takes both stages, with one `strip_point_stage` call over the direction
-    block and the extra slabs together.  No table is kept.
+    block and the extra slabs together; a block whose pairs all have equal
+    imaginary parts takes the real stage alone (`_slab_cells`).  No table
+    is kept.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))
@@ -488,12 +502,13 @@ def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
 def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The chord-slice term of each row pair: the strip distance from 0 to 1
     in the interval of s with Re u + s Re(v - u) in the base (0 where
-    Re u = Re v).  Every deck translate of a pair shares it."""
+    Re u = Re v), through the zero-dy form of the strip kernel: 0 and 1 are
+    real.  Every deck translate of a pair shares it."""
     delta = (vs - us).real
     moved = np.sqrt(rowdot(delta, delta)) > 1e-15
     out = np.zeros(len(us))
     mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
-    out[moved] = strip_imag_stage(halfwidth, 0.0,
+    out[moved] = strip_imag_stage(halfwidth, None,
                                   *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
     return out
 

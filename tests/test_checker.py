@@ -508,23 +508,43 @@ def test_audit_names_the_point_that_leaves_the_source_or_the_target():
 def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypatch):
     # 32 samples: 496 pairs a member, four members (1,984 pairs) a group;
     # 100 samples: 4,950 pairs a member, more than a group holds, so each
-    # member goes alone
-    from kobalab import metric
+    # member goes alone.  The members are real segments, whose logs share
+    # one imaginary part: every block of each search's slab table takes
+    # the real stage alone (the zero-dy form of `strip_imag_max`)
+    from kobalab import metric, tube
 
-    searched = []
-    deck_infimum = metric.deck_infimum
+    searched, forms, inside = [], [], []
+    deck_infimum, slab_cells, imag_max = metric.deck_infimum, tube._slab_cells, \
+        tube.strip_imag_max
 
     def counted(cover, points, pairs):
         searched.append(len(pairs))
+        forms.append([])
         return deck_infimum(cover, points, pairs)
 
+    def cells(*args):
+        inside.append(True)
+        try:
+            return slab_cells(*args)
+        finally:
+            inside.pop()
+
+    def recorded(halfwidth, dy, sin2q, c):
+        if inside:
+            forms[-1].append(dy is None)
+        return imag_max(halfwidth, dy, sin2q, c)
+
     monkeypatch.setattr(metric, "deck_infimum", counted)
+    monkeypatch.setattr(tube, "_slab_cells", cells)
+    monkeypatch.setattr(tube, "strip_imag_max", recorded)
     family = kobalab.antipodal_family(_BALL2, 20)
     report = audit_isometry(monomial_map(((2, 0), (0, 2)), _BALL2), family, samples=samples,
                             tol=1e-6)
     assert len(report.per_geodesic) == 20
     count = samples * (samples - 1) // 2
     assert searched == [count * 20 // calls] * (2 * calls)
+    # source and target searches alike, each over all its blocks
+    assert len(forms) == 2 * calls and all(blocks and all(blocks) for blocks in forms)
 
 
 def test_audit_raises_the_first_members_image_error_inside_a_group(monkeypatch):

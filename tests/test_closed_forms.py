@@ -268,21 +268,28 @@ def test_split_strip_kernel_batch_takes_both_branches():
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12), cols=st.integers(1, 9),
-       far=st.sampled_from([0.0, 0.3, 1.0]))
+       far=st.sampled_from([0.0, 0.3, 1.0, None]))
 def test_one_arcsinh_per_row_is_the_row_max_of_the_stage(seed, rows, cols, far):
     # the row max of the arcsinh arguments, with the cells past the cap in
     # their asymptotic form, is the row max of the per-cell stage to the
     # bit: rows with no cell past the cap, mixed rows and rows of such
-    # cells only, single-column rows among them
+    # cells only, single-column rows among them.  far None draws dy = 0,
+    # as signed zeros, where the zero-dy form (dy None) gives the same bytes
     gen = np.random.default_rng(seed)
     halfwidth = gen.uniform(0.05, 5.0, (rows, cols))
     # about a `far` share of the cells lie past ap = 350
-    scale = np.where(gen.uniform(size=(rows, cols)) < far, 1e3, 5.0)
+    scale = np.where(gen.uniform(size=(rows, cols)) < (far or 0.0), 1e3, 5.0)
     dy = scale * halfwidth * gen.uniform(-1.0, 1.0, (rows, cols))
     sin2q = gen.uniform(0.0, 1.0, (rows, cols))
     c = np.cos(math.pi * gen.uniform(-0.999, 0.999, (rows, cols)) / 2.0) \
         * np.cos(math.pi * gen.uniform(-0.999, 0.999, (rows, cols)) / 2.0)
     c[:, -1] = 1.0  # a dropped slab's cell
+    if far is None:
+        dy = np.where(gen.uniform(size=(rows, cols)) < 0.5, -0.0, 0.0)
+        stage = cf.strip_imag_stage(halfwidth, dy, sin2q, c)
+        assert cf.strip_imag_stage(halfwidth, None, sin2q, c).tobytes() == stage.tobytes()
+        assert cf.strip_imag_max(halfwidth, None, sin2q, c).tobytes() \
+            == cf.strip_imag_max(halfwidth, dy, sin2q, c).tobytes()
     want = np.max(cf.strip_imag_stage(halfwidth, dy, sin2q, c), axis=1)
     assert cf.strip_imag_max(halfwidth, dy, sin2q, c).tobytes() == want.tobytes()
 

@@ -530,6 +530,18 @@ def _pair_matrix(gen, radius):
     return points, np.stack(np.triu_indices(9, 1), axis=1)
 
 
+def _flat_pair_matrix(gen, radius, count):
+    """(points, pairs): all pairs i < j of `count` points with real parts in
+    the disc of `radius` and one imaginary part, so every pair is flat;
+    point 1 has -0.0 where the others have 0.0, and the last point repeats
+    point 2."""
+    points = _tube_pairs(gen, count, radius)[0]
+    points.imag = [0.0, gen.uniform(-3.0, 3.0)]
+    points[1, 0] = complex(points[1, 0].real, -0.0)
+    points[-1] = points[2]
+    return points, np.stack(np.triu_indices(count, 1), axis=1)
+
+
 def _check_translates(gen, base, us, vs, table):
     """slab_lower of translates v + 2 pi i nu of the table's pairs, taken
     from every block in a scrambled order, against the reference sweep."""
@@ -557,9 +569,17 @@ def _check_table_rows(base, table, points):
 @pytest.mark.parametrize("base,radius", [
     (BALL, 0.85), (BOX, 0.45), (to_polytope(BALL, 8), 0.8),
     (LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL), 0.5)])
-def test_slab_table_equals_the_one_pass_sweep(base, radius):
+def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     # enough pairs to fill three blocks of the table over the ball
     gen = np.random.default_rng(23)
+    forms = []
+    imag_max = tube.strip_imag_max
+
+    def recorded(halfwidth, dy, sin2q, c):
+        forms.append(dy is None)
+        return imag_max(halfwidth, dy, sin2q, c)
+
+    monkeypatch.setattr(tube, "strip_imag_max", recorded)
     m = 2 * tube._sweep_rows(BALL) + 10
     us, vs = _tube_pairs(gen, m, radius, flat=5, vertical=5)
     want = _reference_slab_sweep(base, us, vs)
@@ -587,6 +607,23 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius):
         assert lower.tolist() == want[k:k + 1].tolist()
         _check_table_rows(base, table, 2)
         _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
+    # every block so far holds a pair with Im u != Im v
+    assert forms and not any(forms)
+    # an all-flat pair matrix over at least three full blocks: every block
+    # takes the real stage alone, with the same bits
+    count = 2
+    while count * (count - 1) // 2 < 3 * tube._sweep_rows(base):
+        count += 1
+    points, pairs = _flat_pair_matrix(gen, radius, count)
+    us, vs = points[pairs.T]
+    want = _reference_slab_sweep(base, us, vs)
+    forms.clear()
+    table, lower = tube.slab_table(base, points, pairs, us, vs)
+    assert lower.tolist() == want.tolist()
+    assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
+    assert len(forms) >= 6 and all(forms)
+    _check_table_rows(base, table, count)
+    _check_translates(gen, base, us, vs, table)
 
 
 def test_extra_slabs_are_set_up_once_per_call(monkeypatch):
