@@ -25,7 +25,7 @@ from .domains import (Annulus, BoundaryPoint, Box, EuclideanBall, LeftHalfPlane,
 from .geodesics import (AntipodalPair, GeodesicCurve, GeodesicFamily, antipodal_family,
                         antipodal_geodesic, ball_complex_geodesic, ball_geodesic_segment,
                         ball_landing_family, ball_landing_ray, ball_segment_family,
-                        landing_point, lift_geodesic,
+                        landing_point, lift_geodesic, pointwise,
                         radial_family, shadowing_bound, strip_crossing_family,
                         strip_crossing_geodesic, strip_vertical_line, to_arc_length)
 from .metric import (DeckBoundError, DistanceColumns, DistanceValue, SandwichGapError,

@@ -19,7 +19,7 @@ import numpy as np
 from ._sampling import halton, rng
 from .coverings import HolomorphicMap, monomial_preimages
 from .domains import (DomainError, ModelDomain, NonInteriorError, PuncturedDisc, ReinhardtLog,
-                      Strip, _polar_rows, as_point, base_dim, escape_margin,
+                      Strip, _polar_rows, base_dim, escape_margin,
                       require_interior)
 from .geodesics import (GeodesicFamily, antipodal_family, radial_family,
                         strip_crossing_family)
@@ -98,9 +98,11 @@ def audit_isometry(f: HolomorphicMap, family: GeodesicFamily,
     parameter pairs from `samples` values per family member.
 
     The members are taken in groups of consecutive members with at most
-    _AUDIT_PAIRS pairs together (a member with more goes alone).  A
-    group's samples are stacked once as rows, `samples` per member, and
-    its pairs are each member's pairs offset to its rows.  The source
+    _AUDIT_PAIRS pairs together (a member with more goes alone).  Each
+    member is sampled by one call of its row sampler (`GeodesicCurve.rows`)
+    and its rows are checked at once; a group's samples are stacked as
+    rows, `samples` per member, and its pairs are each member's pairs
+    offset to its rows.  The source
     side's pair matrix is one batched `distances` call, which checks the
     rows on the source with one `require_interior` call; one row-wise
     `apply` then maps them, one more call checks the images on the target,
@@ -149,9 +151,14 @@ _AUDIT_PAIRS = 1 << 11
 def _audit_group(f: HolomorphicMap, members, samples: int,
                  pairs: np.ndarray) -> list[GeodesicAudit]:
     """The `GeodesicAudit` of each of the members, from one evaluation of
-    each side over their stacked samples."""
-    pts = np.array([as_point(member.sample(float(t))) for member in members
-                    for t in np.linspace(*member.window(AUDIT_WINDOW), samples)])
+    each side over their stacked samples.  Each member is sampled by one
+    call of its row sampler, and its rows are checked before the next
+    member is sampled: a malformed or non-finite sample raises the
+    DomainError of `_grid_rows` (that of `as_point`), the first failing
+    member's."""
+    pts = np.concatenate([_grid_rows(member.rows(np.linspace(*member.window(AUDIT_WINDOW),
+                                                             samples)))
+                          for member in members])
     stacked = (pairs + samples * np.arange(len(members))[:, None, None]).reshape(-1, 2)
     src = distances(f.source, pts, stacked)
     try:
@@ -210,8 +217,8 @@ def completeness_check(family: GeodesicFamily, grid, tol: float = 1e-6) -> dict:
 def _scan_misses(family: GeodesicFamily, rows: np.ndarray) -> np.ndarray:
     """Each row's smallest miss over SCAN_SAMPLES samples per member; the
     misses of samples with a NaN coordinate are skipped."""
-    samples = np.array([member.sample(float(t)) for member in family.members
-                        for t in np.linspace(*member.window(), SCAN_SAMPLES)])
+    samples = np.concatenate([member.rows(np.linspace(*member.window(), SCAN_SAMPLES))
+                              for member in family.members])
     misses = np.empty(len(rows))
     step = max(1, _SCAN_BLOCK // len(samples))
     for start in range(0, len(rows), step):

@@ -1,8 +1,9 @@
 """Command-line front door: distance queries, geodesic exports, scaling
 probes, isometry audits, and one-shot reproduction of the bundled examples.
 
-Exit codes: 0 success, 1 failed expectation/assertion, 2 malformed
-descriptors or config, 3 non-interior points.  All sampling is seeded
+Exit codes: 0 success, 1 failed expectation/assertion or a value that
+could not be certified or evaluated, 2 malformed descriptors or config, 3
+non-interior points.  All sampling is seeded
 (default 0), so identical invocations produce byte-identical output.
 """
 
@@ -16,6 +17,7 @@ import sys
 import numpy as np
 
 from .checker import EXAMPLES, reproduce_example
+from .closed_forms import ClosedFormError
 from .coverings import CoveringError, map_from_dict
 from .domains import (DomainError, ModelDomain, NonInteriorError, _float, _int,
                       domain_from_dict, require_interior)
@@ -376,6 +378,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except (DeckBoundError, SandwichGapError, SandwichRangeError, TubeMetricError) as exc:
         sys.stderr.write(f"certification error: {exc}\n")
+        return EXIT_FAIL
+    except ClosedFormError as exc:
+        sys.stderr.write(f"evaluation error: {exc}\n")
         return EXIT_FAIL
 
 

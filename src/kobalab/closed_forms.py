@@ -9,7 +9,7 @@ the deck-transform searches rely on.
 Each distance is one numpy kernel over arrays of pairs ((..., n) arrays
 of points for the ball and polydisc); one pair gives a Python float.  Each
 pair is computed on its own, so its value does not depend on its batch; a
-batch with one point outside the model raises ValueError.
+batch with one point outside the model raises ClosedFormError.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ import numpy as np
 from .domains import rowdot
 
 
+class ClosedFormError(ValueError):
+    """A closed form met an argument outside its range: a point outside its
+    model, or an arctanh argument that rounds to 1 or above, which points
+    interior in floating point can give within about 1e-11 of the
+    boundary."""
+
+
 def _value(x):
     """A Python float for the one-pair case, else the array."""
     return float(x) if np.ndim(x) == 0 else x
@@ -32,7 +39,7 @@ def stable_arctanh(x):
     x = np.asarray(x, dtype=float)
     bad = ((x < 0.0) & ~(x > -1e-15)) | (x >= 1.0)
     if np.any(bad):
-        raise ValueError(f"arctanh argument {x[bad].flat[0]} outside [0, 1)")
+        raise ClosedFormError(f"arctanh argument {x[bad].flat[0]} outside [0, 1)")
     x = np.maximum(x, 0.0)
     return _value(0.5 * np.log1p(2.0 * x / (1.0 - x)))
 
@@ -53,7 +60,7 @@ def halfplane_distance(z, w):
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     xz, xw = -z.real, -w.real
     if np.any(xz <= 0.0) or np.any(xw <= 0.0):
-        raise ValueError("points must have Re < 0")
+        raise ClosedFormError("points must have Re < 0")
     d = np.abs(z - w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         q = d / (2.0 * np.sqrt(xz * xw))
@@ -99,7 +106,7 @@ def strip_point_stage(halfwidth, x) -> np.ndarray:
     `strip_real_stage` that depends on one point, which every pair of that
     point shares."""
     if not (np.abs(x) < halfwidth).all():
-        raise ValueError("points must lie strictly inside the strip")
+        raise ClosedFormError("points must lie strictly inside the strip")
     return np.cos(math.pi * x / (2.0 * halfwidth))
 
 

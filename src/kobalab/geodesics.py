@@ -2,7 +2,9 @@
 
 Curves are immutable closures: a GeodesicCurve owns its domain, its
 parameter interval, a parametrization tag ('arc-length' curves satisfy
-K(c(s), c(t)) = |t - s|), and pure sample/derivative callables.  Families
+K(c(s), c(t)) = |t - s|), and pure row-sampler/derivative callables; a
+curve is sampled at many parameters in one call, and `sample(t)` is the
+one-parameter case.  Families
 bundle members with an optional `member_through` locator, so that a
 completeness check can find the member through each point of a grid
 exactly.  A locator takes the grid's (N, n) rows at once and returns, per
@@ -63,15 +65,36 @@ def interval_window(interval: Interval, width: float = 8.0) -> tuple[float, floa
 
 @dataclass(frozen=True)
 class GeodesicCurve:
+    """A curve in a model domain, given by its row sampler: rows(ts) is the
+    (len(ts), n) array of its points at the parameters of the 1-d float
+    array ts, one row each.  It is the curve's one formula: `sample(t)` is
+    its one-row case, so the two agree bit for bit.  The affine kinds
+    (`_line`) take all rows in one array pass, except the one on math.exp,
+    which loops over t; the other kinds whose arithmetic stays per
+    parameter (math.tanh, lifts) build their row sampler with `pointwise`.
+    An 'arc-length' curve satisfies K(c(s), c(t)) = |t - s|."""
+
     domain: ModelDomain
     interval: Interval
     parametrization: str  # 'arc-length' | 'affine'
-    sample: Callable[[float], np.ndarray]
+    rows: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[float], np.ndarray] | None = None
     label: str = ""
 
+    def sample(self, t: float) -> np.ndarray:
+        """The point at parameter t, as a 1-d complex array."""
+        return self.rows(np.array([t], dtype=float))[0]
+
     def window(self, width: float = 8.0) -> tuple[float, float]:
         return interval_window(self.interval, width)
+
+
+def pointwise(sample: Callable[[float], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The row sampler of a curve given point by point: the rows sample(t),
+    t over ts as Python floats, in order."""
+    def rows(ts: np.ndarray) -> np.ndarray:
+        return np.array([sample(t) for t in np.asarray(ts, dtype=float).tolist()])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -115,7 +138,8 @@ def _ball_line(z: np.ndarray, u: np.ndarray, interval: Interval, label: str) -> 
         c = math.tanh(t)
         return mobius_differential(zc, c * u, (1.0 - c * c) * u)
 
-    return GeodesicCurve(UnitBall(len(z)), interval, "arc-length", sample, derivative, label)
+    return GeodesicCurve(UnitBall(len(z)), interval, "arc-length", pointwise(sample), derivative,
+                         label)
 
 
 def _mobius_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -148,8 +172,8 @@ def ball_geodesic_segment(dim: int, z: Point, w: Point) -> GeodesicCurve:
     if np.array_equal(z, w):
         zc = z.copy()
         return GeodesicCurve(domain, Segment(0.0, 0.0), "arc-length",
-                             lambda t: zc.copy(), lambda t: np.zeros(dim, dtype=complex),
-                             label="constant")
+                             pointwise(lambda t: zc.copy()),
+                             lambda t: np.zeros(dim, dtype=complex), label="constant")
     w_hat = mobius_to_origin(z, w)
     return _ball_line(z, w_hat / np.linalg.norm(w_hat), Segment(0.0, cf.ball_distance(z, w)),
                       f"ball-segment-{dim}d")
@@ -198,21 +222,26 @@ def ball_complex_geodesic(n: int, z, p) -> Callable[[complex], np.ndarray]:
 def _line(domain: ModelDomain, interval: Interval, label: str, c, d, rot=None) -> GeodesicCurve:
     """The affine curve t -> c + t d, or t -> exp(c + t d) rot given a phase
     rot; c, d and rot are numbers for a curve in C (exp is math.exp of a
-    real), or arrays of one per coordinate (np.exp)."""
+    real, taken per parameter), or arrays of one per coordinate (np.exp).
+
+    The array forms take every row in one pass with the per-parameter
+    operations: ts * d multiplies each t as the complex t + 0j, as Python
+    does for a float times a complex, and np.exp acts elementwise."""
     if rot is None:
-        def sample(t: float) -> np.ndarray:
-            return np.array([c + t * d])
+        def rows(ts: np.ndarray) -> np.ndarray:
+            return (c + ts * d)[:, None]
     elif isinstance(rot, np.ndarray):
-        def sample(t: float) -> np.ndarray:
-            return np.exp(c + t * d) * rot
+        def rows(ts: np.ndarray) -> np.ndarray:
+            return np.exp(c + ts[:, None] * d) * rot
     else:
-        def sample(t: float) -> np.ndarray:
-            return np.array([math.exp(c + t * d) * rot])
+        def rows(ts: np.ndarray) -> np.ndarray:
+            return np.array([math.exp(c + t * d) * rot for t in ts.tolist()],
+                            dtype=complex)[:, None]
 
     def derivative(t: float) -> np.ndarray:
-        return np.array([d]) if rot is None else sample(t) * d
+        return np.array([d]) if rot is None else rows(np.array([t], dtype=float))[0] * d
 
-    return GeodesicCurve(domain, interval, "affine", sample, derivative, label)
+    return GeodesicCurve(domain, interval, "affine", rows, derivative, label)
 
 
 def strip_crossing_geodesic(R: float, height: float = 0.0) -> GeodesicCurve:
@@ -348,8 +377,14 @@ def antipodal_geodesic(base: ConvexBase, pair: AntipodalPair,
     from y to x.  Optional coordinatewise phases rotate the line inside
     the domain (rotations are automorphisms).
     """
-    x = np.asarray(pair.x, dtype=float)
-    y = np.asarray(pair.y, dtype=float)
+    return _antipodal_line(base, np.asarray(pair.x, dtype=float),
+                           np.asarray(pair.y, dtype=float), phases)
+
+
+def _antipodal_line(base: ConvexBase, x: np.ndarray, y: np.ndarray,
+                    phases: tuple[float, ...] | None) -> GeodesicCurve:
+    """`antipodal_geodesic` through the ends x, y, which the caller has
+    certified as antipodal."""
     rot = np.ones(len(x), dtype=complex)
     if phases is not None:
         rot = np.exp(1j * np.asarray(phases, dtype=float))
@@ -416,7 +451,7 @@ def lift_geodesic(covering, curve: GeodesicCurve, base_preimage) -> GeodesicCurv
         h = 1e-6
         return (sample(t + h) - sample(t - h)) / (2.0 * h)
 
-    return GeodesicCurve(source, curve.interval, curve.parametrization, sample,
+    return GeodesicCurve(source, curve.interval, curve.parametrization, pointwise(sample),
                          derivative, label=f"lift:{curve.label}")
 
 
@@ -512,7 +547,7 @@ def to_arc_length(curve: GeodesicCurve, anchor: float | None = None) -> Geodesic
     length_lo = ell(lo)
     length_hi = ell(hi)
     return GeodesicCurve(curve.domain, Segment(length_lo, length_hi, open_ends=True),
-                         "arc-length", sample, None, label=f"arclen:{curve.label}")
+                         "arc-length", pointwise(sample), None, label=f"arclen:{curve.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +635,13 @@ def antipodal_family(base: ConvexBase, count: int = 20,
                      with_phases: bool = False) -> GeodesicFamily:
     """Antipodal geodesic lines of the Reinhardt domain over a ball base.
 
-    Members run through `count` diametral directions.  The member through
-    an interior point z is the diametral line through log|z|, rotated by
-    z's phases, which makes the family complete whenever every base point
-    lies on a segment joining antipodal boundary points (true for balls);
-    the locator certifies each row's ends as antipodal.
+    Members run through `count` diametral directions; their ends are
+    certified as antipodal in one `_antipodal_normals` pass over all of
+    them (the certificate of `AntipodalPair`, row by row).  The member
+    through an interior point z is the diametral line through log|z|,
+    rotated by z's phases, which makes the family complete whenever every
+    base point lies on a segment joining antipodal boundary points (true
+    for balls); the locator certifies each row's ends as antipodal.
     """
     from ._sampling import sphere_directions
 
@@ -612,13 +649,13 @@ def antipodal_family(base: ConvexBase, count: int = 20,
     n = base_dim(base)
     ref = base_reference(base)
     xs, ys = _antipodal_ends(base, ref, sphere_directions(count, n))
+    _antipodal_normals(base, xs, ys)
     members = []
     for k, (x, y) in enumerate(zip(xs, ys)):
-        pair = AntipodalPair(base, tuple(x), tuple(y))
         phases = None
         if with_phases:
             phases = tuple(2.0 * math.pi * ((k * 7 + j * 3) % 11) / 11.0 for j in range(n))
-        members.append(antipodal_geodesic(base, pair, phases))
+        members.append(_antipodal_line(base, x, y, phases))
 
     def member_through(zs: np.ndarray):
         u = np.log(np.abs(zs))
@@ -650,9 +687,9 @@ def geodesic_samples_csv(curve: GeodesicCurve, ts, path=None) -> str:
     for j in range(n):
         header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     lines = [",".join(header)]
-    for t in ts:
-        z = curve.sample(float(t))
-        row = [f"{float(t):.17g}"]
+    ts = np.asarray(ts, dtype=float)
+    for t, z in zip(ts.tolist(), curve.rows(ts)):
+        row = [f"{t:.17g}"]
         for c in z:
             row += [f"{c.real:.17g}", f"{c.imag:.17g}"]
         lines.append(",".join(row))

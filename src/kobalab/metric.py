@@ -5,11 +5,13 @@ Each kind has one engine entry in `_ENGINES`, its distance and its density
 (the rest of the kind is its class in domains.py):
 
 * disc / strip / half-plane / ball / polydisc: closed forms;
-* punctured disc / annulus: verified finite search over the deck lattice of
-  the exponential covering from the half-plane / strip;
+* punctured disc / annulus: the half-plane / strip closed form at the
+  nearest deck translate of the exponential covering, which minimises over
+  the deck lattice there;
 * tube over a convex base: certified sandwich (slab lower bound, analytic
   disc upper bound);
-* Reinhardt-log domains: deck search over the exp covering from the tube;
+* Reinhardt-log domains: verified finite search over the deck lattice of
+  the exp covering from the tube (`deck_infimum`);
 * scaled ellipsoids: exact ball formula when eps = 0, inscribed/
   circumscribed ball sandwich otherwise.
 
@@ -145,16 +147,23 @@ class DistanceColumns(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# deck search over the exp covers
+# deck search over the tube cover
 # ---------------------------------------------------------------------------
 #
-# A cover record bounds the cover distance of translates.
+# The punctured disc and the annulus need no search: on their covers, the
+# half-plane and the strip, the distance at fixed real parts grows with
+# |Im(u - v)|, so the nearest translate nu0 (|dy0| <= pi, every other
+# translate at least pi away) minimises (`_nearest_translate`).  On a tube
+# the slabs of other directions can make a farther translate nearer, so
+# Reinhardt domains are searched.
+#
+# The tube's cover record bounds the cover distance of translates.
 # start(rows, pairs, us, vs) is (shared, lower, upper, settled): what every
 # translate of the pairs (rows[i], rows[j]) of the (m, 2) index pairs
-# shares (the pairs' first points us, which the caller gathered as
-# rows[pairs[:, 0]]; for the tube also the slab table and the chord terms
-# and vertical caps at u), set up once per search, and the bounds of the
-# translates vs of the second points (settled: upper is final).
+# shares (the slab table, and the chord terms and vertical caps at the
+# pairs' first points us, which the caller gathered as rows[pairs[:, 0]]),
+# set up once per search, and the bounds of the translates vs of the
+# second points (settled: upper is final).
 # bounds(shared, owners, vs) is (lower, upper, settled) for the
 # translates vs[k] of the pairs owners[k], many translates at once;
 # finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v of
@@ -166,41 +175,14 @@ class DistanceColumns(Sequence):
 # |dy_j| beyond which that bound exceeds best, as (m, n); it does not
 # decrease as best grows.
 
-def _exact(kernel) -> tuple:
-    """(start, bounds, finish) of a cover with a closed-form distance: one
-    kernel call over all translates gives both bounds."""
-    def bounds(us, owners, vs):
-        values = kernel(us[owners, 0], vs[:, 0])
-        return values, values, np.ones(len(values), dtype=bool)
-
-    def start(rows, pairs, us, vs):
-        return (us, *bounds(us, slice(None), vs))
-    return start, bounds, None
-
-
-def _halfplane_cover(cover: LeftHalfPlane) -> tuple:
-    # the half-plane bound is arcsinh of the vertical gap
-    def scale(us, vs):
-        return 2.0 * np.sqrt((-us[:, 0].real) * (-vs[:, 0].real))
-
-    return (*_exact(lambda z, w: cf.halfplane_distance(z, w)),
-            lambda us, vs, dys: np.arcsinh(np.abs(dys[..., 0]) / scale(us, vs)[:, None]),
-            lambda us, vs, best: (scale(us, vs) * np.sinh(best))[:, None])
-
-
-def _slab_cover(halfwidths: np.ndarray, terms, bounds, finish) -> tuple:
-    # each coordinate slab of half-width a_j gives pi * |dy_j| / (4 a_j)
-    return (terms, bounds, finish,
-            lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * halfwidths), axis=-1),
-            lambda us, vs, best: 4.0 * halfwidths * best[:, None] / math.pi)
-
-
-def _strip_cover(cover: Strip) -> tuple:
-    a = cover.halfwidth
-    return _slab_cover(np.array([a]), *_exact(lambda z, w: cf.strip_distance(a, z, w)))
-
-
-def _tube_cover(cover: TubeOverBase) -> tuple:
+@functools.lru_cache(maxsize=64)
+def _cover(cover: ModelDomain) -> tuple:
+    """(start, bounds, finish, offset_lower, threshold) of the exp-cover of
+    a Reinhardt domain, the tube over its base, built once per base.  Each
+    coordinate slab of half-width a_j gives the offset bound
+    pi |dy_j| / (4 a_j)."""
+    if type(cover) is not TubeOverBase:
+        raise ValueError(f"{cover!r} is not a supported covering")
     base = cover.base
     eye = np.eye(cover.dim)
     halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
@@ -219,20 +201,9 @@ def _tube_cover(cover: TubeOverBase) -> tuple:
         table, terms = shared
         return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
 
-    return _slab_cover(halfwidths, start, bounds, finish)
-
-
-_COVERS = {LeftHalfPlane: _halfplane_cover, Strip: _strip_cover, TubeOverBase: _tube_cover}
-
-
-@functools.lru_cache(maxsize=64)
-def _cover(cover: ModelDomain) -> tuple:
-    """(start, bounds, finish, offset_lower, threshold) of one exp-cover,
-    built once per cover descriptor."""
-    build = _COVERS.get(type(cover))
-    if build is None:
-        raise ValueError(f"{cover!r} is not a supported covering")
-    return build(cover)
+    return (start, bounds, finish,
+            lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * halfwidths), axis=-1),
+            lambda us, vs, best: 4.0 * halfwidths * best[:, None] / math.pi)
 
 
 # lattice points per block of the vectorised offset bound, which bounds
@@ -244,9 +215,11 @@ _SHELL_BLOCK = 1 << 12
 
 
 def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
-    """Minimum over deck translates v + 2*pi*i*nu of the cover distance.
+    """Minimum over deck translates v + 2*pi*i*nu of the tube-cover distance.
 
-    `points` and `pairs` are as in `distances`: the cover points, checked
+    `cover` is a `TubeOverBase`, the exp-cover of a Reinhardt domain; no
+    other kind needs a search (ValueError).  `points` and `pairs` are as in
+    `distances`: the cover points, checked
     with one `require_interior` call, and index pairs (i, j), each the pair
     (u, v) = (points[i], points[j]).  The result has one row per pair, and
     its `deck_index` holds each pair's nu.  Each pair's search box is
@@ -267,25 +240,21 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     us, vs = _ends(rows, pairs)
     m, n = us.shape
     start, bounds, finish, offset_lower, threshold = _cover(cover)
-    dy = us.imag - vs.imag
-    turns = np.round(dy / TWO_PI)
-    wild = ~(np.abs(turns) < 2.0 ** 63).all(axis=1)
-    if wild.any():
-        # the nearest translate has no int64 index; an earlier pair's error
-        # comes first, and pairs are searched independently
-        first = int(wild.argmax())
-        if first:
-            deck_infimum(cover, rows, pairs[:first])
-        raise DeckBoundError(f"nearest deck translate {turns[first].tolist()} "
-                             f"is outside the int64 range")
+    dy, turns, wild = _nearest_turns(us, vs)
+    if wild >= 0:
+        # an earlier pair's error comes first, and pairs are searched
+        # independently
+        if wild:
+            deck_infimum(cover, rows, pairs[:wild])
+        raise _outside_int64(turns[wild])
     # the search runs over offsets from the nearest translate nu0 of each pair
     nu0 = turns.astype(int)
     dy0 = dy - TWO_PI * nu0
-    # every pair's shared terms (the tube's slab table) are built once, with
+    # every pair's shared terms (the slab table) are built once, with
     # the bounds of its translate nu0, and serve its whole box
     v0 = vs + TWO_PI * 1j * nu0
     shared, lo0, hi0, settled = start(rows, pairs, us, v0)
-    # the running bests, as copies: an exact cover's two columns are one array
+    # the running bests, as copies of the start's columns
     best_lo, best_hi = np.array(lo0), np.array(hi0)
     for k in np.flatnonzero(~settled).tolist():
         best_hi[k] = finish(shared, k, v0[k], best_lo.item(k), best_hi.item(k), math.inf)
@@ -367,6 +336,21 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
                            np.where(gap == 0.0, "deck-infimum", "sandwich"), nu0 + best_nu)
 
 
+def _nearest_turns(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(dy, turns, wild) of the pairs (us[k], vs[k]) of cover points:
+    dy = Im(u - v), the turns round(dy / 2 pi) of each pair's nearest
+    translate nu0 (as floats), and the first pair whose turns have no int64
+    index (-1 if none)."""
+    dy = us.imag - vs.imag
+    turns = np.round(dy / TWO_PI)
+    wild = ~(np.abs(turns) < 2.0 ** 63).all(axis=1)
+    return dy, turns, int(wild.argmax()) if wild.any() else -1
+
+
+def _outside_int64(turns: np.ndarray) -> DeckBoundError:
+    return DeckBoundError(f"nearest deck translate {turns.tolist()} is outside the int64 range")
+
+
 def _boxes(limits: np.ndarray, pairs: np.ndarray):
     """(limit, pairs) for each distinct row of the (a, n) box limits of the
     pairs, in the order of first appearance, with the pairs whose row it is
@@ -443,6 +427,50 @@ def _deck(cover_of: Callable) -> Callable:
     return run
 
 
+def _nearest(cover_of: Callable) -> Callable:
+    """Engine distances for a kind whose exp cover is the strip or the
+    half-plane: each point's principal log is taken once, and one
+    `_nearest_translate` call covers all pairs."""
+    def run(domain, rows, pairs):
+        return _nearest_translate(cover_of(domain), _principal_log(rows), pairs)
+    return run
+
+
+def _nearest_translate(cover: ModelDomain, points, pairs: np.ndarray) -> DistanceColumns:
+    """`deck_infimum` of the strip or half-plane `cover`, where the nearest
+    translate nu0 minimises (see the note above the tube's cover record):
+    the points are checked with one `require_interior` call, and one kernel
+    call over the pairs (u, v + 2 pi i nu0) gives the values, exact (gap 0,
+    method 'deck-infimum'), with deck index nu0.  `pairs` is a valid (m, 2)
+    integer array.  A pair whose nu0 has no int64 index raises
+    DeckBoundError, the first such pair's.
+
+    Where |Im| reaches about 1e13, rounding v + 2 pi i nu can put nu0 -/+ 1
+    strictly nearer u than nu0.  Such a pair also takes that neighbour and
+    keeps the first of nu0, nu0 - 1, nu0 + 1 with a strictly smaller value,
+    as a search in that order does; the kernel grows with the computed
+    |Im(u - v)|, so no other translate can be smaller."""
+    us, vs = _ends(_point_rows(cover, points), pairs)
+    _, turns, wild = _nearest_turns(us, vs)
+    if wild >= 0:
+        raise _outside_int64(turns[wild])
+    kernel = _NEAREST_KERNELS[type(cover)]
+    nu0 = turns.astype(int)
+    moved = vs + TWO_PI * 1j * nu0
+    values = kernel(cover, us, moved)
+    nu = nu0.copy()
+    offset = np.abs(us.imag - moved.imag)[:, 0]
+    for step in (-1, 1):
+        beside = vs + TWO_PI * 1j * (nu0 + step)
+        near = np.flatnonzero(np.abs(us.imag - beside.imag)[:, 0] < offset)
+        if len(near):
+            found = kernel(cover, us[near], beside[near])
+            lower = found < values[near]
+            won = near[lower]
+            values[won], nu[won] = found[lower], nu0[won] + step
+    return DistanceColumns(values, np.zeros(len(values)), np.full(len(values), "deck-infimum"), nu)
+
+
 def _tube(domain: TubeOverBase, rows, pairs) -> DistanceColumns:
     return _sandwich(*tube_distance_bounds(domain.base, *_ends(rows, pairs)))
 
@@ -503,15 +531,26 @@ class _Engine(NamedTuple):
 
 
 # Kernels are looked up in `cf` at call time, so tracing wrappers see them.
+def _strip_kernel(d: Strip, us, vs):
+    return cf.strip_distance(d.halfwidth, us[:, 0], vs[:, 0])
+
+
+def _halfplane_kernel(d: LeftHalfPlane, us, vs):
+    return cf.halfplane_distance(us[:, 0], vs[:, 0])
+
+
+# the exp covers on which the nearest deck translate minimises, and their kernels
+_NEAREST_KERNELS = {Strip: _strip_kernel, LeftHalfPlane: _halfplane_kernel}
+
 _ENGINES: dict[type, _Engine] = {
     UnitDisc: _Engine(
         _closed_form(lambda d, us, vs: cf.disc_distance(us[:, 0], vs[:, 0])),
         lambda d, z, v: cf.disc_density(complex(z[0]), complex(v[0]))),
     Strip: _Engine(
-        _closed_form(lambda d, us, vs: cf.strip_distance(d.halfwidth, us[:, 0], vs[:, 0])),
+        _closed_form(_strip_kernel),
         lambda d, z, v: cf.strip_density(d.halfwidth, complex(z[0]), complex(v[0]))),
     LeftHalfPlane: _Engine(
-        _closed_form(lambda d, us, vs: cf.halfplane_distance(us[:, 0], vs[:, 0])),
+        _closed_form(_halfplane_kernel),
         lambda d, z, v: cf.halfplane_density(complex(z[0]), complex(v[0]))),
     UnitBall: _Engine(
         _closed_form(lambda d, us, vs: cf.ball_distance(us, vs)),
@@ -520,10 +559,10 @@ _ENGINES: dict[type, _Engine] = {
         _closed_form(lambda d, us, vs: cf.polydisc_distance(us, vs)),
         lambda d, z, v: cf.polydisc_density(z, v)),
     PuncturedDisc: _Engine(
-        _deck(lambda d: LeftHalfPlane()),
+        _nearest(lambda d: LeftHalfPlane()),
         lambda d, z, v: cf.punctured_density(complex(z[0]), complex(v[0]))),
     Annulus: _Engine(
-        _deck(lambda d: Strip(d.R)),
+        _nearest(lambda d: Strip(d.R)),
         lambda d, z, v: cf.annulus_density(d.R, complex(z[0]), complex(v[0]))),
     TubeOverBase: _Engine(
         _tube,
@@ -555,15 +594,17 @@ def distances(domain: ModelDomain, points, pairs,
     index pairs (i, j) or an (m, 2) integer array; each gives the distance
     between points[i] and points[j], in the order of `pairs`.  Pairs are
     evaluated in a canonical order, so the distance of (i, j) and of (j, i)
-    are bit-identical.  Deck kinds run one search over all pairs and the
-    tube one slab sweep.
+    are bit-identical.  The annulus and the punctured disc take one
+    closed-form call over all pairs, at each pair's nearest deck translate;
+    a Reinhardt domain runs one deck search over all pairs, and the tube
+    one slab sweep.
 
     The result is a read-only `DistanceColumns`: the `.value`, `.gap`,
     `.lower` and `.upper` arrays (plus `.method` and `.deck_index`) hold
     one entry per pair, and indexing or iterating it builds one
     `DistanceValue` per pair looked at.  With gap_tol, SandwichGapError is
     raised at the first pair whose bracket is wider; with several failing
-    pairs, a deck search raises the DeckBoundError of the first.
+    pairs, a deck kind raises the DeckBoundError of the first.
     """
     rows = _point_rows(domain, points)
     return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol)

@@ -20,7 +20,7 @@ from .domains import _CODEC_BY_ANNOTATION, ConvexBase, DomainError, PuncturedDis
 from .geodesics import (AntipodalPair, GeodesicCurve, GeodesicFamily, Segment, _need_members,
                         annulus_radial_geodesic, antipodal_family, antipodal_geodesic,
                         ball_geodesic_segment, ball_landing_family, ball_landing_ray,
-                        ball_segment_family, disc_radial_geodesic, radial_family,
+                        ball_segment_family, disc_radial_geodesic, pointwise, radial_family,
                         strip_crossing_family, strip_crossing_geodesic, strip_vertical_line)
 
 
@@ -74,7 +74,8 @@ def corrupted_radial_family(count: int = 8, wobble: float = 2.0) -> GeodesicFami
             return np.array([t * omega * complex(math.cos(phase), math.sin(phase))])
 
         members.append(GeodesicCurve(PuncturedDisc(), Segment(0.0, 1.0, open_ends=True),
-                                     "affine", sample, None, label=f"wobble@{theta:.3f}"))
+                                     "affine", pointwise(sample), None,
+                                     label=f"wobble@{theta:.3f}"))
     return GeodesicFamily(PuncturedDisc(), tuple(members), None, None, label="corrupted-radial")
 
 

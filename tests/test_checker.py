@@ -561,7 +561,7 @@ def test_audit_raises_the_first_members_image_error_inside_a_group(monkeypatch):
     # samples, doubled, leave the punctured disc as well
     radial = radial_family(2)
     first, second = radial.members
-    doubled = dataclasses.replace(second, sample=lambda t: 2.0 * second.sample(t))
+    doubled = dataclasses.replace(second, rows=lambda ts: 2.0 * second.rows(ts))
     family = dataclasses.replace(radial, members=(first, doubled))
     leaky = Leaky(PuncturedDisc())
     with pytest.raises(NonInteriorError) as alone:
@@ -591,3 +591,62 @@ def test_audit_memory_does_not_grow_with_the_family():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _counted_members(family, calls):
+    """The family with each member's row sampler wrapped to record the
+    number of parameters of every call, as (member index, count)."""
+    import dataclasses
+
+    def wrap(k, member):
+        def rows(ts, sampler=member.rows):
+            calls.append((k, len(ts)))
+            return sampler(ts)
+        return dataclasses.replace(member, rows=rows)
+
+    members = tuple(wrap(k, m) for k, m in enumerate(family.members))
+    return dataclasses.replace(family, members=members)
+
+
+@pytest.mark.parametrize("name", ["power-disc", "exp-annulus", "monomial-tube"])
+def test_audit_samples_each_member_with_one_sampler_call(name):
+    # the bundled examples' maps and families at their default sample count:
+    # one row-sampler call per member, in member order, and the same report
+    f, family, tol = {
+        "power-disc": (power_map(2), radial_family(12), 1e-9),
+        "exp-annulus": (exp_strip_cover(4.0), strip_crossing_family(4.0), 1e-9),
+        "monomial-tube": (monomial_map(((2, 0), (0, 2)), _BALL2),
+                          kobalab.antipodal_family(_BALL2, 20), 1e-6),
+    }[name]
+    calls = []
+    report = audit_isometry(f, _counted_members(family, calls), tol=tol)
+    assert calls == [(k, 32) for k in range(len(family.members))]
+    assert report.to_dict() == audit_isometry(f, family, tol=tol).to_dict()
+
+
+def test_audit_raises_the_first_failing_members_sample_error():
+    # a NaN sample in the second member of a group raises the DomainError
+    # that the per-point `as_point` check raised; a first member that leaves
+    # the source still decides first
+    import dataclasses
+
+    from kobalab.domains import NonInteriorError
+
+    radial = radial_family(4)
+    first, second = radial.members[:2]
+
+    def with_nan(ts):
+        rows = second.rows(ts)
+        rows[3, 0] = complex(math.nan, 0.0)
+        return rows
+
+    nan_member = dataclasses.replace(second, rows=with_nan)
+    family = dataclasses.replace(radial, members=(first, nan_member, *radial.members[2:]))
+    with pytest.raises(DomainError) as caught:
+        audit_isometry(power_map(2), family, samples=8)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == "point has non-finite coordinates"
+    doubled = dataclasses.replace(first, rows=lambda ts: 2.0 * first.rows(ts))
+    family = dataclasses.replace(radial, members=(doubled, nan_member))
+    with pytest.raises(NonInteriorError, match="is not interior to PuncturedDisc"):
+        audit_isometry(power_map(2), family, samples=8)

@@ -675,3 +675,22 @@ def test_audit_with_exponents_too_large_for_floats_exit_2(fmap, family, capsys):
     code, out = run_cli(["audit", "--map", json.dumps(fmap), "--family", json.dumps(family)])
     assert (code, out) == (2, "")
     assert "under- or overflows floating point" in capsys.readouterr().err
+
+
+def test_arctanh_rounding_near_the_boundary_is_a_one_line_error(tmp_path, capsys):
+    # two disc points of modulus 1 - 1e-11, at angles 0.3 and 0.31: interior
+    # in floating point, but the disc kernel's arctanh argument rounds above
+    # 1.  The closed form raises ClosedFormError, and the CLI reports it on
+    # one line of stderr with exit 1, not a traceback, alone or in a batch
+    from kobalab import closed_forms as cf
+
+    z, w = "0.9553364891160526+0.29552020665838435j", "0.95233356987619+0.30505863644039294j"
+    with pytest.raises(cf.ClosedFormError, match="arctanh argument"):
+        cf.disc_distance(complex(z), complex(w))
+    for argv in (["dist", "--domain", "unit-disc", "--z", z, "--w", w],
+                 ["dist", "--batch", _batch_file(tmp_path, [({"kind": "unit-disc"}, z, w)])]):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("evaluation error: arctanh argument 1.0") and err.count("\n") == 1
+        assert "Traceback" not in err

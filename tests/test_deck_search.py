@@ -5,7 +5,10 @@ survivors of a box were finished best-first and before its growth rounds
 became one box: every survivor in per-pair lexicographic order, each
 rechecked against its pair's running best, in rounds of boxes grown from
 each pair's best so far.  The search in `metric` must give the same value,
-gap and deck index bit for bit, while computing fewer upper bounds.
+gap and deck index bit for bit, while computing fewer upper bounds.  On
+the strip and half-plane covers it runs on the closed-form cover records
+the search had for them (`EXACT_COVERS`), and the nearest-translate
+engines of the annulus and the punctured disc must equal it bit for bit.
 """
 
 import cmath
@@ -21,6 +24,7 @@ import pytest
 
 from kobalab import (Annulus, Box, EuclideanBall, LeftHalfPlane, LinearImage, PuncturedDisc,
                      ReinhardtLog, Strip, TubeOverBase, distance, distances)
+from kobalab import closed_forms as cf
 from kobalab import metric, tube
 from kobalab.domains import domain_from_dict, require_interior, to_polytope
 
@@ -38,6 +42,50 @@ BASES = {
 }
 
 
+def exact_cover(kernel, offset_lower, threshold) -> tuple:
+    """The cover record of a cover with a closed-form distance: one kernel
+    call over all translates gives both bounds, and every translate is
+    settled, so there is no finish."""
+    def bounds(us, owners, vs):
+        values = kernel(us[owners, 0], vs[:, 0])
+        return values, values, np.ones(len(values), dtype=bool)
+
+    def start(rows, pairs, us, vs):
+        return (us, *bounds(us, slice(None), vs))
+    return start, bounds, None, offset_lower, threshold
+
+
+def halfplane_record(cover: LeftHalfPlane) -> tuple:
+    # the half-plane bound is arcsinh of the vertical gap
+    def scale(us, vs):
+        return 2.0 * np.sqrt((-us[:, 0].real) * (-vs[:, 0].real))
+
+    def offset_lower(us, vs, dys):
+        return np.arcsinh(np.abs(dys[..., 0]) / scale(us, vs)[:, None])
+
+    return exact_cover(lambda z, w: cf.halfplane_distance(z, w), offset_lower,
+                       lambda us, vs, best: (scale(us, vs) * np.sinh(best))[:, None])
+
+
+def strip_record(cover: Strip) -> tuple:
+    # the slab of half-width a gives pi * |dy| / (4 a)
+    a = cover.halfwidth
+    return exact_cover(lambda z, w: cf.strip_distance(a, z, w),
+                       lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * a), axis=-1),
+                       lambda us, vs, best: 4.0 * a * best[:, None] / math.pi)
+
+
+# the closed-form covers, which `metric` no longer searches
+EXACT_COVERS = {Strip: strip_record, LeftHalfPlane: halfplane_record}
+
+
+def cover_record(cover) -> tuple:
+    """The search's record of the cover: the tube's from `metric`, looked
+    up at call time, or a closed-form cover's from EXACT_COVERS."""
+    build = EXACT_COVERS.get(type(cover))
+    return metric._cover(cover) if build is None else build(cover)
+
+
 class Reference(NamedTuple):
     value: np.ndarray
     gap: np.ndarray
@@ -47,16 +95,17 @@ class Reference(NamedTuple):
 
 def reference_deck_columns(cover, points, pairs):
     """The sequential deck search: nu0, then round after round of boxes
-    grown from each pair's best so far, every survivor finished in per-pair
-    lexicographic order.  It records each round's survivors."""
+    about nu0 grown from each pair's best so far, every survivor finished in
+    per-pair lexicographic order.  It records each round's survivors."""
     rows = np.atleast_2d(np.asarray(points, dtype=complex))
     require_interior(cover, rows)
     pairs = np.asarray(pairs)
     us, vs = rows[pairs.T]
     m, n = us.shape
-    start, bounds, finish, offset_lower, threshold = metric._cover(cover)
+    start, bounds, finish, offset_lower, threshold = cover_record(cover)
     dy = us.imag - vs.imag
     nu0 = np.round(dy / metric.TWO_PI).astype(int)
+    dy0 = dy - metric.TWO_PI * nu0
     v0 = vs + metric.TWO_PI * 1j * nu0
     shared, *first = start(rows, pairs, us, v0)
     best_lo, highs, settled = (x.tolist() for x in first)
@@ -68,7 +117,7 @@ def reference_deck_columns(cover, points, pairs):
 
     def bounds_for(rows):
         thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
-        return np.floor((np.abs(dy[rows]) + thr) / metric.TWO_PI).astype(int) + 1
+        return np.floor((np.abs(dy0[rows]) + thr) / metric.TWO_PI).astype(int) + 1
 
     active = list(range(m))
     for _ in range(64):
@@ -77,7 +126,8 @@ def reference_deck_columns(cover, points, pairs):
         improved = set()
         survivors.append([])
         for k, limit in zip(active, bounds_for(active).tolist()):
-            box = list(itertools.product(*[range(-b, b + 1) for b in limit]))
+            box = list(itertools.product(*[range(c - b, c + b + 1)
+                                           for c, b in zip(nu0[k].tolist(), limit)]))
             offsets = metric.TWO_PI * np.array(box)
             bound = offset_lower(us[[k]], vs[[k]], dy[[k]][:, None, :] - offsets)[0]
             hits = [l for l in range(len(box))
@@ -280,14 +330,76 @@ def test_search_still_improving_after_the_last_round_raises():
     assert distances(domain, points, [(0, 1)]).deck_index.tolist() == [[-1, 0]]
 
 
-def test_exact_covers_settle_every_survivor_without_a_finish():
-    # the strip cover's bounds are exact, so nothing is left open
-    _, _, finish, _, _ = metric._cover(Strip(4.0))
-    assert finish is None
-    us = np.array([[0.3 + 1.0j], [-0.2 - 2.5j]])
-    vs = np.array([[-0.1 - 4.0j], [0.4 + 6.0j]])
-    got = metric.deck_infimum(Strip(4.0), *disjoint(us, vs))
-    assert_same_columns(got, reference_deck_columns(Strip(4.0), *disjoint(us, vs)))
+def cover_pairs(cover, count: int, seed: int):
+    """`count` disjoint pairs of points of the strip or half-plane cover, as
+    (points, pairs, ties, turns).  Real parts spread over the cover, a
+    quarter of them within 1e-12 of its boundary (half-plane real parts
+    within e^+-4 otherwise: the reference's box grows like |dx| over
+    sqrt(x_u x_v)); imaginary parts in +-40, a third of them of modulus 1
+    to 1e15.  `ties` marks the exact half-turn ties (Im u = 0 and Im v an
+    odd multiple of pi) and `turns` the pairs whose Im(u - v) is near a
+    half-turn at 6e13 to 6e14, where rounding v + 2 pi i nu can put a
+    neighbour of nu0 strictly nearer u."""
+    gen = np.random.default_rng(seed)
+    halfplane = isinstance(cover, LeftHalfPlane)
+
+    def reals():
+        if halfplane:
+            x = -np.exp(gen.uniform(-4.0, 4.0, count))
+        else:
+            x = gen.uniform(-cover.halfwidth, cover.halfwidth, count)
+        edge = gen.random(count) < 0.25
+        inset = gen.uniform(1e-13, 1e-12, count)
+        rim = -inset if halfplane else np.where(x < 0.0, -1.0, 1.0) * (cover.halfwidth - inset)
+        return np.where(edge, rim, x)
+
+    def imags():
+        y = gen.uniform(-40.0, 40.0, count)
+        big = gen.random(count) < 1.0 / 3.0
+        return np.where(big, np.where(gen.random(count) < 0.5, -1.0, 1.0)
+                        * 10.0 ** gen.uniform(0.0, 15.0, count), y)
+
+    ux, vx, uy, vy = reals(), reals(), imags(), imags()
+    kind = gen.random(count)
+    ties, turns = kind < 0.1, (0.1 <= kind) & (kind < 0.2)
+    uy[ties] = 0.0
+    vy[ties] = math.pi * gen.choice([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0], int(ties.sum()))
+    half = np.floor(10.0 ** gen.uniform(13.0, 14.0, count)) + gen.uniform(0.48, 0.52, count)
+    half *= np.where(gen.random(count) < 0.5, -1.0, 1.0) * metric.TWO_PI
+    uy[turns] = (vy + half)[turns]
+    return (*disjoint((ux + 1j * uy)[:, None], (vx + 1j * vy)[:, None]), ties, turns)
+
+
+@pytest.mark.parametrize("cover", [Strip(4.0), LeftHalfPlane()], ids=repr)
+def test_nearest_translate_equals_the_sequential_search(cover):
+    # one kernel call at nu0 (and at a neighbour that rounds nearer) gives
+    # the sequential search's value, gap and deck index bit for bit
+    points, pairs, ties, turns = cover_pairs(cover, 2000, seed=11)
+    got = metric._nearest_translate(cover, points, pairs)
+    assert_same_columns(got, reference_deck_columns(cover, points, pairs))
+    assert got.method.tolist() == ["deck-infimum"] * len(pairs)
+    # exact ties keep nu0; some rounded half-turns take a neighbour
+    us, vs = points[pairs.T]
+    nu0 = np.round((us.imag - vs.imag) / metric.TWO_PI).astype(int)[:, 0]
+    beside = got.deck_index[:, 0] != nu0
+    assert not beside[ties].any()
+    assert beside[turns].any()
+
+
+@pytest.mark.parametrize("cover, x", [(Strip(4.0), 0.2), (LeftHalfPlane(), -0.2)], ids=repr)
+def test_nearest_translate_beyond_int64_raises_the_first_pairs_error(cover, x):
+    # the search's DeckBoundError text, for the first pair in `pairs` order
+    # whose nearest translate has no int64 index
+    points = np.array([[x + 0j], [x + 1e20j], [x - 3e20j], [x + 1j]])
+
+    def message(dy):
+        turns = [round(dy / metric.TWO_PI) * 1.0]
+        return f"nearest deck translate {turns} is outside the int64 range"
+
+    for pairs, dy in (([(0, 3), (0, 1), (0, 2)], -1e20), ([(0, 3), (0, 2), (0, 1)], 3e20)):
+        with pytest.raises(metric.DeckBoundError) as caught:
+            metric._nearest_translate(cover, points, np.array(pairs))
+        assert str(caught.value) == message(dy)
 
 
 GOLDEN = Path(__file__).parent / "data" / "deck_golden.json"
@@ -404,10 +516,13 @@ def test_small_shell_blocks_give_the_same_columns(name, monkeypatch):
 
 
 def test_empty_batches_give_empty_results():
-    # zero pairs give zero rows, on the tube cover as on the strip
-    for cover, n in ((TubeOverBase(BALL), 2), (Strip(4.0), 1)):
+    # zero pairs give zero rows, on the tube cover as on the strip and the
+    # half-plane
+    for search, cover, n in ((metric.deck_infimum, TubeOverBase(BALL), 2),
+                             (metric._nearest_translate, Strip(4.0), 1),
+                             (metric._nearest_translate, LeftHalfPlane(), 1)):
         none = np.empty((0, n), dtype=complex)
-        got = metric.deck_infimum(cover, none, [])
+        got = search(cover, none, np.zeros((0, 2), dtype=int))
         assert len(got) == 0 and got.deck_index.shape == (0, n)
     none = np.empty((0, 2), dtype=complex)
     assert tube.caratheodory_lower(BALL, none, none).shape == (0,)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kobalab import (AntipodalPair, Box, EuclideanBall,
                      ReinhardtLog, Strip, UnitBall, UnitDisc, antipodal_family,
@@ -187,11 +189,11 @@ def test_lift_exp_cover_horizontal():
 
 def test_lift_constant_curve():
     f = exp_tube_cover(EuclideanBall((0.0, 0.0), 1.0))
-    from kobalab.geodesics import GeodesicCurve, Segment
+    from kobalab.geodesics import GeodesicCurve, Segment, pointwise
 
     const = GeodesicCurve(ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0)),
                           Segment(0.0, 1.0), "affine",
-                          lambda t: np.array([1.1 + 0j, 0.9 + 0j]), None)
+                          pointwise(lambda t: np.array([1.1 + 0j, 0.9 + 0j])), None)
     pre = np.log(np.array([1.1, 0.9])).astype(complex)
     lift = lift_geodesic(f, const, pre)
     assert np.abs(lift.sample(0.7) - pre).max() < 1e-12
@@ -373,3 +375,107 @@ def test_row_antipodal_certificate_equals_the_pairs_normals():
         _antipodal_normals(box, np.vstack([xs, [1.0, 0.2]]), np.vstack([ys, [0.0, -0.5]]))
     with pytest.raises(GeodesicError, match="antipodal points must differ"):
         _antipodal_normals(box, np.vstack([xs, [1.0, 0.2]]), np.vstack([ys, [1.0, 0.2]]))
+
+
+def _scalar_line(c, d, rot=None):
+    """`_line`'s formula at one parameter in Python scalar arithmetic (a
+    float times a complex as the complex t + 0j): the oracle of the row
+    samplers of the affine kinds."""
+    if rot is None:
+        return lambda t: np.array([c + t * d])
+    if isinstance(rot, np.ndarray):
+        return lambda t: np.exp(c + t * d) * rot
+    return lambda t: np.array([math.exp(c + t * d) * rot])
+
+
+def _sampler_cases() -> dict:
+    """name -> (curve, per-parameter oracle or None): every geodesic kind of
+    the descriptor registry, lifts through both coverings, and the
+    corrupted radial family's members."""
+    from kobalab.serialize import _antipodal_geodesic, corrupted_radial_family
+
+    ball = EuclideanBall((0.1, -0.2), 0.9)
+    x, y = (0.1 + 0.54, -0.2 + 0.72), (0.1 - 0.54, -0.2 - 0.72)
+    omega = complex(math.cos(2.0), math.sin(2.0))
+    rot = complex(math.cos(0.7), math.sin(0.7))
+    annulus_line = annulus_radial_geodesic(4.0, 0.7)
+    radial = disc_radial_geodesic(omega)
+    cases = {
+        "ball-segment": (ball_geodesic_segment(2, [0.1 + 0.2j, -0.3j], [0.5, 0.2 + 0.1j]), None),
+        "ball-ray": (ball_landing_ray(3, [0.1, 0.2j, 0.0], [0.0, 0.6, 0.8j]), None),
+        "strip-crossing": (strip_crossing_geodesic(4.0, 1.3), _scalar_line(1j * 1.3, 1 + 0j)),
+        "strip-vertical": (strip_vertical_line(4.0, -0.7), _scalar_line(-0.7, 1j)),
+        "radial": (radial, _scalar_line(-0j, omega / abs(omega))),
+        "annulus-radial": (annulus_line, _scalar_line(0.0, 1.0, rot)),
+        "antipodal": (_antipodal_geodesic(ball, x, y),
+                      _scalar_line(0.5 * (np.array(x) + np.array(y)),
+                                   0.5 * (np.array(x) - np.array(y)), np.ones(2, dtype=complex))),
+        "lift-exp": (lift_geodesic(exp_strip_cover(4.0), annulus_line, [0.7j]), None),
+        "lift-power": (lift_geodesic(power_map(2), radial, [0.5 ** 0.5 * omega ** 0.5]), None),
+    }
+    for k, member in enumerate(corrupted_radial_family(3).members):
+        cases[f"corrupted-{k}"] = (member, None)
+    return cases
+
+
+SAMPLER_CASES = _sampler_cases()
+
+
+def test_sampler_cases_cover_every_geodesic_kind():
+    from kobalab.serialize import _GEODESICS
+
+    assert set(_GEODESICS) <= set(SAMPLER_CASES)
+
+
+def _hexes(point) -> list:
+    flat = np.ascontiguousarray(point, dtype=complex).view(float).ravel()
+    return [x.hex() for x in flat.tolist()]
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_row_sampler_equals_the_per_parameter_sample(name, data):
+    # the rows of one sampler call equal the one-parameter samples and, for
+    # the affine kinds, the scalar formula, bit for bit (float hex)
+    from kobalab.checker import AUDIT_WINDOW
+
+    curve, oracle = SAMPLER_CASES[name]
+    lo, hi = curve.window(AUDIT_WINDOW)
+    inner = data.draw(st.lists(st.floats(lo, hi), max_size=12))
+    ts = np.array([lo, hi, 0.0, -0.0, *inner])
+    rows = curve.rows(ts)
+    assert rows.shape[0] == len(ts)
+    for t, row in zip(ts.tolist(), rows):
+        assert _hexes(row) == _hexes(curve.sample(t))
+        if oracle is not None:
+            assert _hexes(row) == _hexes(oracle(t))
+
+
+def test_antipodal_family_certifies_its_ends_in_one_pass(monkeypatch):
+    # one certificate pass over all ends, and the members are those built
+    # from one AntipodalPair each, bit for bit
+    from kobalab import geodesics
+    from kobalab._sampling import sphere_directions
+
+    passes = []
+    normals = geodesics._antipodal_normals
+
+    def counted(base, xs, ys):
+        passes.append(len(xs))
+        return normals(base, xs, ys)
+
+    monkeypatch.setattr(geodesics, "_antipodal_normals", counted)
+    ball = EuclideanBall((0.1, -0.2), 0.9)
+    for with_phases in (False, True):
+        passes.clear()
+        family = antipodal_family(ball, 20, with_phases=with_phases)
+        assert passes == [20]
+        xs, ys = geodesics._antipodal_ends(ball, geodesics.base_reference(ball),
+                                           sphere_directions(20, 2))
+        ts = np.linspace(-0.95, 0.95, 9)
+        for k, (member, x, y) in enumerate(zip(family.members, xs, ys)):
+            phases = (tuple(2.0 * math.pi * ((k * 7 + j * 3) % 11) / 11.0 for j in range(2))
+                      if with_phases else None)
+            want = antipodal_geodesic(ball, AntipodalPair(ball, tuple(x), tuple(y)), phases)
+            assert _hexes(member.rows(ts)) == _hexes(want.rows(ts))

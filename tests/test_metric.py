@@ -152,16 +152,26 @@ def test_hyperbolic_length_rejects_exiting_curve():
         hyperbolic_length(UnitDisc(), lambda t: np.array([t + 0j]), 0.0, 1.5)
 
 
+# the tube over the interval (-log 4, log 4): the strip of Annulus(4.0) as a
+# tube, so its deck search runs on the strip's values (its Reinhardt domain
+# is that annulus)
+STRIP_TUBE = TubeOverBase(EuclideanBall((0.0,), math.log(4.0)))
+
+
 def test_deck_infimum_identical_points():
-    found = deck_infimum(Strip(4.0), [0.2 + 1j], [(0, 0)])
+    found = deck_infimum(STRIP_TUBE, [0.2 + 1j], [(0, 0)])
     assert found[0].value == 0.0 and found[0].deck_index == (0,)
+    found = deck_infimum(TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)),
+                         [[0.2 + 1j, -0.1 + 0.5j]], [(0, 0)])
+    assert found[0].value == 0.0 and found[0].deck_index == (0, 0)
 
 
 def test_deck_infimum_shift_by_period():
-    u = np.array([-0.4 + 0.3j])
-    v = np.array([-0.9 - 0.2j])
-    base = deck_infimum(LeftHalfPlane(), [u, v], [(0, 1)])[0]
-    shifted = deck_infimum(LeftHalfPlane(), [u, v + 2j * math.pi], [(0, 1)])[0]
+    u = np.array([-0.4 + 0.3j, 0.1 - 0.2j])
+    v = np.array([0.2 - 0.2j, -0.3 + 0.4j])
+    cover = TubeOverBase(EuclideanBall((0.0, 0.0), 1.0))
+    base = deck_infimum(cover, [u, v], [(0, 1)])[0]
+    shifted = deck_infimum(cover, [u, v + [2j * math.pi, 0.0]], [(0, 1)])[0]
     assert shifted.value == pytest.approx(base.value, abs=1e-14)
     assert shifted.deck_index[0] == base.deck_index[0] - 1
 
@@ -181,33 +191,45 @@ def _sorted_points(points):
     return sorted(points, key=lambda z: (z[0].real, z[0].imag))
 
 
-@pytest.mark.parametrize("domain, cover", [(Annulus(4.0), Strip(4.0)),
-                                           (PuncturedDisc(), LeftHalfPlane())], ids=repr)
-def test_deck_kinds_are_deck_infimum_on_principal_logs(domain, cover):
+# each deck kind, its exp cover and the search that `distances` runs on it
+DECK_SEARCHES = [
+    (Annulus(4.0), Strip(4.0), "_nearest_translate"),
+    (PuncturedDisc(), LeftHalfPlane(), "_nearest_translate"),
+    (ReinhardtLog(STRIP_TUBE.base), STRIP_TUBE, "deck_infimum"),
+    (ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0)), TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)),
+     "deck_infimum"),
+]
+
+
+DECK_SEARCH_IDS = ["annulus", "punctured-disc", "reinhardt-1d", "reinhardt-ball"]
+
+
+@pytest.mark.parametrize("domain, cover, search", DECK_SEARCHES, ids=DECK_SEARCH_IDS)
+def test_deck_kinds_are_their_search_on_principal_logs(domain, cover, search):
     pts = np.array(_sorted_points(_interior_points(domain, 7, np.random.default_rng(31))))
     i, j = np.triu_indices(len(pts), 1)
     logs = np.log(np.abs(pts)) + 1j * np.angle(pts)
     got = distances(domain, pts, np.stack([i, j], axis=1))
-    want = deck_infimum(cover, logs, np.stack([i, j], axis=1))
+    want = getattr(metric, search)(cover, logs, np.stack([i, j], axis=1))
     for column in ("value", "gap", "method", "deck_index"):
         assert getattr(got, column).tolist() == getattr(want, column).tolist()
 
 
-@pytest.mark.parametrize("domain", [PuncturedDisc(), Annulus(4.0),
-                                    ReinhardtLog(EuclideanBall((0.0, 0.0), 1.0))], ids=repr)
-def test_each_deck_distances_call_runs_one_deck_infimum(domain, monkeypatch):
-    calls = []
-    search = metric.deck_infimum
-
-    def counted(cover, points, pairs):
-        calls.append(len(pairs))
-        return search(cover, points, pairs)
-
-    monkeypatch.setattr(metric, "deck_infimum", counted)
+@pytest.mark.parametrize("domain, cover, search", DECK_SEARCHES, ids=DECK_SEARCH_IDS)
+def test_each_deck_distances_call_runs_one_search(domain, cover, search, monkeypatch):
+    # one call of the kind's search per `distances` call, and none of the
+    # other: the annulus and the punctured disc run no deck search
+    calls = {"deck_infimum": [], "_nearest_translate": []}
+    for name in calls:
+        def counted(cover, points, pairs, found=getattr(metric, name), name=name):
+            calls[name].append(len(pairs))
+            return found(cover, points, pairs)
+        monkeypatch.setattr(metric, name, counted)
     pts = _interior_points(domain, 5, np.random.default_rng(32))
     distances(domain, pts, [(0, 1), (1, 2), (3, 4), (4, 0)])
     distance(domain, pts[0], pts[2])
-    assert calls == [4, 1]
+    assert calls.pop(search) == [4, 1]
+    assert calls == {name: [] for name in calls}
 
 
 def test_deck_brute_force_oracle():
@@ -227,11 +249,11 @@ def test_deck_bound_certification_failure(monkeypatch):
     # its nearest translate holds more lattice points than a cap of 3 allows
     monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
     with pytest.raises(DeckBoundError, match="needs 5 lattice points"):
-        deck_infimum(Strip(4.0), [0.0 + 0j, 1.38 + 40j], [(0, 1)])
+        deck_infimum(STRIP_TUBE, [0.0 + 0j, 1.38 + 40j], [(0, 1)])
 
 
 def test_deck_search_box_is_centred_on_the_nearest_translate(monkeypatch):
-    strip, u = Strip(4.0), [0.1 + 0j]
+    strip, u = STRIP_TUBE, [0.1 + 0j]
     # nu0 = -15,915: the value and deck index that a box about 0 found
     near = deck_infimum(strip, u + [0.2 + 1e5j], [(0, 1)])
     assert near.value[0].hex() == "0x1.c668d00f2e30cp+0"
@@ -256,9 +278,11 @@ def test_deck_search_box_is_centred_on_the_nearest_translate(monkeypatch):
             deck_infimum(strip, points, pairs)
         with pytest.raises(DeckBoundError, match="int64 range"):
             deck_infimum(strip, points, pairs[::-1])
-        # a certifying radius beyond the int64 range is over the cap too
+        # a certifying radius beyond the int64 range (about 8.9e19 here) is
+        # over the cap too
+        wide = TubeOverBase(EuclideanBall((0.0,), 1e21))
         with pytest.raises(DeckBoundError, match="lattice points"):
-            deck_infimum(LeftHalfPlane(), [-1e-300 + 0j, -1e300 + 1j], [(0, 1)])
+            deck_infimum(wide, [0j, 0.5e21 + 1j], [(0, 1)])
 
 
 def test_sandwich_gap_tolerance():
@@ -361,9 +385,10 @@ def test_reinhardt_log_over_an_interval_is_an_annulus():
 
 
 def test_distances_lattice_bound_raises_on_the_same_pair(monkeypatch):
-    # a cap of 3 lattice points per shell leaves some pairs uncertified
+    # a cap of 3 lattice points per shell leaves some pairs uncertified; the
+    # domain is Annulus(4.0) as a Reinhardt domain, which is searched
     monkeypatch.setattr(metric, "DECK_ENUM_CAP", 3)
-    domain = Annulus(4.0)
+    domain = ReinhardtLog(STRIP_TUBE.base)
     pts = [np.array([0.3 + 0.05j]), np.array([3.5 - 1.0j]), np.array([-3.6 + 0.5j]),
            np.array([3.94 + 0j]), np.array([3.98 * cmath.exp(-2.5j)])]
     pairs = [(0, 1), (0, 2), (3, 4)]

@@ -213,8 +213,10 @@ def test_each_batch_is_checked_in_one_call(monkeypatch):
     # the annulus points once, and their logs once on the strip cover
     assert calls == [(12, 1), (12, 1)]
     calls.clear()
-    deck_infimum(Strip(4.0), np.log(pts[:6]), [(0, 3), (1, 4), (2, 5)])
-    assert calls == [(6, 1)]
+    ball = EuclideanBall((0.0, 0.0), 1.0)
+    logs = np.log(np.array(_interior_points(ReinhardtLog(ball), 6, np.random.default_rng(5))))
+    deck_infimum(TubeOverBase(ball), logs, [(0, 3), (1, 4), (2, 5)])
+    assert calls == [(6, 2)]
 
 
 def test_import_leaves_the_test_dependencies_unloaded():
