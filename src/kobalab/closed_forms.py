@@ -113,8 +113,12 @@ def strip_point_stage(halfwidth, x) -> np.ndarray:
 def strip_pair_stage(halfwidth, x1, x2, cos1, cos2) -> tuple:
     """`strip_real_stage` of the real parts x1, x2 given their
     `strip_point_stage` values cos1, cos2."""
-    q = math.pi * (x1 - x2) / (4.0 * halfwidth)
-    return np.sin(q) ** 2, cos1 * cos2
+    return np.sin(_strip_q(halfwidth, x1, x2)) ** 2, cos1 * cos2
+
+
+def _strip_q(halfwidth, x1, x2):
+    """q = pi (x1 - x2)/(4a), the sine's argument of the real stage."""
+    return math.pi * (x1 - x2) / (4.0 * halfwidth)
 
 
 def _strip_imag_terms(halfwidth, dy, sin2q, c) -> tuple:
@@ -152,14 +156,45 @@ def strip_imag_max(halfwidth, dy, sin2q, c) -> np.ndarray:
     arcsinh per row: arcsinh is increasing, so it maps the row max of the
     arguments to the row max of the distances.  Cells past the cap take
     their asymptotic form and the larger of the two maxima counts; both
-    start from 0, which no cell is below (c <= 1).  dy None stands for
-    dy = 0 in every cell (equal imaginary parts): the zero-dy form skips the
-    sinh stage and gives the same bytes as a dy array of signed zeros."""
+    start from 0, which no cell is below (c <= 1).  Rows whose points have
+    equal imaginary parts take `strip_flat_max` instead."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
-    if big is None or not np.any(big):
+    if not np.any(big):
         return np.arcsinh(np.max(arg, axis=-1))
     near = np.arcsinh(np.max(arg, axis=-1, where=~big, initial=0.0))
     return np.maximum(near, np.max(ap - 0.5 * np.log(c), axis=-1, where=big, initial=0.0))
+
+
+# below this |q|, sin^2 q may leave the normal range of doubles
+_NORMAL_Q = 2.0 ** -500
+
+
+def strip_flat_max(halfwidth, x1, x2, cos1, cos2, along: int) -> tuple:
+    """(lower, sin2q) of rows of cells whose points have equal imaginary
+    parts: `strip_imag_max` of their `strip_pair_stage` with dy = 0 in
+    every cell, and the sin^2 q of column `along` of each row, both to the
+    bit, with the sine taken only in the cells that can set their row's
+    maximum.
+
+    The certificate.  Column `along` gives each row its value
+    ref = sqrt(sin^2 q)/sqrt(c), as the full sweep computes it.  Every
+    cell's computed value is at most its bound |q|/sqrt(c), rounded:
+    |fl(sin q)| <= |q|, sqrt(fl(s^2)) = |s| in binary while s^2 is normal,
+    and correctly rounded operations are monotone (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 2-3).  So a cell whose bound is
+    strictly below ref cannot set its row's maximum and is skipped, while
+    the cell of column `along`, whose bound is at least ref, never is.
+    Cells with |q| < 2^-500, whose square may leave the normal range, are
+    always taken, and a row whose column `along` reads 0 (a dropped slab)
+    skips nothing."""
+    q = _strip_q(halfwidth, x1, x2)
+    root = np.sqrt(cos1 * cos2)
+    sin2q = np.sin(q[:, along]) ** 2
+    size = np.abs(q)
+    live = (size / root >= (np.sqrt(sin2q) / root[:, along])[:, None]) | (size < _NORMAL_Q)
+    arg = np.zeros(q.shape)
+    arg[live] = np.sqrt(np.sin(q[live]) ** 2) / root[live]
+    return np.arcsinh(np.max(arg, axis=-1)), sin2q
 
 
 def strip_density(halfwidth, z, v):

@@ -169,17 +169,21 @@ class DistanceColumns(Sequence):
 # finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v of
 # pair k left open (it may fill in the pair's shared terms), or any value
 # above cut once the bound is known to exceed cut: such a translate cannot
-# lower its pair's best.  offset_lower(us, vs, dys) is a cheap lower bound
-# for the translate whose imaginary offset from u is dys[k, l], over an
-# (m, L, n) array of offsets; threshold(us, vs, best) is the per-coordinate
-# |dy_j| beyond which that bound exceeds best, as (m, n); it does not
-# decrease as best grows.
+# lower its pair's best.  offset_lower(us, vs, dys) gives per-coordinate
+# bounds: dys is an (m, n, L) array of imaginary offsets from u, row j of
+# pair k the offsets dys[k, j, :] of its coordinate j, and the result has
+# its shape.  A translate's offset lower bound, a cheap lower bound for its
+# distance, is the largest of its coordinates' bounds, so a translate with
+# no coordinate bound above a value has no offset bound above it.
+# threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
+# coordinate's bound exceeds best, as (m, n); it does not decrease as best
+# grows.
 
 @functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
     """(start, bounds, finish, offset_lower, threshold) of the exp-cover of
     a Reinhardt domain, the tube over its base, built once per base.  Each
-    coordinate slab of half-width a_j gives the offset bound
+    coordinate slab of half-width a_j gives the coordinate bound
     pi |dy_j| / (4 a_j)."""
     if type(cover) is not TubeOverBase:
         raise ValueError(f"{cover!r} is not a supported covering")
@@ -201,9 +205,12 @@ def _cover(cover: ModelDomain) -> tuple:
         table, terms = shared
         return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
 
+    # 4 a_j, and as a column against the coordinate axis of the offsets
+    four_a = 4.0 * halfwidths
+    four_a_column = four_a[:, None]
     return (start, bounds, finish,
-            lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * halfwidths), axis=-1),
-            lambda us, vs, best: 4.0 * halfwidths * best[:, None] / math.pi)
+            lambda us, vs, dys: math.pi * np.abs(dys) / four_a_column,
+            lambda us, vs, best: four_a * best[:, None] / math.pi)
 
 
 # lattice points per block of the vectorised offset bound, which bounds
@@ -227,13 +234,19 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     every translate outside it has an offset lower bound above B, which is
     at least the final best, so the one box holds every translate that can
     lower the minimum and the returned minimum is attained and certified.
+    A translate's offset bound is the largest of its coordinates' bounds,
+    which each pair takes once per coordinate over its box's index range;
+    a translate survives when none of them exceeds its pair's best, so
+    the box is tested one coordinate at a time and only the survivors'
+    offset bounds are formed (`_survivors`).
     A pair whose nu0 leaves the int64 range, or
     whose box would enumerate more than DECK_ENUM_CAP lattice points,
     raises DeckBoundError.  Each pair is searched on its own; with several
     pairs, the error of the first failing pair is raised.
     The running bests, boxes and caps are arrays over the pairs; only the
     open survivors that may still lower their pair's best are taken one at
-    a time.
+    a time.  The search's slab table takes a flat pair's sines only in the
+    cells that can set its maximum (`tube.slab_table`).
     """
     rows = _point_rows(cover, points)
     pairs = _index_pairs(pairs, len(rows))
@@ -258,7 +271,7 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     best_lo, best_hi = np.array(lo0), np.array(hi0)
     for k in np.flatnonzero(~settled).tolist():
         best_hi[k] = finish(shared, k, v0[k], best_lo.item(k), best_hi.item(k), math.inf)
-    best_nu = np.zeros((m, n), dtype=int)
+    best_nu = nu0.copy()
     # the first failing pair of each cause -> its DeckBoundError; the first
     # of them is raised
     errors: dict[int, DeckBoundError] = {}
@@ -276,23 +289,20 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
         if total > DECK_ENUM_CAP:
             errors[int(ks[0])] = DeckBoundError(f"deck enumeration needs {total} lattice points")
             continue
-        # the box about nu0 in lexicographic order; nu0 itself, at its
-        # centre, is no survivor
-        box = np.indices([2 * b + 1 for b in limit]).reshape(n, -1).T - limit
+        span, box, cells = (_lattice_box if total <= _SHELL_BLOCK
+                            else _lattice_box.__wrapped__)(tuple(limit))
         step = max(1, _SHELL_BLOCK // (total - 1))
         for begin in range(0, len(ks), step):
             block = ks[begin:begin + step]
-            nus = nu0[block][:, None, :] + box
-            bound = offset_lower(us[block], vs[block], dy[block][:, None, :] - TWO_PI * nus)
-            # the translates whose offset bound does not exceed their pair's
-            # best so far survive, in per-pair lexicographic order
-            hit = ~(bound > best_hi[block][:, None])
-            hit[:, total // 2] = False
-            r, l = np.nonzero(hit)
+            # each coordinate's offset bound over the box's index range, once
+            terms = offset_lower(us[block], vs[block],
+                                 dy[block][:, :, None] - TWO_PI * (turns[block][:, :, None] + span))
+            r, l, bound = _survivors(terms, best_hi[block], cells)
             if not len(r):
                 continue
-            owners, bound = block[r], bound[r, l]
-            moved = vs[owners] + TWO_PI * 1j * nus[r, l]
+            owners = block[r]
+            nus = nu0[owners] + box[l]
+            moved = vs[owners] + TWO_PI * 1j * nus
             # one batched bounds call for every survivor; the settled ones are
             # taken first in that order, then the open ones best-first (by
             # lower bound), each rechecked against its pair's running best
@@ -313,7 +323,7 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
                 taken = ~(bound[i] > cut) & ~(lo > cut)
                 best_lo[k] = np.where(taken & (lo < best_lo[k]), lo, best_lo[k])
                 won = taken & (hi < cut)
-                best_hi[k[won]], best_nu[k[won]] = hi[won], box[l[i[won]]]
+                best_hi[k[won]], best_nu[k[won]] = hi[won], nus[i[won]]
                 found_at.update(zip(k[won].tolist(), i[won].tolist()))
             # an open survivor whose offset or lower bound already exceeds
             # its pair's best would be skipped below; it is dropped here
@@ -327,13 +337,47 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
                     best_lo[k] = lo
                 hi = finish(shared, k, moved[i], lo, highs.item(i), cut)
                 if hi < cut or (hi == cut and i < found_at.get(k, -1)):
-                    best_hi[k], best_nu[k], found_at[k] = hi, box[l[i]], i
+                    best_hi[k], best_nu[k], found_at[k] = hi, nus[i], i
     if errors:
         raise errors[min(errors)]
     spread = best_hi - best_lo
     gap = np.where(spread > 0.0, spread, 0.0)
     return DistanceColumns(0.5 * (best_lo + best_hi), gap,
-                           np.where(gap == 0.0, "deck-infimum", "sandwich"), nu0 + best_nu)
+                           np.where(gap == 0.0, "deck-infimum", "sandwich"), best_nu)
+
+
+@functools.lru_cache(maxsize=32)
+def _lattice_box(limit: tuple) -> tuple:
+    """(span, box, cells) of the lattice box of half-widths `limit` about a
+    pair's nearest translate nu0, read-only.  span is -R, ..., R as floats,
+    R the largest half-width.  box holds the box's offsets from nu0 in
+    lexicographic order, less nu0 itself at its centre, as (total - 1, n),
+    and cells each offset's positions j (2R + 1) + R + offset_j in a pair's
+    flattened (n, 2R + 1) per-coordinate terms.  The 32 boxes last used
+    of at most _SHELL_BLOCK points each are cached: searches meet the same
+    few again (in `generic-pairs`, 1.6 % of the boxes missed the cache over
+    300 blocks, which held at most 0.35 MB)."""
+    n, reach = len(limit), max(limit)
+    box = np.delete(np.indices([2 * b + 1 for b in limit]).reshape(n, -1).T - limit,
+                    math.prod(2 * b + 1 for b in limit) // 2, axis=0)
+    out = (np.arange(-reach, reach + 1.0), box, box + reach + (2 * reach + 1) * np.arange(n))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _survivors(terms: np.ndarray, best: np.ndarray, cells: np.ndarray) -> tuple:
+    """(r, l, bound): the translates of a block of pairs' boxes that
+    survive, pair r[s] and offset l[s] of the box (`_lattice_box`), in
+    per-pair lexicographic order, and their offset bounds.  terms holds
+    the pairs' per-coordinate offset bounds over the box's index range as
+    (k, n, 2R + 1), and best their bests so far.  A translate survives when
+    none of its coordinates' bounds exceeds its pair's best, so that
+    neither does their max, its offset bound; only the survivors' bounds
+    are gathered."""
+    flat = terms.reshape(len(terms), -1)
+    r, l = np.nonzero(~(flat > best[:, None])[:, cells].any(axis=-1))
+    return r, l, flat[r[:, None], cells[l]].max(axis=-1)
 
 
 def _nearest_turns(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -7,7 +7,10 @@ the best strip distance, with one arcsinh per pair; every holomorphic
 projection contracts, so this never exceeds the true distance.  A block
 of pairs with equal imaginary parts (real points, say) takes the strip
 kernel's real stage alone: there every slab's imaginary difference is 0,
-so the sinh stage adds exactly 0.  The
+so the sinh stage adds exactly 0.  It takes the sine only in the cells
+whose bound |q|/sqrt(c) can reach the value of the pair's slab along
+Re(v - u), with the same row maxima to the bit
+(`closed_forms.strip_flat_max` states the certificate).  The
 upper bound evaluates explicit analytic-disc competitors: affine discs, the
 chord-slice disc for pairs with equal imaginary parts, chained affine
 discs for far pairs, and the exact product formula over box bases.  The
@@ -26,8 +29,9 @@ import numpy as np
 
 from ._sampling import sphere_directions
 from .closed_forms import (strip_centre, strip_density, strip_density_offset,
-                           strip_distance_offset, strip_imag_max, strip_imag_stage,
-                           strip_pair_stage, strip_point_stage, strip_real_stage)
+                           strip_distance_offset, strip_flat_max, strip_imag_max,
+                           strip_imag_stage, strip_pair_stage, strip_point_stage,
+                           strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
                       rowdot)
@@ -193,7 +197,8 @@ def _pair_slabs(base: ConvexBase, uv: np.ndarray) -> tuple:
 def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np.ndarray,
                 ims: np.ndarray, dy_extra: np.ndarray) -> tuple:
     """(lower, sin2q) of the (pair, slab) cells of a block of pairs: their
-    slab lower bound and the strip kernel's sin^2(pi dx/4a).  halfwidth is
+    slab lower bound and the strip kernel's sin^2(pi dx/4a) of each pair's
+    slab along Re(v - u), column d.  halfwidth is
     the block's (pairs, slabs) half-widths, xs and cos the centred real
     projections of the pairs' ends and their `strip_point_stage` as
     (2, pairs, slabs), all three with the pairs' extra slabs in the last two
@@ -201,19 +206,21 @@ def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np
     dy_extra the extra slabs' imaginary differences as (pairs, 2).  dirs is
     the direction block of `_slab_strips`.
     A block whose every pair has Im u == Im v (compared exactly, so -0.0
-    equals 0.0) takes the real stage alone, through the zero-dy form of
-    `strip_imag_max`: every cell's dy is then a signed zero, since the
-    slab along Im(v - u) is dropped and equal imaginary parts project to
-    equal numbers, so the bound is the same to the bit.  Any other block
-    projects the imaginary parts and takes the sinh stage."""
+    equals 0.0) takes the real stage alone, through `strip_flat_max`:
+    every cell's dy is then a signed zero, since the slab along Im(v - u)
+    is dropped and equal imaginary parts project to equal numbers, and its
+    sine is taken only in the cells whose bound |q|/sqrt(c) is not below
+    the row's value along Re(v - u); the bound is the same to the bit.
+    Any other block projects the imaginary parts and takes the sinh
+    stage."""
     d = len(dirs) - 2
+    if (ims[0] == ims[1]).all():
+        return strip_flat_max(halfwidth, xs[0], xs[1], cos[0], cos[1], d)
     sin2q, c = strip_pair_stage(halfwidth, xs[0], xs[1], cos[0], cos[1])
     del xs, cos
-    dy = None
-    if not (ims[0] == ims[1]).all():
-        dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
-        dy[:, d:] = dy_extra
-    return strip_imag_max(halfwidth, dy, sin2q, c), sin2q
+    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
+    dy[:, d:] = dy_extra
+    return strip_imag_max(halfwidth, dy, sin2q, c), sin2q[:, d]
 
 
 def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
@@ -231,7 +238,8 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
     in their extra slabs and takes the rest of the real stage and the
     imaginary stage, one kernel call each, of which the table keeps the
     sin^2 q of the slab along Re(v - u); a block whose pairs all have equal
-    imaginary parts skips the imaginary stage (`_slab_cells`).  For a pair
+    imaginary parts skips the imaginary stage and takes the sine only in
+    the cells that can set a pair's maximum (`_slab_cells`).  For a pair
     matrix of N points the table holds O(N (d + 2) + m n) numbers."""
     strips = _slab_strips(base)
     m, step = len(vs), _sweep_rows(base)
@@ -251,8 +259,8 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
         xs[..., d:], cs[..., d:] = ex_x[:, block], ex_cos[:, block]
         hw = strips[2][None].repeat(block.stop - i, axis=0)
         hw[:, d:] = ex_hw[block]
-        lower[block], sin2q = _slab_cells(strips[0], hw, xs, cs, uv.imag[:, block], ex_dy[block])
-        table.along_sin2q[block] = sin2q[:, d]
+        lower[block], table.along_sin2q[block] = _slab_cells(strips[0], hw, xs, cs,
+                                                             uv.imag[:, block], ex_dy[block])
     return table, lower
 
 
@@ -305,8 +313,9 @@ def caratheodory_lower(base: ConvexBase, u, v):
     _SWEEP_CELLS cells projects its pairs' ends on the direction block and
     takes both stages, with one `strip_point_stage` call over the direction
     block and the extra slabs together; a block whose pairs all have equal
-    imaginary parts takes the real stage alone (`_slab_cells`).  No table
-    is kept.
+    imaginary parts takes the real stage alone, with a sine only in the
+    cells that can set a pair's maximum (`_slab_cells`).  No table is
+    kept.
     """
     single, us, vs = as_pairs(u, v)
     _require_in_tube(base, np.concatenate([us.real, vs.real]))

@@ -510,12 +510,13 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
     # 100 samples: 4,950 pairs a member, more than a group holds, so each
     # member goes alone.  The members are real segments, whose logs share
     # one imaginary part: every block of each search's slab table takes
-    # the real stage alone (the zero-dy form of `strip_imag_max`)
+    # the pruned real stage alone (`strip_flat_max`), never the imaginary
+    # stage (`strip_imag_max`)
     from kobalab import metric, tube
 
     searched, forms, inside = [], [], []
-    deck_infimum, slab_cells, imag_max = metric.deck_infimum, tube._slab_cells, \
-        tube.strip_imag_max
+    deck_infimum, slab_cells = metric.deck_infimum, tube._slab_cells
+    flat_max, imag_max = tube.strip_flat_max, tube.strip_imag_max
 
     def counted(cover, points, pairs):
         searched.append(len(pairs))
@@ -529,14 +530,17 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
         finally:
             inside.pop()
 
-    def recorded(halfwidth, dy, sin2q, c):
-        if inside:
-            forms[-1].append(dy is None)
-        return imag_max(halfwidth, dy, sin2q, c)
+    def recorded(kernel, flat):
+        def run(*args):
+            if inside:
+                forms[-1].append(flat)
+            return kernel(*args)
+        return run
 
     monkeypatch.setattr(metric, "deck_infimum", counted)
     monkeypatch.setattr(tube, "_slab_cells", cells)
-    monkeypatch.setattr(tube, "strip_imag_max", recorded)
+    monkeypatch.setattr(tube, "strip_flat_max", recorded(flat_max, True))
+    monkeypatch.setattr(tube, "strip_imag_max", recorded(imag_max, False))
     family = kobalab.antipodal_family(_BALL2, 20)
     report = audit_isometry(monomial_map(((2, 0), (0, 2)), _BALL2), family, samples=samples,
                             tol=1e-6)

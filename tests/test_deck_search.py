@@ -61,7 +61,7 @@ def halfplane_record(cover: LeftHalfPlane) -> tuple:
         return 2.0 * np.sqrt((-us[:, 0].real) * (-vs[:, 0].real))
 
     def offset_lower(us, vs, dys):
-        return np.arcsinh(np.abs(dys[..., 0]) / scale(us, vs)[:, None])
+        return np.arcsinh(np.abs(dys) / scale(us, vs)[:, None, None])
 
     return exact_cover(lambda z, w: cf.halfplane_distance(z, w), offset_lower,
                        lambda us, vs, best: (scale(us, vs) * np.sinh(best))[:, None])
@@ -71,7 +71,7 @@ def strip_record(cover: Strip) -> tuple:
     # the slab of half-width a gives pi * |dy| / (4 a)
     a = cover.halfwidth
     return exact_cover(lambda z, w: cf.strip_distance(a, z, w),
-                       lambda us, vs, dys: np.max(math.pi * np.abs(dys) / (4.0 * a), axis=-1),
+                       lambda us, vs, dys: math.pi * np.abs(dys) / (4.0 * a),
                        lambda us, vs, best: 4.0 * a * best[:, None] / math.pi)
 
 
@@ -91,6 +91,7 @@ class Reference(NamedTuple):
     gap: np.ndarray
     deck_index: np.ndarray
     survivors: list     # per growth round, the (pair, offset) survivors
+    settled: list       # per growth round, those whose bounds call settled them
 
 
 def reference_deck_columns(cover, points, pairs):
@@ -113,7 +114,7 @@ def reference_deck_columns(cover, points, pairs):
                for k, (v, lo, hi, done) in enumerate(zip(v0, best_lo, highs, settled))]
     best_nu = [tuple(row) for row in nu0.tolist()]
     evaluated = [{nu} for nu in best_nu]
-    survivors = []
+    survivors, settled = [], []
 
     def bounds_for(rows):
         thr = threshold(us[rows], vs[rows], np.array([best_hi[k] for k in rows]))
@@ -125,18 +126,22 @@ def reference_deck_columns(cover, points, pairs):
             break
         improved = set()
         survivors.append([])
+        settled.append([])
         for k, limit in zip(active, bounds_for(active).tolist()):
             box = list(itertools.product(*[range(c - b, c + b + 1)
                                            for c, b in zip(nu0[k].tolist(), limit)]))
-            offsets = metric.TWO_PI * np.array(box)
-            bound = offset_lower(us[[k]], vs[[k]], dy[[k]][:, None, :] - offsets)[0]
+            # the offset bound of a translate is the largest of its
+            # coordinates' bounds, taken here over the (1, n, L) offsets
+            offsets = metric.TWO_PI * np.array(box).T
+            bound = offset_lower(us[[k]], vs[[k]], dy[[k]][:, :, None] - offsets)[0].max(axis=0)
             hits = [l for l in range(len(box))
                     if not bound[l] > best_hi[k] and box[l] not in evaluated[k]]
             survivors[-1] += [(k, box[l]) for l in hits]
             if not hits:
                 continue
             moved = vs[[k] * len(hits)] + metric.TWO_PI * 1j * np.array([box[l] for l in hits])
-            found = (x.tolist() for x in bounds(shared, np.full(len(hits), k), moved))
+            found = [x.tolist() for x in bounds(shared, np.full(len(hits), k), moved)]
+            settled[-1] += [(k, box[l]) for l, done in zip(hits, found[2]) if done]
             for l, v, lo, hi, done in zip(hits, moved, *found):
                 if bound[l] > best_hi[k]:
                     continue
@@ -154,7 +159,8 @@ def reference_deck_columns(cover, points, pairs):
         active = [k for k in active if k in improved]
     lo, hi = np.array(best_lo), np.array(best_hi)
     gap = np.where(hi - lo > 0.0, hi - lo, 0.0)
-    return Reference(0.5 * (lo + hi), gap, np.array(best_nu, dtype=int).reshape(m, n), survivors)
+    return Reference(0.5 * (lo + hi), gap, np.array(best_nu, dtype=int).reshape(m, n), survivors,
+                     settled)
 
 
 def disjoint(us, vs):
@@ -255,7 +261,7 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
         return lows, highs, np.zeros(len(vs), dtype=bool)
 
     record = (start, bounds, lambda pairs, k, v, lo, hi, cut: hi,
-              lambda us, vs, dys: np.zeros(dys.shape[:2]),
+              lambda us, vs, dys: np.zeros(dys.shape),
               lambda us, vs, best: np.full(us.shape, 3.0))
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
@@ -290,7 +296,7 @@ def test_settled_survivors_are_taken_in_order_before_the_open_ones(monkeypatch):
         return lows, highs, done
 
     record = (start, bounds, lambda shared, k, v, lo, hi, cut: hi,
-              lambda us, vs, dys: np.zeros(dys.shape[:2]),
+              lambda us, vs, dys: np.zeros(dys.shape),
               lambda us, vs, best: np.full(us.shape, 3.0))
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
@@ -479,12 +485,17 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
     assert built == [1] and staged == [2]
 
 
-# moduli near both edges of the exact deck kinds; at arguments -3.0 and 2.9
-# the nearest translate of a pair of them is often not 0, and some pairs
-# have several (settled) survivors in their box
+# moduli near both edges of two Reinhardt domains searched on the tube
+# cover: the annulus 1/4 < |z| < 4 as the one over (-log 4, log 4), and the
+# one over a box.  At arguments -3.0 and 2.9 the nearest translate of a pair
+# of them is often not 0, and some pairs have several settled survivors in
+# their box (both covers settle every translate: the 1-d tube is a strip,
+# and the box tube has its exact product disc)
 EDGE_MODULI = {
-    "annulus": (Annulus(4.0), [3.9, 0.26, 1.0, 3.5, 0.3]),
-    "punctured-disc": (PuncturedDisc(), [0.999, 1e-6, 0.5, 0.99, 1e-4]),
+    "annulus-log": (ReinhardtLog(Box((-math.log(4.0),), (math.log(4.0),))),
+                    [[3.9], [0.26], [1.0], [3.5], [0.3]]),
+    "box-log": (ReinhardtLog(Box((-1.0, -0.5), (1.0, 0.5))),
+                [[2.7, 1.64], [0.37, 0.61], [1.0, 1.0], [2.71, 0.607], [0.368, 1.64]]),
 }
 
 
@@ -499,7 +510,8 @@ def test_small_shell_blocks_give_the_same_columns(name, monkeypatch):
                                                               radius=radius)
     else:
         domain, moduli = EDGE_MODULI[name]
-        points = np.array([[r * cmath.exp(1j * t)] for r in moduli for t in (-3.0, 2.9)][:9])
+        points = np.array([np.array(r) * cmath.exp(1j * t)
+                           for r in moduli for t in (-3.0, 2.9)][:9])
     pairs = list(itertools.combinations(range(len(points)), 2))
     whole = distances(domain, points, pairs)
     monkeypatch.setattr(metric, "_SHELL_BLOCK", 24)
@@ -512,7 +524,62 @@ def test_small_shell_blocks_give_the_same_columns(name, monkeypatch):
         logs = metric._principal_log(points)
         us, vs = logs[np.array(pairs).T]
         assert np.round((us.imag - vs.imag) / metric.TWO_PI).any()
-        assert max(collections.Counter(k for k, _ in want.survivors[0]).values()) >= 2
+        assert max(collections.Counter(k for k, _ in want.settled[0]).values()) >= 2
+
+
+# boxes with unequal half-widths in 1, 2 and 3 dimensions: the search
+# boxes of pairs near their edges have unequal limits
+SELECTION_BOXES = {1: Box((-0.7,), (0.7,)), 2: Box((-1.0, -0.3), (1.0, 0.3)),
+                   3: Box((-1.0, -0.5, -0.25), (1.0, 0.5, 0.25))}
+
+
+@pytest.mark.parametrize("n", list(SELECTION_BOXES))
+def test_per_coordinate_selection_matches_the_enumerated_box(n, monkeypatch):
+    # with boxes split over blocks by a small shell block, each block's
+    # survivors, their per-pair lexicographic order and their offset bounds
+    # are those of the box enumerated translate by translate: the largest
+    # of each translate's coordinate bounds, kept where it does not exceed
+    # its pair's best; and the search gives the sequential search's values
+    # and deck indices, with its first round's survivors
+    calls = []
+    survivors = metric._survivors
+
+    def recorded(terms, best, cells):
+        got = survivors(terms, best, cells)
+        calls.append((terms, best, cells, got))
+        return got
+
+    monkeypatch.setattr(metric, "_survivors", recorded)
+    monkeypatch.setattr(metric, "_SHELL_BLOCK", 24)
+    base = SELECTION_BOXES[n]
+    gen = np.random.default_rng(50 + n)
+    logs = gen.uniform(0.97 * np.array(base.lo), 0.97 * np.array(base.hi), (8, n))
+    points = np.exp(logs) * np.exp(2j * math.pi * gen.random((8, n)))
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    domain = ReinhardtLog(base)
+    got = distances(domain, points, pairs)
+    want = reference_distances(domain, points, pairs)
+    assert_same_columns(got, want)
+    assert_one_round(want)
+    limits, found = collections.Counter(), 0
+    for terms, best, cells, (r, l, bound) in calls:
+        width = terms.shape[2]
+        offsets = cells - width // 2 - width * np.arange(n)
+        limit = tuple(offsets.max(axis=0).tolist())
+        limits[limit] += 1
+        box = [nu for nu in itertools.product(*[range(-b, b + 1) for b in limit]) if any(nu)]
+        assert offsets.tolist() == [list(nu) for nu in box]
+        enumerated = np.array([[max(terms[k, j, width // 2 + o] for j, o in enumerate(nu))
+                                for nu in box] for k in range(len(terms))])
+        keep_r, keep_l = np.nonzero(~(enumerated > best[:, None]))
+        assert (r.tolist(), l.tolist()) == (keep_r.tolist(), keep_l.tolist())
+        assert bound.tolist() == enumerated[keep_r, keep_l].tolist()
+        found += len(r)
+    assert found == len(want.survivors[0]) > 0
+    # some box ran in several blocks, and in 2 and 3 dimensions some box
+    # has unequal limits
+    assert max(limits.values()) >= 2
+    assert n == 1 or any(len(set(limit)) > 1 for limit in limits)
 
 
 def test_empty_batches_give_empty_results():

@@ -10,7 +10,7 @@ from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_
 from kobalab import closed_forms as cf
 from kobalab import tube
 from kobalab._sampling import sphere_directions
-from kobalab.domains import LinearImage, Polytope, base_dim, to_polytope
+from kobalab.domains import LinearImage, Polytope, base_dim, chord_interval, to_polytope
 from kobalab.tube import affine_disc_tau, tube_metric_bounds
 
 BALL = EuclideanBall((0.0, 0.0), 1.0)
@@ -480,6 +480,15 @@ def test_batched_bounds_equal_per_pair_bounds(base, radius):
 # the slab sweep as it ran before the slab table: every cell of the
 # (pairs, directions) table through the one-formula strip kernel
 def _reference_slab_sweep(base, us, vs):
+    ap, q, c = _reference_cells(base, us, vs)
+    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
+    return np.max(np.where(ap > 350.0, ap - 0.5 * np.log(c), out), axis=1)
+
+
+def _reference_cells(base, us, vs):
+    """(ap, q, c) of every cell of the reference sweep: |pi dy/4a|,
+    pi dx/4a and the product of the cosines, the slab along Re(v - u) in
+    column -2 and the one along Im(v - u) in column -1."""
     dirs = tube._slab_strips(base)[0][:-2]
     his, los = base.support(dirs), -base.support(-dirs)
     d = len(dirs)
@@ -500,8 +509,7 @@ def _reference_slab_sweep(base, us, vs):
     ap = np.abs(math.pi * (z.imag - w.imag) / (4.0 * half))
     q = math.pi * (z.real - w.real) / (4.0 * half)
     c = np.cos(math.pi * z.real / (2.0 * half)) * np.cos(math.pi * w.real / (2.0 * half))
-    out = np.arcsinh(np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + np.sin(q) ** 2) / np.sqrt(c))
-    return np.max(np.where(ap > 350.0, ap - 0.5 * np.log(c), out), axis=1)
+    return ap, q, c
 
 
 def _tube_pairs(gen, m, radius, flat=0, vertical=0):
@@ -572,14 +580,18 @@ def _check_table_rows(base, table, points):
 def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     # enough pairs to fill three blocks of the table over the ball
     gen = np.random.default_rng(23)
+    # per row-max call, True for the pruned real stage (`strip_flat_max`)
+    # and False for the imaginary stage (`strip_imag_max`)
     forms = []
-    imag_max = tube.strip_imag_max
 
-    def recorded(halfwidth, dy, sin2q, c):
-        forms.append(dy is None)
-        return imag_max(halfwidth, dy, sin2q, c)
+    def recorded(kernel, flat):
+        def run(*args):
+            forms.append(flat)
+            return kernel(*args)
+        return run
 
-    monkeypatch.setattr(tube, "strip_imag_max", recorded)
+    monkeypatch.setattr(tube, "strip_flat_max", recorded(tube.strip_flat_max, True))
+    monkeypatch.setattr(tube, "strip_imag_max", recorded(tube.strip_imag_max, False))
     m = 2 * tube._sweep_rows(BALL) + 10
     us, vs = _tube_pairs(gen, m, radius, flat=5, vertical=5)
     want = _reference_slab_sweep(base, us, vs)
@@ -610,7 +622,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     # every block so far holds a pair with Im u != Im v
     assert forms and not any(forms)
     # an all-flat pair matrix over at least three full blocks: every block
-    # takes the real stage alone, with the same bits
+    # takes the pruned real stage alone, with the same bits
     count = 2
     while count * (count - 1) // 2 < 3 * tube._sweep_rows(base):
         count += 1
@@ -624,6 +636,60 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     assert len(forms) >= 6 and all(forms)
     _check_table_rows(base, table, count)
     _check_translates(gen, base, us, vs, table)
+
+
+# the 2-d bases of the slab-table tests, each symmetric about 0, so that
+# points with tiny coordinates project to tiny centred coordinates
+CENTRED_BASES = [BALL, BOX, to_polytope(BALL, 8), LinearImage(((1.0, 0.3), (0.0, 0.7)), BALL)]
+
+
+def _flat_edge_points(gen, base):
+    """13 points of the tube over `base`, all with one imaginary part (-0.0
+    in one of them, 0.0 in the others): six in the disc of radius 0.45;
+    a repeat of point 0; (0.0, y) and (-0.0, y), whose pair drops the slab
+    along Re(v - u); (1e-160, 0) and (3e-160, 0), whose cells have
+    0 < |q| < 2^-500; point 1 moved by 1e-10, whose pair's sines round to
+    q; and a point within 1e-12 of the base's boundary."""
+    reals = np.empty((13, 2))
+    dirs = gen.normal(size=(7, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    reals[:6] = 0.45 * gen.uniform(0.0, 1.0, (6, 1)) * dirs[:6]
+    reals[6] = reals[0]
+    reals[7:9] = [[0.0, reals[2, 1]], [-0.0, reals[2, 1]]]
+    reals[9:11] = [[1e-160, 0.0], [3e-160, 0.0]]
+    reals[11] = reals[1] + 1e-10 * dirs[6]
+    edge = gen.normal(size=2)
+    edge /= np.linalg.norm(edge)
+    reach = chord_interval(base, np.zeros(2), edge)[1]
+    inset = 1e-13
+    while not base.contains((reach - inset) * edge[None])[0]:
+        inset *= 2.0
+    assert inset < 1e-12
+    reals[12] = (reach - inset) * edge
+    imags = np.full((13, 2), 0.0)
+    imags[:, 1] = gen.uniform(-3.0, 3.0)
+    imags[4, 0] = -0.0
+    return reals + 1j * imags
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), base=st.sampled_from(CENTRED_BASES))
+def test_pruned_flat_row_max_equals_the_full_sweep(seed, base):
+    # all pairs of flat points take the pruned real stage: the slab lower
+    # bound, in the table and in `caratheodory_lower`, and the table's
+    # sin^2 q along Re(v - u) equal the full sweep's to the bit, with a
+    # dropped slab along Re(v - u), cells with |q| < 2^-500, signed zeros,
+    # repeated points and a point at the boundary among them
+    points = _flat_edge_points(np.random.default_rng(seed), base)
+    pairs = np.stack(np.triu_indices(len(points), 1), axis=1)
+    us, vs = points[pairs.T]
+    q = _reference_cells(base, us, vs)[1]
+    assert ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 ** -500)).any()
+    assert (q[:, -2] == 0.0).any()
+    want = _reference_slab_sweep(base, us, vs)
+    table, lower = tube.slab_table(base, points, pairs, us, vs)
+    assert lower.tobytes() == want.tobytes()
+    assert table.along_sin2q.tobytes() == (np.sin(q[:, -2]) ** 2).tobytes()
+    assert caratheodory_lower(base, us, vs).tobytes() == want.tobytes()
 
 
 def test_extra_slabs_are_set_up_once_per_call(monkeypatch):
