@@ -125,28 +125,19 @@ def _strip_imag_terms(halfwidth, dy, sin2q, c) -> tuple:
     """(ap, arg, big) of the imaginary stage: ap = |pi dy/4a|, the arcsinh
     argument sqrt(sinh^2 ap + sin2q)/sqrt(c), and the cells with ap > 350,
     where sinh dominates and the distance is ap - log(c)/2 (arcsinh(y) ~
-    log 2y) instead.  dy None stands for dy = 0 in every cell: sinh^2 0 = 0
-    and 0 + sin2q = sin2q exactly, so the sinh term is dropped, the argument
-    is sqrt(sin2q)/sqrt(c) to the bit, no cell is past the cap and big is
-    None."""
-    if dy is None:
-        ap = big = None
-        square = sin2q
-    else:
-        ap = np.abs(math.pi * dy / (4.0 * halfwidth))
-        big = ap > 350.0
-        # sinh is capped where the asymptotic form replaces it
-        square = np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q
-    return ap, np.sqrt(square) / np.sqrt(c), big
+    log 2y) instead.  Where dy is 0, sinh^2 0 + sin2q = sin2q exactly, so
+    the argument is sqrt(sin2q)/sqrt(c) to the bit."""
+    ap = np.abs(math.pi * dy / (4.0 * halfwidth))
+    # sinh is capped where the asymptotic form replaces it
+    return ap, np.sqrt(np.sinh(np.minimum(ap, 350.0)) ** 2 + sin2q) / np.sqrt(c), ap > 350.0
 
 
 def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
     """`strip_distance` of points whose imaginary parts differ by dy, given
-    their `strip_real_stage`; dy None for points with equal imaginary parts
-    (see `_strip_imag_terms`)."""
+    their `strip_real_stage`."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
     out = np.arcsinh(arg)
-    if big is not None and np.any(big):
+    if np.any(big):
         out = np.where(big, ap - 0.5 * np.log(c), out)
     return out
 
@@ -169,12 +160,11 @@ def strip_imag_max(halfwidth, dy, sin2q, c) -> np.ndarray:
 _NORMAL_Q = 2.0 ** -500
 
 
-def strip_flat_max(halfwidth, x1, x2, cos1, cos2, along: int) -> tuple:
-    """(lower, sin2q) of rows of cells whose points have equal imaginary
-    parts: `strip_imag_max` of their `strip_pair_stage` with dy = 0 in
-    every cell, and the sin^2 q of column `along` of each row, both to the
-    bit, with the sine taken only in the cells that can set their row's
-    maximum.
+def strip_flat_max(halfwidth, x1, x2, cos1, cos2, along: int) -> np.ndarray:
+    """`strip_imag_max` of rows of cells whose points have equal imaginary
+    parts, given their real parts and `strip_point_stage` values: the row
+    maxima with dy = 0 in every cell, to the bit, with the sine taken only
+    in the cells that can set their row's maximum.
 
     The certificate.  Column `along` gives each row its value
     ref = sqrt(sin^2 q)/sqrt(c), as the full sweep computes it.  Every
@@ -189,12 +179,12 @@ def strip_flat_max(halfwidth, x1, x2, cos1, cos2, along: int) -> tuple:
     skips nothing."""
     q = _strip_q(halfwidth, x1, x2)
     root = np.sqrt(cos1 * cos2)
-    sin2q = np.sin(q[:, along]) ** 2
+    ref = np.sqrt(np.sin(q[:, along]) ** 2) / root[:, along]
     size = np.abs(q)
-    live = (size / root >= (np.sqrt(sin2q) / root[:, along])[:, None]) | (size < _NORMAL_Q)
+    live = (size / root >= ref[:, None]) | (size < _NORMAL_Q)
     arg = np.zeros(q.shape)
     arg[live] = np.sqrt(np.sin(q[live]) ** 2) / root[live]
-    return np.arcsinh(np.max(arg, axis=-1)), sin2q
+    return np.arcsinh(np.max(arg, axis=-1))
 
 
 def strip_density(halfwidth, z, v):

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import closed_forms as cf
-from .domains import (Annulus, LeftHalfPlane, ModelDomain, Polydisc,
+from .domains import (Annulus, DomainError, LeftHalfPlane, ModelDomain, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
                       UnitBall, UnitDisc, as_point, base_support, dim,
                       require_interior)
@@ -245,8 +245,9 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     pairs, the error of the first failing pair is raised.
     The running bests, boxes and caps are arrays over the pairs; only the
     open survivors that may still lower their pair's best are taken one at
-    a time.  The search's slab table takes a flat pair's sines only in the
-    cells that can set its maximum (`tube.slab_table`).
+    a time.  The search's slab table and the slab bounds of every later
+    translate come from one sweep kernel (`tube._slab_cells`), which takes
+    a flat block's sines only in the cells that can set a pair's maximum.
     """
     rows = _point_rows(cover, points)
     pairs = _index_pairs(pairs, len(rows))
@@ -683,12 +684,15 @@ def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
 
     Exact for the closed-form and covered kinds; tube/Reinhardt/perturbed
     ellipsoid values are bracket midpoints (use `distance` when the gap
-    matters).
+    matters).  A tangent vector with a NaN or an infinite coordinate
+    raises DomainError.
     """
     z = require_interior(domain, z)
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     if v.size != dim(domain):
         raise ValueError("tangent vector dimension mismatch")
+    if not np.isfinite(v).all():
+        raise DomainError("tangent vector has non-finite coordinates")
     return _ENGINES[type(domain)].density(domain, z, v)
 
 
@@ -702,12 +706,11 @@ def hyperbolic_length(domain: ModelDomain, curve, s: float, t: float,
 
     `curve` is a GeodesicCurve or a plain sampler u -> point; without an
     analytic derivative a central difference with step 1e-6 is used.
-    Raises NonInteriorError if the curve leaves the domain on [s, t].
+    Raises NonInteriorError if the curve leaves the domain on [s, t], and
+    ValueError for a tol that is not a positive finite number.
     """
     if s > t:
         raise ValueError("need s <= t")
-    if s == t:
-        return 0.0
     sample = getattr(curve, "sample", curve)
     deriv = getattr(curve, "derivative", None)
     if deriv is None:

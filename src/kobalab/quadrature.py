@@ -3,17 +3,22 @@ finding."""
 
 from __future__ import annotations
 
+import math
+
 
 class QuadratureError(RuntimeError):
     """Raised when the adaptive rule hits its depth cap before converging."""
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_depth: int = 40) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
+    """Integrate f over [a, b] to absolute tolerance tol, a positive finite
+    number (else ValueError).
 
     The depth cap turns integrand blow-up (curves grazing the boundary)
     into a QuadratureError instead of a silent bad value.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if a == b:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)

@@ -4,13 +4,15 @@ The lower bound projects the tube onto supporting slabs (strips), each
 held as (unit direction, centre, half-width), the base's cached once
 with one direction per line (the slab of -e is the slab of e), and takes
 the best strip distance, with one arcsinh per pair; every holomorphic
-projection contracts, so this never exceeds the true distance.  A block
-of pairs with equal imaginary parts (real points, say) takes the strip
-kernel's real stage alone: there every slab's imaginary difference is 0,
-so the sinh stage adds exactly 0.  It takes the sine only in the cells
-whose bound |q|/sqrt(c) can reach the value of the pair's slab along
-Re(v - u), with the same row maxima to the bit
-(`closed_forms.strip_flat_max` states the certificate).  The
+projection contracts, so this never exceeds the true distance.  One
+kernel turns a block of (pair, slab) cells into these bounds
+(`_slab_cells`), for the pairs of a slab table and for their deck
+translates alike.  A block of pairs with equal imaginary parts (real
+points, say) takes the strip kernel's real stage alone: there every
+slab's imaginary difference is 0, so the sinh stage adds exactly 0.  It
+takes the sine only in the cells whose bound |q|/sqrt(c) can reach the
+value of the pair's slab along Re(v - u), with the same row maxima to
+the bit (`closed_forms.strip_flat_max` states the certificate).  The
 upper bound evaluates explicit analytic-disc competitors: affine discs, the
 chord-slice disc for pairs with equal imaginary parts, chained affine
 discs for far pairs, and the exact product formula over box bases.  The
@@ -78,26 +80,26 @@ class SlabTable(NamedTuple):
     """The real stage of the slab lower bound of m pairs of point rows.
 
     A deck translate v + i t of a pair changes only the imaginary parts of
-    its projections, so the strip kernel's real stage is set up once per
-    search and every translate pays only its pair stage and its imaginary
-    stage.  The slabs are the cached direction block (d columns), the
-    pair's slab along Re(v - u) (column d), which every translate shares,
-    and the slab along Im(v - u) (column d + 1), which changes with the
-    translate.  A dropped extra slab (that part ~0) is (-1, 1) with both
-    points at 0, whose strip distance is 0.
+    its projections, so the real parts are projected once per search and
+    every translate takes only the rest of the strip kernel.  The slabs
+    are the cached direction block (d columns), the pair's slab along
+    Re(v - u) (column d), which every translate shares, and the slab along
+    Im(v - u) (column d + 1), which changes with the translate.  A dropped
+    extra slab (that part ~0) is (-1, 1) with both points at 0, whose strip
+    distance is 0.
 
     `x` and `cos` hold one row per point row: the direction block's centred
     real projections and their cosines (`strip_point_stage`), which depend
     on one point only, with 0 and 1 in the two extra columns.  A
-    translate's sin^2(pi dx/4a) and c come from one `strip_pair_stage`
-    call over the two rows of each that the pair's indices in `ends` give,
-    so the table holds no (pair, slab) array: a deck search over all pairs
-    of N points keeps N rows of each, not one per pair.  Per pair the table
-    keeps only the slab along Re(v - u): its unit direction (n columns, 0
-    where dropped), half-width, sin^2(pi dx/4a) and c, all taken from the
-    pair's extra slabs (`_pair_slabs`), which the table's build sets up
-    once for all its pairs.  The imaginary parts of the projections are not
-    kept: a translate recomputes them with its own.
+    translate's cells gather the two rows of each that the pair's indices
+    in `ends` give, so the table holds no (pair, slab) array: a deck search
+    over all pairs of N points keeps N rows of each, not one per pair.  Per
+    pair the table keeps only the slab along Re(v - u): its unit direction
+    (n columns, 0 where dropped), half-width, and both ends' centred real
+    projections and cosines, all taken from the pair's extra slabs
+    (`_pair_slabs`), which the table's build sets up once for all its
+    pairs.  The imaginary parts of the projections are not kept: a
+    translate recomputes them with its own.
     """
 
     us: np.ndarray               # (m, n) the first points of the pairs
@@ -106,8 +108,8 @@ class SlabTable(NamedTuple):
     cos: np.ndarray              # (points, d + 2)
     along: np.ndarray            # (m, n)
     along_halfwidth: np.ndarray  # (m,)
-    along_sin2q: np.ndarray      # (m,)
-    along_c: np.ndarray          # (m,)
+    along_x: np.ndarray          # (2, m)
+    along_cos: np.ndarray        # (2, m)
 
 
 def _one_per_line(rows: np.ndarray) -> np.ndarray:
@@ -195,16 +197,15 @@ def _pair_slabs(base: ConvexBase, uv: np.ndarray) -> tuple:
 
 
 def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np.ndarray,
-                ims: np.ndarray, dy_extra: np.ndarray) -> tuple:
-    """(lower, sin2q) of the (pair, slab) cells of a block of pairs: their
-    slab lower bound and the strip kernel's sin^2(pi dx/4a) of each pair's
-    slab along Re(v - u), column d.  halfwidth is
-    the block's (pairs, slabs) half-widths, xs and cos the centred real
-    projections of the pairs' ends and their `strip_point_stage` as
-    (2, pairs, slabs), all three with the pairs' extra slabs in the last two
-    columns; ims holds the ends' imaginary parts as (2, pairs, n) and
-    dy_extra the extra slabs' imaginary differences as (pairs, 2).  dirs is
-    the direction block of `_slab_strips`.
+                ims: np.ndarray, dy_extra: np.ndarray) -> np.ndarray:
+    """The slab lower bound of each pair of a block of (pair, slab) cells,
+    the one kernel of the slab sweep.  halfwidth is the block's (pairs,
+    slabs) half-widths, xs and cos the centred real projections of the
+    pairs' ends and their `strip_point_stage` as (2, pairs, slabs), all
+    three with the pairs' slabs along Re(v - u) and Im(v - u) in the last
+    two columns; ims holds the ends' imaginary parts as (2, pairs, n) and
+    dy_extra the two extra slabs' imaginary differences as (pairs, 2).
+    dirs is the direction block of `_slab_strips`.
     A block whose every pair has Im u == Im v (compared exactly, so -0.0
     equals 0.0) takes the real stage alone, through `strip_flat_max`:
     every cell's dy is then a signed zero, since the slab along Im(v - u)
@@ -218,9 +219,10 @@ def _slab_cells(dirs: np.ndarray, halfwidth: np.ndarray, xs: np.ndarray, cos: np
         return strip_flat_max(halfwidth, xs[0], xs[1], cos[0], cos[1], d)
     sin2q, c = strip_pair_stage(halfwidth, xs[0], xs[1], cos[0], cos[1])
     del xs, cos
-    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
+    proj = rowdot(ims[:, :, None, :], dirs)
+    dy = proj[0] - proj[1]
     dy[:, d:] = dy_extra
-    return strip_imag_max(halfwidth, dy, sin2q, c), sin2q[:, d]
+    return strip_imag_max(halfwidth, dy, sin2q, c)
 
 
 def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
@@ -235,42 +237,37 @@ def slab_table(base: ConvexBase, rows: np.ndarray, pairs: np.ndarray, us: np.nda
     The direction block's projections and cosines are taken once per point
     row and kept, and the extra slabs of all m pairs once (`_pair_slabs`);
     then each block of _SWEEP_CELLS cells gathers its pairs' rows, copies
-    in their extra slabs and takes the rest of the real stage and the
-    imaginary stage, one kernel call each, of which the table keeps the
-    sin^2 q of the slab along Re(v - u); a block whose pairs all have equal
-    imaginary parts skips the imaginary stage and takes the sine only in
-    the cells that can set a pair's maximum (`_slab_cells`).  For a pair
-    matrix of N points the table holds O(N (d + 2) + m n) numbers."""
+    in their extra slabs and takes its bounds from `_slab_cells`.  For a
+    pair matrix of N points the table holds O(N (d + 2) + m n) numbers."""
     strips = _slab_strips(base)
+    dirs, _, halfwidths = strips
     m, step = len(vs), _sweep_rows(base)
-    d = len(strips[0]) - 2
+    d = len(dirs) - 2
     x, cos = _point_stage(rows.real, strips, step)
     ends = pairs.T
     uv = np.array([us, vs])
     ex_x, ex_dy, ex_hw, along = _pair_slabs(base, uv)
     ex_cos = strip_point_stage(ex_hw, ex_x)
-    table = SlabTable(us, ends, x, cos, along, ex_hw[:, 0], np.empty(m),
-                      ex_cos[0, :, 0] * ex_cos[1, :, 0])
+    table = SlabTable(us, ends, x, cos, along, ex_hw[:, 0], ex_x[..., 0], ex_cos[..., 0])
     lower = np.empty(m)
     for i in range(0, m, step):
         block = slice(i, min(i + step, m))
         pair = ends[:, block]
         xs, cs = x[pair], cos[pair]
         xs[..., d:], cs[..., d:] = ex_x[:, block], ex_cos[:, block]
-        hw = strips[2][None].repeat(block.stop - i, axis=0)
+        hw = halfwidths[None].repeat(block.stop - i, axis=0)
         hw[:, d:] = ex_hw[block]
-        lower[block], table.along_sin2q[block] = _slab_cells(strips[0], hw, xs, cs,
-                                                             uv.imag[:, block], ex_dy[block])
+        lower[block] = _slab_cells(dirs, hw, xs, cs, uv.imag[:, block], ex_dy[block])
     return table, lower
 
 
 def slab_lower(base: ConvexBase, table: SlabTable, owners: np.ndarray,
                vs: np.ndarray) -> np.ndarray:
     """The largest slab strip distance of each translate vs[k] of the pair
-    owners[k] of the table, in blocks of _SWEEP_CELLS cells: the direction
-    block's cells take their pair stage from the table's point rows and
-    their imaginary stage, the slab along Re(v - u) only the imaginary
-    stage, and the slab along Im(v - u) all three, in the same calls."""
+    owners[k] of the table, in blocks of _SWEEP_CELLS cells: each block
+    gathers its cells from the table (the direction block's point rows and
+    the slab along Re(v - u)), sets up its own slabs along Im(v - u) and
+    takes its bounds from `_slab_cells`, as the table's build does."""
     step = _sweep_rows(base)
     out = np.empty(len(vs))
     for i in range(0, len(vs), step):
@@ -287,20 +284,21 @@ def _slab_block(base: ConvexBase, table: SlabTable, owners: np.ndarray,
     uv = np.array([table.us[owners], vs])
     ims = uv.imag
     ends = table.ends[:, owners]
-    # the two extra columns read sin^2 0 and c = 1 here, since x is 0 there
-    sin2q, c = strip_pair_stage(halfwidths, *table.x[ends], *table.cos[ends])
-    sin2q[:, d], c[:, d] = table.along_sin2q[owners], table.along_c[owners]
+    # column d + 1 reads x = 0 and cos = 1 where the slab is dropped
+    xs, cs = table.x[ends], table.cos[ends]
+    xs[..., d], cs[..., d] = table.along_x[:, owners], table.along_cos[:, owners]
     halfwidth = halfwidths[None].repeat(len(vs), axis=0)
     halfwidth[:, d] = table.along_halfwidth[owners]
-    dy = np.subtract(*rowdot(ims[:, :, None, :], dirs))
-    dy[:, d] = np.subtract(*rowdot(ims, table.along[owners]))
+    dy = np.zeros((len(vs), 2))
+    along = rowdot(ims, table.along[owners])
+    dy[:, 0] = along[0] - along[1]
     across, ex_mid, ex_hw, keep = _extra_slabs(base, ims[1] - ims[0])
     proj = rowdot(uv[:, keep], across)
-    xs = proj.real - ex_mid
-    extra = strip_pair_stage(ex_hw, *xs, *strip_point_stage(ex_hw, xs))
-    for column, kept in zip((halfwidth, sin2q, c, dy), (ex_hw, *extra, np.subtract(*proj.imag))):
-        column[keep, d + 1] = kept
-    return strip_imag_max(halfwidth, dy, sin2q, c)
+    ex_x = proj.real - ex_mid
+    xs[:, keep, d + 1], cs[:, keep, d + 1] = ex_x, strip_point_stage(ex_hw, ex_x)
+    halfwidth[keep, d + 1] = ex_hw
+    dy[keep, 1] = proj.imag[0] - proj.imag[1]
+    return _slab_cells(dirs, halfwidth, xs, cs, ims, dy)
 
 
 def caratheodory_lower(base: ConvexBase, u, v):
@@ -308,39 +306,24 @@ def caratheodory_lower(base: ConvexBase, u, v):
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the result is
     then an (m,) array).  The largest strip distance over the cached slabs
-    and each pair's slabs along Re(v - u) and Im(v - u).  The extra slabs
-    of all pairs are set up once (`_pair_slabs`); then each block of
-    _SWEEP_CELLS cells projects its pairs' ends on the direction block and
-    takes both stages, with one `strip_point_stage` call over the direction
-    block and the extra slabs together; a block whose pairs all have equal
-    imaginary parts takes the real stage alone, with a sine only in the
-    cells that can set a pair's maximum (`_slab_cells`).  No table is
-    kept.
+    and each pair's slabs along Re(v - u) and Im(v - u): the lower bound
+    of `slab_table` over the pairs' stacked ends, whose table is dropped.
     """
     single, us, vs = as_pairs(u, v)
-    _require_in_tube(base, np.concatenate([us.real, vs.real]))
-    dirs, mid, halfwidths = _slab_strips(base)
-    step, d = _sweep_rows(base), len(dirs) - 2
-    uv = np.array([us, vs])
-    ex_x, ex_dy, ex_hw = _pair_slabs(base, uv)[:3]
-    best = np.empty(len(us))
-    for i in range(0, len(us), step):
-        block = slice(i, min(i + step, len(us)))
-        hw = halfwidths[None].repeat(block.stop - i, axis=0)
-        hw[:, d:] = ex_hw[block]
-        xs = rowdot(uv.real[:, block, None, :], dirs) - mid
-        xs[..., d:] = ex_x[:, block]
-        best[block] = _slab_cells(dirs, hw, xs, strip_point_stage(hw, xs), uv.imag[:, block],
-                                  ex_dy[block])[0]
+    rows = np.concatenate([us, vs])
+    _require_in_tube(base, rows)
+    best = slab_table(base, rows, np.arange(len(rows)).reshape(2, -1).T, us, vs)[1]
     return float(best[0]) if single else best
 
 
-def _require_in_tube(base: ConvexBase, xs: np.ndarray):
-    """Raise unless every row of xs, the real parts of tube points, lies in
-    the open base (one row-wise `contains` call)."""
-    if xs.shape[1] != base_dim(base):
+def _require_in_tube(base: ConvexBase, rows: np.ndarray):
+    """Raise unless every row of rows, tube points, has finite coordinates
+    and its real part in the open base (one row-wise `contains` call)."""
+    if rows.shape[1] != base_dim(base):
         raise DomainError("base point has wrong dimension")
-    if not base.contains(xs).all():
+    if not np.isfinite(rows).all():
+        raise DomainError("point has non-finite coordinates")
+    if not base.contains(rows.real).all():
         raise ValueError("points must lie in the open tube")
 
 
@@ -511,13 +494,13 @@ def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
 def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The chord-slice term of each row pair: the strip distance from 0 to 1
     in the interval of s with Re u + s Re(v - u) in the base (0 where
-    Re u = Re v), through the zero-dy form of the strip kernel: 0 and 1 are
-    real.  Every deck translate of a pair shares it."""
+    Re u = Re v), through the strip kernel with dy = 0: 0 and 1 are real.
+    Every deck translate of a pair shares it."""
     delta = (vs - us).real
     moved = np.sqrt(rowdot(delta, delta)) > 1e-15
     out = np.zeros(len(us))
     mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
-    out[moved] = strip_imag_stage(halfwidth, None,
+    out[moved] = strip_imag_stage(halfwidth, np.zeros(len(halfwidth)),
                                   *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
     return out
 
@@ -601,7 +584,7 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     if u.shape != v.shape or u.ndim != 1:
         raise DomainError("base point has wrong dimension")
     if closed is None:
-        _require_in_tube(base, np.stack([u.real, v.real]))
+        _require_in_tube(base, np.stack([u, v]))
         if np.array_equal(u, v):
             return 0.0
         chord = chord_terms(base, u[None], v[None])
@@ -640,8 +623,9 @@ def tube_distance_bounds(base: ConvexBase, u, v):
     over all pairs, then `disc_upper` for each pair they leave open.
     """
     single, us, vs = as_pairs(u, v)
-    terms = translate_terms(base, us, vs)
+    # the lower bound first: it checks the points
     lower = caratheodory_lower(base, us, vs)
+    terms = translate_terms(base, us, vs)
     upper, settled = closed_bounds(base, us, vs, terms[:, 0], lower)
     upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, t, math.inf)
                       for a, b, lo, hi, done, t

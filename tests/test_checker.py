@@ -509,13 +509,13 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
     # 32 samples: 496 pairs a member, four members (1,984 pairs) a group;
     # 100 samples: 4,950 pairs a member, more than a group holds, so each
     # member goes alone.  The members are real segments, whose logs share
-    # one imaginary part: every block of each search's slab table takes
-    # the pruned real stage alone (`strip_flat_max`), never the imaginary
-    # stage (`strip_imag_max`)
+    # one imaginary part: every block of each search's slab table build
+    # takes the pruned real stage alone (`strip_flat_max`), never the
+    # imaginary stage (`strip_imag_max`)
     from kobalab import metric, tube
 
     searched, forms, inside = [], [], []
-    deck_infimum, slab_cells = metric.deck_infimum, tube._slab_cells
+    deck_infimum, slab_table = metric.deck_infimum, metric.slab_table
     flat_max, imag_max = tube.strip_flat_max, tube.strip_imag_max
 
     def counted(cover, points, pairs):
@@ -523,10 +523,10 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
         forms.append([])
         return deck_infimum(cover, points, pairs)
 
-    def cells(*args):
+    def table(*args):
         inside.append(True)
         try:
-            return slab_cells(*args)
+            return slab_table(*args)
         finally:
             inside.pop()
 
@@ -538,7 +538,7 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
         return run
 
     monkeypatch.setattr(metric, "deck_infimum", counted)
-    monkeypatch.setattr(tube, "_slab_cells", cells)
+    monkeypatch.setattr(metric, "slab_table", table)
     monkeypatch.setattr(tube, "strip_flat_max", recorded(flat_max, True))
     monkeypatch.setattr(tube, "strip_imag_max", recorded(imag_max, False))
     family = kobalab.antipodal_family(_BALL2, 20)

@@ -11,7 +11,8 @@ from kobalab import (Annulus, DeckBoundError, LeftHalfPlane, Polydisc, Punctured
                      infinitesimal_metric)
 from kobalab import closed_forms as cf
 from kobalab import metric
-from kobalab.domains import EuclideanBall, LinearImage, NonInteriorError
+from kobalab.domains import DomainError, EuclideanBall, LinearImage, NonInteriorError
+from kobalab.quadrature import adaptive_simpson
 from kobalab.geodesics import ball_geodesic_segment
 from test_domains import ALL_DOMAINS
 
@@ -106,6 +107,15 @@ def test_infinitesimal_trivia():
     assert k2 == pytest.approx(2.5 * k1, rel=1e-14)
 
 
+def test_infinitesimal_metric_refuses_non_finite_tangents():
+    cases = [(UnitDisc(), 0.3, math.nan), (UnitBall(2), [0.2, 0.1j], [math.nan, 0.0]),
+             (TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)), [0.1, 0.2j], [math.inf, 0.0]),
+             (Annulus(4.0), 1.0, math.inf)]
+    for domain, z, v in cases:
+        with pytest.raises(DomainError, match="tangent vector has non-finite coordinates"):
+            infinitesimal_metric(domain, z, v)
+
+
 def test_punctured_density_against_finite_difference():
     # oracle: finite difference of the deck-infimum distance
     for t in (0.2, 0.5, 0.8):
@@ -128,6 +138,20 @@ def test_annulus_density_against_finite_difference():
 
 def test_hyperbolic_length_constant_curve():
     assert hyperbolic_length(UnitDisc(), lambda t: np.array([0.3 + 0j]), 0.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, -0.0, math.inf])
+def test_quadrature_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    def integrand(u):
+        raise AssertionError("the integrand is never sampled")
+
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        adaptive_simpson(integrand, 0.0, 1.0, tol=tol)
+    # the disc's radial geodesic over [0, 0.5], and over an empty interval
+    for t in (0.5, 0.0):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            hyperbolic_length(UnitDisc(), lambda u: np.array([complex(u)]), 0.0, t, tol=tol)
+    assert hyperbolic_length(UnitDisc(), lambda u: np.array([complex(u)]), 0.3, 0.3) == 0.0
 
 
 def test_hyperbolic_length_radial_segment():

@@ -231,10 +231,16 @@ def test_import_leaves_the_test_dependencies_unloaded():
 
 def test_tube_bounds_check_their_base_rows():
     base = EuclideanBall((0.0, 0.0), 1.0)
-    for bound in (kobalab.caratheodory_lower, kobalab.lempert_upper):
+    for bound in (kobalab.caratheodory_lower, kobalab.tube_distance_bounds,
+                  kobalab.lempert_upper):
         with pytest.raises(DomainError, match="wrong dimension"):
             bound(base, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="open tube"):
             bound(base, [0.1, 0.0], [2.0, 0.0])
+        # a non-finite coordinate is refused before any arithmetic on it,
+        # which would warn (and a warning fails the test)
+        for bad in (complex(0.0, np.inf), complex(0.0, np.nan), complex(np.nan, 0.0)):
+            with pytest.raises(DomainError, match="point has non-finite coordinates"):
+                bound(base, [0.1, bad], [0.0, 0.0])
     with pytest.raises(ValueError, match="open tube"):
         kobalab.caratheodory_lower(base, [[0.1, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])

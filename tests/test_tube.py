@@ -550,9 +550,12 @@ def _flat_pair_matrix(gen, radius, count):
     return points, np.stack(np.triu_indices(count, 1), axis=1)
 
 
-def _check_translates(gen, base, us, vs, table):
+def _check_translates(gen, base, us, vs, table, lower):
     """slab_lower of translates v + 2 pi i nu of the table's pairs, taken
-    from every block in a scrambled order, against the reference sweep."""
+    from every block in a scrambled order, against the reference sweep;
+    and of every pair at its own translate (nu = 0), in order, against the
+    table's lower bound to the bit."""
+    assert tube.slab_lower(base, table, np.arange(len(us)), vs).tobytes() == lower.tobytes()
     owners = gen.permutation(np.repeat(np.arange(len(us)), 2))
     nus = gen.integers(-2, 3, (len(owners), 2))
     nus[:3] = 0                  # a translate that is the pair itself
@@ -601,7 +604,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     assert lower.tolist() == want.tolist()
     # disjoint pairs: the table keeps one row of each per point row
     _check_table_rows(base, table, 2 * m)
-    _check_translates(gen, base, us, vs, table)
+    _check_translates(gen, base, us, vs, table, lower)
     # a pair matrix: its points' stage runs once per point row (the
     # repeated point and the signed zeros included)
     points, pairs = _pair_matrix(gen, radius)
@@ -611,14 +614,14 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     _check_table_rows(base, table, 9)
     assert lower.tolist() == want.tolist()
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
-    _check_translates(gen, base, us, vs, table)
+    _check_translates(gen, base, us, vs, table, lower)
     # one pair, here with real parts that differ only in a signed zero
     for k in (0, 5):
         table, lower = tube.slab_table(base, np.array([us[k], vs[k]]), np.array([[0, 1]]),
                                        us[k:k + 1], vs[k:k + 1])
         assert lower.tolist() == want[k:k + 1].tolist()
         _check_table_rows(base, table, 2)
-        _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table)
+        _check_translates(gen, base, us[k:k + 1], vs[k:k + 1], table, lower)
     # every block so far holds a pair with Im u != Im v
     assert forms and not any(forms)
     # an all-flat pair matrix over at least three full blocks: every block
@@ -635,7 +638,7 @@ def test_slab_table_equals_the_one_pass_sweep(base, radius, monkeypatch):
     assert caratheodory_lower(base, us, vs).tolist() == want.tolist()
     assert len(forms) >= 6 and all(forms)
     _check_table_rows(base, table, count)
-    _check_translates(gen, base, us, vs, table)
+    _check_translates(gen, base, us, vs, table, lower)
 
 
 # the 2-d bases of the slab-table tests, each symmetric about 0, so that
@@ -675,20 +678,23 @@ def _flat_edge_points(gen, base):
 @given(seed=st.integers(0, 2 ** 32 - 1), base=st.sampled_from(CENTRED_BASES))
 def test_pruned_flat_row_max_equals_the_full_sweep(seed, base):
     # all pairs of flat points take the pruned real stage: the slab lower
-    # bound, in the table and in `caratheodory_lower`, and the table's
-    # sin^2 q along Re(v - u) equal the full sweep's to the bit, with a
-    # dropped slab along Re(v - u), cells with |q| < 2^-500, signed zeros,
-    # repeated points and a point at the boundary among them
+    # bound, in the table and in `caratheodory_lower`, and the q and the
+    # cosine product of the table's slab along Re(v - u) equal the full
+    # sweep's to the bit, with a dropped slab along Re(v - u), cells with
+    # |q| < 2^-500, signed zeros, repeated points and a point at the
+    # boundary among them
     points = _flat_edge_points(np.random.default_rng(seed), base)
     pairs = np.stack(np.triu_indices(len(points), 1), axis=1)
     us, vs = points[pairs.T]
-    q = _reference_cells(base, us, vs)[1]
+    _, q, c = _reference_cells(base, us, vs)
     assert ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 ** -500)).any()
     assert (q[:, -2] == 0.0).any()
     want = _reference_slab_sweep(base, us, vs)
     table, lower = tube.slab_table(base, points, pairs, us, vs)
     assert lower.tobytes() == want.tobytes()
-    assert table.along_sin2q.tobytes() == (np.sin(q[:, -2]) ** 2).tobytes()
+    along_q = math.pi * (table.along_x[0] - table.along_x[1]) / (4.0 * table.along_halfwidth)
+    assert along_q.tobytes() == q[:, -2].tobytes()
+    assert (table.along_cos[0] * table.along_cos[1]).tobytes() == c[:, -2].tobytes()
     assert caratheodory_lower(base, us, vs).tobytes() == want.tobytes()
 
 
