@@ -23,7 +23,7 @@ from .domains import (DomainError, ModelDomain, NonInteriorError, _float, _int,
                       domain_from_dict, require_interior)
 from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
-                     _within_gap, distances)
+                     _check_gap_tol, _within_gap, distances)
 from .serialize import family_from_dict, geodesic_from_dict, jsonify, parse_point, point_to_json
 from .tube import TubeMetricError
 
@@ -144,6 +144,7 @@ def _dist_batch(rows, gap_tol) -> list[str]:
     runs per distinct domain (see `_domain_groups`, `_group_points`), and
     the lines are formatted from its columns.  If anything raises, the
     first bad row in input order decides the error raised."""
+    _check_gap_tol(gap_tol)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise DomainError("--batch needs a JSON list of {domain, z, w} objects")
     lines = [""] * len(rows)
@@ -166,8 +167,6 @@ def _dist_batch(rows, gap_tol) -> list[str]:
 
 
 def cmd_dist(args) -> int:
-    if args.gap_tol is not None and not args.gap_tol >= 0.0:
-        raise DomainError(f"--gap-tol must be >= 0, got {args.gap_tol}")
     if args.batch:
         lines = _dist_batch(_load_json_arg(args.batch), args.gap_tol)
         _emit("\n".join([_CSV_HEADER, *lines]) + "\n", args.out)

@@ -36,11 +36,10 @@ import numpy as np
 from . import closed_forms as cf
 from .domains import (Annulus, DomainError, LeftHalfPlane, ModelDomain, Polydisc,
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
-                      UnitBall, UnitDisc, as_point, base_support, dim,
-                      require_interior)
+                      UnitBall, UnitDisc, as_point, dim, require_interior)
 from .quadrature import adaptive_simpson
-from .tube import (closed_bounds, disc_upper, slab_lower, slab_table, translate_terms,
-                   tube_distance_bounds, tube_metric_bounds)
+from .tube import (axis_halfwidths, closed_bounds, disc_upper, slab_lower, slab_table,
+                   translate_terms, tube_distance_bounds, tube_metric_bounds, upper_floor)
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -177,19 +176,20 @@ class DistanceColumns(Sequence):
 # no coordinate bound above a value has no offset bound above it.
 # threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
 # coordinate's bound exceeds best, as (m, n); it does not decrease as best
-# grows.
+# grows.  floor(shared, owners, vs) is a lower bound on every upper bound
+# that finish could give the translates vs[k] of the pairs owners[k]
+# (-inf where none is known), so a translate whose floor exceeds its
+# pair's best needs no finish.
 
 @functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
-    """(start, bounds, finish, offset_lower, threshold) of the exp-cover of
-    a Reinhardt domain, the tube over its base, built once per base.  Each
-    coordinate slab of half-width a_j gives the coordinate bound
-    pi |dy_j| / (4 a_j)."""
+    """(start, bounds, finish, offset_lower, threshold, floor) of the
+    exp-cover of a Reinhardt domain, the tube over its base, built once per
+    base.  Each coordinate slab of half-width a_j gives the coordinate bound
+    pi |dy_j| / (4 a_j); the floor is `tube.upper_floor`'s."""
     if type(cover) is not TubeOverBase:
         raise ValueError(f"{cover!r} is not a supported covering")
     base = cover.base
-    eye = np.eye(cover.dim)
-    halfwidths = np.array([0.5 * (base_support(base, e) + base_support(base, -e)) for e in eye])
 
     def start(rows, pairs, us, vs):
         table, lower = slab_table(base, rows, pairs, us, vs)
@@ -205,13 +205,22 @@ def _cover(cover: ModelDomain) -> tuple:
         table, terms = shared
         return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
 
+    def floor(shared, owners, vs):
+        table, terms = shared
+        return upper_floor(base, table.us[owners], vs, terms[owners])
+
     # 4 a_j, and as a column against the coordinate axis of the offsets
-    four_a = 4.0 * halfwidths
+    four_a = 4.0 * axis_halfwidths(base)
     four_a_column = four_a[:, None]
     return (start, bounds, finish,
             lambda us, vs, dys: math.pi * np.abs(dys) / four_a_column,
-            lambda us, vs, best: four_a * best[:, None] / math.pi)
+            lambda us, vs, best: four_a * best[:, None] / math.pi, floor)
 
+
+# the relative margin by which a survivor's bounds must clear its pair's
+# bests before it is dropped (floor) or left unfinished: it absorbs the
+# rounding of the offset bound, the floor and the bounds they stand for
+_FLOOR_MARGIN = 1.0 + 1e-6
 
 # lattice points per block of the vectorised offset bound, which bounds
 # the memory of its temporaries.  A search over a grouped audit's 1,984
@@ -248,12 +257,19 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     a time.  The search's slab table and the slab bounds of every later
     translate come from one sweep kernel (`tube._slab_cells`), which takes
     a flat block's sines only in the cells that can set a pair's maximum.
+    A survivor that cannot win is neither swept nor finished: one floor
+    per survivor (`tube.upper_floor`) bounds every upper bound its finish
+    could give, and a survivor whose offset bound is at least its pair's
+    best lower end and whose floor is above the best upper end (by
+    _FLOOR_MARGIN) is dropped before the sweep; an open one whose floor is
+    above its pair's best is not finished.  Errors its competitors would
+    have raised then do not surface.
     """
     rows = _point_rows(cover, points)
     pairs = _index_pairs(pairs, len(rows))
     us, vs = _ends(rows, pairs)
     m, n = us.shape
-    start, bounds, finish, offset_lower, threshold = _cover(cover)
+    start, bounds, finish, offset_lower, threshold, floor = _cover(cover)
     dy, turns, wild = _nearest_turns(us, vs)
     if wild >= 0:
         # an earlier pair's error comes first, and pairs are searched
@@ -304,6 +320,20 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
             owners = block[r]
             nus = nu0[owners] + box[l]
             moved = vs[owners] + TWO_PI * 1j * nus
+            # a survivor that can lower neither end of its pair's bracket is
+            # dropped unswept: its slab bound is at least its offset bound,
+            # so at least the pair's best lower end, and every upper bound
+            # finish could give it is at least its floor, above the best
+            # upper end
+            floors = floor(shared, owners, moved)
+            idle = ((bound >= best_lo[owners] * _FLOOR_MARGIN)
+                    & (floors > best_hi[owners] * _FLOOR_MARGIN))
+            if idle.any():
+                keep = ~idle
+                r, owners, nus, moved, bound, floors = (
+                    a[keep] for a in (r, owners, nus, moved, bound, floors))
+                if not len(r):
+                    continue
             # one batched bounds call for every survivor; the settled ones are
             # taken first in that order, then the open ones best-first (by
             # lower bound), each rechecked against its pair's running best
@@ -336,6 +366,8 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
                     continue
                 if lo < best_lo[k]:
                     best_lo[k] = lo
+                if floors.item(i) > cut * _FLOOR_MARGIN:
+                    continue
                 hi = finish(shared, k, moved[i], lo, highs.item(i), cut)
                 if hi < cut or (hi == cut and i < found_at.get(k, -1)):
                     best_hi[k], best_nu[k], found_at[k] = hi, nus[i], i
@@ -620,6 +652,13 @@ _ENGINES: dict[type, _Engine] = {
 }
 
 
+def _check_gap_tol(gap_tol: float | None):
+    """Raise DomainError unless gap_tol is None or a number >= 0 (inf
+    included): no gap exceeds a NaN, and every gap exceeds a negative one."""
+    if gap_tol is not None and not gap_tol >= 0.0:
+        raise DomainError(f"gap_tol must be >= 0, got {gap_tol}")
+
+
 def _within_gap(gaps, gap_tol: float | None):
     """Raise SandwichGapError at the first of the gaps that exceeds gap_tol."""
     if gap_tol is not None:
@@ -649,7 +688,8 @@ def distances(domain: ModelDomain, points, pairs,
     one entry per pair, and indexing or iterating it builds one
     `DistanceValue` per pair looked at.  With gap_tol, SandwichGapError is
     raised at the first pair whose bracket is wider; with several failing
-    pairs, a deck kind raises the DeckBoundError of the first.
+    pairs, a deck kind raises the DeckBoundError of the first.  A gap_tol
+    that is NaN or negative raises DomainError.
     """
     rows = _point_rows(domain, points)
     return _evaluate(domain, rows, _index_pairs(pairs, len(rows)), gap_tol)
@@ -658,6 +698,7 @@ def distances(domain: ModelDomain, points, pairs,
 def _evaluate(domain: ModelDomain, rows: np.ndarray, pairs: np.ndarray,
               gap_tol: float | None) -> DistanceColumns:
     """`distances` of checked point rows and valid (m, 2) index pairs."""
+    _check_gap_tol(gap_tol)
     if not len(pairs):
         return DistanceColumns(np.zeros(0), np.zeros(0), np.zeros(0, dtype=str))
     found = _ENGINES[type(domain)].distances(domain, rows, _canonical_order(rows, pairs))

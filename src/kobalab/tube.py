@@ -19,6 +19,20 @@ discs for far pairs, and the exact product formula over box bases.  The
 pair (lower, upper) brackets the true distance; on segments joining
 antipodal boundary points of the base the two sides coincide up to
 rounding.
+
+A deck translate that cannot win is neither swept nor finished.
+`upper_floor` bounds from below every competitor beyond the closed forms,
+with reach = |(a_1, ..., a_n)| of the axis half-widths: (i) an affine disc
+anchored at p with direction w holds Re p -/+ Im(w)/tau, so
+tau >= |Im w|/reach, and where |Im(v - u)| >= _CHAIN_TAU reach no single
+disc is admissible and no chain runs; (ii) the route through the real
+points is then the only competitor, and its ascent to v is at least
+|Im v|/reach.  The floor is -inf where (i) fails, where the cap at u is
+not yet known, in one dimension and over boxes (kinds with a product
+competitor, settled exactly).  The deck search compares it with its
+pair's best upper end by a margin of 1 + 1e-6 (`metric.deck_infimum`), so
+its results are unchanged; an error that such a translate's competitors
+would have raised no longer surfaces.
 """
 
 from __future__ import annotations
@@ -35,8 +49,8 @@ from .closed_forms import (strip_centre, strip_density, strip_density_offset,
                            strip_imag_stage, strip_pair_stage, strip_point_stage,
                            strip_real_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
-                      as_pairs, base_dim, base_facet_normals, base_membership, chord_interval,
-                      rowdot)
+                      as_pairs, base_dim, base_facet_normals, base_membership, base_support,
+                      chord_interval, rowdot)
 
 DIRECTIONS_PER_DIM = 64
 
@@ -399,6 +413,11 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     top = 0.5 * (s11 + s22 + gap)
     if top == 0.0:
         return 0.0
+    if top < 1e-150:
+        # tau is homogeneous of degree 1 in (a, b); a vector this short is
+        # scaled to unit size first, or the squares below underflow
+        k = 1.0 / math.sqrt(top)
+        return _ball_disc_tau(base, x, [ai * k for ai in a], [bi * k for bi in b]) / k
     # rotate g into S's eigenbasis; for S = top * I any basis is one, so align it with g
     th = 0.5 * math.atan2(2.0 * s12, s11 - s22) if gap > 0.0 else math.atan2(gb, ga)
     c, s = math.cos(th), math.sin(th)
@@ -406,7 +425,7 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     # the weights g_i^2 at the poles 0 and -gap; a zero weight drops its term
     p1, p2 = g1 * g1, g2 * g2
     d = 0.0
-    if g1 != 0.0 or (p2 > 0.0 and p2 * (top + gap) / (gap * gap) > room):
+    if p1 > 0.0 or (p2 > 0.0 and p2 * (top + gap) / (gap * gap) > room):
         # F's bracket: its first term alone, and all of g on the first pole
         d = lo = _pole_root(p1, top, room)
         hi = _pole_root(p1 + p2, top + gap, room)
@@ -549,6 +568,68 @@ def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndar
     return np.stack([chord_terms(base, us, vs), np.full(len(us), math.nan)], axis=1)
 
 
+def axis_halfwidths(base: ConvexBase) -> np.ndarray:
+    """The half-widths a_j of the base along the coordinate axes."""
+    return np.array([0.5 * (base_support(base, e) + base_support(base, -e))
+                     for e in np.eye(base_dim(base))])
+
+
+@functools.lru_cache(maxsize=64)
+def _reach(base: ConvexBase) -> float | None:
+    """|(a_1, ..., a_n)| of the axis half-widths, or None where
+    `upper_floor` gives no floor: in one dimension and over kinds with a
+    product competitor."""
+    if base_dim(base) == 1 or _TUBE_KINDS[type(base)].product is not None:
+        return None
+    return math.hypot(*axis_halfwidths(base).tolist())
+
+
+# a pair with no admissible single disc runs the chain of affine discs only
+# while the smaller of its two single taus is below this (`lempert_upper`)
+_CHAIN_TAU = 6.0
+# the relative margin by which |Im(v - u)| must clear _CHAIN_TAU reach in
+# `upper_floor`, for the rounding of the norms and of tau
+_FAR_MARGIN = 1.0 + 1e-9
+
+
+def upper_floor(base: ConvexBase, us: np.ndarray, vs: np.ndarray,
+                terms: np.ndarray) -> np.ndarray:
+    """A certified lower bound on every competitor that `disc_upper`
+    evaluates beyond the closed forms of `closed_bounds`, for each row pair
+    (us[k], vs[k]) with its row of `translate_terms`; -inf where none is
+    known.  With reach = |(a_1, ..., a_n)| (`axis_halfwidths`):
+
+    (i) The affine disc anchored at p with direction w holds
+    Re p -/+ Im(w)/tau, so the base's width along Im w is at least
+    2 |Im w|/tau; that width is at most 2 sum_j |e_j| a_j <= 2 reach for the
+    unit e along Im w, so tau >= |Im w|/reach.  Where |Im(v - u)| is at
+    least _CHAIN_TAU reach (by a rounding margin), both single taus are at
+    least _CHAIN_TAU: no single disc is admissible and no chain runs.
+    (ii) That leaves the route through the real points, cap_u + cap_v +
+    chord, and cap_v = legs atanh(tau0/legs) >= tau0 >= |Im v|/reach.  So
+    the floor is cap_u + chord + |Im v|/reach.
+
+    The floor is -inf where (i) fails, where cap_u is still NaN, in one
+    dimension (`closed_bounds` settles every pair there) and over kinds
+    with a product competitor (boxes, whose pairs are settled exactly).
+    The norms are taken by `np.hypot`, whose squares do not overflow, and a
+    floor past the float range is inf.
+    """
+    reach = _reach(base)
+    if reach is None:
+        return np.full(len(us), -math.inf)
+    cap_u = terms[:, 1]
+    with np.errstate(over="ignore"):
+        # |Im v| and |Im(v - u)|, column by column (n >= 2 here)
+        ims = np.stack([vs.imag, vs.imag - us.imag])
+        norms = np.hypot(ims[..., 0], ims[..., 1])
+        for j in range(2, ims.shape[-1]):
+            norms = np.hypot(norms, ims[..., j])
+        floor = cap_u + terms[:, 0] + norms[0] / reach
+    floor[~(norms[1] >= _CHAIN_TAU * _FAR_MARGIN * reach) | np.isnan(cap_u)] = -math.inf
+    return floor
+
+
 def disc_upper(base: ConvexBase, u: np.ndarray, v: np.ndarray, lower: float, best: float,
                terms: np.ndarray, cut: float) -> float:
     """Upper end of the bracket of one pair that `closed_bounds` left open,
@@ -607,7 +688,7 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     # through the real points: vertical descent, chord slice, vertical ascent
     best = min(best, cap_u + _vertical_cap(base, [z.real for z in v], [z.imag for z in v])
                + chord)
-    if not had_disc and min(taus) < 6.0:
+    if not had_disc and min(taus) < _CHAIN_TAU:
         # mid-range pair with no admissible single disc: the short chain
         # is usually tighter than the via-real route; a chain past the
         # best so far (or past cut) cannot matter

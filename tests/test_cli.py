@@ -89,10 +89,15 @@ def test_dist_schema_error_exit_2():
     for z in ["x", '[[1, "a"]]', '[{"a": 1}]', "[[1, 2, 3]]"]:
         code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", z, "--w", "0.5"])
         assert code == 2, z
-    # a negative sandwich-gap tolerance is a malformed option
-    code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", "0", "--w", "0.5",
-                       "--gap-tol", "-1"])
-    assert code == 2
+    # a negative or NaN sandwich-gap tolerance is a malformed option, for
+    # one query and for a batch alike
+    for tol in ("-1", "nan"):
+        code, _ = run_cli(["dist", "--domain", "unit-disc", "--z", "0", "--w", "0.5",
+                           "--gap-tol", tol])
+        assert code == 2, tol
+        code, _ = run_cli(["dist", "--batch", '[{"domain": {"kind": "unit-disc"}, "z": 0, '
+                           '"w": 0.5}]', "--gap-tol", tol])
+        assert code == 2, tol
 
 
 def test_dist_non_interior_exit_3():

@@ -21,12 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kobalab import (Annulus, Box, EuclideanBall, LeftHalfPlane, LinearImage, PuncturedDisc,
                      ReinhardtLog, Strip, TubeOverBase, distance, distances)
 from kobalab import closed_forms as cf
 from kobalab import metric, tube
-from kobalab.domains import domain_from_dict, require_interior, to_polytope
+from kobalab.domains import chord_interval, domain_from_dict, require_interior, to_polytope
 
 BALL = EuclideanBall((0.0, 0.0), 1.0)
 # stretched along (1, -1): vertical offsets along (1, -1) are cheap, so the
@@ -45,14 +47,14 @@ BASES = {
 def exact_cover(kernel, offset_lower, threshold) -> tuple:
     """The cover record of a cover with a closed-form distance: one kernel
     call over all translates gives both bounds, and every translate is
-    settled, so there is no finish."""
+    settled, so there is no finish and no floor."""
     def bounds(us, owners, vs):
         values = kernel(us[owners, 0], vs[:, 0])
         return values, values, np.ones(len(values), dtype=bool)
 
     def start(rows, pairs, us, vs):
         return (us, *bounds(us, slice(None), vs))
-    return start, bounds, None, offset_lower, threshold
+    return start, bounds, None, offset_lower, threshold, None
 
 
 def halfplane_record(cover: LeftHalfPlane) -> tuple:
@@ -103,7 +105,7 @@ def reference_deck_columns(cover, points, pairs):
     pairs = np.asarray(pairs)
     us, vs = rows[pairs.T]
     m, n = us.shape
-    start, bounds, finish, offset_lower, threshold = cover_record(cover)
+    start, bounds, finish, offset_lower, threshold, _ = cover_record(cover)
     dy = us.imag - vs.imag
     nu0 = np.round(dy / metric.TWO_PI).astype(int)
     dy0 = dy - metric.TWO_PI * nu0
@@ -232,7 +234,7 @@ def test_exact_tie_goes_to_the_first_translate_in_lexicographic_order():
     points = tied_pair()
     logs = metric._principal_log(points)
     cover = TubeOverBase(STRETCHED)
-    start, bounds, finish, _, _ = metric._cover(cover)
+    start, bounds, finish, *_ = metric._cover(cover)
     uppers = []
     for nu in ((-1, 0), (0, -1)):
         v = logs[1:] + metric.TWO_PI * 1j * np.array([nu])
@@ -245,6 +247,11 @@ def test_exact_tie_goes_to_the_first_translate_in_lexicographic_order():
     got = distances(domain, points, [(0, 1)])
     assert got.deck_index.tolist() == [[-1, 0]]
     assert_same_columns(got, reference_distances(domain, points, [(0, 1)]))
+
+
+def never_floor(shared, owners, vs):
+    """A cover record's floor that never drops or skips a translate."""
+    return np.full(len(vs), -math.inf)
 
 
 def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
@@ -262,7 +269,7 @@ def test_tie_rule_holds_when_later_translates_are_finished_first(monkeypatch):
 
     record = (start, bounds, lambda pairs, k, v, lo, hi, cut: hi,
               lambda us, vs, dys: np.zeros(dys.shape),
-              lambda us, vs, best: np.full(us.shape, 3.0))
+              lambda us, vs, best: np.full(us.shape, 3.0), never_floor)
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
     us = np.array([[0.0 + 0.5j, 0.0 + 0.5j]])
@@ -297,7 +304,7 @@ def test_settled_survivors_are_taken_in_order_before_the_open_ones(monkeypatch):
 
     record = (start, bounds, lambda shared, k, v, lo, hi, cut: hi,
               lambda us, vs, dys: np.zeros(dys.shape),
-              lambda us, vs, best: np.full(us.shape, 3.0))
+              lambda us, vs, best: np.full(us.shape, 3.0), never_floor)
     cover = TubeOverBase(BALL)
     monkeypatch.setattr(metric, "_cover", lambda c: record)
     points, pairs = np.array([[0.0 + 0.5j, 0.0 + 0.5j]]), [(0, 0), (0, 0)]
@@ -305,6 +312,44 @@ def test_settled_survivors_are_taken_in_order_before_the_open_ones(monkeypatch):
     assert want.deck_index.tolist() == [[0, 1], [-1, 1]]
     assert want.value.tolist() == [0.5 * (0.5 + 1.2), 0.5 * (0.5 + 1.5)]
     assert_same_columns(metric.deck_infimum(cover, points, pairs), want)
+
+
+def test_an_unfinished_translate_still_lowers_the_lower_end(monkeypatch):
+    # a cover record whose translate (0, 1) has a floor above the best upper
+    # end but the lowest lower bound of the box: it is neither dropped nor
+    # finished, and the lower end is its lower bound, as in the sequential
+    # search, which finishes it
+    rest = (3.0, 6.0, True)
+    table = {(0, 0): (4.5, 5.0, False), (0, 1): (1.0, 9.0, False)}
+
+    def start(rows, pairs, us, vs):
+        return (us, *bounds(None, np.arange(len(vs)), vs))
+
+    def nus(vs):
+        return [tuple(nu) for nu in np.round((vs.imag - 0.5) / metric.TWO_PI).astype(int).tolist()]
+
+    def bounds(shared, owners, vs):
+        return (np.array(column) for column in zip(*[table.get(nu, rest) for nu in nus(vs)]))
+
+    def floor(shared, owners, vs):
+        return np.array([8.0 if nu == (0, 1) else -math.inf for nu in nus(vs)])
+
+    finished = []
+
+    def finish(shared, k, v, lo, hi, cut):
+        finished.append(nus(v[None])[0])
+        return hi
+
+    record = (start, bounds, finish, lambda us, vs, dys: np.zeros(dys.shape),
+              lambda us, vs, best: np.full(us.shape, 3.0), floor)
+    cover = TubeOverBase(BALL)
+    monkeypatch.setattr(metric, "_cover", lambda c: record)
+    points = np.array([[0.0 + 0.5j, 0.0 + 0.5j]])
+    want = reference_deck_columns(cover, points, [(0, 0)])
+    assert want.value.tolist() == [0.5 * (1.0 + 5.0)]
+    finished.clear()
+    assert_same_columns(metric.deck_infimum(cover, points, [(0, 0)]), want)
+    assert finished == [(0, 0)]
 
 
 def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
@@ -325,7 +370,100 @@ def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
     distances(domain, points, pairs)
     # pinned on this fixed pair set, as a guard against finishing
     # translates that cannot win
-    assert (sequential, len(calls)) == (61, 51)
+    assert (sequential, len(calls)) == (61, 41)
+
+
+def counted_sweeps(monkeypatch) -> list:
+    """The number of translates of each `slab_lower` call of the search."""
+    swept = []
+    slab_lower = metric.slab_lower
+
+    def counted(base, table, owners, vs):
+        swept.append(len(vs))
+        return slab_lower(base, table, owners, vs)
+
+    monkeypatch.setattr(metric, "slab_lower", counted)
+    return swept
+
+
+def test_translates_that_cannot_win_change_no_column(monkeypatch):
+    # the search with the floor gives the columns of the search without
+    # it, bit for bit, and sweeps fewer translates on the ball set
+    cases = [(ReinhardtLog(base), reinhardt_points(7, seed=len(name), radius=radius))
+             for name, (base, radius) in BASES.items()]
+    cases.append((ReinhardtLog(STRETCHED), tied_pair()))
+    swept = counted_sweeps(monkeypatch)
+    with_floor = []
+    for domain, points in cases:
+        swept.clear()
+        pairs = list(itertools.combinations(range(len(points)), 2))
+        with_floor.append((distances(domain, points, pairs), sum(swept)))
+    monkeypatch.setattr(metric, "upper_floor",
+                        lambda base, us, vs, terms: np.full(len(us), -math.inf))
+    for (domain, points), (got, count) in zip(cases, with_floor):
+        swept.clear()
+        want = distances(domain, points, list(itertools.combinations(range(len(points)), 2)))
+        assert_same_columns(got, want)
+        assert got.method.tolist() == want.method.tolist()
+        if domain.base is BALL:
+            assert count < sum(swept)
+
+
+# an anchor as (angle, log10 of its inset): the point along that angle from
+# the centre, the inset's fraction of the way short of the boundary.  The
+# angles are multiples of pi/360
+_ANGLES = st.integers(0, 719).map(lambda k: math.pi * k / 360.0)
+_ANCHORS = st.tuples(_ANGLES, st.floats(-9.0, 0.0))
+
+
+def anchor(base, angle: float, inset: float) -> np.ndarray:
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    return (1.0 - 10.0 ** inset) * chord_interval(base, np.zeros(2), direction)[1] * direction
+
+
+@pytest.mark.parametrize("name", list(BASES))
+@settings(max_examples=160)
+@given(a=_ANCHORS, b=_ANCHORS, im_u=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       turn=_ANGLES, size=st.floats(-3.0, 6.0))
+def test_upper_floor_bounds_what_finish_can_give(name, a, b, im_u, turn, size):
+    # anchors from the centre to 1e-9 of the boundary and |Im(v - u)| from
+    # 1e-3 to 1e6: wherever the floor is finite it is at most the whole
+    # upper bound, both single taus are at least the chain's constant, so
+    # no disc or chain competes, and the slab bound is at least the offset
+    # bound that the search drops translates by
+    base = BASES[name][0]
+    u = anchor(base, *a) + 1j * np.array(im_u)
+    v = anchor(base, *b) + 1j * (np.array(im_u) + 10.0 ** size * np.array([math.cos(turn),
+                                                                          math.sin(turn)]))
+    terms = tube.translate_terms(base, u[None], v[None])
+    assert tube.upper_floor(base, u[None], v[None], terms).tolist() == [-math.inf]
+    terms[0, 1] = tube._vertical_cap(base, u.real.tolist(), u.imag.tolist())
+    floor = tube.upper_floor(base, u[None], v[None], terms)[0]
+    if isinstance(base, Box):
+        assert floor == -math.inf
+    if floor == -math.inf:
+        return
+    assert math.isfinite(floor)
+    assert floor <= tube.lempert_upper(base, u, v, cut=math.inf)
+    taus = [tube.affine_disc_tau(base, p.real, q - p) for p, q in ((u, v), (v, u))]
+    assert min(taus) >= tube._CHAIN_TAU
+    offset = np.max(math.pi * np.abs((u - v).imag) / (4.0 * tube.axis_halfwidths(base)))
+    assert tube.caratheodory_lower(base, u, v) >= offset
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_upper_floor_of_huge_imaginary_parts_raises_no_warning(name):
+    # |Im v| = 1e200 in both coordinates: the squares of the norms would
+    # overflow (any RuntimeWarning fails the test); reach is below 10
+    base = BASES[name][0]
+    u, v = np.array([[0.1 + 1j, 0.0]]), np.array([[0.0 + 1e200j, 0.0 - 1e200j]])
+    terms = tube.translate_terms(base, u, v)
+    terms[0, 1] = tube._vertical_cap(base, u[0].real.tolist(), u[0].imag.tolist())
+    floor = tube.upper_floor(base, u, v, terms)[0]
+    if isinstance(base, Box):
+        assert floor == -math.inf
+    else:
+        assert 1e199 <= floor < math.inf
 
 
 def test_search_still_improving_after_the_last_round_raises():

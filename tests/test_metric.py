@@ -320,6 +320,18 @@ def test_sandwich_gap_tolerance():
         distance(TubeOverBase(base), z, w, gap_tol=val.gap / 10.0)
 
 
+def test_gap_tolerance_is_checked_at_the_library_edge():
+    # NaN would switch the gap check off and a negative tolerance would
+    # fail every pair, exact ones too; None, 0 and inf are valid
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(DomainError, match="gap_tol"):
+            distance(UnitDisc(), 0.1, 0.2, gap_tol=bad)
+        with pytest.raises(DomainError, match="gap_tol"):
+            distances(UnitDisc(), [0.1, 0.2], [], gap_tol=bad)
+    for good in (None, 0.0, math.inf):
+        assert distance(UnitDisc(), 0.1, 0.2, gap_tol=good) == distance(UnitDisc(), 0.1, 0.2)
+
+
 def test_non_interior_rejected():
     with pytest.raises(NonInteriorError):
         distance(UnitDisc(), 0.0, 1.5)

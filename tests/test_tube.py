@@ -190,6 +190,27 @@ def test_ball_tau_disc_stays_inside_near_the_sphere(exponent, n, kind):
         assert farthest - mpmath.mpf(ball.radius) <= 1e-15 * ball.radius
 
 
+@pytest.mark.parametrize("scale", [1e-98, 1e-120, 1e-160])
+def test_ball_tau_of_a_tiny_vector_is_scaled(scale):
+    # tau is homogeneous of degree 1 in the disc vector: a vector whose
+    # squares underflow gives the unit vector's tau times its size (it
+    # divided by zero in the Newton loop), and so does the vertical cap of a
+    # tube point with a tiny imaginary part inside `distance`
+    for x, w in (([0.9, 0.0], [1j, 0.0]), ([0.9, 0.3], [1j, 0.3]), ([0.2, -0.5], [0.3 - 1j, 2j])):
+        unit = affine_disc_tau(BALL, x, w)
+        assert affine_disc_tau(BALL, x, [scale * z for z in w]) == pytest.approx(scale * unit,
+                                                                                  rel=1e-14)
+    lo, hi = tube_distance_bounds(BALL, np.array([0.9 + 1e-98j, 0.0]), np.array([0.0, 1j]))
+    assert 0.0 < lo <= hi < math.inf
+
+
+def test_ball_tau_of_an_anchor_with_a_subnormal_coordinate():
+    # g_1 = 1e-308 is not 0, but its square is: the hard case's test, on
+    # that square, gives the tau of the anchor with that coordinate at 0
+    assert affine_disc_tau(BALL, [0.9, 1e-308], [0.0, 1j]) == \
+        affine_disc_tau(BALL, [0.9, 0.0], [0.0, 1j])
+
+
 def _axis_case(seed: int, n: int, kind: str, depth: float):
     """(ball, anchor, a, b) with an ellipse on coordinate axes, so that the
     special cases hold exactly in floating point: "hard" (S = diag(4, 1),
