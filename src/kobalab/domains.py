@@ -244,8 +244,10 @@ class Box(_Base):
     def chord(self, p, d):
         moving = d != 0.0
         step = np.where(moving, d, 1.0)
-        s1 = (np.asarray(self.lo) - p) / step
-        s2 = (np.asarray(self.hi) - p) / step
+        # a subnormal step overflows to +-inf, the limit of the quotient
+        with np.errstate(over="ignore"):
+            s1 = (np.asarray(self.lo) - p) / step
+            s2 = (np.asarray(self.hi) - p) / step
         return (np.max(np.where(moving, np.minimum(s1, s2), -math.inf), axis=-1),
                 np.min(np.where(moving, np.maximum(s1, s2), math.inf), axis=-1))
 
@@ -303,7 +305,9 @@ class Polytope(_Base):
         a, b = self._rows()
         slack = b - rowdot(p[:, None, :], a)
         rate = rowdot(d[:, None, :], a)
-        s = slack / np.where(rate == 0.0, 1.0, rate)
+        # a subnormal rate overflows to +-inf, the limit of the quotient
+        with np.errstate(over="ignore"):
+            s = slack / np.where(rate == 0.0, 1.0, rate)
         ends = (np.max(np.where(rate < 0.0, s, -math.inf), axis=-1),
                 np.min(np.where(rate > 0.0, s, math.inf), axis=-1))
         if not (np.isfinite(ends[0]).all() and np.isfinite(ends[1]).all()):

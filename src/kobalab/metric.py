@@ -38,8 +38,7 @@ from .domains import (Annulus, DomainError, LeftHalfPlane, ModelDomain, Polydisc
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
                       UnitBall, UnitDisc, as_point, dim, require_interior)
 from .quadrature import adaptive_simpson
-from .tube import (axis_halfwidths, closed_bounds, disc_upper, slab_lower, slab_table,
-                   translate_terms, tube_distance_bounds, tube_metric_bounds, upper_floor)
+from .tube import cover_record, first_round, tube_metric_bounds
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -156,65 +155,17 @@ class DistanceColumns(Sequence):
 # the slabs of other directions can make a farther translate nearer, so
 # Reinhardt domains are searched.
 #
-# The tube's cover record bounds the cover distance of translates.
-# start(rows, pairs, us, vs) is (shared, lower, upper, settled): what every
-# translate of the pairs (rows[i], rows[j]) of the (m, 2) index pairs
-# shares (the slab table, and the chord terms and vertical caps at the
-# pairs' first points us, which the caller gathered as rows[pairs[:, 0]]),
-# set up once per search, and the bounds of the translates vs of the
-# second points (settled: upper is final).
-# bounds(shared, owners, vs) is (lower, upper, settled) for the
-# translates vs[k] of the pairs owners[k], many translates at once;
-# finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v of
-# pair k left open (it may fill in the pair's shared terms), or any value
-# above cut once the bound is known to exceed cut: such a translate cannot
-# lower its pair's best.  offset_lower(us, vs, dys) gives per-coordinate
-# bounds: dys is an (m, n, L) array of imaginary offsets from u, row j of
-# pair k the offsets dys[k, j, :] of its coordinate j, and the result has
-# its shape.  A translate's offset lower bound, a cheap lower bound for its
-# distance, is the largest of its coordinates' bounds, so a translate with
-# no coordinate bound above a value has no offset bound above it.
-# threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
-# coordinate's bound exceeds best, as (m, n); it does not decrease as best
-# grows.  floor(shared, owners, vs) is a lower bound on every upper bound
-# that finish could give the translates vs[k] of the pairs owners[k]
-# (-inf where none is known), so a translate whose floor exceeds its
-# pair's best needs no finish.
+# The tube's cover record (`tube.cover_record`) bounds the cover distance of
+# translates; `tube.first_round` runs its start and finishes the pairs
+# start left open: the deck search's at every pair's nearest translate nu0,
+# the tube kind's (`_tube`) at the pairs themselves.
 
-@functools.lru_cache(maxsize=64)
 def _cover(cover: ModelDomain) -> tuple:
-    """(start, bounds, finish, offset_lower, threshold, floor) of the
-    exp-cover of a Reinhardt domain, the tube over its base, built once per
-    base.  Each coordinate slab of half-width a_j gives the coordinate bound
-    pi |dy_j| / (4 a_j); the floor is `tube.upper_floor`'s."""
+    """The cover record of the exp-cover of a Reinhardt domain, the tube
+    over its base (`tube.cover_record`, built once per base)."""
     if type(cover) is not TubeOverBase:
         raise ValueError(f"{cover!r} is not a supported covering")
-    base = cover.base
-
-    def start(rows, pairs, us, vs):
-        table, lower = slab_table(base, rows, pairs, us, vs)
-        terms = translate_terms(base, us, vs)
-        return (table, terms), lower, *closed_bounds(base, us, vs, terms[:, 0], lower)
-
-    def bounds(shared, owners, vs):
-        table, terms = shared
-        lower = slab_lower(base, table, owners, vs)
-        return (lower, *closed_bounds(base, table.us[owners], vs, terms[owners, 0], lower))
-
-    def finish(shared, k, v, lo, hi, cut):
-        table, terms = shared
-        return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
-
-    def floor(shared, owners, vs):
-        table, terms = shared
-        return upper_floor(base, table.us[owners], vs, terms[owners])
-
-    # 4 a_j, and as a column against the coordinate axis of the offsets
-    four_a = 4.0 * axis_halfwidths(base)
-    four_a_column = four_a[:, None]
-    return (start, bounds, finish,
-            lambda us, vs, dys: math.pi * np.abs(dys) / four_a_column,
-            lambda us, vs, best: four_a * best[:, None] / math.pi, floor)
+    return cover_record(cover.base)
 
 
 # the relative margin by which a survivor's bounds must clear its pair's
@@ -269,7 +220,7 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     pairs = _index_pairs(pairs, len(rows))
     us, vs = _ends(rows, pairs)
     m, n = us.shape
-    start, bounds, finish, offset_lower, threshold, floor = _cover(cover)
+    _, bounds, finish, offset_lower, threshold, floor = record = _cover(cover)
     dy, turns, wild = _nearest_turns(us, vs)
     if wild >= 0:
         # an earlier pair's error comes first, and pairs are searched
@@ -280,14 +231,10 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     # the search runs over offsets from the nearest translate nu0 of each pair
     nu0 = turns.astype(int)
     dy0 = dy - TWO_PI * nu0
-    # every pair's shared terms (the slab table) are built once, with
-    # the bounds of its translate nu0, and serve its whole box
-    v0 = vs + TWO_PI * 1j * nu0
-    shared, lo0, hi0, settled = start(rows, pairs, us, v0)
-    # the running bests, as copies of the start's columns
-    best_lo, best_hi = np.array(lo0), np.array(hi0)
-    for k in np.flatnonzero(~settled).tolist():
-        best_hi[k] = finish(shared, k, v0[k], best_lo.item(k), best_hi.item(k), math.inf)
+    # the first round: every pair's shared terms (the slab table) are built
+    # once and serve its whole box, and the bracket of its translate nu0
+    # starts the running bests
+    shared, best_lo, best_hi = first_round(record, rows, pairs, us, vs + TWO_PI * 1j * nu0)
     best_nu = nu0.copy()
     # the first failing pair of each cause -> its DeckBoundError; the first
     # of them is raised
@@ -549,7 +496,9 @@ def _nearest_translate(cover: ModelDomain, points, pairs: np.ndarray) -> Distanc
 
 
 def _tube(domain: TubeOverBase, rows, pairs) -> DistanceColumns:
-    return _sandwich(*tube_distance_bounds(domain.base, *_ends(rows, pairs)))
+    """The first round of the deck search on the tube itself, over the
+    checked point rows and their pairs."""
+    return _sandwich(*first_round(_cover(domain), rows, pairs, *_ends(rows, pairs))[1:])
 
 
 def _closed_form(kernel: Callable) -> Callable:
@@ -681,7 +630,7 @@ def distances(domain: ModelDomain, points, pairs,
     are bit-identical.  The annulus and the punctured disc take one
     closed-form call over all pairs, at each pair's nearest deck translate;
     a Reinhardt domain runs one deck search over all pairs, and the tube
-    one slab sweep.
+    the first round of that search (`tube.first_round`) on the point rows.
 
     The result is a read-only `DistanceColumns`: the `.value`, `.gap`,
     `.lower` and `.upper` arrays (plus `.method` and `.deck_index`) hold
@@ -726,7 +675,11 @@ def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
     Exact for the closed-form and covered kinds; tube/Reinhardt/perturbed
     ellipsoid values are bracket midpoints (use `distance` when the gap
     matters).  A tangent vector with a NaN or an infinite coordinate
-    raises DomainError.
+    raises DomainError.  v is scaled by 2^-e, exactly, so that the largest
+    of its coordinates' real and imaginary parts in absolute value lies in
+    [1, 2), and the density is scaled back by 2^e: k(z; 2^k v) is
+    2^k k(z; v) to the bit wherever neither over- nor underflows, and no
+    kind's absolute threshold or squared norm sees an extreme scale.
     """
     z = require_interior(domain, z)
     v = np.atleast_1d(np.asarray(v, dtype=complex))
@@ -734,7 +687,14 @@ def infinitesimal_metric(domain: ModelDomain, z, v) -> float:
         raise ValueError("tangent vector dimension mismatch")
     if not np.isfinite(v).all():
         raise DomainError("tangent vector has non-finite coordinates")
-    return _ENGINES[type(domain)].density(domain, z, v)
+    top = max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1] - 1
+    unit = np.empty_like(v)
+    unit.real, unit.imag = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
+    with np.errstate(over="ignore"):     # a density past the float range is inf
+        return float(np.ldexp(_ENGINES[type(domain)].density(domain, z, unit), e))
 
 
 # step of the central difference that stands in for a missing curve derivative

@@ -20,6 +20,15 @@ pair (lower, upper) brackets the true distance; on segments joining
 antipodal boundary points of the base the two sides coincide up to
 rounding.
 
+The bracket has one pipeline, the tube's cover record (`cover_record`,
+built once per base): its start builds the slab table of the pairs'
+point rows and takes their lower bounds and closed-form discs, and its
+finish evaluates the other competitors of one open pair.  Its first
+round (`first_round`) is the start and then the finish, with an infinite
+cut, of every pair left open.  The deck search (`metric.deck_infimum`)
+runs it at each pair's nearest translate before it searches the pair's
+box; the tube kind and `tube_distance_bounds` run it alone.
+
 A deck translate that cannot win is neither swept nor finished.
 `upper_floor` bounds from below every competitor beyond the closed forms,
 with reach = |(a_1, ..., a_n)| of the axis half-widths: (i) an affine disc
@@ -324,21 +333,23 @@ def caratheodory_lower(base: ConvexBase, u, v):
     of `slab_table` over the pairs' stacked ends, whose table is dropped.
     """
     single, us, vs = as_pairs(u, v)
-    rows = np.concatenate([us, vs])
-    _require_in_tube(base, rows)
-    best = slab_table(base, rows, np.arange(len(rows)).reshape(2, -1).T, us, vs)[1]
+    best = slab_table(base, *_require_in_tube(base, us, vs), us, vs)[1]
     return float(best[0]) if single else best
 
 
-def _require_in_tube(base: ConvexBase, rows: np.ndarray):
-    """Raise unless every row of rows, tube points, has finite coordinates
-    and its real part in the open base (one row-wise `contains` call)."""
+def _require_in_tube(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> tuple:
+    """(rows, pairs): the ends of the m pairs (us[k], vs[k]) stacked as 2m
+    point rows, and the index pairs (k, m + k).  Raise unless every row, a
+    tube point, has finite coordinates and its real part in the open base
+    (one row-wise `contains` call)."""
+    rows = np.concatenate([us, vs])
     if rows.shape[1] != base_dim(base):
         raise DomainError("base point has wrong dimension")
     if not np.isfinite(rows).all():
         raise DomainError("point has non-finite coordinates")
     if not base.contains(rows.real).all():
         raise ValueError("points must lie in the open tube")
+    return rows, np.arange(len(rows)).reshape(2, -1).T
 
 
 def affine_disc_tau(base: ConvexBase, anchor, w) -> float:
@@ -510,20 +521,6 @@ def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
     return legs * math.atanh(tau0 / legs)
 
 
-def chord_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The chord-slice term of each row pair: the strip distance from 0 to 1
-    in the interval of s with Re u + s Re(v - u) in the base (0 where
-    Re u = Re v), through the strip kernel with dy = 0: 0 and 1 are real.
-    Every deck translate of a pair shares it."""
-    delta = (vs - us).real
-    moved = np.sqrt(rowdot(delta, delta)) > 1e-15
-    out = np.zeros(len(us))
-    mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
-    out[moved] = strip_imag_stage(halfwidth, np.zeros(len(halfwidth)),
-                                  *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
-    return out
-
-
 def _good_enough(lower):
     """An upper bound this close to the lower bound settles a pair."""
     return lower * (1.0 + 1e-12) + 1e-14
@@ -563,9 +560,18 @@ def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.nd
 
 def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The terms that every deck translate v + i*t of each row pair shares,
-    as (m, 2) rows: the chord term (`chord_terms`) and the vertical cap at
-    u, which is NaN until `disc_upper` first needs it and stores it."""
-    return np.stack([chord_terms(base, us, vs), np.full(len(us), math.nan)], axis=1)
+    as (m, 2) rows: the chord term, the strip distance from 0 to 1 in the
+    interval of s with Re u + s Re(v - u) in the base (0 where Re u = Re v;
+    through the strip kernel with dy = 0: 0 and 1 are real), and the
+    vertical cap at u, which is NaN until `disc_upper` first needs it and
+    stores it."""
+    delta = (vs - us).real
+    moved = np.sqrt(rowdot(delta, delta)) > 1e-15
+    terms = np.stack([np.zeros(len(us)), np.full(len(us), math.nan)], axis=1)
+    mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
+    terms[moved, 0] = strip_imag_stage(halfwidth, np.zeros(len(halfwidth)),
+                                       *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
+    return terms
 
 
 def axis_halfwidths(base: ConvexBase) -> np.ndarray:
@@ -653,8 +659,9 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     and v, and chained affine discs as a convexity fallback.  When
     `good_enough` is given, evaluation stops once a candidate reaches it.
     `closed` is the pair's (closed-form disc, chord term, vertical cap at u)
-    when a caller computed them with `closed_bounds`, which also checked
-    both points; else the points are checked and the terms computed here.
+    when a caller computed them with `closed_bounds`, whose points were
+    checked; else the points are checked here and the terms taken from the
+    start of the tube's cover record on the two points.
     A caller that only needs to know whether the bound exceeds `cut` (a
     deck translate against its pair's best so far) gets, when it does, some
     value above `cut` that the chain reached before it was finished.  The
@@ -665,13 +672,13 @@ def lempert_upper(base: ConvexBase, u, v, good_enough: float | None = None,
     if u.shape != v.shape or u.ndim != 1:
         raise DomainError("base point has wrong dimension")
     if closed is None:
-        _require_in_tube(base, np.stack([u, v]))
+        rows, pairs = _require_in_tube(base, u[None], v[None])
         if np.array_equal(u, v):
             return 0.0
-        chord = chord_terms(base, u[None], v[None])
-        lower = caratheodory_lower(base, u[None], v[None])
-        closed = (float(closed_bounds(base, u[None], v[None], chord, lower)[0][0]),
-                  float(chord[0]), _vertical_cap(base, u.real.tolist(), u.imag.tolist()))
+        start, *_ = cover_record(base)
+        (_, terms), _, upper, _ = start(rows, pairs, rows[:1], rows[1:])
+        closed = (float(upper[0]), float(terms[0, 0]),
+                  _vertical_cap(base, u.real.tolist(), u.imag.tolist()))
     best, chord, cap_u = closed
     if good_enough is not None and best <= good_enough:
         return best
@@ -700,18 +707,95 @@ def tube_distance_bounds(base: ConvexBase, u, v):
     """(lower, upper) bracket of the tube Kobayashi distance.
 
     u, v are one pair of points, or m pairs as (m, n) arrays (the bracket
-    is then two (m,) arrays): the slab lower bound and `closed_bounds`
-    over all pairs, then `disc_upper` for each pair they leave open.
+    is then two (m,) arrays): the first round of the tube's cover record
+    (`first_round`) over the pairs' checked, stacked ends.
     """
     single, us, vs = as_pairs(u, v)
-    # the lower bound first: it checks the points
-    lower = caratheodory_lower(base, us, vs)
-    terms = translate_terms(base, us, vs)
-    upper, settled = closed_bounds(base, us, vs, terms[:, 0], lower)
-    upper = np.array([hi if done else disc_upper(base, a, b, lo, hi, t, math.inf)
-                      for a, b, lo, hi, done, t
-                      in zip(us, vs, lower.tolist(), upper.tolist(), settled.tolist(), terms)])
+    _, lower, upper = first_round(cover_record(base), *_require_in_tube(base, us, vs), us, vs)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
+
+
+# ---------------------------------------------------------------------------
+# the tube's cover record and its first round
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def cover_record(base: ConvexBase) -> tuple:
+    """(start, bounds, finish, offset_lower, threshold, floor): how the
+    bracket of a tube distance over base is built, step by step, for the
+    pairs (rows[i], rows[j]) of (m, 2) index pairs of point rows and for
+    their deck translates v + i t, built once per base.  The deck search
+    runs it all (`metric.deck_infimum`); the tube kind and
+    `tube_distance_bounds` run its first round alone (`first_round`).
+    The steps look their functions up at call time, so a wrapped one is
+    seen.
+
+    start(rows, pairs, us, vs) is (shared, lower, upper, settled): what
+    every translate of the pairs shares (the slab table of `slab_table`,
+    and the rows of `translate_terms` at the pairs' first points us, which
+    the caller gathered as rows[pairs[:, 0]]), set up once, and the bounds
+    of the translates vs of the second points (`closed_bounds`; settled:
+    upper is final).
+    bounds(shared, owners, vs) is (lower, upper, settled) for the
+    translates vs[k] of the pairs owners[k], many translates at once
+    (`slab_lower`, then `closed_bounds`).
+    finish(shared, k, v, lo, hi, cut) is the upper bound of one translate v
+    of pair k left open (`disc_upper`, which may fill in the pair's shared
+    terms), or any value above cut once the bound is known to exceed cut:
+    such a translate cannot lower its pair's best.
+    offset_lower(us, vs, dys) gives per-coordinate bounds: dys is an (m, n,
+    L) array of imaginary offsets from u, row j of pair k the offsets
+    dys[k, j, :] of its coordinate j, and the result has its shape.  Each
+    coordinate slab of half-width a_j gives the bound pi |dy_j| / (4 a_j).
+    A translate's offset lower bound, a cheap lower bound for its
+    distance, is the largest of its coordinates' bounds, so a translate
+    with no coordinate bound above a value has no offset bound above it.
+    threshold(us, vs, best) is the per-coordinate |dy_j| beyond which that
+    coordinate's bound exceeds best, as (m, n); it does not decrease as
+    best grows.
+    floor(shared, owners, vs) is a lower bound on every upper bound that
+    finish could give the translates vs[k] of the pairs owners[k] (-inf
+    where none is known, `upper_floor`), so a translate whose floor
+    exceeds its pair's best needs no finish.
+    """
+    def start(rows, pairs, us, vs):
+        table, lower = slab_table(base, rows, pairs, us, vs)
+        terms = translate_terms(base, us, vs)
+        return (table, terms), lower, *closed_bounds(base, us, vs, terms[:, 0], lower)
+
+    def bounds(shared, owners, vs):
+        table, terms = shared
+        lower = slab_lower(base, table, owners, vs)
+        return (lower, *closed_bounds(base, table.us[owners], vs, terms[owners, 0], lower))
+
+    def finish(shared, k, v, lo, hi, cut):
+        table, terms = shared
+        return disc_upper(base, table.us[k], v, lo, hi, terms[k], cut)
+
+    def floor(shared, owners, vs):
+        table, terms = shared
+        return upper_floor(base, table.us[owners], vs, terms[owners])
+
+    # 4 a_j, and as a column against the coordinate axis of the offsets
+    four_a = 4.0 * axis_halfwidths(base)
+    four_a_column = four_a[:, None]
+    return (start, bounds, finish,
+            lambda us, vs, dys: math.pi * np.abs(dys) / four_a_column,
+            lambda us, vs, best: four_a * best[:, None] / math.pi, floor)
+
+
+def first_round(record: tuple, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
+                vs: np.ndarray) -> tuple:
+    """(shared, lower, upper) of the pairs (us[k], vs[k]) as in `start` of
+    the cover record `record`: its start, then its finish with an infinite
+    cut on every pair that start left open, in index order.  lower and
+    upper are the caller's own arrays."""
+    start, _, finish, *_ = record
+    shared, lower, upper, settled = start(rows, pairs, us, vs)
+    lower, upper = np.array(lower), np.array(upper)
+    for k in np.flatnonzero(~settled).tolist():
+        upper[k] = finish(shared, k, vs[k], lower.item(k), upper.item(k), math.inf)
+    return shared, lower, upper
 
 
 def _parallel_scalar(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, complex] | None:

@@ -515,7 +515,7 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
     from kobalab import metric, tube
 
     searched, forms, inside = [], [], []
-    deck_infimum, slab_table = metric.deck_infimum, metric.slab_table
+    deck_infimum, slab_table = metric.deck_infimum, tube.slab_table
     flat_max, imag_max = tube.strip_flat_max, tube.strip_imag_max
 
     def counted(cover, points, pairs):
@@ -538,7 +538,7 @@ def test_audit_runs_one_deck_search_per_group_and_side(samples, calls, monkeypat
         return run
 
     monkeypatch.setattr(metric, "deck_infimum", counted)
-    monkeypatch.setattr(metric, "slab_table", table)
+    monkeypatch.setattr(tube, "slab_table", table)
     monkeypatch.setattr(tube, "strip_flat_max", recorded(flat_max, True))
     monkeypatch.setattr(tube, "strip_imag_max", recorded(imag_max, False))
     family = kobalab.antipodal_family(_BALL2, 20)

@@ -376,13 +376,13 @@ def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
 def counted_sweeps(monkeypatch) -> list:
     """The number of translates of each `slab_lower` call of the search."""
     swept = []
-    slab_lower = metric.slab_lower
+    slab_lower = tube.slab_lower
 
     def counted(base, table, owners, vs):
         swept.append(len(vs))
         return slab_lower(base, table, owners, vs)
 
-    monkeypatch.setattr(metric, "slab_lower", counted)
+    monkeypatch.setattr(tube, "slab_lower", counted)
     return swept
 
 
@@ -398,7 +398,7 @@ def test_translates_that_cannot_win_change_no_column(monkeypatch):
         swept.clear()
         pairs = list(itertools.combinations(range(len(points)), 2))
         with_floor.append((distances(domain, points, pairs), sum(swept)))
-    monkeypatch.setattr(metric, "upper_floor",
+    monkeypatch.setattr(tube, "upper_floor",
                         lambda base, us, vs, terms: np.full(len(us), -math.inf))
     for (domain, points), (got, count) in zip(cases, with_floor):
         swept.clear()
@@ -411,8 +411,8 @@ def test_translates_that_cannot_win_change_no_column(monkeypatch):
 
 # an anchor as (angle, log10 of its inset): the point along that angle from
 # the centre, the inset's fraction of the way short of the boundary.  The
-# angles are multiples of pi/360
-_ANGLES = st.integers(0, 719).map(lambda k: math.pi * k / 360.0)
+# angles are any floats in [0, 2 pi], subnormal ones included
+_ANGLES = st.floats(0.0, 2.0 * math.pi)
 _ANCHORS = st.tuples(_ANGLES, st.floats(-9.0, 0.0))
 
 
@@ -583,7 +583,7 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
     # of the one table, and the points' stage of the table runs once per
     # point row, not once per end of a pair
     built, evaluated, staged = [], [], []
-    slab_table, slab_lower, point_stage = metric.slab_table, metric.slab_lower, tube._point_stage
+    slab_table, slab_lower, point_stage = tube.slab_table, tube.slab_lower, tube._point_stage
 
     def counted_table(base, rows, pairs, us, vs):
         built.append(len(pairs))
@@ -597,9 +597,8 @@ def test_search_builds_each_pair_slab_table_once(monkeypatch):
         staged.append(len(points))
         return point_stage(points, *args)
 
-    monkeypatch.setattr(metric, "slab_table", counted_table)
-    monkeypatch.setattr(metric, "slab_lower", counted_lower)
     monkeypatch.setattr(tube, "slab_table", counted_table)
+    monkeypatch.setattr(tube, "slab_lower", counted_lower)
     monkeypatch.setattr(tube, "_point_stage", counted_stage)
     count = 2
     while count * (count - 1) // 2 <= tube._sweep_rows(BALL):
@@ -742,3 +741,66 @@ def test_each_pair_is_searched_on_its_own():
     together = distances(ReinhardtLog(STRETCHED), points, pairs)
     alone = [distances(ReinhardtLog(STRETCHED), points, [p])[0] for p in pairs]
     assert list(together) == alone
+
+
+# ---------------------------------------------------------------------------
+# the tube kind: the search's first round, on the tube itself
+# ---------------------------------------------------------------------------
+
+def tube_points(count: int, seed: int, radius: float, flat: bool) -> np.ndarray:
+    """Tube points over a base that holds the disc of `radius` about 0: the
+    logs of `reinhardt_points`, or their real parts plus one shared
+    imaginary part when flat, so that every pair has Im u == Im v."""
+    logs = metric._principal_log(reinhardt_points(count, seed, radius))
+    return logs.real + 0.5j if flat else logs
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["generic", "flat"])
+@pytest.mark.parametrize("name", list(BASES))
+def test_tube_kind_equals_tube_distance_bounds(name, flat):
+    # the tube kind runs the first round on the N point rows and
+    # `tube_distance_bounds` on the 2m stacked ends of its pairs: the same
+    # brackets, bit for bit, on the pairs in their canonical order
+    base, radius = BASES[name]
+    points = tube_points(9, len(name), radius, flat)
+    points[8] = points[3]
+    pairs = np.array(list(itertools.permutations(range(len(points)), 2)))
+    got = distances(TubeOverBase(base), points, pairs)
+    i, j = metric._canonical_order(points, pairs).T
+    lower, upper = tube.tube_distance_bounds(base, points[i], points[j])
+    assert got.value.tobytes() == (0.5 * (lower + upper)).tobytes()
+    assert got.gap.tobytes() == (upper - lower).tobytes()
+    assert set(got.method.tolist()) == {"sandwich"}
+
+
+def test_tube_kind_keeps_one_slab_table_row_per_point(monkeypatch):
+    # a pair matrix of N points builds its slab table on the N point rows
+    seen = []
+    slab_table = tube.slab_table
+
+    def counted(base, rows, pairs, us, vs):
+        seen.append((len(rows), len(pairs)))
+        return slab_table(base, rows, pairs, us, vs)
+
+    monkeypatch.setattr(tube, "slab_table", counted)
+    points = tube_points(12, 8, 0.85, False)
+    distances(TubeOverBase(BALL), points, list(itertools.combinations(range(12), 2)))
+    assert seen == [(12, 66)]
+
+
+def test_tube_kind_memory_on_a_pair_matrix():
+    # 40 points and their 780 pairs on the 2-d ball tube: the slab table
+    # keeps 40 point rows, not 1,560 stacked ends (2.44 MB of traced peak
+    # with the stacked ends, 0.76 MB with the point rows)
+    import tracemalloc
+
+    points = tube_points(40, 9, 0.85, False)
+    pairs = list(itertools.combinations(range(40), 2))
+    distances(TubeOverBase(BALL), points, pairs)     # fills the caches
+    tracemalloc.start()
+    try:
+        distances(TubeOverBase(BALL), points, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6

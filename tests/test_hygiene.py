@@ -1,12 +1,16 @@
 """Dead-code checks on the package source, with the standard-library `ast`:
-every import is used, and every private module-level name is referenced."""
+every import is used, and every private module-level name is referenced.
+And the benchmark's tracer, read the same way, names only functions that
+exist."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kobalab"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracing.py"
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -66,3 +70,22 @@ def test_every_private_module_level_name_is_referenced():
                              if d.startswith("_") and not d.startswith("__")
                              and d not in referenced]
     assert not unreferenced, f"private names nothing references: {unreferenced}"
+
+
+def test_every_traced_function_exists():
+    # the tracer wraps each layer's functions by their `module.function`
+    # names and reports a name it cannot find as missing, so a moved or
+    # renamed function would leave its layer empty without failing there;
+    # the tracer's source is only read
+    tree = ast.parse(TRACER.read_text(), str(TRACER))
+    layers, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)]
+    names = sorted({name for functions in layers.values() for name in functions})
+    assert names
+    missing = []
+    for name in names:
+        module, function = name.rsplit(".", 1)
+        if not callable(getattr(importlib.import_module("kobalab." + module), function, None)):
+            missing.append(name)
+    assert not missing, f"traced functions that kobalab does not define: {missing}"

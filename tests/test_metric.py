@@ -11,7 +11,8 @@ from kobalab import (Annulus, DeckBoundError, LeftHalfPlane, Polydisc, Punctured
                      infinitesimal_metric)
 from kobalab import closed_forms as cf
 from kobalab import metric
-from kobalab.domains import DomainError, EuclideanBall, LinearImage, NonInteriorError
+from kobalab.domains import (Box, DomainError, EuclideanBall, LinearImage, NonInteriorError,
+                             to_polytope)
 from kobalab.quadrature import adaptive_simpson
 from kobalab.geodesics import ball_geodesic_segment
 from test_domains import ALL_DOMAINS
@@ -378,6 +379,42 @@ OFF_CENTRE = [
     ReinhardtLog(EuclideanBall((0.3, -0.2), 0.9)),
     TubeOverBase(LinearImage(((1.0, 0.5), (0.0, 1.5)), EuclideanBall((0.1, 0.0), 1.0))),
 ]
+
+
+# every kind, and the tube over every base kind
+EVERY_KIND = ALL_DOMAINS + OFF_CENTRE + [
+    TubeOverBase(Box((-1.0, -0.5), (1.0, 0.5))),
+    TubeOverBase(to_polytope(EuclideanBall((0.0, 0.0), 1.0), 8)),
+]
+
+
+@pytest.mark.parametrize("domain", EVERY_KIND,
+                         ids=[f"{k}-{type(d).__name__}" for k, d in enumerate(EVERY_KIND)])
+def test_infinitesimal_metric_is_homogeneous_to_the_bit(domain):
+    # k(z; 2^k v) is 2^k k(z; v) exactly, out to scales where the kinds'
+    # squared norms would over- or underflow and their absolute thresholds
+    # would fire
+    gen = np.random.default_rng(24)
+    z = _interior_points(domain, 1, gen)[0]
+    v = gen.uniform(-1.0, 1.0, z.size) + 1j * gen.uniform(-1.0, 1.0, z.size)
+    k = infinitesimal_metric(domain, z, v)
+    assert 0.0 < k < math.inf
+    for power in (-1000, -300, -60, 0, 60, 300, 1000):
+        assert infinitesimal_metric(domain, z, v * 2.0 ** power) == math.ldexp(k, power), power
+
+
+@pytest.mark.parametrize("domain", [TubeOverBase(EuclideanBall((0.0, 0.0), 1.0)), UnitBall(2)],
+                         ids=repr)
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e-100, 1e-200])
+def test_infinitesimal_metric_at_extreme_scales(domain, scale):
+    # unscaled, the tube's S-lemma certificate failed at 1e100, its chord
+    # gave nan at 1e160 and its absolute thresholds fired at 1e-100 and
+    # 1e-200, and the ball's squared norms overflowed at 1e160 and
+    # underflowed at 1e-200
+    z = np.array([0.1, 0.2])
+    want = scale * infinitesimal_metric(domain, z, [1.0, 0.0])
+    got = infinitesimal_metric(domain, z, [scale, 0.0])
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("domain", ALL_DOMAINS + OFF_CENTRE, ids=repr)

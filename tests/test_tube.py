@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kobalab import Box, EuclideanBall, caratheodory_lower, lempert_upper, tube_distance_bounds
+from kobalab import (Box, EuclideanBall, TubeOverBase, caratheodory_lower, distance,
+                     lempert_upper, tube_distance_bounds)
 from kobalab import closed_forms as cf
 from kobalab import tube
 from kobalab._sampling import sphere_directions
@@ -442,6 +443,17 @@ def test_huge_imaginary_parts_keep_a_finite_bracket():
     for base in (Box((-1.0, -1.0), (1.0, 1.0)), to_polytope(BALL, 8)):
         lo, hi = tube_distance_bounds(base, u, v)
         assert 0.0 < lo <= hi < math.inf
+
+
+@pytest.mark.parametrize("base", [BOX, to_polytope(BOX)], ids=["box", "polytope"])
+def test_chord_along_a_subnormal_direction_raises_no_warning(base):
+    # Re(v - u) = (0.1, 5e-324): the chord's quotient by the subnormal
+    # coordinate overflows to inf, its limit (any RuntimeWarning fails the
+    # test); the distance is the one of the flat pair within rounding
+    domain = TubeOverBase(base)
+    got = distance(domain, [0.1, 0.0], [0.2, 5e-324])
+    assert got.value == pytest.approx(distance(domain, [0.1, 0.0], [0.2, 0.0]).value, abs=1e-15)
+    assert got.gap <= 1e-12
 
 
 def test_polytope_base_bounds_match_box():
