@@ -38,7 +38,7 @@ from .domains import (Annulus, DomainError, LeftHalfPlane, ModelDomain, Polydisc
                       PuncturedDisc, ReinhardtLog, ScaledEllipsoid, Strip, TubeOverBase,
                       UnitBall, UnitDisc, as_point, dim, require_interior)
 from .quadrature import adaptive_simpson
-from .tube import cover_record, first_round, tube_metric_bounds
+from .tube import cover_record, first_round, tube_bracket, tube_metric_bounds
 
 TWO_PI = 2.0 * math.pi
 DECK_ENUM_CAP = 200_000
@@ -209,12 +209,13 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     translate come from one sweep kernel (`tube._slab_cells`), which takes
     a flat block's sines only in the cells that can set a pair's maximum.
     A survivor that cannot win is neither swept nor finished: one floor
-    per survivor (`tube.upper_floor`) bounds every upper bound its finish
-    could give, and a survivor whose offset bound is at least its pair's
-    best lower end and whose floor is above the best upper end (by
-    _FLOOR_MARGIN) is dropped before the sweep; an open one whose floor is
-    above its pair's best is not finished.  Errors its competitors would
-    have raised then do not surface.
+    per survivor (`tube.upper_floor`, from the arms of the base's chords
+    through its anchors) bounds every upper bound its finish could give,
+    near translates and far ones alike, and a survivor whose offset bound
+    is at least its pair's best lower end and whose floor is above the best
+    upper end (by _FLOOR_MARGIN) is dropped before the sweep; an open one
+    whose floor is above its pair's best is not finished.  Errors its
+    competitors would have raised then do not surface.
     """
     rows = _point_rows(cover, points)
     pairs = _index_pairs(pairs, len(rows))
@@ -497,8 +498,9 @@ def _nearest_translate(cover: ModelDomain, points, pairs: np.ndarray) -> Distanc
 
 def _tube(domain: TubeOverBase, rows, pairs) -> DistanceColumns:
     """The first round of the deck search on the tube itself, over the
-    checked point rows and their pairs."""
-    return _sandwich(*first_round(_cover(domain), rows, pairs, *_ends(rows, pairs))[1:])
+    checked point rows and their pairs; a bracket that is not finite raises
+    (`tube.tube_bracket`)."""
+    return _sandwich(*tube_bracket(_cover(domain), rows, pairs, *_ends(rows, pairs)))
 
 
 def _closed_form(kernel: Callable) -> Callable:

@@ -30,13 +30,17 @@ runs it at each pair's nearest translate before it searches the pair's
 box; the tube kind and `tube_distance_bounds` run it alone.
 
 A deck translate that cannot win is neither swept nor finished.
-`upper_floor` bounds from below every competitor beyond the closed forms,
-with reach = |(a_1, ..., a_n)| of the axis half-widths: (i) an affine disc
-anchored at p with direction w holds Re p -/+ Im(w)/tau, so
-tau >= |Im w|/reach, and where |Im(v - u)| >= _CHAIN_TAU reach no single
-disc is admissible and no chain runs; (ii) the route through the real
-points is then the only competitor, and its ascent to v is at least
-|Im v|/reach.  The floor is -inf where (i) fails, where the cap at u is
+`upper_floor` bounds from below every competitor beyond the closed forms
+from the translate's own anchors: an affine disc anchored at p with
+direction w holds Re p -/+ Im(w)/tau, so tau >= 1/arm, with arm the
+shorter part of the base's chord through Re p along Im w (in units of
+Im w; the kind's `arms`, without cancellation for the ball).  That bounds
+both single discs at Re u and Re v; the chain of discs, whose anchors'
+centroid lies between the points 1/4 and 1/2 of the way from Re u to Re v,
+where the concave arm is bounded by its values at those points and at
+the ends; and the route through the real points, whose ascent to v is at
+least 1/arm at Re v along Im v.  The floor is the least of the three, and
+-inf where Im u = Im v (the chord slice competes), where the cap at u is
 not yet known, in one dimension and over boxes (kinds with a product
 competitor, settled exactly).  The deck search compares it with its
 pair's best upper end by a margin of 1 + 1e-6 (`metric.deck_infimum`), so
@@ -422,13 +426,21 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
         raise TubeMetricError("affine disc anchored outside the ball")
     gap = math.hypot(s11 - s22, 2.0 * s12)
     top = 0.5 * (s11 + s22 + gap)
-    if top == 0.0:
-        return 0.0
-    if top < 1e-150:
-        # tau is homogeneous of degree 1 in (a, b); a vector this short is
-        # scaled to unit size first, or the squares below underflow
-        k = 1.0 / math.sqrt(top)
-        return _ball_disc_tau(base, x, [ai * k for ai in a], [bi * k for bi in b]) / k
+    if not 1e-150 <= top <= 1e150:
+        # tau is homogeneous of degree 1 in (a, b); a vector this short or
+        # long is scaled first by the power of two that brings its largest
+        # entry into [1/2, 1), exactly, or the squares below underflow or
+        # overflow
+        size = max(map(abs, a + b))
+        if size == 0.0 or size == math.inf:  # the tau of a zero or infinite vector
+            return size
+        k = -math.frexp(size)[1]
+        tau = _ball_disc_tau(base, x, [math.ldexp(ai, k) for ai in a],
+                             [math.ldexp(bi, k) for bi in b])
+        try:
+            return math.ldexp(tau, -k)
+        except OverflowError:  # a tau past the float range: no disc is admissible
+            return math.inf
     # rotate g into S's eigenbasis; for S = top * I any basis is one, so align it with g
     th = 0.5 * math.atan2(2.0 * s12, s11 - s22) if gap > 0.0 else math.atan2(gb, ga)
     c, s = math.cos(th), math.sin(th)
@@ -462,6 +474,36 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     return tau
 
 
+def _chord_arms(base: ConvexBase, ps: np.ndarray, ds: np.ndarray) -> tuple:
+    """(arm, most) of the chords {p + s d : s_- < s < s_+} of the base
+    through the rows of ps along the rows of ds: arm = min(s_+, -s_-) from
+    the kind's `chord`, and most a bound on the arm of every chord along d,
+    half the base's width along d over |d|^2 (a chord is no longer than the
+    width)."""
+    lo, hi = base.chord(ps, ds)
+    ends = base.support(np.concatenate([ds, -ds]))
+    return np.minimum(hi, -lo), 0.5 * (ends[:len(ds)] + ends[len(ds):]) / rowdot(ds, ds)
+
+
+def _ball_arms(base: EuclideanBall, ps: np.ndarray, ds: np.ndarray) -> tuple:
+    # the smaller root of |d|^2 s^2 + 2 <q, d> s - room = 0 (q = p - c),
+    # room/(|<q, d>| + sqrt(<q, d>^2 + |d|^2 room)), with room = r^2 - |q|^2
+    # as (r - |q|)(r + |q|): no difference of near numbers.  The longest
+    # chord is a diameter
+    q = ps - np.asarray(base.center)
+    dist, r = np.sqrt(rowdot(q, q)), base.radius
+    room = (r - dist) * (r + dist)
+    b, dd = np.abs(rowdot(q, ds)), rowdot(ds, ds)
+    return room / (b + np.sqrt(b * b + dd * room)), r / np.sqrt(dd)
+
+
+def _linear_image_arms(base: LinearImage, ps: np.ndarray, ds: np.ndarray) -> tuple:
+    # p + s d lies in A(B) iff A^-1 p + s A^-1 d lies in B: the same s
+    inner = base.base
+    return _TUBE_KINDS[type(inner)].arms(inner, rowdot(ps[:, None, :], base.inverse),
+                                         rowdot(ds[:, None, :], base.inverse))
+
+
 def _pole_root(gg: float, k: float, room: float) -> float:
     """The d > 0 with gg (k + 2 d) / d^2 = room (0 when gg = 0)."""
     return (gg + math.sqrt(gg * gg + room * gg * k)) / room
@@ -478,6 +520,8 @@ def _chain_upper(base: ConvexBase, u: list, v: list, taus: list, cut: float) -> 
     anchored at u and at v) and doubled on failure.  u and v are lists of
     complex numbers.
 
+    A chain whose legs still fail after 8 doublings is no competitor (inf):
+    the route through the real points always gives the pair a finite bound.
     A chain stops once its partial sum exceeds `cut` and no later leg can
     fail, and returns that sum: the whole chain is larger still.  Over a
     convex base the reciprocal of tau is concave in the anchor for a fixed
@@ -503,7 +547,7 @@ def _chain_upper(base: ConvexBase, u: list, v: list, taus: list, cut: float) -> 
         else:
             return total
         legs *= 2
-    raise TubeMetricError("affine chain failed to refine")
+    return math.inf
 
 
 def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
@@ -517,6 +561,8 @@ def _vertical_cap(base: ConvexBase, x: list, y: list) -> float:
     if math.sqrt(sum(t * t for t in y)) < 1e-300:
         return 0.0
     tau0 = affine_disc_tau(base, x, [1j * t for t in y])
+    if not tau0 < 2.0 ** 1023:  # the leg count is past the float range
+        return math.inf
     legs = max(1, int(math.ceil(tau0 / 0.5)))
     return legs * math.atanh(tau0 / legs)
 
@@ -580,22 +626,13 @@ def axis_halfwidths(base: ConvexBase) -> np.ndarray:
                      for e in np.eye(base_dim(base))])
 
 
-@functools.lru_cache(maxsize=64)
-def _reach(base: ConvexBase) -> float | None:
-    """|(a_1, ..., a_n)| of the axis half-widths, or None where
-    `upper_floor` gives no floor: in one dimension and over kinds with a
-    product competitor."""
-    if base_dim(base) == 1 or _TUBE_KINDS[type(base)].product is not None:
-        return None
-    return math.hypot(*axis_halfwidths(base).tolist())
-
-
 # a pair with no admissible single disc runs the chain of affine discs only
 # while the smaller of its two single taus is below this (`lempert_upper`)
 _CHAIN_TAU = 6.0
-# the relative margin by which |Im(v - u)| must clear _CHAIN_TAU reach in
-# `upper_floor`, for the rounding of the norms and of tau
-_FAR_MARGIN = 1.0 + 1e-9
+# the relative margin of `upper_floor` for the rounding of the arms and of
+# tau: the anchors' bound on the single taus must clear _CHAIN_TAU by it,
+# and the floor is divided by it
+_ARM_MARGIN = 1.0 + 1e-9
 
 
 def upper_floor(base: ConvexBase, us: np.ndarray, vs: np.ndarray,
@@ -603,36 +640,69 @@ def upper_floor(base: ConvexBase, us: np.ndarray, vs: np.ndarray,
     """A certified lower bound on every competitor that `disc_upper`
     evaluates beyond the closed forms of `closed_bounds`, for each row pair
     (us[k], vs[k]) with its row of `translate_terms`; -inf where none is
-    known.  With reach = |(a_1, ..., a_n)| (`axis_halfwidths`):
+    known.  It rests on the pair's own anchors.
 
-    (i) The affine disc anchored at p with direction w holds
-    Re p -/+ Im(w)/tau, so the base's width along Im w is at least
-    2 |Im w|/tau; that width is at most 2 sum_j |e_j| a_j <= 2 reach for the
-    unit e along Im w, so tau >= |Im w|/reach.  Where |Im(v - u)| is at
-    least _CHAIN_TAU reach (by a rounding margin), both single taus are at
-    least _CHAIN_TAU: no single disc is admissible and no chain runs.
-    (ii) That leaves the route through the real points, cap_u + cap_v +
-    chord, and cap_v = legs atanh(tau0/legs) >= tau0 >= |Im v|/reach.  So
-    the floor is cap_u + chord + |Im v|/reach.
+    The affine disc anchored at p with direction w holds Re p -/+ Im(w)/tau,
+    so tau >= 1/arm, where arm = min(s_+, -s_-) of the chord
+    {Re p + s Im w : s_- < s < s_+} of the base.  One call of the kind's
+    `arms` takes the arms along Im(v - u) at Re u, at Re v and at the points
+    1/4 and 1/2 of the way between them, and of Re v along Im v, with the
+    largest arm of any chord along Im(v - u) (most).  So:
+    (i) both single taus are at least t = 1/max(arm_u, arm_v), and an
+    admissible single disc gives at least atanh(t);
+    (ii) the chain runs only where a single tau is below _CHAIN_TAU, so
+    only where t is not (by _ARM_MARGIN).  Its L >= 2 legs are anchored at
+    p_i = Re u + (i/L) Re(v - u), i < L, with direction (v - u)/L, so
+    tau_i >= 1/(L arm(p_i)), and its sum of atanh(tau_i) >= tau_i is at
+    least 1/arm at the anchors' centroid: their harmonic mean is at most
+    their mean, and arm is concave along the segment (the base is convex).
+    The centroid lies 1/4 to 1/2 of the way from Re u to Re v, where arm is
+    at most most and at most the extensions of its chords over [0, 1/4]
+    and [1/2, 1];
+    (iii) the route through the real points is cap_u + chord + cap_v, and
+    cap_v = legs atanh(tau0/legs) >= tau0 >= 1/arm at Re v along Im v.
+    The floor is the least of the three, divided by _ARM_MARGIN.
 
-    The floor is -inf where (i) fails, where cap_u is still NaN, in one
-    dimension (`closed_bounds` settles every pair there) and over kinds
+    The floor is -inf where Im u and Im v agree within closed_bounds'
+    1e-13 (the chord slice competes there), where cap_u is still NaN, in
+    one dimension (`closed_bounds` settles every pair there) and over kinds
     with a product competitor (boxes, whose pairs are settled exactly).
-    The norms are taken by `np.hypot`, whose squares do not overflow, and a
-    floor past the float range is inf.
+    Each direction is divided by its largest entry before the kind squares
+    it, and a floor past the float range is inf.
     """
-    reach = _reach(base)
-    if reach is None:
-        return np.full(len(us), -math.inf)
-    cap_u = terms[:, 1]
-    with np.errstate(over="ignore"):
-        # |Im v| and |Im(v - u)|, column by column (n >= 2 here)
-        ims = np.stack([vs.imag, vs.imag - us.imag])
-        norms = np.hypot(ims[..., 0], ims[..., 1])
-        for j in range(2, ims.shape[-1]):
-            norms = np.hypot(norms, ims[..., j])
-        floor = cap_u + terms[:, 0] + norms[0] / reach
-    floor[~(norms[1] >= _CHAIN_TAU * _FAR_MARGIN * reach) | np.isnan(cap_u)] = -math.inf
+    m = len(us)
+    kind = _TUBE_KINDS[type(base)]
+    if base_dim(base) == 1 or kind.product is not None:
+        return np.full(m, -math.inf)
+    rise = vs.imag - us.imag
+    re_u, step = us.real, vs.real - us.real
+    # the rows (Re u, Im(v - u)), (Re v, Im(v - u)), (Re v, Im v) and the
+    # points 1/4 and 1/2 of the way from Re u to Re v along Im(v - u), each
+    # direction divided by its largest entry so that no square overflows;
+    # a zero one is given the first axis, and its size 0 makes its bound 0
+    lines = np.concatenate([rise, rise, vs.imag, rise, rise])
+    size = np.max(np.abs(lines), axis=1)
+    # no floor for a flat pair (closed_bounds' test) or an unknown cap at u
+    dead = (size[:m] < 1e-13) | np.isnan(terms[:, 1])
+    if dead.all():
+        return np.full(m, -math.inf)
+    lines /= np.where(size > 0.0, size, 1.0)[:, None]
+    lines[size == 0.0, 0] = 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        arm, most = kind.arms(base, np.concatenate([re_u, vs.real, vs.real, re_u + 0.25 * step,
+                                                    re_u + 0.5 * step]), lines)
+        # 1/arm of each row, the bound on its tau, and the bound on the arm
+        # at the anchors' centroid of a chain
+        bound = size / arm
+        t = np.minimum(bound[:m], bound[m:2 * m])
+        start, end, quarter, half = arm[:m], arm[m:2 * m], arm[3 * m:4 * m], arm[4 * m:]
+        widest = np.minimum(most[:m], np.minimum(np.maximum(quarter, 2.0 * quarter - start),
+                                                 np.maximum(half, half + 0.5 * (half - end))))
+        chain = np.where(t >= _CHAIN_TAU * _ARM_MARGIN, math.inf, size[:m] / widest)
+        # atanh(t) is inf where t >= 1
+        floor = np.minimum(np.minimum(np.arctanh(np.minimum(t, 1.0)), chain),
+                           terms[:, 1] + terms[:, 0] + bound[2 * m:3 * m]) / _ARM_MARGIN
+    floor[dead | np.isnan(floor)] = -math.inf
     return floor
 
 
@@ -711,7 +781,7 @@ def tube_distance_bounds(base: ConvexBase, u, v):
     (`first_round`) over the pairs' checked, stacked ends.
     """
     single, us, vs = as_pairs(u, v)
-    _, lower, upper = first_round(cover_record(base), *_require_in_tube(base, us, vs), us, vs)
+    lower, upper = tube_bracket(cover_record(base), *_require_in_tube(base, us, vs), us, vs)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
@@ -798,6 +868,19 @@ def first_round(record: tuple, rows: np.ndarray, pairs: np.ndarray, us: np.ndarr
     return shared, lower, upper
 
 
+def tube_bracket(record: tuple, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
+                 vs: np.ndarray) -> tuple:
+    """(lower, upper) of the first round (`first_round`) of the pairs, the
+    bracket of the tube kind.  Imaginary parts near the end of the float
+    range take a bound past it (the strip kernel's pi dy overflows first);
+    such a bracket is not finite, and TubeMetricError is raised."""
+    with np.errstate(over="ignore"):
+        _, lower, upper = first_round(record, rows, pairs, us, vs)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise TubeMetricError("no finite bracket: imaginary parts near the end of the float range")
+    return lower, upper
+
+
 def _parallel_scalar(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, complex] | None:
     """If v = zeta * delta for a real direction delta, return (delta, zeta)."""
     nr = float(np.linalg.norm(re))
@@ -858,11 +941,12 @@ class _TubeKind(NamedTuple):
     tau: Callable              # (base, x, a, b) -> affine_disc_tau's value
     product: Callable | None   # (base, us, vs, kernel) -> the product competitor per row
     spread: bool               # the slab block adds a spread of lines
+    arms: Callable             # (base, ps, ds) -> `_chord_arms`' (arm, most) per row
 
 
 _TUBE_KINDS = {
-    EuclideanBall: _TubeKind(_ball_disc_tau, None, True),
-    Box: _TubeKind(_box_disc_tau, _box_product, True),
-    Polytope: _TubeKind(_polytope_disc_tau, None, False),
-    LinearImage: _TubeKind(_linear_image_disc_tau, None, True),
+    EuclideanBall: _TubeKind(_ball_disc_tau, None, True, _ball_arms),
+    Box: _TubeKind(_box_disc_tau, _box_product, True, _chord_arms),
+    Polytope: _TubeKind(_polytope_disc_tau, None, False, _chord_arms),
+    LinearImage: _TubeKind(_linear_image_disc_tau, None, True, _linear_image_arms),
 }

@@ -584,8 +584,9 @@ BALL_DOMAIN = '{"kind": "tube", "base": {"kind": "ball", "center": [0, 0], "radi
 
 
 def test_tube_points_with_huge_imaginary_parts(capsys):
-    # over a box the slab along Im(v - u) gives the exact value; the ball's
-    # affine disc fails its certificate there, which is reported, not raised
+    # over a box the slab along Im(v - u) gives the exact value; over the
+    # ball the bracket is finite and ordered up to 1e300, and past any
+    # finite bracket (near the largest float) one error line is printed
     box = '{"kind": "tube", "base": {"kind": "box", "lo": [-1, -1], "hi": [1, 1]}}'
 
     def dist(domain, im):
@@ -595,10 +596,26 @@ def test_tube_points_with_huge_imaginary_parts(capsys):
     code, out = dist(box, "1e200")
     assert code == 0
     assert out.startswith("7.8539816339744822e+199  method=sandwich")
-    code, out = dist(BALL_DOMAIN % 1, "1e160")
-    err = capsys.readouterr().err
-    assert (code, out) == (1, "")
-    assert err.startswith("certification error: ") and err.count("\n") == 1
+    for im in ("1e80", "1e120", "1e160", "1e200", "1e300"):
+        code, out = dist(BALL_DOMAIN % 1, im)
+        value, method, gap = out.split()
+        assert code == 0 and method == "method=sandwich"
+        value, gap = float(value), float(gap.removeprefix("gap="))
+        assert 0.0 <= gap <= 2.0 * value < math.inf
+    for domain in (box, BALL_DOMAIN % 1):
+        code, out = dist(domain, "1.7e308")
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("certification error: no finite bracket") and err.count("\n") == 1
+
+
+def test_a_chain_that_cannot_refine_leaves_the_bracket_finite(capsys):
+    # Re w is 1e-3 from the unit circle: the chain of affine discs cannot
+    # refine, and the route through the real points bounds the distance
+    code, out = run_cli(["dist", "--domain", BALL_DOMAIN % 1, "--z", "[[0, 0], [0, 0]]",
+                         "--w", "[[0.999, 1], [0, 0]]"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.split()[1] == "method=sandwich"
 
 
 @pytest.mark.parametrize("args", [

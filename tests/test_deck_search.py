@@ -370,7 +370,7 @@ def test_fewer_upper_bounds_than_the_sequential_search(monkeypatch):
     distances(domain, points, pairs)
     # pinned on this fixed pair set, as a guard against finishing
     # translates that cannot win
-    assert (sequential, len(calls)) == (61, 41)
+    assert (sequential, len(calls)) == (61, 19)
 
 
 def counted_sweeps(monkeypatch) -> list:
@@ -424,31 +424,59 @@ def anchor(base, angle: float, inset: float) -> np.ndarray:
 @pytest.mark.parametrize("name", list(BASES))
 @settings(max_examples=160)
 @given(a=_ANCHORS, b=_ANCHORS, im_u=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
-       turn=_ANGLES, size=st.floats(-3.0, 6.0))
-def test_upper_floor_bounds_what_finish_can_give(name, a, b, im_u, turn, size):
+       turn=_ANGLES, size=st.floats(-3.0, 6.0), flat=st.booleans())
+def test_upper_floor_bounds_what_finish_can_give(name, a, b, im_u, turn, size, flat):
     # anchors from the centre to 1e-9 of the boundary and |Im(v - u)| from
-    # 1e-3 to 1e6: wherever the floor is finite it is at most the whole
-    # upper bound, both single taus are at least the chain's constant, so
-    # no disc or chain competes, and the slab bound is at least the offset
-    # bound that the search drops translates by
+    # 1e-3 to 1e6, or 0: the floor is -inf where Im v = Im u, and elsewhere
+    # finite and at most each competitor that finish evaluates (both single
+    # discs where admissible, the route through the real points and the
+    # whole chain where it runs) and their minimum, all exactly; the slab
+    # bound is at least the offset bound that the search drops translates by
     base = BASES[name][0]
     u = anchor(base, *a) + 1j * np.array(im_u)
-    v = anchor(base, *b) + 1j * (np.array(im_u) + 10.0 ** size * np.array([math.cos(turn),
-                                                                          math.sin(turn)]))
+    rise = 0.0 if flat else 10.0 ** size * np.array([math.cos(turn), math.sin(turn)])
+    v = anchor(base, *b) + 1j * (np.array(im_u) + rise)
     terms = tube.translate_terms(base, u[None], v[None])
     assert tube.upper_floor(base, u[None], v[None], terms).tolist() == [-math.inf]
     terms[0, 1] = tube._vertical_cap(base, u.real.tolist(), u.imag.tolist())
     floor = tube.upper_floor(base, u[None], v[None], terms)[0]
-    if isinstance(base, Box):
+    if isinstance(base, Box) or flat:
         assert floor == -math.inf
-    if floor == -math.inf:
         return
     assert math.isfinite(floor)
     assert floor <= tube.lempert_upper(base, u, v, cut=math.inf)
     taus = [tube.affine_disc_tau(base, p.real, q - p) for p, q in ((u, v), (v, u))]
-    assert min(taus) >= tube._CHAIN_TAU
+    for tau in taus:
+        if tau < 1.0:
+            assert floor <= math.atanh(tau)
+    via = terms[0, 1] + terms[0, 0] + tube._vertical_cap(base, v.real.tolist(), v.imag.tolist())
+    assert floor <= via
+    if min(taus) >= 1.0 and min(taus) < tube._CHAIN_TAU:
+        assert floor <= tube._chain_upper(base, u.tolist(), v.tolist(), taus, math.inf)
     offset = np.max(math.pi * np.abs((u - v).imag) / (4.0 * tube.axis_halfwidths(base)))
     assert tube.caratheodory_lower(base, u, v) >= offset
+
+
+@pytest.mark.parametrize("name", ["ball", "linear-image", "polytope"])
+@settings(max_examples=160)
+@given(a=_ANCHORS, b=_ANCHORS, turn=_ANGLES, size=st.floats(-1.0, 1.0))
+def test_chain_floor_is_below_one_over_every_arm_where_its_centroid_lies(name, a, b, turn, size):
+    # a chain's legs are anchored at Re u + (i/L) Re(v - u), i < L, L >= 2,
+    # and its floor is 1/arm at their centroid, which lies 1/4 to 1/2 of the
+    # way from Re u to Re v.  With the route through the real points out of
+    # the way (a huge cap at u), a finite floor is at most 1/arm at each of
+    # 65 points of that range along Im(v - u), from one call of `arms`
+    base = BASES[name][0]
+    rise = 10.0 ** size * np.array([math.cos(turn), math.sin(turn)])
+    u, v = anchor(base, *a).astype(complex), anchor(base, *b) + 1j * rise
+    terms = np.array([[0.0, 1e300]])
+    floor = tube.upper_floor(base, u[None], v[None], terms)[0]
+    if not floor < 1e299:
+        return
+    fractions = np.linspace(0.25, 0.5, 65)[:, None]
+    points = u.real + fractions * (v.real - u.real)
+    arm, _ = tube._TUBE_KINDS[type(base)].arms(base, points, np.tile(rise, (65, 1)))
+    assert floor <= np.min(1.0 / arm)
 
 
 @pytest.mark.parametrize("name", list(BASES))

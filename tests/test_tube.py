@@ -205,6 +205,23 @@ def test_ball_tau_of_a_tiny_vector_is_scaled(scale):
     assert 0.0 < lo <= hi < math.inf
 
 
+@pytest.mark.parametrize("power", [-900, -520, 520, 900])
+def test_ball_tau_of_a_vector_outside_the_square_range_is_scaled_exactly(power):
+    # a vector whose largest entry lies in [1/2, 1) keeps its bits, and its
+    # multiples by powers of two whose squares leave the normal range are
+    # scaled back to it exactly: the tau is the same multiple, to the bit
+    for x, w in (([0.9, 0.0], [0.5j, 0.0]), ([0.2, -0.5], [0.3 - 0.75j, 0.5j])):
+        assert affine_disc_tau(BALL, x, [math.ldexp(1.0, power) * z for z in w]) == \
+            math.ldexp(affine_disc_tau(BALL, x, w), power)
+
+
+def test_ball_tau_past_the_float_range_is_inf():
+    # no affine disc is admissible, and the vertical cap is no competitor
+    assert affine_disc_tau(BALL, [0.5, 0.0], [1.7e308j, 0.0]) == math.inf
+    assert affine_disc_tau(BALL, [0.5, 0.0], [complex(math.inf, 0.0), 0.0]) == math.inf
+    assert tube._vertical_cap(BALL, [0.5, 0.0], [1e308, 0.0]) == math.inf
+
+
 def test_ball_tau_of_an_anchor_with_a_subnormal_coordinate():
     # g_1 = 1e-308 is not 0, but its square is: the hard case's test, on
     # that square, gives the tau of the anchor with that coordinate at 0
@@ -437,12 +454,35 @@ def test_unit_rows_scale_only_the_rows_whose_square_overflows():
     assert got[1, 4].tolist() == [0.0, -1.0]
 
 
-def test_huge_imaginary_parts_keep_a_finite_bracket():
-    # the slab along Im(v - u) of a pair 1e300 apart has a unit direction
-    u, v = np.array([0.5 + 1e300j, 0j]), np.zeros(2, dtype=complex)
-    for base in (Box((-1.0, -1.0), (1.0, 1.0)), to_polytope(BALL, 8)):
+@pytest.mark.parametrize("im", [1e80, 1e120, 1e200, 1e300])
+def test_huge_imaginary_parts_keep_a_finite_bracket(im):
+    # the slab along Im(v - u) of a pair 1e300 apart has a unit direction,
+    # and the ball's tau scales its disc vector before it squares it
+    u, v = np.array([0.5 + im * 1j, 0j]), np.zeros(2, dtype=complex)
+    for base in (Box((-1.0, -1.0), (1.0, 1.0)), to_polytope(BALL, 8), BALL):
         lo, hi = tube_distance_bounds(base, u, v)
         assert 0.0 < lo <= hi < math.inf
+
+
+def test_imaginary_parts_past_any_finite_bracket_raise():
+    u, v = np.array([0.5 + 1.7e308j, 0j]), np.zeros(2, dtype=complex)
+    for base in (Box((-1.0, -1.0), (1.0, 1.0)), BALL):
+        with pytest.raises(tube.TubeMetricError, match="no finite bracket"):
+            tube_distance_bounds(base, u, v)
+
+
+@pytest.mark.parametrize("base", [BALL, to_polytope(BALL, 8)], ids=["ball", "polytope"])
+def test_a_chain_that_cannot_refine_is_no_competitor(base):
+    # Re v is 1e-3 from the boundary: no single disc is admissible, and 8
+    # doublings of uniform legs still leave a leg at tau >= 0.95.  The
+    # chain is then no competitor, and the route through the real points
+    # gives the bracket's upper end (the chain raised before)
+    u, v = np.zeros(2, dtype=complex), np.array([0.999 + 1j, 0j])
+    taus = [affine_disc_tau(base, p.real, q - p) for p, q in ((u, v), (v, u))]
+    assert 1.0 <= min(taus) < tube._CHAIN_TAU
+    assert tube._chain_upper(base, u.tolist(), v.tolist(), taus, math.inf) == math.inf
+    lo, hi = tube_distance_bounds(base, u, v)
+    assert 0.0 < lo <= hi < math.inf
 
 
 @pytest.mark.parametrize("base", [BOX, to_polytope(BOX)], ids=["box", "polytope"])
