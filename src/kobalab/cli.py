@@ -19,7 +19,7 @@ import numpy as np
 from .checker import EXAMPLES, reproduce_example
 from .closed_forms import ClosedFormError
 from .coverings import CoveringError, map_from_dict
-from .domains import (DomainError, ModelDomain, NonInteriorError, _float, _int,
+from .domains import (DomainError, ModelDomain, NonInteriorError, _float, _int, check_eps,
                       domain_from_dict, require_interior)
 from .geodesics import GeodesicError, geodesic_samples_csv
 from .metric import (DeckBoundError, DistanceColumns, SandwichGapError, SandwichRangeError,
@@ -277,6 +277,7 @@ def cmd_scaling_probe(args) -> int:
         raise DomainError(f"--ts needs comma-separated numbers, got {args.ts!r}") from None
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
+    check_eps(args.eps)
     if args.probe == "metric":
         table = metric_convergence_probe(args.eps, ts, n=args.n)
     elif args.probe == "persistence":

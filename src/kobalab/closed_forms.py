@@ -137,7 +137,7 @@ def strip_imag_stage(halfwidth, dy, sin2q, c) -> np.ndarray:
     their `strip_real_stage`."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
     out = np.arcsinh(arg)
-    if np.any(big):
+    if big.any():
         out = np.where(big, ap - 0.5 * np.log(c), out)
     return out
 
@@ -150,8 +150,8 @@ def strip_imag_max(halfwidth, dy, sin2q, c) -> np.ndarray:
     start from 0, which no cell is below (c <= 1).  Rows whose points have
     equal imaginary parts take `strip_flat_max` instead."""
     ap, arg, big = _strip_imag_terms(halfwidth, dy, sin2q, c)
-    if not np.any(big):
-        return np.arcsinh(np.max(arg, axis=-1))
+    if not big.any():
+        return np.arcsinh(arg.max(axis=-1))
     near = np.arcsinh(np.max(arg, axis=-1, where=~big, initial=0.0))
     return np.maximum(near, np.max(ap - 0.5 * np.log(c), axis=-1, where=big, initial=0.0))
 

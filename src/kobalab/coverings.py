@@ -362,18 +362,26 @@ def monomial_power(z, alpha) -> complex:
     negative exponent is rejected.
     """
     image = _images(as_point(z)[None],
-                    lambda zs: _complex(*_monomial_power_rows(zs, alpha, zs == 0))[:, None])
+                    lambda zs: _complex(*_monomial_power_rows(zs, alpha, *_zeros(zs)))[:, None])
     return complex(image[0, 0])
 
 
-def _monomial_power_rows(zs: np.ndarray, alpha, zero: np.ndarray) -> tuple:
+def _zeros(zs: np.ndarray) -> tuple:
+    """(zero, columns): the mask of the zero entries of the rows zs, and
+    whether each column holds one, as a list."""
+    zero = zs == 0
+    return zero, zero.any(axis=0).tolist()
+
+
+def _monomial_power_rows(zs: np.ndarray, alpha, zero: np.ndarray, columns: list) -> tuple:
     """(Re, Im) of zs_k^alpha for each row of an (N, n) complex array, given
-    the mask `zero` of its zero entries: the factors z_j^{alpha_j}
+    the mask `zero` of its zero entries and `columns` of `_zeros`: the
+    factors z_j^{alpha_j}
     multiplied in coordinate order, as Python's complex arithmetic would
     (from 1 + 0i), and 0 * the product so far for a zero coordinate with a
     positive exponent."""
     acc = None      # the product so far; None is 1 + 0i
-    for zj, aj, zero_j, any_zero in zip(zs.T, alpha, zero.T, zero.any(axis=0).tolist()):
+    for zj, aj, zero_j, any_zero in zip(zs.T, alpha, zero.T, columns):
         aj = int(aj)
         if aj == 0:
             continue
@@ -449,32 +457,32 @@ def _monomial_rows(matrix: IntegerMatrix, zs: np.ndarray) -> np.ndarray:
     """Phi_A of each row of an (N, n) complex array."""
     def rows(zs):
         out = np.empty((len(zs), matrix.n), dtype=complex)
-        zero = zs == 0
+        zeros = _zeros(zs)
         for j, row in enumerate(matrix.entries):
-            out.real[:, j], out.imag[:, j] = _monomial_power_rows(zs, row, zero)
+            out.real[:, j], out.imag[:, j] = _monomial_power_rows(zs, row, *zeros)
         return out
     return _images(zs, rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _images(zs: np.ndarray, images_of) -> np.ndarray:
     """images_of(zs), the images of the rows zs under a power or monomial
     map, unless the image of a point with no zero coordinate has a
     coordinate 0, infinite or NaN, or divides by such a 0: its exponents
     then under- or overflow floating point, which CoveringError reports
     (and numpy does not warn of)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            images = images_of(zs)
-        except ZeroDivisionError:
-            # only a power of a nonzero coordinate that underflowed to 0
-            # divides by 0: a zero coordinate with a negative exponent is
-            # refused before
-            raise CoveringError("an image under- or overflows floating point: the map's "
-                                "exponents are too large") from None
-        # a NaN or an infinite coordinate makes the sum non-finite (and so
-        # may an overflow of the sum itself, which the test below clears)
-        if images.all() and cmath.isfinite(images.sum()):
-            return images
+    try:
+        images = images_of(zs)
+    except ZeroDivisionError:
+        # only a power of a nonzero coordinate that underflowed to 0
+        # divides by 0: a zero coordinate with a negative exponent is
+        # refused before
+        raise CoveringError("an image under- or overflows floating point: the map's "
+                            "exponents are too large") from None
+    # a NaN or an infinite coordinate makes the sum non-finite (and so
+    # may an overflow of the sum itself, which the test below clears)
+    if images.all() and cmath.isfinite(images.sum()):
+        return images
     lost = ~np.isfinite(images) | ((images == 0) & zs.all(axis=1, keepdims=True))
     if lost.any():
         k = int(lost.any(axis=1).argmax())

@@ -73,7 +73,7 @@ def as_point(z) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if arr.ndim != 1 or arr.size < 1:
         raise DomainError("a point must be a scalar or a 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("point has non-finite coordinates")
     return arr
 
@@ -90,12 +90,16 @@ def as_pairs(u, v) -> tuple[bool, np.ndarray, np.ndarray]:
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (..., n) arrays (0 for n = 0), summed
-    column by column, so a row's value never depends on how many rows are
-    stacked."""
-    out = a[..., 0] * b[..., 0] if a.shape[-1] else 0.0
-    for j in range(1, a.shape[-1]):
-        out = out + a[..., j] * b[..., j]
+    """Row-wise dot products of two (..., n) arrays (0 for n = 0): one
+    product a * b, whose columns are then summed in order, ((a_0 b_0 +
+    a_1 b_1) + a_2 b_2) + ..., so a row's value never depends on how many
+    rows are stacked."""
+    prod = a * b
+    if not prod.shape[-1]:
+        return 0.0
+    out = prod[..., 0][()]    # of 1-d operands, a scalar, as a product of two scalars was
+    for j in range(1, prod.shape[-1]):
+        out = out + prod[..., j]
     return out
 
 
@@ -197,7 +201,8 @@ class EuclideanBall(_Base):
         bb = 2.0 * rowdot(q, d)
         cc = rowdot(q, q) - self.radius ** 2
         root = np.sqrt(np.maximum(bb * bb - 4.0 * aa * cc, 0.0))
-        return (-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa)
+        minus_bb, twice_aa = -bb, 2.0 * aa
+        return (minus_bb - root) / twice_aa, (minus_bb + root) / twice_aa
 
     def linear_image(self, a):
         # scalar multiples of a ball stay balls
@@ -728,7 +733,7 @@ class ReinhardtLog(_Kind):
 
     def contains(self, zs):
         mags = np.abs(zs)
-        nonzero = np.all(mags != 0.0, axis=-1)
+        nonzero = (mags != 0.0).all(axis=-1)
         # a row with a zero coordinate is outside (its logs are taken of 1)
         return nonzero & self.base.contains(np.log(np.where(nonzero[:, None], mags, 1.0)))
 

@@ -244,7 +244,7 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     if not finite.all():
         errors[int(finite.argmin())] = DeckBoundError(
             "initial deck translate has no finite upper bound")
-    active = np.flatnonzero(finite)
+    active = finite.nonzero()[0]
     thr = threshold(us[active], vs[active], best_hi[active])
     # a radius past the cap fails on the cap below; clipping first keeps the
     # cast in range
@@ -291,7 +291,7 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
             # pair -> position in the survivors of its best in this box; on
             # equal uppers the survivor earlier in the per-pair order wins
             found_at: dict[int, int] = {}
-            left = np.flatnonzero(done)
+            left = done.nonzero()[0]
             while len(left):
                 # the first settled survivor left of each pair, all at once
                 leading = np.ones(len(left), dtype=bool)
@@ -306,8 +306,8 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
                 found_at.update(zip(k[won].tolist(), i[won].tolist()))
             # an open survivor whose offset or lower bound already exceeds
             # its pair's best would be skipped below; it is dropped here
-            open_ = np.flatnonzero(~done & ~(np.maximum(bound, lows) > best_hi[owners]))
-            for i in open_[np.argsort(lows[open_], kind="stable")].tolist():
+            open_ = (~done & ~(np.maximum(bound, lows) > best_hi[owners])).nonzero()[0]
+            for i in open_[lows[open_].argsort(kind="stable")].tolist():
                 k, lo = owners.item(i), lows.item(i)
                 cut = best_hi.item(k)
                 if bound[i] > cut or lo > cut:
@@ -324,7 +324,13 @@ def deck_infimum(cover: ModelDomain, points, pairs) -> DistanceColumns:
     spread = best_hi - best_lo
     gap = np.where(spread > 0.0, spread, 0.0)
     return DistanceColumns(0.5 * (best_lo + best_hi), gap,
-                           np.where(gap == 0.0, "deck-infimum", "sandwich"), best_nu)
+                           _DECK_METHODS[(gap == 0.0).view(np.int8)], best_nu)
+
+
+# a deck search's method, indexed by whether its gap is 0: a gathered copy
+# has the dtype of np.where(gap == 0.0, "deck-infimum", "sandwich")
+_DECK_METHODS = np.array(["sandwich", "deck-infimum"])
+_DECK_METHODS.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=32)
@@ -367,9 +373,9 @@ def _nearest_turns(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     translate nu0 (as floats), and the first pair whose turns have no int64
     index (-1 if none)."""
     dy = us.imag - vs.imag
-    turns = np.round(dy / TWO_PI)
-    wild = ~(np.abs(turns) < 2.0 ** 63).all(axis=1)
-    return dy, turns, int(wild.argmax()) if wild.any() else -1
+    turns = np.rint(dy / TWO_PI)    # np.round's to-even rounding at 0 decimals
+    wild = ~(np.abs(turns) < 2.0 ** 63)
+    return dy, turns, int(wild.any(axis=1).argmax()) if wild.any() else -1
 
 
 def _outside_int64(turns: np.ndarray) -> DeckBoundError:
@@ -382,6 +388,9 @@ def _boxes(limits: np.ndarray, pairs: np.ndarray):
     (in their order)."""
     while len(pairs):
         same = (limits == limits[0]).all(axis=1)
+        if same.all():      # the last box, which is often the only one
+            yield limits[0].tolist(), pairs
+            return
         yield limits[0].tolist(), pairs[same]
         limits, pairs = limits[~same], pairs[~same]
 
@@ -435,7 +444,8 @@ def _canonical_order(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def _principal_log(z: np.ndarray) -> np.ndarray:
-    return np.log(np.abs(z)) + 1j * np.angle(z)
+    # np.angle of a complex array, without its wrapper
+    return np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real)
 
 
 def _ends(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:

@@ -59,8 +59,7 @@ import numpy as np
 from ._sampling import sphere_directions
 from .closed_forms import (strip_centre, strip_density, strip_density_offset,
                            strip_distance_offset, strip_flat_max, strip_imag_max,
-                           strip_imag_stage, strip_pair_stage, strip_point_stage,
-                           strip_real_stage)
+                           strip_pair_stage, strip_point_stage)
 from .domains import (Box, ConvexBase, DomainError, EuclideanBall, LinearImage, Polytope,
                       as_pairs, base_dim, base_facet_normals, base_membership, base_support,
                       chord_interval, rowdot)
@@ -72,12 +71,12 @@ class TubeMetricError(RuntimeError):
     """No admissible competitor found; should not happen for convex tubes."""
 
 
+@np.errstate(over="ignore")
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unit, keep): the rows of a (..., n) array with norm > 1e-14, scaled to
     unit length as (k, n), and the mask of the rows kept.  Each row's norm is
     its own; one whose square overflows is divided by its largest entry first."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(rowdot(rows, rows))
+    norms = np.sqrt(rowdot(rows, rows))
     huge = np.isinf(norms)
     if huge.any():  # rare; an empty rescale would cost more than the norms themselves
         scale = np.max(np.abs(rows[huge]), axis=-1, keepdims=True)
@@ -214,7 +213,7 @@ def _pair_slabs(base: ConvexBase, uv: np.ndarray) -> tuple:
     `_extra_slabs` call and one projection serve all m pairs."""
     w = uv[1] - uv[0]
     dirs, mid, halfwidth, keep = _extra_slabs(base, np.array([w.real, w.imag]))
-    proj = rowdot(uv[:, np.nonzero(keep)[1]], dirs)
+    proj = rowdot(uv[:, keep.nonzero()[1]], dirs)
     cols = _DROPPED.repeat(len(w), axis=1)
     cols.swapaxes(1, 2)[:, keep] = np.array([*(proj.real - mid),
                                              proj.imag[0] - proj.imag[1], halfwidth])
@@ -363,38 +362,45 @@ def affine_disc_tau(base: ConvexBase, anchor, w) -> float:
     exact for boxes, polytopes and their linear images, and for ball bases
     comes from one scalar equation plus an S-lemma certificate (with a pad).
     `anchor` holds n reals and `w` n complex numbers, as lists or arrays;
-    the kinds take lists of Python numbers, since the vectors are short.
+    the kinds take lists of Python numbers, since the vectors are short,
+    and read the real and imaginary parts of w themselves.
     """
     if isinstance(w, np.ndarray):
         w = w.astype(complex).tolist()
     if isinstance(anchor, np.ndarray):
         anchor = anchor.astype(float).tolist()
-    return _TUBE_KINDS[type(base)].tau(base, anchor, [z.real for z in w], [z.imag for z in w])
+    return _TUBE_KINDS[type(base)].tau(base, anchor, w)
 
 
-def _box_disc_tau(base: Box, x: list, a: list, b: list) -> float:
+def _parts(w: list) -> tuple[list, list]:
+    """(Re w, Im w) of a list of complex numbers, as lists."""
+    return [z.real for z in w], [z.imag for z in w]
+
+
+def _box_disc_tau(base: Box, x: list, w: list) -> float:
     # each coordinate's ellipse half-width over its distance to the nearer face
-    return float(np.max(np.hypot(a, b) / np.minimum(np.asarray(base.hi) - x,
-                                                     x - np.asarray(base.lo))))
+    return float(np.max(np.hypot(*_parts(w))
+                        / np.minimum(np.asarray(base.hi) - x, x - np.asarray(base.lo))))
 
 
-def _polytope_disc_tau(base: Polytope, x: list, a: list, b: list) -> float:
+def _polytope_disc_tau(base: Polytope, x: list, w: list) -> float:
     # each facet's ellipse extent sup <n_i, alpha a + beta b> over its slack
     normals, offsets = np.asarray(base.normals, dtype=float), np.asarray(base.offsets, dtype=float)
+    a, b = _parts(w)
     return float(np.max(np.hypot(normals @ a, normals @ b) / (offsets - normals @ x)))
 
 
-def _linear_image_disc_tau(base: LinearImage, x: list, a: list, b: list) -> float:
-    # A^-1 applied to the three vectors in one stacked product, which rounds
+def _linear_image_disc_tau(base: LinearImage, x: list, w: list) -> float:
+    # A^-1 applied to x, Re w and Im w in one stacked product, which rounds
     # as three separate `inv @ vector` products do
     inner = base.base
-    return _TUBE_KINDS[type(inner)].tau(inner, *np.matmul(base.inverse,
-                                                          np.array([x, a, b])[:, :, None])
-                                        [:, :, 0].tolist())
+    x, a, b = np.matmul(base.inverse, np.array([x, *_parts(w)])[:, :, None])[:, :, 0].tolist()
+    return _TUBE_KINDS[type(inner)].tau(inner, x, list(map(complex, a, b)))
 
 
-def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
-    """Smallest tau with x + {cos(th) a + sin(th) b}/tau inside the ball.
+def _ball_disc_tau(base: EuclideanBall, x: list, w: list) -> float:
+    """Smallest tau with x + {cos(th) a + sin(th) b}/tau inside the ball,
+    where w = a + i b.
 
     One scalar equation plus an S-lemma certificate.  Let m = x - c,
     room = r^2 - |m|^2, S = [a b]^T [a b] with eigenvalues top >= top - gap
@@ -412,8 +418,8 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     Newton loop takes a few steps, so numpy's per-call cost would dominate.
     """
     mm = s11 = s12 = s22 = ga = gb = 0.0
-    for xi, ci, ai, bi in zip(x, base.center, a, b):
-        mi = xi - ci
+    for xi, ci, wi in zip(x, base.center, w):
+        mi, ai, bi = xi - ci, wi.real, wi.imag
         mm += mi * mi
         s11 += ai * ai
         s12 += ai * bi
@@ -427,16 +433,17 @@ def _ball_disc_tau(base: EuclideanBall, x: list, a: list, b: list) -> float:
     gap = math.hypot(s11 - s22, 2.0 * s12)
     top = 0.5 * (s11 + s22 + gap)
     if not 1e-150 <= top <= 1e150:
-        # tau is homogeneous of degree 1 in (a, b); a vector this short or
-        # long is scaled first by the power of two that brings its largest
+        # tau is homogeneous of degree 1 in w; a vector this short or long
+        # is scaled first by the power of two that brings its largest
         # entry into [1/2, 1), exactly, or the squares below underflow or
         # overflow
+        a, b = _parts(w)
         size = max(map(abs, a + b))
         if size == 0.0 or size == math.inf:  # the tau of a zero or infinite vector
             return size
         k = -math.frexp(size)[1]
-        tau = _ball_disc_tau(base, x, [math.ldexp(ai, k) for ai in a],
-                             [math.ldexp(bi, k) for bi in b])
+        tau = _ball_disc_tau(base, x, [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                                       for z in w])
         try:
             return math.ldexp(tau, -k)
         except OverflowError:  # a tau past the float range: no disc is admissible
@@ -586,14 +593,22 @@ def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.nd
     slab lower bounds `lower`: the best closed-form disc (the exact product
     disc over box bases, the chord slice for pairs with equal imaginary
     parts; inf if neither applies, 0 on equal pairs), raised to the lower
-    bound, and whether it is within rounding of the lower bound, i.e. final."""
+    bound, and whether it is within rounding of the lower bound, i.e. final.
+    A batch with no flat pair over a kind without a product competitor
+    (every generic pair over a ball, say) has no closed form at all: it
+    returns at once, with the bits of the full form (upper = max(inf,
+    lower), so a NaN lower stays NaN, and settled only where the lower
+    bound is so large that inf is within rounding of it)."""
     if base_dim(base) == 1:
         # a 1-d tube IS a strip: the slab projection is a biholomorphism
         return lower, np.ones(len(lower), dtype=bool)
-    flat = np.max(np.abs(us.imag - vs.imag), axis=1) < 1e-13
+    flat = np.abs(us.imag - vs.imag).max(axis=1) < 1e-13
+    product = _TUBE_KINDS[type(base)].product
+    if product is None and not flat.any():
+        # no pair is flat, so none is equal either
+        return np.maximum(math.inf, lower), math.inf <= _good_enough(lower)
     # the chord term is positive exactly when the real parts differ
     best = np.where(flat & (chord > 0.0), chord, math.inf)
-    product = _TUBE_KINDS[type(base)].product
     if product is not None:
         best = np.minimum(product(base, us, vs, strip_distance_offset), best)
     best = np.where(np.all(us == vs, axis=1), 0.0, best)
@@ -604,19 +619,27 @@ def closed_bounds(base: ConvexBase, us: np.ndarray, vs: np.ndarray, chord: np.nd
     return np.maximum(best, lower), best <= _good_enough(lower)
 
 
+# a `translate_terms` row before its terms are known
+_NO_TERMS = np.array([[0.0, math.nan]])
+_NO_TERMS.setflags(write=False)
+
+
 def translate_terms(base: ConvexBase, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The terms that every deck translate v + i*t of each row pair shares,
     as (m, 2) rows: the chord term, the strip distance from 0 to 1 in the
-    interval of s with Re u + s Re(v - u) in the base (0 where Re u = Re v;
-    through the strip kernel with dy = 0: 0 and 1 are real), and the
-    vertical cap at u, which is NaN until `disc_upper` first needs it and
-    stores it."""
+    interval of s with Re u + s Re(v - u) in the base (0 where Re u = Re v),
+    and the vertical cap at u, which is NaN until `disc_upper` first needs
+    it and stores it.  The chord term is the strip kernel with dy = 0 (0
+    and 1 are real), whose sinh stage adds exactly 0 (`_strip_imag_terms`):
+    it is arcsinh(sqrt(sin^2 q)/sqrt(c)) of the real stage of 0 and 1, one
+    `strip_point_stage` call for both ends."""
     delta = (vs - us).real
     moved = np.sqrt(rowdot(delta, delta)) > 1e-15
-    terms = np.stack([np.zeros(len(us)), np.full(len(us), math.nan)], axis=1)
+    terms = _NO_TERMS.repeat(len(us), axis=0)
     mid, halfwidth = strip_centre(*base.chord(us.real[moved], delta[moved]))
-    terms[moved, 0] = strip_imag_stage(halfwidth, np.zeros(len(halfwidth)),
-                                       *strip_real_stage(halfwidth, 0.0 - mid, 1.0 - mid))
+    ends = np.array([0.0 - mid, 1.0 - mid])
+    sin2q, c = strip_pair_stage(halfwidth, *ends, *strip_point_stage(halfwidth, ends))
+    terms[moved, 0] = np.arcsinh(np.sqrt(sin2q) / np.sqrt(c))
     return terms
 
 
@@ -635,6 +658,7 @@ _CHAIN_TAU = 6.0
 _ARM_MARGIN = 1.0 + 1e-9
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def upper_floor(base: ConvexBase, us: np.ndarray, vs: np.ndarray,
                 terms: np.ndarray) -> np.ndarray:
     """A certified lower bound on every competitor that `disc_upper`
@@ -670,38 +694,41 @@ def upper_floor(base: ConvexBase, us: np.ndarray, vs: np.ndarray,
     Each direction is divided by its largest entry before the kind squares
     it, and a floor past the float range is inf.
     """
-    m = len(us)
+    m, n = us.shape
     kind = _TUBE_KINDS[type(base)]
-    if base_dim(base) == 1 or kind.product is not None:
+    if n == 1 or kind.product is not None:
         return np.full(m, -math.inf)
-    rise = vs.imag - us.imag
-    re_u, step = us.real, vs.real - us.real
-    # the rows (Re u, Im(v - u)), (Re v, Im(v - u)), (Re v, Im v) and the
-    # points 1/4 and 1/2 of the way from Re u to Re v along Im(v - u), each
-    # direction divided by its largest entry so that no square overflows;
-    # a zero one is given the first axis, and its size 0 makes its bound 0
-    lines = np.concatenate([rise, rise, vs.imag, rise, rise])
-    size = np.max(np.abs(lines), axis=1)
+    re_u, re_v = us.real, vs.real
+    # the directions Im(v - u) and Im v, each divided by its largest entry
+    # so that no square overflows; a zero one is given the first axis, and
+    # its size 0 makes its bound 0
+    lines = np.array([vs.imag - us.imag, vs.imag])
+    size = np.abs(lines).max(axis=2)
+    rise = size[0]
     # no floor for a flat pair (closed_bounds' test) or an unknown cap at u
-    dead = (size[:m] < 1e-13) | np.isnan(terms[:, 1])
+    dead = (rise < 1e-13) | np.isnan(terms[:, 1])
     if dead.all():
         return np.full(m, -math.inf)
-    lines /= np.where(size > 0.0, size, 1.0)[:, None]
-    lines[size == 0.0, 0] = 1.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        arm, most = kind.arms(base, np.concatenate([re_u, vs.real, vs.real, re_u + 0.25 * step,
-                                                    re_u + 0.5 * step]), lines)
-        # 1/arm of each row, the bound on its tau, and the bound on the arm
-        # at the anchors' centroid of a chain
-        bound = size / arm
-        t = np.minimum(bound[:m], bound[m:2 * m])
-        start, end, quarter, half = arm[:m], arm[m:2 * m], arm[3 * m:4 * m], arm[4 * m:]
-        widest = np.minimum(most[:m], np.minimum(np.maximum(quarter, 2.0 * quarter - start),
-                                                 np.maximum(half, half + 0.5 * (half - end))))
-        chain = np.where(t >= _CHAIN_TAU * _ARM_MARGIN, math.inf, size[:m] / widest)
-        # atanh(t) is inf where t >= 1
-        floor = np.minimum(np.minimum(np.arctanh(np.minimum(t, 1.0)), chain),
-                           terms[:, 1] + terms[:, 0] + bound[2 * m:3 * m]) / _ARM_MARGIN
+    zero = size == 0.0
+    lines[zero, 0] = 1.0
+    lines /= (size + zero)[:, :, None]
+    # the arms along Im(v - u) at Re u, at Re v and at the points 1/4 and
+    # 1/2 of the way from Re u to Re v, and along Im v at Re v
+    step = re_v - re_u
+    arm, most = kind.arms(base, np.concatenate([re_u, re_v, re_u + 0.25 * step,
+                                                re_u + 0.5 * step, re_v]),
+                          lines[[0, 0, 0, 0, 1]].reshape(5 * m, n))
+    start, end, quarter, half, ascent = arm.reshape(5, m)
+    # 1/arm of each end, the bound on its tau, and the bound on the arm
+    # at the anchors' centroid of a chain
+    t = np.minimum(rise / start, rise / end)
+    widest = np.minimum(most[:m], np.minimum(np.maximum(quarter, 2.0 * quarter - start),
+                                             np.maximum(half, half + 0.5 * (half - end))))
+    chain = rise / widest
+    chain[t >= _CHAIN_TAU * _ARM_MARGIN] = math.inf
+    # atanh(t) is inf where t >= 1
+    floor = np.minimum(np.minimum(np.arctanh(np.minimum(t, 1.0)), chain),
+                       terms[:, 1] + terms[:, 0] + size[1] / ascent) / _ARM_MARGIN
     floor[dead | np.isnan(floor)] = -math.inf
     return floor
 
@@ -805,7 +832,10 @@ def cover_record(base: ConvexBase) -> tuple:
     and the rows of `translate_terms` at the pairs' first points us, which
     the caller gathered as rows[pairs[:, 0]]), set up once, and the bounds
     of the translates vs of the second points (`closed_bounds`; settled:
-    upper is final).
+    upper is final).  One pair takes the batch path on one row: its chord
+    term has no sinh stage (`translate_terms`), and a generic pair over a
+    base without a product competitor leaves `closed_bounds` at once, with
+    upper = inf (the full form's bits).
     bounds(shared, owners, vs) is (lower, upper, settled) for the
     translates vs[k] of the pairs owners[k], many translates at once
     (`slab_lower`, then `closed_bounds`).
@@ -863,19 +893,19 @@ def first_round(record: tuple, rows: np.ndarray, pairs: np.ndarray, us: np.ndarr
     start, _, finish, *_ = record
     shared, lower, upper, settled = start(rows, pairs, us, vs)
     lower, upper = np.array(lower), np.array(upper)
-    for k in np.flatnonzero(~settled).tolist():
+    for k in (~settled).nonzero()[0].tolist():
         upper[k] = finish(shared, k, vs[k], lower.item(k), upper.item(k), math.inf)
     return shared, lower, upper
 
 
+@np.errstate(over="ignore")
 def tube_bracket(record: tuple, rows: np.ndarray, pairs: np.ndarray, us: np.ndarray,
                  vs: np.ndarray) -> tuple:
     """(lower, upper) of the first round (`first_round`) of the pairs, the
     bracket of the tube kind.  Imaginary parts near the end of the float
     range take a bound past it (the strip kernel's pi dy overflows first);
     such a bracket is not finite, and TubeMetricError is raised."""
-    with np.errstate(over="ignore"):
-        _, lower, upper = first_round(record, rows, pairs, us, vs)
+    _, lower, upper = first_round(record, rows, pairs, us, vs)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise TubeMetricError("no finite bracket: imaginary parts near the end of the float range")
     return lower, upper
@@ -938,7 +968,7 @@ def _box_product(base: Box, u: np.ndarray, v: np.ndarray, kernel):
 
 
 class _TubeKind(NamedTuple):
-    tau: Callable              # (base, x, a, b) -> affine_disc_tau's value
+    tau: Callable              # (base, x, w) -> affine_disc_tau's value
     product: Callable | None   # (base, us, vs, kernel) -> the product competitor per row
     spread: bool               # the slab block adds a spread of lines
     arms: Callable             # (base, ps, ds) -> `_chord_arms`' (arm, most) per row

@@ -301,7 +301,7 @@ def test_scaling_probe_bad_n_exit_2():
         assert code == 2, probe
 
 
-@pytest.mark.parametrize("probe", ["metric", "persistence", "boundary"])
+@pytest.mark.parametrize("probe", ["metric", "persistence", "boundary", "divergence"])
 def test_scaling_probe_non_finite_eps_exit_2(probe, capsys):
     for eps in ("nan", "inf", "-0.5"):
         code, out = run_cli(["scaling-probe", "--probe", probe, "--eps", eps, "--ts", "0.5"])

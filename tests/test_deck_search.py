@@ -604,6 +604,24 @@ def test_deck_golden():
         assert got.gap.tolist() == case["gap"], case["name"]
         assert got.method.tolist() == case["method"], case["name"]
         assert got.deck_index.tolist() == case["deck_index"], case["name"]
+        assert_golden_one_by_one(case)
+
+
+def assert_golden_one_by_one(case):
+    # each golden pair on its own: a `distance` call for the domain cases,
+    # a one-pair search for the cover cases, with the batch's bits
+    if "domain" in case:
+        domain = domain_from_dict(case["domain"])
+        points = _points(case["points"])
+        singles = [distance(domain, points[i], points[j]) for i, j in case["pairs"]]
+    else:
+        cover = domain_from_dict(case["cover"])
+        us, vs = _points(case["us"]), _points(case["vs"])
+        singles = [metric.deck_infimum(cover, *disjoint(us[k:k + 1], vs[k:k + 1]))[0]
+                   for k in range(len(us))]
+    for k, got in enumerate(singles):
+        want = (case["value"][k], case["gap"][k], case["method"][k], case["deck_index"][k])
+        assert (got.value, got.gap, got.method, list(got.deck_index)) == want, (case["name"], k)
 
 
 def test_search_builds_each_pair_slab_table_once(monkeypatch):

@@ -443,3 +443,38 @@ def test_reinhardt_grid_moves_by_rounding_only(base):
         want = np.array(_reference_grid(domain, 256, skip))
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
         assert domain.contains(got).all()
+
+
+def _rowdot_rows(gen, count: int, n: int, complex_a: bool) -> tuple:
+    """count rows of n entries each for a and b: signed zeros, and signed
+    magnitudes from 1e-150 to 1e150, so that the order of the sum shows in
+    the last bit (and no product over- or underflows)."""
+    def entries():
+        mag = 10.0 ** gen.uniform(-150.0, 150.0, (count, n)) * gen.choice([-1.0, 1.0], (count, n))
+        return np.where(gen.random((count, n)) < 0.2, gen.choice([-0.0, 0.0], (count, n)), mag)
+    a = entries() + 1j * entries() if complex_a else entries()
+    return a, entries()
+
+
+@pytest.mark.parametrize("complex_a", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rowdot_is_the_sequential_sum_of_each_row(n, complex_a):
+    # ((a_0 b_0 + a_1 b_1) + a_2 b_2) + ..., as Python's own arithmetic
+    # rounds it (a real b multiplies a complex a as b + 0j), signed zeros
+    # included; and a row's value, compared by its bytes, is the same alone,
+    # beside one other row and among 200
+    gen = np.random.default_rng(100 * n + complex_a)
+    a, b = _rowdot_rows(gen, 201, n, complex_a)
+    kind = complex if complex_a else float
+    want = []
+    for row_a, row_b in zip(a.tolist(), b.tolist()):
+        total = kind(row_a[0]) * kind(row_b[0])
+        for x, y in zip(row_a[1:], row_b[1:]):
+            total = total + kind(x) * kind(y)
+        want.append(total)
+    got = domains.rowdot(a, b)
+    assert np.array(want).tobytes() == got.tobytes()
+    for k in (0, 100, 200):
+        assert domains.rowdot(a[k:k + 1], b[k:k + 1]).tobytes() == got[k:k + 1].tobytes()
+        assert domains.rowdot(a[k], b[k]).tobytes() == got[k].tobytes()
+    assert domains.rowdot(a[:2], b[:2]).tobytes() == got[:2].tobytes()

@@ -355,7 +355,7 @@ def _complex_route_tau(base, x, w):
     if isinstance(base, LinearImage):
         inv = base.inverse
         return _complex_route_tau(base.base, inv @ x, inv @ w.real + 1j * (inv @ w.imag))
-    return tube._TUBE_KINDS[type(base)].tau(base, x, w.real, w.imag)
+    return tube._TUBE_KINDS[type(base)].tau(base, x, w)
 
 
 @pytest.mark.parametrize("inner", [BALL, BOX, to_polytope(BALL, 8),
